@@ -67,8 +67,11 @@ class RunConfig:
     t: float | None = None
 
     def __post_init__(self):
-        if self.eps <= 0.0:
-            raise InvalidConfig("eps must be positive")
+        if not (math.isfinite(self.eps) and self.eps > 0.0):
+            raise InvalidConfig(f"--eps must be positive and finite, got {self.eps!r}")
+        if not (math.isfinite(self.clip_scale) and self.clip_scale > 0.0):
+            raise InvalidConfig(
+                f"--clip-scale must be positive and finite, got {self.clip_scale!r}")
         if self.samples <= 0:
             raise InvalidConfig("samples must be positive")
 

@@ -1,18 +1,20 @@
 """Weighted graph representation of a body and connectivity of body and interior.
 
 Edge weights are the dimension of the pairwise component intersections,
-computed exactly: the bisector half-planes have rational coefficients once
-the float coordinates are read as exact rationals, so the intersection
-polygon is clipped in Fraction arithmetic and its dimension is decided
-without tolerances.
+computed exactly.  Every float is a dyadic rational, so scaling all
+coordinates of a pair by one common power of two 2**k turns the bisector
+half-planes into rows A*x + B*y <= C with integer coefficients.  The clip
+runs in integer homogeneous coordinates: each vertex (X, Y, W), W > 0, is
+the meet of the two original rows that carry its edges, never an
+interpolation of earlier vertices, so the integers keep a bounded size and
+the dimension is decided without tolerances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .body import ConvexComponent, EquidistantBody, FocalConfig, Rect, build_body, is_bounded
+from .body import ConvexComponent, EquidistantBody, FocalConfig, build_body, is_bounded
 from .errors import MismatchedOuterSet
 from .polygon import extract_boundary
 from .primitives import Point
@@ -38,68 +40,82 @@ REASON_INTERIOR_DISCONNECTED = "interior_disconnected"
 REASON_COMPLEMENT_DISCONNECTED = "complement_disconnected"
 
 
-def _exact_rows(site: Point, outer) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """Half-plane rows A*x + B*y <= C for {site <= y}, exact in the inputs."""
-    sx, sy = Fraction(site.x), Fraction(site.y)
-    rows = []
-    for y in outer:
-        yx, yy = Fraction(y.x), Fraction(y.y)
-        rows.append((2 * (yx - sx), 2 * (yy - sy), yx * yx + yy * yy - sx * sx - sy * sy))
-    return rows
+def _exact_clip(rows, box):
+    """Sutherland-Hodgman clip of an integer box by integer half-planes, exactly.
 
-
-def _box_rows(clip: Rect) -> list[tuple[Fraction, Fraction, Fraction]]:
-    one = Fraction(1)
-    return [
-        (-one, Fraction(0), -Fraction(clip.xmin)),
-        (one, Fraction(0), Fraction(clip.xmax)),
-        (Fraction(0), -one, -Fraction(clip.ymin)),
-        (Fraction(0), one, Fraction(clip.ymax)),
-    ]
-
-
-def _exact_clip(rows, clip: Rect):
-    """Sutherland-Hodgman clip of the box by rational half-planes, exactly."""
-    verts = [(Fraction(p.x), Fraction(p.y)) for p in clip.corners()]
-    for a, b, c in rows:
-        if not verts:
-            break
-        svals = [c - (a * x + b * y) for x, y in verts]
+    ``box`` is (xmin, ymin, xmax, ymax) and each row (A, B, C) keeps
+    A*x + B*y <= C.  Returns the vertices as homogeneous triples (X, Y, W)
+    with W > 0; a vertex is kept when C*W - A*X - B*Y >= 0.
+    """
+    xmin, ymin, xmax, ymax = box
+    # each vertex is paired with the row that carries its edge to the next one
+    verts = [((xmin, ymin, 1), (0, -1, -ymin)), ((xmax, ymin, 1), (1, 0, xmax)),
+             ((xmax, ymax, 1), (0, 1, ymax)), ((xmin, ymax, 1), (-1, 0, -xmin))]
+    for row in rows:
+        a, b, c = row
+        svals = [c * w - a * x - b * y for (x, y, w), _ in verts]
         out = []
         n = len(verts)
-        for i in range(n):
-            j = (i + 1) % n
-            sa, sb = svals[i], svals[j]
+        for i, (vert, edge) in enumerate(verts):
+            sa, sb = svals[i], svals[i + 1 - n]
             if sa >= 0:
-                out.append(verts[i])
+                out.append((vert, edge))
                 if sb < 0:
-                    t = sa / (sa - sb)
-                    out.append((verts[i][0] + t * (verts[j][0] - verts[i][0]),
-                                verts[i][1] + t * (verts[j][1] - verts[i][1])))
+                    out.append((_meet(edge, row), row))
             elif sb >= 0:
-                t = sa / (sa - sb)
-                out.append((verts[i][0] + t * (verts[j][0] - verts[i][0]),
-                            verts[i][1] + t * (verts[j][1] - verts[i][1])))
+                out.append((_meet(edge, row), edge))
         verts = out
-    return verts
+        if not verts:
+            break
+    return [vert for vert, _ in verts]
+
+
+def _meet(r, s):
+    """Homogeneous intersection point of the boundary lines of two rows, W > 0."""
+    a1, b1, c1 = r
+    a2, b2, c2 = s
+    x, y, w = c1 * b2 - c2 * b1, a1 * c2 - a2 * c1, a1 * b2 - a2 * b1
+    return (x, y, w) if w > 0 else (-x, -y, -w)
 
 
 def polygon_dim(verts) -> int:
-    """Dimension of an exact (possibly degenerate) convex polygon: -1, 0, 1 or 2."""
-    uniq = []
-    for v in verts:
-        if v not in uniq:
-            uniq.append(v)
-    if not uniq:
+    """Dimension of an exact (possibly degenerate) convex polygon: -1, 0, 1 or 2.
+
+    The vertices are homogeneous triples (X, Y, W) with W > 0: two are equal
+    when they match after cross-multiplying, three are collinear when their
+    3x3 determinant vanishes.
+    """
+    if not verts:
         return -1
-    if len(uniq) == 1:
+    x1, y1, w1 = verts[0]
+    for x2, y2, w2 in verts:
+        if x2 * w1 != x1 * w2 or y2 * w1 != y1 * w2:
+            break
+    else:
         return 0
-    a, b = uniq[0], uniq[1]
-    ux, uy = b[0] - a[0], b[1] - a[1]
-    for w in uniq[2:]:
-        if ux * (w[1] - a[1]) - uy * (w[0] - a[0]) != 0:
+    for x3, y3, w3 in verts:
+        if x1 * (y2 * w3 - y3 * w2) - y1 * (x2 * w3 - x3 * w2) + w1 * (x2 * y3 - x3 * y2):
             return 2
     return 1
+
+
+def _intersection_exact(a: ConvexComponent, b: ConvexComponent):
+    """Homogeneous vertices of a ∩ b in coordinates scaled by 2**k, and k."""
+    if a.outer != b.outer or a.clip != b.clip:
+        raise MismatchedOuterSet("components must share the outer set and clip box")
+    clip = a.clip
+    values = [v for p in (a.site, b.site, *a.outer) for v in (p.x, p.y)]
+    values += [clip.xmin, clip.ymin, clip.xmax, clip.ymax]
+    ratios = [v.as_integer_ratio() for v in values]  # denominators are powers of two
+    k = max(d.bit_length() for _, d in ratios) - 1
+    ints = [n << (k + 1 - d.bit_length()) for n, d in ratios]
+    sites, outer, box = ints[:4], ints[4:-4], ints[-4:]
+    rows = []
+    for sx, sy in (sites[:2], sites[2:]):
+        s2 = sx * sx + sy * sy
+        rows += [(2 * (yx - sx), 2 * (yy - sy), yx * yx + yy * yy - s2)
+                 for yx, yy in zip(outer[::2], outer[1::2])]
+    return _exact_clip(rows, box), k
 
 
 def intersection_dim(a: ConvexComponent, b: ConvexComponent) -> int:
@@ -109,21 +125,13 @@ def intersection_dim(a: ConvexComponent, b: ConvexComponent) -> int:
     segment would force an inner point to coincide with an outer one), but
     the classifier decides all four outcomes uniformly.
     """
-    if a.outer != b.outer or a.clip != b.clip:
-        raise MismatchedOuterSet("components must share the outer set and clip box")
-    return polygon_dim(_intersection_exact(a, b))
-
-
-def _intersection_exact(a: ConvexComponent, b: ConvexComponent):
-    rows = _exact_rows(a.site, a.outer) + _exact_rows(b.site, b.outer)
-    return _exact_clip(rows, a.clip)
+    return polygon_dim(_intersection_exact(a, b)[0])
 
 
 def intersection_polygon(a: ConvexComponent, b: ConvexComponent) -> list[Point]:
-    """Vertices of a ∩ b (exact clip, returned in floats; may be degenerate)."""
-    if a.outer != b.outer or a.clip != b.clip:
-        raise MismatchedOuterSet("components must share the outer set and clip box")
-    return [Point(float(x), float(y)) for x, y in _intersection_exact(a, b)]
+    """Vertices of a ∩ b (exact clip, correctly rounded to floats; may be degenerate)."""
+    verts, k = _intersection_exact(a, b)
+    return [Point(x / (w << k), y / (w << k)) for x, y, w in verts]
 
 
 def build_graph(body: EquidistantBody) -> RepGraph:

@@ -60,10 +60,6 @@ class StitchFailure(GeometryError):
     """Boundary segments could not be stitched into closed chains."""
 
 
-class MalformedPentagon(GeometryError):
-    """The five points do not form a pentagon with the required concavity structure."""
-
-
 class MalformedQuad(GeometryError):
     """The four points do not form a simple quadrangle with one reflex vertex."""
 

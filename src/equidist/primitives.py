@@ -93,11 +93,6 @@ def dist(p: Point, q: Point) -> float:
     return math.hypot(p.x - q.x, p.y - q.y)
 
 
-def dist2(p: Point, q: Point) -> float:
-    dx, dy = p.x - q.x, p.y - q.y
-    return dx * dx + dy * dy
-
-
 def midpoint(p: Point, q: Point) -> Point:
     return Point((p.x + q.x) / 2.0, (p.y + q.y) / 2.0)
 

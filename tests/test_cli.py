@@ -3,6 +3,8 @@
 import json
 import math
 
+import pytest
+
 from equidist.cli import format_json, main
 
 SQUARE = {"inner": [[0, 0]], "outer": [[2, 0], [-2, 0], [0, 2], [0, -2]]}
@@ -147,6 +149,19 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, ["body", write(tmp_path, "dup.json", doc)])
         assert code == 1
         assert json.loads(err)["error"]["type"] == "InvalidConfig"
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--eps", "nan"), ("--eps", "inf"), ("--eps", "0"),
+        ("--clip-scale", "0"), ("--clip-scale", "-1"), ("--clip-scale", "nan"),
+        ("--clip-scale", "inf"),
+    ])
+    def test_bad_tolerance_flags_rejected(self, tmp_path, capsys, flag, value):
+        path = write(tmp_path, "sq.json", SQUARE)
+        code, out, err = run_cli(capsys, ["boundary", path, f"{flag}={value}"])
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "InvalidConfig"
+        assert flag in error["message"]
 
     def test_unbounded_is_validation_failure(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, ["body", write(tmp_path, "u.json", UNBOUNDED)])

@@ -1,12 +1,11 @@
 """Graph representation, intersection dimension, and connectivity equivalences."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from conftest import grid_inside_mask, random_bounded_config, region_count
-from equidist.body import FocalConfig, Rect, build_body, convex_component, membership
+from equidist.body import FocalConfig, build_body, convex_component, membership
 from equidist.connectivity import (
     RepGraph,
     _exact_clip,
@@ -28,30 +27,28 @@ TOUCHING = FocalConfig.of([(-1, 0), (1, 0)], [(0, 1), (0, -1), (10, 0), (-10, 0)
 
 
 class TestPolygonDim:
-    def box(self):
-        return Rect(-1.0, -1.0, 1.0, 1.0)
-
-    def rows(self, *triples):
-        return [tuple(Fraction(v) for v in t) for t in triples]
+    # the clip box [-1, 1]^2 and the rows are already integers, so the
+    # homogeneous clip runs on them unscaled
+    BOX = (-1, -1, 1, 1)
 
     def test_full_box(self):
-        assert polygon_dim(_exact_clip([], self.box())) == 2
+        assert polygon_dim(_exact_clip([], self.BOX)) == 2
 
     def test_segment(self):
-        rows = self.rows((1, 0, 0), (-1, 0, 0))  # x <= 0 and -x <= 0
-        assert polygon_dim(_exact_clip(rows, self.box())) == 1
+        rows = [(1, 0, 0), (-1, 0, 0)]  # x <= 0 and -x <= 0
+        assert polygon_dim(_exact_clip(rows, self.BOX)) == 1
 
     def test_point(self):
-        rows = self.rows((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
-        assert polygon_dim(_exact_clip(rows, self.box())) == 0
+        rows = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
+        assert polygon_dim(_exact_clip(rows, self.BOX)) == 0
 
     def test_empty(self):
-        rows = self.rows((1, 0, -1), (-1, 0, -1))  # x <= -1 and x >= 1
-        assert polygon_dim(_exact_clip(rows, self.box())) == -1
+        rows = [(1, 0, -1), (-1, 0, -1)]  # x <= -1 and x >= 1
+        assert polygon_dim(_exact_clip(rows, self.BOX)) == -1
 
     def test_corner_point(self):
-        rows = self.rows((1, 1, -2))  # x + y <= -2: only the corner (-1,-1)
-        assert polygon_dim(_exact_clip(rows, self.box())) == 0
+        rows = [(1, 1, -2)]  # x + y <= -2: only the corner (-1,-1)
+        assert polygon_dim(_exact_clip(rows, self.BOX)) == 0
 
 
 class TestIntersectionDim:

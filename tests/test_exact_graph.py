@@ -1,0 +1,231 @@
+"""The integer homogeneous clip against a rational reference, and graph invariances.
+
+The reference below is the Sutherland-Hodgman clip in Fraction arithmetic
+that decided the graph weights before the integer clip: every new vertex is
+an interpolation of earlier Fraction vertices.  It is slow but plainly
+exact, so it serves as the oracle for ``intersection_dim`` and
+``intersection_polygon``.  The metamorphic tests pin the exact graph under
+maps that are exact in floating point: integer translation, 90° rotation,
+scaling by a power of two and relabelling of the points.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_bounded_config
+from equidist.body import FocalConfig, build_body, is_bounded
+from equidist.connectivity import build_graph, intersection_dim, intersection_polygon
+from equidist.primitives import Point
+from test_connectivity import OVERLAP, SEPARATED, TOUCHING
+
+# Deterministic example generation keeps the suite reproducible run to run.
+EXAMPLES = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+# --- rational reference ------------------------------------------------------
+
+def ref_rows(site, outer):
+    """Half-plane rows A*x + B*y <= C for {site <= y}, exact in the inputs."""
+    sx, sy = Fraction(site.x), Fraction(site.y)
+    rows = []
+    for y in outer:
+        yx, yy = Fraction(y.x), Fraction(y.y)
+        rows.append((2 * (yx - sx), 2 * (yy - sy), yx * yx + yy * yy - sx * sx - sy * sy))
+    return rows
+
+
+def ref_clip(rows, clip):
+    """Sutherland-Hodgman clip of the box by rational half-planes, exactly."""
+    verts = [(Fraction(p.x), Fraction(p.y)) for p in clip.corners()]
+    for a, b, c in rows:
+        if not verts:
+            break
+        svals = [c - (a * x + b * y) for x, y in verts]
+        out = []
+        n = len(verts)
+        for i in range(n):
+            j = (i + 1) % n
+            sa, sb = svals[i], svals[j]
+            if sa >= 0:
+                out.append(verts[i])
+                if sb < 0:
+                    t = sa / (sa - sb)
+                    out.append((verts[i][0] + t * (verts[j][0] - verts[i][0]),
+                                verts[i][1] + t * (verts[j][1] - verts[i][1])))
+            elif sb >= 0:
+                t = sa / (sa - sb)
+                out.append((verts[i][0] + t * (verts[j][0] - verts[i][0]),
+                            verts[i][1] + t * (verts[j][1] - verts[i][1])))
+        verts = out
+    return verts
+
+
+def ref_dim(verts) -> int:
+    """Dimension of an exact convex polygon of Fraction vertices: -1, 0, 1 or 2."""
+    uniq = []
+    for v in verts:
+        if v not in uniq:
+            uniq.append(v)
+    if not uniq:
+        return -1
+    if len(uniq) == 1:
+        return 0
+    a, b = uniq[0], uniq[1]
+    ux, uy = b[0] - a[0], b[1] - a[1]
+    for w in uniq[2:]:
+        if ux * (w[1] - a[1]) - uy * (w[0] - a[0]) != 0:
+            return 2
+    return 1
+
+
+def ref_intersection(a, b):
+    return ref_clip(ref_rows(a.site, a.outer) + ref_rows(b.site, b.outer), a.clip)
+
+
+def ref_edges(body):
+    comps = body.components
+    edges = []
+    for i in range(len(comps)):
+        for j in range(i + 1, len(comps)):
+            w = ref_dim(ref_intersection(comps[i], comps[j]))
+            if w >= 0:
+                edges.append((i, j, w))
+    return tuple(edges)
+
+
+# --- corpora -----------------------------------------------------------------
+
+def ring_config(rng: random.Random, p: int, q: int = 12) -> FocalConfig:
+    """q outer points jittered on a radius-10 ring, p inner points uniform in [-6, 6]^2."""
+    outer = []
+    for k in range(q):
+        angle = 2.0 * math.pi * (k + rng.uniform(-0.25, 0.25)) / q
+        radius = 10.0 + rng.uniform(-0.5, 0.5)
+        outer.append((radius * math.cos(angle), radius * math.sin(angle)))
+    inner = [(rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0)) for _ in range(p)]
+    return FocalConfig.of(inner, outer)
+
+
+def grid_config(rng: random.Random, p: int, n: int = 18, half_width: int = 4) -> FocalConfig:
+    """n distinct points of the integer grid [-h, h]^2, p of them inner, the body bounded.
+
+    Integer points make concircular inner/outer quadruples common, so
+    components that touch in a single point (weight 0) occur often.
+    """
+    cells = [(x, y) for x in range(-half_width, half_width + 1)
+             for y in range(-half_width, half_width + 1)]
+    while True:
+        pts = rng.sample(cells, n)
+        cfg = FocalConfig.of(pts[:p], pts[p:])
+        if is_bounded(cfg):
+            return cfg
+
+
+def mapped_config(cfg: FocalConfig, f) -> FocalConfig:
+    return FocalConfig(tuple(f(v) for v in cfg.inner), tuple(f(v) for v in cfg.outer))
+
+
+def graph_edges(cfg: FocalConfig):
+    return build_graph(build_body(cfg)).edges
+
+
+def assert_matches_reference(body):
+    comps = body.components
+    for i in range(len(comps)):
+        for j in range(len(comps)):
+            if i == j:
+                continue
+            ref = ref_intersection(comps[i], comps[j])
+            assert intersection_dim(comps[i], comps[j]) == ref_dim(ref)
+            assert intersection_polygon(comps[i], comps[j]) == [
+                Point(float(x), float(y)) for x, y in ref]
+    assert build_graph(body).edges == ref_edges(body)
+
+
+# --- oracle ------------------------------------------------------------------
+
+class TestAgainstRationalClip:
+    def test_named_configs(self):
+        for cfg in (OVERLAP, SEPARATED, TOUCHING):
+            assert_matches_reference(build_body(cfg))
+
+    def test_random_bounded_configs(self):
+        rng = random.Random(41)
+        for _ in range(25):
+            assert_matches_reference(build_body(random_bounded_config(rng, p_max=5)))
+
+    def test_ring_configs(self):
+        rng = random.Random(42)
+        for p in (2, 3, 5, 6):
+            for _ in range(3):
+                assert_matches_reference(build_body(ring_config(rng, p)))
+
+    def test_grid_configs_with_touching_pairs(self):
+        rng = random.Random(43)
+        seen = set()
+        for _ in range(40):
+            body = build_body(grid_config(rng, rng.randint(2, 5)))
+            assert_matches_reference(body)
+            seen.update(w for _, _, w in build_graph(body).edges)
+        # the corpus reaches the degenerate outcome, not only overlaps
+        assert {0, 2} <= seen
+
+    def test_vertices_outside_the_dyadic_grid(self):
+        # coordinates with long binary expansions and mixed magnitudes force
+        # a large common power of two
+        cfg = FocalConfig.of([(0.1, 1e-7), (-0.3, 0.2)],
+                             [(3.7, 0.01), (-2.9, 3.1), (-3.3, -2.6), (1e-9, -4.4)])
+        assert_matches_reference(build_body(cfg))
+
+
+# --- metamorphic -------------------------------------------------------------
+
+def _config(kind: str, seed: int, p: int) -> FocalConfig:
+    rng = random.Random(seed)
+    return ring_config(rng, p) if kind == "ring" else grid_config(rng, p)
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+KINDS = st.sampled_from(["ring", "grid"])
+SIZES = st.integers(2, 6)
+
+
+class TestGraphInvariance:
+    @EXAMPLES
+    @given(seed=SEEDS, p=SIZES,
+           dx=st.integers(-2**30, 2**30), dy=st.integers(-2**30, 2**30))
+    def test_integer_translation(self, seed, p, dx, dy):
+        cfg = _config("grid", seed, p)
+        moved = mapped_config(cfg, lambda v: Point(v.x + dx, v.y + dy))
+        assert graph_edges(moved) == graph_edges(cfg)
+
+    @EXAMPLES
+    @given(kind=KINDS, seed=SEEDS, p=SIZES)
+    def test_rotation_by_90_degrees(self, kind, seed, p):
+        cfg = _config(kind, seed, p)
+        turned = mapped_config(cfg, lambda v: Point(-v.y, v.x))
+        assert graph_edges(turned) == graph_edges(cfg)
+
+    @EXAMPLES
+    @given(kind=KINDS, seed=SEEDS, p=SIZES, k=st.integers(-30, 30))
+    def test_power_of_two_scaling(self, kind, seed, p, k):
+        cfg = _config(kind, seed, p)
+        scaled = mapped_config(cfg, lambda v: Point(math.ldexp(v.x, k), math.ldexp(v.y, k)))
+        assert graph_edges(scaled) == graph_edges(cfg)
+
+    @EXAMPLES
+    @given(kind=KINDS, seed=SEEDS, p=SIZES, data=st.data())
+    def test_point_permutation(self, kind, seed, p, data):
+        cfg = _config(kind, seed, p)
+        perm = data.draw(st.permutations(range(p)))  # new index of inner point i
+        inner = [None] * p
+        for i, v in enumerate(cfg.inner):
+            inner[perm[i]] = v
+        outer = data.draw(st.permutations(cfg.outer))
+        relabelled = sorted((min(perm[i], perm[j]), max(perm[i], perm[j]), w)
+                            for i, j, w in graph_edges(cfg))
+        assert list(graph_edges(FocalConfig(tuple(inner), tuple(outer)))) == relabelled
