@@ -1,11 +1,16 @@
 """Regularity checks, the empty-circumcircle hypergraph, and boundary extraction.
 
-The hypergraph path enumerates all focal triples by brute force with the
-exact in-circle predicate; the boundary path collects the component edges
-that survive on the outside of every other component and stitches them into
-closed chains.  Boundary extraction needs no regularity, so degenerate
-inputs (concircular focal quadruples) are handled by the same code and show
-up as double-change vertices.
+The hypergraph path enumerates all focal triples and, for each, scans the
+other focal points with the exact in-circle sign: O(n^3) triples times O(n)
+candidates.  The scan (``primitives.incircle_hits``) lifts every point
+relative to the triple's first point once per first point and keeps the
+float filter of ``incircle`` with its exact fallback, so each sign is exact
+and the reports list triples and quadruples in ``combinations`` order.  The
+boundary path collects the component edges that survive on the outside of
+every other component and stitches them into closed chains.  Boundary
+extraction needs no regularity, so degenerate inputs (concircular focal
+quadruples) are handled by the same code and show up as double-change
+vertices.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain
 
 from .body import (
     MEMBER_BOUNDARY,
@@ -32,9 +37,12 @@ from .primitives import (
     Point,
     circumcircle,
     dist,
-    incircle,
+    incircle,  # noqa: F401  kept: bench/spans.py counts calls through polygon.incircle
+    incircle_hits,
     lerp,
+    lifted_rows,
     orient,
+    signed_area,
     viewing_angle,
 )
 
@@ -106,12 +114,7 @@ class PolygonChain:
     edge_pairs: tuple[tuple[int, int], ...]
 
     def signed_area(self) -> float:
-        s = 0.0
-        n = len(self.vertices)
-        for i in range(n):
-            a, b = self.vertices[i], self.vertices[(i + 1) % n]
-            s += a.x * b.y - b.x * a.y
-        return s / 2.0
+        return signed_area(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -148,22 +151,30 @@ def ref_point(cfg: FocalConfig, ref: FocalRef) -> Point:
 
 
 def check_regularity(cfg: FocalConfig) -> RegularityReport:
-    """Exhaustive exact test for collinear triples and concircular quadruples."""
+    """Exhaustive exact test for collinear triples (C1) and concircular quadruples (C2).
+
+    Each triple (a, b, c) in ``combinations`` order is tested with the exact
+    ``orient``; a collinear one is reported and extends to no concircular
+    quadruple, since a circle meets a line in at most two points.  For every
+    other triple the candidates d after c are scanned with the exact
+    in-circle sign (``incircle_hits``), so both lists come out in
+    ``combinations`` order.
+    """
     pts = labeled_points(cfg)
+    refs = [r for r, _ in pts]
+    points = [p for _, p in pts]
+    n = len(points)
     collinear = []
-    for (ra, a), (rb, b), (rc, c) in combinations(pts, 3):
-        if orient(a, b, c) == 0:
-            collinear.append((ra, rb, rc))
     concircular = []
-    for (ra, a), (rb, b), (rc, c), (rd, d) in combinations(pts, 4):
-        if orient(a, b, c) != 0:
-            on = incircle(a, b, c, d) == 0
-        elif orient(a, b, d) != 0:
-            on = incircle(a, b, d, c) == 0
-        else:
-            on = False  # no circle passes through three collinear points
-        if on:
-            concircular.append((ra, rb, rc, rd))
+    for a in range(n):
+        rows = lifted_rows(points, a)
+        for b in range(a + 1, n):
+            for c in range(b + 1, n):
+                if orient(points[a], points[b], points[c]) == 0:
+                    collinear.append((refs[a], refs[b], refs[c]))
+                    continue
+                for d in incircle_hits(points, rows, a, b, c, range(c + 1, n), 0):
+                    concircular.append((refs[a], refs[b], refs[c], refs[d]))
     return RegularityReport(ok=not collinear and not concircular,
                             collinear=tuple(collinear), concircular=tuple(concircular))
 
@@ -178,34 +189,43 @@ def _triple_color(kinds) -> str:
 
 
 def empty_circle_triples(cfg: FocalConfig) -> tuple[HyperEdge, ...]:
-    """All focal triples whose circumcircle contains no focal point strictly inside."""
+    """All focal triples whose circumcircle contains no focal point strictly inside.
+
+    Raises RegularityViolated unless ``check_regularity`` passes.  Triples
+    come in ``combinations`` order; the scan of a triple stops at the first
+    focal point found strictly inside its circle.  Colored triples list the
+    lone point in the middle and carry its viewing angle of the other two as
+    weight.
+    """
     report = check_regularity(cfg)
     if not report.ok:
         raise RegularityViolated("configuration violates (C1)/(C2)", report)
     pts = labeled_points(cfg)
+    points = [p for _, p in pts]
+    n = len(points)
     edges = []
-    for chosen in combinations(range(len(pts)), 3):
-        (ra, a), (rb, b), (rc, c) = (pts[i] for i in chosen)
-        empty = True
-        for i, (_, z) in enumerate(pts):
-            if i in chosen:
-                continue
-            if incircle(a, b, c, z) > 0:
-                empty = False
-                break
-        if not empty:
-            continue
-        trip = [(ra, a), (rb, b), (rc, c)]
-        color = _triple_color([r.kind for r, _ in trip])
-        weight = None
-        if color in (COLOR_XYX, COLOR_YXY):
-            lone_kind = "outer" if color == COLOR_XYX else "inner"
-            lone = next(t for t in trip if t[0].kind == lone_kind)
-            pair = [t for t in trip if t[0].kind != lone_kind]
-            trip = [pair[0], lone, pair[1]]
-            weight = viewing_angle(lone[1], pair[0][1], pair[1][1])
-        edges.append(HyperEdge(refs=tuple(r for r, _ in trip), color=color,
-                               circle=circumcircle(a, b, c), weight=weight))
+    for i in range(n):
+        rows = lifted_rows(points, i)
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                (ra, a), (rb, b), (rc, c) = pts[i], pts[j], pts[k]
+                # z is strictly inside the circle through a, b, c exactly when
+                # the raw sign of (b, c, z, a) is -orient(a, b, c).
+                others = chain(range(i), range(i + 1, j), range(j + 1, k), range(k + 1, n))
+                inside = incircle_hits(points, rows, i, j, k, others, -orient(a, b, c))
+                if next(inside, None) is not None:
+                    continue
+                trip = [(ra, a), (rb, b), (rc, c)]
+                color = _triple_color([r.kind for r, _ in trip])
+                weight = None
+                if color in (COLOR_XYX, COLOR_YXY):
+                    lone_kind = "outer" if color == COLOR_XYX else "inner"
+                    lone = next(t for t in trip if t[0].kind == lone_kind)
+                    pair = [t for t in trip if t[0].kind != lone_kind]
+                    trip = [pair[0], lone, pair[1]]
+                    weight = viewing_angle(lone[1], pair[0][1], pair[1][1])
+                edges.append(HyperEdge(refs=tuple(r for r, _ in trip), color=color,
+                                       circle=circumcircle(a, b, c), weight=weight))
     return tuple(edges)
 
 
@@ -483,12 +503,8 @@ def extract_boundary(cfg: FocalConfig, clip_scale: float = 2.0, eps: float = EPS
     for cycle_clusters, cycle_pieces in chains:
         verts = [clusters.rep(c) for c in cycle_clusters]
         pairs = [(pieces[j][2], pieces[j][3]) for j in cycle_pieces]
-        area = 0.0
         n = len(verts)
-        for i in range(n):
-            a, b = verts[i], verts[(i + 1) % n]
-            area += a.x * b.y - b.x * a.y
-        if area < 0.0:
+        if signed_area(verts) < 0.0:
             verts = [verts[0]] + verts[:0:-1]
             pairs = [pairs[(n - 1 - t) % n] for t in range(n)]
         info = []

@@ -2,7 +2,9 @@
 
 Predicates (``orient``, ``incircle``) are evaluated in floating point with a
 forward error bound and fall back to exact rational arithmetic when the float
-result is too close to zero to be trusted.  Constructions (circumcircles,
+result is too close to zero to be trusted.  ``incircle_hits`` runs the same
+in-circle filter over many fourth points of one triangle at once, for the
+exhaustive scans of the hypergraph.  Constructions (circumcircles,
 intersections, reflections) are plain double precision; callers compare their
 results with a relative tolerance against the coordinate scale.
 """
@@ -176,6 +178,50 @@ def _incircle_raw(a: Point, b: Point, c: Point, d: Point) -> int:
     return _incircle_exact(a, b, c, d)
 
 
+def lifted_rows(points, a: int) -> list[tuple[float, float, float]]:
+    """Row (u, v, u^2 + v^2) of every point, relative to points[a]."""
+    ax, ay = points[a].x, points[a].y
+    rows = []
+    for p in points:
+        u, v = p.x - ax, p.y - ay
+        rows.append((u, v, u * u + v * v))
+    return rows
+
+
+def incircle_hits(points, rows, a: int, b: int, c: int, candidates, want: int):
+    """Yield, in order, the candidates d with sign(_incircle_raw(b, c, d, a)) == want.
+
+    ``rows`` is ``lifted_rows(points, a)``.  The float determinant and error
+    bound are those of ``_incircle_raw(b, c, d, a)``, op for op, with the
+    terms of b and c computed once per call instead of once per candidate;
+    undecided signs fall back to ``_incircle_exact``, so every sign is exact.
+    When o = orient(a, b, c) is not 0,
+    incircle(a, b, c, d) == -o * _incircle_raw(b, c, d, a).
+    """
+    bu, bv, bw = rows[b]
+    cu, cv, cw = rows[c]
+    bucv, cubv = bu * cv, cu * bv
+    minor = bucv - cubv
+    perm = abs(bucv) + abs(cubv)
+    pa, pb, pc = points[a], points[b], points[c]
+    for d in candidates:
+        du, dv, dw = rows[d]
+        cudv, ducv = cu * dv, du * cv
+        dubv, budv = du * bv, bu * dv
+        det = bw * (cudv - ducv) + cw * (dubv - budv) + dw * minor
+        bound = _INCIRCLE_ERRBOUND * ((abs(cudv) + abs(ducv)) * bw
+                                      + (abs(dubv) + abs(budv)) * cw
+                                      + perm * dw)
+        if det > bound:
+            sign = 1
+        elif -det > bound:
+            sign = -1
+        else:
+            sign = _incircle_exact(pb, pc, points[d], pa)
+        if sign == want:
+            yield d
+
+
 def _incircle_exact(a: Point, b: Point, c: Point, d: Point) -> int:
     dx, dy = Fraction(d.x), Fraction(d.y)
     adx, ady = Fraction(a.x) - dx, Fraction(a.y) - dy
@@ -189,6 +235,16 @@ def _incircle_exact(a: Point, b: Point, c: Point, d: Point) -> int:
     if det < 0:
         return -1
     return 0
+
+
+def signed_area(points) -> float:
+    """Shoelace area of a closed polygon: positive when counterclockwise."""
+    s = 0.0
+    n = len(points)
+    for i in range(n):
+        a, b = points[i], points[(i + 1) % n]
+        s += a.x * b.y - b.x * a.y
+    return s / 2.0
 
 
 def circumcircle(p: Point, q: Point, r: Point) -> Circle:

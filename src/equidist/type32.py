@@ -37,6 +37,7 @@ from .primitives import (
     orient,
     reflect_direction,
     reflect_point,
+    signed_area,
     viewing_angle,
 )
 
@@ -49,15 +50,6 @@ _OMEGA_PAIRS = ((0, 1), (1, 2), (2, 0))
 
 # ---------------------------------------------------------------------------
 # small polygon helpers
-
-
-def signed_area(pts) -> float:
-    s = 0.0
-    n = len(pts)
-    for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        s += a.x * b.y - b.x * a.y
-    return s / 2.0
 
 
 def polygon_diameter(pts) -> float:

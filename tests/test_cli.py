@@ -66,6 +66,35 @@ class TestReports:
         result = json.loads(out)["result"]
         assert result["regular"] is False and result["concircular"]
 
+    def test_hypergraph_irregular_lists_in_order(self, tmp_path, capsys):
+        # integer grid points: five collinear triples and five concircular
+        # quadruples, each list in combinations order of the labelled points
+        # (inner points first)
+        doc = {"inner": [[0, 0], [1, 1]],
+               "outer": [[2, 0], [-2, 0], [0, 2], [0, -2], [2, 2], [-1, 1]]}
+        code, out, _ = run_cli(capsys, ["hypergraph", write(tmp_path, "grid.json", doc)])
+        assert code == 0
+        result = json.loads(out)["result"]
+
+        def refs(tuples):
+            return [[(r["kind"][0], r["index"]) for r in t] for t in tuples]
+
+        assert result["regular"] is False
+        assert refs(result["collinear"]) == [
+            [("i", 0), ("i", 1), ("o", 4)],
+            [("i", 0), ("o", 0), ("o", 1)],
+            [("i", 0), ("o", 2), ("o", 3)],
+            [("i", 1), ("o", 0), ("o", 2)],
+            [("o", 1), ("o", 2), ("o", 5)],
+        ]
+        assert refs(result["concircular"]) == [
+            [("i", 0), ("i", 1), ("o", 2), ("o", 5)],
+            [("i", 0), ("o", 0), ("o", 2), ("o", 4)],
+            [("i", 1), ("o", 0), ("o", 1), ("o", 5)],
+            [("o", 0), ("o", 1), ("o", 2), ("o", 3)],
+            [("o", 2), ("o", 3), ("o", 4), ("o", 5)],
+        ]
+
     def test_classify32(self, tmp_path, capsys):
         code, out, _ = run_cli(capsys, ["classify32", write(tmp_path, "g32.json", GENERIC_32)])
         assert code == 0
