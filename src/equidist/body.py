@@ -3,7 +3,11 @@
 A body is the set of points at least as close to the inner focal set as to
 the outer one.  It is assembled as a union of convex components, one per
 inner point, each obtained by clipping a bounding box against the
-perpendicular-bisector half-planes toward every outer point.
+perpendicular-bisector half-planes toward every outer point.  The clip is
+exact: the site, the outer points and the box are scaled to integers by one
+power of two, each vertex (X, Y, W), W > 0, is the meet of the two original
+rows that carry its edges, and it is rounded to floats once.  ``connectivity``
+runs the same clip on pairs of components.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .primitives import (
     circumcircle,
     coord_scale,
     dist,
-    lerp,
+    dyadic_ints,
     orient,
     perp_bisector,
 )
@@ -33,9 +37,6 @@ from .primitives import (
 MEMBER_INSIDE = "inside_strict"
 MEMBER_BOUNDARY = "on_boundary"
 MEMBER_OUTSIDE = "outside"
-
-# Consecutive clip vertices closer than this (relative) are merged.
-_DEDUPE_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -47,14 +48,6 @@ class Rect:
 
     def contains(self, p: Point) -> bool:
         return self.xmin <= p.x <= self.xmax and self.ymin <= p.y <= self.ymax
-
-    def corners(self) -> tuple[Point, Point, Point, Point]:
-        return (
-            Point(self.xmin, self.ymin),
-            Point(self.xmax, self.ymin),
-            Point(self.xmax, self.ymax),
-            Point(self.xmin, self.ymax),
-        )
 
     def side_dists(self, p: Point) -> tuple[float, float, float, float]:
         """Signed distances to the four sides, positive inside."""
@@ -265,35 +258,66 @@ def star_center(cfg: FocalConfig):
     return None
 
 
-def _clip_tagged(verts, tags, signed_vals, new_tag, scale):
-    """One Sutherland-Hodgman clip step keeping signed >= 0, propagating edge tags."""
-    out_v, out_t = [], []
-    n = len(verts)
-    for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        sa, sb = signed_vals[i], signed_vals[(i + 1) % n]
-        if sa >= 0.0:
-            out_v.append(a)
-            out_t.append(tags[i])
-            if sb < 0.0:
-                t = sa / (sa - sb)
-                out_v.append(lerp(a, b, t))
-                out_t.append(new_tag)
-        elif sb >= 0.0:
-            t = sa / (sa - sb)
-            out_v.append(lerp(a, b, t))
-            out_t.append(tags[i])
-    # Drop zero-length edges: keep each surviving edge's start vertex and tag,
-    # so a dropped vertex hands its incoming edge to the next kept vertex.
-    tol = _DEDUPE_REL * scale
-    m = len(out_v)
-    keep_v, keep_t = [], []
-    for i in range(m):
-        if dist(out_v[i], out_v[(i + 1) % m]) <= tol:
-            continue
-        keep_v.append(out_v[i])
-        keep_t.append(out_t[i])
-    return keep_v, keep_t
+def _integer_rows(sites, outer, clip: Rect):
+    """Integer rows of {site <= y} for each site in turn and every outer y, the box, and k.
+
+    Row (A, B, C) keeps A*x + B*y <= C, the box is (xmin, ymin, xmax, ymax),
+    and all of them are scaled to integers by 2**k.
+    """
+    values = [v for pt in (*sites, *outer) for v in (pt.x, pt.y)]
+    ints, k = dyadic_ints(values + [clip.xmin, clip.ymin, clip.xmax, clip.ymax])
+    m = 2 * len(sites)
+    outer_xy = list(zip(ints[m:-4:2], ints[m + 1:-4:2]))
+    rows = []
+    for sx, sy in zip(ints[:m:2], ints[1:m:2]):
+        s2 = sx * sx + sy * sy
+        rows += [(2 * (yx - sx), 2 * (yy - sy), yx * yx + yy * yy - s2) for yx, yy in outer_xy]
+    return rows, tuple(ints[-4:]), k
+
+
+def _exact_clip(rows, box):
+    """Sutherland-Hodgman clip of an integer box by integer half-planes, exactly.
+
+    ``box`` is (xmin, ymin, xmax, ymax) and each row (A, B, C) keeps
+    A*x + B*y <= C.  Returns (vertex, row) pairs: the vertex is a homogeneous
+    triple (X, Y, W), W > 0, kept when C*W - A*X - B*Y >= 0, and the row
+    carries its edge to the next vertex.
+    """
+    xmin, ymin, xmax, ymax = box
+    verts = [((xmin, ymin, 1), (0, -1, -ymin)), ((xmax, ymin, 1), (1, 0, xmax)),
+             ((xmax, ymax, 1), (0, 1, ymax)), ((xmin, ymax, 1), (-1, 0, -xmin))]
+    for row in rows:
+        a, b, c = row
+        svals = [c * w - a * x - b * y for (x, y, w), _ in verts]
+        if min(svals) >= 0:
+            continue  # the row cuts nothing off
+        out = []
+        n = len(verts)
+        for i, (vert, edge) in enumerate(verts):
+            sa, sb = svals[i], svals[i + 1 - n]
+            if sa >= 0:
+                out.append((vert, edge))
+                if sb < 0:
+                    out.append((_meet(edge, row), row))
+            elif sb >= 0:
+                out.append((_meet(edge, row), edge))
+        verts = out
+        if not verts:
+            break
+    return verts
+
+
+def _same_point(u, v) -> bool:
+    """Exact equality of two homogeneous points with W > 0."""
+    return u[0] * v[2] == v[0] * u[2] and u[1] * v[2] == v[1] * u[2]
+
+
+def _meet(r, s):
+    """Homogeneous intersection point of the boundary lines of two rows, W > 0."""
+    a1, b1, c1 = r
+    a2, b2, c2 = s
+    x, y, w = c1 * b2 - c2 * b1, a1 * c2 - a2 * c1, a1 * b2 - a2 * b1
+    return (x, y, w) if w > 0 else (-x, -y, -w)
 
 
 def convex_component(site: Point, outer, clip: Rect) -> ConvexComponent:
@@ -305,20 +329,23 @@ def convex_component(site: Point, outer, clip: Rect) -> ConvexComponent:
         raise SiteInOuterSet(f"site {site} appears in the outer set")
     if not clip.contains(site):
         raise PreconditionViolated(f"clip box does not contain the site {site}")
-    scale = max(coord_scale((site,) + outer),
-                abs(clip.xmin), abs(clip.xmax), abs(clip.ymin), abs(clip.ymax))
-    verts = list(clip.corners())
-    tags = [-1, -2, -3, -4]
     halfplanes = tuple(HalfPlane.closer_to(site, y) for y in outer)
-    for j, hp in enumerate(halfplanes):
-        if not verts:
-            break
-        signed_vals = [hp.signed(v) for v in verts]
-        verts, tags = _clip_tagged(verts, tags, signed_vals, j, scale)
-    clipped = any(t < 0 for t in tags)
-    return ConvexComponent(site=site, outer=outer, clip=clip,
-                           halfplanes=halfplanes, vertices=tuple(verts),
-                           edge_tags=tuple(tags), clipped=clipped)
+    rows, box, k = _integer_rows((site,), outer, clip)
+    # a row's normal names it: 2 * (y - site) for an outer y, a unit vector for a box side
+    tag_of = {(0, -1): -1, (1, 0): -2, (0, 1): -3, (-1, 0): -4}
+    tag_of.update((row[:2], j) for j, row in enumerate(rows))
+    clip_out = _exact_clip(rows, box)
+    coords = [(x / (w << k), y / (w << k)) for (x, y, w), _ in clip_out]
+    # Drop zero-length edges: a vertex exactly equal to its successor goes, so
+    # the next vertex carries the edge that leaves the repeated point.  Equal
+    # points round to equal floats, so only those need the exact test.
+    n = len(clip_out)
+    kept = [i for i in range(n) if coords[i] != coords[i + 1 - n]
+            or not _same_point(clip_out[i][0], clip_out[i + 1 - n][0])]
+    verts = tuple(Point(*coords[i]) for i in kept)
+    tags = tuple(tag_of[clip_out[i][1][:2]] for i in kept)
+    return ConvexComponent(site=site, outer=outer, clip=clip, halfplanes=halfplanes,
+                           vertices=verts, edge_tags=tags, clipped=any(t < 0 for t in tags))
 
 
 def body_clip_box(cfg: FocalConfig, clip_scale: float = 2.0) -> Rect:
@@ -326,7 +353,11 @@ def body_clip_box(cfg: FocalConfig, clip_scale: float = 2.0) -> Rect:
     radius = bounding_radius(cfg)
     o = _centroid(cfg.inner)
     h = clip_scale * radius
-    return Rect(o.x - h, o.y - h, o.x + h, o.y + h)
+    clip = Rect(o.x - h, o.y - h, o.x + h, o.y + h)
+    if not all(map(math.isfinite, (clip.xmin, clip.ymin, clip.xmax, clip.ymax))):
+        raise InvalidConfig(f"--clip-scale {clip_scale!r} times the body radius "
+                            f"{radius!r} overflows the clip box")
+    return clip
 
 
 def build_body(cfg: FocalConfig, clip_scale: float = 2.0) -> EquidistantBody:

@@ -1,13 +1,10 @@
 """Weighted graph representation of a body and connectivity of body and interior.
 
 Edge weights are the dimension of the pairwise component intersections,
-computed exactly.  Every float is a dyadic rational, so scaling all
-coordinates of a pair by one common power of two 2**k turns the bisector
-half-planes into rows A*x + B*y <= C with integer coefficients.  The clip
-runs in integer homogeneous coordinates: each vertex (X, Y, W), W > 0, is
-the meet of the two original rows that carry its edges, never an
-interpolation of earlier vertices, so the integers keep a bounded size and
-the dimension is decided without tolerances.
+computed exactly: the integer homogeneous clip of ``body`` cuts the clip box
+by the bisector rows of both sites, on the coordinates of the pair scaled by
+one common power of two, and the dimension is decided on the exact
+homogeneous vertices, without tolerances.
 """
 
 from __future__ import annotations
@@ -15,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .body import ConvexComponent, EquidistantBody, FocalConfig, build_body, is_bounded
+from .body import _exact_clip, _integer_rows, _same_point
 from .errors import MismatchedOuterSet
 from .polygon import extract_boundary
 from .primitives import Point
@@ -40,44 +38,6 @@ REASON_INTERIOR_DISCONNECTED = "interior_disconnected"
 REASON_COMPLEMENT_DISCONNECTED = "complement_disconnected"
 
 
-def _exact_clip(rows, box):
-    """Sutherland-Hodgman clip of an integer box by integer half-planes, exactly.
-
-    ``box`` is (xmin, ymin, xmax, ymax) and each row (A, B, C) keeps
-    A*x + B*y <= C.  Returns the vertices as homogeneous triples (X, Y, W)
-    with W > 0; a vertex is kept when C*W - A*X - B*Y >= 0.
-    """
-    xmin, ymin, xmax, ymax = box
-    # each vertex is paired with the row that carries its edge to the next one
-    verts = [((xmin, ymin, 1), (0, -1, -ymin)), ((xmax, ymin, 1), (1, 0, xmax)),
-             ((xmax, ymax, 1), (0, 1, ymax)), ((xmin, ymax, 1), (-1, 0, -xmin))]
-    for row in rows:
-        a, b, c = row
-        svals = [c * w - a * x - b * y for (x, y, w), _ in verts]
-        out = []
-        n = len(verts)
-        for i, (vert, edge) in enumerate(verts):
-            sa, sb = svals[i], svals[i + 1 - n]
-            if sa >= 0:
-                out.append((vert, edge))
-                if sb < 0:
-                    out.append((_meet(edge, row), row))
-            elif sb >= 0:
-                out.append((_meet(edge, row), edge))
-        verts = out
-        if not verts:
-            break
-    return [vert for vert, _ in verts]
-
-
-def _meet(r, s):
-    """Homogeneous intersection point of the boundary lines of two rows, W > 0."""
-    a1, b1, c1 = r
-    a2, b2, c2 = s
-    x, y, w = c1 * b2 - c2 * b1, a1 * c2 - a2 * c1, a1 * b2 - a2 * b1
-    return (x, y, w) if w > 0 else (-x, -y, -w)
-
-
 def polygon_dim(verts) -> int:
     """Dimension of an exact (possibly degenerate) convex polygon: -1, 0, 1 or 2.
 
@@ -88,11 +48,10 @@ def polygon_dim(verts) -> int:
     if not verts:
         return -1
     x1, y1, w1 = verts[0]
-    for x2, y2, w2 in verts:
-        if x2 * w1 != x1 * w2 or y2 * w1 != y1 * w2:
-            break
-    else:
+    other = next((v for v in verts if not _same_point(verts[0], v)), None)
+    if other is None:
         return 0
+    x2, y2, w2 = other
     for x3, y3, w3 in verts:
         if x1 * (y2 * w3 - y3 * w2) - y1 * (x2 * w3 - x3 * w2) + w1 * (x2 * y3 - x3 * y2):
             return 2
@@ -103,19 +62,8 @@ def _intersection_exact(a: ConvexComponent, b: ConvexComponent):
     """Homogeneous vertices of a ∩ b in coordinates scaled by 2**k, and k."""
     if a.outer != b.outer or a.clip != b.clip:
         raise MismatchedOuterSet("components must share the outer set and clip box")
-    clip = a.clip
-    values = [v for p in (a.site, b.site, *a.outer) for v in (p.x, p.y)]
-    values += [clip.xmin, clip.ymin, clip.xmax, clip.ymax]
-    ratios = [v.as_integer_ratio() for v in values]  # denominators are powers of two
-    k = max(d.bit_length() for _, d in ratios) - 1
-    ints = [n << (k + 1 - d.bit_length()) for n, d in ratios]
-    sites, outer, box = ints[:4], ints[4:-4], ints[-4:]
-    rows = []
-    for sx, sy in (sites[:2], sites[2:]):
-        s2 = sx * sx + sy * sy
-        rows += [(2 * (yx - sx), 2 * (yy - sy), yx * yx + yy * yy - s2)
-                 for yx, yy in zip(outer[::2], outer[1::2])]
-    return _exact_clip(rows, box), k
+    rows, box, k = _integer_rows((a.site, b.site), a.outer, a.clip)
+    return [vert for vert, _ in _exact_clip(rows, box)], k
 
 
 def intersection_dim(a: ConvexComponent, b: ConvexComponent) -> int:

@@ -4,9 +4,11 @@ Predicates (``orient``, ``incircle``) are evaluated in floating point with a
 forward error bound and fall back to exact rational arithmetic when the float
 result is too close to zero to be trusted.  ``incircle_hits`` runs the same
 in-circle filter over many fourth points of one triangle at once, for the
-exhaustive scans of the hypergraph.  Constructions (circumcircles,
-intersections, reflections) are plain double precision; callers compare their
-results with a relative tolerance against the coordinate scale.
+exhaustive scans of the hypergraph.  Circumcircles are computed exactly on
+the coordinates scaled to integers (``dyadic_ints``) and rounded once; the
+other constructions (intersections, reflections) are plain double precision,
+and callers compare their results with a relative tolerance against the
+coordinate scale.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CollinearBase, CoincidentPoints, DegenerateRay, NotConcurrent
+from .errors import (CoincidentPoints, CollinearBase, DegenerateRay, NotConcurrent,
+                     NumericalDegeneracy)
 
 # Relative tolerance used for double-precision geometric comparisons.
 EPS_GEO = 1e-9
@@ -101,6 +104,13 @@ def midpoint(p: Point, q: Point) -> Point:
 
 def lerp(p: Point, q: Point, t: float) -> Point:
     return Point(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y))
+
+
+def dyadic_ints(values) -> tuple[list[int], int]:
+    """Finite floats as the integers values[i] * 2**k for the least k >= 0, and k."""
+    ratios = [v.as_integer_ratio() for v in values]  # denominators are powers of two
+    k = max(d.bit_length() for _, d in ratios) - 1
+    return [n << (k + 1 - d.bit_length()) for n, d in ratios], k
 
 
 def coord_scale(points) -> float:
@@ -248,18 +258,27 @@ def signed_area(points) -> float:
 
 
 def circumcircle(p: Point, q: Point, r: Point) -> Circle:
-    """Circle through three non-collinear points."""
-    if orient(p, q, r) == 0:
+    """Circle through three non-collinear points, its centre exact and rounded once.
+
+    Raises NumericalDegeneracy when the centre or the radius leaves the float range.
+    """
+    (px, py, bx, by, cx, cy), k = dyadic_ints((p.x, p.y, q.x, q.y, r.x, r.y))
+    bx, by, cx, cy = bx - px, by - py, cx - px, cy - py
+    d = 2 * (bx * cy - by * cx)
+    if d == 0:
         raise CollinearBase(f"circumcircle of collinear points: {p}, {q}, {r}")
-    bx, by = q.x - p.x, q.y - p.y
-    cx, cy = r.x - p.x, r.y - p.y
-    d = 2.0 * (bx * cy - by * cx)
     b2 = bx * bx + by * by
     c2 = cx * cx + cy * cy
-    ux = (cy * b2 - by * c2) / d
-    uy = (bx * c2 - cx * b2) / d
-    center = Point(p.x + ux, p.y + uy)
-    return Circle(center, math.hypot(ux, uy))
+    nx, ny = cy * b2 - by * c2, bx * c2 - cx * b2  # centre - p == (nx, ny) / (d * 2**k)
+    den = d << k
+    try:
+        center = Point((px * d + nx) / den, (py * d + ny) / den)
+        radius = math.hypot(nx / den, ny / den)
+    except OverflowError:
+        radius = math.inf
+    if not math.isfinite(radius):
+        raise NumericalDegeneracy(f"circumcircle of {p}, {q}, {r} leaves the float range")
+    return Circle(center, radius)
 
 
 def perp_bisector(p: Point, q: Point) -> Line:

@@ -14,6 +14,11 @@ CONVEX_PENT = {"polygon": [[3 * math.cos(2 * math.pi * k / 5),
 GENERIC_32 = {"inner": [[0.3, 0.2], [-0.5, -0.1]],
               "outer": [[3, 0], [-2, 2.5], [-1.5, -2.7]]}
 UNBOUNDED = {"inner": [[0, 3]], "outer": [[2, -1], [-2, -1], [0, 2]]}
+# regular; one empty triple is collinear to within rounding, its centre ~1e24 out
+FAR_CENTRE = {"inner": [[43046721.5, 57395628.25], [-57395627.5, 43046721.25], [0.5, 0.25]],
+              "outer": [[71744535.5, 0.25], [57395628.49999999, -43046720.75]]}
+# the only triple's circumcentre lies ~5e309 out, beyond the float range
+CENTRE_OVERFLOW = {"inner": [[100000.0, 1e-300]], "outer": [[0.0, 0.0], [200000.0, 0.0]]}
 
 
 def write(tmp_path, name, doc):
@@ -182,7 +187,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("flag, value", [
         ("--eps", "nan"), ("--eps", "inf"), ("--eps", "0"),
         ("--clip-scale", "0"), ("--clip-scale", "-1"), ("--clip-scale", "nan"),
-        ("--clip-scale", "inf"),
+        ("--clip-scale", "inf"), ("--clip-scale", "1.7e308"),
     ])
     def test_bad_tolerance_flags_rejected(self, tmp_path, capsys, flag, value):
         path = write(tmp_path, "sq.json", SQUARE)
@@ -196,6 +201,29 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, ["body", write(tmp_path, "u.json", UNBOUNDED)])
         assert code == 1
         assert json.loads(err)["error"]["type"] == "Unbounded"
+
+
+class TestExactConstructions:
+    @pytest.mark.parametrize("scale", ["1e10", "1e12", "1e300"])
+    def test_boundary_at_large_clip_scale(self, tmp_path, capsys, scale):
+        path = write(tmp_path, "sq.json", SQUARE)
+        code, out, _ = run_cli(capsys, ["boundary", path, f"--clip-scale={scale}"])
+        assert code == 0
+        chains = json.loads(out)["result"]["chains"]
+        assert len(chains) == 1
+        assert sorted(map(tuple, chains[0]["vertices"])) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+
+    def test_hypergraph_far_circumcentre(self, tmp_path, capsys):
+        code, out, _ = run_cli(capsys, ["hypergraph", write(tmp_path, "far.json", FAR_CENTRE)])
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["regular"] is True and result["edges"]
+
+    def test_hypergraph_centre_beyond_float_range(self, tmp_path, capsys):
+        path = write(tmp_path, "over.json", CENTRE_OVERFLOW)
+        code, out, err = run_cli(capsys, ["hypergraph", path])
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["type"] == "NumericalDegeneracy"
 
 
 class TestDeterminism:

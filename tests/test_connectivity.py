@@ -5,10 +5,9 @@ import random
 import pytest
 
 from conftest import grid_inside_mask, random_bounded_config, region_count
-from equidist.body import FocalConfig, build_body, convex_component, membership
+from equidist.body import FocalConfig, _exact_clip, build_body, convex_component, membership
 from equidist.connectivity import (
     RepGraph,
-    _exact_clip,
     build_graph,
     check_polytope,
     decompose,
@@ -26,29 +25,33 @@ SEPARATED = FocalConfig.of([(-5, 0), (5, 0)], [(10, 0), (-10, 0), (0, 10), (0, -
 TOUCHING = FocalConfig.of([(-1, 0), (1, 0)], [(0, 1), (0, -1), (10, 0), (-10, 0)])
 
 
+def clip_vertices(rows, box):
+    return [vert for vert, _ in _exact_clip(rows, box)]
+
+
 class TestPolygonDim:
     # the clip box [-1, 1]^2 and the rows are already integers, so the
     # homogeneous clip runs on them unscaled
     BOX = (-1, -1, 1, 1)
 
     def test_full_box(self):
-        assert polygon_dim(_exact_clip([], self.BOX)) == 2
+        assert polygon_dim(clip_vertices([], self.BOX)) == 2
 
     def test_segment(self):
         rows = [(1, 0, 0), (-1, 0, 0)]  # x <= 0 and -x <= 0
-        assert polygon_dim(_exact_clip(rows, self.BOX)) == 1
+        assert polygon_dim(clip_vertices(rows, self.BOX)) == 1
 
     def test_point(self):
         rows = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
-        assert polygon_dim(_exact_clip(rows, self.BOX)) == 0
+        assert polygon_dim(clip_vertices(rows, self.BOX)) == 0
 
     def test_empty(self):
         rows = [(1, 0, -1), (-1, 0, -1)]  # x <= -1 and x >= 1
-        assert polygon_dim(_exact_clip(rows, self.BOX)) == -1
+        assert polygon_dim(clip_vertices(rows, self.BOX)) == -1
 
     def test_corner_point(self):
         rows = [(1, 1, -2)]  # x + y <= -2: only the corner (-1,-1)
-        assert polygon_dim(_exact_clip(rows, self.BOX)) == 0
+        assert polygon_dim(clip_vertices(rows, self.BOX)) == 0
 
 
 class TestIntersectionDim:

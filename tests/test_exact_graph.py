@@ -1,12 +1,13 @@
-"""The integer homogeneous clip against a rational reference, and graph invariances.
+"""The integer homogeneous clip against a rational reference, and its invariances.
 
 The reference below is the Sutherland-Hodgman clip in Fraction arithmetic
 that decided the graph weights before the integer clip: every new vertex is
 an interpolation of earlier Fraction vertices.  It is slow but plainly
-exact, so it serves as the oracle for ``intersection_dim`` and
-``intersection_polygon``.  The metamorphic tests pin the exact graph under
-maps that are exact in floating point: integer translation, 90° rotation,
-scaling by a power of two and relabelling of the points.
+exact, so it serves as the oracle for ``convex_component``,
+``intersection_dim`` and ``intersection_polygon``.  The metamorphic tests pin
+the components and the exact graph under maps that are exact in floating
+point: integer translation, 90° rotation, scaling by a power of two and
+relabelling of the points.
 """
 
 import math
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_bounded_config
-from equidist.body import FocalConfig, build_body, is_bounded
+from equidist.body import FocalConfig, Rect, build_body, convex_component, is_bounded
 from equidist.connectivity import build_graph, intersection_dim, intersection_polygon
 from equidist.primitives import Point
 from test_connectivity import OVERLAP, SEPARATED, TOUCHING
@@ -40,7 +41,8 @@ def ref_rows(site, outer):
 
 def ref_clip(rows, clip):
     """Sutherland-Hodgman clip of the box by rational half-planes, exactly."""
-    verts = [(Fraction(p.x), Fraction(p.y)) for p in clip.corners()]
+    xmin, ymin, xmax, ymax = map(Fraction, (clip.xmin, clip.ymin, clip.xmax, clip.ymax))
+    verts = [(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)]
     for a, b, c in rows:
         if not verts:
             break
@@ -80,6 +82,13 @@ def ref_dim(verts) -> int:
         if ux * (w[1] - a[1]) - uy * (w[0] - a[0]) != 0:
             return 2
     return 1
+
+
+def ref_component(site, outer, clip):
+    """Reference component vertices: the clip minus each vertex equal to its successor."""
+    verts = ref_clip(ref_rows(site, outer), clip)
+    n = len(verts)
+    return [v for i, v in enumerate(verts) if v != verts[(i + 1) % n]]
 
 
 def ref_intersection(a, b):
@@ -182,6 +191,80 @@ class TestAgainstRationalClip:
         assert_matches_reference(build_body(cfg))
 
 
+def voronoi_cells(cfg: FocalConfig):
+    """Cells of the inner sites among all focal points, as ``voronoi_check`` builds them."""
+    clip = build_body(cfg).clip
+    pts = cfg.points
+    return [convex_component(x, tuple(p for p in pts if p != x), clip) for x in cfg.inner]
+
+
+def side_row(tag: int, clip):
+    """Row (A, B, C) with A*x + B*y <= C of a clip-box side: -1 bottom ... -4 left."""
+    return {-1: (0, -1, -Fraction(clip.ymin)), -2: (1, 0, Fraction(clip.xmax)),
+            -3: (0, 1, Fraction(clip.ymax)), -4: (-1, 0, -Fraction(clip.xmin))}[tag]
+
+
+def assert_component_matches_reference(comp):
+    ref = ref_component(comp.site, comp.outer, comp.clip)
+    assert comp.vertices == tuple(Point(float(x), float(y)) for x, y in ref)
+    assert len(comp.edge_tags) == len(ref)
+    assert comp.clipped == any(t < 0 for t in comp.edge_tags)
+    rows = ref_rows(comp.site, comp.outer)
+    for i, tag in enumerate(comp.edge_tags):
+        a, b, c = rows[tag] if tag >= 0 else side_row(tag, comp.clip)
+        for x, y in (ref[i], ref[(i + 1) % len(ref)]):
+            assert a * x + b * y == c
+
+
+class TestComponentsAgainstRationalClip:
+    def test_named_configs(self):
+        for cfg in (OVERLAP, SEPARATED, TOUCHING):
+            for comp in build_body(cfg).components + tuple(voronoi_cells(cfg)):
+                assert_component_matches_reference(comp)
+
+    def test_random_bounded_configs(self):
+        rng = random.Random(44)
+        for _ in range(25):
+            cfg = random_bounded_config(rng, p_max=5)
+            for comp in build_body(cfg).components + tuple(voronoi_cells(cfg)):
+                assert_component_matches_reference(comp)
+
+    def test_ring_configs(self):
+        rng = random.Random(45)
+        for p in (2, 3, 5, 8):
+            for _ in range(3):
+                for comp in build_body(ring_config(rng, p)).components:
+                    assert_component_matches_reference(comp)
+
+    def test_grid_configs_with_repeated_vertices(self):
+        rng = random.Random(46)
+        merged = 0
+        for _ in range(40):
+            cfg = grid_config(rng, rng.randint(2, 6))
+            for comp in build_body(cfg).components + tuple(voronoi_cells(cfg)):
+                assert_component_matches_reference(comp)
+                raw = ref_clip(ref_rows(comp.site, comp.outer), comp.clip)
+                merged += len(raw) - len(comp.vertices)
+        # concurrent bisectors reach the merge of exactly equal vertices
+        assert merged > 0
+
+    def test_clipped_components(self):
+        # a small box around each site cuts its component on some sides
+        cfg = ring_config(random.Random(47), 6)
+        seen = set()
+        for x in cfg.inner:
+            comp = convex_component(x, cfg.outer, Rect(x.x - 1, x.y - 2.5, x.x + 3, x.y + 0.75))
+            assert_component_matches_reference(comp)
+            seen.update(t for t in comp.edge_tags if t < 0)
+        assert seen == {-1, -2, -3, -4}
+
+    def test_vertices_outside_the_dyadic_grid(self):
+        cfg = FocalConfig.of([(0.1, 1e-7), (-0.3, 0.2)],
+                             [(3.7, 0.01), (-2.9, 3.1), (-3.3, -2.6), (1e-9, -4.4)])
+        for comp in build_body(cfg).components:
+            assert_component_matches_reference(comp)
+
+
 # --- metamorphic -------------------------------------------------------------
 
 def _config(kind: str, seed: int, p: int) -> FocalConfig:
@@ -229,3 +312,27 @@ class TestGraphInvariance:
         relabelled = sorted((min(perm[i], perm[j]), max(perm[i], perm[j]), w)
                             for i, j, w in graph_edges(cfg))
         assert list(graph_edges(FocalConfig(tuple(inner), tuple(outer)))) == relabelled
+
+
+def component_shapes(cfg: FocalConfig):
+    return [(c.edge_tags, c.clipped) for c in build_body(cfg).components]
+
+
+class TestComponentInvariance:
+    @EXAMPLES
+    @given(seed=SEEDS, p=SIZES,
+           dx=st.integers(-2**30, 2**30), dy=st.integers(-2**30, 2**30))
+    def test_integer_translation(self, seed, p, dx, dy):
+        cfg = _config("grid", seed, p)
+        moved = mapped_config(cfg, lambda v: Point(v.x + dx, v.y + dy))
+        assert component_shapes(moved) == component_shapes(cfg)
+
+    @EXAMPLES
+    @given(kind=KINDS, seed=SEEDS, p=SIZES, k=st.integers(-30, 30))
+    def test_power_of_two_scaling(self, kind, seed, p, k):
+        cfg = _config(kind, seed, p)
+        scaled = mapped_config(cfg, lambda v: Point(math.ldexp(v.x, k), math.ldexp(v.y, k)))
+        for c, d in zip(build_body(cfg).components, build_body(scaled).components):
+            assert d.edge_tags == c.edge_tags
+            assert d.vertices == tuple(Point(math.ldexp(v.x, k), math.ldexp(v.y, k))
+                                       for v in c.vertices)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,7 @@ from equidist.errors import (
     CoincidentPoints,
     DegenerateRay,
     NotConcurrent,
+    NumericalDegeneracy,
 )
 from equidist.primitives import (
     Line,
@@ -129,6 +131,32 @@ class TestCircumcircle:
     def test_collinear_raises(self):
         with pytest.raises(CollinearBase):
             circumcircle(Point(0, 0), Point(1, 0), Point(2, 0))
+
+    def test_centre_is_rounded_once(self):
+        rng = random.Random(4)
+        for _ in range(200):
+            pts = [Point(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(3)]
+            (px, py), (qx, qy), (rx, ry) = [(Fraction(p.x), Fraction(p.y)) for p in pts]
+            bx, by, cx, cy = qx - px, qy - py, rx - px, ry - py
+            d = 2 * (bx * cy - by * cx)
+            b2, c2 = bx * bx + by * by, cx * cx + cy * cy
+            centre = circumcircle(*pts).center
+            assert centre == Point(float(px + (cy * b2 - by * c2) / d),
+                                   float(py + (bx * c2 - cx * b2) / d))
+
+    def test_nearly_collinear_triple(self):
+        # exactly non-collinear, but the float determinant rounds to zero
+        pts = (Point(-57395627.5, 43046721.25), Point(0.5, 0.25),
+               Point(57395628.49999999, -43046720.75))
+        assert orient(*pts) != 0
+        circ = circumcircle(*pts)
+        assert math.isfinite(circ.center.x) and math.isfinite(circ.radius)
+        for p in pts:
+            assert dist(circ.center, p) == pytest.approx(circ.radius, rel=1e-12)
+
+    def test_centre_beyond_float_range_raises(self):
+        with pytest.raises(NumericalDegeneracy):
+            circumcircle(Point(100000.0, 1e-300), Point(0.0, 0.0), Point(200000.0, 0.0))
 
 
 class TestPerpBisector:
