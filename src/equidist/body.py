@@ -312,6 +312,23 @@ def _same_point(u, v) -> bool:
     return u[0] * v[2] == v[0] * u[2] and u[1] * v[2] == v[1] * u[2]
 
 
+def _orientation_det(u, v, w) -> int:
+    """Determinant of three homogeneous points with W > 0: the sign of their turn u -> v -> w."""
+    (x1, y1, w1), (x2, y2, w2), (x3, y3, w3) = u, v, w
+    return x1 * (y2 * w3 - y3 * w2) - y1 * (x2 * w3 - x3 * w2) + w1 * (x2 * y3 - x3 * y2)
+
+
+def _drop_zero_edges(clip_out):
+    """The (vertex, row) pairs of ``_exact_clip`` without its zero-length edges.
+
+    A vertex exactly equal to its successor goes, so the next vertex carries
+    the edge that leaves the repeated point.
+    """
+    n = len(clip_out)
+    return [clip_out[i] for i in range(n)
+            if not _same_point(clip_out[i][0], clip_out[i + 1 - n][0])]
+
+
 def _meet(r, s):
     """Homogeneous intersection point of the boundary lines of two rows, W > 0."""
     a1, b1, c1 = r
@@ -334,16 +351,9 @@ def convex_component(site: Point, outer, clip: Rect) -> ConvexComponent:
     # a row's normal names it: 2 * (y - site) for an outer y, a unit vector for a box side
     tag_of = {(0, -1): -1, (1, 0): -2, (0, 1): -3, (-1, 0): -4}
     tag_of.update((row[:2], j) for j, row in enumerate(rows))
-    clip_out = _exact_clip(rows, box)
-    coords = [(x / (w << k), y / (w << k)) for (x, y, w), _ in clip_out]
-    # Drop zero-length edges: a vertex exactly equal to its successor goes, so
-    # the next vertex carries the edge that leaves the repeated point.  Equal
-    # points round to equal floats, so only those need the exact test.
-    n = len(clip_out)
-    kept = [i for i in range(n) if coords[i] != coords[i + 1 - n]
-            or not _same_point(clip_out[i][0], clip_out[i + 1 - n][0])]
-    verts = tuple(Point(*coords[i]) for i in kept)
-    tags = tuple(tag_of[clip_out[i][1][:2]] for i in kept)
+    clip_out = _drop_zero_edges(_exact_clip(rows, box))
+    verts = tuple(Point(x / (w << k), y / (w << k)) for (x, y, w), _ in clip_out)
+    tags = tuple(tag_of[row[:2]] for _, row in clip_out)
     return ConvexComponent(site=site, outer=outer, clip=clip, halfplanes=halfplanes,
                            vertices=verts, edge_tags=tags, clipped=any(t < 0 for t in tags))
 

@@ -445,7 +445,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("input", help="input JSON file (configuration or shape)")
         p.add_argument("--eps", type=float, default=1e-9,
-                       help="relative geometric tolerance (default 1e-9)")
+                       help="relative tolerance (default 1e-9): the boundary chains of "
+                            "body, boundary, render and the (3,2) round trips merge "
+                            "consecutive vertices closer than eps times the extent of "
+                            "the focal points; voronoi-check skips samples whose two "
+                            "nearest focal distances differ by at most eps times the "
+                            "coordinate scale")
         p.add_argument("--clip-scale", type=float, default=2.0,
                        help="clip box half-width as a multiple of the body radius")
         p.add_argument("--samples", type=int, default=10000,

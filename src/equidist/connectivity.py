@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .body import ConvexComponent, EquidistantBody, FocalConfig, build_body, is_bounded
-from .body import _exact_clip, _integer_rows, _same_point
+from .body import _exact_clip, _integer_rows, _orientation_det, _same_point
 from .errors import MismatchedOuterSet
 from .polygon import extract_boundary
 from .primitives import Point
@@ -47,15 +47,10 @@ def polygon_dim(verts) -> int:
     """
     if not verts:
         return -1
-    x1, y1, w1 = verts[0]
     other = next((v for v in verts if not _same_point(verts[0], v)), None)
     if other is None:
         return 0
-    x2, y2, w2 = other
-    for x3, y3, w3 in verts:
-        if x1 * (y2 * w3 - y3 * w2) - y1 * (x2 * w3 - x3 * w2) + w1 * (x2 * y3 - x3 * y2):
-            return 2
-    return 1
+    return 2 if any(_orientation_det(verts[0], other, v) for v in verts) else 1
 
 
 def _intersection_exact(a: ConvexComponent, b: ConvexComponent):

@@ -6,10 +6,14 @@ candidates.  The scan (``primitives.incircle_hits``) lifts every point
 relative to the triple's first point once per first point and keeps the
 float filter of ``incircle`` with its exact fallback, so each sign is exact
 and the reports list triples and quadruples in ``combinations`` order.  The
-boundary path collects the component edges that survive on the outside of
-every other component and stitches them into closed chains.  Boundary
-extraction needs no regularity, so degenerate inputs (concircular focal
-quadruples) are handled by the same code and show up as double-change
+boundary path reads the chains off the inner sites' Voronoi cells in
+Vor(K ∪ L), clipped exactly in integer homogeneous coordinates: the cell
+edges between an inner and an outer site are exactly the body's boundary.
+They are walked at exactly equal endpoints, and pinch points, refs, angle
+types and orientation are decided exactly; ``eps`` only merges consecutive
+chain vertices closer than eps times the extent of the focal points.
+Boundary extraction needs no regularity, so degenerate inputs (concircular
+focal quadruples) are handled by the same code and show up as double-change
 vertices.
 """
 
@@ -18,17 +22,19 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cmp_to_key
 from itertools import chain
 
 from .body import (
-    MEMBER_BOUNDARY,
-    ConvexComponent,
     EquidistantBody,
     FocalConfig,
+    _drop_zero_edges,
+    _exact_clip,
+    _integer_rows,
+    _orientation_det,
     build_body,
     convex_component,
-    distance_to_set,
-    membership,
 )
 from .errors import RegularityViolated, StitchFailure
 from .primitives import (
@@ -39,7 +45,6 @@ from .primitives import (
     dist,
     incircle,  # noqa: F401  kept: bench/spans.py counts calls through polygon.incircle
     incircle_hits,
-    lerp,
     lifted_rows,
     orient,
     signed_area,
@@ -57,10 +62,6 @@ CHANGE_DOUBLE = "double"
 
 ANGLE_CONVEX = "convex"
 ANGLE_CONCAVE = "concave"
-
-# Relative half-width of the distance band used to collect the focal points
-# that generate a boundary vertex.
-_REF_BAND = 1e-7
 
 
 @dataclass(frozen=True)
@@ -288,233 +289,148 @@ def colored_weight_bound(cfg: FocalConfig, edge: HyperEdge) -> WeightBoundReport
     return WeightBoundReport(holds=lhs < rhs, attained=attained, lhs=lhs, rhs=rhs)
 
 
-def _strict_inside_interval(a: Point, b: Point, comp: ConvexComponent, scale: float):
-    """Parameter range of segment a->b strictly inside a component, or None."""
-    tiny = 1e-12 * scale
-    lo, hi = 0.0, 1.0
-    constraints = [(hp.signed(a), hp.signed(b)) for hp in comp.halfplanes]
-    constraints += list(zip(comp.clip.side_dists(a), comp.clip.side_dists(b)))
-    for sa, sb in constraints:
-        if abs(sa) <= tiny and abs(sb) <= tiny:
-            return None  # segment runs along the constraint line: nothing strict
-        if sa == sb:
-            if sa <= 0.0:
-                return None
-            continue
-        t = sa / (sa - sb)
-        if sb < sa:
-            hi = min(hi, t)
-        else:
-            lo = max(lo, t)
-        if lo >= hi:
-            return None
-    return (lo, hi)
+def _reduced(vert):
+    """A homogeneous point (X, Y, W), W > 0, with gcd(X, Y, W) = 1: equal points, equal triples."""
+    g = math.gcd(*vert)
+    return vert[0] // g, vert[1] // g, vert[2] // g
 
 
-def _subtract_open(keep, lo, hi):
-    out = []
-    for k0, k1 in keep:
-        if hi <= k0 or lo >= k1:
-            out.append((k0, k1))
-            continue
-        if lo > k0:
-            out.append((k0, lo))
-        if hi < k1:
-            out.append((hi, k1))
-    return out
+def _direction(u, v):
+    """A positive multiple of the vector from u to v (homogeneous points, W > 0)."""
+    return v[0] * u[2] - u[0] * v[2], v[1] * u[2] - u[1] * v[2]
 
 
-class _Clusters:
-    """Greedy endpoint clustering on a pitch grid (3x3 neighborhood match)."""
+def _clockwise_order(back):
+    """Comparator of directions by their clockwise angle from ``back``, in (0, 2*pi)."""
 
-    def __init__(self, pitch: float):
-        self.pitch = pitch
-        self.grid = {}
-        self.anchors = []
-        self.sums = []
+    def half(d):  # 0 for a clockwise angle in (0, pi), 1 for one in [pi, 2*pi)
+        return 0 if back[0] * d[1] - back[1] * d[0] < 0 else 1
 
-    def add(self, p: Point) -> int:
-        kx, ky = round(p.x / self.pitch), round(p.y / self.pitch)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for cid in self.grid.get((kx + dx, ky + dy), ()):
-                    if dist(p, self.anchors[cid]) <= self.pitch:
-                        sx, sy, n = self.sums[cid]
-                        self.sums[cid] = (sx + p.x, sy + p.y, n + 1)
-                        return cid
-        cid = len(self.anchors)
-        self.anchors.append(p)
-        self.sums.append((p.x, p.y, 1))
-        self.grid.setdefault((kx, ky), []).append(cid)
-        return cid
+    def cmp(d, e):
+        if half(d) != half(e):
+            return half(d) - half(e)
+        cross = d[0] * e[1] - d[1] * e[0]  # within a half the angles differ by less than pi
+        return (cross > 0) - (cross < 0)
 
-    def rep(self, cid: int) -> Point:
-        sx, sy, n = self.sums[cid]
-        return Point(sx / n, sy / n)
+    return cmp_to_key(cmp)
 
 
-def _pair_pinch(cid, incident, ends, clusters, body, scale):
-    """Pair boundary rays at an even-degree junction through the inside wedges.
-
-    Each ray borders exactly one wedge whose interior lies inside the body;
-    the two rays of that wedge continue into each other.
-    """
-    rep = clusters.rep(cid)
-    rays = []
-    min_len = math.inf
-    for j in incident:
-        c0, c1 = ends[j]
-        other = clusters.rep(c1 if c0 == cid else c0)
-        dx, dy = other.x - rep.x, other.y - rep.y
-        min_len = min(min_len, math.hypot(dx, dy))
-        rays.append((math.atan2(dy, dx), j))
-    rays.sort()
-    h = min(1e-6 * scale, 0.3 * min_len)
-    n = len(rays)
-    wedge_inside = []
-    for i in range(n):
-        a0 = rays[i][0]
-        a1 = rays[(i + 1) % n][0]
-        gap = (a1 - a0) % (2.0 * math.pi)
-        mid = a0 + gap / 2.0
-        probe = Point(rep.x + h * math.cos(mid), rep.y + h * math.sin(mid))
-        wedge_inside.append(body.contains_strict(probe))
-    pairing = {}
-    for i in range(n):
-        if not wedge_inside[i]:
-            continue
-        ja, jb = rays[i][1], rays[(i + 1) % n][1]
-        if ja in pairing or jb in pairing:
-            raise StitchFailure(f"inconsistent pinch wedges at {rep}")
-        pairing[ja] = jb
-        pairing[jb] = ja
-    if len(pairing) != n:
-        raise StitchFailure(f"unmatched boundary rays at pinch point {rep}")
-    return pairing
-
-
-def _vertex_info_at(v: Point, cfg: FocalConfig, turn: int) -> VertexInfo:
-    band = _REF_BAND * cfg.scale()
-    dmin = min(distance_to_set(v, cfg.inner), distance_to_set(v, cfg.outer))
-    inner = tuple(i for i, p in enumerate(cfg.inner) if dist(v, p) - dmin <= band)
-    outer = tuple(j for j, p in enumerate(cfg.outer) if dist(v, p) - dmin <= band)
-    if len(inner) >= 2 and len(outer) >= 2:
-        change = CHANGE_DOUBLE
-    elif len(inner) >= 2:
-        change = CHANGE_INNER
-    elif len(outer) >= 2:
-        change = CHANGE_OUTER
-    else:
-        change = "unknown"
-    angle = ANGLE_CONVEX if turn > 0 else ANGLE_CONCAVE
-    return VertexInfo(angle_type=angle, change_type=change,
-                      inner_refs=inner, outer_refs=outer)
+def _is_clockwise(verts) -> bool:
+    """Exactly whether a closed polygon of homogeneous points (W > 0) has negative area."""
+    return sum(Fraction(x1 * y2 - x2 * y1, w1 * w2)
+               for (x1, y1, w1), (x2, y2, w2) in zip(verts, verts[1:] + verts[:1])) < 0
 
 
 def extract_boundary(cfg: FocalConfig, clip_scale: float = 2.0, eps: float = EPS_GEO,
                      body: EquidistantBody | None = None) -> list[PolygonChain]:
-    """Outer boundary of the body as simple closed chains (one per boundary cycle).
+    """Boundary of the body as closed counterclockwise chains, one per boundary cycle.
 
-    Every component edge is a piece of a perpendicular bisector; the parts of
-    it strictly inside some other component are interior gluing and are cut
-    away, the rest is body boundary.  The remaining segments are stitched by
-    matching endpoints within eps * scale.
+    The body is the union of the closed Voronoi cells of the inner sites in
+    Vor(K ∪ L), so its boundary is exactly the set of cell edges between an
+    inner and an outer site.  Each inner cell is the exact integer clip of
+    the body's clip box by the bisector rows toward every other focal point,
+    on coordinates scaled once by a power of two; its edges on outer rows
+    are the boundary edges.  They are joined at exactly equal homogeneous
+    endpoints and walked with the body on the left.  At a pinch point the
+    arriving edge continues into the nearest leaving edge clockwise from it,
+    so it turns through a wedge of the body.  Refs, change types, angle
+    types, orientation and chain order are decided exactly.  ``eps`` acts
+    in one place only: consecutive chain vertices closer than eps times the
+    extent of the focal points' bounding box are merged and their refs
+    united, so a vertex the float input realises as a pair a few ulps apart
+    counts once.
     """
     if body is None:
         body = build_body(cfg, clip_scale)
-    scale = cfg.scale()
-    pitch = eps * scale
-    comps = body.components
+    if any(c.clipped for c in body.components):
+        raise StitchFailure("component reaches the clip box; enlarge clip_scale")
+    q = cfg.q
+    # Outer rows come first.  A site's own row is (0, 0, 0): it cuts nothing
+    # and has zero slack everywhere, so refs_at lists the site itself.
+    others = cfg.outer + cfg.inner
+    rows, box, k = _integer_rows(cfg.inner, others, body.clip)
+    blocks = [rows[i * len(others):(i + 1) * len(others)] for i in range(cfg.p)]
 
-    pieces = []  # (p0, p1, inner index, outer index)
-    for i, comp in enumerate(comps):
-        if comp.clipped:
-            raise StitchFailure("component reaches the clip box; enlarge clip_scale")
-        for a, b, tag in comp.edges():
-            keep = [(0.0, 1.0)]
-            for k, other in enumerate(comps):
-                if k == i or not keep:
-                    continue
-                iv = _strict_inside_interval(a, b, other, scale)
-                if iv is not None:
-                    keep = _subtract_open(keep, iv[0], iv[1])
-            edge_len = dist(a, b)
-            for t0, t1 in keep:
-                if (t1 - t0) * edge_len <= 2.0 * pitch:
-                    continue
-                p0, p1 = lerp(a, b, t0), lerp(a, b, t1)
-                mid = lerp(a, b, (t0 + t1) / 2.0)
-                if membership(mid, cfg, tol=10.0 * eps) != MEMBER_BOUNDARY:
-                    raise StitchFailure(
-                        f"retained segment midpoint {mid} is not on the boundary")
-                pieces.append((p0, p1, i, tag))
+    edges = []  # (start, end, inner i, outer j): cell edges between inner i and outer j
+    for i, block in enumerate(blocks):
+        outer_row = {row: j for j, row in enumerate(block[:q])}
+        cell = _drop_zero_edges(_exact_clip(block, box))
+        verts = [_reduced(vert) for vert, _ in cell]
+        for t, (_, row) in enumerate(cell):
+            j = outer_row.get(row)
+            if j is not None:
+                edges.append((verts[t], verts[t + 1 - len(cell)], i, j))
 
-    if not pieces:
-        raise StitchFailure("no boundary segments were retained")
+    leaving = {}
+    for e, edge in enumerate(edges):
+        leaving.setdefault(edge[0], []).append(e)
 
-    clusters = _Clusters(pitch)
-    ends = [(clusters.add(p0), clusters.add(p1)) for p0, p1, _, _ in pieces]
+    def successor(e):
+        u, v = edges[e][:2]
+        out = leaving[v]
+        if len(out) == 1:
+            return out[0]
+        order = _clockwise_order(_direction(v, u))
+        return min(out, key=lambda f: order(_direction(v, edges[f][1])))
 
-    adj = {}
-    live = []
-    for idx, (c0, c1) in enumerate(ends):
-        if c0 == c1:
-            continue  # collapsed sliver
-        live.append(idx)
-        adj.setdefault(c0, []).append(idx)
-        adj.setdefault(c1, []).append(idx)
+    def refs_at(vert, i):
+        """Indices into ``others`` of the sites nearest to a vertex of cell i, exactly."""
+        x, y, w = vert
+        return {j for j, (a, b, c) in enumerate(blocks[i]) if c * w - a * x - b * y == 0}
 
-    # Continuation map: at degree 2 the chain passes through; higher even
-    # degrees are pinch points, resolved by pairing rays across the wedges
-    # that lie inside the body.
-    partner = {}
-    for cid, incident in adj.items():
-        if len(incident) == 2:
-            partner[cid] = {incident[0]: incident[1], incident[1]: incident[0]}
-        elif len(incident) % 2 == 0:
-            partner[cid] = _pair_pinch(cid, incident, ends, clusters, body, scale)
-        else:
-            raise StitchFailure(
-                f"boundary junction {clusters.rep(cid)} has odd degree {len(incident)}")
-
-    visited = set()
-    chains = []
-    for start in live:
-        if start in visited:
-            continue
-        visited.add(start)
-        c_start, c_cur = ends[start]
-        cycle_clusters = [c_start]
-        cycle_pieces = [start]
-        piece = start
-        while c_cur != c_start:
-            cycle_clusters.append(c_cur)
-            nxt = partner[c_cur][piece]
-            if nxt in visited:
-                raise StitchFailure("boundary chain failed to close")
-            visited.add(nxt)
-            cycle_pieces.append(nxt)
-            piece = nxt
-            e0, e1 = ends[piece]
-            c_cur = e1 if e0 == c_cur else e0
-        chains.append((cycle_clusters, cycle_pieces))
-
+    xs, ys = [p.x for p in cfg.points], [p.y for p in cfg.points]
+    tol = eps * max(max(xs) - min(xs), max(ys) - min(ys))
+    seen = [False] * len(edges)
     out = []
-    for cycle_clusters, cycle_pieces in chains:
-        verts = [clusters.rep(c) for c in cycle_clusters]
-        pairs = [(pieces[j][2], pieces[j][3]) for j in cycle_pieces]
+    for start in range(len(edges)):
+        if seen[start]:
+            continue
+        cycle = []
+        e = start
+        while not seen[e]:
+            seen[e] = True
+            cycle.append(e)
+            e = successor(e)
+        # per chain vertex: exact point, float point, refs, pair of the leaving edge
+        verts, pts, refs, pairs = [], [], [], []
+        prev = None
+        for e in cycle:
+            vert, _, i, j = edges[e]
+            pt = Point(vert[0] / (vert[2] << k), vert[1] / (vert[2] << k))
+            if prev is None or dist(prev, pt) >= tol:
+                verts.append(vert)
+                pts.append(pt)
+                refs.append(set())
+                pairs.append(None)
+            refs[-1] |= refs_at(vert, i)
+            pairs[-1] = (i, j)  # a merged vertex leaves by its last member's edge
+            prev = pt
+        if len(verts) > 1 and dist(prev, pts[0]) < tol:  # the edge back to vertex 0 is short
+            verts.pop()
+            pts.pop()
+            pairs.pop()
+            refs[0] |= refs.pop()
+        if _is_clockwise(verts):  # a hole: reverse, keeping vertex 0
+            verts, pts, refs = ([s[0]] + s[:0:-1] for s in (verts, pts, refs))
+            pairs.reverse()
         n = len(verts)
-        if signed_area(verts) < 0.0:
-            verts = [verts[0]] + verts[:0:-1]
-            pairs = [pairs[(n - 1 - t) % n] for t in range(n)]
         info = []
-        for i, v in enumerate(verts):
-            turn = orient(verts[(i - 1) % n], v, verts[(i + 1) % n])
-            info.append(_vertex_info_at(v, cfg, turn))
-        out.append(PolygonChain(vertices=tuple(verts), vertex_info=tuple(info),
-                                edge_pairs=tuple(pairs)))
-    out.sort(key=lambda ch: min((v.x, v.y) for v in ch.vertices))
-    return out
+        for t, vref in enumerate(refs):
+            inner = tuple(sorted(j - q for j in vref if j >= q))
+            outer = tuple(sorted(j for j in vref if j < q))
+            change = (CHANGE_DOUBLE if len(inner) >= 2 and len(outer) >= 2
+                      else CHANGE_INNER if len(inner) >= 2 else CHANGE_OUTER)
+            convex = _orientation_det(verts[t - 1], verts[t], verts[t + 1 - n]) > 0
+            info.append(VertexInfo(angle_type=ANGLE_CONVEX if convex else ANGLE_CONCAVE,
+                                   change_type=change, inner_refs=inner, outer_refs=outer))
+        # rounding is monotone, so the exactly lowest vertex has the least float x
+        least_x = min(pt.x for pt in pts)
+        lowest = min((Fraction(x, w), Fraction(y, w))
+                     for (x, y, w), pt in zip(verts, pts) if pt.x == least_x)
+        out.append((lowest, PolygonChain(vertices=tuple(pts), vertex_info=tuple(info),
+                                         edge_pairs=tuple(pairs))))
+    out.sort(key=lambda item: item[0])
+    return [chain for _, chain in out]
 
 
 def check_vertex_bound(chain: PolygonChain, cfg: FocalConfig) -> BoundReport:

@@ -102,10 +102,6 @@ def midpoint(p: Point, q: Point) -> Point:
     return Point((p.x + q.x) / 2.0, (p.y + q.y) / 2.0)
 
 
-def lerp(p: Point, q: Point, t: float) -> Point:
-    return Point(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y))
-
-
 def dyadic_ints(values) -> tuple[list[int], int]:
     """Finite floats as the integers values[i] * 2**k for the least k >= 0, and k."""
     ratios = [v.as_integer_ratio() for v in values]  # denominators are powers of two

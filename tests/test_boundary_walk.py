@@ -1,0 +1,228 @@
+"""The exact boundary walk: metamorphic invariance, former stitching failures, exact labels.
+
+The chains are read off the inner sites' exact Voronoi cells, so their
+topology must not move under maps that are exact in floating point: integer
+translation, 90° rotation, scaling by a power of two and relabelling of the
+points.  Ring inputs are snapped to multiples of 2**-20 so that translation
+by 2**30 stays exact; grid inputs are integers already.
+"""
+
+import json
+import math
+import random
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from equidist.body import MEMBER_BOUNDARY, MEMBER_INSIDE, FocalConfig, build_body, membership
+from equidist.cli import main
+from equidist.polygon import _clockwise_order, extract_boundary
+from equidist.primitives import Point, dist
+from equidist.type32 import point_in_polygon
+from test_exact_graph import EXAMPLES, KINDS, SEEDS, SIZES, grid_config, mapped_config, ring_config
+
+
+def _snap(v: Point) -> Point:
+    return Point(round(v.x * 2**20) / 2**20, round(v.y * 2**20) / 2**20)
+
+
+def _config(kind: str, seed: int, p: int) -> FocalConfig:
+    rng = random.Random(seed)
+    if kind == "ring":
+        return mapped_config(ring_config(rng, p), _snap)
+    return grid_config(rng, p)
+
+
+def chain_signatures(cfg: FocalConfig, inner_label=None, outer_label=None):
+    """Per chain, the least rotation of its (change, angle, refs, edge pair) sequence.
+
+    The labels map the indices of ``cfg`` to those of a relabelled copy.
+    """
+    li = inner_label or list(range(cfg.p))
+    lo = outer_label or list(range(cfg.q))
+    out = []
+    for ch in extract_boundary(cfg):
+        seq = [(vi.change_type, vi.angle_type, tuple(sorted(li[i] for i in vi.inner_refs)),
+                tuple(sorted(lo[j] for j in vi.outer_refs)), (li[i], lo[j]))
+               for vi, (i, j) in zip(ch.vertex_info, ch.edge_pairs)]
+        out.append(min(seq[t:] + seq[:t] for t in range(len(seq))))
+    return out
+
+
+class TestBoundaryInvariance:
+    @pytest.mark.parametrize("offset", [1e6, 2.0**30])
+    @EXAMPLES
+    @given(kind=KINDS, seed=SEEDS, p=SIZES)
+    def test_integer_translation(self, offset, kind, seed, p):
+        cfg = _config(kind, seed, p)
+        moved = mapped_config(cfg, lambda v: Point(v.x + offset, v.y + offset))
+        assert chain_signatures(moved) == chain_signatures(cfg)
+
+    @EXAMPLES
+    @given(kind=KINDS, seed=SEEDS, p=SIZES)
+    def test_rotation_by_90_degrees(self, kind, seed, p):
+        cfg = _config(kind, seed, p)
+        turned = mapped_config(cfg, lambda v: Point(-v.y, v.x))
+        assert sorted(chain_signatures(turned)) == sorted(chain_signatures(cfg))
+
+    @EXAMPLES
+    @given(kind=KINDS, seed=SEEDS, p=SIZES, k=st.integers(-30, 30))
+    def test_power_of_two_scaling(self, kind, seed, p, k):
+        cfg = _config(kind, seed, p)
+        scaled = mapped_config(cfg, lambda v: Point(math.ldexp(v.x, k), math.ldexp(v.y, k)))
+        assert chain_signatures(scaled) == chain_signatures(cfg)
+
+    @EXAMPLES
+    @given(kind=KINDS, seed=SEEDS, p=SIZES, data=st.data())
+    def test_point_permutation(self, kind, seed, p, data):
+        cfg = _config(kind, seed, p)
+        perm = data.draw(st.permutations(range(cfg.p)))  # new index of inner point i
+        operm = data.draw(st.permutations(range(cfg.q)))  # new index of outer point j
+        inner, outer = [None] * cfg.p, [None] * cfg.q
+        for i, v in enumerate(cfg.inner):
+            inner[perm[i]] = v
+        for j, v in enumerate(cfg.outer):
+            outer[operm[j]] = v
+        relabelled = FocalConfig(tuple(inner), tuple(outer))
+        assert (sorted(chain_signatures(relabelled))
+                == sorted(chain_signatures(cfg, perm, operm)))
+
+
+# Both closed no chain under the tolerance stitcher ("boundary chain failed to close").
+FORMER_STITCH_FAILURES = [
+    {"inner": [[3, 2], [-3, 3], [1, 2], [2, -1], [-3, 2], [3, -3], [2, 2], [-1, 1]],
+     "outer": [[4, -4], [4, 4], [-4, -4], [4, 1], [-4, -1], [-4, 3], [0, 4], [2, -4],
+               [-4, 4], [3, -4], [1, 4], [1, 1]]},
+    {"inner": [[0, -3], [2, -2], [1, 2], [0, -1], [-2, -1], [-2, 3], [3, 2], [-3, -1]],
+     "outer": [[-4, -2], [1, -4], [-1, 4], [2, 0], [-1, -4], [0, -2], [4, 2], [4, 4],
+               [4, 1], [4, 0], [4, -1], [-4, 4]]},
+]
+
+
+@pytest.mark.parametrize("doc", FORMER_STITCH_FAILURES)
+def test_former_stitch_failure_closes(tmp_path, capsys, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["boundary", str(path)]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["chain_count"] == 1
+    cfg = FocalConfig.of(doc["inner"], doc["outer"])
+    scale = cfg.scale()
+    verts = [Point(*v) for v in result["chains"][0]["vertices"]]
+    assert len(verts) == 23
+    for v in verts:
+        dk = min(dist(v, p) for p in cfg.inner)
+        dl = min(dist(v, p) for p in cfg.outer)
+        assert abs(dk - dl) < 1e-9 * scale
+    for m, (i, j) in enumerate(result["chains"][0]["edge_pairs"]):
+        a, b = verts[m], verts[(m + 1) % len(verts)]
+        mid = Point((a.x + b.x) / 2, (a.y + b.y) / 2)
+        assert abs(dist(mid, cfg.inner[i]) - dist(mid, cfg.outer[j])) < 1e-9 * scale
+
+
+def test_straight_double_vertex_is_concave():
+    # (3, -1) is equidistant from inner 1, 7 and outer 2, 6, and its two chain
+    # neighbours lie on one line through it: the exact turn is 0
+    cfg = FocalConfig.of([[3, 1], [3, -2], [2, 2], [1, -2], [-1, 0], [1, 1], [2, -3], [2, -1]],
+                         [[0, 0], [-2, 4], [4, -1], [3, 2], [-2, -2], [4, 2], [3, 0], [-4, 2],
+                          [4, -2], [-3, 2], [4, 3], [3, -4]])
+    (chain,) = extract_boundary(cfg)
+    m = chain.vertices.index(Point(3.0, -1.0))
+    info = chain.vertex_info[m]
+    assert (info.inner_refs, info.outer_refs) == ((1, 7), (2, 6))
+    assert (info.change_type, info.angle_type) == ("double", "concave")
+
+
+def test_clockwise_order_of_rays():
+    # every primitive integer direction around a vertex, against atan2; the
+    # exactly opposite ray (angle pi) and both half-turns are covered
+    rays = [(x, y) for x in range(-4, 5) for y in range(-4, 5) if math.gcd(x, y) == 1]
+    for back in rays:
+        order = _clockwise_order(back)
+        others = [d for d in rays if d != back]
+        by_angle = sorted(others, key=lambda d: (math.atan2(*back[::-1])
+                                                 - math.atan2(*d[::-1])) % (2 * math.pi))
+        assert sorted(others, key=order) == by_angle
+
+
+def _has_pinch_or_hole(chains):
+    verts = [v for ch in chains for v in ch.vertices]
+    pinch = len(set(verts)) < len(verts)
+    hole = any(point_in_polygon(v, b.vertices)
+               for a in chains for b in chains if a is not b
+               for v in a.vertices if v not in b.vertices)
+    return pinch, hole
+
+
+def _angle(v: Point, u: Point) -> float:
+    return math.atan2(u.y - v.y, u.x - v.x)
+
+
+def _body_on_left(cfg: FocalConfig, a: Point, b: Point) -> bool:
+    h = 1e-3
+    probe = Point((a.x + b.x) / 2 - h * (b.y - a.y), (a.y + b.y) / 2 + h * (b.x - a.x))
+    return membership(probe, cfg, tol=0.0) == MEMBER_INSIDE
+
+
+def assert_walk_turns_through_body(cfg: FocalConfig, chains):
+    """Walked with the body on the left, every chain turns clockwise from its arriving
+    edge into its leaving edge through a wedge of the body that no other boundary
+    edge at the vertex enters."""
+    rays = {}  # vertex -> directions of every boundary edge at it
+    for ch in chains:
+        n = len(ch.vertices)
+        for t, v in enumerate(ch.vertices):
+            rays.setdefault(v, []).extend(
+                (_angle(v, ch.vertices[t - 1]), _angle(v, ch.vertices[(t + 1) % n])))
+    for ch in chains:
+        verts = list(ch.vertices)
+        if not _body_on_left(cfg, verts[0], verts[1]):  # a hole, listed counterclockwise
+            verts.reverse()
+        n = len(verts)
+        for t, v in enumerate(verts):
+            u, w = verts[t - 1], verts[(t + 1) % n]
+            back, ahead = _angle(v, u), _angle(v, w)
+            sweep = (back - ahead) % (2 * math.pi)
+            for r in rays[v]:
+                if r not in (back, ahead):
+                    assert (back - r) % (2 * math.pi) > sweep
+            h = 1e-3 * min(dist(u, v), dist(v, w))
+            mid = back - sweep / 2
+            probe = Point(v.x + h * math.cos(mid), v.y + h * math.sin(mid))
+            assert membership(probe, cfg, tol=0.0) == MEMBER_INSIDE
+
+
+def test_chains_agree_with_distance_oracle_at_pinches_and_holes():
+    """On grid bodies with a pinch point or a hole: even-odd over all chains equals
+    membership, each edge lies on its pair's bisector, every turn passes through the
+    body, and the chains come sorted by their lowest vertex."""
+    kinds = set()
+    checked = 0
+    for seed in range(60):
+        cfg = grid_config(random.Random(seed), 8)
+        chains = extract_boundary(cfg)
+        pinch, hole = _has_pinch_or_hole(chains)
+        if not (pinch or hole):
+            continue
+        kinds.update(k for k, on in (("pinch", pinch), ("hole", hole)) if on)
+        lowest = [min((v.x, v.y) for v in ch.vertices) for ch in chains]
+        assert lowest == sorted(lowest)
+        for ch in chains:
+            n = len(ch.vertices)
+            for m, (i, j) in enumerate(ch.edge_pairs):
+                a, b = ch.vertices[m], ch.vertices[(m + 1) % n]
+                mid = Point((a.x + b.x) / 2, (a.y + b.y) / 2)
+                assert abs(dist(mid, cfg.inner[i]) - dist(mid, cfg.outer[j])) < 1e-9
+        assert_walk_turns_through_body(cfg, chains)
+        clip = build_body(cfg).clip
+        rng = random.Random(seed)
+        for _ in range(300):
+            q = Point(rng.uniform(clip.xmin, clip.xmax), rng.uniform(clip.ymin, clip.ymax))
+            m = membership(q, cfg, tol=1e-7)
+            if m == MEMBER_BOUNDARY:
+                continue
+            inside = sum(point_in_polygon(q, ch.vertices) for ch in chains) % 2 == 1
+            assert inside == (m == MEMBER_INSIDE)
+        checked += 1
+    assert kinds == {"pinch", "hole"} and checked >= 10
