@@ -4,20 +4,21 @@ A body is the set of points at least as close to the inner focal set as to
 the outer one.  It is assembled as a union of convex components, one per
 inner point, each obtained by clipping a bounding box against the
 perpendicular-bisector half-planes toward every outer point.  The clip is
-exact: the site, the outer points and the box are scaled to integers by one
-power of two, each vertex (X, Y, W), W > 0, is the meet of the two original
-rows that carry its edges, and it is rounded to floats once.  ``connectivity``
-runs the same clip on pairs of components.
+exact: ``build_body`` scales the focal points and the box to integers by one
+power of two, once, and each vertex (X, Y, W), W > 0, is the meet of the two
+rows that carry its edges, rounded to floats once.  The components keep
+their rows: ``connectivity`` and ``polygon`` clip from them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     EmptySet,
     InvalidConfig,
+    NumericalDegeneracy,
     PreconditionViolated,
     SiteInOuterSet,
     Unbounded,
@@ -119,7 +120,8 @@ class ConvexComponent:
 
     ``edge_tags[i]`` labels the edge from ``vertices[i]`` to ``vertices[i+1]``:
     a non-negative value is the index of the outer point whose bisector
-    carries the edge, negative values are clip-box sides.
+    carries the edge, negative values are clip-box sides.  ``_exact`` holds
+    the integer rows, box and k the clip read (see ``build_body``).
     """
 
     site: Point
@@ -129,11 +131,7 @@ class ConvexComponent:
     vertices: tuple[Point, ...]
     edge_tags: tuple[int, ...]
     clipped: bool
-
-    def edges(self):
-        n = len(self.vertices)
-        for i in range(n):
-            yield self.vertices[i], self.vertices[(i + 1) % n], self.edge_tags[i]
+    _exact: tuple = field(compare=False, repr=False)
 
     def min_signed(self, p: Point) -> float:
         """Smallest signed distance to the defining half-planes and clip sides."""
@@ -219,18 +217,22 @@ def bounding_radius(cfg: FocalConfig) -> float:
     Computed as c / r where, after translating the inner centroid to the
     origin, c bounds (|Y|^2 - |X|^2) / 2 over all focal pairs and r is the
     largest radius such that every inner point keeps that distance to the
-    boundary of the outer hull.
+    boundary of the outer hull (rounding is monotone, so the farthest outer
+    and the nearest inner point give c).  Raises NumericalDegeneracy when a
+    squared distance leaves the float range.
     """
     if not is_bounded(cfg):
         raise Unbounded("bounding radius requires the inner set inside the outer hull")
     o = _centroid(cfg.inner)
-    c = 0.0
-    for y in cfg.outer:
-        ny = (y.x - o.x) ** 2 + (y.y - o.y) ** 2
-        for x in cfg.inner:
-            nx = (x.x - o.x) ** 2 + (x.y - o.y) ** 2
-            c = max(c, (ny - nx) / 2.0)
-    c = max(c, 1e-15 * cfg.scale() ** 2)
+    try:
+        far = max((y.x - o.x) ** 2 + (y.y - o.y) ** 2 for y in cfg.outer)
+        near = min((x.x - o.x) ** 2 + (x.y - o.y) ** 2 for x in cfg.inner)
+        c = max(0.0, (far - near) / 2.0, 1e-15 * cfg.scale() ** 2)
+    except OverflowError:
+        far = math.inf
+    if far == math.inf:  # the inner points lie in the outer hull, so near <= far
+        raise NumericalDegeneracy("squared distances between the focal points "
+                                  "leave the float range")
 
     hull = convex_hull(cfg.outer)
     n = len(hull)
@@ -262,8 +264,11 @@ def _integer_rows(sites, outer, clip: Rect):
     """Integer rows of {site <= y} for each site in turn and every outer y, the box, and k.
 
     Row (A, B, C) keeps A*x + B*y <= C, the box is (xmin, ymin, xmax, ymax),
-    and all of them are scaled to integers by 2**k.
+    and all of them are scaled to integers by 2**k.  The sites must lie in the box.
     """
+    for site in sites:
+        if not clip.contains(site):
+            raise PreconditionViolated(f"clip box does not contain the site {site}")
     values = [v for pt in (*sites, *outer) for v in (pt.x, pt.y)]
     ints, k = dyadic_ints(values + [clip.xmin, clip.ymin, clip.xmax, clip.ymax])
     m = 2 * len(sites)
@@ -279,14 +284,17 @@ def _exact_clip(rows, box):
     """Sutherland-Hodgman clip of an integer box by integer half-planes, exactly.
 
     ``box`` is (xmin, ymin, xmax, ymax) and each row (A, B, C) keeps
-    A*x + B*y <= C.  Returns (vertex, row) pairs: the vertex is a homogeneous
-    triple (X, Y, W), W > 0, kept when C*W - A*X - B*Y >= 0, and the row
-    carries its edge to the next vertex.
+    A*x + B*y <= C.  Returns (vertex, edge) pairs: the vertex is a homogeneous
+    triple (X, Y, W), W > 0, kept when C*W - A*X - B*Y >= 0, and ``edge``
+    names the row that carries its edge to the next vertex: its index in
+    ``rows``, or -1, -2, -3, -4 for the bottom, right, top and left box sides.
     """
     xmin, ymin, xmax, ymax = box
-    verts = [((xmin, ymin, 1), (0, -1, -ymin)), ((xmax, ymin, 1), (1, 0, xmax)),
-             ((xmax, ymax, 1), (0, 1, ymax)), ((xmin, ymax, 1), (-1, 0, -xmin))]
-    for row in rows:
+    # box sides last, so that lines[-1] ... lines[-4] are bottom, right, top, left
+    lines = [*rows, (-1, 0, -xmin), (0, 1, ymax), (1, 0, xmax), (0, -1, -ymin)]
+    verts = [((xmin, ymin, 1), -1), ((xmax, ymin, 1), -2), ((xmax, ymax, 1), -3),
+             ((xmin, ymax, 1), -4)]
+    for j, row in enumerate(rows):
         a, b, c = row
         svals = [c * w - a * x - b * y for (x, y, w), _ in verts]
         if min(svals) >= 0:
@@ -298,9 +306,9 @@ def _exact_clip(rows, box):
             if sa >= 0:
                 out.append((vert, edge))
                 if sb < 0:
-                    out.append((_meet(edge, row), row))
+                    out.append((_meet(lines[edge], row), j))
             elif sb >= 0:
-                out.append((_meet(edge, row), edge))
+                out.append((_meet(lines[edge], row), edge))
         verts = out
         if not verts:
             break
@@ -319,7 +327,7 @@ def _orientation_det(u, v, w) -> int:
 
 
 def _drop_zero_edges(clip_out):
-    """The (vertex, row) pairs of ``_exact_clip`` without its zero-length edges.
+    """The (vertex, edge) pairs of ``_exact_clip`` without its zero-length edges.
 
     A vertex exactly equal to its successor goes, so the next vertex carries
     the edge that leaves the repeated point.
@@ -337,6 +345,17 @@ def _meet(r, s):
     return (x, y, w) if w > 0 else (-x, -y, -w)
 
 
+def _component(site: Point, outer: tuple, clip: Rect, rows, box, k: int) -> ConvexComponent:
+    """The component of ``site``: the box clipped by the first len(outer) of its rows."""
+    clip_out = _drop_zero_edges(_exact_clip(rows[:len(outer)], box))
+    verts = tuple(Point(x / (w << k), y / (w << k)) for (x, y, w), _ in clip_out)
+    tags = tuple(tag for _, tag in clip_out)
+    return ConvexComponent(site=site, outer=outer, clip=clip,
+                           halfplanes=tuple(HalfPlane.closer_to(site, y) for y in outer),
+                           vertices=verts, edge_tags=tags, clipped=any(t < 0 for t in tags),
+                           _exact=(rows, box, k))
+
+
 def convex_component(site: Point, outer, clip: Rect) -> ConvexComponent:
     """Clip-box intersection of the half-planes {site <= y} for every outer y."""
     outer = tuple(outer)
@@ -344,23 +363,15 @@ def convex_component(site: Point, outer, clip: Rect) -> ConvexComponent:
         raise EmptySet("convex component with an empty outer set")
     if site in outer:
         raise SiteInOuterSet(f"site {site} appears in the outer set")
-    if not clip.contains(site):
-        raise PreconditionViolated(f"clip box does not contain the site {site}")
-    halfplanes = tuple(HalfPlane.closer_to(site, y) for y in outer)
-    rows, box, k = _integer_rows((site,), outer, clip)
-    # a row's normal names it: 2 * (y - site) for an outer y, a unit vector for a box side
-    tag_of = {(0, -1): -1, (1, 0): -2, (0, 1): -3, (-1, 0): -4}
-    tag_of.update((row[:2], j) for j, row in enumerate(rows))
-    clip_out = _drop_zero_edges(_exact_clip(rows, box))
-    verts = tuple(Point(x / (w << k), y / (w << k)) for (x, y, w), _ in clip_out)
-    tags = tuple(tag_of[row[:2]] for _, row in clip_out)
-    return ConvexComponent(site=site, outer=outer, clip=clip, halfplanes=halfplanes,
-                           vertices=verts, edge_tags=tags, clipped=any(t < 0 for t in tags))
+    return _component(site, outer, clip, *_integer_rows((site,), outer, clip))
 
 
 def body_clip_box(cfg: FocalConfig, clip_scale: float = 2.0) -> Rect:
     """Square clip box guaranteed to contain the body with margin."""
-    radius = bounding_radius(cfg)
+    return _clip_box(cfg, clip_scale, bounding_radius(cfg))
+
+
+def _clip_box(cfg: FocalConfig, clip_scale: float, radius: float) -> Rect:
     o = _centroid(cfg.inner)
     h = clip_scale * radius
     clip = Rect(o.x - h, o.y - h, o.x + h, o.y + h)
@@ -371,8 +382,14 @@ def body_clip_box(cfg: FocalConfig, clip_scale: float = 2.0) -> Rect:
 
 
 def build_body(cfg: FocalConfig, clip_scale: float = 2.0) -> EquidistantBody:
-    """Assemble the body as the union of one convex component per inner point."""
+    """Assemble the body as the union of one convex component per inner point.
+
+    All points are scaled once; site i's rows go toward the outer, then the inner points.
+    """
     radius = bounding_radius(cfg)  # raises Unbounded
-    clip = body_clip_box(cfg, clip_scale)
-    components = tuple(convex_component(x, cfg.outer, clip) for x in cfg.inner)
+    clip = _clip_box(cfg, clip_scale, radius)
+    rows, box, k = _integer_rows(cfg.inner, cfg.outer + cfg.inner, clip)
+    n = cfg.q + cfg.p
+    components = tuple(_component(x, cfg.outer, clip, rows[i * n:(i + 1) * n], box, k)
+                       for i, x in enumerate(cfg.inner))
     return EquidistantBody(config=cfg, components=components, clip=clip, radius=radius)

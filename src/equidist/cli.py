@@ -19,12 +19,13 @@ from dataclasses import dataclass
 
 from .body import (
     FocalConfig,
+    body_clip_box,
     build_body,
     convex_component,
     is_bounded,
 )
 from .connectivity import build_graph, check_polytope, graph_components
-from .errors import GeometryError, InvalidConfig
+from .errors import GeometryError, InvalidConfig, NumericalDegeneracy
 from .polygon import (
     COLOR_XYX,
     COLOR_YXY,
@@ -86,7 +87,7 @@ class ParseFailure(Exception):
 
 def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
-        raise ValueError(f"non-finite value in report: {x}")
+        raise NumericalDegeneracy(f"non-finite value in report: {x}")
     return format(x, ".17g")
 
 
@@ -353,7 +354,7 @@ def _scene_for(rc: RunConfig, data) -> tuple[Scene, dict]:
             circles = tuple(e.circle for e in empty_circle_triples(cfg)
                             if e.color in (COLOR_XYX, COLOR_YXY))
         if rc.show_voronoi:
-            clip = build_body(cfg, rc.clip_scale).clip
+            clip = body_clip_box(cfg, rc.clip_scale)
             pts = [p for _, p in labeled_points(cfg)]
             cells = tuple(tuple(convex_component(x, tuple(p for p in pts if p != x),
                                                  clip).vertices)
@@ -404,26 +405,24 @@ def run(rc: RunConfig) -> int:
         return 2
 
     try:
-        result = _DISPATCH[rc.command](rc, data)
+        report = {
+            "command": rc.command,
+            "input": rc.input_path,
+            "result": _DISPATCH[rc.command](rc, data),
+            "diagnostics": {
+                "eps": rc.eps,
+                "clip_scale": rc.clip_scale,
+                "samples": rc.samples,
+                "seed": rc.seed,
+            },
+        }
+        text = format_json(report) + "\n"  # raises on a non-finite value
     except ParseFailure as exc:
         sys.stderr.write(_error_obj("ParseFailure", str(exc)))
         return 2
     except GeometryError as exc:
         sys.stderr.write(_error_obj(type(exc).__name__, str(exc)))
         return 1
-
-    report = {
-        "command": rc.command,
-        "input": rc.input_path,
-        "result": result,
-        "diagnostics": {
-            "eps": rc.eps,
-            "clip_scale": rc.clip_scale,
-            "samples": rc.samples,
-            "seed": rc.seed,
-        },
-    }
-    text = format_json(report) + "\n"
     if rc.output_path and rc.command != "render":
         try:
             with open(rc.output_path, "w", encoding="utf-8") as fh:

@@ -2,8 +2,8 @@
 
 Edge weights are the dimension of the pairwise component intersections,
 computed exactly: the integer homogeneous clip of ``body`` cuts the clip box
-by the bisector rows of both sites, on the coordinates of the pair scaled by
-one common power of two, and the dimension is decided on the exact
+by the integer bisector rows the two components were built from, in the one
+scaling of their body, and the dimension is decided on the exact
 homogeneous vertices, without tolerances.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .body import ConvexComponent, EquidistantBody, FocalConfig, build_body, is_bounded
-from .body import _exact_clip, _integer_rows, _orientation_det, _same_point
+from .body import _exact_clip, _orientation_det, _same_point
 from .errors import MismatchedOuterSet
 from .polygon import extract_boundary
 from .primitives import Point
@@ -54,10 +54,14 @@ def polygon_dim(verts) -> int:
 
 
 def _intersection_exact(a: ConvexComponent, b: ConvexComponent):
-    """Homogeneous vertices of a ∩ b in coordinates scaled by 2**k, and k."""
+    """Vertices (X, Y, W) of a ∩ b at the larger 2**k, and k: the box cut by a's, then b's rows."""
     if a.outer != b.outer or a.clip != b.clip:
         raise MismatchedOuterSet("components must share the outer set and clip box")
-    rows, box, k = _integer_rows((a.site, b.site), a.outer, a.clip)
+    (ra, box, ka), (rb, _, kb) = a._exact, b._exact
+    k = max(ka, kb)
+    rows = [(x << d, y << d, c << 2 * d) for rs, d in ((ra, k - ka), (rb, k - kb))
+            for x, y, c in rs[:len(a.outer)]]
+    box = tuple(v << k - ka for v in box)
     return [vert for vert, _ in _exact_clip(rows, box)], k
 
 

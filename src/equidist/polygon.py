@@ -7,8 +7,8 @@ relative to the triple's first point once per first point and keeps the
 float filter of ``incircle`` with its exact fallback, so each sign is exact
 and the reports list triples and quadruples in ``combinations`` order.  The
 boundary path reads the chains off the inner sites' Voronoi cells in
-Vor(K ∪ L), clipped exactly in integer homogeneous coordinates: the cell
-edges between an inner and an outer site are exactly the body's boundary.
+Vor(K ∪ L), clipped exactly from the body's integer rows: the cell edges
+between an inner and an outer site are exactly the body's boundary.
 They are walked at exactly equal endpoints, and pinch points, refs, angle
 types and orientation are decided exactly; ``eps`` only merges consecutive
 chain vertices closer than eps times the extent of the focal points.
@@ -31,8 +31,8 @@ from .body import (
     FocalConfig,
     _drop_zero_edges,
     _exact_clip,
-    _integer_rows,
     _orientation_det,
+    body_clip_box,
     build_body,
     convex_component,
 )
@@ -329,9 +329,9 @@ def extract_boundary(cfg: FocalConfig, clip_scale: float = 2.0, eps: float = EPS
     Vor(K ∪ L), so its boundary is exactly the set of cell edges between an
     inner and an outer site.  Each inner cell is the exact integer clip of
     the body's clip box by the bisector rows toward every other focal point,
-    on coordinates scaled once by a power of two; its edges on outer rows
-    are the boundary edges.  They are joined at exactly equal homogeneous
-    endpoints and walked with the body on the left.  At a pinch point the
+    kept by its component from the body's one scaling; its edges on outer
+    rows are the boundary edges.  They are joined at exactly equal
+    homogeneous endpoints and walked with the body on the left.  At a pinch point the
     arriving edge continues into the nearest leaving edge clockwise from it,
     so it turns through a wedge of the body.  Refs, change types, angle
     types, orientation and chain order are decided exactly.  ``eps`` acts
@@ -345,20 +345,17 @@ def extract_boundary(cfg: FocalConfig, clip_scale: float = 2.0, eps: float = EPS
     if any(c.clipped for c in body.components):
         raise StitchFailure("component reaches the clip box; enlarge clip_scale")
     q = cfg.q
-    # Outer rows come first.  A site's own row is (0, 0, 0): it cuts nothing
-    # and has zero slack everywhere, so refs_at lists the site itself.
-    others = cfg.outer + cfg.inner
-    rows, box, k = _integer_rows(cfg.inner, others, body.clip)
-    blocks = [rows[i * len(others):(i + 1) * len(others)] for i in range(cfg.p)]
+    # Each component keeps its site's block of rows, outer rows first.  The site's
+    # own row (0, 0, 0) cuts nothing and has zero slack, so refs_at lists the site.
+    blocks = [c._exact[0] for c in body.components]
+    _, box, k = body.components[0]._exact
 
     edges = []  # (start, end, inner i, outer j): cell edges between inner i and outer j
     for i, block in enumerate(blocks):
-        outer_row = {row: j for j, row in enumerate(block[:q])}
         cell = _drop_zero_edges(_exact_clip(block, box))
         verts = [_reduced(vert) for vert, _ in cell]
-        for t, (_, row) in enumerate(cell):
-            j = outer_row.get(row)
-            if j is not None:
+        for t, (_, j) in enumerate(cell):
+            if 0 <= j < q:
                 edges.append((verts[t], verts[t + 1 - len(cell)], i, j))
 
     leaving = {}
@@ -448,14 +445,13 @@ def voronoi_check(cfg: FocalConfig, n_samples: int = 10000, seed: int = 42,
     is inner; strict inside points must land in some inner site's cell and in
     at most one cell interior.  Ties within tol * scale are skipped.
     """
-    body = build_body(cfg, clip_scale)
+    clip = body_clip_box(cfg, clip_scale)
     all_points = [p for _, p in labeled_points(cfg)]
-    cells = [convex_component(x, tuple(p for p in all_points if p != x), body.clip)
+    cells = [convex_component(x, tuple(p for p in all_points if p != x), clip)
              for x in cfg.inner]
     rng = random.Random(seed)
     scale = cfg.scale()
     band = tol * scale
-    clip = body.clip
     p_count = cfg.p
 
     ties = agreements = disagreements = inside_count = 0

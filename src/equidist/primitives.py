@@ -244,13 +244,24 @@ def _incircle_exact(a: Point, b: Point, c: Point, d: Point) -> int:
 
 
 def signed_area(points) -> float:
-    """Shoelace area of a closed polygon: positive when counterclockwise."""
+    """Shoelace area of a closed polygon: positive when counterclockwise.
+
+    A float sum that overflows is redone exactly and rounded once (±inf beyond the float range).
+    """
     s = 0.0
     n = len(points)
     for i in range(n):
         a, b = points[i], points[(i + 1) % n]
         s += a.x * b.y - b.x * a.y
-    return s / 2.0
+    if math.isfinite(s):
+        return s / 2.0
+    ints, k = dyadic_ints([v for p in points for v in (p.x, p.y)])
+    xs, ys = ints[::2], ints[1::2]
+    twice = sum(xs[i - 1] * ys[i] - xs[i] * ys[i - 1] for i in range(n))
+    try:
+        return twice / (2 << 2 * k)
+    except OverflowError:
+        return math.inf if twice > 0 else -math.inf
 
 
 def circumcircle(p: Point, q: Point, r: Point) -> Circle:

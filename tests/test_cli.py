@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from equidist import cli
 from equidist.cli import format_json, main
 
 SQUARE = {"inner": [[0, 0]], "outer": [[2, 0], [-2, 0], [0, 2], [0, -2]]}
@@ -19,6 +20,11 @@ FAR_CENTRE = {"inner": [[43046721.5, 57395628.25], [-57395627.5, 43046721.25], [
               "outer": [[71744535.5, 0.25], [57395628.49999999, -43046720.75]]}
 # the only triple's circumcentre lies ~5e309 out, beyond the float range
 CENTRE_OVERFLOW = {"inner": [[100000.0, 1e-300]], "outer": [[0.0, 0.0], [200000.0, 0.0]]}
+
+
+def huge_square(s):
+    """The unit-square example scaled so that its body is the square of side s."""
+    return {"inner": [[0, 0]], "outer": [[s, 0], [-s, 0], [0, s], [0, -s]]}
 
 
 def write(tmp_path, name, doc):
@@ -196,6 +202,27 @@ class TestExitCodes:
         error = json.loads(err)["error"]
         assert error["type"] == "InvalidConfig"
         assert flag in error["message"]
+
+    @pytest.mark.parametrize("command", ["body", "boundary", "graph", "voronoi-check"])
+    def test_squared_distance_overflow_is_error_object(self, tmp_path, capsys, command):
+        # the squared distances ~4e320 leave the float range
+        code, out, err = run_cli(capsys, [command, write(tmp_path, "h.json", huge_square(2e160))])
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["type"] == "NumericalDegeneracy"
+
+    @pytest.mark.parametrize("command", ["body", "boundary"])
+    def test_area_beyond_float_shoelace_sum(self, tmp_path, capsys, command):
+        # the float shoelace sum 2e308 overflows, the true area s * s = 1e308 does not
+        s = 1e154
+        code, out, _ = run_cli(capsys, [command, write(tmp_path, "h.json", huge_square(s))])
+        assert code == 0
+        assert [ch["area"] for ch in json.loads(out)["result"]["chains"]] == [s * s]
+
+    def test_non_finite_report_value_is_error_object(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(cli._DISPATCH, "body", lambda rc, data: {"area": math.inf})
+        code, out, err = run_cli(capsys, ["body", write(tmp_path, "sq.json", SQUARE)])
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["type"] == "NumericalDegeneracy"
 
     def test_unbounded_is_validation_failure(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, ["body", write(tmp_path, "u.json", UNBOUNDED)])

@@ -142,8 +142,9 @@ def graph_edges(cfg: FocalConfig):
     return build_graph(build_body(cfg)).edges
 
 
-def assert_matches_reference(body):
-    comps = body.components
+def assert_matches_reference(body, extra=()):
+    """Every ordered pair among the body's components and ``extra`` against the oracle."""
+    comps = body.components + tuple(extra)
     for i in range(len(comps)):
         for j in range(len(comps)):
             if i == j:
@@ -153,6 +154,11 @@ def assert_matches_reference(body):
             assert intersection_polygon(comps[i], comps[j]) == [
                 Point(float(x), float(y)) for x, y in ref]
     assert build_graph(body).edges == ref_edges(body)
+
+
+# coordinates with long binary expansions and mixed magnitudes
+MIXED = FocalConfig.of([(0.1, 1e-7), (-0.3, 0.2)],
+                       [(3.7, 0.01), (-2.9, 3.1), (-3.3, -2.6), (1e-9, -4.4)])
 
 
 # --- oracle ------------------------------------------------------------------
@@ -186,9 +192,7 @@ class TestAgainstRationalClip:
     def test_vertices_outside_the_dyadic_grid(self):
         # coordinates with long binary expansions and mixed magnitudes force
         # a large common power of two
-        cfg = FocalConfig.of([(0.1, 1e-7), (-0.3, 0.2)],
-                             [(3.7, 0.01), (-2.9, 3.1), (-3.3, -2.6), (1e-9, -4.4)])
-        assert_matches_reference(build_body(cfg))
+        assert_matches_reference(build_body(MIXED))
 
 
 def voronoi_cells(cfg: FocalConfig):
@@ -259,10 +263,44 @@ class TestComponentsAgainstRationalClip:
         assert seen == {-1, -2, -3, -4}
 
     def test_vertices_outside_the_dyadic_grid(self):
-        cfg = FocalConfig.of([(0.1, 1e-7), (-0.3, 0.2)],
-                             [(3.7, 0.01), (-2.9, 3.1), (-3.3, -2.6), (1e-9, -4.4)])
-        for comp in build_body(cfg).components:
+        for comp in build_body(MIXED).components:
             assert_component_matches_reference(comp)
+
+
+def shared_scaling_configs():
+    rng = random.Random(48)
+    yield from (ring_config(rng, p) for p in (2, 5, 8))
+    yield from (grid_config(rng, rng.randint(2, 6)) for _ in range(10))
+    yield MIXED
+    # the long binary expansion sits in an inner site: the body's scale is finer
+    yield FocalConfig.of([(0.1, 1e-7), (-0.3, 0.2)],
+                         [(3.75, 0.0), (-3.0, 3.0), (-3.25, -2.5), (0.0, -4.5)])
+
+
+class TestSharedScaling:
+    """A body scales its points once; a standalone component scales its own inputs."""
+
+    def test_body_components_equal_standalone_components(self):
+        for cfg in shared_scaling_configs():
+            body = build_body(cfg)
+            for comp in body.components:
+                alone = convex_component(comp.site, cfg.outer, body.clip)
+                # repr shows every public field, floats exactly (with the sign of zero)
+                assert repr(comp) == repr(alone)
+                assert comp.edge_tags == alone.edge_tags
+
+    def test_pairs_across_scalings(self):
+        # a standalone component at another scale is brought to the larger k
+        # by shifts, in either argument order
+        shifts = set()
+        for cfg in shared_scaling_configs():
+            body = build_body(cfg)
+            others = [convex_component(Point(*xy), cfg.outer, body.clip)
+                      for xy in ((0.1, 1e-7), (0.5, 0.25)) if Point(*xy) not in cfg.inner]
+            assert_matches_reference(body, extra=others)
+            k = body.components[0]._exact[2]
+            shifts.update((c._exact[2] > k) - (c._exact[2] < k) for c in others)
+        assert {-1, 1} <= shifts
 
 
 # --- metamorphic -------------------------------------------------------------

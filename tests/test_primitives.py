@@ -24,6 +24,7 @@ from equidist.primitives import (
     orient,
     perp_bisector,
     reflect_point,
+    signed_area,
     viewing_angle,
     viewing_angle_ccw,
 )
@@ -308,3 +309,23 @@ class TestLine:
         l2 = Line.normalized(0, 1, -2)
         assert line_intersection(l1, l2) == Point(1, 2)
         assert line_intersection(l1, l1) is None
+
+
+class TestSignedArea:
+    @staticmethod
+    def exact(points):
+        n = len(points)
+        return sum(Fraction(points[i - 1].x) * Fraction(points[i].y)
+                   - Fraction(points[i].x) * Fraction(points[i - 1].y) for i in range(n)) / 2
+
+    def test_overflowing_float_sum_rounds_the_exact_area(self):
+        # each shoelace term is near the float maximum, the area is not
+        quad = [Point(0.1, 0.0), Point(1.3e154, 0.3), Point(1.3e154, 1.3e154), Point(0.5, 1.3e154)]
+        for pts in (quad, quad[::-1]):
+            area = signed_area(pts)
+            assert math.isfinite(area) and area == float(self.exact(pts))
+
+    def test_area_beyond_the_float_range_is_infinite(self):
+        tri = [Point(0.0, 0.0), Point(1e300, 0.0), Point(0.0, 1e300)]
+        assert signed_area(tri) == math.inf
+        assert signed_area(tri[::-1]) == -math.inf
