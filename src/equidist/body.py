@@ -7,7 +7,7 @@ perpendicular-bisector half-planes toward every outer point.  The clip is
 exact: ``build_body`` scales the focal points and the box to integers by one
 power of two, once, and each vertex (X, Y, W), W > 0, is the meet of the two
 rows that carry its edges, rounded to floats once.  The components keep
-their rows: ``connectivity`` and ``polygon`` clip from them.
+their rows and raw clip, which ``connectivity`` and ``polygon`` continue.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ class ConvexComponent:
     ``edge_tags[i]`` labels the edge from ``vertices[i]`` to ``vertices[i+1]``:
     a non-negative value is the index of the outer point whose bisector
     carries the edge, negative values are clip-box sides.  ``_exact`` holds
-    the integer rows, box and k the clip read (see ``build_body``).
+    the integer rows, box and k of the clip and its raw output (``build_body``).
     """
 
     site: Point
@@ -280,7 +280,7 @@ def _integer_rows(sites, outer, clip: Rect):
     return rows, tuple(ints[-4:]), k
 
 
-def _exact_clip(rows, box):
+def _exact_clip(rows, box, verts=None, first=0):
     """Sutherland-Hodgman clip of an integer box by integer half-planes, exactly.
 
     ``box`` is (xmin, ymin, xmax, ymax) and each row (A, B, C) keeps
@@ -288,16 +288,18 @@ def _exact_clip(rows, box):
     triple (X, Y, W), W > 0, kept when C*W - A*X - B*Y >= 0, and ``edge``
     names the row that carries its edge to the next vertex: its index in
     ``rows``, or -1, -2, -3, -4 for the bottom, right, top and left box sides.
+    From ``verts``, the raw output of a clip by ``rows[:first]``, it cuts on by the rest.
     """
     xmin, ymin, xmax, ymax = box
     # box sides last, so that lines[-1] ... lines[-4] are bottom, right, top, left
     lines = [*rows, (-1, 0, -xmin), (0, 1, ymax), (1, 0, xmax), (0, -1, -ymin)]
-    verts = [((xmin, ymin, 1), -1), ((xmax, ymin, 1), -2), ((xmax, ymax, 1), -3),
-             ((xmin, ymax, 1), -4)]
-    for j, row in enumerate(rows):
-        a, b, c = row
+    if verts is None:
+        verts = [((xmin, ymin, 1), -1), ((xmax, ymin, 1), -2), ((xmax, ymax, 1), -3),
+                 ((xmin, ymax, 1), -4)]
+    for j in range(first, len(rows)):
+        a, b, c = row = rows[j]
         svals = [c * w - a * x - b * y for (x, y, w), _ in verts]
-        if min(svals) >= 0:
+        if min(svals, default=0) >= 0:
             continue  # the row cuts nothing off
         out = []
         n = len(verts)
@@ -310,8 +312,6 @@ def _exact_clip(rows, box):
             elif sb >= 0:
                 out.append((_meet(lines[edge], row), edge))
         verts = out
-        if not verts:
-            break
     return verts
 
 
@@ -347,13 +347,14 @@ def _meet(r, s):
 
 def _component(site: Point, outer: tuple, clip: Rect, rows, box, k: int) -> ConvexComponent:
     """The component of ``site``: the box clipped by the first len(outer) of its rows."""
-    clip_out = _drop_zero_edges(_exact_clip(rows[:len(outer)], box))
+    raw = _exact_clip(rows[:len(outer)], box)
+    clip_out = _drop_zero_edges(raw)
     verts = tuple(Point(x / (w << k), y / (w << k)) for (x, y, w), _ in clip_out)
     tags = tuple(tag for _, tag in clip_out)
     return ConvexComponent(site=site, outer=outer, clip=clip,
                            halfplanes=tuple(HalfPlane.closer_to(site, y) for y in outer),
                            vertices=verts, edge_tags=tags, clipped=any(t < 0 for t in tags),
-                           _exact=(rows, box, k))
+                           _exact=(rows, box, k, raw))
 
 
 def convex_component(site: Point, outer, clip: Rect) -> ConvexComponent:

@@ -149,6 +149,8 @@ def load_polygon(data) -> tuple[Point, ...]:
     pts = _as_points(data["polygon"], "polygon")
     if len(pts) < 3:
         raise ParseFailure("a polygon needs at least three vertices")
+    if not all(math.isfinite(v) for pt in pts for v in pt):
+        raise ParseFailure("polygon vertices must be finite numbers")
     return pts
 
 

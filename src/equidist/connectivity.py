@@ -1,9 +1,9 @@
 """Weighted graph representation of a body and connectivity of body and interior.
 
 Edge weights are the dimension of the pairwise component intersections,
-computed exactly: the integer homogeneous clip of ``body`` cuts the clip box
-by the integer bisector rows the two components were built from, in the one
-scaling of their body, and the dimension is decided on the exact
+computed exactly: the integer homogeneous clip of ``body`` continues the
+first component's stored clip with the second one's integer bisector rows,
+in the one scaling of their body, and the dimension is decided on the exact
 homogeneous vertices, without tolerances.
 """
 
@@ -54,15 +54,16 @@ def polygon_dim(verts) -> int:
 
 
 def _intersection_exact(a: ConvexComponent, b: ConvexComponent):
-    """Vertices (X, Y, W) of a ∩ b at the larger 2**k, and k: the box cut by a's, then b's rows."""
+    """Vertices (X, Y, W) of a ∩ b at the larger 2**k, and k: a's raw clip cut by b's rows."""
     if a.outer != b.outer or a.clip != b.clip:
         raise MismatchedOuterSet("components must share the outer set and clip box")
-    (ra, box, ka), (rb, _, kb) = a._exact, b._exact
-    k = max(ka, kb)
+    (ra, box, ka, verts), (rb, _, kb, _) = a._exact, b._exact
+    k, q = max(ka, kb), len(a.outer)
     rows = [(x << d, y << d, c << 2 * d) for rs, d in ((ra, k - ka), (rb, k - kb))
-            for x, y, c in rs[:len(a.outer)]]
+            for x, y, c in rs[:q]]
     box = tuple(v << k - ka for v in box)
-    return [vert for vert, _ in _exact_clip(rows, box)], k
+    verts = [((x << k - ka, y << k - ka, w), e) for (x, y, w), e in verts]  # same points at k
+    return [vert for vert, _ in _exact_clip(rows, box, verts, q)], k
 
 
 def intersection_dim(a: ConvexComponent, b: ConvexComponent) -> int:

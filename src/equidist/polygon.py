@@ -7,8 +7,8 @@ relative to the triple's first point once per first point and keeps the
 float filter of ``incircle`` with its exact fallback, so each sign is exact
 and the reports list triples and quadruples in ``combinations`` order.  The
 boundary path reads the chains off the inner sites' Voronoi cells in
-Vor(K ∪ L), clipped exactly from the body's integer rows: the cell edges
-between an inner and an outer site are exactly the body's boundary.
+Vor(K ∪ L), each its component's exact clip cut further by the inner rows:
+the cell edges between an inner and an outer site are exactly the body's boundary.
 They are walked at exactly equal endpoints, and pinch points, refs, angle
 types and orientation are decided exactly; ``eps`` only merges consecutive
 chain vertices closer than eps times the extent of the focal points.
@@ -327,9 +327,9 @@ def extract_boundary(cfg: FocalConfig, clip_scale: float = 2.0, eps: float = EPS
 
     The body is the union of the closed Voronoi cells of the inner sites in
     Vor(K ∪ L), so its boundary is exactly the set of cell edges between an
-    inner and an outer site.  Each inner cell is the exact integer clip of
-    the body's clip box by the bisector rows toward every other focal point,
-    kept by its component from the body's one scaling; its edges on outer
+    inner and an outer site.  Each inner cell continues its component's
+    stored exact clip (the box cut by the outer rows, in the body's one
+    scaling) with the rows toward the other inner sites; its edges on outer
     rows are the boundary edges.  They are joined at exactly equal
     homogeneous endpoints and walked with the body on the left.  At a pinch point the
     arriving edge continues into the nearest leaving edge clockwise from it,
@@ -348,11 +348,11 @@ def extract_boundary(cfg: FocalConfig, clip_scale: float = 2.0, eps: float = EPS
     # Each component keeps its site's block of rows, outer rows first.  The site's
     # own row (0, 0, 0) cuts nothing and has zero slack, so refs_at lists the site.
     blocks = [c._exact[0] for c in body.components]
-    _, box, k = body.components[0]._exact
+    _, box, k, _ = body.components[0]._exact
 
     edges = []  # (start, end, inner i, outer j): cell edges between inner i and outer j
-    for i, block in enumerate(blocks):
-        cell = _drop_zero_edges(_exact_clip(block, box))
+    for i, c in enumerate(body.components):
+        cell = _drop_zero_edges(_exact_clip(blocks[i], box, c._exact[3], q))
         verts = [_reduced(vert) for vert, _ in cell]
         for t, (_, j) in enumerate(cell):
             if 0 <= j < q:

@@ -98,10 +98,6 @@ def dist(p: Point, q: Point) -> float:
     return math.hypot(p.x - q.x, p.y - q.y)
 
 
-def midpoint(p: Point, q: Point) -> Point:
-    return Point((p.x + q.x) / 2.0, (p.y + q.y) / 2.0)
-
-
 def dyadic_ints(values) -> tuple[list[int], int]:
     """Finite floats as the integers values[i] * 2**k for the least k >= 0, and k."""
     ratios = [v.as_integer_ratio() for v in values]  # denominators are powers of two

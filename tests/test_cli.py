@@ -224,6 +224,20 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert json.loads(err)["error"]["type"] == "NumericalDegeneracy"
 
+    @pytest.mark.parametrize("command, doc", [
+        ("recognize-pentagon", {"polygon": [[0, 0], [math.inf, 0], [2, 2], [0, 6], [-1, 3]]}),
+        ("construct-quad", {"polygon": [[0, 0], [math.nan, 0], [2, 2], [0, 6]]}),
+        ("render", {"polygon": [[0, 0], [math.nan, 0], [2, 2], [0, 6]]}),
+    ])
+    def test_non_finite_polygon_is_parse_failure(self, tmp_path, capsys, command, doc):
+        # json writes and reads the Infinity and NaN literals
+        svg_path = tmp_path / "p.svg"
+        code, out, err = run_cli(capsys, [command, write(tmp_path, "p.json", doc),
+                                          "--out", str(svg_path)])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ParseFailure"
+        assert not svg_path.exists()
+
     def test_unbounded_is_validation_failure(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, ["body", write(tmp_path, "u.json", UNBOUNDED)])
         assert code == 1

@@ -18,8 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_bounded_config
+from equidist import body as body_module
+from equidist import connectivity, polygon
 from equidist.body import FocalConfig, Rect, build_body, convex_component, is_bounded
 from equidist.connectivity import build_graph, intersection_dim, intersection_polygon
+from equidist.polygon import extract_boundary
 from equidist.primitives import Point
 from test_connectivity import OVERLAP, SEPARATED, TOUCHING
 
@@ -301,6 +304,28 @@ class TestSharedScaling:
             k = body.components[0]._exact[2]
             shifts.update((c._exact[2] > k) - (c._exact[2] < k) for c in others)
         assert {-1, 1} <= shifts
+
+
+class TestClipOnce:
+    """Each component is clipped from the box once; cells and pairs continue its clip."""
+
+    def test_rows_cut_per_body(self, monkeypatch):
+        clip = body_module._exact_clip
+        cut = []
+
+        def counting(rows, box, *start):  # start: the raw clip and its first new row
+            cut.append(len(rows) - (start[1] if start else 0))
+            return clip(rows, box, *start)
+
+        for module in (body_module, connectivity, polygon):
+            monkeypatch.setattr(module, "_exact_clip", counting)
+        p, q = 8, 12
+        cfg = ring_config(random.Random(49), p, q)
+        body = build_body(cfg)
+        build_graph(body)
+        extract_boundary(cfg, body=body)
+        # p components by q outer rows, p cells by p inner rows, each pair by q rows
+        assert sum(cut) == p * q + p * p + math.comb(p, 2) * q == 496
 
 
 # --- metamorphic -------------------------------------------------------------
