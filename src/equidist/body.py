@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     EmptySet,
@@ -127,11 +128,15 @@ class ConvexComponent:
     site: Point
     outer: tuple[Point, ...]
     clip: Rect
-    halfplanes: tuple[HalfPlane, ...]
     vertices: tuple[Point, ...]
     edge_tags: tuple[int, ...]
     clipped: bool
     _exact: tuple = field(compare=False, repr=False)
+
+    @cached_property
+    def halfplanes(self) -> tuple[HalfPlane, ...]:
+        """Float half-planes {site <= y} of the outer points, for ``min_signed``."""
+        return tuple(HalfPlane.closer_to(self.site, y) for y in self.outer)
 
     def min_signed(self, p: Point) -> float:
         """Smallest signed distance to the defining half-planes and clip sides."""
@@ -352,7 +357,6 @@ def _component(site: Point, outer: tuple, clip: Rect, rows, box, k: int) -> Conv
     verts = tuple(Point(x / (w << k), y / (w << k)) for (x, y, w), _ in clip_out)
     tags = tuple(tag for _, tag in clip_out)
     return ConvexComponent(site=site, outer=outer, clip=clip,
-                           halfplanes=tuple(HalfPlane.closer_to(site, y) for y in outer),
                            vertices=verts, edge_tags=tags, clipped=any(t < 0 for t in tags),
                            _exact=(rows, box, k, raw))
 

@@ -132,7 +132,10 @@ def _as_points(rows, what: str) -> tuple[Point, ...]:
         if (not isinstance(row, (list, tuple)) or len(row) != 2
                 or not all(isinstance(v, (int, float)) for v in row)):
             raise ParseFailure(f"{what} entries must be [x, y] number pairs, got {row!r}")
-        pts.append(Point(float(row[0]), float(row[1])))
+        try:
+            pts.append(Point(float(row[0]), float(row[1])))
+        except OverflowError:
+            raise ParseFailure(f"{what} coordinates must lie within the float range") from None
     return tuple(pts)
 
 
@@ -402,7 +405,7 @@ def run(rc: RunConfig) -> int:
     try:
         with open(rc.input_path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or an over-long integer
         sys.stderr.write(_error_obj(type(exc).__name__, str(exc)))
         return 2
 

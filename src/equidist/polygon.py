@@ -3,14 +3,14 @@
 The hypergraph path enumerates all focal triples and, for each, scans the
 other focal points with the exact in-circle sign: O(n^3) triples times O(n)
 candidates.  The scan (``primitives.incircle_hits``) lifts every point
-relative to the triple's first point once per first point and keeps the
-float filter of ``incircle`` with its exact fallback, so each sign is exact
+relative to the triple's first point once per first point and runs the one
+in-circle float filter with its exact integer fallback, so each sign is exact
 and the reports list triples and quadruples in ``combinations`` order.  The
 boundary path reads the chains off the inner sites' Voronoi cells in
 Vor(K ∪ L), each its component's exact clip cut further by the inner rows:
 the cell edges between an inner and an outer site are exactly the body's boundary.
 They are walked at exactly equal endpoints, and pinch points, refs, angle
-types and orientation are decided exactly; ``eps`` only merges consecutive
+types, orientation and chain order are decided in integers; ``eps`` only merges consecutive
 chain vertices closer than eps times the extent of the focal points.
 Boundary extraction needs no regularity, so degenerate inputs (concircular
 focal quadruples) are handled by the same code and show up as double-change
@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cmp_to_key
 from itertools import chain
 
@@ -317,8 +316,20 @@ def _clockwise_order(back):
 
 def _is_clockwise(verts) -> bool:
     """Exactly whether a closed polygon of homogeneous points (W > 0) has negative area."""
-    return sum(Fraction(x1 * y2 - x2 * y1, w1 * w2)
-               for (x1, y1, w1), (x2, y2, w2) in zip(verts, verts[1:] + verts[:1])) < 0
+    num, den = 0, 1  # twice the area so far is num / den, den > 0
+    for (x1, y1, w1), (x2, y2, w2) in zip(verts, verts[1:] + verts[:1]):
+        w = w1 * w2
+        num, den = num * w + (x1 * y2 - x2 * y1) * den, den * w
+    return num < 0
+
+
+def _xy_cmp(u, v) -> int:
+    """Exact lexicographic (x, y) comparison of two homogeneous points (W > 0)."""
+    d = u[0] * v[2] - v[0] * u[2] or u[1] * v[2] - v[1] * u[2]
+    return (d > 0) - (d < 0)
+
+
+_xy_key = cmp_to_key(_xy_cmp)
 
 
 def extract_boundary(cfg: FocalConfig, clip_scale: float = 2.0, eps: float = EPS_GEO,
@@ -422,11 +433,10 @@ def extract_boundary(cfg: FocalConfig, clip_scale: float = 2.0, eps: float = EPS
                                    change_type=change, inner_refs=inner, outer_refs=outer))
         # rounding is monotone, so the exactly lowest vertex has the least float x
         least_x = min(pt.x for pt in pts)
-        lowest = min((Fraction(x, w), Fraction(y, w))
-                     for (x, y, w), pt in zip(verts, pts) if pt.x == least_x)
+        lowest = min((vert for vert, pt in zip(verts, pts) if pt.x == least_x), key=_xy_key)
         out.append((lowest, PolygonChain(vertices=tuple(pts), vertex_info=tuple(info),
                                          edge_pairs=tuple(pairs))))
-    out.sort(key=lambda item: item[0])
+    out.sort(key=lambda item: _xy_key(item[0]))
     return [chain for _, chain in out]
 
 
@@ -478,8 +488,9 @@ def voronoi_check(cfg: FocalConfig, n_samples: int = 10000, seed: int = 42,
             disagreements += 1
         if inside:
             inside_count += 1
-            hits = sum(1 for cell in cells if cell.min_signed(q) >= -band)
-            strict_hits = sum(1 for cell in cells if cell.min_signed(q) > band)
+            signed = [cell.min_signed(q) for cell in cells]
+            hits = sum(1 for m in signed if m >= -band)
+            strict_hits = sum(1 for m in signed if m > band)
             if hits == 0:
                 cell_misses += 1
             if strict_hits > 1:

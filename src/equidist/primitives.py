@@ -1,21 +1,21 @@
 """Robust planar primitives: exact sign predicates and double-precision constructions.
 
 Predicates (``orient``, ``incircle``) are evaluated in floating point with a
-forward error bound and fall back to exact rational arithmetic when the float
-result is too close to zero to be trusted.  ``incircle_hits`` runs the same
-in-circle filter over many fourth points of one triangle at once, for the
-exhaustive scans of the hypergraph.  Circumcircles are computed exactly on
-the coordinates scaled to integers (``dyadic_ints``) and rounded once; the
-other constructions (intersections, reflections) are plain double precision,
-and callers compare their results with a relative tolerance against the
-coordinate scale.
+forward error bound and fall back to exact integer arithmetic when the float
+result is too close to zero to be trusted: the coordinates are scaled to
+integers by one power of two (``dyadic_ints``).  ``incircle_hits`` holds the
+one in-circle filter and runs it over many fourth points of one triangle at
+once, for the exhaustive scans of the hypergraph; ``incircle`` is its case of
+one candidate.  Circumcircles are computed exactly on the scaled integers and
+rounded once; the other constructions (intersections, reflections) are plain
+double precision, and callers compare their results with a relative
+tolerance against the coordinate scale.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (CoincidentPoints, CollinearBase, DegenerateRay, NotConcurrent,
                      NumericalDegeneracy)
@@ -31,6 +31,11 @@ EPS_RT = 1e-9
 _EPS_MACH = 2.0 ** -53
 _ORIENT_ERRBOUND = (3.0 + 16.0 * _EPS_MACH) * _EPS_MACH
 _INCIRCLE_ERRBOUND = (10.0 + 96.0 * _EPS_MACH) * _EPS_MACH
+# The bounds assume no underflow.  An underflowing product is off by at most 2^-1075:
+# orient adds _ORIENT_FLOOR to its bound, and lifted_rows sends nonzero differences
+# below _LIFT_TINY, whose products of four may underflow, to the exact in-circle sign.
+_ORIENT_FLOOR = 2.0 ** -1060
+_LIFT_TINY = 2.0 ** -240
 
 TWO_PI = 2.0 * math.pi
 
@@ -117,12 +122,12 @@ def orient(p: Point, q: Point, r: Point) -> int:
     """Sign of the counterclockwise turn p -> q -> r.
 
     +1 for a left turn, -1 for a right turn, 0 exactly when the points are
-    collinear; the zero branch is decided in exact rational arithmetic.
+    collinear; the zero branch is decided in exact integer arithmetic.
     """
     detl = (q.x - p.x) * (r.y - p.y)
     detr = (q.y - p.y) * (r.x - p.x)
     det = detl - detr
-    bound = _ORIENT_ERRBOUND * (abs(detl) + abs(detr))
+    bound = _ORIENT_ERRBOUND * (abs(detl) + abs(detr)) + _ORIENT_FLOOR
     if det > bound:
         return 1
     if -det > bound:
@@ -131,74 +136,52 @@ def orient(p: Point, q: Point, r: Point) -> int:
 
 
 def _orient_exact(p: Point, q: Point, r: Point) -> int:
-    px, py = Fraction(p.x), Fraction(p.y)
-    det = (Fraction(q.x) - px) * (Fraction(r.y) - py) \
-        - (Fraction(q.y) - py) * (Fraction(r.x) - px)
-    if det > 0:
-        return 1
-    if det < 0:
-        return -1
-    return 0
+    (px, py, qx, qy, rx, ry), _ = dyadic_ints((p.x, p.y, q.x, q.y, r.x, r.y))
+    det = (qx - px) * (ry - py) - (qy - py) * (rx - px)
+    return (det > 0) - (det < 0)
 
 
 def incircle(p: Point, q: Point, r: Point, s: Point) -> int:
     """+1 iff s is strictly inside the circle through p, q, r; 0 on it; -1 outside.
 
-    The orientation of (p, q, r) does not matter: the raw determinant sign is
-    flipped for clockwise base triangles.  Concircularity (0) is decided in
-    exact arithmetic.
+    The orientation of (p, q, r) does not matter.  The exact sign comes from
+    ``incircle_hits`` on the triangle (p, q, r) and the one candidate s.
     """
     o = orient(p, q, r)
     if o == 0:
         raise CollinearBase(f"incircle base points are collinear: {p}, {q}, {r}")
-    return _incircle_raw(p, q, r, s) * o
-
-
-def _incircle_raw(a: Point, b: Point, c: Point, d: Point) -> int:
-    adx, ady = a.x - d.x, a.y - d.y
-    bdx, bdy = b.x - d.x, b.y - d.y
-    cdx, cdy = c.x - d.x, c.y - d.y
-
-    bdxcdy, cdxbdy = bdx * cdy, cdx * bdy
-    cdxady, adxcdy = cdx * ady, adx * cdy
-    adxbdy, bdxady = adx * bdy, bdx * ady
-    alift = adx * adx + ady * ady
-    blift = bdx * bdx + bdy * bdy
-    clift = cdx * cdx + cdy * cdy
-
-    det = (alift * (bdxcdy - cdxbdy)
-           + blift * (cdxady - adxcdy)
-           + clift * (adxbdy - bdxady))
-    permanent = ((abs(bdxcdy) + abs(cdxbdy)) * alift
-                 + (abs(cdxady) + abs(adxcdy)) * blift
-                 + (abs(adxbdy) + abs(bdxady)) * clift)
-    bound = _INCIRCLE_ERRBOUND * permanent
-    if det > bound:
-        return 1
-    if -det > bound:
-        return -1
-    return _incircle_exact(a, b, c, d)
+    points = (p, q, r, s)
+    rows = lifted_rows(points, 0)
+    for raw in (1, -1):
+        if next(incircle_hits(points, rows, 0, 1, 2, (3,), raw), None) is not None:
+            return -o * raw
+    return 0
 
 
 def lifted_rows(points, a: int) -> list[tuple[float, float, float]]:
-    """Row (u, v, u^2 + v^2) of every point, relative to points[a]."""
+    """Row (u, v, u^2 + v^2) of every point, relative to points[a].
+
+    The row is NaN when u or v is nonzero and below ``_LIFT_TINY`` in
+    magnitude, so every filter test of it fails and its signs are exact.
+    """
     ax, ay = points[a].x, points[a].y
     rows = []
     for p in points:
         u, v = p.x - ax, p.y - ay
-        rows.append((u, v, u * u + v * v))
+        tiny = 0.0 < abs(u) < _LIFT_TINY or 0.0 < abs(v) < _LIFT_TINY
+        rows.append((math.nan,) * 3 if tiny else (u, v, u * u + v * v))
     return rows
 
 
 def incircle_hits(points, rows, a: int, b: int, c: int, candidates, want: int):
-    """Yield, in order, the candidates d with sign(_incircle_raw(b, c, d, a)) == want.
+    """Yield, in order, the candidates d with _incircle_exact(b, c, d, a) == want.
 
-    ``rows`` is ``lifted_rows(points, a)``.  The float determinant and error
-    bound are those of ``_incircle_raw(b, c, d, a)``, op for op, with the
-    terms of b and c computed once per call instead of once per candidate;
-    undecided signs fall back to ``_incircle_exact``, so every sign is exact.
-    When o = orient(a, b, c) is not 0,
-    incircle(a, b, c, d) == -o * _incircle_raw(b, c, d, a).
+    ``rows`` is ``lifted_rows(points, a)``.  The float determinant of
+    (b, c, d, a) is expanded along the lifted rows relative to a, with the
+    terms of b and c computed once per call instead of once per candidate,
+    and its forward error bound is Shewchuk's; undecided signs fall back to
+    ``_incircle_exact``, so every sign is exact.  When o = orient(a, b, c) is
+    not 0, incircle(a, b, c, d) == -o * _incircle_exact(b, c, d, a).
     """
     bu, bv, bw = rows[b]
     cu, cv, cw = rows[c]
@@ -225,18 +208,15 @@ def incircle_hits(points, rows, a: int, b: int, c: int, candidates, want: int):
 
 
 def _incircle_exact(a: Point, b: Point, c: Point, d: Point) -> int:
-    dx, dy = Fraction(d.x), Fraction(d.y)
-    adx, ady = Fraction(a.x) - dx, Fraction(a.y) - dy
-    bdx, bdy = Fraction(b.x) - dx, Fraction(b.y) - dy
-    cdx, cdy = Fraction(c.x) - dx, Fraction(c.y) - dy
+    """Exact in-circle sign: +1 iff d is inside the circle through ccw a, b, c, 0 on it."""
+    (ax, ay, bx, by, cx, cy, dx, dy), _ = dyadic_ints((a.x, a.y, b.x, b.y, c.x, c.y, d.x, d.y))
+    adx, ady = ax - dx, ay - dy
+    bdx, bdy = bx - dx, by - dy
+    cdx, cdy = cx - dx, cy - dy
     det = ((adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
            + (bdx * bdx + bdy * bdy) * (cdx * ady - adx * cdy)
            + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady))
-    if det > 0:
-        return 1
-    if det < 0:
-        return -1
-    return 0
+    return (det > 0) - (det < 0)
 
 
 def signed_area(points) -> float:

@@ -238,6 +238,24 @@ class TestExitCodes:
         assert json.loads(err)["error"]["type"] == "ParseFailure"
         assert not svg_path.exists()
 
+    @pytest.mark.parametrize("command, doc", [
+        *((command, huge_square(10 ** 400)) for command in ("body", "boundary", "graph", "hypergraph")),
+        ("recognize-pentagon", {"polygon": [[0, 0], [10 ** 400, 0], [2, 2], [0, 6], [-1, 3]]}),
+    ])
+    def test_integer_beyond_float_range_is_parse_failure(self, tmp_path, capsys, command, doc):
+        code, out, err = run_cli(capsys, [command, write(tmp_path, "h.json", doc)])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ParseFailure"
+
+    def test_integer_beyond_digit_limit_is_error_object(self, tmp_path, capsys):
+        # json.load refuses integers of more than sys.get_int_max_str_digits() digits
+        path = tmp_path / "h.json"
+        path.write_text('{"inner": [[0, 0]], "outer": [[2%s, 0], [-2, 0], [0, 2], [0, -2]]}'
+                        % ("0" * 5000))
+        code, out, err = run_cli(capsys, ["body", str(path)])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ValueError"
+
     def test_unbounded_is_validation_failure(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, ["body", write(tmp_path, "u.json", UNBOUNDED)])
         assert code == 1
