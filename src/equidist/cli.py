@@ -25,7 +25,7 @@ from .body import (
     is_bounded,
 )
 from .connectivity import build_graph, check_polytope, graph_components
-from .errors import GeometryError, InvalidConfig, NumericalDegeneracy
+from .errors import GeometryError, InvalidConfig, NumericalDegeneracy, RegularityViolated
 from .polygon import (
     COLOR_XYX,
     COLOR_YXY,
@@ -129,8 +129,10 @@ def _as_points(rows, what: str) -> tuple[Point, ...]:
         raise ParseFailure(f"{what} must be a list of [x, y] pairs")
     pts = []
     for row in rows:
+        # JSON true and false load as bool, a subclass of int, and are no coordinates
         if (not isinstance(row, (list, tuple)) or len(row) != 2
-                or not all(isinstance(v, (int, float)) for v in row)):
+                or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                           for v in row)):
             raise ParseFailure(f"{what} entries must be [x, y] number pairs, got {row!r}")
         try:
             pts.append(Point(float(row[0]), float(row[1])))
@@ -355,9 +357,12 @@ def _scene_for(rc: RunConfig, data) -> tuple[Scene, dict]:
     bounded = is_bounded(cfg)
     if bounded:
         chains = tuple(ch.vertices for ch in extract_boundary(cfg, rc.clip_scale, rc.eps))
-        if rc.show_circles and check_regularity(cfg).ok:
-            circles = tuple(e.circle for e in empty_circle_triples(cfg)
-                            if e.color in (COLOR_XYX, COLOR_YXY))
+        if rc.show_circles:
+            try:
+                circles = tuple(e.circle for e in empty_circle_triples(cfg)
+                                if e.color in (COLOR_XYX, COLOR_YXY))
+            except RegularityViolated:  # irregular input has no circles to show
+                pass
         if rc.show_voronoi:
             clip = body_clip_box(cfg, rc.clip_scale)
             pts = [p for _, p in labeled_points(cfg)]

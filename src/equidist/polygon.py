@@ -1,12 +1,16 @@
 """Regularity checks, the empty-circumcircle hypergraph, and boundary extraction.
 
-The hypergraph path enumerates all focal triples and, for each, scans the
-other focal points with the exact in-circle sign: O(n^3) triples times O(n)
-candidates.  The scan (``primitives.incircle_hits``) lifts every point
-relative to the triple's first point once per first point and runs the one
-in-circle float filter with its exact integer fallback, so each sign is exact
-and the reports list triples and quadruples in ``combinations`` order.  The
-boundary path reads the chains off the inner sites' Voronoi cells in
+The regularity check scales the focal points to integers once and, for each
+pair (a, b), keys every later point c by its circle through a and b: a zero
+cross product is a collinear triple, and otherwise the key is the circle's
+centre along the bisector of ab, an exact rational rounded once.  Points
+sharing a key are confirmed with the exact in-circle sign, so the check takes
+O(n^3) integer steps.  On regular input the empty-circumcircle triples are
+exactly the triangles of the unique Delaunay triangulation of K ∪ L, built by
+gift-wrapping with O(n^2) calls of the exact ``orient`` and of the in-circle
+scan ``primitives.incircle_hits`` (one float filter with an exact integer
+fallback).  Both reports list triples and quadruples in ``combinations`` order.
+The boundary path reads the chains off the inner sites' Voronoi cells in
 Vor(K ∪ L), each its component's exact clip cut further by the inner rows:
 the cell edges between an inner and an outer site are exactly the body's boundary.
 They are walked at exactly equal endpoints, and pinch points, refs, angle
@@ -23,7 +27,6 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cmp_to_key
-from itertools import chain
 
 from .body import (
     EquidistantBody,
@@ -42,6 +45,7 @@ from .primitives import (
     Point,
     circumcircle,
     dist,
+    dyadic_ints,
     incircle,  # noqa: F401  kept: bench/spans.py counts calls through polygon.incircle
     incircle_hits,
     lifted_rows,
@@ -151,32 +155,107 @@ def ref_point(cfg: FocalConfig, ref: FocalRef) -> Point:
 
 
 def check_regularity(cfg: FocalConfig) -> RegularityReport:
-    """Exhaustive exact test for collinear triples (C1) and concircular quadruples (C2).
+    """Exact test for collinear triples (C1) and concircular quadruples (C2), O(n^3).
 
-    Each triple (a, b, c) in ``combinations`` order is tested with the exact
-    ``orient``; a collinear one is reported and extends to no concircular
-    quadruple, since a circle meets a line in at most two points.  For every
-    other triple the candidates d after c are scanned with the exact
-    in-circle sign (``incircle_hits``), so both lists come out in
-    ``combinations`` order.
+    The points are scaled to integers once.  Relative to a, a later pair
+    (b, c) is collinear with a exactly when the cross product b x c is 0, and
+    a collinear triple extends to no concircular quadruple, since a circle
+    meets a line in at most two points.  Otherwise c's circle through a and b
+    is keyed by its centre's coordinate along the bisector of ab, the
+    rational (|c|^2 - b.c) / (b x c), rounded once by the correctly rounded
+    integer division (±inf beyond the float range).  Equal rationals give
+    equal keys, so each concircular quadruple (a, b, c, d) shares a key; the
+    members of a shared key are confirmed with the exact in-circle sign
+    (``incircle_hits``), which rejects keys that collide by rounding.  Both
+    lists come out in ``combinations`` order.
     """
     pts = labeled_points(cfg)
     refs = [r for r, _ in pts]
     points = [p for _, p in pts]
     n = len(points)
+    ints, _ = dyadic_ints([v for p in points for v in p])
+    xs, ys = ints[::2], ints[1::2]
     collinear = []
     concircular = []
     for a in range(n):
-        rows = lifted_rows(points, a)
+        us = [x - xs[a] for x in xs]
+        vs = [y - ys[a] for y in ys]
+        rows = None  # lifted_rows(points, a), once a key is shared
         for b in range(a + 1, n):
+            bu, bv = us[b], vs[b]
+            first = {}  # key -> the least c with it
+            shared = {}  # the least c of a shared key -> every c with it, ascending
             for c in range(b + 1, n):
-                if orient(points[a], points[b], points[c]) == 0:
+                cu, cv = us[c], vs[c]
+                cross = bu * cv - bv * cu
+                if cross == 0:
                     collinear.append((refs[a], refs[b], refs[c]))
                     continue
-                for d in incircle_hits(points, rows, a, b, c, range(c + 1, n), 0):
-                    concircular.append((refs[a], refs[b], refs[c], refs[d]))
+                num = cu * (cu - bu) + cv * (cv - bv)
+                try:
+                    key = num / cross
+                except OverflowError:
+                    key = math.inf if (num > 0) == (cross > 0) else -math.inf
+                least = first.setdefault(key, c)
+                if least != c:
+                    shared.setdefault(least, [least]).append(c)
+            for group in shared.values():
+                if rows is None:
+                    rows = lifted_rows(points, a)
+                for m, c in enumerate(group):
+                    for d in incircle_hits(points, rows, a, b, c, group[m + 1:], 0):
+                        concircular.append((a, b, c, d))
+    concircular.sort()
     return RegularityReport(ok=not collinear and not concircular,
-                            collinear=tuple(collinear), concircular=tuple(concircular))
+                            collinear=tuple(collinear),
+                            concircular=tuple(tuple(refs[i] for i in quad)
+                                              for quad in concircular))
+
+
+def _delaunay_triangles(points) -> list[tuple[int, int, int]]:
+    """Index triples, sorted, of the Delaunay triangles of points in general position.
+
+    Gift-wrapping: the lowest point by (y, x) and the point that leaves every
+    other one to its left span a hull edge.  Each open directed edge (u, v)
+    is closed by the point w to its left whose circle through u and v holds
+    no other point on that side; such circles are nested there, so one scan
+    that moves to each point found inside the current best circle finds w.
+    The triangle's two other edges are opened reversed; an edge with no point
+    to its left is a hull edge.  Every sign is exact, and with no collinear
+    triple and no concircular quadruple none is 0.
+    """
+    n = len(points)
+    if n < 3:
+        return []
+    s = min(range(n), key=lambda i: (points[i].y, points[i].x))
+    t = (s + 1) % n
+    for z in range(n):
+        if orient(points[s], points[t], points[z]) < 0:
+            t = z
+    lifted = {}
+    closed = set()
+    triangles = []
+    stack = [(s, t)]
+    while stack:
+        u, v = stack.pop()
+        if (u, v) in closed:
+            continue
+        pu, pv = points[u], points[v]
+        left = (z for z in range(n) if orient(pu, pv, points[z]) > 0)
+        w = next(left, None)
+        if w is None:
+            continue
+        if u not in lifted:
+            lifted[u] = lifted_rows(points, u)
+        # z is strictly inside the circle through ccw u, v, w when the raw sign
+        # of (v, w, z, u) is -1; the scan goes on with the points after z.
+        while (z := next(incircle_hits(points, lifted[u], u, v, w, left, -1), None)) is not None:
+            w = z
+        closed.update(((u, v), (v, w), (w, u)))
+        triangles.append(tuple(sorted((u, v, w))))
+        stack += [(w, v), (u, w)]
+    triangles.sort()
+    return triangles
 
 
 def _triple_color(kinds) -> str:
@@ -191,41 +270,30 @@ def _triple_color(kinds) -> str:
 def empty_circle_triples(cfg: FocalConfig) -> tuple[HyperEdge, ...]:
     """All focal triples whose circumcircle contains no focal point strictly inside.
 
-    Raises RegularityViolated unless ``check_regularity`` passes.  Triples
-    come in ``combinations`` order; the scan of a triple stops at the first
-    focal point found strictly inside its circle.  Colored triples list the
-    lone point in the middle and carry its viewing angle of the other two as
-    weight.
+    Raises RegularityViolated unless ``check_regularity`` passes.  On regular
+    input these triples are exactly the triangles of the unique Delaunay
+    triangulation of the focal points (``_delaunay_triangles``).  Triples
+    come in ``combinations`` order.  Colored triples list the lone point in
+    the middle and carry its viewing angle of the other two as weight.
     """
     report = check_regularity(cfg)
     if not report.ok:
         raise RegularityViolated("configuration violates (C1)/(C2)", report)
     pts = labeled_points(cfg)
-    points = [p for _, p in pts]
-    n = len(points)
     edges = []
-    for i in range(n):
-        rows = lifted_rows(points, i)
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                (ra, a), (rb, b), (rc, c) = pts[i], pts[j], pts[k]
-                # z is strictly inside the circle through a, b, c exactly when
-                # the raw sign of (b, c, z, a) is -orient(a, b, c).
-                others = chain(range(i), range(i + 1, j), range(j + 1, k), range(k + 1, n))
-                inside = incircle_hits(points, rows, i, j, k, others, -orient(a, b, c))
-                if next(inside, None) is not None:
-                    continue
-                trip = [(ra, a), (rb, b), (rc, c)]
-                color = _triple_color([r.kind for r, _ in trip])
-                weight = None
-                if color in (COLOR_XYX, COLOR_YXY):
-                    lone_kind = "outer" if color == COLOR_XYX else "inner"
-                    lone = next(t for t in trip if t[0].kind == lone_kind)
-                    pair = [t for t in trip if t[0].kind != lone_kind]
-                    trip = [pair[0], lone, pair[1]]
-                    weight = viewing_angle(lone[1], pair[0][1], pair[1][1])
-                edges.append(HyperEdge(refs=tuple(r for r, _ in trip), color=color,
-                                       circle=circumcircle(a, b, c), weight=weight))
+    for i, j, k in _delaunay_triangles([p for _, p in pts]):
+        (ra, a), (rb, b), (rc, c) = pts[i], pts[j], pts[k]
+        trip = [(ra, a), (rb, b), (rc, c)]
+        color = _triple_color([r.kind for r, _ in trip])
+        weight = None
+        if color in (COLOR_XYX, COLOR_YXY):
+            lone_kind = "outer" if color == COLOR_XYX else "inner"
+            lone = next(t for t in trip if t[0].kind == lone_kind)
+            pair = [t for t in trip if t[0].kind != lone_kind]
+            trip = [pair[0], lone, pair[1]]
+            weight = viewing_angle(lone[1], pair[0][1], pair[1][1])
+        edges.append(HyperEdge(refs=tuple(r for r, _ in trip), color=color,
+                               circle=circumcircle(a, b, c), weight=weight))
     return tuple(edges)
 
 

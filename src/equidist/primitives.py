@@ -5,8 +5,8 @@ forward error bound and fall back to exact integer arithmetic when the float
 result is too close to zero to be trusted: the coordinates are scaled to
 integers by one power of two (``dyadic_ints``).  ``incircle_hits`` holds the
 one in-circle filter and runs it over many fourth points of one triangle at
-once, for the exhaustive scans of the hypergraph; ``incircle`` is its case of
-one candidate.  Circumcircles are computed exactly on the scaled integers and
+once, for the regularity check and the Delaunay scans of the hypergraph;
+``incircle`` is its case of one candidate.  Circumcircles are computed exactly on the scaled integers and
 rounded once; the other constructions (intersections, reflections) are plain
 double precision, and callers compare their results with a relative
 tolerance against the coordinate scale.

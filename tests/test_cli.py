@@ -247,6 +247,18 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "ParseFailure"
 
+    @pytest.mark.parametrize("command, doc", [
+        *((command, {"inner": [[0, 0]], "outer": [[2, 0], [-2, 0], [0, True], [0, -2]]})
+          for command in ("body", "boundary", "graph", "hypergraph")),
+        ("hypergraph", {"inner": [[False, 0]], "outer": [[2, 0], [-2, 0], [0, 2]]}),
+        ("recognize-pentagon", {"polygon": [[0, 0], [3, 0], [True, 2], [0, 6], [-1, 3]]}),
+    ])
+    def test_boolean_coordinate_is_parse_failure(self, tmp_path, capsys, command, doc):
+        # JSON true and false load as Python bools, which are ints
+        code, out, err = run_cli(capsys, [command, write(tmp_path, "b.json", doc)])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ParseFailure"
+
     def test_integer_beyond_digit_limit_is_error_object(self, tmp_path, capsys):
         # json.load refuses integers of more than sys.get_int_max_str_digits() digits
         path = tmp_path / "h.json"

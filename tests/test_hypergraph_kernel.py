@@ -12,6 +12,9 @@ either kind.  Only the exact fallback decides them.
 
 import math
 import random
+import sys
+from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -21,7 +24,7 @@ from hypothesis import strategies as st
 import equidist.primitives as primitives
 from conftest import random_generic_32
 from equidist.body import FocalConfig
-from equidist.errors import RegularityViolated
+from equidist.errors import GeometryError, RegularityViolated
 from equidist.polygon import (
     COLOR_XYX,
     COLOR_YXY,
@@ -268,3 +271,162 @@ class TestHypergraphInvariance:
 
         permuted = FocalConfig(tuple(inner), tuple(outer))
         assert as_sets(_combinatorics(permuted), False) == as_sets(_combinatorics(cfg), True)
+
+
+# --- the O(n^3) regularity keys and the gift-wrapped Delaunay ---------------
+
+def outcome(fn, cfg: FocalConfig) -> str:
+    """repr of fn(cfg), or the name of the GeometryError it raises.
+
+    HyperEdge weights are NaN for some extreme magnitudes, and NaN != NaN,
+    so the reports compare by repr.
+    """
+    try:
+        return repr(fn(cfg))
+    except GeometryError as exc:
+        return type(exc).__name__
+
+
+def assert_repr_matches_reference(cfg: FocalConfig) -> RegularityReport:
+    report = check_regularity(cfg)
+    assert repr(report) == repr(ref_regularity(cfg))
+    assert outcome(empty_circle_triples, cfg) == outcome(ref_triples, cfg)
+    return report
+
+
+def overflowing_keys(cfg: FocalConfig) -> int:
+    """Triples whose circle key (|c|^2 - b.c) / (b x c), relative to a, exceeds the float range."""
+    pts = [(Fraction(p.x), Fraction(p.y)) for _, p in labeled_points(cfg)]
+    count = 0
+    for (ax, ay), (bx, by), (cx, cy) in combinations(pts, 3):
+        bu, bv, cu, cv = bx - ax, by - ay, cx - ax, cy - ay
+        cross = bu * cv - bv * cu
+        if cross and abs((cu * (cu - bu) + cv * (cv - bv)) / cross) > sys.float_info.max:
+            count += 1
+    return count
+
+
+def hull_edges(points) -> set:
+    """Edges of the convex hull of points with no three collinear, by the exact orient."""
+    order = sorted(range(len(points)), key=lambda i: (points[i].x, points[i].y))
+
+    def half(seq):
+        out = []
+        for i in seq:
+            while len(out) >= 2 and orient(points[out[-2]], points[out[-1]], points[i]) <= 0:
+                out.pop()
+            out.append(i)
+        return out[:-1]
+
+    ring = half(order) + half(order[::-1])
+    return {frozenset((ring[k - 1], ring[k])) for k in range(len(ring))}
+
+
+_EXPONENTS = (-300, -150, -1, 0, 1, 150, 300)
+
+
+def mixed_magnitude_configs(rng: random.Random, count: int):
+    """Configurations of 3 to 7 points whose coordinates range over 1e-300 to 1e300."""
+    for _ in range(count):
+        n = rng.randint(3, 7)
+        pts = set()
+        while len(pts) < n:
+            pts.add(tuple(rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 10.0)
+                          * 10.0 ** rng.choice(_EXPONENTS) for _ in range(2)))
+        pts = sorted(pts)
+        rng.shuffle(pts)
+        p = rng.randint(1, n - 1)
+        yield FocalConfig.of(pts[:p], pts[p:])
+
+
+# mantissa * 2**exponent spans about 1e-300 to 1e300
+MAGNITUDES = st.builds(math.ldexp, st.integers(-2**20, 2**20), st.integers(-1000, 976))
+
+
+class TestKeyedRegularityAndGiftWrap:
+    @pytest.mark.parametrize("inner, outer", [
+        ([(0, 0)], [(1, 0)]),
+        ([(0.5, -3)], [(1e-300, 1e300)]),
+        ([(0, 0)], [(1, 0), (0, 1)]),
+        ([(0, 0), (3, 1)], [(1, 5)]),
+        ([(0, 0)], [(1, 0), (2, 0)]),
+        ([(1e-300, 0)], [(0, 1e-300), (1e300, 1e300)]),
+    ])
+    def test_two_and_three_points(self, inner, outer):
+        assert_repr_matches_reference(FocalConfig.of(inner, outer))
+
+    def test_mixed_magnitudes(self):
+        overflowing = 0
+        for cfg in mixed_magnitude_configs(random.Random(54), 300):
+            assert_repr_matches_reference(cfg)
+            overflowing += overflowing_keys(cfg) > 0
+        assert overflowing > 0
+
+    def test_colliding_overflow_keys_are_rejected_exactly(self, monkeypatch):
+        # relative to (0, 0) and (1e-300, 0), both later points key to +inf
+        cfg = FocalConfig.of([(0.0, 0.0), (1e300, 1e-300)], [(1e-300, 0.0), (-1e300, 1e-300)])
+        assert overflowing_keys(cfg) >= 2
+        calls = []
+        original = primitives._incircle_exact
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(primitives, "_incircle_exact", counted)
+            report = check_regularity(cfg)
+        assert report.ok and calls
+        assert_repr_matches_reference(cfg)
+
+    def test_shared_keys_of_many_members(self):
+        # the 8 circle points, interleaved with 3 off the circle: each (a, b) on the
+        # circle shares one key among up to 6 later points, some of them off it
+        on = circle_points(_CIRCLE_DIRS)
+        off = [(_CENTER[0] + _M, _CENTER[1] + 2 * _M), (_CENTER[0] + 0.5, _CENTER[1]),
+               (_CENTER[0] - 7 * _M, _CENTER[1] + 0.5)]
+        pts = on[:3] + off[:1] + on[3:6] + off[1:] + on[6:]
+        report = assert_repr_matches_reference(FocalConfig.of(pts[:5], pts[5:]))
+        assert len(report.concircular) == math.comb(len(on), 4)
+        for k in range(len(on)):
+            moved = nudged(on, k, k % 2, math.inf)
+            assert_repr_matches_reference(FocalConfig.of(moved[:4], moved[4:] + off))
+
+    @EXAMPLES
+    @given(kind=KINDS, seed=SEEDS, p=SIZES)
+    def test_generated_configs(self, kind, seed, p):
+        assert_repr_matches_reference(_config(kind, seed, p))
+
+    @EXAMPLES
+    @given(pts=st.lists(st.tuples(MAGNITUDES, MAGNITUDES), min_size=2, max_size=7, unique=True),
+           split=st.integers(1, 6))
+    def test_generated_mixed_magnitudes(self, pts, split):
+        p = min(split, len(pts) - 1)
+        assert_repr_matches_reference(FocalConfig.of(pts[:p], pts[p:]))
+
+
+class TestDelaunayBeyondBruteForce:
+    """Inputs too large for the O(n^4) reference: the triangulation is checked directly.
+
+    Every triple's circle is exactly empty, there are 2n - 2 - h of them for a
+    hull of h points, and every edge lies in two triples, a hull edge in one:
+    together these leave no empty-circle triple out.
+    """
+
+    @pytest.mark.parametrize("p, q, seed", [(16, 24, 61), (32, 48, 62)])
+    def test_ring_triangulation(self, p, q, seed):
+        cfg = ring_config(random.Random(seed), p, q)
+        assert check_regularity(cfg).ok
+        pts = labeled_points(cfg)
+        index = {ref: i for i, (ref, _) in enumerate(pts)}
+        points = [pt for _, pt in pts]
+        triples = [tuple(sorted(index[r] for r in e.refs)) for e in empty_circle_triples(cfg)]
+        assert triples == sorted(set(triples))
+        for t in triples:
+            a, b, c = (points[i] for i in t)
+            assert all(incircle(a, b, c, z) < 0 for i, z in enumerate(points) if i not in t)
+        hull = hull_edges(points)
+        assert len(triples) == 2 * len(points) - 2 - len(hull)
+        uses = Counter(frozenset(e) for t in triples for e in combinations(t, 2))
+        assert hull <= set(uses)
+        assert all(count == (1 if e in hull else 2) for e, count in uses.items())
