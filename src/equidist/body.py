@@ -224,7 +224,7 @@ def bounding_radius(cfg: FocalConfig) -> float:
     largest radius such that every inner point keeps that distance to the
     boundary of the outer hull (rounding is monotone, so the farthest outer
     and the nearest inner point give c).  Raises NumericalDegeneracy when a
-    squared distance leaves the float range.
+    squared distance overflows, or when c or r underflows to 0.
     """
     if not is_bounded(cfg):
         raise Unbounded("bounding radius requires the inner set inside the outer hull")
@@ -246,6 +246,9 @@ def bounding_radius(cfg: FocalConfig) -> float:
     for x in cfg.inner:
         rx = min(abs(l.eval(x)) for l in edge_lines)
         r = min(r, rx)
+    if c == 0.0 or r == 0.0:  # both are positive unless they underflow
+        raise NumericalDegeneracy("distances between the focal points "
+                                  "underflow the float range")
     return c / r
 
 
@@ -285,6 +288,12 @@ def _integer_rows(sites, outer, clip: Rect):
     return rows, tuple(ints[-4:]), k
 
 
+def _side_rows(box) -> list:
+    """Box side rows; after the other rows, edges -1 ... -4 are bottom, right, top, left."""
+    xmin, ymin, xmax, ymax = box
+    return [(-1, 0, -xmin), (0, 1, ymax), (1, 0, xmax), (0, -1, -ymin)]
+
+
 def _exact_clip(rows, box, verts=None, first=0):
     """Sutherland-Hodgman clip of an integer box by integer half-planes, exactly.
 
@@ -296,8 +305,7 @@ def _exact_clip(rows, box, verts=None, first=0):
     From ``verts``, the raw output of a clip by ``rows[:first]``, it cuts on by the rest.
     """
     xmin, ymin, xmax, ymax = box
-    # box sides last, so that lines[-1] ... lines[-4] are bottom, right, top, left
-    lines = [*rows, (-1, 0, -xmin), (0, 1, ymax), (1, 0, xmax), (0, -1, -ymin)]
+    lines = [*rows, *_side_rows(box)]
     if verts is None:
         verts = [((xmin, ymin, 1), -1), ((xmax, ymin, 1), -2), ((xmax, ymax, 1), -3),
                  ((xmin, ymax, 1), -4)]
@@ -342,6 +350,11 @@ def _drop_zero_edges(clip_out):
             if not _same_point(clip_out[i][0], clip_out[i + 1 - n][0])]
 
 
+def _float_point(vert, k: int) -> Point:
+    """The homogeneous point (X, Y, W), W > 0, of a clip at 2**k, each coordinate rounded once."""
+    return Point(vert[0] / (vert[2] << k), vert[1] / (vert[2] << k))
+
+
 def _meet(r, s):
     """Homogeneous intersection point of the boundary lines of two rows, W > 0."""
     a1, b1, c1 = r
@@ -354,7 +367,7 @@ def _component(site: Point, outer: tuple, clip: Rect, rows, box, k: int) -> Conv
     """The component of ``site``: the box clipped by the first len(outer) of its rows."""
     raw = _exact_clip(rows[:len(outer)], box)
     clip_out = _drop_zero_edges(raw)
-    verts = tuple(Point(x / (w << k), y / (w << k)) for (x, y, w), _ in clip_out)
+    verts = tuple(_float_point(vert, k) for vert, _ in clip_out)
     tags = tuple(tag for _, tag in clip_out)
     return ConvexComponent(site=site, outer=outer, clip=clip,
                            vertices=verts, edge_tags=tags, clipped=any(t < 0 for t in tags),
@@ -371,12 +384,8 @@ def convex_component(site: Point, outer, clip: Rect) -> ConvexComponent:
     return _component(site, outer, clip, *_integer_rows((site,), outer, clip))
 
 
-def body_clip_box(cfg: FocalConfig, clip_scale: float = 2.0) -> Rect:
-    """Square clip box guaranteed to contain the body with margin."""
-    return _clip_box(cfg, clip_scale, bounding_radius(cfg))
-
-
 def _clip_box(cfg: FocalConfig, clip_scale: float, radius: float) -> Rect:
+    """Square clip box around the inner centroid, clip_scale times the body radius wide."""
     o = _centroid(cfg.inner)
     h = clip_scale * radius
     clip = Rect(o.x - h, o.y - h, o.x + h, o.y + h)

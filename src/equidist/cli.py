@@ -17,38 +17,24 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .body import (
-    FocalConfig,
-    body_clip_box,
-    build_body,
-    convex_component,
-    is_bounded,
-)
+from .body import FocalConfig, build_body, is_bounded
 from .connectivity import build_graph, check_polytope, graph_components
 from .errors import GeometryError, InvalidConfig, NumericalDegeneracy, RegularityViolated
 from .polygon import (
     COLOR_XYX,
     COLOR_YXY,
+    cell_polygons,
     check_regularity,
     check_vertex_bound,
     classify_vertices,
     empty_circle_triples,
     extract_boundary,
     inactive_focals,
-    labeled_points,
     voronoi_check,
 )
 from .primitives import Point
 from .svg import Scene, render_svg
-from .type32 import (
-    classify_generic_32,
-    construct_quad_focals,
-    default_param,
-    feasible_param_range,
-    label_quad,
-    quad_auxiliary_ray,
-    recognize_pentagon,
-)
+from .type32 import _construct_quad, classify_generic_32, label_quad, recognize_pentagon
 
 COMMANDS = ("body", "graph", "boundary", "hypergraph", "classify32",
             "recognize-pentagon", "construct-quad", "voronoi-check", "render")
@@ -315,12 +301,8 @@ def _cmd_recognize_pentagon(rc: RunConfig, data):
 
 
 def _cmd_construct_quad(rc: RunConfig, data):
-    poly = load_polygon(data)
-    quad = label_quad(poly)
-    _, direction = quad_auxiliary_ray(quad)
-    intervals = feasible_param_range(quad)
-    t = rc.t if rc.t is not None else default_param(quad)
-    cert = construct_quad_focals(quad, t, rc.clip_scale, rc.eps)
+    quad = label_quad(load_polygon(data))
+    direction, intervals, t, cert = _construct_quad(quad, rc.t, rc.clip_scale, rc.eps)
     return {
         "labeled": _pts(quad.points),
         "ray_direction": list(direction),
@@ -356,7 +338,8 @@ def _scene_for(rc: RunConfig, data) -> tuple[Scene, dict]:
     cells = ()
     bounded = is_bounded(cfg)
     if bounded:
-        chains = tuple(ch.vertices for ch in extract_boundary(cfg, rc.clip_scale, rc.eps))
+        body = build_body(cfg, rc.clip_scale)
+        chains = tuple(ch.vertices for ch in extract_boundary(cfg, rc.clip_scale, rc.eps, body))
         if rc.show_circles:
             try:
                 circles = tuple(e.circle for e in empty_circle_triples(cfg)
@@ -364,11 +347,7 @@ def _scene_for(rc: RunConfig, data) -> tuple[Scene, dict]:
             except RegularityViolated:  # irregular input has no circles to show
                 pass
         if rc.show_voronoi:
-            clip = body_clip_box(cfg, rc.clip_scale)
-            pts = [p for _, p in labeled_points(cfg)]
-            cells = tuple(tuple(convex_component(x, tuple(p for p in pts if p != x),
-                                                 clip).vertices)
-                          for x in cfg.inner)
+            cells = cell_polygons(body)
     scene = Scene(inner=cfg.inner, outer=cfg.outer, chains=chains,
                   circles=circles, cells=cells)
     info = {"kind": "config", "bounded": bounded, "chains": len(chains),

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .body import ConvexComponent, EquidistantBody, FocalConfig, build_body, is_bounded
-from .body import _exact_clip, _orientation_det, _same_point
+from .body import _exact_clip, _float_point, _orientation_det, _same_point
 from .errors import MismatchedOuterSet
 from .polygon import extract_boundary
 from .primitives import Point
@@ -79,7 +79,7 @@ def intersection_dim(a: ConvexComponent, b: ConvexComponent) -> int:
 def intersection_polygon(a: ConvexComponent, b: ConvexComponent) -> list[Point]:
     """Vertices of a ∩ b (exact clip, correctly rounded to floats; may be degenerate)."""
     verts, k = _intersection_exact(a, b)
-    return [Point(x / (w << k), y / (w << k)) for x, y, w in verts]
+    return [_float_point(vert, k) for vert in verts]
 
 
 def build_graph(body: EquidistantBody) -> RepGraph:

@@ -10,9 +10,10 @@ exactly the triangles of the unique Delaunay triangulation of K ∪ L, built by
 gift-wrapping with O(n^2) calls of the exact ``orient`` and of the in-circle
 scan ``primitives.incircle_hits`` (one float filter with an exact integer
 fallback).  Both reports list triples and quadruples in ``combinations`` order.
-The boundary path reads the chains off the inner sites' Voronoi cells in
-Vor(K ∪ L), each its component's exact clip cut further by the inner rows:
-the cell edges between an inner and an outer site are exactly the body's boundary.
+The inner sites' Voronoi cells in Vor(K ∪ L) are built once per body by
+``_inner_cells``, each its component's exact clip cut further by the inner
+rows; the boundary walk, ``voronoi_check`` and ``cell_polygons`` read them.
+The cell edges between an inner and an outer site are exactly the body's boundary.
 They are walked at exactly equal endpoints, and pinch points, refs, angle
 types, orientation and chain order are decided in integers; ``eps`` only merges consecutive
 chain vertices closer than eps times the extent of the focal points.
@@ -33,10 +34,10 @@ from .body import (
     FocalConfig,
     _drop_zero_edges,
     _exact_clip,
+    _float_point,
     _orientation_det,
-    body_clip_box,
+    _side_rows,
     build_body,
-    convex_component,
 )
 from .errors import RegularityViolated, StitchFailure
 from .primitives import (
@@ -400,16 +401,38 @@ def _xy_cmp(u, v) -> int:
 _xy_key = cmp_to_key(_xy_cmp)
 
 
+def _inner_cells(body: EquidistantBody) -> list[list[tuple[tuple[int, int, int], int]]]:
+    """The exact cell of each inner site in Vor(K ∪ L), within the body's clip box.
+
+    A cell continues its component's stored raw clip with the rows toward the
+    other inner sites.  It lists (vertex, row) pairs counterclockwise, without
+    zero-length edges: a reduced homogeneous vertex (X, Y, W), W > 0, and the
+    row of its edge to the next one, indexing the component's block (outer j
+    < q, inner j - q) or -1 ... -4 for a box side.
+    """
+    q = body.config.q
+    cells = []
+    for c in body.components:
+        rows, box, _, raw = c._exact
+        cell = _drop_zero_edges(_exact_clip(rows, box, raw, q))
+        cells.append([(_reduced(vert), j) for vert, j in cell])
+    return cells
+
+
+def cell_polygons(body: EquidistantBody) -> tuple[tuple[Point, ...], ...]:
+    """The inner sites' cells in Vor(K ∪ L) within the clip box, as float polygons."""
+    k = body.components[0]._exact[2]
+    return tuple(tuple(_float_point(vert, k) for vert, _ in cell) for cell in _inner_cells(body))
+
+
 def extract_boundary(cfg: FocalConfig, clip_scale: float = 2.0, eps: float = EPS_GEO,
                      body: EquidistantBody | None = None) -> list[PolygonChain]:
     """Boundary of the body as closed counterclockwise chains, one per boundary cycle.
 
     The body is the union of the closed Voronoi cells of the inner sites in
     Vor(K ∪ L), so its boundary is exactly the set of cell edges between an
-    inner and an outer site.  Each inner cell continues its component's
-    stored exact clip (the box cut by the outer rows, in the body's one
-    scaling) with the rows toward the other inner sites; its edges on outer
-    rows are the boundary edges.  They are joined at exactly equal
+    inner and an outer site: the edges on outer rows of the exact cells of
+    ``_inner_cells``.  They are joined at exactly equal
     homogeneous endpoints and walked with the body on the left.  At a pinch point the
     arriving edge continues into the nearest leaving edge clockwise from it,
     so it turns through a wedge of the body.  Refs, change types, angle
@@ -427,15 +450,13 @@ def extract_boundary(cfg: FocalConfig, clip_scale: float = 2.0, eps: float = EPS
     # Each component keeps its site's block of rows, outer rows first.  The site's
     # own row (0, 0, 0) cuts nothing and has zero slack, so refs_at lists the site.
     blocks = [c._exact[0] for c in body.components]
-    _, box, k, _ = body.components[0]._exact
+    k = body.components[0]._exact[2]
 
     edges = []  # (start, end, inner i, outer j): cell edges between inner i and outer j
-    for i, c in enumerate(body.components):
-        cell = _drop_zero_edges(_exact_clip(blocks[i], box, c._exact[3], q))
-        verts = [_reduced(vert) for vert, _ in cell]
-        for t, (_, j) in enumerate(cell):
+    for i, cell in enumerate(_inner_cells(body)):
+        for t, (vert, j) in enumerate(cell):
             if 0 <= j < q:
-                edges.append((verts[t], verts[t + 1 - len(cell)], i, j))
+                edges.append((vert, cell[t + 1 - len(cell)][0], i, j))
 
     leaving = {}
     for e, edge in enumerate(edges):
@@ -472,7 +493,7 @@ def extract_boundary(cfg: FocalConfig, clip_scale: float = 2.0, eps: float = EPS
         prev = None
         for e in cycle:
             vert, _, i, j = edges[e]
-            pt = Point(vert[0] / (vert[2] << k), vert[1] / (vert[2] << k))
+            pt = _float_point(vert, k)
             if prev is None or dist(prev, pt) >= tol:
                 verts.append(vert)
                 pts.append(pt)
@@ -521,12 +542,19 @@ def voronoi_check(cfg: FocalConfig, n_samples: int = 10000, seed: int = 42,
 
     A point is strictly inside the body exactly when its nearest focal point
     is inner; strict inside points must land in some inner site's cell and in
-    at most one cell interior.  Ties within tol * scale are skipped.
+    at most one cell interior.  Samples are drawn from the clip box; those
+    whose two nearest focal distances differ by at most tol * scale are
+    skipped as ties.  A sample, scaled to integers once at the body's 2**k,
+    lies in a cell of ``_inner_cells`` when the exact sign of every edge row
+    of the cell, box sides included, is >= 0, and in its interior when every
+    sign is > 0.
     """
-    clip = body_clip_box(cfg, clip_scale)
-    all_points = [p for _, p in labeled_points(cfg)]
-    cells = [convex_component(x, tuple(p for p in all_points if p != x), clip)
-             for x in cfg.inner]
+    body = build_body(cfg, clip_scale)
+    clip = body.clip
+    _, box, k, _ = body.components[0]._exact
+    lines = [c._exact[0] + _side_rows(box) for c in body.components]
+    cells = [[lines[i][j] for _, j in cell] for i, cell in enumerate(_inner_cells(body))]
+    all_points = cfg.points
     rng = random.Random(seed)
     scale = cfg.scale()
     band = tol * scale
@@ -556,12 +584,12 @@ def voronoi_check(cfg: FocalConfig, n_samples: int = 10000, seed: int = 42,
             disagreements += 1
         if inside:
             inside_count += 1
-            signed = [cell.min_signed(q) for cell in cells]
-            hits = sum(1 for m in signed if m >= -band)
-            strict_hits = sum(1 for m in signed if m > band)
-            if hits == 0:
+            (x, y), kq = dyadic_ints((q.x, q.y))
+            x, y, w = x << k, y << k, 1 << kq
+            slacks = [min(c * w - a * x - b * y for a, b, c in rows) for rows in cells]
+            if max(slacks) < 0:
                 cell_misses += 1
-            if strict_hits > 1:
+            if sum(1 for m in slacks if m > 0) > 1:
                 overlap_violations += 1
     return VoronoiReport(samples=n_samples, ties_skipped=ties, agreements=agreements,
                          disagreements=disagreements, inside_count=inside_count,

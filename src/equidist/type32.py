@@ -11,7 +11,7 @@ along a single auxiliary line through the reflex vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 
 from .body import FocalConfig, is_bounded
 from .errors import (
@@ -106,37 +106,6 @@ def is_simple_polygon(pts) -> bool:
             if segments_intersect(a1, a2, pts[j], pts[(j + 1) % n]):
                 return False
     return True
-
-
-def _point_segment_dist(p: Point, a: Point, b: Point) -> float:
-    ax, ay = b.x - a.x, b.y - a.y
-    d2 = ax * ax + ay * ay
-    if d2 == 0.0:
-        return dist(p, a)
-    t = ((p.x - a.x) * ax + (p.y - a.y) * ay) / d2
-    t = max(0.0, min(1.0, t))
-    return dist(p, Point(a.x + t * ax, a.y + t * ay))
-
-
-def point_to_polygon_boundary(p: Point, pts) -> float:
-    n = len(pts)
-    return min(_point_segment_dist(p, pts[i], pts[(i + 1) % n]) for i in range(n))
-
-
-def boundary_hausdorff(pts_a, pts_b, samples_per_edge: int = 8) -> float:
-    """Hausdorff distance between two closed polylines, via edge sampling."""
-    def one_sided(src, dst):
-        h = 0.0
-        n = len(src)
-        for i in range(n):
-            a, b = src[i], src[(i + 1) % n]
-            for k in range(samples_per_edge):
-                t = k / samples_per_edge
-                s = Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
-                h = max(h, point_to_polygon_boundary(s, dst))
-        return h
-
-    return max(one_sided(pts_a, pts_b), one_sided(pts_b, pts_a))
 
 
 def vertex_sets_match(got, want, tol: float) -> bool:
@@ -322,7 +291,7 @@ def recognize_pentagon(points, clip_scale: float = 2.0, eps: float = EPS_GEO,
     chains = extract_boundary(cfg, clip_scale=clip_scale, eps=eps)
     if len(chains) != 1:
         raise RoundTripFailure("recovered boundary is not a single chain")
-    if boundary_hausdorff(chains[0].vertices, poly) > eps_rt * scale:
+    if not vertex_sets_match(chains[0].vertices, poly, eps_rt * scale):
         raise RoundTripFailure("recovered boundary does not match the pentagon")
     return Certificate32(x1=x1, x2=x2, y1=y1, y2=y2, y3=y3, residual=residual,
                          source_kind="pentagon", source=poly)
@@ -341,9 +310,8 @@ def _focal_points_at(q: LabeledQuad, d, t: float):
     return x1, x2, y1, y2, y3
 
 
-def _direction_works(q: LabeledQuad, d) -> bool:
+def _direction_works(q: LabeledQuad, d, intervals) -> bool:
     """Probe a few interior parameters: does the construction stay bounded?"""
-    intervals = _feasible_intervals(q, d)
     if not intervals:
         return False
     lo, hi = max(intervals, key=lambda iv: iv[1] - iv[0])
@@ -357,14 +325,8 @@ def _direction_works(q: LabeledQuad, d) -> bool:
     return False
 
 
-def quad_auxiliary_ray(q: LabeledQuad):
-    """The auxiliary line through the reflex vertex, directed into the polygon.
-
-    Returns (line, unit direction); construction parameters t measure the
-    distance from c along this direction.  At a reflex vertex both rays of
-    the line may enter the polygon; the returned one is the ray whose
-    constructed focal sets actually bound the quadrangle.
-    """
+def _auxiliary_ray(q: LabeledQuad):
+    """The auxiliary line, the direction of ``quad_auxiliary_ray`` and its feasible intervals."""
     f = compose_three_reflections(Line.through(q.c, q.d), Line.through(q.c, q.b),
                                   Line.through(q.c, q.a))
     d = (-f.b, f.a)
@@ -377,13 +339,25 @@ def quad_auxiliary_ray(q: LabeledQuad):
             candidates.append((sgn * d[0], sgn * d[1]))
     if not candidates:
         raise NumericalDegeneracy("auxiliary line does not enter the polygon")
+    tried = []
     for cand in candidates:
-        if _direction_works(q, cand):
-            return f, cand
-    for cand in candidates:
-        if _feasible_intervals(q, cand):
-            return f, cand
-    return f, candidates[0]
+        intervals = _feasible_intervals(q, cand)
+        if _direction_works(q, cand, intervals):
+            return f, cand, intervals
+        tried.append((cand, intervals))
+    cand, intervals = next((t for t in tried if t[1]), tried[0])
+    return f, cand, intervals
+
+
+def quad_auxiliary_ray(q: LabeledQuad):
+    """The auxiliary line through the reflex vertex, directed into the polygon.
+
+    Returns (line, unit direction); construction parameters t measure the
+    distance from c along this direction.  At a reflex vertex both rays of
+    the line may enter the polygon; the returned one is the ray whose
+    constructed focal sets actually bound the quadrangle.
+    """
+    return _auxiliary_ray(q)[:2]
 
 
 def _ray_inside_intervals(origin: Point, d, poly, tmax: float):
@@ -438,24 +412,36 @@ def _feasible_intervals(q: LabeledQuad, d):
 
 def feasible_param_range(q: LabeledQuad) -> list[tuple[float, float]]:
     """Open t-intervals along the auxiliary ray where both focal points are interior."""
-    _, d = quad_auxiliary_ray(q)
-    return _feasible_intervals(q, d)
+    return _auxiliary_ray(q)[2]
 
 
-def default_param(q: LabeledQuad) -> float:
-    """Midpoint of the largest feasible interval."""
-    intervals = feasible_param_range(q)
+def _largest_midpoint(intervals) -> float:
     if not intervals:
         raise NumericalDegeneracy("no feasible construction parameter")
     lo, hi = max(intervals, key=lambda iv: iv[1] - iv[0])
     return (lo + hi) / 2.0
 
 
+def default_param(q: LabeledQuad) -> float:
+    """Midpoint of the largest feasible interval."""
+    return _largest_midpoint(feasible_param_range(q))
+
+
 def construct_quad_focals(q: LabeledQuad, t: float, clip_scale: float = 2.0,
                           eps: float = EPS_GEO, eps_rt: float = EPS_RT) -> Certificate32:
     """Focal sets realizing a concave quadrangle, at parameter t along the auxiliary ray."""
-    _, d = quad_auxiliary_ray(q)
-    intervals = _feasible_intervals(q, d)
+    return _construct_quad(q, t, clip_scale, eps, eps_rt)[3]
+
+
+def _construct_quad(q: LabeledQuad, t, clip_scale: float, eps: float, eps_rt: float = EPS_RT):
+    """The ray direction, feasible intervals, t and certificate of one construction.
+
+    The auxiliary ray and its intervals are computed once; t None takes
+    ``default_param``'s midpoint of the largest feasible interval.
+    """
+    _, d, intervals = _auxiliary_ray(q)
+    if t is None:
+        t = _largest_midpoint(intervals)
     if not any(lo < t < hi for lo, hi in intervals):
         raise ParamOutOfRange(f"t={t} lies outside the feasible range {intervals}")
     x1, x2, y1, y2, y3 = _focal_points_at(q, d, t)
@@ -472,8 +458,9 @@ def construct_quad_focals(q: LabeledQuad, t: float, clip_scale: float = 2.0,
         raise RoundTripFailure("constructed boundary is not a single chain")
     if not vertex_sets_match(chains[0].vertices, q.points, eps_rt * scale):
         raise RoundTripFailure("constructed boundary does not reproduce the quadrangle")
-    return Certificate32(x1=x1, x2=x2, y1=y1, y2=y2, y3=y3, residual=residual,
-                         source_kind="quad", source=q.points)
+    return d, intervals, t, Certificate32(x1=x1, x2=x2, y1=y1, y2=y2, y3=y3,
+                                          residual=residual, source_kind="quad",
+                                          source=q.points)
 
 
 # ---------------------------------------------------------------------------
@@ -528,28 +515,24 @@ def classify_generic_32(cfg: FocalConfig, angle_tol: float = 1e-9) -> OrderingRe
     separated = None
     delta_ordered = None
     if category == CATEGORY_GENERIC:
-        candidates = []
-        for xo in ((0, 1), (1, 0)):
-            for yo in permutations((0, 1, 2)):
-                w = [[_omega(cfg, xi, yo[j], yo[k]) for j, k in _OMEGA_PAIRS] for xi in xo]
-                if w[0][0] > w[1][0] and w[0][1] < w[1][1] and w[0][2] > w[1][2]:
-                    candidates.append((xo, yo))
-        for xo, yo in candidates:
+        # ω(x; y_j, y_k) and ω(x; y_k, y_j) are one float: the six angles serve every order
+        omega = {}
+        for i in (0, 1):
+            for (j, k), w in zip(_OMEGA_PAIRS, omegas[i]):
+                omega[i, j, k] = omega[i, k, j] = w
+        for xo, yo in product(((0, 1), (1, 0)), permutations((0, 1, 2))):
+            w = [[omega[xi, yo[j], yo[k]] for j, k in _OMEGA_PAIRS] for xi in xo]
+            if not (w[0][0] > w[1][0] and w[0][1] < w[1][1] and w[0][2] > w[1][2]):
+                continue
             sides = [orient(cfg.inner[xo[0]], cfg.inner[xo[1]], cfg.outer[j]) for j in yo]
             lone = [m for m in range(3) if sides.count(sides[m]) == 1]
             d_ok = deltas[yo[0]] < deltas[yo[1]]
             if lone == [2] and d_ok:
-                labeling = (xo, yo)
-                separated = yo[2]
-                delta_ordered = True
+                labeling, separated, delta_ordered = (xo, yo), yo[2], True
                 break
-        if labeling is None and candidates:
-            xo, yo = candidates[0]
-            labeling = (xo, yo)
-            sides = [orient(cfg.inner[xo[0]], cfg.inner[xo[1]], cfg.outer[j]) for j in yo]
-            lone = [m for m in range(3) if sides.count(sides[m]) == 1]
-            separated = yo[lone[0]] if len(lone) == 1 else None
-            delta_ordered = deltas[yo[0]] < deltas[yo[1]]
+            if labeling is None:  # the first candidate, unless a later one is ordered
+                labeling, separated, delta_ordered = (
+                    (xo, yo), yo[lone[0]] if len(lone) == 1 else None, d_ok)
 
     return OrderingReport(category=category, omegas=omegas, deltas=deltas,
                           closure_residuals=closure, labeling=labeling,

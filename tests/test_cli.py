@@ -210,6 +210,22 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert json.loads(err)["error"]["type"] == "NumericalDegeneracy"
 
+    @pytest.mark.parametrize("s", [1e-162, 1e-170, 1e-200, 2.0 ** -1070])
+    @pytest.mark.parametrize("command", ["body", "boundary", "graph", "voronoi-check", "render"])
+    def test_squared_distance_underflow_is_error_object(self, tmp_path, capsys, command, s):
+        # the squared distances ~(2s)^2 underflow to 0 or below the least subnormal
+        code, out, err = run_cli(capsys, [command, write(tmp_path, "t.json", huge_square(2 * s)),
+                                          "--samples", "10", "--out", str(tmp_path / "t.svg")])
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["type"] == "NumericalDegeneracy"
+
+    def test_tiny_square_above_the_underflow_keeps_its_chain(self, tmp_path, capsys):
+        code, out, _ = run_cli(capsys, ["boundary", write(tmp_path, "t.json",
+                                                          huge_square(2e-150))])
+        assert code == 0
+        chains = json.loads(out)["result"]["chains"]
+        assert len(chains) == 1 and len(chains[0]["vertices"]) == 4
+
     @pytest.mark.parametrize("command", ["body", "boundary"])
     def test_area_beyond_float_shoelace_sum(self, tmp_path, capsys, command):
         # the float shoelace sum 2e308 overflows, the true area s * s = 1e308 does not

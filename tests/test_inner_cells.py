@@ -1,0 +1,205 @@
+"""The one exact inner-cell construction against the standalone cells and the float check.
+
+``polygon._inner_cells`` continues each component's stored clip with the
+inner rows.  Its cells must equal the cells of the inner sites among all
+focal points clipped on their own (``convex_component`` with its own
+scaling), up to the vertex they start at, with exactly equal floats and the
+same focal point or box side on every edge.  ``voronoi_check`` tests samples
+against those cells with exact row signs; ``float_band_voronoi_check`` below
+is the float half-plane version it replaced, kept as the oracle.
+"""
+
+import math
+import random
+
+import pytest
+
+from conftest import random_generic_32
+from equidist.body import (
+    FocalConfig,
+    _clip_box,
+    bounding_radius,
+    build_body,
+    convex_component,
+)
+from equidist.errors import PreconditionViolated
+from equidist.polygon import (
+    VoronoiReport,
+    _inner_cells,
+    cell_polygons,
+    labeled_points,
+    voronoi_check,
+)
+from equidist.primitives import EPS_GEO, Point, dist
+from test_exact_graph import MIXED, grid_config, ring_config, voronoi_cells
+
+
+def float_band_voronoi_check(cfg: FocalConfig, n_samples: int = 10000, seed: int = 42,
+                             clip_scale: float = 2.0, tol: float = EPS_GEO) -> VoronoiReport:
+    """The former ``voronoi_check``: standalone cells tested on float half-planes with a band.
+
+    Verbatim but for the clip box, computed here as the one ``build_body``
+    uses: ``_clip_box(cfg, clip_scale, bounding_radius(cfg))``.
+    """
+    clip = _clip_box(cfg, clip_scale, bounding_radius(cfg))
+    all_points = [p for _, p in labeled_points(cfg)]
+    cells = [convex_component(x, tuple(p for p in all_points if p != x), clip)
+             for x in cfg.inner]
+    rng = random.Random(seed)
+    scale = cfg.scale()
+    band = tol * scale
+    p_count = cfg.p
+
+    ties = agreements = disagreements = inside_count = 0
+    cell_misses = overlap_violations = 0
+    for _ in range(n_samples):
+        q = Point(rng.uniform(clip.xmin, clip.xmax), rng.uniform(clip.ymin, clip.ymax))
+        dists = [dist(q, p) for p in all_points]
+        best = second = math.inf
+        best_idx = -1
+        for idx, d in enumerate(dists):
+            if d < best:
+                best, second, best_idx = d, best, idx
+            elif d < second:
+                second = d
+        if second - best <= band:
+            ties += 1
+            continue
+        inside = min(dists[:p_count]) < min(dists[p_count:])
+        if inside == (best_idx < p_count):
+            agreements += 1
+        else:
+            disagreements += 1
+        if inside:
+            inside_count += 1
+            signed = [cell.min_signed(q) for cell in cells]
+            hits = sum(1 for m in signed if m >= -band)
+            strict_hits = sum(1 for m in signed if m > band)
+            if hits == 0:
+                cell_misses += 1
+            if strict_hits > 1:
+                overlap_violations += 1
+    return VoronoiReport(samples=n_samples, ties_skipped=ties, agreements=agreements,
+                         disagreements=disagreements, inside_count=inside_count,
+                         cell_misses=cell_misses, overlap_violations=overlap_violations)
+
+
+def labelled_edges(points, sites):
+    """(repr of x, repr of y, the point or box side that carries the edge from it)."""
+    return [(repr(p.x), repr(p.y), site) for p, site in zip(points, sites)]
+
+
+def assert_cells_match_standalone(cfg: FocalConfig, clip_scale: float = 2.0) -> set:
+    """Builder cells equal standalone cells up to rotation; returns the box sides met."""
+    body = build_body(cfg, clip_scale)
+    q = cfg.q
+    pts = cfg.points
+    sides = set()
+    for x, cell, poly in zip(cfg.inner, _inner_cells(body), cell_polygons(body)):
+        others = tuple(p for p in pts if p != x)
+        alone = convex_component(x, others, body.clip)
+        # row j of a block is outer point j, then inner site j - q; box sides are negative
+        got = labelled_edges(poly, [j if j < 0 else cfg.outer[j] if j < q else cfg.inner[j - q]
+                                    for _, j in cell])
+        want = labelled_edges(alone.vertices, [t if t < 0 else others[t]
+                                               for t in alone.edge_tags])
+        assert len(got) == len(want) >= 3
+        assert any(got[s:] + got[:s] == want for s in range(len(got)))
+        sides.update(j for _, j in cell if j < 0)
+    return sides
+
+
+class TestBuilderCellsEqualStandaloneCells:
+    def test_ring_configs(self):
+        rng = random.Random(71)
+        for p in (2, 5, 8):
+            for _ in range(3):
+                assert_cells_match_standalone(ring_config(rng, p))
+
+    def test_grid_configs(self):
+        # integer points: concurrent bisectors, so zero-length edges are dropped
+        rng = random.Random(72)
+        for _ in range(30):
+            assert_cells_match_standalone(grid_config(rng, rng.randint(2, 6)))
+
+    def test_mixed_magnitudes(self):
+        assert_cells_match_standalone(MIXED)
+
+    def test_standalone_helper_of_the_graph_tests(self):
+        rng = random.Random(73)
+        for cfg in (MIXED, ring_config(rng, 4), grid_config(rng, 4)):
+            got = cell_polygons(build_body(cfg))
+            for poly, alone in zip(got, voronoi_cells(cfg)):
+                want = list(alone.vertices)
+                assert any(list(poly[s:] + poly[:s]) == want for s in range(len(poly)))
+
+    def test_clip_box_narrower_than_the_body(self):
+        # at clip_scale < 1 the box cuts the outer cells, so box sides carry edges
+        cfg = FocalConfig.of([(0.5, 0.25), (-1.0, 0.75), (0.25, -1.0)],
+                             [(10.0, 0.5), (-0.5, 10.0), (-10.0, -0.25), (0.75, -10.0)])
+        assert assert_cells_match_standalone(cfg, 0.5) == {-1, -2, -3, -4}
+        assert_cells_match_standalone(cfg, 0.75)
+
+    def test_one_clip_per_cell_from_the_component(self):
+        # each cell is the component's raw clip cut by the p inner rows only
+        cfg = ring_config(random.Random(74), 5)
+        body = build_body(cfg)
+        for comp, cell in zip(body.components, _inner_cells(body)):
+            rows = comp._exact[0]
+            assert len(rows) == cfg.q + cfg.p
+            # every vertex lies on both rows that meet there and within all rows
+            for t, (vert, j) in enumerate(cell):
+                x, y, w = vert
+                assert math.gcd(x, y, w) == 1 and w > 0
+                assert all(c * w - a * x - b * y >= 0 for a, b, c in rows)
+                for e in (j, cell[t - 1][1]):
+                    if e >= 0:
+                        a, b, c = rows[e]
+                        assert c * w - a * x - b * y == 0
+
+
+def oracle_configs():
+    rng = random.Random(75)
+    yield from (ring_config(rng, 8, 12) for _ in range(3))
+    yield from (grid_config(rng, rng.randint(3, 6)) for _ in range(4))
+    yield random_generic_32(random.Random(76))
+    # inner sites symmetric about an axis: samples on it are ties
+    yield FocalConfig.of([(-1, 0), (1, 0)], [(10, 0), (-10, 0), (0, 10), (0, -10)])
+    yield MIXED
+
+
+class TestVoronoiCheckAgainstFloatBand:
+    @pytest.mark.parametrize("clip_scale", [2.0, 0.75, 0.5])
+    def test_reports_equal(self, clip_scale):
+        compared = 0
+        for i, cfg in enumerate(oracle_configs()):
+            try:
+                want = float_band_voronoi_check(cfg, 1500, 80 + i, clip_scale)
+            except PreconditionViolated:  # a box narrower than the inner sites
+                with pytest.raises(PreconditionViolated):
+                    voronoi_check(cfg, 1500, 80 + i, clip_scale)
+                continue
+            assert voronoi_check(cfg, 1500, 80 + i, clip_scale) == want
+            assert want.ok
+            compared += 1
+        assert compared >= 7
+
+    def test_ties_are_skipped_the_same_way(self):
+        cfg = FocalConfig.of([(-1, 0), (1, 0)], [(10, 0), (-10, 0), (0, 10), (0, -10)])
+        # a wide band makes many ties, a tiny one almost none
+        for tol in (1e-2, 1e-9, 1e-15):
+            want = float_band_voronoi_check(cfg, 2000, 3, tol=tol)
+            assert voronoi_check(cfg, 2000, 3, tol=tol) == want
+        assert float_band_voronoi_check(cfg, 2000, 3, tol=1e-2).ties_skipped > 0
+
+    def test_sample_on_a_cell_edge_hits_both_cells(self, monkeypatch):
+        # the exact signs put the midpoint of the two inner sites on both cells'
+        # closed edge but in neither interior, so it is no miss and no overlap
+        cfg = FocalConfig.of([(-1, 0), (1, 0)], [(10, 0), (-10, 0), (0, 10), (0, -10)])
+        body = build_body(cfg)
+        for cell in _inner_cells(body):
+            assert any(j >= cfg.q for _, j in cell)
+        monkeypatch.setattr(random.Random, "uniform", lambda self, a, b: 0.0)
+        rep = voronoi_check(cfg, 10, tol=-1.0)  # a negative band skips no ties
+        assert rep.inside_count == 10 and rep.cell_misses == 0
+        assert rep.overlap_violations == 0

@@ -1,11 +1,13 @@
 """(3,2) classification, pentagon recognition, and quad construction."""
 
+import json
 import math
 import random
 
 import pytest
 
 from conftest import random_concave_quad, random_generic_32, random_pentagon_config
+from equidist import cli, type32
 from equidist.body import FocalConfig
 from equidist.errors import (
     MalformedQuad,
@@ -355,3 +357,49 @@ class TestQuadConstruction:
                 doubles += 1
                 assert len(refs) == 4
         assert doubles == 1
+
+
+class TestEachStageOnce:
+    """classify32 computes each viewing angle once, construct-quad its ray once."""
+
+    @staticmethod
+    def count_calls(monkeypatch, names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            original = getattr(type32, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(type32, name, counted)
+        return calls
+
+    def test_classify_reads_the_six_stored_angles(self, monkeypatch):
+        rng = random.Random(60)
+        cfgs = [random_generic_32(rng) for _ in range(10)] + [CONCIRC, COLLIN]
+        want = [classify_generic_32(cfg) for cfg in cfgs]
+        calls = self.count_calls(monkeypatch, ["_omega"])
+        assert [classify_generic_32(cfg) for cfg in cfgs] == want
+        assert calls["_omega"] == 6 * len(cfgs)
+
+    def test_swapped_chord_gives_the_same_angle(self):
+        # the lookup relies on ω(x; a, b) and ω(x; b, a) being one float
+        rng = random.Random(61)
+        for _ in range(2000):
+            x, a, b = (Point(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(3))
+            assert viewing_angle(x, a, b) == viewing_angle(x, b, a)
+
+    @pytest.mark.parametrize("t", [None, 0.75])
+    def test_construct_quad_computes_its_ray_once(self, tmp_path, capsys, monkeypatch, t):
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps({"polygon": [list(p) for p in TestQuadConstruction.QUAD]}))
+        args = ["construct-quad", str(path)] + ([] if t is None else ["--t", str(t)])
+        assert cli.main(args) == 0
+        want = capsys.readouterr().out
+        calls = self.count_calls(monkeypatch, ["_auxiliary_ray", "_feasible_intervals",
+                                               "_ray_inside_intervals"])
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out == want
+        assert calls == {"_auxiliary_ray": 1, "_feasible_intervals": 1,
+                         "_ray_inside_intervals": 2}
