@@ -7,7 +7,7 @@ perpendicular-bisector half-planes toward every outer point.  The clip is
 exact: ``build_body`` scales the focal points and the box to integers by one
 power of two, once, and each vertex (X, Y, W), W > 0, is the meet of the two
 rows that carry its edges, rounded to floats once.  The components keep
-their rows and raw clip, which ``connectivity`` and ``polygon`` continue.
+their rows and raw clip, which the inner cells and ``connectivity`` continue.
 """
 
 from __future__ import annotations
@@ -157,6 +157,25 @@ class EquidistantBody:
     def contains_strict(self, p: Point) -> bool:
         return any(c.min_signed(p) > 0.0 for c in self.components)
 
+    @cached_property
+    def inner_cells(self) -> tuple[tuple[tuple[tuple[int, int, int], int], ...], ...]:
+        """The exact cell of each inner site in Vor(K ∪ L), within the clip box, built once.
+
+        A cell continues its component's stored raw clip with the rows toward the
+        other inner sites.  It lists (vertex, row) pairs counterclockwise, without
+        zero-length edges: a reduced homogeneous vertex (X, Y, W), W > 0, and the
+        row of its edge to the next one, indexing the component's block (outer j
+        < q, inner j - q) or -1 ... -4 for a box side.
+        """
+        q = self.config.q
+        cells = []
+        for c in self.components:
+            rows, box, _, raw = c._exact
+            cell = _drop_zero_edges(_exact_clip(rows, box, raw, q))
+            # from a list: tuple(<generator>) here raised a boundary op's peak RSS by ~0.5 MB
+            cells.append(tuple([(_reduced(vert), j) for vert, j in cell]))
+        return tuple(cells)
+
 
 def distance_to_set(q: Point, pts) -> float:
     """Distance from q to the nearest point of a non-empty finite set."""
@@ -200,11 +219,15 @@ def convex_hull(pts) -> list[Point]:
 
 def is_bounded(cfg: FocalConfig) -> bool:
     """True iff every inner point is strictly inside the hull of the outer set."""
-    hull = convex_hull(cfg.outer)
-    if len(hull) < 3:
-        return False
+    return _strictly_inside(convex_hull(cfg.outer), cfg.inner)
+
+
+def _strictly_inside(hull, pts) -> bool:
+    """True iff every point is strictly inside a ccw strictly convex hull (>= 3 vertices)."""
     n = len(hull)
-    for x in cfg.inner:
+    if n < 3:
+        return False
+    for x in pts:
         for i in range(n):
             if orient(hull[i], hull[(i + 1) % n], x) != 1:
                 return False
@@ -226,7 +249,8 @@ def bounding_radius(cfg: FocalConfig) -> float:
     and the nearest inner point give c).  Raises NumericalDegeneracy when a
     squared distance overflows, or when c or r underflows to 0.
     """
-    if not is_bounded(cfg):
+    hull = convex_hull(cfg.outer)
+    if not _strictly_inside(hull, cfg.inner):
         raise Unbounded("bounding radius requires the inner set inside the outer hull")
     o = _centroid(cfg.inner)
     try:
@@ -239,7 +263,6 @@ def bounding_radius(cfg: FocalConfig) -> float:
         raise NumericalDegeneracy("squared distances between the focal points "
                                   "leave the float range")
 
-    hull = convex_hull(cfg.outer)
     n = len(hull)
     edge_lines = [Line.through(hull[i], hull[(i + 1) % n]) for i in range(n)]
     r = math.inf
@@ -348,6 +371,12 @@ def _drop_zero_edges(clip_out):
     n = len(clip_out)
     return [clip_out[i] for i in range(n)
             if not _same_point(clip_out[i][0], clip_out[i + 1 - n][0])]
+
+
+def _reduced(vert):
+    """A homogeneous point (X, Y, W), W > 0, with gcd(X, Y, W) = 1: equal points, equal triples."""
+    g = math.gcd(*vert)
+    return vert[0] // g, vert[1] // g, vert[2] // g
 
 
 def _float_point(vert, k: int) -> Point:

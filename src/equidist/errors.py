@@ -57,7 +57,7 @@ class RegularityViolated(GeometryError):
 
 
 class StitchFailure(GeometryError):
-    """Boundary segments could not be stitched into closed chains."""
+    """The boundary cannot be extracted: a component reaches the clip box."""
 
 
 class MalformedQuad(GeometryError):

@@ -10,9 +10,10 @@ exactly the triangles of the unique Delaunay triangulation of K ∪ L, built by
 gift-wrapping with O(n^2) calls of the exact ``orient`` and of the in-circle
 scan ``primitives.incircle_hits`` (one float filter with an exact integer
 fallback).  Both reports list triples and quadruples in ``combinations`` order.
-The inner sites' Voronoi cells in Vor(K ∪ L) are built once per body by
-``_inner_cells``, each its component's exact clip cut further by the inner
-rows; the boundary walk, ``voronoi_check`` and ``cell_polygons`` read them.
+The inner sites' Voronoi cells in Vor(K ∪ L) are built once per body, by
+``EquidistantBody.inner_cells``: each is its component's exact clip cut
+further by the inner rows.  The boundary walk, ``voronoi_check`` and
+``cell_polygons`` read them.
 The cell edges between an inner and an outer site are exactly the body's boundary.
 They are walked at exactly equal endpoints, and pinch points, refs, angle
 types, orientation and chain order are decided in integers; ``eps`` only merges consecutive
@@ -32,8 +33,6 @@ from functools import cmp_to_key
 from .body import (
     EquidistantBody,
     FocalConfig,
-    _drop_zero_edges,
-    _exact_clip,
     _float_point,
     _orientation_det,
     _side_rows,
@@ -357,12 +356,6 @@ def colored_weight_bound(cfg: FocalConfig, edge: HyperEdge) -> WeightBoundReport
     return WeightBoundReport(holds=lhs < rhs, attained=attained, lhs=lhs, rhs=rhs)
 
 
-def _reduced(vert):
-    """A homogeneous point (X, Y, W), W > 0, with gcd(X, Y, W) = 1: equal points, equal triples."""
-    g = math.gcd(*vert)
-    return vert[0] // g, vert[1] // g, vert[2] // g
-
-
 def _direction(u, v):
     """A positive multiple of the vector from u to v (homogeneous points, W > 0)."""
     return v[0] * u[2] - u[0] * v[2], v[1] * u[2] - u[1] * v[2]
@@ -401,28 +394,10 @@ def _xy_cmp(u, v) -> int:
 _xy_key = cmp_to_key(_xy_cmp)
 
 
-def _inner_cells(body: EquidistantBody) -> list[list[tuple[tuple[int, int, int], int]]]:
-    """The exact cell of each inner site in Vor(K ∪ L), within the body's clip box.
-
-    A cell continues its component's stored raw clip with the rows toward the
-    other inner sites.  It lists (vertex, row) pairs counterclockwise, without
-    zero-length edges: a reduced homogeneous vertex (X, Y, W), W > 0, and the
-    row of its edge to the next one, indexing the component's block (outer j
-    < q, inner j - q) or -1 ... -4 for a box side.
-    """
-    q = body.config.q
-    cells = []
-    for c in body.components:
-        rows, box, _, raw = c._exact
-        cell = _drop_zero_edges(_exact_clip(rows, box, raw, q))
-        cells.append([(_reduced(vert), j) for vert, j in cell])
-    return cells
-
-
 def cell_polygons(body: EquidistantBody) -> tuple[tuple[Point, ...], ...]:
     """The inner sites' cells in Vor(K ∪ L) within the clip box, as float polygons."""
     k = body.components[0]._exact[2]
-    return tuple(tuple(_float_point(vert, k) for vert, _ in cell) for cell in _inner_cells(body))
+    return tuple(tuple(_float_point(vert, k) for vert, _ in cell) for cell in body.inner_cells)
 
 
 def extract_boundary(cfg: FocalConfig, clip_scale: float = 2.0, eps: float = EPS_GEO,
@@ -432,7 +407,7 @@ def extract_boundary(cfg: FocalConfig, clip_scale: float = 2.0, eps: float = EPS
     The body is the union of the closed Voronoi cells of the inner sites in
     Vor(K ∪ L), so its boundary is exactly the set of cell edges between an
     inner and an outer site: the edges on outer rows of the exact cells of
-    ``_inner_cells``.  They are joined at exactly equal
+    ``EquidistantBody.inner_cells``.  They are joined at exactly equal
     homogeneous endpoints and walked with the body on the left.  At a pinch point the
     arriving edge continues into the nearest leaving edge clockwise from it,
     so it turns through a wedge of the body.  Refs, change types, angle
@@ -453,7 +428,7 @@ def extract_boundary(cfg: FocalConfig, clip_scale: float = 2.0, eps: float = EPS
     k = body.components[0]._exact[2]
 
     edges = []  # (start, end, inner i, outer j): cell edges between inner i and outer j
-    for i, cell in enumerate(_inner_cells(body)):
+    for i, cell in enumerate(body.inner_cells):
         for t, (vert, j) in enumerate(cell):
             if 0 <= j < q:
                 edges.append((vert, cell[t + 1 - len(cell)][0], i, j))
@@ -545,7 +520,7 @@ def voronoi_check(cfg: FocalConfig, n_samples: int = 10000, seed: int = 42,
     at most one cell interior.  Samples are drawn from the clip box; those
     whose two nearest focal distances differ by at most tol * scale are
     skipped as ties.  A sample, scaled to integers once at the body's 2**k,
-    lies in a cell of ``_inner_cells`` when the exact sign of every edge row
+    lies in a cell of ``EquidistantBody.inner_cells`` when the exact sign of every edge row
     of the cell, box sides included, is >= 0, and in its interior when every
     sign is > 0.
     """
@@ -553,7 +528,7 @@ def voronoi_check(cfg: FocalConfig, n_samples: int = 10000, seed: int = 42,
     clip = body.clip
     _, box, k, _ = body.components[0]._exact
     lines = [c._exact[0] + _side_rows(box) for c in body.components]
-    cells = [[lines[i][j] for _, j in cell] for i, cell in enumerate(_inner_cells(body))]
+    cells = [[lines[i][j] for _, j in cell] for i, cell in enumerate(body.inner_cells)]
     all_points = cfg.points
     rng = random.Random(seed)
     scale = cfg.scale()

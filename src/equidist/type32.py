@@ -1,11 +1,12 @@
 """Constructive theory of (3,2)-type equidistant polygons.
 
-Pentagons with exactly two concave angles are recognized by intersecting two
-auxiliary lines obtained from three-reflection compositions at the concave
-vertices; the intersection and its mirror image across the inner diagonal
-recover the inner focal points, reflections across the sides recover the
-outer ones.  Concave quadrangles admit a one-parameter family of focal sets
-along a single auxiliary line through the reflex vertex.
+Pentagons with two non-adjacent concave angles, at b and d, are recognized by
+intersecting two auxiliary lines, three-reflection compositions at b and d;
+the intersection and its mirror image across bd, an inner diagonal by the
+two-ears theorem, recover the inner focal points, reflections across the sides
+the outer ones.  A concave quadrangle (triangle abd minus triangle bcd) has a
+one-parameter family of focal sets along a ray from c, feasible up to the first
+exit of the focal points' rays through ab or da.  One round trip certifies both.
 """
 
 from __future__ import annotations
@@ -46,14 +47,11 @@ CATEGORY_CONCIRCULAR = "concircular"
 CATEGORY_COLLINEAR = "collinear"
 
 _OMEGA_PAIRS = ((0, 1), (1, 2), (2, 0))
+_ANGLE_TOL = 1e-9  # viewing angles this close are reported as an equal pair
 
 
 # ---------------------------------------------------------------------------
 # small polygon helpers
-
-
-def polygon_diameter(pts) -> float:
-    return max(dist(a, b) for i, a in enumerate(pts) for b in pts[i + 1:])
 
 
 def point_in_polygon(p: Point, pts) -> bool:
@@ -163,18 +161,6 @@ def _normalize_ccw(points):
     return pts, turns
 
 
-def _diagonal_inside(pts, i, j) -> bool:
-    n = len(pts)
-    a, b = pts[i], pts[j]
-    for k in range(n):
-        if k in (i, j) or (k + 1) % n in (i, j):
-            continue
-        if segments_intersect(a, b, pts[k], pts[(k + 1) % n]):
-            return False
-    mid = Point((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
-    return point_in_polygon(mid, pts)
-
-
 def label_pentagon(points):
     """Relabel five points as a LabeledPentagon, or None if the shape does not qualify."""
     if len(points) != 5:
@@ -194,11 +180,10 @@ def label_pentagon(points):
         b_idx, d_idx = j, i
     else:
         return None  # reflex vertices are adjacent
-    if not _diagonal_inside(pts, b_idx, d_idx):
-        return None
-    order = [(b_idx + k) % 5 for k in (-1, 0, 1, 2, 3)]
-    a, b, c, d, e = (pts[k] for k in order)
-    return LabeledPentagon(a, b, c, d, e)
+    # bd is an inner diagonal: a simple polygon has two non-overlapping ears
+    # (Meisters 1975), ears at adjacent vertices overlap and an ear's tip is
+    # convex, so of the convex a, c and e the vertex c is always an ear.
+    return LabeledPentagon(*(pts[(b_idx + k) % 5] for k in (-1, 0, 1, 2, 3)))
 
 
 def label_quad(points) -> LabeledQuad:
@@ -237,20 +222,21 @@ class Certificate32:
         return FocalConfig(inner=(self.x1, self.x2), outer=(self.y1, self.y2, self.y3))
 
 
+def _composed_at(v: Point, p1: Point, p2: Point, p3: Point) -> Line:
+    """The reflections in the lines v p1, v p2 and v p3, composed into one line through v."""
+    return compose_three_reflections(Line.through(v, p1), Line.through(v, p2),
+                                     Line.through(v, p3))
+
+
 def auxiliary_lines(p: LabeledPentagon):
     """The four reflection-composition lines through the concave vertices."""
-    ba, bc, bd = Line.through(p.b, p.a), Line.through(p.b, p.c), Line.through(p.b, p.d)
-    de, dc, db = Line.through(p.d, p.e), Line.through(p.d, p.c), Line.through(p.d, p.b)
-    f_b = compose_three_reflections(ba, bc, bd)
-    f_d = compose_three_reflections(de, dc, db)
-    g_b = compose_three_reflections(bc, ba, bd)
-    g_d = compose_three_reflections(dc, de, db)
-    return f_b, f_d, g_b, g_d
+    f_b, f_d = _composed_at(p.b, p.a, p.c, p.d), _composed_at(p.d, p.e, p.c, p.b)
+    return f_b, f_d, _composed_at(p.b, p.c, p.a, p.d), _composed_at(p.d, p.c, p.e, p.b)
 
 
 def pseudo_focal_points(p: LabeledPentagon) -> tuple[Point, Point]:
     """Intersection of the auxiliary lines and its mirror image across the inner diagonal."""
-    f_b, f_d, _, _ = auxiliary_lines(p)
+    f_b, f_d = _composed_at(p.b, p.a, p.c, p.d), _composed_at(p.d, p.e, p.c, p.b)
     x1 = line_intersection(f_b, f_d)
     if x1 is None:
         raise NumericalDegeneracy("auxiliary lines are parallel")
@@ -258,14 +244,36 @@ def pseudo_focal_points(p: LabeledPentagon) -> tuple[Point, Point]:
     return x1, x2
 
 
-def recognize_pentagon(points, clip_scale: float = 2.0, eps: float = EPS_GEO,
-                       eps_rt: float = EPS_RT):
+_ROUND_TRIP = {"pentagon": ("recovered", "does not match the pentagon"),
+               "quad": ("constructed", "does not reproduce the quadrangle")}
+
+
+def _certify(cfg: FocalConfig, defect: float, kind: str, source, clip_scale: float,
+             eps: float) -> Certificate32:
+    """Certificate of focal sets whose boundary is one chain on the vertices of ``source``.
+
+    Raises RoundTripFailure otherwise; ``defect`` is kept relative to the scale of ``source``.
+    """
+    participle, mismatch = _ROUND_TRIP[kind]
+    if not is_bounded(cfg):
+        raise RoundTripFailure(f"{participle} focal configuration is unbounded")
+    chains = extract_boundary(cfg, clip_scale=clip_scale, eps=eps)
+    if len(chains) != 1:
+        raise RoundTripFailure(f"{participle} boundary is not a single chain")
+    scale = coord_scale(source)
+    if not vertex_sets_match(chains[0].vertices, source, EPS_RT * scale):
+        raise RoundTripFailure(f"{participle} boundary {mismatch}")
+    return Certificate32(*cfg.inner, *cfg.outer, residual=defect / scale,
+                         source_kind=kind, source=source)
+
+
+def recognize_pentagon(points, clip_scale: float = 2.0, eps: float = EPS_GEO):
     """Certificate for a pentagon that is a (3,2) equidistant polygon, else None.
 
-    Returns None when the shape fails a structural condition (concave-angle
-    count, inner diagonal, interior pseudo focal points).  Raises
-    RoundTripFailure when the recovered focal sets do not reproduce the
-    pentagon's boundary.
+    Returns None when the shape fails a structural condition (two non-adjacent
+    concave angles, interior and distinct pseudo focal points); the inner
+    diagonal bd needs no test (``label_pentagon``).  Raises RoundTripFailure
+    when the recovered focal sets do not reproduce the pentagon's boundary.
     """
     pent = points if isinstance(points, LabeledPentagon) else label_pentagon(points)
     if pent is None:
@@ -277,24 +285,13 @@ def recognize_pentagon(points, clip_scale: float = 2.0, eps: float = EPS_GEO,
     y1 = reflect_point(Line.through(pent.a, pent.e), x1)
     y2 = reflect_point(Line.through(pent.a, pent.b), x1)
     y3 = reflect_point(Line.through(pent.c, pent.d), x2)
-    scale = coord_scale(poly)
-    residual = max(
-        dist(y2, reflect_point(Line.through(pent.b, pent.c), x2)),
-        dist(y3, reflect_point(Line.through(pent.d, pent.e), x1)),
-    ) / scale
+    defect = max(dist(y2, reflect_point(Line.through(pent.b, pent.c), x2)),
+                 dist(y3, reflect_point(Line.through(pent.d, pent.e), x1)))
     try:
         cfg = FocalConfig(inner=(x1, x2), outer=(y1, y2, y3))
     except InvalidConfig:
         return None
-    if not is_bounded(cfg):
-        raise RoundTripFailure("recovered focal configuration is unbounded")
-    chains = extract_boundary(cfg, clip_scale=clip_scale, eps=eps)
-    if len(chains) != 1:
-        raise RoundTripFailure("recovered boundary is not a single chain")
-    if not vertex_sets_match(chains[0].vertices, poly, eps_rt * scale):
-        raise RoundTripFailure("recovered boundary does not match the pentagon")
-    return Certificate32(x1=x1, x2=x2, y1=y1, y2=y2, y3=y3, residual=residual,
-                         source_kind="pentagon", source=poly)
+    return _certify(cfg, defect, "pentagon", poly, clip_scale, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -310,41 +307,62 @@ def _focal_points_at(q: LabeledQuad, d, t: float):
     return x1, x2, y1, y2, y3
 
 
+def _exit_param(q: LabeledQuad, d):
+    """Smallest t > 0 at which the ray c + t*d crosses ab or da, or None.
+
+    c lies in the triangle abd, and the quadrangle is abd minus bcd: the ray
+    enters the quadrangle exactly when it leaves abd through ab or da.
+    """
+    exits = []
+    for u, v in ((q.a, q.b), (q.d, q.a)):
+        ex, ey = v.x - u.x, v.y - u.y
+        denom = d[0] * ey - d[1] * ex
+        if denom == 0.0:
+            continue
+        wx, wy = u.x - q.c.x, u.y - q.c.y
+        t = (wx * ey - wy * ex) / denom
+        s = (wx * d[1] - wy * d[0]) / denom
+        if -1e-12 <= s <= 1.0 + 1e-12 and t > 0.0:
+            exits.append(t)
+    return min(exits, default=None)
+
+
+def _feasible_intervals(q: LabeledQuad, d):
+    """[(0, the nearer exit of x1's ray d and x2's ray, d mirrored in ca)], or []."""
+    t1 = _exit_param(q, d)
+    t2 = _exit_param(q, reflect_direction(Line.through(q.c, q.a), d[0], d[1]))
+    if t1 is None or t2 is None:
+        return []
+    return [(0.0, min(t1, t2))]
+
+
 def _direction_works(q: LabeledQuad, d, intervals) -> bool:
     """Probe a few interior parameters: does the construction stay bounded?"""
-    if not intervals:
-        return False
-    lo, hi = max(intervals, key=lambda iv: iv[1] - iv[0])
-    for frac in (0.5, 0.25, 0.75):
-        x1, x2, y1, y2, y3 = _focal_points_at(q, d, lo + (hi - lo) * frac)
-        try:
-            if is_bounded(FocalConfig(inner=(x1, x2), outer=(y1, y2, y3))):
-                return True
-        except InvalidConfig:
-            continue
+    for lo, hi in intervals:  # at most one
+        for frac in (0.5, 0.25, 0.75):
+            x1, x2, y1, y2, y3 = _focal_points_at(q, d, lo + (hi - lo) * frac)
+            try:
+                if is_bounded(FocalConfig(inner=(x1, x2), outer=(y1, y2, y3))):
+                    return True
+            except InvalidConfig:
+                continue
     return False
 
 
 def _auxiliary_ray(q: LabeledQuad):
     """The auxiliary line, the direction of ``quad_auxiliary_ray`` and its feasible intervals."""
-    f = compose_three_reflections(Line.through(q.c, q.d), Line.through(q.c, q.b),
-                                  Line.through(q.c, q.a))
-    d = (-f.b, f.a)
-    poly = q.points
-    h = 1e-6 * polygon_diameter(poly)
-    candidates = []
-    for sgn in (1.0, -1.0):
-        probe = Point(q.c.x + sgn * h * d[0], q.c.y + sgn * h * d[1])
-        if point_in_polygon(probe, poly):
-            candidates.append((sgn * d[0], sgn * d[1]))
-    if not candidates:
-        raise NumericalDegeneracy("auxiliary line does not enter the polygon")
+    f = _composed_at(q.c, q.d, q.b, q.a)
     tried = []
-    for cand in candidates:
+    for sgn in (1.0, -1.0):
+        cand = (-sgn * f.b, sgn * f.a)
+        if _exit_param(q, cand) is None:
+            continue
         intervals = _feasible_intervals(q, cand)
         if _direction_works(q, cand, intervals):
             return f, cand, intervals
         tried.append((cand, intervals))
+    if not tried:
+        raise NumericalDegeneracy("auxiliary line does not enter the polygon")
     cand, intervals = next((t for t in tried if t[1]), tried[0])
     return f, cand, intervals
 
@@ -360,107 +378,47 @@ def quad_auxiliary_ray(q: LabeledQuad):
     return _auxiliary_ray(q)[:2]
 
 
-def _ray_inside_intervals(origin: Point, d, poly, tmax: float):
-    ts = [0.0, tmax]
-    n = len(poly)
-    for i in range(n):
-        u, v = poly[i], poly[(i + 1) % n]
-        ex, ey = v.x - u.x, v.y - u.y
-        denom = d[0] * ey - d[1] * ex
-        if denom == 0.0:
-            continue
-        wx, wy = u.x - origin.x, u.y - origin.y
-        t = (wx * ey - wy * ex) / denom
-        s = (wx * d[1] - wy * d[0]) / denom
-        if -1e-12 <= s <= 1.0 + 1e-12 and 0.0 < t < tmax:
-            ts.append(t)
-    ts.sort()
-    merged = [ts[0]]
-    for t in ts[1:]:
-        if t - merged[-1] > 1e-12 * tmax:
-            merged.append(t)
-    out = []
-    for lo, hi in zip(merged, merged[1:]):
-        mid = Point(origin.x + (lo + hi) / 2.0 * d[0], origin.y + (lo + hi) / 2.0 * d[1])
-        if point_in_polygon(mid, poly):
-            if out and out[-1][1] == lo:
-                out[-1] = (out[-1][0], hi)
-            else:
-                out.append((lo, hi))
-    return out
-
-
-def _intersect_intervals(xs, ys):
-    out = []
-    for a0, a1 in xs:
-        for b0, b1 in ys:
-            lo, hi = max(a0, b0), min(a1, b1)
-            if lo < hi:
-                out.append((lo, hi))
-    return out
-
-
-def _feasible_intervals(q: LabeledQuad, d):
-    poly = q.points
-    tmax = 2.0 * polygon_diameter(poly)
-    ca = Line.through(q.c, q.a)
-    d2 = reflect_direction(ca, d[0], d[1])
-    iv1 = _ray_inside_intervals(q.c, d, poly, tmax)
-    iv2 = _ray_inside_intervals(q.c, d2, poly, tmax)
-    return _intersect_intervals(iv1, iv2)
-
-
 def feasible_param_range(q: LabeledQuad) -> list[tuple[float, float]]:
-    """Open t-intervals along the auxiliary ray where both focal points are interior."""
+    """Open t-intervals along the auxiliary ray where both focal points are interior (0 or 1)."""
     return _auxiliary_ray(q)[2]
 
 
-def _largest_midpoint(intervals) -> float:
+def _midpoint(intervals) -> float:
     if not intervals:
         raise NumericalDegeneracy("no feasible construction parameter")
-    lo, hi = max(intervals, key=lambda iv: iv[1] - iv[0])
+    lo, hi = intervals[0]
     return (lo + hi) / 2.0
 
 
 def default_param(q: LabeledQuad) -> float:
-    """Midpoint of the largest feasible interval."""
-    return _largest_midpoint(feasible_param_range(q))
+    """Midpoint of the feasible interval."""
+    return _midpoint(feasible_param_range(q))
 
 
 def construct_quad_focals(q: LabeledQuad, t: float, clip_scale: float = 2.0,
-                          eps: float = EPS_GEO, eps_rt: float = EPS_RT) -> Certificate32:
+                          eps: float = EPS_GEO) -> Certificate32:
     """Focal sets realizing a concave quadrangle, at parameter t along the auxiliary ray."""
-    return _construct_quad(q, t, clip_scale, eps, eps_rt)[3]
+    return _construct_quad(q, t, clip_scale, eps)[3]
 
 
-def _construct_quad(q: LabeledQuad, t, clip_scale: float, eps: float, eps_rt: float = EPS_RT):
+def _construct_quad(q: LabeledQuad, t, clip_scale: float, eps: float):
     """The ray direction, feasible intervals, t and certificate of one construction.
 
     The auxiliary ray and its intervals are computed once; t None takes
-    ``default_param``'s midpoint of the largest feasible interval.
+    ``default_param``'s midpoint of the feasible interval.
     """
     _, d, intervals = _auxiliary_ray(q)
     if t is None:
-        t = _largest_midpoint(intervals)
+        t = _midpoint(intervals)
     if not any(lo < t < hi for lo, hi in intervals):
         raise ParamOutOfRange(f"t={t} lies outside the feasible range {intervals}")
     x1, x2, y1, y2, y3 = _focal_points_at(q, d, t)
-    scale = coord_scale(q.points)
-    residual = dist(reflect_point(Line.through(q.c, q.b), x2), y3) / scale
+    defect = dist(reflect_point(Line.through(q.c, q.b), x2), y3)
     try:
         cfg = FocalConfig(inner=(x1, x2), outer=(y1, y2, y3))
     except InvalidConfig as exc:
         raise ParamOutOfRange(f"degenerate focal points at t={t}") from exc
-    if not is_bounded(cfg):
-        raise RoundTripFailure("constructed focal configuration is unbounded")
-    chains = extract_boundary(cfg, clip_scale=clip_scale, eps=eps)
-    if len(chains) != 1:
-        raise RoundTripFailure("constructed boundary is not a single chain")
-    if not vertex_sets_match(chains[0].vertices, q.points, eps_rt * scale):
-        raise RoundTripFailure("constructed boundary does not reproduce the quadrangle")
-    return d, intervals, t, Certificate32(x1=x1, x2=x2, y1=y1, y2=y2, y3=y3,
-                                          residual=residual, source_kind="quad",
-                                          source=q.points)
+    return d, intervals, t, _certify(cfg, defect, "quad", q.points, clip_scale, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +443,7 @@ def _omega(cfg: FocalConfig, i: int, j: int, k: int) -> float:
     return viewing_angle(cfg.inner[i], cfg.outer[j], cfg.outer[k])
 
 
-def classify_generic_32(cfg: FocalConfig, angle_tol: float = 1e-9) -> OrderingReport:
+def classify_generic_32(cfg: FocalConfig) -> OrderingReport:
     """Viewing-angle report for a (3,2) configuration.
 
     Finds the relabeling of focal points under which the three outer-pair
@@ -502,7 +460,7 @@ def classify_generic_32(cfg: FocalConfig, angle_tol: float = 1e-9) -> OrderingRe
     deltas = tuple(viewing_angle(cfg.outer[j], cfg.inner[0], cfg.inner[1]) for j in range(3))
     closure = tuple(abs(sum(om) - TWO_PI) for om in omegas)
     equal_pairs = tuple(_OMEGA_PAIRS[m] for m in range(3)
-                        if abs(omegas[0][m] - omegas[1][m]) <= angle_tol)
+                        if abs(omegas[0][m] - omegas[1][m]) <= _ANGLE_TOL)
 
     if reg.collinear:
         category = CATEGORY_COLLINEAR

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import random_bounded_config
 from equidist import body as body_module
-from equidist import connectivity, polygon
+from equidist import connectivity
 from equidist.body import FocalConfig, Rect, build_body, convex_component, is_bounded
 from equidist.connectivity import build_graph, intersection_dim, intersection_polygon
 from equidist.polygon import extract_boundary
@@ -317,7 +317,7 @@ class TestClipOnce:
             cut.append(len(rows) - (start[1] if start else 0))
             return clip(rows, box, *start)
 
-        for module in (body_module, connectivity, polygon):
+        for module in (body_module, connectivity):
             monkeypatch.setattr(module, "_exact_clip", counting)
         p, q = 8, 12
         cfg = ring_config(random.Random(49), p, q)

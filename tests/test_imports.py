@@ -1,6 +1,7 @@
-"""The engine runs on the Python standard library alone."""
+"""The engine runs on the Python standard library alone and imports only what it uses."""
 
 import ast
+import importlib
 import pathlib
 import sys
 
@@ -22,3 +23,25 @@ def test_every_import_is_relative_or_standard_library():
             foreign += [(path.name, name) for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+# bench/spans.py counts the calls made through this binding
+UNUSED_ALLOWED = {("polygon.py", "incircle")}
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [alias.asname or alias.name for alias in node.names]
+        module = importlib.import_module(f"equidist.{path.stem}")
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= set(getattr(module, "__all__", ()))  # a package re-exports its names
+        unused += [(path.name, name) for name in imported
+                   if name not in used and (path.name, name) not in UNUSED_ALLOWED]
+    assert unused == []

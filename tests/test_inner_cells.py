@@ -1,6 +1,6 @@
 """The one exact inner-cell construction against the standalone cells and the float check.
 
-``polygon._inner_cells`` continues each component's stored clip with the
+``EquidistantBody.inner_cells`` continues each component's stored clip with the
 inner rows.  Its cells must equal the cells of the inner sites among all
 focal points clipped on their own (``convex_component`` with its own
 scaling), up to the vertex they start at, with exactly equal floats and the
@@ -9,12 +9,15 @@ against those cells with exact row signs; ``float_band_voronoi_check`` below
 is the float half-plane version it replaced, kept as the oracle.
 """
 
+import json
 import math
 import random
 
 import pytest
 
 from conftest import random_generic_32
+from equidist import body as body_module
+from equidist import cli
 from equidist.body import (
     FocalConfig,
     _clip_box,
@@ -25,7 +28,6 @@ from equidist.body import (
 from equidist.errors import PreconditionViolated
 from equidist.polygon import (
     VoronoiReport,
-    _inner_cells,
     cell_polygons,
     labeled_points,
     voronoi_check,
@@ -95,7 +97,7 @@ def assert_cells_match_standalone(cfg: FocalConfig, clip_scale: float = 2.0) -> 
     q = cfg.q
     pts = cfg.points
     sides = set()
-    for x, cell, poly in zip(cfg.inner, _inner_cells(body), cell_polygons(body)):
+    for x, cell, poly in zip(cfg.inner, body.inner_cells, cell_polygons(body)):
         others = tuple(p for p in pts if p != x)
         alone = convex_component(x, others, body.clip)
         # row j of a block is outer point j, then inner site j - q; box sides are negative
@@ -144,7 +146,7 @@ class TestBuilderCellsEqualStandaloneCells:
         # each cell is the component's raw clip cut by the p inner rows only
         cfg = ring_config(random.Random(74), 5)
         body = build_body(cfg)
-        for comp, cell in zip(body.components, _inner_cells(body)):
+        for comp, cell in zip(body.components, body.inner_cells):
             rows = comp._exact[0]
             assert len(rows) == cfg.q + cfg.p
             # every vertex lies on both rows that meet there and within all rows
@@ -197,9 +199,35 @@ class TestVoronoiCheckAgainstFloatBand:
         # closed edge but in neither interior, so it is no miss and no overlap
         cfg = FocalConfig.of([(-1, 0), (1, 0)], [(10, 0), (-10, 0), (0, 10), (0, -10)])
         body = build_body(cfg)
-        for cell in _inner_cells(body):
+        for cell in body.inner_cells:
             assert any(j >= cfg.q for _, j in cell)
         monkeypatch.setattr(random.Random, "uniform", lambda self, a, b: 0.0)
         rep = voronoi_check(cfg, 10, tol=-1.0)  # a negative band skips no ties
         assert rep.inside_count == 10 and rep.cell_misses == 0
         assert rep.overlap_violations == 0
+
+
+class TestCellsBuiltOnce:
+    def test_render_clips_each_cell_once(self, tmp_path, monkeypatch):
+        # the boundary walk and the drawn cells share the body's cells
+        cfg = ring_config(random.Random(77), 8, 12)
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps({"inner": [list(p) for p in cfg.inner],
+                                    "outer": [list(p) for p in cfg.outer]}))
+        clip = body_module._exact_clip
+        continued = []
+
+        def counting(rows, box, *start):  # start: the raw clip and its first new row
+            if start:
+                continued.append(len(rows) - start[1])
+            return clip(rows, box, *start)
+
+        monkeypatch.setattr(body_module, "_exact_clip", counting)
+        args = ["render", str(path), "--show-voronoi", "--out", str(tmp_path / "ring.svg")]
+        assert cli.main(args) == 0
+        assert continued == [8] * 8
+
+    def test_cells_are_cached_on_the_body(self):
+        body = build_body(ring_config(random.Random(78), 5))
+        assert body.inner_cells is body.inner_cells
+        assert cell_polygons(body) == cell_polygons(body)

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from functools import partial
 
 import pytest
 
@@ -13,6 +14,7 @@ from equidist.errors import (
     MalformedQuad,
     ParamOutOfRange,
     PreconditionViolated,
+    RoundTripFailure,
     Unbounded,
 )
 from equidist.polygon import extract_boundary
@@ -21,6 +23,7 @@ from equidist.primitives import (
     Point,
     dist,
     orient,
+    reflect_direction,
     reflect_point,
     viewing_angle,
     viewing_angle_ccw,
@@ -37,8 +40,118 @@ from equidist.type32 import (
     pseudo_focal_points,
     quad_auxiliary_ray,
     recognize_pentagon,
+    segments_intersect,
     vertex_sets_match,
 )
+
+# ---------------------------------------------------------------------------
+# oracles: the general-polygon scans that type32 ran before the dart and
+# two-ears facts replaced them, kept verbatim
+
+
+def polygon_diameter(pts) -> float:
+    return max(dist(a, b) for i, a in enumerate(pts) for b in pts[i + 1:])
+
+
+def _ray_inside_intervals(origin: Point, d, poly, tmax: float):
+    ts = [0.0, tmax]
+    n = len(poly)
+    for i in range(n):
+        u, v = poly[i], poly[(i + 1) % n]
+        ex, ey = v.x - u.x, v.y - u.y
+        denom = d[0] * ey - d[1] * ex
+        if denom == 0.0:
+            continue
+        wx, wy = u.x - origin.x, u.y - origin.y
+        t = (wx * ey - wy * ex) / denom
+        s = (wx * d[1] - wy * d[0]) / denom
+        if -1e-12 <= s <= 1.0 + 1e-12 and 0.0 < t < tmax:
+            ts.append(t)
+    ts.sort()
+    merged = [ts[0]]
+    for t in ts[1:]:
+        if t - merged[-1] > 1e-12 * tmax:
+            merged.append(t)
+    out = []
+    for lo, hi in zip(merged, merged[1:]):
+        mid = Point(origin.x + (lo + hi) / 2.0 * d[0], origin.y + (lo + hi) / 2.0 * d[1])
+        if point_in_polygon(mid, poly):
+            if out and out[-1][1] == lo:
+                out[-1] = (out[-1][0], hi)
+            else:
+                out.append((lo, hi))
+    return out
+
+
+def _intersect_intervals(xs, ys):
+    out = []
+    for a0, a1 in xs:
+        for b0, b1 in ys:
+            lo, hi = max(a0, b0), min(a1, b1)
+            if lo < hi:
+                out.append((lo, hi))
+    return out
+
+
+def _feasible_intervals(q, d):
+    poly = q.points
+    tmax = 2.0 * polygon_diameter(poly)
+    ca = Line.through(q.c, q.a)
+    d2 = reflect_direction(ca, d[0], d[1])
+    iv1 = _ray_inside_intervals(q.c, d, poly, tmax)
+    iv2 = _ray_inside_intervals(q.c, d2, poly, tmax)
+    return _intersect_intervals(iv1, iv2)
+
+
+def _probed_candidates(q, d):
+    """The directions of the auxiliary line that the 1e-6 probe found entering."""
+    poly = q.points
+    h = 1e-6 * polygon_diameter(poly)
+    candidates = []
+    for sgn in (1.0, -1.0):
+        probe = Point(q.c.x + sgn * h * d[0], q.c.y + sgn * h * d[1])
+        if point_in_polygon(probe, poly):
+            candidates.append((sgn * d[0], sgn * d[1]))
+    return candidates
+
+
+def _diagonal_inside(pts, i, j) -> bool:
+    n = len(pts)
+    a, b = pts[i], pts[j]
+    for k in range(n):
+        if k in (i, j) or (k + 1) % n in (i, j):
+            continue
+        if segments_intersect(a, b, pts[k], pts[(k + 1) % n]):
+            return False
+    mid = Point((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
+    return point_in_polygon(mid, pts)
+
+
+def searched_label_pentagon(points):
+    """``label_pentagon`` with its former inner-diagonal search."""
+    if len(points) != 5:
+        return None
+    norm = type32._normalize_ccw(points)
+    if norm is None:
+        return None
+    pts, turns = norm
+    reflex = [i for i, t in enumerate(turns) if t < 0]
+    if len(reflex) != 2:
+        return None
+    i, j = reflex
+    gap = (j - i) % 5
+    if gap == 2:
+        b_idx, d_idx = i, j
+    elif gap == 3:
+        b_idx, d_idx = j, i
+    else:
+        return None  # reflex vertices are adjacent
+    if not _diagonal_inside(pts, b_idx, d_idx):
+        return None
+    order = [(b_idx + k) % 5 for k in (-1, 0, 1, 2, 3)]
+    a, b, c, d, e = (pts[k] for k in order)
+    return type32.LabeledPentagon(a, b, c, d, e)
+
 
 # exactly concircular inner/outer quadruple on the circle x^2 + y^2 = 25
 CONCIRC = FocalConfig.of([(-4, 3), (-4, -3)], [(3, 4), (3, -4), (-40, 0)])
@@ -311,8 +424,6 @@ class TestQuadConstruction:
         # leave the polygon at the same parameters
         quad = label_quad([Point(6, 0), Point(4, 3), Point(4.5, 0), Point(4, -3)])
         _, d = quad_auxiliary_ray(quad)
-        from equidist.type32 import _ray_inside_intervals, polygon_diameter
-        from equidist.primitives import reflect_direction
         ca = Line.through(quad.c, quad.a)
         d2 = reflect_direction(ca, d[0], d[1])
         tmax = 2.0 * polygon_diameter(quad.points)
@@ -322,6 +433,9 @@ class TestQuadConstruction:
         for (a0, a1), (b0, b1) in zip(iv1, iv2):
             assert a0 == pytest.approx(b0, abs=1e-9)
             assert a1 == pytest.approx(b1, abs=1e-9)
+        # the exits that replaced the scan coincide too
+        assert type32._exit_param(quad, d) == pytest.approx(type32._exit_param(quad, d2),
+                                                            abs=1e-9)
 
     def test_random_quads(self):
         rng = random.Random(60)
@@ -398,8 +512,93 @@ class TestEachStageOnce:
         assert cli.main(args) == 0
         want = capsys.readouterr().out
         calls = self.count_calls(monkeypatch, ["_auxiliary_ray", "_feasible_intervals",
-                                               "_ray_inside_intervals"])
+                                               "_exit_param"])
         assert cli.main(args) == 0
         assert capsys.readouterr().out == want
-        assert calls == {"_auxiliary_ray": 1, "_feasible_intervals": 1,
-                         "_ray_inside_intervals": 2}
+        # one entry test per direction (the first misses), two exits for the ray kept
+        assert calls == {"_auxiliary_ray": 1, "_feasible_intervals": 1, "_exit_param": 4}
+
+
+class TestDartAndTwoEars:
+    """The exit parameter and the ear fact agree with the general-polygon scans."""
+
+    def test_exit_matches_the_interval_scan(self):
+        rng = random.Random(63)
+        shapes = 0
+        for _ in range(700):
+            quad = random_concave_quad(rng)
+            for pts in (quad.points, quad.points[::-1], [Point(3e5 * p.x, 3e5 * p.y - 7)
+                                                         for p in quad.points]):
+                q = label_quad(pts)
+                f, d = quad_auxiliary_ray(q)
+                entering = [cand for cand in ((-f.b, f.a), (f.b, -f.a))
+                            if type32._exit_param(q, cand) is not None]
+                assert entering == _probed_candidates(q, (-f.b, f.a))
+                assert feasible_param_range(q) == _feasible_intervals(q, d)
+                for cand in entering:
+                    assert type32._feasible_intervals(q, cand) == _feasible_intervals(q, cand)
+                shapes += 1
+        assert shapes == 2100
+
+    def test_two_reflex_pentagons_keep_their_inner_diagonal(self):
+        rng = random.Random(64)
+        two_reflex = 0
+        for n in range(6000):
+            if n % 3:  # star-shaped about the origin, most with dents at vertices 1 and 3
+                angles = [2 * math.pi * k / 5 + rng.uniform(-0.3, 0.3) for k in range(5)]
+                radii = [rng.uniform(0.02, 0.3) if n % 3 == 2 and k in (1, 3)
+                         else rng.uniform(0.7, 1.3) for k in range(5)]
+                pts = [Point(r * math.cos(a), r * math.sin(a)) for r, a in zip(radii, angles)]
+            else:
+                pts = [Point(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(5)]
+            norm = type32._normalize_ccw(pts)
+            if norm is not None:
+                ccw, turns = norm
+                reflex = [i for i, t in enumerate(turns) if t < 0]
+                if len(reflex) == 2 and (reflex[1] - reflex[0]) % 5 in (2, 3):
+                    assert _diagonal_inside(ccw, *reflex)
+                    two_reflex += 1
+            assert label_pentagon(pts) == searched_label_pentagon(pts)
+        assert two_reflex > 1400
+
+    def test_pentagon_corpus_labels_as_before(self):
+        rng = random.Random(65)
+        for _ in range(20):
+            _, ch = random_pentagon_config(rng)
+            pts = list(ch.vertices)
+            for shape in (pts, pts[::-1], pts[2:] + pts[:2]):
+                assert label_pentagon(shape) == searched_label_pentagon(shape) is not None
+
+
+class TestRoundTripFailureTexts:
+    """The pentagon and the quad share one round trip, each with its own texts."""
+
+    TEXTS = {
+        "pentagon": ["recovered focal configuration is unbounded",
+                     "recovered boundary is not a single chain",
+                     "recovered boundary does not match the pentagon"],
+        "quad": ["constructed focal configuration is unbounded",
+                 "constructed boundary is not a single chain",
+                 "constructed boundary does not reproduce the quadrangle"],
+    }
+
+    @pytest.mark.parametrize("kind", ["pentagon", "quad"])
+    def test_each_failed_check_keeps_its_text(self, monkeypatch, kind):
+        if kind == "pentagon":
+            _, ch = random_pentagon_config(random.Random(66))
+            run = partial(recognize_pentagon, ch.vertices)
+        else:
+            quad = label_quad(TestQuadConstruction.QUAD)
+            t = default_param(quad)
+            run = partial(construct_quad_focals, quad, t)
+        assert run() is not None
+        texts = []
+        for name, fake in (("is_bounded", lambda cfg: False),
+                           ("extract_boundary", lambda *args, **kwargs: []),
+                           ("vertex_sets_match", lambda *args: False)):
+            with monkeypatch.context() as patched:
+                patched.setattr(type32, name, fake)
+                with pytest.raises(RoundTripFailure) as exc:
+                    run()
+            texts.append(str(exc.value))
+        assert texts == self.TEXTS[kind]
