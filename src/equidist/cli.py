@@ -425,47 +425,44 @@ def run(rc: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Subcommand parsers whose dests are the RunConfig fields; an option not given is left out."""
     parser = argparse.ArgumentParser(
         prog="equidist",
         description="Equidistant bodies and polygons of finite focal sets.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("input", help="input JSON file (configuration or shape)")
-        p.add_argument("--eps", type=float, default=1e-9,
-                       help="relative tolerance (default 1e-9): the boundary chains of "
-                            "body, boundary, render and the (3,2) round trips merge "
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        p.add_argument("input_path", metavar="input",
+                       help="input JSON file (configuration or shape)")
+        p.add_argument("--eps", type=float,
+                       help=f"relative tolerance (default {RunConfig.eps}): the boundary "
+                            "chains of body, boundary, render and the (3,2) round trips merge "
                             "consecutive vertices closer than eps times the extent of "
                             "the focal points; voronoi-check skips samples whose two "
                             "nearest focal distances differ by at most eps times the "
                             "coordinate scale")
-        p.add_argument("--clip-scale", type=float, default=2.0,
+        p.add_argument("--clip-scale", type=float,
                        help="clip box half-width as a multiple of the body radius")
-        p.add_argument("--samples", type=int, default=10000,
-                       help="sample count for randomized checks")
-        p.add_argument("--seed", type=int, default=42,
+        p.add_argument("--samples", type=int, help="sample count for randomized checks")
+        p.add_argument("--seed", type=int,
                        help="seed for the deterministic generator (Mersenne Twister)")
         p.add_argument("--show-circles", action="store_true",
                        help="render: include colored-edge circumcircles")
         p.add_argument("--show-voronoi", action="store_true",
                        help="render: include Voronoi cells of the inner sites")
-        p.add_argument("--out", dest="out", default=None,
+        p.add_argument("--out", dest="output_path", metavar="OUT",
                        help="output path (report JSON; SVG document for render)")
         if name == "construct-quad":
-            p.add_argument("--t", type=float, default=None,
+            p.add_argument("--t", type=float,
                            help="construction parameter along the auxiliary ray "
-                                "(default: midpoint of the largest feasible interval)")
+                                "(default: midpoint of the feasible interval)")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        rc = RunConfig(command=args.command, input_path=args.input,
-                       output_path=args.out, eps=args.eps, clip_scale=args.clip_scale,
-                       samples=args.samples, seed=args.seed,
-                       show_circles=args.show_circles, show_voronoi=args.show_voronoi,
-                       t=getattr(args, "t", None))
+        rc = RunConfig(**vars(args))
     except InvalidConfig as exc:
         sys.stderr.write(_error_obj("InvalidConfig", str(exc)))
         return 1

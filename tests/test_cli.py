@@ -1,5 +1,6 @@
 """End-to-end CLI runs: reports, exit codes, determinism, SVG structure."""
 
+import dataclasses
 import json
 import math
 
@@ -340,6 +341,44 @@ class TestDeterminism:
         text = format_json(values)
         back = json.loads(text)
         assert back == values
+
+
+class TestOptionDefaults:
+    """Every option default lives in RunConfig; the parser only reads what is given."""
+
+    INPUTS = {"classify32": GENERIC_32, "recognize-pentagon": CONVEX_PENT,
+              "construct-quad": QUAD}
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_unset_options_take_the_runconfig_defaults(self, tmp_path, capsys, monkeypatch,
+                                                       command):
+        path = write(tmp_path, "in.json", self.INPUTS.get(command, SQUARE))
+        extra = {"output_path": str(tmp_path / "out.svg")} if command == "render" else {}
+        args = [command, path] + (["--out", extra["output_path"]] if extra else [])
+        want = cli.RunConfig(command, path, **extra)
+        code, out, err = run_cli(capsys, args)
+        assert code == 0, err
+        defaults = {f.name: f.default for f in dataclasses.fields(cli.RunConfig)}
+        assert json.loads(out)["diagnostics"] == {
+            name: defaults[name] for name in ("eps", "clip_scale", "samples", "seed")}
+        parsed = []
+        monkeypatch.setattr(cli, "run", parsed.append)
+        main(args)
+        assert parsed == [want]
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_help_exits_zero(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert ("--t T" in capsys.readouterr().out) == (command == "construct-quad")
+
+    @pytest.mark.parametrize("command", [c for c in cli.COMMANDS if c != "construct-quad"])
+    def test_t_is_rejected_outside_construct_quad(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, write(tmp_path, "in.json", SQUARE), "--t", "0.3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --t 0.3" in capsys.readouterr().err
 
 
 class TestRenderSvg:

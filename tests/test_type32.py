@@ -9,9 +9,11 @@ import pytest
 
 from conftest import random_concave_quad, random_generic_32, random_pentagon_config
 from equidist import cli, type32
-from equidist.body import FocalConfig
+from equidist.body import FocalConfig, is_bounded
 from equidist.errors import (
+    InvalidConfig,
     MalformedQuad,
+    NumericalDegeneracy,
     ParamOutOfRange,
     PreconditionViolated,
     RoundTripFailure,
@@ -151,6 +153,40 @@ def searched_label_pentagon(points):
     order = [(b_idx + k) % 5 for k in (-1, 0, 1, 2, 3)]
     a, b, c, d, e = (pts[k] for k in order)
     return type32.LabeledPentagon(a, b, c, d, e)
+
+
+# the boundedness probe that chose the quad ray before the side of ca decided it, verbatim
+
+
+def _direction_works(q, d, intervals) -> bool:
+    """Probe a few interior parameters: does the construction stay bounded?"""
+    for lo, hi in intervals:  # at most one
+        for frac in (0.5, 0.25, 0.75):
+            x1, x2, y1, y2, y3 = type32._focal_points_at(q, d, lo + (hi - lo) * frac)
+            try:
+                if is_bounded(FocalConfig(inner=(x1, x2), outer=(y1, y2, y3))):
+                    return True
+            except InvalidConfig:
+                continue
+    return False
+
+
+def probed_auxiliary_ray(q):
+    """``_auxiliary_ray`` with its former boundedness probe over both directions."""
+    f = type32._composed_at(q.c, q.d, q.b, q.a)
+    tried = []
+    for sgn in (1.0, -1.0):
+        cand = (-sgn * f.b, sgn * f.a)
+        if type32._exit_param(q, cand) is None:
+            continue
+        intervals = type32._feasible_intervals(q, cand)
+        if _direction_works(q, cand, intervals):
+            return f, cand, intervals
+        tried.append((cand, intervals))
+    if not tried:
+        raise NumericalDegeneracy("auxiliary line does not enter the polygon")
+    cand, intervals = next((t for t in tried if t[1]), tried[0])
+    return f, cand, intervals
 
 
 # exactly concircular inner/outer quadruple on the circle x^2 + y^2 = 25
@@ -452,6 +488,18 @@ class TestQuadConstruction:
             assert len(chains) == 1
             assert vertex_sets_match(chains[0].vertices, quad.points, 1e-9 * scale)
 
+    def test_far_flat_dart_round_trip(self):
+        # rounding splits vertex a into two chain vertices 4.7e-9 apart, closer than
+        # the round trip's tolerance, 1e-9 times the coordinate scale 2e4
+        quad = label_quad([Point(9984.670490954783, -20022.760706562585),
+                           Point(10007.063733748128, -20016.52117341381),
+                           Point(10023.425445846124, -20009.76367051825),
+                           Point(10029.202115665843, -20007.63896803547)])
+        cert = construct_quad_focals(quad, default_param(quad))
+        assert cert.source == quad.points
+        chains = extract_boundary(cert.config())
+        assert len(chains) == 1 and len(chains[0].vertices) == 5
+
     def test_quad_vertices_are_concircular_witnesses(self):
         # each boundary vertex is equidistant from its generating focal
         # points; at the double-change vertex four focal points lie on one
@@ -512,11 +560,12 @@ class TestEachStageOnce:
         assert cli.main(args) == 0
         want = capsys.readouterr().out
         calls = self.count_calls(monkeypatch, ["_auxiliary_ray", "_feasible_intervals",
-                                               "_exit_param"])
+                                               "_exit_param", "is_bounded"])
         assert cli.main(args) == 0
         assert capsys.readouterr().out == want
-        # one entry test per direction (the first misses), two exits for the ray kept
-        assert calls == {"_auxiliary_ray": 1, "_feasible_intervals": 1, "_exit_param": 4}
+        # two exits for the ray, one boundedness test in the round trip
+        assert calls == {"_auxiliary_ray": 1, "_feasible_intervals": 1, "_exit_param": 2,
+                         "is_bounded": 1}
 
 
 class TestDartAndTwoEars:
@@ -568,6 +617,28 @@ class TestDartAndTwoEars:
             pts = list(ch.vertices)
             for shape in (pts, pts[::-1], pts[2:] + pts[:2]):
                 assert label_pentagon(shape) == searched_label_pentagon(shape) is not None
+
+
+class TestRayOnTheSideOfD:
+    """The ray on d's side of ca is the one the boundedness probe chose."""
+
+    def test_side_of_ca_matches_the_probe(self):
+        rng = random.Random(67)
+        shapes = two_ways = 0
+        for _ in range(500):
+            quad = random_concave_quad(rng)
+            for pts in (quad.points, quad.points[::-1],
+                        [Point(3e5 * p.x, 3e5 * p.y - 7) for p in quad.points],
+                        [Point(p.x, 0.02 * p.y) for p in quad.points]):
+                q = label_quad(pts)
+                f, d, intervals = type32._auxiliary_ray(q)
+                assert (f, d, intervals) == probed_auxiliary_ray(q)
+                assert orient(q.c, q.a, Point(q.c.x + d[0], q.c.y + d[1])) == orient(q.c, q.a, q.d)
+                two_ways += all(type32._exit_param(q, cand) is not None
+                                for cand in ((-f.b, f.a), (f.b, -f.a)))
+                shapes += 1
+        assert shapes == 2000
+        assert two_ways > 300  # darts on which both rays enter and the probe had to choose
 
 
 class TestRoundTripFailureTexts:
