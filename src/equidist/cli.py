@@ -359,7 +359,7 @@ def _cmd_render(rc: RunConfig, data):
     if not rc.output_path:
         raise ParseFailure("render requires --out <path> for the SVG document")
     scene, info = _scene_for(rc, data)
-    svg = render_svg(scene, show_circles=rc.show_circles, show_voronoi=rc.show_voronoi)
+    svg = render_svg(scene)
     with open(rc.output_path, "w", encoding="utf-8") as fh:
         fh.write(svg)
     info["svg_path"] = rc.output_path
@@ -380,8 +380,11 @@ _DISPATCH = {
 }
 
 
-def _error_obj(kind: str, message: str) -> str:
-    return format_json({"error": {"type": kind, "message": message}}) + "\n"
+def _fail(exc: Exception, code: int) -> int:
+    """Write the error object of exc to stderr; returns the exit code."""
+    sys.stderr.write(format_json({"error": {"type": type(exc).__name__,
+                                            "message": str(exc)}}) + "\n")
+    return code
 
 
 def run(rc: RunConfig) -> int:
@@ -389,9 +392,9 @@ def run(rc: RunConfig) -> int:
     try:
         with open(rc.input_path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or an over-long integer
-        sys.stderr.write(_error_obj(type(exc).__name__, str(exc)))
-        return 2
+    # ValueError: bad JSON, UTF-8 or an over-long integer; RecursionError: deep nesting
+    except (OSError, ValueError, RecursionError) as exc:
+        return _fail(exc, 2)
 
     try:
         report = {
@@ -406,21 +409,15 @@ def run(rc: RunConfig) -> int:
             },
         }
         text = format_json(report) + "\n"  # raises on a non-finite value
-    except ParseFailure as exc:
-        sys.stderr.write(_error_obj("ParseFailure", str(exc)))
-        return 2
-    except GeometryError as exc:
-        sys.stderr.write(_error_obj(type(exc).__name__, str(exc)))
-        return 1
-    if rc.output_path and rc.command != "render":
-        try:
+        if rc.output_path and rc.command != "render":
             with open(rc.output_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
-            sys.stderr.write(_error_obj(type(exc).__name__, str(exc)))
-            return 2
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+    except (OSError, ParseFailure) as exc:
+        return _fail(exc, 2)
+    except GeometryError as exc:
+        return _fail(exc, 1)
     return 0
 
 
@@ -464,8 +461,7 @@ def main(argv=None) -> int:
     try:
         rc = RunConfig(**vars(args))
     except InvalidConfig as exc:
-        sys.stderr.write(_error_obj("InvalidConfig", str(exc)))
-        return 1
+        return _fail(exc, 1)
     return run(rc)
 
 

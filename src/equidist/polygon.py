@@ -221,8 +221,8 @@ def _delaunay_triangles(points) -> list[tuple[int, int, int]]:
     no other point on that side; such circles are nested there, so one scan
     that moves to each point found inside the current best circle finds w.
     The triangle's two other edges are opened reversed; an edge with no point
-    to its left is a hull edge.  Every sign is exact, and with no collinear
-    triple and no concircular quadruple none is 0.
+    to its left is a hull edge.  No edge tests its own endpoints, so with no
+    collinear triple and no concircular quadruple no exact sign is 0.
     """
     n = len(points)
     if n < 3:
@@ -230,7 +230,7 @@ def _delaunay_triangles(points) -> list[tuple[int, int, int]]:
     s = min(range(n), key=lambda i: (points[i].y, points[i].x))
     t = (s + 1) % n
     for z in range(n):
-        if orient(points[s], points[t], points[z]) < 0:
+        if z != s and z != t and orient(points[s], points[t], points[z]) < 0:
             t = z
     lifted = {}
     closed = set()
@@ -241,7 +241,7 @@ def _delaunay_triangles(points) -> list[tuple[int, int, int]]:
         if (u, v) in closed:
             continue
         pu, pv = points[u], points[v]
-        left = (z for z in range(n) if orient(pu, pv, points[z]) > 0)
+        left = (z for z in range(n) if z != u and z != v and orient(pu, pv, points[z]) > 0)
         w = next(left, None)
         if w is None:
             continue
@@ -517,47 +517,32 @@ def voronoi_check(cfg: FocalConfig, n_samples: int = 10000, seed: int = 42,
 
     A point is strictly inside the body exactly when its nearest focal point
     is inner; strict inside points must land in some inner site's cell and in
-    at most one cell interior.  Samples are drawn from the clip box; those
-    whose two nearest focal distances differ by at most tol * scale are
-    skipped as ties.  A sample, scaled to integers once at the body's 2**k,
-    lies in a cell of ``EquidistantBody.inner_cells`` when the exact sign of every edge row
-    of the cell, box sides included, is >= 0, and in its interior when every
-    sign is > 0.
+    at most one cell interior.  Samples are drawn from the clip box and ranked
+    once by (distance, index); those whose two nearest focal distances differ
+    by at most tol * scale, with tol >= 0, are skipped as ties.  Past the band
+    the nearest point is unique, so ``agreements`` counts every other sample
+    and ``disagreements`` is 0.  A sample, scaled to integers once at the
+    body's 2**k, lies in a cell of ``EquidistantBody.inner_cells`` when the
+    exact sign of every edge row of the cell, box sides included, is >= 0, and
+    in its interior when every sign is > 0.
     """
     body = build_body(cfg, clip_scale)
     clip = body.clip
     _, box, k, _ = body.components[0]._exact
     lines = [c._exact[0] + _side_rows(box) for c in body.components]
     cells = [[lines[i][j] for _, j in cell] for i, cell in enumerate(body.inner_cells)]
-    all_points = cfg.points
     rng = random.Random(seed)
-    scale = cfg.scale()
-    band = tol * scale
-    p_count = cfg.p
+    band = tol * cfg.scale()
 
-    ties = agreements = disagreements = inside_count = 0
-    cell_misses = overlap_violations = 0
+    ties = inside_count = cell_misses = overlap_violations = 0
     for _ in range(n_samples):
         q = Point(rng.uniform(clip.xmin, clip.xmax), rng.uniform(clip.ymin, clip.ymax))
-        dists = [dist(q, p) for p in all_points]
-        best = second = math.inf
-        best_idx = -1
-        for idx, d in enumerate(dists):
-            if d < best:
-                best, second, best_idx = d, best, idx
-            elif d < second:
-                second = d
+        ranked = sorted((dist(q, p), i) for i, p in enumerate(cfg.points))
+        (best, nearest), (second, _) = ranked[:2]
         if second - best <= band:
             ties += 1
             continue
-        # the gap between the two nearest focal points exceeds the band, so
-        # the inner/outer minima cannot tie either
-        inside = min(dists[:p_count]) < min(dists[p_count:])
-        if inside == (best_idx < p_count):
-            agreements += 1
-        else:
-            disagreements += 1
-        if inside:
+        if nearest < cfg.p:
             inside_count += 1
             (x, y), kq = dyadic_ints((q.x, q.y))
             x, y, w = x << k, y << k, 1 << kq
@@ -566,6 +551,6 @@ def voronoi_check(cfg: FocalConfig, n_samples: int = 10000, seed: int = 42,
                 cell_misses += 1
             if sum(1 for m in slacks if m > 0) > 1:
                 overlap_violations += 1
-    return VoronoiReport(samples=n_samples, ties_skipped=ties, agreements=agreements,
-                         disagreements=disagreements, inside_count=inside_count,
+    return VoronoiReport(samples=n_samples, ties_skipped=ties, agreements=n_samples - ties,
+                         disagreements=0, inside_count=inside_count,
                          cell_misses=cell_misses, overlap_violations=overlap_violations)

@@ -69,9 +69,8 @@ def _path(points, mapper: _Mapper) -> str:
     return " ".join(cmds)
 
 
-def render_svg(scene: Scene, show_circles: bool = False,
-               show_voronoi: bool = False) -> str:
-    """Render a scene to an SVG 1.1 document string."""
+def render_svg(scene: Scene) -> str:
+    """Render a scene to an SVG 1.1 document string, drawing every layer the scene holds."""
     m = _Mapper(scene)
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -81,13 +80,13 @@ def render_svg(scene: Scene, show_circles: bool = False,
         f'<rect id="frame" x="0.5" y="0.5" width="{_fmt(_CANVAS - 1)}" '
         f'height="{_fmt(_CANVAS - 1)}" fill="white" stroke="#888888" stroke-width="1"/>',
     ]
-    if show_voronoi and scene.cells:
+    if scene.cells:
         out.append('<g id="voronoi" fill="none" stroke="#77aa77" stroke-width="1" '
                    'stroke-dasharray="5 3">')
         for cell in scene.cells:
             out.append(f'<path d="{_path(cell, m)}"/>')
         out.append('</g>')
-    if show_circles and scene.circles:
+    if scene.circles:
         out.append('<g id="circles" fill="none" stroke="#8888cc" stroke-width="1">')
         for c in scene.circles:
             x, y = m.pt(c.center)

@@ -285,6 +285,22 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "ValueError"
 
+    def test_unwritable_svg_path_is_error_object(self, tmp_path, capsys):
+        # render writes its SVG inside the command, before the report exists
+        svg_path = tmp_path / "missing" / "x.svg"
+        code, out, err = run_cli(capsys, ["render", write(tmp_path, "sq.json", SQUARE),
+                                          "--out", str(svg_path)])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "FileNotFoundError"
+
+    def test_deeply_nested_input_is_error_object(self, tmp_path, capsys):
+        # json.load recurses once per level and gives up with RecursionError
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        code, out, err = run_cli(capsys, ["body", str(path)])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "RecursionError"
+
     def test_unbounded_is_validation_failure(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, ["body", write(tmp_path, "u.json", UNBOUNDED)])
         assert code == 1
@@ -419,6 +435,19 @@ class TestRenderSvg:
     def test_render_requires_out(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, ["render", write(tmp_path, "sq.json", SQUARE)])
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [[], ["--show-circles"], ["--show-voronoi"],
+                                       ["--show-circles", "--show-voronoi"]])
+    def test_layers_follow_the_flags(self, tmp_path, capsys, flags):
+        # the scene holds circles and cells only when asked, and the SVG draws what it holds
+        svg_path = tmp_path / "g32.svg"
+        code, out, _ = run_cli(capsys, ["render", write(tmp_path, "g32.json", GENERIC_32),
+                                        "--out", str(svg_path), *flags])
+        assert code == 0
+        result = json.loads(out)["result"]
+        doc = svg_path.read_text()
+        assert ('<g id="circles"' in doc) == ("--show-circles" in flags) == (result["circles"] > 0)
+        assert ('<g id="voronoi"' in doc) == ("--show-voronoi" in flags) == (result["cells"] > 0)
 
     def test_empty_scene_renders_frame_only(self):
         from equidist.svg import Scene, render_svg

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import equidist.polygon as polygon
 import equidist.primitives as primitives
 from conftest import random_generic_32
 from equidist.body import FocalConfig
@@ -430,3 +431,36 @@ class TestDelaunayBeyondBruteForce:
         uses = Counter(frozenset(e) for t in triples for e in combinations(t, 2))
         assert hull <= set(uses)
         assert all(count == (1 if e in hull else 2) for e, count in uses.items())
+
+
+class TestGiftWrapSigns:
+    """The gift-wrap never tests a point against an edge it ends.
+
+    Such an orientation is exactly 0, which the float filter cannot decide,
+    so each one would cost an exact fallback and tell nothing.
+    """
+
+    @staticmethod
+    def regular_grid_configs(rng: random.Random, count: int):
+        while count:
+            cfg = grid_config(rng, rng.randint(2, 4), n=7)
+            if check_regularity(cfg).ok:
+                count -= 1
+                yield cfg
+
+    def test_no_orientation_repeats_a_point(self, monkeypatch):
+        calls = []
+        original = polygon.orient
+
+        def recorded(p, q, r):
+            calls.append((p, q, r))
+            return original(p, q, r)
+
+        monkeypatch.setattr(polygon, "orient", recorded)
+        rng = random.Random(56)
+        configs = [ring_config(rng, 12, 18) for _ in range(3)]
+        configs += self.regular_grid_configs(rng, 10)
+        for cfg in configs:
+            assert_matches_reference(cfg)
+        assert calls
+        assert all(len({p, q, r}) == 3 for p, q, r in calls)

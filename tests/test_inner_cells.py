@@ -6,7 +6,9 @@ focal points clipped on their own (``convex_component`` with its own
 scaling), up to the vertex they start at, with exactly equal floats and the
 same focal point or box side on every edge.  ``voronoi_check`` tests samples
 against those cells with exact row signs; ``float_band_voronoi_check`` below
-is the float half-plane version it replaced, kept as the oracle.
+is the float half-plane version it replaced, kept as the oracle, and
+``scanned_voronoi_check`` is the exact version before each sample was ranked
+once.
 """
 
 import json
@@ -21,6 +23,7 @@ from equidist import cli
 from equidist.body import (
     FocalConfig,
     _clip_box,
+    _side_rows,
     bounding_radius,
     build_body,
     convex_component,
@@ -32,7 +35,7 @@ from equidist.polygon import (
     labeled_points,
     voronoi_check,
 )
-from equidist.primitives import EPS_GEO, Point, dist
+from equidist.primitives import EPS_GEO, Point, dist, dyadic_ints
 from test_exact_graph import MIXED, grid_config, ring_config, voronoi_cells
 
 
@@ -86,6 +89,66 @@ def float_band_voronoi_check(cfg: FocalConfig, n_samples: int = 10000, seed: int
                          cell_misses=cell_misses, overlap_violations=overlap_violations)
 
 
+def scanned_voronoi_check(cfg: FocalConfig, n_samples: int = 10000, seed: int = 42,
+                          clip_scale: float = 2.0, tol: float = EPS_GEO) -> VoronoiReport:
+    """The former ``voronoi_check``: a scan for the two nearest focal distances.
+
+    Verbatim but for this docstring.  It decides "inside" twice per sample,
+    by the inner and outer minima and by the nearest index, and counts how
+    often the two agree.
+    """
+    body = build_body(cfg, clip_scale)
+    clip = body.clip
+    _, box, k, _ = body.components[0]._exact
+    lines = [c._exact[0] + _side_rows(box) for c in body.components]
+    cells = [[lines[i][j] for _, j in cell] for i, cell in enumerate(body.inner_cells)]
+    all_points = cfg.points
+    rng = random.Random(seed)
+    scale = cfg.scale()
+    band = tol * scale
+    p_count = cfg.p
+
+    ties = agreements = disagreements = inside_count = 0
+    cell_misses = overlap_violations = 0
+    for _ in range(n_samples):
+        q = Point(rng.uniform(clip.xmin, clip.xmax), rng.uniform(clip.ymin, clip.ymax))
+        dists = [dist(q, p) for p in all_points]
+        best = second = math.inf
+        best_idx = -1
+        for idx, d in enumerate(dists):
+            if d < best:
+                best, second, best_idx = d, best, idx
+            elif d < second:
+                second = d
+        if second - best <= band:
+            ties += 1
+            continue
+        # the gap between the two nearest focal points exceeds the band, so
+        # the inner/outer minima cannot tie either
+        inside = min(dists[:p_count]) < min(dists[p_count:])
+        if inside == (best_idx < p_count):
+            agreements += 1
+        else:
+            disagreements += 1
+        if inside:
+            inside_count += 1
+            (x, y), kq = dyadic_ints((q.x, q.y))
+            x, y, w = x << k, y << k, 1 << kq
+            slacks = [min(c * w - a * x - b * y for a, b, c in rows) for rows in cells]
+            if max(slacks) < 0:
+                cell_misses += 1
+            if sum(1 for m in slacks if m > 0) > 1:
+                overlap_violations += 1
+    return VoronoiReport(samples=n_samples, ties_skipped=ties, agreements=agreements,
+                         disagreements=disagreements, inside_count=inside_count,
+                         cell_misses=cell_misses, overlap_violations=overlap_violations)
+
+
+# far outer points: at clip_scale 0.5 the box cuts the inner cells on all four sides
+NARROW = FocalConfig.of([(0.5, 0.25), (-1.0, 0.75), (0.25, -1.0)],
+                        [(10.0, 0.5), (-0.5, 10.0), (-10.0, -0.25), (0.75, -10.0)])
+
+
 def labelled_edges(points, sites):
     """(repr of x, repr of y, the point or box side that carries the edge from it)."""
     return [(repr(p.x), repr(p.y), site) for p, site in zip(points, sites)]
@@ -137,10 +200,8 @@ class TestBuilderCellsEqualStandaloneCells:
 
     def test_clip_box_narrower_than_the_body(self):
         # at clip_scale < 1 the box cuts the outer cells, so box sides carry edges
-        cfg = FocalConfig.of([(0.5, 0.25), (-1.0, 0.75), (0.25, -1.0)],
-                             [(10.0, 0.5), (-0.5, 10.0), (-10.0, -0.25), (0.75, -10.0)])
-        assert assert_cells_match_standalone(cfg, 0.5) == {-1, -2, -3, -4}
-        assert_cells_match_standalone(cfg, 0.75)
+        assert assert_cells_match_standalone(NARROW, 0.5) == {-1, -2, -3, -4}
+        assert_cells_match_standalone(NARROW, 0.75)
 
     def test_one_clip_per_cell_from_the_component(self):
         # each cell is the component's raw clip cut by the p inner rows only
@@ -205,6 +266,60 @@ class TestVoronoiCheckAgainstFloatBand:
         rep = voronoi_check(cfg, 10, tol=-1.0)  # a negative band skips no ties
         assert rep.inside_count == 10 and rep.cell_misses == 0
         assert rep.overlap_violations == 0
+
+
+class TestVoronoiCheckAgainstScan:
+    """Ranking each sample once gives the reports of the two-way scan, repr for repr."""
+
+    @pytest.mark.parametrize("clip_scale", [2.0, 0.75, 0.5])
+    @pytest.mark.parametrize("tol", [1e-9, 1e-3, 0.0])
+    def test_reports_repr_equal(self, tol, clip_scale):
+        compared = box_cut = ties = 0
+        for i, cfg in enumerate([*oracle_configs(), NARROW]):
+            try:
+                want = scanned_voronoi_check(cfg, 1000, 90 + i, clip_scale, tol)
+            except PreconditionViolated:  # a box narrower than the inner sites
+                with pytest.raises(PreconditionViolated):
+                    voronoi_check(cfg, 1000, 90 + i, clip_scale, tol)
+                continue
+            assert repr(voronoi_check(cfg, 1000, 90 + i, clip_scale, tol)) == repr(want)
+            compared += 1
+            ties += want.ties_skipped
+            box_cut += any(j < 0 for cell in build_body(cfg, clip_scale).inner_cells
+                           for _, j in cell)
+        assert compared >= 9
+        assert ties > 0 or tol < 1e-3
+        # at clip_scale 0.5 the box cuts inner cells, so box-side rows are tested too
+        assert box_cut > 0 or clip_scale > 0.5
+
+    def test_exact_ties_on_a_lattice(self, monkeypatch):
+        # half-integer samples are often exactly equidistant from two grid points
+        monkeypatch.setattr(random.Random, "uniform",
+                            lambda self, a, b: math.floor(self.random() * 16) / 2 - 4)
+        rng = random.Random(81)
+        ties = 0
+        for i in range(6):
+            cfg = grid_config(rng, rng.randint(2, 6))
+            for tol in (0.0, 1e-9):
+                want = scanned_voronoi_check(cfg, 300, i, tol=tol)
+                assert repr(voronoi_check(cfg, 300, i, tol=tol)) == repr(want)
+                ties += want.ties_skipped
+        assert ties > 0
+
+    @pytest.mark.parametrize("eps", ["1e-9", "1e-3"])
+    def test_cli_stdout_byte_identical(self, tmp_path, capsys, monkeypatch, eps):
+        rng = random.Random(80)
+        for i, cfg in enumerate([ring_config(rng, 8, 12), grid_config(rng, 4), MIXED]):
+            path = tmp_path / f"cfg{i}.json"
+            path.write_text(json.dumps({"inner": [list(p) for p in cfg.inner],
+                                        "outer": [list(p) for p in cfg.outer]}))
+            args = ["voronoi-check", str(path), "--samples", "800", "--eps", eps]
+            outs = []
+            for check in (voronoi_check, scanned_voronoi_check):
+                monkeypatch.setattr(cli, "voronoi_check", check)
+                assert cli.main(args) == 0
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[1]
 
 
 class TestCellsBuiltOnce:
