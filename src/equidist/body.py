@@ -7,7 +7,8 @@ perpendicular-bisector half-planes toward every outer point.  The clip is
 exact: ``build_body`` scales the focal points and the box to integers by one
 power of two, once, and each vertex (X, Y, W), W > 0, is the meet of the two
 rows that carry its edges, rounded to floats once.  The components keep
-their rows and raw clip, which the inner cells and ``connectivity`` continue.
+their rows and raw clip: the inner cells and ``connectivity`` continue them,
+and membership reads their exact signs at a probe scaled the same way.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .primitives import (
     dist,
     dyadic_ints,
     orient,
-    perp_bisector,
 )
 
 MEMBER_INSIDE = "inside_strict"
@@ -50,28 +50,6 @@ class Rect:
 
     def contains(self, p: Point) -> bool:
         return self.xmin <= p.x <= self.xmax and self.ymin <= p.y <= self.ymax
-
-    def side_dists(self, p: Point) -> tuple[float, float, float, float]:
-        """Signed distances to the four sides, positive inside."""
-        return (p.y - self.ymin, self.xmax - p.x, self.ymax - p.y, p.x - self.xmin)
-
-
-@dataclass(frozen=True)
-class HalfPlane:
-    """Closed half-plane bounded by ``boundary``; inside is signed() >= 0."""
-
-    boundary: Line
-    keep_positive: bool
-
-    def signed(self, p: Point) -> float:
-        v = self.boundary.eval(p)
-        return v if self.keep_positive else -v
-
-    @staticmethod
-    def closer_to(x: Point, y: Point) -> "HalfPlane":
-        """The half-plane of points at least as close to x as to y."""
-        l = perp_bisector(x, y)
-        return HalfPlane(l, l.eval(x) > 0.0)
 
 
 @dataclass(frozen=True)
@@ -122,7 +100,8 @@ class ConvexComponent:
     ``edge_tags[i]`` labels the edge from ``vertices[i]`` to ``vertices[i+1]``:
     a non-negative value is the index of the outer point whose bisector
     carries the edge, negative values are clip-box sides.  ``_exact`` holds
-    the integer rows, box and k of the clip and its raw output (``build_body``).
+    the integer rows, box and k of the clip and its raw output; membership reads
+    those rows, so its sign is exact.
     """
 
     site: Point
@@ -134,17 +113,27 @@ class ConvexComponent:
     _exact: tuple = field(compare=False, repr=False)
 
     @cached_property
-    def halfplanes(self) -> tuple[HalfPlane, ...]:
-        """Float half-planes {site <= y} of the outer points, for ``min_signed``."""
-        return tuple(HalfPlane.closer_to(self.site, y) for y in self.outer)
+    def _rows(self) -> list:
+        """Rows (A, B, C, N) of the outer points, then the box sides, N ~ |(A, B)| * 2**64."""
+        rows, box, _, _ = self._exact
+        return [(a, b, c, math.isqrt((a * a + b * b) << 128))
+                for a, b, c in rows[:len(self.outer)] + _side_rows(box)]
 
     def min_signed(self, p: Point) -> float:
-        """Smallest signed distance to the defining half-planes and clip sides."""
-        m = min(hp.signed(p) for hp in self.halfplanes)
-        return min(m, *self.clip.side_dists(p))
+        """Least signed distance to a row, positive inside, each rounded once from the exact slack.
 
-    def contains(self, p: Point, tol: float = 0.0) -> bool:
-        return self.min_signed(p) >= -tol
+        Its sign is exact: 0.0 exactly on a row, and -inf for a non-finite p.
+        """
+        if not (math.isfinite(p.x) and math.isfinite(p.y)):
+            return -math.inf
+        _, _, k, _ = self._exact
+        x, y, w = _scaled(p, k)
+        return min(_signed_ratio((c * w - a * x - b * y) << 64, (w << k) * n)
+                   for a, b, c, n in self._rows)
+
+    def contains(self, p: Point) -> bool:
+        """True iff p is in the closed component (exact sign); False for a non-finite p."""
+        return self.min_signed(p) >= 0
 
 
 @dataclass(frozen=True)
@@ -155,7 +144,12 @@ class EquidistantBody:
     radius: float
 
     def contains_strict(self, p: Point) -> bool:
-        return any(c.min_signed(p) > 0.0 for c in self.components)
+        """True iff some component has only positive exact slacks at p; False for a non-finite p."""
+        if not (math.isfinite(p.x) and math.isfinite(p.y)):
+            return False
+        x, y, w = _scaled(p, self.components[0]._exact[2])  # every component shares k
+        return any(min(c * w - a * x - b * y for a, b, c, _ in comp._rows) > 0
+                   for comp in self.components)
 
     @cached_property
     def inner_cells(self) -> tuple[tuple[tuple[tuple[int, int, int], int], ...], ...]:
@@ -178,11 +172,9 @@ class EquidistantBody:
 
 
 def distance_to_set(q: Point, pts) -> float:
-    """Distance from q to the nearest point of a non-empty finite set."""
-    best = math.inf
-    for p in pts:
-        best = min(best, dist(q, p))
-    if best is math.inf:
+    """Distance from q to the nearest point of a non-empty finite set (inf past the float range)."""
+    best = min((dist(q, p) for p in pts), default=None)
+    if best is None:
         raise EmptySet("distance to an empty point set")
     return best
 
@@ -211,9 +203,7 @@ def convex_hull(pts) -> list[Point]:
             out.append(p)
         return out
 
-    lower = half(points)
-    upper = half(reversed(points))
-    hull = lower[:-1] + upper[:-1]
+    hull = half(points)[:-1] + half(reversed(points))[:-1]
     return hull if len(hull) >= 3 else points[:1] + points[-1:]
 
 
@@ -225,13 +215,8 @@ def is_bounded(cfg: FocalConfig) -> bool:
 def _strictly_inside(hull, pts) -> bool:
     """True iff every point is strictly inside a ccw strictly convex hull (>= 3 vertices)."""
     n = len(hull)
-    if n < 3:
-        return False
-    for x in pts:
-        for i in range(n):
-            if orient(hull[i], hull[(i + 1) % n], x) != 1:
-                return False
-    return True
+    return n >= 3 and all(orient(hull[i], hull[(i + 1) % n], x) == 1
+                          for x in pts for i in range(n))
 
 
 def _centroid(pts) -> Point:
@@ -265,10 +250,7 @@ def bounding_radius(cfg: FocalConfig) -> float:
 
     n = len(hull)
     edge_lines = [Line.through(hull[i], hull[(i + 1) % n]) for i in range(n)]
-    r = math.inf
-    for x in cfg.inner:
-        rx = min(abs(l.eval(x)) for l in edge_lines)
-        r = min(r, rx)
+    r = min(abs(l.eval(x)) for x in cfg.inner for l in edge_lines)
     if c == 0.0 or r == 0.0:  # both are positive unless they underflow
         raise NumericalDegeneracy("distances between the focal points "
                                   "underflow the float range")
@@ -377,6 +359,20 @@ def _reduced(vert):
     """A homogeneous point (X, Y, W), W > 0, with gcd(X, Y, W) = 1: equal points, equal triples."""
     g = math.gcd(*vert)
     return vert[0] // g, vert[1] // g, vert[2] // g
+
+
+def _scaled(p: Point, k: int) -> tuple[int, int, int]:
+    """The finite point p as a homogeneous integer point (X, Y, W), W > 0, of a clip at 2**k."""
+    (x, y), kp = dyadic_ints((p.x, p.y))
+    return x << k, y << k, 1 << kp
+
+
+def _signed_ratio(num: int, den: int) -> float:
+    """num / den, den > 0, rounded keeping the sign of num: +-5e-324 on underflow, +-inf on overflow."""
+    try:
+        return num / den or ((num > 0) - (num < 0)) * math.ulp(0.0)
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 def _float_point(vert, k: int) -> Point:

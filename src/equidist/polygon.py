@@ -35,6 +35,7 @@ from .body import (
     FocalConfig,
     _float_point,
     _orientation_det,
+    _scaled,
     _side_rows,
     build_body,
 )
@@ -544,8 +545,7 @@ def voronoi_check(cfg: FocalConfig, n_samples: int = 10000, seed: int = 42,
             continue
         if nearest < cfg.p:
             inside_count += 1
-            (x, y), kq = dyadic_ints((q.x, q.y))
-            x, y, w = x << k, y << k, 1 << kq
+            x, y, w = _scaled(q, k)
             slacks = [min(c * w - a * x - b * y for a, b, c in rows) for rows in cells]
             if max(slacks) < 0:
                 cell_misses += 1

@@ -64,6 +64,11 @@ class TestDistanceToSet:
         with pytest.raises(EmptySet):
             distance_to_set(Point(0, 0), [])
 
+    def test_overflowing_distance_is_inf(self):
+        # a non-empty set is not empty because its distances leave the float range
+        assert distance_to_set(Point(-1e308, 0), [Point(1e308, 0)]) == math.inf
+        assert distance_to_set(Point(-1e308, 0), iter([Point(1e308, 0)])) == math.inf
+
 
 class TestMembership:
     CFG = FocalConfig.of([(0, 0)], [(2, 0), (-2, 0), (0, 2)])

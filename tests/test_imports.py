@@ -10,19 +10,27 @@ import equidist
 PACKAGE = pathlib.Path(equidist.__file__).parent
 
 
-def test_every_import_is_relative_or_standard_library():
-    foreign = []
+def absolute_imports():
+    """(file name, module) for every absolute import in the package."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
+                yield from ((path.name, alias.name) for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            foreign += [(path.name, name) for name in names
-                        if name.split(".")[0] not in sys.stdlib_module_names]
+                yield path.name, node.module
+
+
+def test_every_import_is_relative_or_standard_library():
+    foreign = [(name, module) for name, module in absolute_imports()
+               if module.split(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_no_rational_or_decimal_arithmetic():
+    # integers decide every exact sign; fractions stay in the test oracles
+    found = [(name, module) for name, module in absolute_imports()
+             if module.split(".")[0] in ("fractions", "decimal")]
+    assert found == []
 
 
 # bench/spans.py counts the calls made through this binding

@@ -1,4 +1,4 @@
-"""The one exact inner-cell construction against the standalone cells and the float check.
+"""The one exact inner-cell construction against the standalone cells and the banded check.
 
 ``EquidistantBody.inner_cells`` continues each component's stored clip with the
 inner rows.  Its cells must equal the cells of the inner sites among all
@@ -6,7 +6,7 @@ focal points clipped on their own (``convex_component`` with its own
 scaling), up to the vertex they start at, with exactly equal floats and the
 same focal point or box side on every edge.  ``voronoi_check`` tests samples
 against those cells with exact row signs; ``float_band_voronoi_check`` below
-is the float half-plane version it replaced, kept as the oracle, and
+is the banded version it replaced, kept as the oracle, and
 ``scanned_voronoi_check`` is the exact version before each sample was ranked
 once.
 """
@@ -41,10 +41,12 @@ from test_exact_graph import MIXED, grid_config, ring_config, voronoi_cells
 
 def float_band_voronoi_check(cfg: FocalConfig, n_samples: int = 10000, seed: int = 42,
                              clip_scale: float = 2.0, tol: float = EPS_GEO) -> VoronoiReport:
-    """The former ``voronoi_check``: standalone cells tested on float half-planes with a band.
+    """The former ``voronoi_check``: standalone cells tested by signed distances with a band.
 
     Verbatim but for the clip box, computed here as the one ``build_body``
-    uses: ``_clip_box(cfg, clip_scale, bounding_radius(cfg))``.
+    uses: ``_clip_box(cfg, clip_scale, bounding_radius(cfg))``.  The signed
+    distances (``min_signed``) now have exact signs; the cell tests still
+    allow them the band of +-tol * scale.
     """
     clip = _clip_box(cfg, clip_scale, bounding_radius(cfg))
     all_points = [p for _, p in labeled_points(cfg)]
