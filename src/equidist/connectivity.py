@@ -1,10 +1,15 @@
 """Weighted graph representation of a body and connectivity of body and interior.
 
 Edge weights are the dimension of the pairwise component intersections,
-computed exactly: the integer homogeneous clip of ``body`` continues the
-first component's stored clip with the second one's integer bisector rows,
-in the one scaling of their body, and the dimension is decided on the exact
-homogeneous vertices, without tolerances.
+decided exactly, without tolerances, on the integer rows that each component
+stores at its 2**k scale.  First a witness: a vertex of one component's raw
+clip with positive exact slack on every outer row and box side of the other
+lies in the open interior of the other, and a component has area whenever
+its box has, so the pair has weight 2.  Only a pair without such a vertex
+either way is clipped: the integer homogeneous clip of ``body`` continues the
+first component's stored clip with the second one's rows, and the dimension
+is decided on the exact homogeneous vertices.  Components of different
+scalings are brought to the larger k by shifts.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .body import ConvexComponent, EquidistantBody, FocalConfig, build_body, is_bounded
-from .body import _exact_clip, _float_point, _orientation_det, _same_point
+from .body import _exact_clip, _float_point, _orientation_det, _same_point, _side_rows
 from .errors import MismatchedOuterSet
 from .polygon import extract_boundary
 from .primitives import Point
@@ -53,10 +58,30 @@ def polygon_dim(verts) -> int:
     return 2 if any(_orientation_det(verts[0], other, v) for v in verts) else 1
 
 
-def _intersection_exact(a: ConvexComponent, b: ConvexComponent):
-    """Vertices (X, Y, W) of a ∩ b at the larger 2**k, and k: a's raw clip cut by b's rows."""
+def _require_shared(a: ConvexComponent, b: ConvexComponent) -> None:
     if a.outer != b.outer or a.clip != b.clip:
         raise MismatchedOuterSet("components must share the outer set and clip box")
+
+
+def _interior_vertex(a: ConvexComponent, b: ConvexComponent) -> bool:
+    """True iff a vertex of a's raw clip has positive exact slack on b's outer rows and box sides.
+
+    Such a vertex lies in the open interior of b, and a, which has area
+    whenever its box does, meets each neighbourhood of it in positive area:
+    then a ∩ b has area.  Both are brought to the larger 2**k by shifts: a's
+    vertices by k - ka, b's rows and box by k - kb.
+    """
+    (_, _, ka, verts), (rows, box, kb, _) = a._exact, b._exact
+    k = max(ka, kb)
+    da, db = k - ka, k - kb
+    lines = [(x << db, y << db, c << 2 * db) for x, y, c in rows[:len(b.outer)]]
+    lines += _side_rows(tuple(v << db for v in box))
+    return any(all(c * w > (u * x + v * y) << da for u, v, c in lines)
+               for (x, y, w), _ in verts)
+
+
+def _intersection_exact(a: ConvexComponent, b: ConvexComponent):
+    """Vertices (X, Y, W) of a ∩ b at the larger 2**k, and k: a's raw clip cut by b's rows."""
     (ra, box, ka, verts), (rb, _, kb, _) = a._exact, b._exact
     k, q = max(ka, kb), len(a.outer)
     rows = [(x << d, y << d, c << 2 * d) for rs, d in ((ra, k - ka), (rb, k - kb))
@@ -69,15 +94,23 @@ def _intersection_exact(a: ConvexComponent, b: ConvexComponent):
 def intersection_dim(a: ConvexComponent, b: ConvexComponent) -> int:
     """Exact dimension of a ∩ b: 2 area, 1 segment, 0 point, -1 empty.
 
-    For disjoint focal sets the segment case cannot arise (a shared boundary
-    segment would force an inner point to coincide with an outer one), but
-    the classifier decides all four outcomes uniformly.
+    Raises ``MismatchedOuterSet`` unless a and b share the outer set and clip
+    box.  A vertex of either raw clip in the open interior of the other
+    certifies 2; only a pair without one is clipped, and ``polygon_dim``
+    decides its dimension.  For disjoint focal sets in a box with area the
+    segment case cannot arise (a shared boundary segment would force an inner
+    point to coincide with an outer one), but the classifier decides all four
+    outcomes uniformly.
     """
+    _require_shared(a, b)
+    if _interior_vertex(a, b) or _interior_vertex(b, a):
+        return 2
     return polygon_dim(_intersection_exact(a, b)[0])
 
 
 def intersection_polygon(a: ConvexComponent, b: ConvexComponent) -> list[Point]:
     """Vertices of a ∩ b (exact clip, correctly rounded to floats; may be degenerate)."""
+    _require_shared(a, b)
     verts, k = _intersection_exact(a, b)
     return [_float_point(vert, k) for vert in verts]
 

@@ -14,6 +14,7 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from equidist import body as body_module
 from equidist import connectivity
 from equidist.body import FocalConfig, Rect, build_body, convex_component, is_bounded
 from equidist.connectivity import build_graph, intersection_dim, intersection_polygon
+from equidist.errors import MismatchedOuterSet, PreconditionViolated
 from equidist.polygon import extract_boundary
 from equidist.primitives import Point
 from test_connectivity import OVERLAP, SEPARATED, TOUCHING
@@ -306,8 +308,112 @@ class TestSharedScaling:
         assert {-1, 1} <= shifts
 
 
+def ref_witness(a, b) -> bool:
+    """Some vertex of a's raw clip has positive slack on each of b's outer rows and box sides."""
+    rows = ref_rows(b.site, b.outer) + [side_row(tag, b.clip) for tag in (-1, -2, -3, -4)]
+    return any(all(c - (u * x + v * y) > 0 for u, v, c in rows)
+               for x, y in ref_clip(ref_rows(a.site, a.outer), a.clip))
+
+
+def witnessed_dims(comps):
+    """The oracle dimension of every ordered pair, after checking the witness on each pair.
+
+    The witness must equal its rational reference, and a pair it certifies
+    must have weight 2.  Returns how many ordered pairs it certified and the
+    set of oracle dimensions seen.
+    """
+    certified, dims = 0, set()
+    for a in comps:
+        for b in comps:
+            if a is b:
+                continue
+            ref = ref_dim(ref_intersection(a, b))
+            dims.add(ref)
+            witness = connectivity._interior_vertex(a, b)
+            assert witness == ref_witness(a, b)
+            if witness:
+                assert ref == 2
+                certified += 1
+    return certified, dims
+
+
+class TestInteriorWitness:
+    """A vertex of one raw clip strictly inside the other component certifies weight 2."""
+
+    def test_ring_and_grid_bodies(self):
+        rng = random.Random(52)
+        certified, dims = 0, set()
+        for cfg in [ring_config(rng, p) for p in (2, 5, 8)] + [
+                grid_config(rng, rng.randint(2, 8)) for _ in range(40)]:
+            n, d = witnessed_dims(build_body(cfg).components)
+            certified += n
+            dims |= d
+        assert certified > 0
+        # the grid corpus reaches the empty and the one-point intersection
+        assert {-1, 0, 2} <= dims
+
+    def test_mixed_magnitudes(self):
+        assert witnessed_dims(build_body(MIXED).components)[0] > 0
+
+    def test_box_cut_components(self):
+        # the bounding radius is loose: scales 1.0 and 0.6 rarely cut a
+        # component, 0.3 and a box just around the inner sites do
+        rng = random.Random(53)
+        certified = cut = 0
+        for cfg in [ring_config(rng, 6) for _ in range(4)] + [
+                random_bounded_config(rng, p_max=5) for _ in range(12)]:
+            xs, ys = [x.x for x in cfg.inner], [x.y for x in cfg.inner]
+            tight = Rect(min(xs) - 0.5, min(ys) - 0.5, max(xs) + 0.5, max(ys) + 0.5)
+            bodies = [[convex_component(x, cfg.outer, tight) for x in cfg.inner]]
+            for clip_scale in (1.0, 0.6, 0.3):
+                try:
+                    bodies.append(build_body(cfg, clip_scale).components)
+                except PreconditionViolated:  # the box misses an inner site
+                    pass
+            for comps in bodies:
+                certified += witnessed_dims(comps)[0]
+                cut += sum(c.clipped for c in comps)
+        assert certified > 0 and cut > 0
+
+    def test_box_without_area(self):
+        # every component is a segment of the line x = 0: no vertex lies
+        # strictly inside a box side, so the pair is clipped to its segment
+        cfg = FocalConfig.of([(0, -1), (0, 1)], [(-3, 0), (3, 0), (0, 4), (0, -4)])
+        line = Rect(0, -5, 0, 5)
+        a, b = (convex_component(x, cfg.outer, line) for x in cfg.inner)
+        assert witnessed_dims((a, b)) == (0, {1})
+        assert intersection_dim(a, b) == 1
+
+    def test_components_of_other_scalings(self):
+        # a standalone component has its own k: the witness shifts to the larger one
+        shifts, certified = set(), 0
+        for cfg in shared_scaling_configs():
+            body = build_body(cfg)
+            others = [convex_component(Point(*xy), cfg.outer, body.clip)
+                      for xy in ((0.1, 1e-7), (0.5, 0.25)) if Point(*xy) not in cfg.inner]
+            certified += witnessed_dims(body.components + tuple(others))[0]
+            k = body.components[0]._exact[2]
+            shifts.update((c._exact[2] > k) - (c._exact[2] < k) for c in others)
+        assert {-1, 1} <= shifts and certified > 0
+
+    def test_mismatch_raises_before_the_witness(self, monkeypatch):
+        tried = []
+        monkeypatch.setattr(connectivity, "_interior_vertex", lambda a, b: tried.append(1))
+        body = build_body(OVERLAP)
+        comp, clip = body.components[0], body.clip
+        wider = Rect(clip.xmin - 1, clip.ymin, clip.xmax, clip.ymax)
+        others = (convex_component(Point(0, 1), (Point(3, 3),), clip),
+                  convex_component(body.components[1].site, OVERLAP.outer, wider))
+        for other in others:
+            for a, b in ((comp, other), (other, comp)):
+                for f in (intersection_dim, intersection_polygon):
+                    with pytest.raises(MismatchedOuterSet):
+                        f(a, b)
+        assert not tried
+
+
 class TestClipOnce:
-    """Each component is clipped from the box once; cells and pairs continue its clip."""
+    """Each component is clipped from the box once; cells and pairs of weight < 2 continue it."""
 
     def test_rows_cut_per_body(self, monkeypatch):
         clip = body_module._exact_clip
@@ -324,8 +430,49 @@ class TestClipOnce:
         body = build_body(cfg)
         build_graph(body)
         extract_boundary(cfg, body=body)
-        # p components by q outer rows, p cells by p inner rows, each pair by q rows
-        assert sum(cut) == p * q + p * p + math.comb(p, 2) * q == 496
+        # p components by q outer rows and p cells by p inner rows; a vertex
+        # witness certifies every pair of this body, so no pair is clipped
+        assert sum(cut) == p * q + p * p == 160
+
+    @staticmethod
+    def graph_clips(monkeypatch, body):
+        """``build_graph(body)``, and the ``_exact_clip`` calls made for each of its pairs."""
+        clip, dim = body_module._exact_clip, intersection_dim
+        calls, pairs = [0], []
+
+        def counting(*args):
+            calls[0] += 1
+            return clip(*args)
+
+        def recording(a, b):
+            before = calls[0]
+            w = dim(a, b)
+            pairs.append((a, b, calls[0] - before))
+            return w
+
+        monkeypatch.setattr(connectivity, "_exact_clip", counting)
+        monkeypatch.setattr(connectivity, "intersection_dim", recording)
+        build_graph(body)
+        return pairs
+
+    def test_ring_graphs_clip_no_pair(self, monkeypatch):
+        rng = random.Random(50)
+        for _ in range(50):
+            pairs = self.graph_clips(monkeypatch, build_body(ring_config(rng, 8, 12)))
+            assert len(pairs) == math.comb(8, 2)
+            assert sum(n for _, _, n in pairs) == 0
+
+    def test_grid_graphs_clip_only_pairs_below_weight_2(self, monkeypatch):
+        rng = random.Random(51)
+        clipped = certified = 0
+        for _ in range(40):
+            body = build_body(grid_config(rng, rng.randint(2, 8)))
+            for a, b, n in self.graph_clips(monkeypatch, body):
+                below = ref_dim(ref_intersection(a, b)) < 2
+                assert n == below  # clipped, once, exactly when the weight is below 2
+                clipped += below
+                certified += not below
+        assert clipped > 0 and certified > 0
 
 
 # --- metamorphic -------------------------------------------------------------
