@@ -4,12 +4,12 @@ The regularity check scales the focal points to integers once and, for each
 pair (a, b), keys every later point c by its circle through a and b: a zero
 cross product is a collinear triple, and otherwise the key is the circle's
 centre along the bisector of ab, an exact rational rounded once.  Points
-sharing a key are confirmed with the exact in-circle sign, so the check takes
-O(n^3) integer steps.  On regular input the empty-circumcircle triples are
-exactly the triangles of the unique Delaunay triangulation of K ∪ L, built by
-gift-wrapping with O(n^2) calls of the exact ``orient`` and of the in-circle
-scan ``primitives.incircle_hits`` (one float filter with an exact integer
-fallback).  Both reports list triples and quadruples in ``combinations`` order.
+sharing a key are confirmed by exact equality of their rationals, so the
+check takes O(n^3) integer steps.  On regular input the empty-circumcircle
+triples are exactly the triangles of the unique Delaunay triangulation of
+K ∪ L, built by gift-wrapping with O(n^2) orientation and in-circle signs,
+each an integer determinant on the points scaled once.  Both reports list
+triples and quadruples in ``combinations`` order.
 The inner sites' Voronoi cells in Vor(K ∪ L) are built once per body, by
 ``EquidistantBody.inner_cells``: each is its component's exact clip cut
 further by the inner rows.  The boundary walk, ``voronoi_check`` and
@@ -48,8 +48,6 @@ from .primitives import (
     dist,
     dyadic_ints,
     incircle,  # noqa: F401  kept: bench/spans.py counts calls through polygon.incircle
-    incircle_hits,
-    lifted_rows,
     orient,
     signed_area,
     viewing_angle,
@@ -165,10 +163,10 @@ def check_regularity(cfg: FocalConfig) -> RegularityReport:
     is keyed by its centre's coordinate along the bisector of ab, the
     rational (|c|^2 - b.c) / (b x c), rounded once by the correctly rounded
     integer division (±inf beyond the float range).  Equal rationals give
-    equal keys, so each concircular quadruple (a, b, c, d) shares a key; the
-    members of a shared key are confirmed with the exact in-circle sign
-    (``incircle_hits``), which rejects keys that collide by rounding.  Both
-    lists come out in ``combinations`` order.
+    equal keys, so each concircular quadruple (a, b, c, d) shares a key; two
+    members of a shared key are confirmed by exact equality of their
+    rationals, num_c * cross_d == num_d * cross_c, which rejects keys that
+    collide by rounding.  Both lists come out in ``combinations`` order.
     """
     pts = labeled_points(cfg)
     refs = [r for r, _ in pts]
@@ -181,7 +179,6 @@ def check_regularity(cfg: FocalConfig) -> RegularityReport:
     for a in range(n):
         us = [x - xs[a] for x in xs]
         vs = [y - ys[a] for y in ys]
-        rows = None  # lifted_rows(points, a), once a key is shared
         for b in range(a + 1, n):
             bu, bv = us[b], vs[b]
             first = {}  # key -> the least c with it
@@ -201,11 +198,12 @@ def check_regularity(cfg: FocalConfig) -> RegularityReport:
                 if least != c:
                     shared.setdefault(least, [least]).append(c)
             for group in shared.values():
-                if rows is None:
-                    rows = lifted_rows(points, a)
-                for m, c in enumerate(group):
-                    for d in incircle_hits(points, rows, a, b, c, group[m + 1:], 0):
-                        concircular.append((a, b, c, d))
+                ratios = [(us[c] * (us[c] - bu) + vs[c] * (vs[c] - bv), bu * vs[c] - bv * us[c])
+                          for c in group]
+                for m, (num_c, cross_c) in enumerate(ratios):
+                    for d, (num_d, cross_d) in zip(group[m + 1:], ratios[m + 1:]):
+                        if num_c * cross_d == num_d * cross_c:
+                            concircular.append((a, b, group[m], d))
     concircular.sort()
     return RegularityReport(ok=not collinear and not concircular,
                             collinear=tuple(collinear),
@@ -222,18 +220,30 @@ def _delaunay_triangles(points) -> list[tuple[int, int, int]]:
     no other point on that side; such circles are nested there, so one scan
     that moves to each point found inside the current best circle finds w.
     The triangle's two other edges are opened reversed; an edge with no point
-    to its left is a hull edge.  No edge tests its own endpoints, so with no
-    collinear triple and no concircular quadruple no exact sign is 0.
+    to its left is a hull edge.  Every sign is exact, on the points scaled to
+    integers once and taken relative to u: z is left of (u, v) when v x z > 0,
+    and inside the circle through ccw u, v, w when the determinant of the
+    lifted rows (x, y, x^2 + y^2) of v, w and z is negative.  As v x u and
+    v x v are 0, no edge counts its own endpoints as left of it.
     """
     n = len(points)
     if n < 3:
         return []
-    s = min(range(n), key=lambda i: (points[i].y, points[i].x))
+    ints, _ = dyadic_ints([v for p in points for v in p])
+    xs, ys = ints[::2], ints[1::2]
+
+    def rows(a):  # the lifted rows relative to point a, by column
+        us = [x - xs[a] for x in xs]
+        vs = [y - ys[a] for y in ys]
+        return us, vs, [u * u + v * v for u, v in zip(us, vs)]
+
+    s = min(range(n), key=lambda i: (ys[i], xs[i]))
+    lifted = {s: rows(s)}
+    us, vs, _ = lifted[s]
     t = (s + 1) % n
     for z in range(n):
-        if z != s and z != t and orient(points[s], points[t], points[z]) < 0:
+        if us[t] * vs[z] < vs[t] * us[z]:
             t = z
-    lifted = {}
     closed = set()
     triangles = []
     stack = [(s, t)]
@@ -241,17 +251,20 @@ def _delaunay_triangles(points) -> list[tuple[int, int, int]]:
         u, v = stack.pop()
         if (u, v) in closed:
             continue
-        pu, pv = points[u], points[v]
-        left = (z for z in range(n) if z != u and z != v and orient(pu, pv, points[z]) > 0)
-        w = next(left, None)
+        if u not in lifted:
+            lifted[u] = rows(u)
+        us, vs, ls = lifted[u]
+        vu, vv, vl = us[v], vs[v], ls[v]
+        w = None
+        for z in range(n):
+            zu, zv = us[z], vs[z]
+            # the minors of v and w change only when w moves; per candidate they cost time
+            if vu * zv > vv * zu and (w is None or zu * mu + zv * mv + ls[z] * ml < 0):
+                w = z
+                wu, wv, wl = zu, zv, ls[z]
+                mu, mv, ml = vv * wl - wv * vl, vl * wu - wl * vu, vu * wv - wu * vv
         if w is None:
             continue
-        if u not in lifted:
-            lifted[u] = lifted_rows(points, u)
-        # z is strictly inside the circle through ccw u, v, w when the raw sign
-        # of (v, w, z, u) is -1; the scan goes on with the points after z.
-        while (z := next(incircle_hits(points, lifted[u], u, v, w, left, -1), None)) is not None:
-            w = z
         closed.update(((u, v), (v, w), (w, u)))
         triangles.append(tuple(sorted((u, v, w))))
         stack += [(w, v), (u, w)]

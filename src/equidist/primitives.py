@@ -1,15 +1,12 @@
 """Robust planar primitives: exact sign predicates and double-precision constructions.
 
-Predicates (``orient``, ``incircle``) are evaluated in floating point with a
-forward error bound and fall back to exact integer arithmetic when the float
-result is too close to zero to be trusted: the coordinates are scaled to
-integers by one power of two (``dyadic_ints``).  ``incircle_hits`` holds the
-one in-circle filter and runs it over many fourth points of one triangle at
-once, for the regularity check and the Delaunay scans of the hypergraph;
-``incircle`` is its case of one candidate.  Circumcircles are computed exactly on the scaled integers and
-rounded once; the other constructions (intersections, reflections) are plain
-double precision, and callers compare their results with a relative
-tolerance against the coordinate scale.
+``orient`` is evaluated in floating point with a forward error bound and falls
+back to exact integer arithmetic when the float result is too close to zero to
+be trusted; ``incircle`` is always exact.  Exact signs and circumcircles scale
+the coordinates to integers by one power of two (``dyadic_ints``), and
+circumcircles are rounded once.  The other constructions (intersections,
+reflections) are plain double precision, and callers compare their results
+with a relative tolerance against the coordinate scale.
 """
 
 from __future__ import annotations
@@ -27,15 +24,11 @@ TAU_CONC = 1e-9
 # Relative tolerance for round-trip boundary comparisons.
 EPS_RT = 1e-9
 
-# Forward error bounds for the floating-point predicate filters (eps = 2^-53).
+# Forward error bound for the floating-point orientation filter (eps = 2^-53).
 _EPS_MACH = 2.0 ** -53
 _ORIENT_ERRBOUND = (3.0 + 16.0 * _EPS_MACH) * _EPS_MACH
-_INCIRCLE_ERRBOUND = (10.0 + 96.0 * _EPS_MACH) * _EPS_MACH
-# The bounds assume no underflow.  An underflowing product is off by at most 2^-1075:
-# orient adds _ORIENT_FLOOR to its bound, and lifted_rows sends nonzero differences
-# below _LIFT_TINY, whose products of four may underflow, to the exact in-circle sign.
+# The bound assumes no underflow; an underflowing product is off by at most 2^-1075.
 _ORIENT_FLOOR = 2.0 ** -1060
-_LIFT_TINY = 2.0 ** -240
 
 TWO_PI = 2.0 * math.pi
 
@@ -144,67 +137,13 @@ def _orient_exact(p: Point, q: Point, r: Point) -> int:
 def incircle(p: Point, q: Point, r: Point, s: Point) -> int:
     """+1 iff s is strictly inside the circle through p, q, r; 0 on it; -1 outside.
 
-    The orientation of (p, q, r) does not matter.  The exact sign comes from
-    ``incircle_hits`` on the triangle (p, q, r) and the one candidate s.
+    The orientation of (p, q, r) does not matter: ``_incircle_exact`` assumes
+    a counterclockwise base, and its sign is multiplied by the orientation.
     """
     o = orient(p, q, r)
     if o == 0:
         raise CollinearBase(f"incircle base points are collinear: {p}, {q}, {r}")
-    points = (p, q, r, s)
-    rows = lifted_rows(points, 0)
-    for raw in (1, -1):
-        if next(incircle_hits(points, rows, 0, 1, 2, (3,), raw), None) is not None:
-            return -o * raw
-    return 0
-
-
-def lifted_rows(points, a: int) -> list[tuple[float, float, float]]:
-    """Row (u, v, u^2 + v^2) of every point, relative to points[a].
-
-    The row is NaN when u or v is nonzero and below ``_LIFT_TINY`` in
-    magnitude, so every filter test of it fails and its signs are exact.
-    """
-    ax, ay = points[a].x, points[a].y
-    rows = []
-    for p in points:
-        u, v = p.x - ax, p.y - ay
-        tiny = 0.0 < abs(u) < _LIFT_TINY or 0.0 < abs(v) < _LIFT_TINY
-        rows.append((math.nan,) * 3 if tiny else (u, v, u * u + v * v))
-    return rows
-
-
-def incircle_hits(points, rows, a: int, b: int, c: int, candidates, want: int):
-    """Yield, in order, the candidates d with _incircle_exact(b, c, d, a) == want.
-
-    ``rows`` is ``lifted_rows(points, a)``.  The float determinant of
-    (b, c, d, a) is expanded along the lifted rows relative to a, with the
-    terms of b and c computed once per call instead of once per candidate,
-    and its forward error bound is Shewchuk's; undecided signs fall back to
-    ``_incircle_exact``, so every sign is exact.  When o = orient(a, b, c) is
-    not 0, incircle(a, b, c, d) == -o * _incircle_exact(b, c, d, a).
-    """
-    bu, bv, bw = rows[b]
-    cu, cv, cw = rows[c]
-    bucv, cubv = bu * cv, cu * bv
-    minor = bucv - cubv
-    perm = abs(bucv) + abs(cubv)
-    pa, pb, pc = points[a], points[b], points[c]
-    for d in candidates:
-        du, dv, dw = rows[d]
-        cudv, ducv = cu * dv, du * cv
-        dubv, budv = du * bv, bu * dv
-        det = bw * (cudv - ducv) + cw * (dubv - budv) + dw * minor
-        bound = _INCIRCLE_ERRBOUND * ((abs(cudv) + abs(ducv)) * bw
-                                      + (abs(dubv) + abs(budv)) * cw
-                                      + perm * dw)
-        if det > bound:
-            sign = 1
-        elif -det > bound:
-            sign = -1
-        else:
-            sign = _incircle_exact(pb, pc, points[d], pa)
-        if sign == want:
-            yield d
+    return o * _incircle_exact(p, q, r, s)
 
 
 def _incircle_exact(a: Point, b: Point, c: Point, d: Point) -> int:

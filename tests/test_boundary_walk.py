@@ -134,6 +134,26 @@ def test_straight_double_vertex_is_concave():
     assert (info.change_type, info.angle_type) == ("double", "concave")
 
 
+def test_short_closing_edge_merges_into_vertex_zero():
+    # ring (8, 12) from seed 3: the edge back to vertex 0 is the chain's shortest,
+    # so an eps between it and the next shortest merges only that edge
+    cfg = ring_config(random.Random(3), 8, 12)
+    (chain,) = extract_boundary(cfg)
+    verts = chain.vertices
+    n = len(verts)
+    lengths = sorted((dist(verts[m], verts[(m + 1) % n]), m) for m in range(n))
+    assert n == 20 and lengths[0][1] == n - 1
+    xs, ys = [p.x for p in cfg.points], [p.y for p in cfg.points]
+    extent = max(max(xs) - min(xs), max(ys) - min(ys))
+    eps = (lengths[0][0] + lengths[1][0]) / 2 / extent
+    (merged,) = extract_boundary(cfg, eps=eps)
+    assert merged.vertices == verts[:-1]
+    info = merged.vertex_info[0]
+    assert (info.inner_refs, info.outer_refs, info.change_type) == ((0, 7), (7, 8), "double")
+    assert merged.vertex_info[1:] == chain.vertex_info[1:-1]
+    assert merged.edge_pairs == chain.edge_pairs[:-1]
+
+
 def test_clockwise_order_of_rays():
     # every primitive integer direction around a vertex, against atan2; the
     # exactly opposite ray (angle pi) and both half-turns are covered

@@ -122,6 +122,12 @@ class TestReports:
         assert result["is_type_32"] is False
         assert result["verdict"] == "not (3,2)"
 
+    def test_recognize_pentagon_pseudo_focal_outside(self, tmp_path, capsys):
+        doc = {"polygon": [[-2, 2], [3, -5], [0, 0], [4, 5], [-6, 1]]}
+        code, out, _ = run_cli(capsys, ["recognize-pentagon", write(tmp_path, "p.json", doc)])
+        assert code == 0
+        assert json.loads(out)["result"] == {"is_type_32": False, "verdict": "not (3,2)"}
+
     def test_recognize_pentagon_positive(self, tmp_path, capsys):
         code, out, _ = run_cli(capsys, ["boundary", write(tmp_path, "g32.json", GENERIC_32)])
         verts = json.loads(out)["result"]["chains"][0]["vertices"]

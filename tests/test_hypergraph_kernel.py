@@ -5,9 +5,9 @@ they were before the scan was hoisted: one call of the exact ``orient`` and
 ``incircle`` per triple and per quadruple.  It is slow but plainly exact, so
 it serves as the oracle for both reports, tuple order and floats included.
 The near-concircular inputs lie on a circle of radius about 7e7 with a
-half-integer centre, so the float determinant rounds: exact zeros come out
-as small non-zero floats, and a point moved by one ulp gets float signs of
-either kind.  Only the exact fallback decides them.
+half-integer centre, so a float determinant would round: exact zeros would
+come out as small non-zero floats, and a point moved by one ulp would get
+float signs of either kind.  The engine decides them on integers.
 """
 
 import math
@@ -21,8 +21,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import equidist.polygon as polygon
-import equidist.primitives as primitives
 from conftest import random_generic_32
 from equidist.body import FocalConfig
 from equidist.errors import GeometryError, RegularityViolated
@@ -141,22 +139,6 @@ def near_concircular_configs():
                     yield FocalConfig.of(moved[:2] + [fifth], moved[2:])
 
 
-def kernel_fallbacks(monkeypatch, cfg: FocalConfig) -> int:
-    """Exact in-circle fallbacks taken by check_regularity and empty_circle_triples."""
-    calls = []
-    original = primitives._incircle_exact
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    with monkeypatch.context() as m:
-        m.setattr(primitives, "_incircle_exact", counted)
-        if check_regularity(cfg).ok:
-            empty_circle_triples(cfg)
-    return len(calls)
-
-
 # --- oracle ------------------------------------------------------------------
 
 class TestAgainstBruteForce:
@@ -180,20 +162,17 @@ class TestAgainstBruteForce:
         # the corpus reaches both degeneracies, not only regular inputs
         assert collinear > 0 and concircular > 0
 
-    def test_exactly_concircular_with_rounding_floats(self, monkeypatch):
+    def test_exactly_concircular_with_rounding_floats(self):
         pts = circle_points(_CIRCLE_DIRS)
         cfg = FocalConfig.of(pts[:3], pts[3:])
         report = assert_matches_reference(cfg)
         assert len(report.concircular) == math.comb(len(pts), 4)
-        assert kernel_fallbacks(monkeypatch, cfg) > 0
 
-    def test_near_concircular_configs(self, monkeypatch):
-        regular = fallbacks = 0
+    def test_near_concircular_configs(self):
+        regular = 0
         for cfg in near_concircular_configs():
             regular += assert_matches_reference(cfg).ok
-            fallbacks += kernel_fallbacks(monkeypatch, cfg)
         assert regular > 0
-        assert fallbacks > 0
 
 
 # --- metamorphic -------------------------------------------------------------
@@ -240,6 +219,15 @@ class TestHypergraphInvariance:
     @EXAMPLES
     @given(kind=KINDS, seed=SEEDS, p=SIZES, k=st.integers(-30, 30))
     def test_power_of_two_scaling(self, kind, seed, p, k):
+        cfg = _config(kind, seed, p)
+        scaled = mapped_config(cfg, lambda v: Point(math.ldexp(v.x, k), math.ldexp(v.y, k)))
+        assert _combinatorics(scaled) == _combinatorics(cfg)
+
+    @EXAMPLES
+    @given(kind=KINDS, seed=SEEDS, p=SIZES,
+           k=st.one_of(st.integers(-900, -240), st.integers(240, 900)))
+    def test_power_of_two_scaling_beyond_float_products(self, kind, seed, p, k):
+        # products of four lifted differences underflow or overflow at these scales
         cfg = _config(kind, seed, p)
         scaled = mapped_config(cfg, lambda v: Point(math.ldexp(v.x, k), math.ldexp(v.y, k)))
         assert _combinatorics(scaled) == _combinatorics(cfg)
@@ -363,21 +351,11 @@ class TestKeyedRegularityAndGiftWrap:
             overflowing += overflowing_keys(cfg) > 0
         assert overflowing > 0
 
-    def test_colliding_overflow_keys_are_rejected_exactly(self, monkeypatch):
+    def test_colliding_overflow_keys_are_rejected_exactly(self):
         # relative to (0, 0) and (1e-300, 0), both later points key to +inf
         cfg = FocalConfig.of([(0.0, 0.0), (1e300, 1e-300)], [(1e-300, 0.0), (-1e300, 1e-300)])
         assert overflowing_keys(cfg) >= 2
-        calls = []
-        original = primitives._incircle_exact
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        with monkeypatch.context() as m:
-            m.setattr(primitives, "_incircle_exact", counted)
-            report = check_regularity(cfg)
-        assert report.ok and calls
+        assert check_regularity(cfg).ok
         assert_repr_matches_reference(cfg)
 
     def test_shared_keys_of_many_members(self):
@@ -431,36 +409,3 @@ class TestDelaunayBeyondBruteForce:
         uses = Counter(frozenset(e) for t in triples for e in combinations(t, 2))
         assert hull <= set(uses)
         assert all(count == (1 if e in hull else 2) for e, count in uses.items())
-
-
-class TestGiftWrapSigns:
-    """The gift-wrap never tests a point against an edge it ends.
-
-    Such an orientation is exactly 0, which the float filter cannot decide,
-    so each one would cost an exact fallback and tell nothing.
-    """
-
-    @staticmethod
-    def regular_grid_configs(rng: random.Random, count: int):
-        while count:
-            cfg = grid_config(rng, rng.randint(2, 4), n=7)
-            if check_regularity(cfg).ok:
-                count -= 1
-                yield cfg
-
-    def test_no_orientation_repeats_a_point(self, monkeypatch):
-        calls = []
-        original = polygon.orient
-
-        def recorded(p, q, r):
-            calls.append((p, q, r))
-            return original(p, q, r)
-
-        monkeypatch.setattr(polygon, "orient", recorded)
-        rng = random.Random(56)
-        configs = [ring_config(rng, 12, 18) for _ in range(3)]
-        configs += self.regular_grid_configs(rng, 10)
-        for cfg in configs:
-            assert_matches_reference(cfg)
-        assert calls
-        assert all(len({p, q, r}) == 3 for p, q, r in calls)

@@ -1,8 +1,8 @@
 """The integer exact predicates against the Fraction code they replaced.
 
 The oracles below are the ``Fraction`` versions of ``primitives._orient_exact``,
-``primitives._incircle_exact``, the former second in-circle filter
-``_incircle_raw`` (its float filter with the Fraction fallback) and
+``primitives._incircle_exact``, the former in-circle filter ``_incircle_raw``
+(its float filter with the Fraction fallback) and
 ``polygon._is_clockwise``, plus the Fraction key that ordered chains by their
 lowest vertex.  They are slow but plainly exact.  The inputs mix binary
 exponents from -1074 to 1023, are exactly collinear or concircular (and one
@@ -12,7 +12,7 @@ ulp off), or are random homogeneous polygons with exact ties.
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 
 from equidist import primitives
 from equidist.body import FocalConfig
@@ -22,8 +22,6 @@ from equidist.primitives import (
     _incircle_exact,
     _orient_exact,
     incircle,
-    incircle_hits,
-    lifted_rows,
     orient,
 )
 
@@ -228,7 +226,7 @@ class TestIncircleExact:
             assert incircle(*pts) == 0
             pts[3] = nudged(pts[3], rng)
             self.check(pts)
-        assert calls  # the exact fallback decided some of these signs
+        assert calls  # incircle takes its sign from the exact determinant
 
     def test_agrees_with_the_former_filter(self):
         # the former filter is exact wherever no product underflows
@@ -248,36 +246,8 @@ class TestIncircleExact:
             assert _incircle_exact(*pts) == frac_incircle_exact(*pts)
 
 
-class TestIncircleHits:
-    def test_scans_agree_with_the_exact_sign(self):
-        rng = random.Random(121)
-        for trial in range(60):
-            if trial % 3 == 0:
-                points = concircular_points(rng, 8)
-                t = rng.randrange(8)
-                points[t] = nudged(points[t], rng)
-            elif trial % 3 == 1:
-                points = clustered_points(rng, 8)
-            else:
-                points = [mixed_point(rng) for _ in range(8)]
-            if len(set(points)) < len(points):
-                continue
-            n = len(points)
-            for a in range(n):
-                rows = lifted_rows(points, a)
-                for b, c in combinations(range(a + 1, n), 2):
-                    if frac_orient_exact(points[a], points[b], points[c]) == 0:
-                        continue
-                    pa, pb, pc = points[a], points[b], points[c]
-                    cands = [d for d in range(n) if d not in (a, b, c)]
-                    signs = [frac_incircle_exact(pb, pc, points[d], pa) for d in cands]
-                    for want in (1, 0, -1):
-                        got = list(incircle_hits(points, rows, a, b, c, cands, want))
-                        assert got == [d for d, s in zip(cands, signs) if s == want]
-
-
 class TestUnderflow:
-    """Products of tiny differences underflow, and the float error bounds assume they do not."""
+    """Products of tiny differences underflow, which a float error bound must allow for."""
 
     TINY_CONCIRCULAR = (Point(4.174249164359271e-78, 2.8071336406442794e-77),
                         Point(4.1762258264736266e-78, 2.807001863169989e-77),

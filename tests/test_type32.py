@@ -276,6 +276,51 @@ class TestLabeling:
             label_quad([Point(0, 0), Point(1, 0), Point(2, 0), Point(0, 2)])  # collinear
 
 
+class TestDegenerateShapes:
+    """Shapes the labelers reject before looking at reflex angles."""
+
+    PENTAGONS = {
+        "vertex on a far edge": [(0, 0), (4, 0), (4, 4), (2, 0), (0, 4)],
+        "spike back onto an edge": [(0, 0), (4, 0), (2, 0), (2, 3), (0, 3)],
+        "repeated vertex": [(0, 0), (4, 0), (4, 0), (2, 3), (0, 4)],
+        "zero area": [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4)],
+    }
+    QUADS = {
+        "vertex on a far edge": [(0, 0), (4, 0), (4, 4), (2, 0)],
+        "spike back onto an edge": [(0, 0), (4, 0), (2, 0), (2, 3)],
+        "repeated vertex": [(0, 0), (4, 0), (4, 0), (0, 4)],
+        "zero area": [(0, 0), (1, 1), (2, 2), (3, 3)],
+    }
+
+    @staticmethod
+    def relabelings(points):
+        """Every rotation of the points, and their reversal."""
+        pts = [Point(*t) for t in points]
+        return [pts[k:] + pts[:k] for k in range(len(pts))] + [pts[::-1]]
+
+    @pytest.mark.parametrize("kind", sorted(PENTAGONS))
+    def test_pentagon_rejected(self, kind):
+        for pts in self.relabelings(self.PENTAGONS[kind]):
+            assert label_pentagon(pts) is None
+
+    @pytest.mark.parametrize("kind", sorted(QUADS))
+    def test_quad_rejected(self, kind):
+        for pts in self.relabelings(self.QUADS[kind]):
+            with pytest.raises(MalformedQuad):
+                label_quad(pts)
+
+    def test_wrong_vertex_count(self):
+        pent = [Point(*t) for t in [(0, 0), (10, 0), (10, 10), (5, 2), (0, 10)]]
+        assert label_pentagon(pent[:4]) is None
+        assert label_pentagon(pent + [Point(-1, 5)]) is None
+        with pytest.raises(MalformedQuad):
+            label_quad(pent)
+        with pytest.raises(MalformedQuad):
+            label_quad(pent[:3])
+        assert not vertex_sets_match(pent[:2], pent[:3], 100.0)
+        assert not vertex_sets_match(pent[:3], pent[:2], 100.0)
+
+
 class TestPseudoFocalPoints:
     def test_angle_against_inner_diagonal(self):
         # the auxiliary line through a concave vertex makes the angle
@@ -361,6 +406,15 @@ class TestRecognizePentagon:
     def test_adjacent_reflex_negative(self):
         pts = [Point(0, 0), Point(10, 0), Point(10, 10),
                Point(4.9, 1.5), Point(3.9, 1.4)]
+        assert recognize_pentagon(pts) is None
+
+    def test_pseudo_focal_point_outside_negative(self):
+        # two non-adjacent reflex angles, but x2 falls outside the pentagon
+        pts = [Point(*t) for t in [(-2, 2), (3, -5), (0, 0), (4, 5), (-6, 1)]]
+        pent = label_pentagon(pts)
+        assert pent is not None
+        x1, x2 = pseudo_focal_points(pent)
+        assert point_in_polygon(x1, pent.points) and not point_in_polygon(x2, pent.points)
         assert recognize_pentagon(pts) is None
 
     def test_exterior_pseudo_focals_negative(self):
