@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .body import ConvexComponent, EquidistantBody, FocalConfig, build_body, is_bounded
+from .body import ConvexComponent, EquidistantBody, FocalConfig, build_body
 from .body import _exact_clip, _float_point, _orientation_det, _same_point, _side_rows
-from .errors import MismatchedOuterSet
+from .errors import MismatchedOuterSet, Unbounded
 from .polygon import extract_boundary
 from .primitives import Point
 
@@ -174,9 +174,10 @@ def check_polytope(cfg: FocalConfig, clip_scale: float = 2.0) -> PolytopeVerdict
     Complement connectedness is decided by the boundary consisting of exactly
     one simple closed chain.  All failed criteria are reported.
     """
-    if not is_bounded(cfg):
+    try:
+        body = build_body(cfg, clip_scale)
+    except Unbounded:
         return PolytopeVerdict(False, (REASON_UNBOUNDED,), 0)
-    body = build_body(cfg, clip_scale)
     reasons = []
     if not is_interior_connected(build_graph(body)):
         reasons.append(REASON_INTERIOR_DISCONNECTED)

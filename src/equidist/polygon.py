@@ -15,8 +15,9 @@ The inner sites' Voronoi cells in Vor(K ∪ L) are built once per body, by
 further by the inner rows.  The boundary walk, ``voronoi_check`` and
 ``cell_polygons`` read them.
 The cell edges between an inner and an outer site are exactly the body's boundary.
-They are walked at exactly equal endpoints, and pinch points, refs, angle
-types, orientation and chain order are decided in integers; ``eps`` only merges consecutive
+The walk turns from one to the next through the inner cells that share their
+end, so a pinch point needs no comparison of directions; refs, angle types,
+orientation and chain order are decided in integers.  ``eps`` only merges consecutive
 chain vertices closer than eps times the extent of the focal points.
 Boundary extraction needs no regularity, so degenerate inputs (concircular
 focal quadruples) are handled by the same code and show up as double-change
@@ -370,26 +371,6 @@ def colored_weight_bound(cfg: FocalConfig, edge: HyperEdge) -> WeightBoundReport
     return WeightBoundReport(holds=lhs < rhs, attained=attained, lhs=lhs, rhs=rhs)
 
 
-def _direction(u, v):
-    """A positive multiple of the vector from u to v (homogeneous points, W > 0)."""
-    return v[0] * u[2] - u[0] * v[2], v[1] * u[2] - u[1] * v[2]
-
-
-def _clockwise_order(back):
-    """Comparator of directions by their clockwise angle from ``back``, in (0, 2*pi)."""
-
-    def half(d):  # 0 for a clockwise angle in (0, pi), 1 for one in [pi, 2*pi)
-        return 0 if back[0] * d[1] - back[1] * d[0] < 0 else 1
-
-    def cmp(d, e):
-        if half(d) != half(e):
-            return half(d) - half(e)
-        cross = d[0] * e[1] - d[1] * e[0]  # within a half the angles differ by less than pi
-        return (cross > 0) - (cross < 0)
-
-    return cmp_to_key(cmp)
-
-
 def _is_clockwise(verts) -> bool:
     """Exactly whether a closed polygon of homogeneous points (W > 0) has negative area."""
     num, den = 0, 1  # twice the area so far is num / den, den > 0
@@ -421,10 +402,13 @@ def extract_boundary(cfg: FocalConfig, clip_scale: float = 2.0, eps: float = EPS
     The body is the union of the closed Voronoi cells of the inner sites in
     Vor(K ∪ L), so its boundary is exactly the set of cell edges between an
     inner and an outer site: the edges on outer rows of the exact cells of
-    ``EquidistantBody.inner_cells``.  They are joined at exactly equal
-    homogeneous endpoints and walked with the body on the left.  At a pinch point the
-    arriving edge continues into the nearest leaving edge clockwise from it,
-    so it turns through a wedge of the body.  Refs, change types, angle
+    ``EquidistantBody.inner_cells``, walked with the body on the left.  The
+    edge after edge t of cell i is edge t + 1 of the cell.  While that edge
+    lies on the inner row q + i', it is also an edge of cell i' on row q + i,
+    listed reversed, and the walk goes on after it in cell i'.  So it turns
+    through the inner cells at the vertex, clockwise from the arriving edge,
+    and at a pinch point it leaves by the first boundary edge of that turn,
+    with no comparison of directions.  Refs, change types, angle
     types, orientation and chain order are decided exactly.  ``eps`` acts
     in one place only: consecutive chain vertices closer than eps times the
     extent of the focal points' bounding box are merged and their refs
@@ -441,47 +425,40 @@ def extract_boundary(cfg: FocalConfig, clip_scale: float = 2.0, eps: float = EPS
     blocks = [c._exact[0] for c in body.components]
     k = body.components[0]._exact[2]
 
-    edges = []  # (start, end, inner i, outer j): cell edges between inner i and outer j
-    for i, cell in enumerate(body.inner_cells):
-        for t, (vert, j) in enumerate(cell):
-            if 0 <= j < q:
-                edges.append((vert, cell[t + 1 - len(cell)][0], i, j))
+    cells = body.inner_cells
+    at = [{j: t for t, (_, j) in enumerate(cell)} for cell in cells]  # cell i's position of row j
 
-    leaving = {}
-    for e, edge in enumerate(edges):
-        leaving.setdefault(edge[0], []).append(e)
-
-    def successor(e):
-        u, v = edges[e][:2]
-        out = leaving[v]
-        if len(out) == 1:
-            return out[0]
-        order = _clockwise_order(_direction(v, u))
-        return min(out, key=lambda f: order(_direction(v, edges[f][1])))
+    def successor(i, t):
+        """The boundary edge after edge t of cell i, turning through the inner cells at its end."""
+        t = (t + 1) % len(cells[i])
+        while (j := cells[i][t][1]) >= q:  # shared with cell j - q, listed there on row q + i
+            i, t = j - q, (at[j - q][q + i] + 1) % len(cells[j - q])
+        return i, t
 
     def refs_at(vert, i):
-        """Indices into ``others`` of the sites nearest to a vertex of cell i, exactly."""
+        """The rows of block i with zero slack at a vertex of cell i: its nearest sites."""
         x, y, w = vert
         return {j for j, (a, b, c) in enumerate(blocks[i]) if c * w - a * x - b * y == 0}
 
     xs, ys = [p.x for p in cfg.points], [p.y for p in cfg.points]
     tol = eps * max(max(xs) - min(xs), max(ys) - min(ys))
-    seen = [False] * len(edges)
+    seen = set()
     out = []
-    for start in range(len(edges)):
-        if seen[start]:
+    for start in ((i, t) for i, cell in enumerate(cells)
+                  for t, (_, j) in enumerate(cell) if 0 <= j < q):
+        if start in seen:
             continue
         cycle = []
         e = start
-        while not seen[e]:
-            seen[e] = True
+        while e not in seen:
+            seen.add(e)
             cycle.append(e)
-            e = successor(e)
+            e = successor(*e)
         # per chain vertex: exact point, float point, refs, pair of the leaving edge
         verts, pts, refs, pairs = [], [], [], []
         prev = None
-        for e in cycle:
-            vert, _, i, j = edges[e]
+        for i, t in cycle:
+            vert, j = cells[i][t]
             pt = _float_point(vert, k)
             if prev is None or dist(prev, pt) >= tol:
                 verts.append(vert)

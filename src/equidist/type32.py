@@ -12,7 +12,6 @@ up to where a focal point first leaves through ab or da.  One round trip certifi
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
 
 from .body import FocalConfig, is_bounded
 from .errors import (
@@ -431,7 +430,7 @@ def _omega(cfg: FocalConfig, i: int, j: int, k: int) -> float:
 def classify_generic_32(cfg: FocalConfig) -> OrderingReport:
     """Viewing-angle report for a (3,2) configuration.
 
-    Finds the relabeling of focal points under which the three outer-pair
+    Derives the relabeling of focal points under which the three outer-pair
     viewing angles alternate between the two inner points (the pentagon
     ordering), reports which outer point the inner line separates from the
     other two, and tags non-regular inputs as concircular or collinear.
@@ -458,24 +457,24 @@ def classify_generic_32(cfg: FocalConfig) -> OrderingReport:
     separated = None
     delta_ordered = None
     if category == CATEGORY_GENERIC:
-        # ω(x; y_j, y_k) and ω(x; y_k, y_j) are one float: the six angles serve every order
-        omega = {}
-        for i in (0, 1):
-            for (j, k), w in zip(_OMEGA_PAIRS, omegas[i]):
-                omega[i, j, k] = omega[i, k, j] = w
-        for xo, yo in product(((0, 1), (1, 0)), permutations((0, 1, 2))):
-            w = [[omega[xi, yo[j], yo[k]] for j, k in _OMEGA_PAIRS] for xi in xo]
-            if not (w[0][0] > w[1][0] and w[0][1] < w[1][1] and w[0][2] > w[1][2]):
-                continue
-            sides = [orient(cfg.inner[xo[0]], cfg.inner[xo[1]], cfg.outer[j]) for j in yo]
-            lone = [m for m in range(3) if sides.count(sides[m]) == 1]
-            d_ok = deltas[yo[0]] < deltas[yo[1]]
-            if lone == [2] and d_ok:
-                labeling, separated, delta_ordered = (xo, yo), yo[2], True
-                break
-            if labeling is None:  # the first candidate, unless a later one is ordered
-                labeling, separated, delta_ordered = (
-                    (xo, yo), yo[lone[0]] if len(lone) == 1 else None, d_ok)
+        # the ordering wants ω(x0) - ω(x1) > 0 on (y0, y1) and (y2, y0), < 0 on (y1, y2): it
+        # exists when the three signs are nonzero and one differs, on the pair (y1, y2)
+        signs = [(a > b) - (a < b) for a, b in zip(*omegas)]
+        if 0 not in signs and abs(sum(signs)) == 1:
+            odd = signs.index(-sum(signs))
+            j, k = sorted(_OMEGA_PAIRS[odd])
+            y0 = 3 - j - k
+            xo = (0, 1) if signs[odd] < 0 else (1, 0)
+            for yo in ((y0, j, k), (y0, k, j)):
+                sides = [orient(cfg.inner[xo[0]], cfg.inner[xo[1]], cfg.outer[m]) for m in yo]
+                lone = [m for m in range(3) if sides.count(sides[m]) == 1]
+                d_ok = deltas[yo[0]] < deltas[yo[1]]
+                if lone == [2] and d_ok:
+                    labeling, separated, delta_ordered = (xo, yo), yo[2], True
+                    break
+                if labeling is None:  # the first order, unless the second is ordered
+                    labeling, separated, delta_ordered = (
+                        (xo, yo), yo[lone[0]] if len(lone) == 1 else None, d_ok)
 
     return OrderingReport(category=category, omegas=omegas, deltas=deltas,
                           closure_residuals=closure, labeling=labeling,

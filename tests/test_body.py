@@ -130,6 +130,10 @@ class TestConvexComponent:
         with pytest.raises(SiteInOuterSet):
             convex_component(Point(1, 1), [Point(1, 1)], BOX10)
 
+    def test_empty_outer_raises(self):
+        with pytest.raises(EmptySet):
+            convex_component(Point(0, 0), [], BOX10)
+
     def test_site_outside_clip_raises(self):
         with pytest.raises(PreconditionViolated):
             convex_component(Point(20, 0), [Point(1, 1)], BOX10)
@@ -167,6 +171,9 @@ class TestIsBounded:
 
     def test_collinear_outer_unbounded(self):
         assert not is_bounded(FocalConfig.of([(0, 0)], [(1, 1), (2, 2), (3, 3)]))
+
+    def test_two_outer_points_unbounded(self):
+        assert not is_bounded(FocalConfig.of([(0, 0)], [(1, 1), (-1, -1)]))
 
 
 class TestBoundingRadius:
@@ -224,6 +231,9 @@ class TestStarCenter:
         # (necessarily outside the outer hull, so the body is unbounded)
         cfg = FocalConfig.of([(0, 4)], [(2, -1), (-2, -1), (0, 3)])
         assert star_center(cfg) is None
+
+    def test_collinear_outer_has_no_center(self):
+        assert star_center(FocalConfig.of([(0, 1)], [(0, 0), (1, 0), (2, 0)])) is None
 
     def test_wrong_q_raises(self):
         with pytest.raises(PreconditionViolated):

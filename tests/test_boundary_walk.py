@@ -10,17 +10,48 @@ by 2**30 stays exact; grid inputs are integers already.
 import json
 import math
 import random
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from equidist.body import MEMBER_BOUNDARY, MEMBER_INSIDE, FocalConfig, build_body, membership
+from equidist.body import (
+    MEMBER_BOUNDARY,
+    MEMBER_INSIDE,
+    EquidistantBody,
+    FocalConfig,
+    _float_point,
+    _orientation_det,
+    build_body,
+    membership,
+)
 from equidist.cli import main
-from equidist.polygon import _clockwise_order, extract_boundary
-from equidist.primitives import Point, dist
+from equidist.errors import StitchFailure
+from equidist.polygon import (
+    ANGLE_CONCAVE,
+    ANGLE_CONVEX,
+    CHANGE_DOUBLE,
+    CHANGE_INNER,
+    CHANGE_OUTER,
+    PolygonChain,
+    VertexInfo,
+    _is_clockwise,
+    _xy_key,
+    extract_boundary,
+)
+from equidist.primitives import EPS_GEO, Point, dist
 from equidist.type32 import point_in_polygon
-from test_exact_graph import EXAMPLES, KINDS, SEEDS, SIZES, grid_config, mapped_config, ring_config
+from test_exact_graph import (
+    EXAMPLES,
+    KINDS,
+    MIXED,
+    SEEDS,
+    SIZES,
+    grid_config,
+    mapped_config,
+    ring_config,
+)
 
 
 def _snap(v: Point) -> Point:
@@ -154,18 +185,6 @@ def test_short_closing_edge_merges_into_vertex_zero():
     assert merged.edge_pairs == chain.edge_pairs[:-1]
 
 
-def test_clockwise_order_of_rays():
-    # every primitive integer direction around a vertex, against atan2; the
-    # exactly opposite ray (angle pi) and both half-turns are covered
-    rays = [(x, y) for x in range(-4, 5) for y in range(-4, 5) if math.gcd(x, y) == 1]
-    for back in rays:
-        order = _clockwise_order(back)
-        others = [d for d in rays if d != back]
-        by_angle = sorted(others, key=lambda d: (math.atan2(*back[::-1])
-                                                 - math.atan2(*d[::-1])) % (2 * math.pi))
-        assert sorted(others, key=order) == by_angle
-
-
 def _has_pinch_or_hole(chains):
     verts = [v for ch in chains for v in ch.vertices]
     pinch = len(set(verts)) < len(verts)
@@ -246,3 +265,154 @@ def test_chains_agree_with_distance_oracle_at_pinches_and_holes():
             assert inside == (m == MEMBER_INSIDE)
         checked += 1
     assert kinds == {"pinch", "hole"} and checked >= 10
+
+
+# --- the former walk, kept as an oracle --------------------------------------
+# It joined the boundary edges at equal endpoints and, at a pinch point, chose
+# the leaving edge by an exact angular sort.  The walk through the inner cells
+# must give the same chains.
+
+def _direction(u, v):
+    """A positive multiple of the vector from u to v (homogeneous points, W > 0)."""
+    return v[0] * u[2] - u[0] * v[2], v[1] * u[2] - u[1] * v[2]
+
+
+def _clockwise_order(back):
+    """Comparator of directions by their clockwise angle from ``back``, in (0, 2*pi)."""
+
+    def half(d):  # 0 for a clockwise angle in (0, pi), 1 for one in [pi, 2*pi)
+        return 0 if back[0] * d[1] - back[1] * d[0] < 0 else 1
+
+    def cmp(d, e):
+        if half(d) != half(e):
+            return half(d) - half(e)
+        cross = d[0] * e[1] - d[1] * e[0]  # within a half the angles differ by less than pi
+        return (cross > 0) - (cross < 0)
+
+    return cmp_to_key(cmp)
+
+
+def angular_extract_boundary(cfg: FocalConfig, clip_scale: float = 2.0, eps: float = EPS_GEO,
+                             body: EquidistantBody | None = None) -> list[PolygonChain]:
+    """Boundary of the body as closed counterclockwise chains, one per boundary cycle.
+
+    The body is the union of the closed Voronoi cells of the inner sites in
+    Vor(K ∪ L), so its boundary is exactly the set of cell edges between an
+    inner and an outer site: the edges on outer rows of the exact cells of
+    ``EquidistantBody.inner_cells``.  They are joined at exactly equal
+    homogeneous endpoints and walked with the body on the left.  At a pinch point the
+    arriving edge continues into the nearest leaving edge clockwise from it,
+    so it turns through a wedge of the body.  Refs, change types, angle
+    types, orientation and chain order are decided exactly.  ``eps`` acts
+    in one place only: consecutive chain vertices closer than eps times the
+    extent of the focal points' bounding box are merged and their refs
+    united, so a vertex the float input realises as a pair a few ulps apart
+    counts once.
+    """
+    if body is None:
+        body = build_body(cfg, clip_scale)
+    if any(c.clipped for c in body.components):
+        raise StitchFailure("component reaches the clip box; enlarge clip_scale")
+    q = cfg.q
+    # Each component keeps its site's block of rows, outer rows first.  The site's
+    # own row (0, 0, 0) cuts nothing and has zero slack, so refs_at lists the site.
+    blocks = [c._exact[0] for c in body.components]
+    k = body.components[0]._exact[2]
+
+    edges = []  # (start, end, inner i, outer j): cell edges between inner i and outer j
+    for i, cell in enumerate(body.inner_cells):
+        for t, (vert, j) in enumerate(cell):
+            if 0 <= j < q:
+                edges.append((vert, cell[t + 1 - len(cell)][0], i, j))
+
+    leaving = {}
+    for e, edge in enumerate(edges):
+        leaving.setdefault(edge[0], []).append(e)
+
+    def successor(e):
+        u, v = edges[e][:2]
+        out = leaving[v]
+        if len(out) == 1:
+            return out[0]
+        order = _clockwise_order(_direction(v, u))
+        return min(out, key=lambda f: order(_direction(v, edges[f][1])))
+
+    def refs_at(vert, i):
+        """Indices into ``others`` of the sites nearest to a vertex of cell i, exactly."""
+        x, y, w = vert
+        return {j for j, (a, b, c) in enumerate(blocks[i]) if c * w - a * x - b * y == 0}
+
+    xs, ys = [p.x for p in cfg.points], [p.y for p in cfg.points]
+    tol = eps * max(max(xs) - min(xs), max(ys) - min(ys))
+    seen = [False] * len(edges)
+    out = []
+    for start in range(len(edges)):
+        if seen[start]:
+            continue
+        cycle = []
+        e = start
+        while not seen[e]:
+            seen[e] = True
+            cycle.append(e)
+            e = successor(e)
+        # per chain vertex: exact point, float point, refs, pair of the leaving edge
+        verts, pts, refs, pairs = [], [], [], []
+        prev = None
+        for e in cycle:
+            vert, _, i, j = edges[e]
+            pt = _float_point(vert, k)
+            if prev is None or dist(prev, pt) >= tol:
+                verts.append(vert)
+                pts.append(pt)
+                refs.append(set())
+                pairs.append(None)
+            refs[-1] |= refs_at(vert, i)
+            pairs[-1] = (i, j)  # a merged vertex leaves by its last member's edge
+            prev = pt
+        if len(verts) > 1 and dist(prev, pts[0]) < tol:  # the edge back to vertex 0 is short
+            verts.pop()
+            pts.pop()
+            pairs.pop()
+            refs[0] |= refs.pop()
+        if _is_clockwise(verts):  # a hole: reverse, keeping vertex 0
+            verts, pts, refs = ([s[0]] + s[:0:-1] for s in (verts, pts, refs))
+            pairs.reverse()
+        n = len(verts)
+        info = []
+        for t, vref in enumerate(refs):
+            inner = tuple(sorted(j - q for j in vref if j >= q))
+            outer = tuple(sorted(j for j in vref if j < q))
+            change = (CHANGE_DOUBLE if len(inner) >= 2 and len(outer) >= 2
+                      else CHANGE_INNER if len(inner) >= 2 else CHANGE_OUTER)
+            convex = _orientation_det(verts[t - 1], verts[t], verts[t + 1 - n]) > 0
+            info.append(VertexInfo(angle_type=ANGLE_CONVEX if convex else ANGLE_CONCAVE,
+                                   change_type=change, inner_refs=inner, outer_refs=outer))
+        # rounding is monotone, so the exactly lowest vertex has the least float x
+        least_x = min(pt.x for pt in pts)
+        lowest = min((vert for vert, pt in zip(verts, pts) if pt.x == least_x), key=_xy_key)
+        out.append((lowest, PolygonChain(vertices=tuple(pts), vertex_info=tuple(info),
+                                         edge_pairs=tuple(pairs))))
+    out.sort(key=lambda item: _xy_key(item[0]))
+    return [chain for _, chain in out]
+
+
+def _pinch_and_hole_corpus():
+    """The grid bodies of the pinch and hole test, ring bodies and MIXED."""
+    yield from (grid_config(random.Random(seed), 8) for seed in range(60))
+    yield from (ring_config(random.Random(seed), 2 + seed % 7) for seed in range(30))
+    yield MIXED
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-3])
+def test_walk_through_cells_matches_angular_walk(monkeypatch, eps):
+    turns = []
+    angular = _clockwise_order
+
+    def counted(back):
+        turns.append(back)
+        return angular(back)
+
+    monkeypatch.setitem(globals(), "_clockwise_order", counted)
+    for cfg in _pinch_and_hole_corpus():
+        assert repr(extract_boundary(cfg, eps=eps)) == repr(angular_extract_boundary(cfg, eps=eps))
+    assert turns  # the corpus reaches the angular pinch-point branch

@@ -197,6 +197,25 @@ class TestExitCodes:
         assert code == 1
         assert json.loads(err)["error"]["type"] == "InvalidConfig"
 
+    def test_zero_samples_rejected(self, tmp_path, capsys):
+        path = write(tmp_path, "sq.json", SQUARE)
+        code, out, err = run_cli(capsys, ["voronoi-check", path, "--samples", "0"])
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["type"] == "InvalidConfig"
+
+    def test_points_not_a_list_is_parse_failure(self, tmp_path, capsys):
+        doc = {"inner": 5, "outer": SQUARE["outer"]}
+        code, out, err = run_cli(capsys, ["body", write(tmp_path, "five.json", doc)])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ParseFailure"
+
+    @pytest.mark.parametrize("doc", [SQUARE, {"polygon": [[0, 0], [1, 0]]}])
+    def test_no_polygon_of_three_vertices_is_parse_failure(self, tmp_path, capsys, doc):
+        path = write(tmp_path, "shape.json", doc)
+        code, out, err = run_cli(capsys, ["recognize-pentagon", path])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ParseFailure"
+
     @pytest.mark.parametrize("flag, value", [
         ("--eps", "nan"), ("--eps", "inf"), ("--eps", "0"),
         ("--clip-scale", "0"), ("--clip-scale", "-1"), ("--clip-scale", "nan"),
@@ -428,6 +447,17 @@ class TestRenderSvg:
         doc = svg_path.read_text()
         circles = doc.split('<g id="circles"')[1].split("</g>")[0]
         assert circles.count("<circle") == 5  # one per chain vertex
+
+    def test_irregular_input_shows_no_circles(self, tmp_path, capsys):
+        # the four outer points lie on one circle: irregular input shows no circles
+        doc = {"inner": [[0.1, 0.2]], "outer": SQUARE["outer"]}
+        svg_path = tmp_path / "irr.svg"
+        code, out, _ = run_cli(capsys, ["render", write(tmp_path, "irr.json", doc),
+                                        "--out", str(svg_path), "--show-circles"])
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["circles"] == 0 and result["chains"] == 1
+        assert '<g id="circles"' not in svg_path.read_text()
 
     def test_shape_only_scene(self, tmp_path, capsys):
         svg_path = tmp_path / "q.svg"

@@ -288,6 +288,10 @@ class TestViewingAngle:
                      + viewing_angle(inner, tri[2], tri[0]))
             assert abs(total - 2 * math.pi) < 1e-12
 
+    def test_ccw_variant_zero_ray_raises(self):
+        with pytest.raises(DegenerateRay):
+            viewing_angle_ccw(Point(1, 1), Point(2, 2), Point(1, 1))
+
     def test_ccw_variant_range_and_closure(self):
         v = Point(0.5, 0.25)
         a, b = Point(2, 0), Point(0, 2)
@@ -309,6 +313,14 @@ class TestLine:
         l2 = Line.normalized(0, 1, -2)
         assert line_intersection(l1, l2) == Point(1, 2)
         assert line_intersection(l1, l1) is None
+
+    def test_zero_normal_raises(self):
+        with pytest.raises(ValueError):
+            Line.normalized(0.0, 0.0, 1.0)
+
+    def test_through_coincident_points_raises(self):
+        with pytest.raises(CoincidentPoints):
+            Line.through(Point(1, 2), Point(1, 2))
 
 
 class TestSignedArea:

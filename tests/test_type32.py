@@ -4,6 +4,7 @@ import json
 import math
 import random
 from functools import partial
+from itertools import permutations, product
 
 import pytest
 
@@ -194,7 +195,47 @@ CONCIRC = FocalConfig.of([(-4, 3), (-4, -3)], [(3, 4), (3, -4), (-40, 0)])
 COLLIN = FocalConfig.of([(-1, 0), (1, 0)], [(3, 0), (-2, 4), (-2, -4)])
 
 
+def searched_labeling(cfg, rep):
+    """The former search over all 12 relabelings: (labeling, separated outer, delta ordered)."""
+    if rep.category != "generic":
+        return None, None, None
+    pairs = ((0, 1), (1, 2), (2, 0))
+    omega = {}
+    for i in (0, 1):
+        for (j, k), w in zip(pairs, rep.omegas[i]):
+            omega[i, j, k] = omega[i, k, j] = w
+    found = (None, None, None)
+    for xo, yo in product(((0, 1), (1, 0)), permutations((0, 1, 2))):
+        w = [[omega[xi, yo[j], yo[k]] for j, k in pairs] for xi in xo]
+        if not (w[0][0] > w[1][0] and w[0][1] < w[1][1] and w[0][2] > w[1][2]):
+            continue
+        sides = [orient(cfg.inner[xo[0]], cfg.inner[xo[1]], cfg.outer[j]) for j in yo]
+        lone = [m for m in range(3) if sides.count(sides[m]) == 1]
+        d_ok = rep.deltas[yo[0]] < rep.deltas[yo[1]]
+        if lone == [2] and d_ok:
+            return (xo, yo), yo[2], True
+        if found[0] is None:
+            found = (xo, yo), yo[lone[0]] if len(lone) == 1 else None, d_ok
+    return found
+
+
 class TestClassify32:
+    def test_labeling_matches_the_search_over_relabelings(self):
+        rng = random.Random(52)
+        cfgs = [random_generic_32(rng) for _ in range(200)]
+        grid = [(x, y) for x in range(-3, 4) for y in range(-3, 4)]
+        while len(cfgs) < 600:
+            pts = rng.sample(grid, 5)
+            cfg = FocalConfig.of(pts[:2], pts[2:])
+            if is_bounded(cfg):
+                cfgs.append(cfg)
+        ascending = set()  # whether the odd pair comes in ascending order, None without a labeling
+        for cfg in cfgs:
+            rep = classify_generic_32(cfg)
+            got = (rep.labeling, rep.separated_outer, rep.delta_ordered)
+            assert got == searched_labeling(cfg, rep)
+            ascending.add(rep.labeling and rep.labeling[1][1] < rep.labeling[1][2])
+        assert ascending == {None, False, True}
     def test_closure_at_both_inner_points(self):
         rng = random.Random(50)
         for _ in range(20):
