@@ -17,9 +17,10 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .body import FocalConfig, build_body, is_bounded
+from .body import FocalConfig, build_body
 from .connectivity import build_graph, check_polytope, graph_components
-from .errors import GeometryError, InvalidConfig, NumericalDegeneracy, RegularityViolated
+from .errors import (GeometryError, InvalidConfig, NumericalDegeneracy, RegularityViolated,
+                     Unbounded)
 from .polygon import (
     COLOR_XYX,
     COLOR_YXY,
@@ -336,9 +337,11 @@ def _scene_for(rc: RunConfig, data) -> tuple[Scene, dict]:
     chains = ()
     circles = ()
     cells = ()
-    bounded = is_bounded(cfg)
-    if bounded:
+    try:
         body = build_body(cfg, rc.clip_scale)
+    except Unbounded:
+        body = None
+    else:
         chains = tuple(ch.vertices for ch in extract_boundary(cfg, rc.clip_scale, rc.eps, body))
         if rc.show_circles:
             try:
@@ -350,7 +353,7 @@ def _scene_for(rc: RunConfig, data) -> tuple[Scene, dict]:
             cells = cell_polygons(body)
     scene = Scene(inner=cfg.inner, outer=cfg.outer, chains=chains,
                   circles=circles, cells=cells)
-    info = {"kind": "config", "bounded": bounded, "chains": len(chains),
+    info = {"kind": "config", "bounded": body is not None, "chains": len(chains),
             "circles": len(circles), "cells": len(cells)}
     return scene, info
 

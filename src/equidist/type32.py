@@ -33,11 +33,11 @@ from .primitives import (
     compose_three_reflections,
     coord_scale,
     dist,
+    incircle,
     line_intersection,
     orient,
     reflect_direction,
     reflect_point,
-    signed_area,
     viewing_angle,
 )
 
@@ -46,7 +46,6 @@ CATEGORY_CONCIRCULAR = "concircular"
 CATEGORY_COLLINEAR = "collinear"
 
 _OMEGA_PAIRS = ((0, 1), (1, 2), (2, 0))
-_ANGLE_TOL = 1e-9  # viewing angles this close are reported as an equal pair
 
 
 # ---------------------------------------------------------------------------
@@ -54,15 +53,13 @@ _ANGLE_TOL = 1e-9  # viewing angles this close are reported as an equal pair
 
 
 def point_in_polygon(p: Point, pts) -> bool:
-    """Even-odd crossing test; points on the boundary are not reliable."""
+    """Even-odd crossing test; p lies left of a crossing edge ab by one exact ``orient`` sign."""
     inside = False
     n = len(pts)
     for i in range(n):
         a, b = pts[i], pts[(i + 1) % n]
-        if (a.y > p.y) != (b.y > p.y):
-            xint = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
-            if p.x < xint:
-                inside = not inside
+        if (a.y > p.y) != (b.y > p.y) and orient(a, b, p) == (1 if b.y > p.y else -1):
+            inside = not inside
     return inside
 
 
@@ -146,17 +143,17 @@ class LabeledQuad:
 
 
 def _normalize_ccw(points):
+    """(ccw points, exact turns) of a simple polygon with no straight vertex, else None."""
     pts = list(points)
-    area = signed_area(pts)
-    if area == 0.0:
-        return None
-    if area < 0.0:
-        pts.reverse()
     if not is_simple_polygon(pts):
         return None
     turns = [orient(pts[i - 1], pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts))]
     if any(t == 0 for t in turns):
         return None
+    # a simple polygon is convex at its lexicographically lowest vertex
+    if turns[pts.index(min(pts, key=tuple))] < 0:
+        pts.reverse()
+        turns = [-t for t in turns[::-1]]
     return pts, turns
 
 
@@ -254,9 +251,10 @@ def _certify(cfg: FocalConfig, defect: float, kind: str, source, clip_scale: flo
     Raises RoundTripFailure otherwise; ``defect`` is kept relative to the scale of ``source``.
     """
     participle, mismatch = _ROUND_TRIP[kind]
-    if not is_bounded(cfg):
-        raise RoundTripFailure(f"{participle} focal configuration is unbounded")
-    chains = extract_boundary(cfg, clip_scale=clip_scale, eps=eps)
+    try:
+        chains = extract_boundary(cfg, clip_scale=clip_scale, eps=eps)
+    except Unbounded:
+        raise RoundTripFailure(f"{participle} focal configuration is unbounded") from None
     if len(chains) != 1:
         raise RoundTripFailure(f"{participle} boundary is not a single chain")
     scale = coord_scale(source)
@@ -428,53 +426,38 @@ def _omega(cfg: FocalConfig, i: int, j: int, k: int) -> float:
 
 
 def classify_generic_32(cfg: FocalConfig) -> OrderingReport:
-    """Viewing-angle report for a (3,2) configuration.
+    """Viewing-angle report for a (3,2) configuration; each decision is an exact sign.
 
-    Derives the relabeling of focal points under which the three outer-pair
-    viewing angles alternate between the two inner points (the pentagon
-    ordering), reports which outer point the inner line separates from the
-    other two, and tags non-regular inputs as concircular or collinear.
+    The line x0x1 separates one outer point s from a and b, and the ray from x0
+    through x1 leaves by the side s-a.  Each triangle x0 x1 y has angle sum π, so
+    ω(x0) - ω(x1) is -(δa + δs) on (a, s), δb + δs on (b, s) and δa - δb on (a, b).
+    The angles thus alternate (the pentagon ordering) under y2 = s, y1 the one of a, b
+    with the larger δ (an in-circle sign) and x0 the inner point whose ray to the other
+    leaves by s-y1 (an orient sign), so every labeled report has ``delta_ordered`` true.
+    A pair's two ω are equal iff its outer points and x0, x1 are concircular.
+    Non-regular inputs are tagged concircular or collinear and not labeled.
     """
     if cfg.p != 2 or cfg.q != 3:
         raise PreconditionViolated("classification needs exactly 2 inner and 3 outer points")
     if not is_bounded(cfg):
         raise Unbounded("classification needs a bounded configuration")
     reg = check_regularity(cfg)
+    (x0, x1), ys = cfg.inner, cfg.outer
     omegas = tuple(tuple(_omega(cfg, i, j, k) for j, k in _OMEGA_PAIRS) for i in (0, 1))
-    deltas = tuple(viewing_angle(cfg.outer[j], cfg.inner[0], cfg.inner[1]) for j in range(3))
+    deltas = tuple(viewing_angle(y, x0, x1) for y in ys)
     closure = tuple(abs(sum(om) - TWO_PI) for om in omegas)
-    equal_pairs = tuple(_OMEGA_PAIRS[m] for m in range(3)
-                        if abs(omegas[0][m] - omegas[1][m]) <= _ANGLE_TOL)
+    equal_pairs = tuple((j, k) for j, k in _OMEGA_PAIRS if incircle(ys[j], ys[k], x0, x1) == 0)
 
-    if reg.collinear:
-        category = CATEGORY_COLLINEAR
-    elif reg.concircular:
-        category = CATEGORY_CONCIRCULAR
-    else:
-        category = CATEGORY_GENERIC
-
-    labeling = None
-    separated = None
-    delta_ordered = None
+    category = (CATEGORY_COLLINEAR if reg.collinear
+                else CATEGORY_CONCIRCULAR if reg.concircular else CATEGORY_GENERIC)
+    labeling = separated = delta_ordered = None
     if category == CATEGORY_GENERIC:
-        # the ordering wants ω(x0) - ω(x1) > 0 on (y0, y1) and (y2, y0), < 0 on (y1, y2): it
-        # exists when the three signs are nonzero and one differs, on the pair (y1, y2)
-        signs = [(a > b) - (a < b) for a, b in zip(*omegas)]
-        if 0 not in signs and abs(sum(signs)) == 1:
-            odd = signs.index(-sum(signs))
-            j, k = sorted(_OMEGA_PAIRS[odd])
-            y0 = 3 - j - k
-            xo = (0, 1) if signs[odd] < 0 else (1, 0)
-            for yo in ((y0, j, k), (y0, k, j)):
-                sides = [orient(cfg.inner[xo[0]], cfg.inner[xo[1]], cfg.outer[m]) for m in yo]
-                lone = [m for m in range(3) if sides.count(sides[m]) == 1]
-                d_ok = deltas[yo[0]] < deltas[yo[1]]
-                if lone == [2] and d_ok:
-                    labeling, separated, delta_ordered = (xo, yo), yo[2], True
-                    break
-                if labeling is None:  # the first order, unless the second is ordered
-                    labeling, separated, delta_ordered = (
-                        (xo, yo), yo[lone[0]] if len(lone) == 1 else None, d_ok)
+        sides = [orient(x0, x1, y) for y in ys]
+        s = next(m for m in range(3) if sides.count(sides[m]) == 1)
+        a, b = (m for m in range(3) if m != s)
+        y0, y1 = (a, b) if incircle(x0, x1, ys[a], ys[b]) == 1 else (b, a)
+        xo = (0, 1) if sides[s] == orient(ys[s], ys[y0], ys[y1]) else (1, 0)
+        labeling, separated, delta_ordered = (xo, (y0, y1, s)), s, True
 
     return OrderingReport(category=category, omegas=omegas, deltas=deltas,
                           closure_residuals=closure, labeling=labeling,

@@ -73,7 +73,7 @@ def _centroid(pts):
 
 def random_generic_32(rng: random.Random) -> FocalConfig:
     """Random bounded regular configuration with 2 inner and 3 outer points."""
-    from equidist.type32 import signed_area
+    from equidist.primitives import signed_area
 
     while True:
         outer = [Point(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(3)]

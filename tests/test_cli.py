@@ -6,8 +6,11 @@ import math
 
 import pytest
 
+from equidist import body as body_module
 from equidist import cli
+from equidist.body import FocalConfig
 from equidist.cli import format_json, main
+from equidist.polygon import extract_boundary
 
 SQUARE = {"inner": [[0, 0]], "outer": [[2, 0], [-2, 0], [0, 2], [0, -2]]}
 QUAD = {"polygon": [[0, 0], [6, 0], [2, 2], [0, 6]]}
@@ -330,6 +333,38 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, ["body", write(tmp_path, "u.json", UNBOUNDED)])
         assert code == 1
         assert json.loads(err)["error"]["type"] == "Unbounded"
+
+
+class TestOuterHullBuilds:
+    """Each command builds the outer hull once: hypergraph builds no body, and boundary a
+    second one for its polytope verdict."""
+
+    @pytest.mark.parametrize("command, doc, builds", [
+        ("body", GENERIC_32, 1),
+        ("graph", GENERIC_32, 1),
+        ("boundary", GENERIC_32, 2),
+        ("hypergraph", GENERIC_32, 0),
+        ("classify32", GENERIC_32, 1),
+        ("voronoi-check", GENERIC_32, 1),
+        ("render", GENERIC_32, 1),
+        ("render", UNBOUNDED, 1),
+        ("recognize-pentagon", None, 1),
+        ("construct-quad", QUAD, 1),
+    ], ids=["body", "graph", "boundary", "hypergraph", "classify32", "voronoi-check", "render",
+            "render-unbounded", "recognize-pentagon", "construct-quad"])
+    def test_convex_hull_builds(self, tmp_path, capsys, monkeypatch, command, doc, builds):
+        if doc is None:  # the pentagon that GENERIC_32 bounds
+            cfg = FocalConfig.of(GENERIC_32["inner"], GENERIC_32["outer"])
+            doc = {"polygon": [list(v) for v in extract_boundary(cfg)[0].vertices]}
+        args = [command, write(tmp_path, "in.json", doc), "--samples", "50"]
+        if command == "render":
+            args += ["--out", str(tmp_path / "out.svg"), "--show-circles", "--show-voronoi"]
+        calls = []
+        hull = body_module.convex_hull
+        monkeypatch.setattr(body_module, "convex_hull", lambda pts: calls.append(1) or hull(pts))
+        code, out, _ = run_cli(capsys, args)
+        assert code == 0 and '"error"' not in out
+        assert len(calls) == builds
 
 
 class TestExactConstructions:

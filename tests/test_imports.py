@@ -1,7 +1,8 @@
 """The engine runs on the Python standard library alone and imports only what it uses.
 
 The benchmark's tracer, ``bench/spans.py``, wraps engine functions by name, so
-the names it lists must stay in the engine.
+the names it lists must stay in the engine.  Every float tolerance the engine
+keeps is listed here, where it stands.
 """
 
 import ast
@@ -9,6 +10,7 @@ import importlib
 import importlib.util
 import pathlib
 import sys
+from collections import Counter
 
 import equidist
 
@@ -78,3 +80,37 @@ def test_every_imported_name_is_used():
         unused += [(path.name, name) for name in imported
                    if name not in used and (path.name, name) not in UNUSED_ALLOWED]
     assert unused == []
+
+
+# float literals 0 < |v| < 1e-6 by (module, enclosing def); a new tolerance is declared here
+TOLERANCES = {
+    ("primitives", ""): 3,  # EPS_GEO, TAU_CONC, EPS_RT
+    ("cli", "RunConfig"): 1,  # the eps default
+    ("body", "bounding_radius"): 1,
+    ("polygon", "colored_weight_bound"): 1,
+    ("svg", "_Mapper.__init__"): 2,
+    ("type32", "_exit_param"): 2,  # the segment band of the ray's exit
+}
+
+
+def small_float_literals():
+    """Counter of (module, dotted enclosing def or class) for each small float literal."""
+    found = Counter()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Constant) and type(child.value) is float
+                    and 0.0 < abs(child.value) < 1e-6):
+                found[module, ".".join(scope)] += 1
+            visit(child, module, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, ())
+    return found
+
+
+def test_float_tolerances_are_declared():
+    assert small_float_literals() == Counter(TOLERANCES)

@@ -3,10 +3,13 @@
 import json
 import math
 import random
+from fractions import Fraction
 from functools import partial
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_concave_quad, random_generic_32, random_pentagon_config
 from equidist import cli, type32
@@ -20,7 +23,7 @@ from equidist.errors import (
     RoundTripFailure,
     Unbounded,
 )
-from equidist.polygon import extract_boundary
+from equidist.polygon import check_regularity, extract_boundary
 from equidist.primitives import (
     Line,
     Point,
@@ -28,6 +31,7 @@ from equidist.primitives import (
     orient,
     reflect_direction,
     reflect_point,
+    signed_area,
     viewing_angle,
     viewing_angle_ccw,
 )
@@ -46,6 +50,7 @@ from equidist.type32 import (
     segments_intersect,
     vertex_sets_match,
 )
+from test_integer_exact import frac_incircle_exact
 
 # ---------------------------------------------------------------------------
 # oracles: the general-polygon scans that type32 ran before the dart and
@@ -658,9 +663,9 @@ class TestEachStageOnce:
                                                "_exit_param", "is_bounded"])
         assert cli.main(args) == 0
         assert capsys.readouterr().out == want
-        # two exits for the ray, one boundedness test in the round trip
+        # two exits for the ray; the round trip's body tests boundedness itself
         assert calls == {"_auxiliary_ray": 1, "_feasible_intervals": 1, "_exit_param": 2,
-                         "is_bounded": 1}
+                         "is_bounded": 0}
 
 
 class TestDartAndTwoEars:
@@ -759,7 +764,10 @@ class TestRoundTripFailureTexts:
             run = partial(construct_quad_focals, quad, t)
         assert run() is not None
         texts = []
-        for name, fake in (("is_bounded", lambda cfg: False),
+        def unbounded(*args, **kwargs):
+            raise Unbounded("outer hull")
+
+        for name, fake in (("extract_boundary", unbounded),
                            ("extract_boundary", lambda *args, **kwargs: []),
                            ("vertex_sets_match", lambda *args: False)):
             with monkeypatch.context() as patched:
@@ -768,3 +776,176 @@ class TestRoundTripFailureTexts:
                     run()
             texts.append(str(exc.value))
         assert texts == self.TEXTS[kind]
+
+
+# ---------------------------------------------------------------------------
+# exact signs of the (3,2) layer, against Fraction oracles
+
+
+def cot_terms(v, a, b):
+    """(a - v)·(b - v) and |(a - v) x (b - v)| as Fractions: cot of the angle a v b is their ratio."""
+    ax, ay = Fraction(a.x) - Fraction(v.x), Fraction(a.y) - Fraction(v.y)
+    bx, by = Fraction(b.x) - Fraction(v.x), Fraction(b.y) - Fraction(v.y)
+    return ax * bx + ay * by, abs(ax * by - ay * bx)
+
+
+def angle_sign(u, w) -> int:
+    """Sign of angle u - angle w, each given by its ``cot_terms``; cot falls on (0, pi)."""
+    (dot_u, cross_u), (dot_w, cross_w) = u, w
+    diff = dot_w * cross_u - dot_u * cross_w
+    return (diff > 0) - (diff < 0)
+
+
+def alternates_exactly(cfg, labeling) -> bool:
+    """The pentagon ordering and delta(y0) < delta(y1), decided on Fractions."""
+    xo, yo = labeling
+    x0, x1 = (cfg.inner[i] for i in xo)
+    ys = [cfg.outer[j] for j in yo]
+    signs = [angle_sign(cot_terms(x0, ys[j], ys[k]), cot_terms(x1, ys[j], ys[k]))
+             for j, k in ((0, 1), (1, 2), (2, 0))]
+    return signs == [1, -1, 1] and angle_sign(cot_terms(ys[0], x0, x1),
+                                              cot_terms(ys[1], x0, x1)) == -1
+
+
+# integer points of the circle x^2 + y^2 = 625
+CIRCLE = [Point(float(x), float(y))
+          for x in range(-25, 26) for y in range(-25, 26) if x * x + y * y == 625]
+
+
+def near_tie_32(rng):
+    """A bounded (3,2) configuration with two outer and both inner points on CIRCLE, and the
+    same one with an inner coordinate moved by 1 to 1000 ulps, which is exactly generic."""
+    while True:
+        yj, yk, xa, xb = rng.sample(CIRCLE, 4)
+        side = orient(yj, yk, xa)
+        if orient(yj, yk, xb) != side:
+            continue
+        # the third outer point lies beyond the arc of xa and xb, on the chord's bisector
+        t = side * rng.uniform(1.0, 30.0)
+        yl = Point(float(round((yj.x + yk.x) / 2 - t * (yk.y - yj.y))),
+                   float(round((yj.y + yk.y) / 2 + t * (yk.x - yj.x))))
+        outer, inner = [yj, yk, yl], [xa, xb]
+        rng.shuffle(outer)
+        rng.shuffle(inner)
+        on_circle = FocalConfig(tuple(inner), tuple(outer))
+        if not is_bounded(on_circle):
+            continue
+        i, toward = rng.randrange(2), rng.choice((math.inf, -math.inf))
+        coords = list(inner[i])
+        c = rng.randrange(2)
+        for _ in range(rng.randint(1, 1000)):
+            coords[c] = math.nextafter(coords[c], toward)
+        inner[i] = Point(*coords)
+        moved = FocalConfig(tuple(inner), tuple(outer))
+        if is_bounded(moved) and check_regularity(moved).ok:
+            return on_circle, moved
+
+
+class TestExactSigns:
+    """Labeling, equal pairs, crossings and orientation are exact, where floats tie."""
+
+    @staticmethod
+    def exactly_equal_pairs(cfg):
+        return tuple((j, k) for j, k in ((0, 1), (1, 2), (2, 0))
+                     if frac_incircle_exact(cfg.outer[j], cfg.outer[k], *cfg.inner) == 0)
+
+    def test_near_ties_are_labeled_and_alternate_exactly(self):
+        rng = random.Random(70)
+        for _ in range(300):
+            on_circle, moved = near_tie_32(rng)
+            pairs = classify_generic_32(on_circle).equal_omega_pairs
+            assert pairs == self.exactly_equal_pairs(on_circle) != ()
+            rep = classify_generic_32(moved)
+            assert rep.category == "generic"
+            assert rep.equal_omega_pairs == self.exactly_equal_pairs(moved) == ()
+            assert alternates_exactly(moved, rep.labeling)
+            assert rep.separated_outer == rep.labeling[1][2] and rep.delta_ordered is True
+
+    def test_point_in_polygon_on_rounded_edge_points(self):
+        def crossing_oracle(p, pts):
+            inside = False
+            for a, b in zip(pts, pts[1:] + pts[:1]):
+                if (a.y > p.y) != (b.y > p.y):
+                    ax, ay, bx, by = map(Fraction, (a.x, a.y, b.x, b.y))
+                    if p.x < ax + (Fraction(p.y) - ay) * (bx - ax) / (by - ay):
+                        inside = not inside
+            return inside
+
+        rng = random.Random(72)
+        for _ in range(1000):
+            pts = [Point(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(5)]
+            c = Point(sum(p.x for p in pts) / 5, sum(p.y for p in pts) / 5)
+            pts.sort(key=lambda p: math.atan2(p.y - c.y, p.x - c.x))
+            e = rng.randrange(5)
+            a, b, t = pts[e - 1], pts[e], rng.random()
+            p = Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+            assert point_in_polygon(p, pts) == crossing_oracle(p, pts)
+
+    def test_flat_shapes_far_out_are_labeled_by_exact_orientation(self):
+        def exact_twice_area(pts):
+            return sum(Fraction(a.x) * Fraction(b.y) - Fraction(b.x) * Fraction(a.y)
+                       for a, b in zip(pts, pts[1:] + pts[:1]))
+
+        rng = random.Random(73)
+        labeled = float_sign_wrong = 0
+        for n in range(900):
+            k = 4 + n % 2
+            raw = [Point(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(k)]
+            c = Point(sum(p.x for p in raw) / k, sum(p.y for p in raw) / k)
+            raw.sort(key=lambda p: math.atan2(p.y - c.y, p.x - c.x), reverse=rng.random() < 0.5)
+            off = (0.0, 1e6, 1e12)[n % 3]
+            pts = [Point(p.x + off, 1e-9 * p.y + off) for p in raw]
+            norm = type32._normalize_ccw(pts)
+            if norm is None:
+                continue
+            ccw, turns = norm
+            area = exact_twice_area(ccw)
+            assert area > 0
+            assert turns == [orient(ccw[i - 1], ccw[i], ccw[(i + 1) % k]) for i in range(k)]
+            assert ccw in (pts, pts[::-1])
+            labeled += 1
+            float_sign_wrong += (signed_area(pts) > 0) != (exact_twice_area(pts) > 0)
+        assert labeled > 150 and float_sign_wrong > 20
+
+
+EXAMPLES = settings(max_examples=40, deadline=None, derandomize=True)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def drawn_32(seed: int, near_tie: bool) -> FocalConfig:
+    rng = random.Random(seed)
+    return near_tie_32(rng)[1] if near_tie else random_generic_32(rng)
+
+
+def mapped(cfg, f) -> FocalConfig:
+    return FocalConfig(tuple(map(f, cfg.inner)), tuple(map(f, cfg.outer)))
+
+
+class TestClassify32Invariance:
+    """The labeling follows the points: relabeled, turned by 90 degrees or scaled by 2^k."""
+
+    @EXAMPLES
+    @given(seed=SEEDS, near_tie=st.booleans(), perm=st.permutations(range(3)))
+    def test_relabeling(self, seed, near_tie, perm):
+        cfg = drawn_32(seed, near_tie)
+        (xo, yo) = classify_generic_32(cfg).labeling
+        swapped = FocalConfig(cfg.inner[::-1], cfg.outer)
+        assert classify_generic_32(swapped).labeling == (xo[::-1], yo)
+        outer = [None] * 3
+        for j, y in enumerate(cfg.outer):
+            outer[perm[j]] = y  # outer point j becomes perm[j]
+        rep = classify_generic_32(FocalConfig(cfg.inner, tuple(outer)))
+        assert rep.labeling == (xo, tuple(perm[j] for j in yo))
+        assert rep.separated_outer == perm[yo[2]]
+
+    @EXAMPLES
+    @given(seed=SEEDS, near_tie=st.booleans(), k=st.integers(-30, 30))
+    def test_rotation_and_power_of_two_scaling(self, seed, near_tie, k):
+        cfg = drawn_32(seed, near_tie)
+        rep = classify_generic_32(cfg)
+        turned = classify_generic_32(mapped(cfg, lambda v: Point(-v.y, v.x)))
+        scaled = classify_generic_32(mapped(cfg, lambda v: Point(math.ldexp(v.x, k),
+                                                                  math.ldexp(v.y, k))))
+        for other in (turned, scaled):
+            assert (other.labeling, other.separated_outer, other.equal_omega_pairs) == (
+                rep.labeling, rep.separated_outer, rep.equal_omega_pairs)
