@@ -437,8 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps", type=float,
                        help=f"relative tolerance (default {RunConfig.eps}): the boundary "
                             "chains of body, boundary, render and the (3,2) round trips merge "
-                            "consecutive vertices closer than eps times the extent of "
-                            "the focal points; voronoi-check skips samples whose two "
+                            "each run of consecutive vertices closer than eps times the "
+                            "extent of the focal points into its first member, and start "
+                            "at their lowest vertex; voronoi-check skips samples whose two "
                             "nearest focal distances differ by at most eps times the "
                             "coordinate scale")
         p.add_argument("--clip-scale", type=float,

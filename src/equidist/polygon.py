@@ -17,8 +17,9 @@ further by the inner rows.  The boundary walk, ``voronoi_check`` and
 The cell edges between an inner and an outer site are exactly the body's boundary.
 The walk turns from one to the next through the inner cells that share their
 end, so a pinch point needs no comparison of directions; refs, angle types,
-orientation and chain order are decided in integers.  ``eps`` only merges consecutive
-chain vertices closer than eps times the extent of the focal points.
+orientation and chain order are decided in integers, and vertex 0 of a chain is its
+exactly lowest vertex.  ``eps`` only merges each run of consecutive chain vertices
+closer than eps times the extent of the focal points; a run keeps its first member's point.
 Boundary extraction needs no regularity, so degenerate inputs (concircular
 focal quadruples) are handled by the same code and show up as double-change
 vertices.
@@ -48,7 +49,7 @@ from .primitives import (
     circumcircle,
     dist,
     dyadic_ints,
-    incircle,  # noqa: F401  kept: bench/spans.py counts calls through polygon.incircle
+    incircle,
     orient,
     signed_area,
     viewing_angle,
@@ -107,7 +108,7 @@ class VertexInfo:
 
 @dataclass(frozen=True)
 class PolygonChain:
-    """Closed counterclockwise boundary chain.
+    """Closed counterclockwise boundary chain, from its exactly lowest vertex by (x, y).
 
     ``edge_pairs[m]`` is the (inner index, outer index) pair whose bisector
     carries the edge from ``vertices[m]`` to ``vertices[m+1]``.
@@ -348,27 +349,28 @@ class WeightBoundReport:
 def colored_weight_bound(cfg: FocalConfig, edge: HyperEdge) -> WeightBoundReport:
     """Max-angle form of the empty-circle condition for one colored edge.
 
-    The weight must equal the largest viewing angle of the chord on the lone
+    The weight must equal the largest viewing angle of the chord ab on the lone
     point's side of the chord line, and stay below pi minus the largest
-    viewing angle on the opposite side.
+    viewing angle on the opposite side.  By the inscribed-angle theorem both
+    flags are exact in-circle signs: ``attained`` when no point on the lone
+    point's side lies strictly inside the circle through a, it and b, and
+    ``holds`` when every point on the other side lies strictly outside the
+    circle through a, b and z, the same-side point whose circle holds no
+    other.  ``lhs`` and ``rhs`` are the float angles.
     """
-    a = ref_point(cfg, edge.refs[0])
-    v = ref_point(cfg, edge.refs[1])
-    b = ref_point(cfg, edge.refs[2])
+    a, v, b = (ref_point(cfg, r) for r in edge.refs)
     sgn = orient(a, b, v)
-    plus, minus = [], []
-    for _, z in labeled_points(cfg):
-        if z in (a, b):
-            continue
-        s = orient(a, b, z)
-        if s == sgn:
-            plus.append(viewing_angle(z, a, b))
-        elif s == -sgn:
-            minus.append(viewing_angle(z, a, b))
-    lhs = max(plus)
-    rhs = math.pi - max(minus) if minus else math.pi
-    attained = abs(lhs - edge.weight) <= 1e-12 * math.pi
-    return WeightBoundReport(holds=lhs < rhs, attained=attained, lhs=lhs, rhs=rhs)
+    plus = [z for _, z in labeled_points(cfg) if orient(a, b, z) == sgn]
+    minus = [z for _, z in labeled_points(cfg) if orient(a, b, z) == -sgn]
+    z = v  # circles through a and b are nested on one side: move to each point inside
+    for y in plus:
+        if incircle(a, b, z, y) > 0:
+            z = y
+    lhs = max(viewing_angle(y, a, b) for y in plus)
+    rhs = math.pi - max((viewing_angle(y, a, b) for y in minus), default=0.0)
+    return WeightBoundReport(holds=all(incircle(a, b, z, y) < 0 for y in minus),
+                             attained=all(incircle(a, v, b, y) <= 0 for y in plus),
+                             lhs=lhs, rhs=rhs)
 
 
 def _is_clockwise(verts) -> bool:
@@ -395,6 +397,59 @@ def cell_polygons(body: EquidistantBody) -> tuple[tuple[Point, ...], ...]:
     return tuple(tuple(_float_point(vert, k) for vert, _ in cell) for cell in body.inner_cells)
 
 
+def _chains(cfg: FocalConfig, body: EquidistantBody, eps: float, cycles) -> list[PolygonChain]:
+    """The chains of walked cycles of boundary steps (inner i, exact vertex, row j), sorted.
+
+    A step joins the run of its predecessor when their float points are closer
+    than eps times the extent of the focal points.  A run becomes one vertex at
+    its first member, or at its exactly lowest step if it is the whole cycle.
+    Holes are reversed, and vertex 0 is the exactly lowest vertex.
+    """
+    q = cfg.q
+    # Each component keeps its site's block of rows, outer rows first.  The site's
+    # own row (0, 0, 0) cuts nothing and has zero slack, so refs list the site.
+    blocks = [c._exact[0] for c in body.components]
+    k = body.components[0]._exact[2]
+    xs, ys = [p.x for p in cfg.points], [p.y for p in cfg.points]
+    tol = eps * max(max(xs) - min(xs), max(ys) - min(ys))
+    out = []
+    for cycle in filter(None, cycles):
+        n = len(cycle)
+        step_pts = [_float_point(vert, k) for _, vert, _ in cycle]
+        joins = [dist(step_pts[m - 1], step_pts[m]) < tol for m in range(n)]
+        first = min(range(n), key=lambda m: (joins[m], _xy_key(cycle[m][1])))  # starts a run
+        # per chain vertex: exact point, float point, refs, pair of the leaving edge
+        verts, pts, refs, pairs = [], [], [], []
+        for m in range(first, first + n):
+            i, vert, j = cycle[m % n]
+            if m == first or not joins[m % n]:
+                verts.append(vert)
+                pts.append(step_pts[m % n])
+                refs.append(set())
+                pairs.append(None)
+            x, y, w = vert  # the rows of block i with zero slack: the nearest sites
+            refs[-1].update(r for r, (a, b, c) in enumerate(blocks[i]) if c * w == a * x + b * y)
+            pairs[-1] = (i, j)  # a run leaves by its last member's edge
+        if _is_clockwise(verts):  # a hole: reverse, keeping vertex 0
+            verts, pts, refs = ([s[0]] + s[:0:-1] for s in (verts, pts, refs))
+            pairs.reverse()
+        r = min(range(len(verts)), key=lambda t: _xy_key(verts[t]))
+        verts, pts, refs, pairs = (s[r:] + s[:r] for s in (verts, pts, refs, pairs))
+        info = []
+        for t, vref in enumerate(refs):
+            inner = tuple(sorted(j - q for j in vref if j >= q))
+            outer = tuple(sorted(j for j in vref if j < q))
+            change = (CHANGE_DOUBLE if len(inner) >= 2 and len(outer) >= 2
+                      else CHANGE_INNER if len(inner) >= 2 else CHANGE_OUTER)
+            convex = _orientation_det(verts[t - 1], verts[t], verts[t + 1 - len(verts)]) > 0
+            info.append(VertexInfo(angle_type=ANGLE_CONVEX if convex else ANGLE_CONCAVE,
+                                   change_type=change, inner_refs=inner, outer_refs=outer))
+        out.append((verts[0], PolygonChain(vertices=tuple(pts), vertex_info=tuple(info),
+                                           edge_pairs=tuple(pairs))))
+    out.sort(key=lambda item: _xy_key(item[0]))
+    return [chain for _, chain in out]
+
+
 def extract_boundary(cfg: FocalConfig, clip_scale: float = 2.0, eps: float = EPS_GEO,
                      body: EquidistantBody | None = None) -> list[PolygonChain]:
     """Boundary of the body as closed counterclockwise chains, one per boundary cycle.
@@ -409,22 +464,19 @@ def extract_boundary(cfg: FocalConfig, clip_scale: float = 2.0, eps: float = EPS
     through the inner cells at the vertex, clockwise from the arriving edge,
     and at a pinch point it leaves by the first boundary edge of that turn,
     with no comparison of directions.  Refs, change types, angle
-    types, orientation and chain order are decided exactly.  ``eps`` acts
-    in one place only: consecutive chain vertices closer than eps times the
-    extent of the focal points' bounding box are merged and their refs
-    united, so a vertex the float input realises as a pair a few ulps apart
-    counts once.
+    types, orientation and chain order are decided exactly.  Vertex 0 of a
+    chain is its exactly lowest vertex by (x, y), and chains are sorted by
+    it.  ``eps`` acts in one place only: each maximal run of consecutive chain
+    vertices closer than eps times the extent of the focal points' bounding
+    box is merged into one vertex, which keeps its first member's point and
+    unites the refs, so a vertex the float input realises as a pair a few ulps
+    apart counts once.
     """
     if body is None:
         body = build_body(cfg, clip_scale)
     if any(c.clipped for c in body.components):
         raise StitchFailure("component reaches the clip box; enlarge clip_scale")
     q = cfg.q
-    # Each component keeps its site's block of rows, outer rows first.  The site's
-    # own row (0, 0, 0) cuts nothing and has zero slack, so refs_at lists the site.
-    blocks = [c._exact[0] for c in body.components]
-    k = body.components[0]._exact[2]
-
     cells = body.inner_cells
     at = [{j: t for t, (_, j) in enumerate(cell)} for cell in cells]  # cell i's position of row j
 
@@ -435,64 +487,16 @@ def extract_boundary(cfg: FocalConfig, clip_scale: float = 2.0, eps: float = EPS
             i, t = j - q, (at[j - q][q + i] + 1) % len(cells[j - q])
         return i, t
 
-    def refs_at(vert, i):
-        """The rows of block i with zero slack at a vertex of cell i: its nearest sites."""
-        x, y, w = vert
-        return {j for j, (a, b, c) in enumerate(blocks[i]) if c * w - a * x - b * y == 0}
-
-    xs, ys = [p.x for p in cfg.points], [p.y for p in cfg.points]
-    tol = eps * max(max(xs) - min(xs), max(ys) - min(ys))
     seen = set()
-    out = []
-    for start in ((i, t) for i, cell in enumerate(cells)
-                  for t, (_, j) in enumerate(cell) if 0 <= j < q):
-        if start in seen:
-            continue
-        cycle = []
-        e = start
+    cycles = []
+    for e in ((i, t) for i, cell in enumerate(cells)
+              for t, (_, j) in enumerate(cell) if 0 <= j < q):
+        cycles.append([])
         while e not in seen:
             seen.add(e)
-            cycle.append(e)
+            cycles[-1].append((e[0], *cells[e[0]][e[1]]))
             e = successor(*e)
-        # per chain vertex: exact point, float point, refs, pair of the leaving edge
-        verts, pts, refs, pairs = [], [], [], []
-        prev = None
-        for i, t in cycle:
-            vert, j = cells[i][t]
-            pt = _float_point(vert, k)
-            if prev is None or dist(prev, pt) >= tol:
-                verts.append(vert)
-                pts.append(pt)
-                refs.append(set())
-                pairs.append(None)
-            refs[-1] |= refs_at(vert, i)
-            pairs[-1] = (i, j)  # a merged vertex leaves by its last member's edge
-            prev = pt
-        if len(verts) > 1 and dist(prev, pts[0]) < tol:  # the edge back to vertex 0 is short
-            verts.pop()
-            pts.pop()
-            pairs.pop()
-            refs[0] |= refs.pop()
-        if _is_clockwise(verts):  # a hole: reverse, keeping vertex 0
-            verts, pts, refs = ([s[0]] + s[:0:-1] for s in (verts, pts, refs))
-            pairs.reverse()
-        n = len(verts)
-        info = []
-        for t, vref in enumerate(refs):
-            inner = tuple(sorted(j - q for j in vref if j >= q))
-            outer = tuple(sorted(j for j in vref if j < q))
-            change = (CHANGE_DOUBLE if len(inner) >= 2 and len(outer) >= 2
-                      else CHANGE_INNER if len(inner) >= 2 else CHANGE_OUTER)
-            convex = _orientation_det(verts[t - 1], verts[t], verts[t + 1 - n]) > 0
-            info.append(VertexInfo(angle_type=ANGLE_CONVEX if convex else ANGLE_CONCAVE,
-                                   change_type=change, inner_refs=inner, outer_refs=outer))
-        # rounding is monotone, so the exactly lowest vertex has the least float x
-        least_x = min(pt.x for pt in pts)
-        lowest = min((vert for vert, pt in zip(verts, pts) if pt.x == least_x), key=_xy_key)
-        out.append((lowest, PolygonChain(vertices=tuple(pts), vertex_info=tuple(info),
-                                         edge_pairs=tuple(pairs))))
-    out.sort(key=lambda item: _xy_key(item[0]))
-    return [chain for _, chain in out]
+    return _chains(cfg, body, eps, cycles)
 
 
 def check_vertex_bound(chain: PolygonChain, cfg: FocalConfig) -> BoundReport:

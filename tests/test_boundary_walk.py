@@ -21,25 +21,12 @@ from equidist.body import (
     MEMBER_INSIDE,
     EquidistantBody,
     FocalConfig,
-    _float_point,
-    _orientation_det,
     build_body,
     membership,
 )
 from equidist.cli import main
 from equidist.errors import StitchFailure
-from equidist.polygon import (
-    ANGLE_CONCAVE,
-    ANGLE_CONVEX,
-    CHANGE_DOUBLE,
-    CHANGE_INNER,
-    CHANGE_OUTER,
-    PolygonChain,
-    VertexInfo,
-    _is_clockwise,
-    _xy_key,
-    extract_boundary,
-)
+from equidist.polygon import PolygonChain, _chains, extract_boundary
 from equidist.primitives import EPS_GEO, Point, dist
 from equidist.type32 import point_in_polygon
 from test_exact_graph import (
@@ -65,23 +52,27 @@ def _config(kind: str, seed: int, p: int) -> FocalConfig:
     return grid_config(rng, p)
 
 
-def chain_signatures(cfg: FocalConfig, inner_label=None, outer_label=None):
-    """Per chain, the least rotation of its (change, angle, refs, edge pair) sequence.
+def chain_signatures(cfg: FocalConfig, inner_label=None, outer_label=None, eps=EPS_GEO):
+    """Per chain, its (change, angle, refs, edge pair) sequence from vertex 0.
 
     The labels map the indices of ``cfg`` to those of a relabelled copy.
     """
     li = inner_label or list(range(cfg.p))
     lo = outer_label or list(range(cfg.q))
-    out = []
-    for ch in extract_boundary(cfg):
-        seq = [(vi.change_type, vi.angle_type, tuple(sorted(li[i] for i in vi.inner_refs)),
-                tuple(sorted(lo[j] for j in vi.outer_refs)), (li[i], lo[j]))
-               for vi, (i, j) in zip(ch.vertex_info, ch.edge_pairs)]
-        out.append(min(seq[t:] + seq[:t] for t in range(len(seq))))
-    return out
+    return [[(vi.change_type, vi.angle_type, tuple(sorted(li[i] for i in vi.inner_refs)),
+              tuple(sorted(lo[j] for j in vi.outer_refs)), (li[i], lo[j]))
+             for vi, (i, j) in zip(ch.vertex_info, ch.edge_pairs)]
+            for ch in extract_boundary(cfg, eps=eps)]
+
+
+def least_rotations(signatures):
+    return sorted(min(seq[t:] + seq[:t] for t in range(len(seq))) for seq in signatures)
 
 
 class TestBoundaryInvariance:
+    """Every chain starts at its exactly lowest vertex, so exact maps that keep the
+    (x, y) order keep the chains as returned, vertex 0 and chain order included."""
+
     @pytest.mark.parametrize("offset", [1e6, 2.0**30])
     @EXAMPLES
     @given(kind=KINDS, seed=SEEDS, p=SIZES)
@@ -93,9 +84,10 @@ class TestBoundaryInvariance:
     @EXAMPLES
     @given(kind=KINDS, seed=SEEDS, p=SIZES)
     def test_rotation_by_90_degrees(self, kind, seed, p):
+        # a quarter turn moves the lowest vertex, so chains compare up to rotation
         cfg = _config(kind, seed, p)
         turned = mapped_config(cfg, lambda v: Point(-v.y, v.x))
-        assert sorted(chain_signatures(turned)) == sorted(chain_signatures(cfg))
+        assert least_rotations(chain_signatures(turned)) == least_rotations(chain_signatures(cfg))
 
     @EXAMPLES
     @given(kind=KINDS, seed=SEEDS, p=SIZES, k=st.integers(-30, 30))
@@ -116,8 +108,10 @@ class TestBoundaryInvariance:
         for j, v in enumerate(cfg.outer):
             outer[operm[j]] = v
         relabelled = FocalConfig(tuple(inner), tuple(outer))
-        assert (sorted(chain_signatures(relabelled))
-                == sorted(chain_signatures(cfg, perm, operm)))
+        for eps in (1e-9, 1e-3, 0.3):
+            assert ([ch.vertices for ch in extract_boundary(relabelled, eps=eps)]
+                    == [ch.vertices for ch in extract_boundary(cfg, eps=eps)])
+            assert chain_signatures(relabelled, eps=eps) == chain_signatures(cfg, perm, operm, eps)
 
 
 # Both closed no chain under the tolerance stitcher ("boundary chain failed to close").
@@ -165,24 +159,42 @@ def test_straight_double_vertex_is_concave():
     assert (info.change_type, info.angle_type) == ("double", "concave")
 
 
-def test_short_closing_edge_merges_into_vertex_zero():
-    # ring (8, 12) from seed 3: the edge back to vertex 0 is the chain's shortest,
-    # so an eps between it and the next shortest merges only that edge
+def test_close_vertices_merge_into_the_first_of_their_run():
+    # ring (8, 12) from seed 3: an eps between the chain's shortest edge and the next
+    # shortest merges only that edge's two ends, into the point of its start: the run's
+    # first member in walk order, which is chain order on a counterclockwise outer chain
     cfg = ring_config(random.Random(3), 8, 12)
     (chain,) = extract_boundary(cfg)
     verts = chain.vertices
     n = len(verts)
     lengths = sorted((dist(verts[m], verts[(m + 1) % n]), m) for m in range(n))
-    assert n == 20 and lengths[0][1] == n - 1
+    assert n == 20 and lengths[0][1] == 1 and chain.signed_area() > 0
     xs, ys = [p.x for p in cfg.points], [p.y for p in cfg.points]
     extent = max(max(xs) - min(xs), max(ys) - min(ys))
     eps = (lengths[0][0] + lengths[1][0]) / 2 / extent
     (merged,) = extract_boundary(cfg, eps=eps)
-    assert merged.vertices == verts[:-1]
-    info = merged.vertex_info[0]
+    assert merged.vertices == verts[:2] + verts[3:]
+    info = merged.vertex_info[1]
     assert (info.inner_refs, info.outer_refs, info.change_type) == ((0, 7), (7, 8), "double")
-    assert merged.vertex_info[1:] == chain.vertex_info[1:-1]
-    assert merged.edge_pairs == chain.edge_pairs[:-1]
+    others = merged.vertex_info[:1] + merged.vertex_info[2:]
+    assert others == chain.vertex_info[:1] + chain.vertex_info[3:]
+    assert merged.edge_pairs == chain.edge_pairs[:1] + chain.edge_pairs[2:]
+
+
+def test_a_cycle_within_eps_collapses_to_its_lowest_step():
+    cfg = ring_config(random.Random(3), 8, 12)
+    (steps,) = extract_boundary(cfg, eps=0.0)  # one vertex per step of the walk
+    (collapsed,) = extract_boundary(cfg, eps=0.3)
+    info = collapsed.vertex_info[0]
+    assert collapsed.vertices == steps.vertices[:1]
+    assert set(info.inner_refs) == {i for vi in steps.vertex_info for i in vi.inner_refs}
+    assert set(info.outer_refs) == {j for vi in steps.vertex_info for j in vi.outer_refs}
+    assert collapsed.edge_pairs == steps.edge_pairs[-1:]  # the last member's leaving edge
+    rng = random.Random(3)
+    for _ in range(5):
+        relabelled = FocalConfig(tuple(rng.sample(cfg.inner, cfg.p)),
+                                 tuple(rng.sample(cfg.outer, cfg.q)))
+        assert [ch.vertices for ch in extract_boundary(relabelled, eps=0.3)] == [steps.vertices[:1]]
 
 
 def _has_pinch_or_hole(chains):
@@ -235,7 +247,7 @@ def assert_walk_turns_through_body(cfg: FocalConfig, chains):
 def test_chains_agree_with_distance_oracle_at_pinches_and_holes():
     """On grid bodies with a pinch point or a hole: even-odd over all chains equals
     membership, each edge lies on its pair's bisector, every turn passes through the
-    body, and the chains come sorted by their lowest vertex."""
+    body, and each chain starts at its lowest vertex and comes sorted by it."""
     kinds = set()
     checked = 0
     for seed in range(60):
@@ -246,7 +258,7 @@ def test_chains_agree_with_distance_oracle_at_pinches_and_holes():
             continue
         kinds.update(k for k, on in (("pinch", pinch), ("hole", hole)) if on)
         lowest = [min((v.x, v.y) for v in ch.vertices) for ch in chains]
-        assert lowest == sorted(lowest)
+        assert lowest == sorted(lowest) == [(ch.vertices[0].x, ch.vertices[0].y) for ch in chains]
         for ch in chains:
             n = len(ch.vertices)
             for m, (i, j) in enumerate(ch.edge_pairs):
@@ -296,33 +308,21 @@ def angular_extract_boundary(cfg: FocalConfig, clip_scale: float = 2.0, eps: flo
                              body: EquidistantBody | None = None) -> list[PolygonChain]:
     """Boundary of the body as closed counterclockwise chains, one per boundary cycle.
 
-    The body is the union of the closed Voronoi cells of the inner sites in
-    Vor(K ∪ L), so its boundary is exactly the set of cell edges between an
-    inner and an outer site: the edges on outer rows of the exact cells of
-    ``EquidistantBody.inner_cells``.  They are joined at exactly equal
-    homogeneous endpoints and walked with the body on the left.  At a pinch point the
+    The boundary edges, the edges on outer rows of the exact cells of
+    ``EquidistantBody.inner_cells``, are joined at exactly equal homogeneous
+    endpoints and walked with the body on the left.  At a pinch point the
     arriving edge continues into the nearest leaving edge clockwise from it,
-    so it turns through a wedge of the body.  Refs, change types, angle
-    types, orientation and chain order are decided exactly.  ``eps`` acts
-    in one place only: consecutive chain vertices closer than eps times the
-    extent of the focal points' bounding box are merged and their refs
-    united, so a vertex the float input realises as a pair a few ulps apart
-    counts once.
+    so it turns through a wedge of the body.  The engine's ``_chains`` turns
+    the cycles into chains.
     """
     if body is None:
         body = build_body(cfg, clip_scale)
     if any(c.clipped for c in body.components):
         raise StitchFailure("component reaches the clip box; enlarge clip_scale")
-    q = cfg.q
-    # Each component keeps its site's block of rows, outer rows first.  The site's
-    # own row (0, 0, 0) cuts nothing and has zero slack, so refs_at lists the site.
-    blocks = [c._exact[0] for c in body.components]
-    k = body.components[0]._exact[2]
-
     edges = []  # (start, end, inner i, outer j): cell edges between inner i and outer j
     for i, cell in enumerate(body.inner_cells):
         for t, (vert, j) in enumerate(cell):
-            if 0 <= j < q:
+            if 0 <= j < cfg.q:
                 edges.append((vert, cell[t + 1 - len(cell)][0], i, j))
 
     leaving = {}
@@ -337,63 +337,16 @@ def angular_extract_boundary(cfg: FocalConfig, clip_scale: float = 2.0, eps: flo
         order = _clockwise_order(_direction(v, u))
         return min(out, key=lambda f: order(_direction(v, edges[f][1])))
 
-    def refs_at(vert, i):
-        """Indices into ``others`` of the sites nearest to a vertex of cell i, exactly."""
-        x, y, w = vert
-        return {j for j, (a, b, c) in enumerate(blocks[i]) if c * w - a * x - b * y == 0}
-
-    xs, ys = [p.x for p in cfg.points], [p.y for p in cfg.points]
-    tol = eps * max(max(xs) - min(xs), max(ys) - min(ys))
     seen = [False] * len(edges)
-    out = []
-    for start in range(len(edges)):
-        if seen[start]:
-            continue
-        cycle = []
-        e = start
+    cycles = []
+    for e in range(len(edges)):
+        cycles.append([])
         while not seen[e]:
             seen[e] = True
-            cycle.append(e)
-            e = successor(e)
-        # per chain vertex: exact point, float point, refs, pair of the leaving edge
-        verts, pts, refs, pairs = [], [], [], []
-        prev = None
-        for e in cycle:
             vert, _, i, j = edges[e]
-            pt = _float_point(vert, k)
-            if prev is None or dist(prev, pt) >= tol:
-                verts.append(vert)
-                pts.append(pt)
-                refs.append(set())
-                pairs.append(None)
-            refs[-1] |= refs_at(vert, i)
-            pairs[-1] = (i, j)  # a merged vertex leaves by its last member's edge
-            prev = pt
-        if len(verts) > 1 and dist(prev, pts[0]) < tol:  # the edge back to vertex 0 is short
-            verts.pop()
-            pts.pop()
-            pairs.pop()
-            refs[0] |= refs.pop()
-        if _is_clockwise(verts):  # a hole: reverse, keeping vertex 0
-            verts, pts, refs = ([s[0]] + s[:0:-1] for s in (verts, pts, refs))
-            pairs.reverse()
-        n = len(verts)
-        info = []
-        for t, vref in enumerate(refs):
-            inner = tuple(sorted(j - q for j in vref if j >= q))
-            outer = tuple(sorted(j for j in vref if j < q))
-            change = (CHANGE_DOUBLE if len(inner) >= 2 and len(outer) >= 2
-                      else CHANGE_INNER if len(inner) >= 2 else CHANGE_OUTER)
-            convex = _orientation_det(verts[t - 1], verts[t], verts[t + 1 - n]) > 0
-            info.append(VertexInfo(angle_type=ANGLE_CONVEX if convex else ANGLE_CONCAVE,
-                                   change_type=change, inner_refs=inner, outer_refs=outer))
-        # rounding is monotone, so the exactly lowest vertex has the least float x
-        least_x = min(pt.x for pt in pts)
-        lowest = min((vert for vert, pt in zip(verts, pts) if pt.x == least_x), key=_xy_key)
-        out.append((lowest, PolygonChain(vertices=tuple(pts), vertex_info=tuple(info),
-                                         edge_pairs=tuple(pairs))))
-    out.sort(key=lambda item: _xy_key(item[0]))
-    return [chain for _, chain in out]
+            cycles[-1].append((i, vert, j))
+            e = successor(e)
+    return _chains(cfg, body, eps, cycles)
 
 
 def _pinch_and_hole_corpus():

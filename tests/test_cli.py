@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import random
 
 import pytest
 
@@ -11,6 +12,7 @@ from equidist import cli
 from equidist.body import FocalConfig
 from equidist.cli import format_json, main
 from equidist.polygon import extract_boundary
+from test_exact_graph import grid_config, ring_config
 
 SQUARE = {"inner": [[0, 0]], "outer": [[2, 0], [-2, 0], [0, 2], [0, -2]]}
 QUAD = {"polygon": [[0, 0], [6, 0], [2, 2], [0, 6]]}
@@ -455,6 +457,30 @@ class TestOptionDefaults:
             main([command, write(tmp_path, "in.json", SQUARE), "--t", "0.3"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --t 0.3" in capsys.readouterr().err
+
+
+class TestChainStart:
+    @pytest.mark.parametrize("cfg", [ring_config(random.Random(3), 8, 12),
+                                     grid_config(random.Random(9), 8)], ids=["ring", "grid"])
+    def test_chains_start_at_their_lowest_vertex(self, tmp_path, capsys, cfg):
+        path = write(tmp_path, "cfg.json", {"inner": [[v.x, v.y] for v in cfg.inner],
+                                            "outer": [[v.x, v.y] for v in cfg.outer]})
+        chains = {}
+        for command in ("body", "boundary"):
+            code, out, _ = run_cli(capsys, [command, path])
+            assert code == 0
+            chains[command] = json.loads(out)["result"]["chains"]
+        assert chains["body"] == chains["boundary"]
+        for chain in chains["boundary"]:
+            assert chain["vertices"][0] == min(chain["vertices"])
+        svg_path = tmp_path / "cfg.svg"
+        assert run_cli(capsys, ["render", path, "--out", str(svg_path)])[0] == 0
+        body = svg_path.read_text().split('<g id="body"')[1].split("</g>")[0]
+        paths = [d.split('"')[0].split() for d in body.split('d="')[1:]]
+        assert len(paths) == len(chains["boundary"])
+        for d in paths:  # "M x y L x y ... Z"; the y axis points down
+            pts = [(float(d[t + 1]), -float(d[t + 2])) for t in range(0, len(d) - 1, 3)]
+            assert pts[0] == min(pts)
 
 
 class TestRenderSvg:

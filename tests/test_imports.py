@@ -87,7 +87,6 @@ TOLERANCES = {
     ("primitives", ""): 3,  # EPS_GEO, TAU_CONC, EPS_RT
     ("cli", "RunConfig"): 1,  # the eps default
     ("body", "bounding_radius"): 1,
-    ("polygon", "colored_weight_bound"): 1,
     ("svg", "_Mapper.__init__"): 2,
     ("type32", "_exit_param"): 2,  # the segment band of the ray's exit
 }

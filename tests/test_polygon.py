@@ -1,5 +1,6 @@
 """Regularity, hypergraph vertices, boundary chains, vertex bound, Voronoi."""
 
+import math
 import random
 from itertools import combinations
 
@@ -19,6 +20,7 @@ from equidist.polygon import (
     COLOR_XYX,
     COLOR_YXY,
     FocalRef,
+    HyperEdge,
     check_regularity,
     check_vertex_bound,
     classify_vertices,
@@ -27,9 +29,11 @@ from equidist.polygon import (
     extract_boundary,
     inactive_focals,
     labeled_points,
+    ref_point,
     voronoi_check,
 )
-from equidist.primitives import Point, dist, incircle
+from equidist.primitives import Point, circumcircle, dist, incircle, viewing_angle
+from test_integer_exact import frac_incircle_exact, frac_orient_exact
 
 SQUARE = FocalConfig.of([(0, 0)], [(2, 0), (-2, 0), (0, 2), (0, -2)])
 
@@ -68,6 +72,40 @@ class TestCheckRegularity:
     def test_square_config_is_concircular(self):
         rep = check_regularity(SQUARE)
         assert not rep.ok and len(rep.concircular) == 1
+
+
+# the integer points of x^2 + y^2 = 25
+CIRCLE_25 = [(3, 4), (4, 3), (5, 0), (4, -3), (3, -4), (0, -5), (-3, -4), (-4, -3),
+             (-5, 0), (-4, 3), (-3, 4), (0, 5)]
+
+
+def frac_incircle(a, b, c, d):
+    """+1 iff d lies strictly inside the circle through a, b and c, in Fractions."""
+    return frac_orient_exact(a, b, c) * frac_incircle_exact(a, b, c, d)
+
+
+def near_concircular_edge(rng):
+    """A colored triple (a, lone point, b) and a fourth point, all of x^2 + y^2 = 25
+    scaled by 2**k, one coordinate of one of them moved by 1 to 8 ulps, and a large
+    outer triangle around them."""
+    k = rng.randint(-20, 20)
+    quad = [[math.ldexp(x, k), math.ldexp(y, k)] for x, y in rng.sample(CIRCLE_25, 4)]
+    m, c, toward = rng.randrange(4), rng.randrange(2), rng.choice([-math.inf, math.inf])
+    for _ in range(rng.randint(1, 8)):
+        quad[m][c] = math.nextafter(quad[m][c], toward)
+    pair, lone = rng.choice([("inner", "outer"), ("outer", "inner")])
+    groups = {"inner": [], "outer": []}
+    refs = []
+    for (x, y), kind in zip(quad, (pair, lone, pair, rng.choice([pair, lone]))):
+        refs.append(FocalRef(kind, len(groups[kind])))
+        groups[kind].append(Point(x, y))
+    groups["outer"] += [Point(math.ldexp(x, k), math.ldexp(y, k))
+                        for x, y in ((0, 1000), (-1000, -1000), (1000, -1000))]
+    cfg = FocalConfig(tuple(groups["inner"]), tuple(groups["outer"]))
+    a, v, b = (ref_point(cfg, r) for r in refs[:3])
+    edge = HyperEdge(refs=tuple(refs[:3]), color=COLOR_XYX if lone == "outer" else COLOR_YXY,
+                     circle=circumcircle(a, v, b), weight=viewing_angle(v, a, b))
+    return cfg, edge
 
 
 class TestEmptyCircleTriples:
@@ -132,9 +170,6 @@ class TestEmptyCircleTriples:
     def test_weight_inequality_agrees_with_incircle(self):
         # the max-angle inequality holds exactly when the triple's circle is
         # empty: both tests must agree on every colored triple
-        from equidist.polygon import HyperEdge
-        from equidist.primitives import circumcircle, viewing_angle
-
         rng = random.Random(32)
         for _ in range(8):
             cfg = random_bounded_config(rng, p_max=3, q_max=5, require_regular=True)
@@ -162,6 +197,23 @@ class TestEmptyCircleTriples:
                 # empty circle <=> the weight attains the same-side maximum
                 # and stays below pi minus the opposite-side maximum
                 assert (wb.holds and wb.attained) == empty
+
+    def test_weight_flags_are_exact_on_near_concircular_triples(self):
+        # one point of an exactly concircular quadruple moved by a few ulps: the
+        # float angles cannot tell which side of the circle it went to
+        flags = set()
+        for seed in range(600):
+            cfg, edge = near_concircular_edge(random.Random(seed))
+            a, v, b = (ref_point(cfg, r) for r in edge.refs)
+            side = frac_orient_exact(a, b, v)
+            pts = [z for _, z in labeled_points(cfg)]
+            plus = [z for z in pts if frac_orient_exact(a, b, z) == side]
+            minus = [z for z in pts if frac_orient_exact(a, b, z) == -side]
+            wb = colored_weight_bound(cfg, edge)
+            assert wb.attained == all(frac_incircle(a, v, b, z) <= 0 for z in plus)
+            assert wb.holds == all(frac_incircle(a, b, y, z) < 0 for y in plus for z in minus)
+            flags.add((wb.holds, wb.attained))
+        assert flags == {(True, True), (True, False), (False, True)}
 
     def test_witness_placement(self):
         rng = random.Random(33)
