@@ -2,8 +2,8 @@
 
 A body is the set of points at least as close to the inner focal set as to
 the outer one.  It is assembled as a union of convex components, one per
-inner point, each obtained by clipping a bounding box against the
-perpendicular-bisector half-planes toward every outer point.  The clip is
+inner point, each obtained by clipping a box of half-width ``CLIP_SCALE`` body radii
+against the perpendicular-bisector half-planes toward every outer point.  The clip is
 exact: ``build_body`` scales the focal points and the box to integers by one
 power of two, once, and each vertex (X, Y, W), W > 0, is the meet of the two
 rows that carry its edges, rounded to floats once.  The components keep
@@ -27,7 +27,6 @@ from .errors import (
 )
 from .primitives import (
     EPS_GEO,
-    Line,
     Point,
     circumcircle,
     coord_scale,
@@ -39,6 +38,8 @@ from .primitives import (
 MEMBER_INSIDE = "inside_strict"
 MEMBER_BOUNDARY = "on_boundary"
 MEMBER_OUTSIDE = "outside"
+
+CLIP_SCALE = 2.0  # half-width of a body's clip box in body radii, which bound the body
 
 
 @dataclass(frozen=True)
@@ -153,13 +154,13 @@ class EquidistantBody:
 
     @cached_property
     def inner_cells(self) -> tuple[tuple[tuple[tuple[int, int, int], int], ...], ...]:
-        """The exact cell of each inner site in Vor(K ∪ L), within the clip box, built once.
+        """The exact cell of each inner site in Vor(K ∪ L), built once.
 
         A cell continues its component's stored raw clip with the rows toward the
         other inner sites.  It lists (vertex, row) pairs counterclockwise, without
         zero-length edges: a reduced homogeneous vertex (X, Y, W), W > 0, and the
         row of its edge to the next one, indexing the component's block (outer j
-        < q, inner j - q) or -1 ... -4 for a box side.
+        < q, inner j - q).  No component reaches the clip box, so no cell does.
         """
         q = self.config.q
         cells = []
@@ -207,16 +208,29 @@ def convex_hull(pts) -> list[Point]:
     return hull if len(hull) >= 3 else points[:1] + points[-1:]
 
 
+def _hull_clearance(cfg: FocalConfig) -> float | None:
+    """Least distance from an inner point to a side of the outer hull, rounded once.
+
+    Per side, its least exact cross product with an inner point over its length.  None
+    unless every cross product is positive (a hull of 1 or 2 points has a side each way).
+    """
+    hull = convex_hull(cfg.outer)
+    ints, k = dyadic_ints([v for p in (*hull, *cfg.inner) for v in p])
+    xy = list(zip(ints[::2], ints[1::2]))
+    corners, inner = xy[:len(hull)], xy[len(hull):]
+    r = math.inf
+    for (ax, ay), (bx, by) in zip(corners, corners[1:] + corners[:1]):
+        dx, dy = bx - ax, by - ay
+        least = min(dx * y - dy * x for x, y in inner) - (dx * ay - dy * ax)  # (b-a) × (x-a)
+        if least <= 0:
+            return None
+        r = min(r, (least << 64) / (math.isqrt((dx * dx + dy * dy) << 128) << k))
+    return r
+
+
 def is_bounded(cfg: FocalConfig) -> bool:
-    """True iff every inner point is strictly inside the hull of the outer set."""
-    return _strictly_inside(convex_hull(cfg.outer), cfg.inner)
-
-
-def _strictly_inside(hull, pts) -> bool:
-    """True iff every point is strictly inside a ccw strictly convex hull (>= 3 vertices)."""
-    n = len(hull)
-    return n >= 3 and all(orient(hull[i], hull[(i + 1) % n], x) == 1
-                          for x in pts for i in range(n))
+    """True iff every inner point is strictly inside the hull of the outer set (exact signs)."""
+    return _hull_clearance(cfg) is not None
 
 
 def _centroid(pts) -> Point:
@@ -227,15 +241,14 @@ def _centroid(pts) -> Point:
 def bounding_radius(cfg: FocalConfig) -> float:
     """Radius of a disk around the inner centroid that contains the whole body.
 
-    Computed as c / r where, after translating the inner centroid to the
-    origin, c bounds (|Y|^2 - |X|^2) / 2 over all focal pairs and r is the
-    largest radius such that every inner point keeps that distance to the
-    boundary of the outer hull (rounding is monotone, so the farthest outer
-    and the nearest inner point give c).  Raises NumericalDegeneracy when a
-    squared distance overflows, or when c or r underflows to 0.
+    Computed as c / r where, after translating the inner centroid to the origin, c
+    bounds (|Y|^2 - |X|^2) / 2 over all focal pairs (rounding is monotone, so the farthest
+    outer and the nearest inner point give c) and r is the exact hull clearance rounded
+    once.  Raises Unbounded unless the inner set lies strictly inside the outer hull, and
+    NumericalDegeneracy when a squared distance or c / r overflows, or c or r underflows.
     """
-    hull = convex_hull(cfg.outer)
-    if not _strictly_inside(hull, cfg.inner):
+    r = _hull_clearance(cfg)
+    if r is None:
         raise Unbounded("bounding radius requires the inner set inside the outer hull")
     o = _centroid(cfg.inner)
     try:
@@ -247,14 +260,13 @@ def bounding_radius(cfg: FocalConfig) -> float:
     if far == math.inf:  # the inner points lie in the outer hull, so near <= far
         raise NumericalDegeneracy("squared distances between the focal points "
                                   "leave the float range")
-
-    n = len(hull)
-    edge_lines = [Line.through(hull[i], hull[(i + 1) % n]) for i in range(n)]
-    r = min(abs(l.eval(x)) for x in cfg.inner for l in edge_lines)
     if c == 0.0 or r == 0.0:  # both are positive unless they underflow
         raise NumericalDegeneracy("distances between the focal points "
                                   "underflow the float range")
-    return c / r
+    radius = c / r
+    if radius == math.inf:
+        raise NumericalDegeneracy(f"the body radius {c!r} / {r!r} leaves the float range")
+    return radius
 
 
 def star_center(cfg: FocalConfig):
@@ -409,26 +421,24 @@ def convex_component(site: Point, outer, clip: Rect) -> ConvexComponent:
     return _component(site, outer, clip, *_integer_rows((site,), outer, clip))
 
 
-def _clip_box(cfg: FocalConfig, clip_scale: float, radius: float) -> Rect:
-    """Square clip box around the inner centroid, clip_scale times the body radius wide."""
-    o = _centroid(cfg.inner)
-    h = clip_scale * radius
-    clip = Rect(o.x - h, o.y - h, o.x + h, o.y + h)
-    if not all(map(math.isfinite, (clip.xmin, clip.ymin, clip.xmax, clip.ymax))):
-        raise InvalidConfig(f"--clip-scale {clip_scale!r} times the body radius "
-                            f"{radius!r} overflows the clip box")
-    return clip
-
-
-def build_body(cfg: FocalConfig, clip_scale: float = 2.0) -> EquidistantBody:
+def build_body(cfg: FocalConfig) -> EquidistantBody:
     """Assemble the body as the union of one convex component per inner point.
 
-    All points are scaled once; site i's rows go toward the outer, then the inner points.
+    The box reaches CLIP_SCALE body radii from the inner centroid, so no component meets it
+    (else NumericalDegeneracy).  Points are scaled once; site i's rows go to outer, then inner.
     """
     radius = bounding_radius(cfg)  # raises Unbounded
-    clip = _clip_box(cfg, clip_scale, radius)
+    o = _centroid(cfg.inner)
+    h = CLIP_SCALE * radius
+    clip = Rect(o.x - h, o.y - h, o.x + h, o.y + h)
+    if not all(map(math.isfinite, (clip.xmin, clip.ymin, clip.xmax, clip.ymax))):
+        raise NumericalDegeneracy(f"the clip box at {CLIP_SCALE!r} times the body radius "
+                                  f"{radius!r} leaves the float range")
     rows, box, k = _integer_rows(cfg.inner, cfg.outer + cfg.inner, clip)
     n = cfg.q + cfg.p
     components = tuple(_component(x, cfg.outer, clip, rows[i * n:(i + 1) * n], box, k)
                        for i, x in enumerate(cfg.inner))
+    if any(c.clipped for c in components):
+        raise NumericalDegeneracy(f"a component reaches the clip box at {CLIP_SCALE!r} "
+                                  f"times the body radius {radius!r}")
     return EquidistantBody(config=cfg, components=components, clip=clip, radius=radius)

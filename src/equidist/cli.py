@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .body import FocalConfig, build_body
+from .body import CLIP_SCALE, FocalConfig, build_body
 from .connectivity import build_graph, check_polytope, graph_components
 from .errors import (GeometryError, InvalidConfig, NumericalDegeneracy, RegularityViolated,
                      Unbounded)
@@ -47,7 +47,6 @@ class RunConfig:
     input_path: str
     output_path: str | None = None
     eps: float = 1e-9
-    clip_scale: float = 2.0
     samples: int = 10000
     seed: int = 42
     show_circles: bool = False
@@ -57,9 +56,6 @@ class RunConfig:
     def __post_init__(self):
         if not (math.isfinite(self.eps) and self.eps > 0.0):
             raise InvalidConfig(f"--eps must be positive and finite, got {self.eps!r}")
-        if not (math.isfinite(self.clip_scale) and self.clip_scale > 0.0):
-            raise InvalidConfig(
-                f"--clip-scale must be positive and finite, got {self.clip_scale!r}")
         if self.samples <= 0:
             raise InvalidConfig("samples must be positive")
 
@@ -191,8 +187,8 @@ def _certificate_dict(cert):
 
 def _cmd_body(rc: RunConfig, data):
     cfg = load_config(data)
-    body = build_body(cfg, rc.clip_scale)
-    chains = extract_boundary(cfg, rc.clip_scale, rc.eps, body=body)
+    body = build_body(cfg)
+    chains = extract_boundary(cfg, rc.eps, body=body)
     return {
         "bounded": True,
         "radius": body.radius,
@@ -212,7 +208,7 @@ def _cmd_body(rc: RunConfig, data):
 
 def _cmd_graph(rc: RunConfig, data):
     cfg = load_config(data)
-    body = build_body(cfg, rc.clip_scale)
+    body = build_body(cfg)
     g = build_graph(body)
     groups = graph_components(g)
     interior_groups = graph_components(g, min_weight=1)
@@ -228,12 +224,12 @@ def _cmd_graph(rc: RunConfig, data):
 
 def _cmd_boundary(rc: RunConfig, data):
     cfg = load_config(data)
-    chains = extract_boundary(cfg, rc.clip_scale, rc.eps)
+    chains = extract_boundary(cfg, rc.eps)
     result = {
         "chain_count": len(chains),
         "chains": [_chain_dict(ch) for ch in chains],
     }
-    verdict = check_polytope(cfg, rc.clip_scale)
+    verdict = check_polytope(cfg)
     result["polytope"] = {"is_polytope": verdict.is_polytope,
                           "reasons": list(verdict.reasons)}
     if len(chains) == 1:
@@ -295,7 +291,7 @@ def _cmd_classify32(rc: RunConfig, data):
 
 def _cmd_recognize_pentagon(rc: RunConfig, data):
     poly = load_polygon(data)
-    cert = recognize_pentagon(poly, rc.clip_scale, rc.eps)
+    cert = recognize_pentagon(poly, rc.eps)
     if cert is None:
         return {"is_type_32": False, "verdict": "not (3,2)"}
     return {"is_type_32": True, "certificate": _certificate_dict(cert)}
@@ -303,7 +299,7 @@ def _cmd_recognize_pentagon(rc: RunConfig, data):
 
 def _cmd_construct_quad(rc: RunConfig, data):
     quad = label_quad(load_polygon(data))
-    direction, intervals, t, cert = _construct_quad(quad, rc.t, rc.clip_scale, rc.eps)
+    direction, intervals, t, cert = _construct_quad(quad, rc.t, rc.eps)
     return {
         "labeled": _pts(quad.points),
         "ray_direction": list(direction),
@@ -315,8 +311,7 @@ def _cmd_construct_quad(rc: RunConfig, data):
 
 def _cmd_voronoi_check(rc: RunConfig, data):
     cfg = load_config(data)
-    rep = voronoi_check(cfg, n_samples=rc.samples, seed=rc.seed,
-                        clip_scale=rc.clip_scale, tol=rc.eps)
+    rep = voronoi_check(cfg, n_samples=rc.samples, seed=rc.seed, tol=rc.eps)
     return {
         "samples": rep.samples,
         "ties_skipped": rep.ties_skipped,
@@ -338,11 +333,11 @@ def _scene_for(rc: RunConfig, data) -> tuple[Scene, dict]:
     circles = ()
     cells = ()
     try:
-        body = build_body(cfg, rc.clip_scale)
+        body = build_body(cfg)
     except Unbounded:
         body = None
     else:
-        chains = tuple(ch.vertices for ch in extract_boundary(cfg, rc.clip_scale, rc.eps, body))
+        chains = tuple(ch.vertices for ch in extract_boundary(cfg, rc.eps, body))
         if rc.show_circles:
             try:
                 circles = tuple(e.circle for e in empty_circle_triples(cfg)
@@ -406,7 +401,7 @@ def run(rc: RunConfig) -> int:
             "result": _DISPATCH[rc.command](rc, data),
             "diagnostics": {
                 "eps": rc.eps,
-                "clip_scale": rc.clip_scale,
+                "clip_scale": CLIP_SCALE,
                 "samples": rc.samples,
                 "seed": rc.seed,
             },
@@ -442,8 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "at their lowest vertex; voronoi-check skips samples whose two "
                             "nearest focal distances differ by at most eps times the "
                             "coordinate scale")
-        p.add_argument("--clip-scale", type=float,
-                       help="clip box half-width as a multiple of the body radius")
         p.add_argument("--samples", type=int, help="sample count for randomized checks")
         p.add_argument("--seed", type=int,
                        help="seed for the deterministic generator (Mersenne Twister)")

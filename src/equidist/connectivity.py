@@ -160,28 +160,28 @@ def is_interior_connected(g: RepGraph) -> bool:
     return len(graph_components(g, min_weight=1)) == 1
 
 
-def decompose(cfg: FocalConfig, clip_scale: float = 2.0) -> list[FocalConfig]:
+def decompose(cfg: FocalConfig) -> list[FocalConfig]:
     """Split the inner set along the connected components of the graph."""
-    body = build_body(cfg, clip_scale)  # raises Unbounded
+    body = build_body(cfg)  # raises Unbounded
     groups = graph_components(build_graph(body))
     return [FocalConfig(inner=tuple(cfg.inner[i] for i in grp), outer=cfg.outer)
             for grp in groups]
 
 
-def check_polytope(cfg: FocalConfig, clip_scale: float = 2.0) -> PolytopeVerdict:
+def check_polytope(cfg: FocalConfig) -> PolytopeVerdict:
     """Full validity check: bounded, connected interior, connected complement.
 
     Complement connectedness is decided by the boundary consisting of exactly
     one simple closed chain.  All failed criteria are reported.
     """
     try:
-        body = build_body(cfg, clip_scale)
+        body = build_body(cfg)
     except Unbounded:
         return PolytopeVerdict(False, (REASON_UNBOUNDED,), 0)
     reasons = []
     if not is_interior_connected(build_graph(body)):
         reasons.append(REASON_INTERIOR_DISCONNECTED)
-    chains = extract_boundary(cfg, clip_scale=clip_scale, body=body)
+    chains = extract_boundary(cfg, body=body)
     if len(chains) != 1:
         reasons.append(REASON_COMPLEMENT_DISCONNECTED)
     return PolytopeVerdict(not reasons, tuple(reasons), len(chains))

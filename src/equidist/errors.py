@@ -56,10 +56,6 @@ class RegularityViolated(GeometryError):
         self.report = report
 
 
-class StitchFailure(GeometryError):
-    """The boundary cannot be extracted: a component reaches the clip box."""
-
-
 class MalformedQuad(GeometryError):
     """The four points do not form a simple quadrangle with one reflex vertex."""
 

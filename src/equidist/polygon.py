@@ -38,10 +38,9 @@ from .body import (
     _float_point,
     _orientation_det,
     _scaled,
-    _side_rows,
     build_body,
 )
-from .errors import RegularityViolated, StitchFailure
+from .errors import RegularityViolated
 from .primitives import (
     EPS_GEO,
     Circle,
@@ -392,7 +391,7 @@ _xy_key = cmp_to_key(_xy_cmp)
 
 
 def cell_polygons(body: EquidistantBody) -> tuple[tuple[Point, ...], ...]:
-    """The inner sites' cells in Vor(K ∪ L) within the clip box, as float polygons."""
+    """The inner sites' cells in Vor(K ∪ L), as float polygons."""
     k = body.components[0]._exact[2]
     return tuple(tuple(_float_point(vert, k) for vert, _ in cell) for cell in body.inner_cells)
 
@@ -450,32 +449,29 @@ def _chains(cfg: FocalConfig, body: EquidistantBody, eps: float, cycles) -> list
     return [chain for _, chain in out]
 
 
-def extract_boundary(cfg: FocalConfig, clip_scale: float = 2.0, eps: float = EPS_GEO,
+def extract_boundary(cfg: FocalConfig, eps: float = EPS_GEO,
                      body: EquidistantBody | None = None) -> list[PolygonChain]:
     """Boundary of the body as closed counterclockwise chains, one per boundary cycle.
 
     The body is the union of the closed Voronoi cells of the inner sites in
-    Vor(K ∪ L), so its boundary is exactly the set of cell edges between an
-    inner and an outer site: the edges on outer rows of the exact cells of
-    ``EquidistantBody.inner_cells``, walked with the body on the left.  The
-    edge after edge t of cell i is edge t + 1 of the cell.  While that edge
-    lies on the inner row q + i', it is also an edge of cell i' on row q + i,
-    listed reversed, and the walk goes on after it in cell i'.  So it turns
-    through the inner cells at the vertex, clockwise from the arriving edge,
-    and at a pinch point it leaves by the first boundary edge of that turn,
-    with no comparison of directions.  Refs, change types, angle
-    types, orientation and chain order are decided exactly.  Vertex 0 of a
-    chain is its exactly lowest vertex by (x, y), and chains are sorted by
-    it.  ``eps`` acts in one place only: each maximal run of consecutive chain
-    vertices closer than eps times the extent of the focal points' bounding
-    box is merged into one vertex, which keeps its first member's point and
-    unites the refs, so a vertex the float input realises as a pair a few ulps
-    apart counts once.
+    Vor(K ∪ L), so its boundary is exactly the set of cell edges between an inner
+    and an outer site: the edges on outer rows of the exact cells of
+    ``EquidistantBody.inner_cells`` (``build_body`` keeps every cell off the clip
+    box), walked with the body on the left.  The edge after edge t of cell i is edge
+    t + 1 of the cell.  While that edge lies on the inner row q + i', it is also an
+    edge of cell i' on row q + i, listed reversed, and the walk goes on after it in
+    cell i'.  So it turns through the inner cells at the vertex, clockwise from the
+    arriving edge, and at a pinch point it leaves by the first boundary edge of that
+    turn, with no comparison of directions.  Refs, change types, angle types,
+    orientation and chain order are decided exactly.  Vertex 0 of a chain is its
+    exactly lowest vertex by (x, y), and chains are sorted by it.  ``eps`` acts in
+    one place only: each maximal run of consecutive chain vertices closer than eps
+    times the extent of the focal points' bounding box is merged into one vertex,
+    which keeps its first member's point and unites the refs, so a vertex the float
+    input realises as a pair a few ulps apart counts once.
     """
     if body is None:
-        body = build_body(cfg, clip_scale)
-    if any(c.clipped for c in body.components):
-        raise StitchFailure("component reaches the clip box; enlarge clip_scale")
+        body = build_body(cfg)
     q = cfg.q
     cells = body.inner_cells
     at = [{j: t for t, (_, j) in enumerate(cell)} for cell in cells]  # cell i's position of row j
@@ -507,33 +503,39 @@ def check_vertex_bound(chain: PolygonChain, cfg: FocalConfig) -> BoundReport:
 
 
 def voronoi_check(cfg: FocalConfig, n_samples: int = 10000, seed: int = 42,
-                  clip_scale: float = 2.0, tol: float = EPS_GEO) -> VoronoiReport:
+                  tol: float = EPS_GEO) -> VoronoiReport:
     """Sampled agreement between the body and the Voronoi cells of the inner sites.
 
-    A point is strictly inside the body exactly when its nearest focal point
-    is inner; strict inside points must land in some inner site's cell and in
-    at most one cell interior.  Samples are drawn from the clip box and ranked
-    once by (distance, index); those whose two nearest focal distances differ
-    by at most tol * scale, with tol >= 0, are skipped as ties.  Past the band
-    the nearest point is unique, so ``agreements`` counts every other sample
-    and ``disagreements`` is 0.  A sample, scaled to integers once at the
-    body's 2**k, lies in a cell of ``EquidistantBody.inner_cells`` when the
-    exact sign of every edge row of the cell, box sides included, is >= 0, and
-    in its interior when every sign is > 0.
+    A point is strictly inside the body exactly when its nearest focal point is
+    inner; strict inside points must land in some inner site's cell and in at
+    most one cell interior.  Samples are drawn from the clip box.  One scan
+    finds the two least focal distances and the lowest index at the least; a
+    sample whose two differ by at most tol * scale, tol >= 0, is skipped as a
+    tie.  Past the band the nearest point is unique, so ``agreements`` counts
+    every other sample and ``disagreements`` is 0.  A sample, scaled to integers
+    once at the body's 2**k, lies in a cell of ``EquidistantBody.inner_cells``
+    when the exact sign of every edge row of the cell is >= 0, and in its
+    interior when every sign is > 0.
     """
-    body = build_body(cfg, clip_scale)
+    body = build_body(cfg)
     clip = body.clip
-    _, box, k, _ = body.components[0]._exact
-    lines = [c._exact[0] + _side_rows(box) for c in body.components]
-    cells = [[lines[i][j] for _, j in cell] for i, cell in enumerate(body.inner_cells)]
+    k = body.components[0]._exact[2]
+    cells = [[comp._exact[0][j] for _, j in cell]
+             for comp, cell in zip(body.components, body.inner_cells)]
+    focal = [(p.x, p.y) for p in cfg.points]
     rng = random.Random(seed)
     band = tol * cfg.scale()
 
     ties = inside_count = cell_misses = overlap_violations = 0
     for _ in range(n_samples):
         q = Point(rng.uniform(clip.xmin, clip.xmax), rng.uniform(clip.ymin, clip.ymax))
-        ranked = sorted((dist(q, p), i) for i, p in enumerate(cfg.points))
-        (best, nearest), (second, _) = ranked[:2]
+        best, second, nearest = math.inf, math.inf, 0
+        for i, (x, y) in enumerate(focal):
+            d = math.hypot(q.x - x, q.y - y)
+            if d < best:
+                best, second, nearest = d, best, i
+            elif d < second:
+                second = d
         if second - best <= band:
             ties += 1
             continue

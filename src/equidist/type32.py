@@ -244,15 +244,14 @@ _ROUND_TRIP = {"pentagon": ("recovered", "does not match the pentagon"),
                "quad": ("constructed", "does not reproduce the quadrangle")}
 
 
-def _certify(cfg: FocalConfig, defect: float, kind: str, source, clip_scale: float,
-             eps: float) -> Certificate32:
+def _certify(cfg: FocalConfig, defect: float, kind: str, source, eps: float) -> Certificate32:
     """Certificate of focal sets whose boundary is one chain on the vertices of ``source``.
 
     Raises RoundTripFailure otherwise; ``defect`` is kept relative to the scale of ``source``.
     """
     participle, mismatch = _ROUND_TRIP[kind]
     try:
-        chains = extract_boundary(cfg, clip_scale=clip_scale, eps=eps)
+        chains = extract_boundary(cfg, eps)
     except Unbounded:
         raise RoundTripFailure(f"{participle} focal configuration is unbounded") from None
     if len(chains) != 1:
@@ -269,7 +268,7 @@ def _certify(cfg: FocalConfig, defect: float, kind: str, source, clip_scale: flo
                          source_kind=kind, source=source)
 
 
-def recognize_pentagon(points, clip_scale: float = 2.0, eps: float = EPS_GEO):
+def recognize_pentagon(points, eps: float = EPS_GEO):
     """Certificate for a pentagon that is a (3,2) equidistant polygon, else None.
 
     Returns None when the shape fails a structural condition (two non-adjacent
@@ -293,7 +292,7 @@ def recognize_pentagon(points, clip_scale: float = 2.0, eps: float = EPS_GEO):
         cfg = FocalConfig(inner=(x1, x2), outer=(y1, y2, y3))
     except InvalidConfig:
         return None
-    return _certify(cfg, defect, "pentagon", poly, clip_scale, eps)
+    return _certify(cfg, defect, "pentagon", poly, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +376,12 @@ def default_param(q: LabeledQuad) -> float:
     return _midpoint(feasible_param_range(q))
 
 
-def construct_quad_focals(q: LabeledQuad, t: float, clip_scale: float = 2.0,
-                          eps: float = EPS_GEO) -> Certificate32:
+def construct_quad_focals(q: LabeledQuad, t: float, eps: float = EPS_GEO) -> Certificate32:
     """Focal sets realizing a concave quadrangle, at parameter t along the auxiliary ray."""
-    return _construct_quad(q, t, clip_scale, eps)[3]
+    return _construct_quad(q, t, eps)[3]
 
 
-def _construct_quad(q: LabeledQuad, t, clip_scale: float, eps: float):
+def _construct_quad(q: LabeledQuad, t, eps: float):
     """The ray direction, feasible intervals, t and certificate of one construction.
 
     The auxiliary ray and its intervals are computed once; t None takes
@@ -400,7 +398,7 @@ def _construct_quad(q: LabeledQuad, t, clip_scale: float, eps: float):
         cfg = FocalConfig(inner=(x1, x2), outer=(y1, y2, y3))
     except InvalidConfig as exc:
         raise ParamOutOfRange(f"degenerate focal points at t={t}") from exc
-    return d, intervals, t, _certify(cfg, defect, "quad", q.points, clip_scale, eps)
+    return d, intervals, t, _certify(cfg, defect, "quad", q.points, eps)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -27,7 +28,9 @@ from equidist.errors import (
     SiteInOuterSet,
     Unbounded,
 )
+from equidist.polygon import extract_boundary
 from equidist.primitives import Point, circumcircle, dist
+from test_exact_graph import MIXED, grid_config, ring_config
 
 BOX10 = Rect(-10, -10, 10, 10)
 
@@ -203,6 +206,78 @@ class TestBoundingRadius:
     def test_unbounded_raises(self):
         with pytest.raises(Unbounded):
             bounding_radius(FocalConfig.of([(0, 3)], [(2, -1), (-2, -1), (0, 2)]))
+
+
+def near_side_config(rng: random.Random, offset: float) -> FocalConfig:
+    """One inner point 1e-12 to 1e-6 inside a side of a jittered q-gon far from the origin.
+
+    The inner point is rounded to floats near ``offset``, so it may land on
+    or outside the side; callers keep the exactly bounded configs.  Its
+    clearance from the hull is then far below the cancellation error of a
+    float line equation at that offset.
+    """
+    q = rng.randint(3, 8)
+    outer = []
+    for k in range(q):
+        angle = 2.0 * math.pi * (k + rng.uniform(-0.25, 0.25)) / q
+        radius = 10.0 + rng.uniform(-0.5, 0.5)
+        outer.append(Point(offset + radius * math.cos(angle), offset + radius * math.sin(angle)))
+    i = rng.randrange(q)
+    a, b = outer[i], outer[(i + 1) % q]
+    t, depth = rng.uniform(0.2, 0.8), 10.0 ** rng.uniform(-12, -6)
+    dx, dy = b.x - a.x, b.y - a.y
+    n = math.hypot(dx, dy)
+    x = Point(a.x + t * dx - depth * dy / n, a.y + t * dy + depth * dx / n)  # left of a -> b
+    return FocalConfig((x,), tuple(outer))
+
+
+def near_side_corpus():
+    for offset in (1e6, 1e8, 1e10):
+        rng = random.Random(int(math.log10(offset)))
+        yield from filter(is_bounded, (near_side_config(rng, offset) for _ in range(40)))
+
+
+def assert_equidistant(point: Point, cfg: FocalConfig):
+    dk, dl = distance_to_set(point, cfg.inner), distance_to_set(point, cfg.outer)
+    assert abs(dk - dl) <= 1e-9 * max(cfg.scale(), dk)
+
+
+class TestRadiusBoundsTheBody:
+    """The radius holds every component, so no component reaches the clip box at twice it."""
+
+    @staticmethod
+    def assert_bounded_by_radius(cfg: FocalConfig) -> list:
+        body = build_body(cfg)
+        ox = Fraction(sum(p.x for p in cfg.inner)) / cfg.p
+        oy = Fraction(sum(p.y for p in cfg.inner)) / cfg.p
+        for comp in body.components:
+            assert not comp.clipped
+            for v in comp.vertices:
+                assert (Fraction(v.x) - ox) ** 2 + (Fraction(v.y) - oy) ** 2 <= Fraction(
+                    body.radius) ** 2
+        chains = extract_boundary(cfg, body=body)
+        for chain in chains:
+            pts = chain.vertices
+            for u, v in zip(pts, pts[1:] + pts[:1]):
+                assert_equidistant(u, cfg)
+                assert_equidistant(Point((u.x + v.x) / 2, (u.y + v.y) / 2), cfg)
+        return chains
+
+    def test_ring_grid_and_mixed_bodies(self):
+        rng = random.Random(14)
+        cfgs = [ring_config(rng, p, q) for p, q in ((2, 6), (5, 12), (8, 12))]
+        cfgs += [grid_config(rng, rng.randint(2, 8)) for _ in range(20)] + [MIXED]
+        for cfg in cfgs:
+            self.assert_bounded_by_radius(cfg)
+
+    def test_inner_point_just_inside_a_hull_side_far_from_the_origin(self):
+        # a float clearance there cancels to 0 or exceeds the true one; the exact one does not
+        cfgs = list(near_side_corpus())
+        assert len(cfgs) > 40
+        for cfg in cfgs:
+            # one inner site: the body is its convex cell, one chain
+            (chain,) = self.assert_bounded_by_radius(cfg)
+            assert len(chain.vertices) >= 3
 
 
 class TestStarCenter:

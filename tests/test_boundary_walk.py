@@ -25,7 +25,6 @@ from equidist.body import (
     membership,
 )
 from equidist.cli import main
-from equidist.errors import StitchFailure
 from equidist.polygon import PolygonChain, _chains, extract_boundary
 from equidist.primitives import EPS_GEO, Point, dist
 from equidist.type32 import point_in_polygon
@@ -304,7 +303,7 @@ def _clockwise_order(back):
     return cmp_to_key(cmp)
 
 
-def angular_extract_boundary(cfg: FocalConfig, clip_scale: float = 2.0, eps: float = EPS_GEO,
+def angular_extract_boundary(cfg: FocalConfig, eps: float = EPS_GEO,
                              body: EquidistantBody | None = None) -> list[PolygonChain]:
     """Boundary of the body as closed counterclockwise chains, one per boundary cycle.
 
@@ -316,9 +315,7 @@ def angular_extract_boundary(cfg: FocalConfig, clip_scale: float = 2.0, eps: flo
     the cycles into chains.
     """
     if body is None:
-        body = build_body(cfg, clip_scale)
-    if any(c.clipped for c in body.components):
-        raise StitchFailure("component reaches the clip box; enlarge clip_scale")
+        body = build_body(cfg)
     edges = []  # (start, end, inner i, outer j): cell edges between inner i and outer j
     for i, cell in enumerate(body.inner_cells):
         for t, (vert, j) in enumerate(cell):

@@ -223,8 +223,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag, value", [
         ("--eps", "nan"), ("--eps", "inf"), ("--eps", "0"),
-        ("--clip-scale", "0"), ("--clip-scale", "-1"), ("--clip-scale", "nan"),
-        ("--clip-scale", "inf"), ("--clip-scale", "1.7e308"),
     ])
     def test_bad_tolerance_flags_rejected(self, tmp_path, capsys, flag, value):
         path = write(tmp_path, "sq.json", SQUARE)
@@ -240,6 +238,19 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, [command, write(tmp_path, "h.json", huge_square(2e160))])
         assert code == 1 and out == ""
         assert json.loads(err)["error"]["type"] == "NumericalDegeneracy"
+
+    @pytest.mark.parametrize("y, message", [
+        (1e-10, "the body radius 4.9999999999999995e+299 / 1e-10 leaves the float range"),
+        (5e-9, "the clip box at 2.0 times the body radius 9.999999999999998e+307 "
+               "leaves the float range"),
+    ])
+    @pytest.mark.parametrize("command", ["body", "boundary", "graph", "voronoi-check"])
+    def test_body_radius_overflow_is_error_object(self, tmp_path, capsys, command, y, message):
+        # c / r = 5e299 / y: at 1e-10 the radius leaves the float range, at 5e-9 twice it does
+        doc = {"inner": [[0, y]], "outer": [[-1e150, 0], [1e150, 0], [0, 1e150]]}
+        code, out, err = run_cli(capsys, [command, write(tmp_path, "r.json", doc)])
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == {"type": "NumericalDegeneracy", "message": message}
 
     @pytest.mark.parametrize("s", [1e-162, 1e-170, 1e-200, 2.0 ** -1070])
     @pytest.mark.parametrize("command", ["body", "boundary", "graph", "voronoi-check", "render"])
@@ -370,15 +381,6 @@ class TestOuterHullBuilds:
 
 
 class TestExactConstructions:
-    @pytest.mark.parametrize("scale", ["1e10", "1e12", "1e300"])
-    def test_boundary_at_large_clip_scale(self, tmp_path, capsys, scale):
-        path = write(tmp_path, "sq.json", SQUARE)
-        code, out, _ = run_cli(capsys, ["boundary", path, f"--clip-scale={scale}"])
-        assert code == 0
-        chains = json.loads(out)["result"]["chains"]
-        assert len(chains) == 1
-        assert sorted(map(tuple, chains[0]["vertices"])) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
-
     def test_hypergraph_far_circumcentre(self, tmp_path, capsys):
         code, out, _ = run_cli(capsys, ["hypergraph", write(tmp_path, "far.json", FAR_CENTRE)])
         assert code == 0
@@ -438,7 +440,8 @@ class TestOptionDefaults:
         assert code == 0, err
         defaults = {f.name: f.default for f in dataclasses.fields(cli.RunConfig)}
         assert json.loads(out)["diagnostics"] == {
-            name: defaults[name] for name in ("eps", "clip_scale", "samples", "seed")}
+            "eps": defaults["eps"], "clip_scale": body_module.CLIP_SCALE,
+            "samples": defaults["samples"], "seed": defaults["seed"]}
         parsed = []
         monkeypatch.setattr(cli, "run", parsed.append)
         main(args)

@@ -21,7 +21,14 @@ from hypothesis import strategies as st
 from conftest import random_bounded_config
 from equidist import body as body_module
 from equidist import connectivity
-from equidist.body import FocalConfig, Rect, build_body, convex_component, is_bounded
+from equidist.body import (
+    FocalConfig,
+    Rect,
+    bounding_radius,
+    build_body,
+    convex_component,
+    is_bounded,
+)
 from equidist.connectivity import build_graph, intersection_dim, intersection_polygon
 from equidist.errors import MismatchedOuterSet, PreconditionViolated
 from equidist.polygon import extract_boundary
@@ -356,18 +363,21 @@ class TestInteriorWitness:
         assert witnessed_dims(build_body(MIXED).components)[0] > 0
 
     def test_box_cut_components(self):
-        # the bounding radius is loose: scales 1.0 and 0.6 rarely cut a
-        # component, 0.3 and a box just around the inner sites do
+        # a body's box never cuts a component; squares of 1.0, 0.6 and 0.3
+        # times its radius and a box just around the inner sites do
         rng = random.Random(53)
         certified = cut = 0
         for cfg in [ring_config(rng, 6) for _ in range(4)] + [
                 random_bounded_config(rng, p_max=5) for _ in range(12)]:
             xs, ys = [x.x for x in cfg.inner], [x.y for x in cfg.inner]
-            tight = Rect(min(xs) - 0.5, min(ys) - 0.5, max(xs) + 0.5, max(ys) + 0.5)
-            bodies = [[convex_component(x, cfg.outer, tight) for x in cfg.inner]]
-            for clip_scale in (1.0, 0.6, 0.3):
+            boxes = [Rect(min(xs) - 0.5, min(ys) - 0.5, max(xs) + 0.5, max(ys) + 0.5)]
+            ox, oy, radius = sum(xs) / cfg.p, sum(ys) / cfg.p, bounding_radius(cfg)
+            boxes += [Rect(ox - h, oy - h, ox + h, oy + h) for h in (radius, 0.6 * radius,
+                                                                        0.3 * radius)]
+            bodies = []
+            for box in boxes:
                 try:
-                    bodies.append(build_body(cfg, clip_scale).components)
+                    bodies.append([convex_component(x, cfg.outer, box) for x in cfg.inner])
                 except PreconditionViolated:  # the box misses an inner site
                     pass
             for comps in bodies:

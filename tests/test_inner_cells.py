@@ -7,8 +7,8 @@ scaling), up to the vertex they start at, with exactly equal floats and the
 same focal point or box side on every edge.  ``voronoi_check`` tests samples
 against those cells with exact row signs; ``float_band_voronoi_check`` below
 is the banded version it replaced, kept as the oracle, and
-``scanned_voronoi_check`` is the exact version before each sample was ranked
-once.
+``scanned_voronoi_check`` is the exact version that decided "inside" twice
+per sample.
 """
 
 import json
@@ -20,15 +20,7 @@ import pytest
 from conftest import random_generic_32
 from equidist import body as body_module
 from equidist import cli
-from equidist.body import (
-    FocalConfig,
-    _clip_box,
-    _side_rows,
-    bounding_radius,
-    build_body,
-    convex_component,
-)
-from equidist.errors import PreconditionViolated
+from equidist.body import FocalConfig, _side_rows, build_body, convex_component
 from equidist.polygon import (
     VoronoiReport,
     cell_polygons,
@@ -40,15 +32,14 @@ from test_exact_graph import MIXED, grid_config, ring_config, voronoi_cells
 
 
 def float_band_voronoi_check(cfg: FocalConfig, n_samples: int = 10000, seed: int = 42,
-                             clip_scale: float = 2.0, tol: float = EPS_GEO) -> VoronoiReport:
+                             tol: float = EPS_GEO) -> VoronoiReport:
     """The former ``voronoi_check``: standalone cells tested by signed distances with a band.
 
-    Verbatim but for the clip box, computed here as the one ``build_body``
-    uses: ``_clip_box(cfg, clip_scale, bounding_radius(cfg))``.  The signed
-    distances (``min_signed``) now have exact signs; the cell tests still
-    allow them the band of +-tol * scale.
+    Verbatim but for the clip box, taken here from the body: ``build_body(cfg).clip``.
+    The signed distances (``min_signed``) now have exact signs; the cell
+    tests still allow them the band of +-tol * scale.
     """
-    clip = _clip_box(cfg, clip_scale, bounding_radius(cfg))
+    clip = build_body(cfg).clip
     all_points = [p for _, p in labeled_points(cfg)]
     cells = [convex_component(x, tuple(p for p in all_points if p != x), clip)
              for x in cfg.inner]
@@ -92,14 +83,14 @@ def float_band_voronoi_check(cfg: FocalConfig, n_samples: int = 10000, seed: int
 
 
 def scanned_voronoi_check(cfg: FocalConfig, n_samples: int = 10000, seed: int = 42,
-                          clip_scale: float = 2.0, tol: float = EPS_GEO) -> VoronoiReport:
+                          tol: float = EPS_GEO) -> VoronoiReport:
     """The former ``voronoi_check``: a scan for the two nearest focal distances.
 
     Verbatim but for this docstring.  It decides "inside" twice per sample,
     by the inner and outer minima and by the nearest index, and counts how
     often the two agree.
     """
-    body = build_body(cfg, clip_scale)
+    body = build_body(cfg)
     clip = body.clip
     _, box, k, _ = body.components[0]._exact
     lines = [c._exact[0] + _side_rows(box) for c in body.components]
@@ -146,9 +137,9 @@ def scanned_voronoi_check(cfg: FocalConfig, n_samples: int = 10000, seed: int = 
                          cell_misses=cell_misses, overlap_violations=overlap_violations)
 
 
-# far outer points: at clip_scale 0.5 the box cuts the inner cells on all four sides
-NARROW = FocalConfig.of([(0.5, 0.25), (-1.0, 0.75), (0.25, -1.0)],
-                        [(10.0, 0.5), (-0.5, 10.0), (-10.0, -0.25), (0.75, -10.0)])
+# outer points far from the inner sites: a wide body with long cells
+FAR_OUTER = FocalConfig.of([(0.5, 0.25), (-1.0, 0.75), (0.25, -1.0)],
+                           [(10.0, 0.5), (-0.5, 10.0), (-10.0, -0.25), (0.75, -10.0)])
 
 
 def labelled_edges(points, sites):
@@ -156,12 +147,11 @@ def labelled_edges(points, sites):
     return [(repr(p.x), repr(p.y), site) for p, site in zip(points, sites)]
 
 
-def assert_cells_match_standalone(cfg: FocalConfig, clip_scale: float = 2.0) -> set:
-    """Builder cells equal standalone cells up to rotation; returns the box sides met."""
-    body = build_body(cfg, clip_scale)
+def assert_cells_match_standalone(cfg: FocalConfig):
+    """Builder cells equal standalone cells up to rotation, and meet no box side."""
+    body = build_body(cfg)
     q = cfg.q
     pts = cfg.points
-    sides = set()
     for x, cell, poly in zip(cfg.inner, body.inner_cells, cell_polygons(body)):
         others = tuple(p for p in pts if p != x)
         alone = convex_component(x, others, body.clip)
@@ -172,8 +162,7 @@ def assert_cells_match_standalone(cfg: FocalConfig, clip_scale: float = 2.0) -> 
                                                for t in alone.edge_tags])
         assert len(got) == len(want) >= 3
         assert any(got[s:] + got[:s] == want for s in range(len(got)))
-        sides.update(j for _, j in cell if j < 0)
-    return sides
+        assert all(j >= 0 for _, j in cell)
 
 
 class TestBuilderCellsEqualStandaloneCells:
@@ -199,11 +188,6 @@ class TestBuilderCellsEqualStandaloneCells:
             for poly, alone in zip(got, voronoi_cells(cfg)):
                 want = list(alone.vertices)
                 assert any(list(poly[s:] + poly[:s]) == want for s in range(len(poly)))
-
-    def test_clip_box_narrower_than_the_body(self):
-        # at clip_scale < 1 the box cuts the outer cells, so box sides carry edges
-        assert assert_cells_match_standalone(NARROW, 0.5) == {-1, -2, -3, -4}
-        assert_cells_match_standalone(NARROW, 0.75)
 
     def test_one_clip_per_cell_from_the_component(self):
         # each cell is the component's raw clip cut by the p inner rows only
@@ -234,20 +218,11 @@ def oracle_configs():
 
 
 class TestVoronoiCheckAgainstFloatBand:
-    @pytest.mark.parametrize("clip_scale", [2.0, 0.75, 0.5])
-    def test_reports_equal(self, clip_scale):
-        compared = 0
+    def test_reports_equal(self):
         for i, cfg in enumerate(oracle_configs()):
-            try:
-                want = float_band_voronoi_check(cfg, 1500, 80 + i, clip_scale)
-            except PreconditionViolated:  # a box narrower than the inner sites
-                with pytest.raises(PreconditionViolated):
-                    voronoi_check(cfg, 1500, 80 + i, clip_scale)
-                continue
-            assert voronoi_check(cfg, 1500, 80 + i, clip_scale) == want
+            want = float_band_voronoi_check(cfg, 1500, 80 + i)
+            assert voronoi_check(cfg, 1500, 80 + i) == want
             assert want.ok
-            compared += 1
-        assert compared >= 7
 
     def test_ties_are_skipped_the_same_way(self):
         cfg = FocalConfig.of([(-1, 0), (1, 0)], [(10, 0), (-10, 0), (0, 10), (0, -10)])
@@ -271,28 +246,16 @@ class TestVoronoiCheckAgainstFloatBand:
 
 
 class TestVoronoiCheckAgainstScan:
-    """Ranking each sample once gives the reports of the two-way scan, repr for repr."""
+    """One scan for the two nearest points gives the reports of the two-way scan, repr for repr."""
 
-    @pytest.mark.parametrize("clip_scale", [2.0, 0.75, 0.5])
     @pytest.mark.parametrize("tol", [1e-9, 1e-3, 0.0])
-    def test_reports_repr_equal(self, tol, clip_scale):
-        compared = box_cut = ties = 0
-        for i, cfg in enumerate([*oracle_configs(), NARROW]):
-            try:
-                want = scanned_voronoi_check(cfg, 1000, 90 + i, clip_scale, tol)
-            except PreconditionViolated:  # a box narrower than the inner sites
-                with pytest.raises(PreconditionViolated):
-                    voronoi_check(cfg, 1000, 90 + i, clip_scale, tol)
-                continue
-            assert repr(voronoi_check(cfg, 1000, 90 + i, clip_scale, tol)) == repr(want)
-            compared += 1
+    def test_reports_repr_equal(self, tol):
+        ties = 0
+        for i, cfg in enumerate([*oracle_configs(), FAR_OUTER]):
+            want = scanned_voronoi_check(cfg, 1000, 90 + i, tol)
+            assert repr(voronoi_check(cfg, 1000, 90 + i, tol)) == repr(want)
             ties += want.ties_skipped
-            box_cut += any(j < 0 for cell in build_body(cfg, clip_scale).inner_cells
-                           for _, j in cell)
-        assert compared >= 9
         assert ties > 0 or tol < 1e-3
-        # at clip_scale 0.5 the box cuts inner cells, so box-side rows are tested too
-        assert box_cut > 0 or clip_scale > 0.5
 
     def test_exact_ties_on_a_lattice(self, monkeypatch):
         # half-integer samples are often exactly equidistant from two grid points

@@ -348,11 +348,6 @@ class TestExtractBoundary:
         with pytest.raises(Unbounded):
             extract_boundary(FocalConfig.of([(0, 3)], [(2, -1), (-2, -1), (0, 2)]))
 
-    def test_undersized_clip_box_fails_loudly(self):
-        from equidist.errors import StitchFailure
-        with pytest.raises(StitchFailure):
-            extract_boundary(SQUARE, clip_scale=0.3)
-
 
 class TestVertexBound:
     def test_square(self):
