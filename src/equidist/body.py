@@ -9,13 +9,15 @@ power of two, once, and each vertex (X, Y, W), W > 0, is the meet of the two
 rows that carry its edges, rounded to floats once.  The components keep
 their rows and raw clip: the inner cells and ``connectivity`` continue them,
 and membership reads their exact signs at a probe scaled the same way.
+``build_body`` keeps the body of the last config object it was given, so the
+stages of one input share one body (``once_per_input``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 
 from .errors import (
     EmptySet,
@@ -92,6 +94,31 @@ class FocalConfig:
 
     def scale(self) -> float:
         return coord_scale(self.points)
+
+
+_NO_INPUT = object()
+
+
+def once_per_input(fn):
+    """Keep fn(cfg) for the last config object; a call with that same object returns it.
+
+    The key is identity, not equality: equal configs may differ in the sign of a zero
+    coordinate, and a config never refers back to the slot, so a dropped one is freed at
+    once.  The slot is one (cfg, value) tuple, read once and replaced whole, so threads
+    at worst recompute; a call that raises leaves it as it was.
+    """
+    last = (_NO_INPUT, None)
+
+    @wraps(fn)
+    def once(cfg):
+        nonlocal last
+        key, value = last
+        if key is not cfg:
+            value = fn(cfg)
+            last = (cfg, value)
+        return value
+
+    return once
 
 
 @dataclass(frozen=True)
@@ -421,11 +448,13 @@ def convex_component(site: Point, outer, clip: Rect) -> ConvexComponent:
     return _component(site, outer, clip, *_integer_rows((site,), outer, clip))
 
 
+@once_per_input
 def build_body(cfg: FocalConfig) -> EquidistantBody:
     """Assemble the body as the union of one convex component per inner point.
 
     The box reaches CLIP_SCALE body radii from the inner centroid, so no component meets it
     (else NumericalDegeneracy).  Points are scaled once; site i's rows go to outer, then inner.
+    A second call with the same config object returns the same body, inner cells included.
     """
     radius = bounding_radius(cfg)  # raises Unbounded
     o = _centroid(cfg.inner)

@@ -74,32 +74,49 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def format_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
+def _json_dict(obj: dict, indent: int) -> str:
+    if not obj:
+        return "{}"
     inner_pad = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{inner_pad}"{k}": {format_json(v, indent + 1)}' for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        simple = all(isinstance(v, (int, float, str, bool)) or v is None for v in obj)
-        parts = [format_json(v, indent + 1) for v in obj]
-        if simple and sum(len(s) for s in parts) < 72:
-            return "[" + ", ".join(parts) + "]"
-        return "[\n" + ",\n".join(inner_pad + s for s in parts) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
+    items = [f'{inner_pad}"{k}": {format_json(v, indent + 1)}' for k, v in obj.items()]
+    return "{\n" + ",\n".join(items) + "\n" + "  " * indent + "}"
+
+
+def _json_list(obj, indent: int) -> str:
+    """Inline when every item is a scalar and the items take fewer than 72 characters."""
+    if not obj:
+        return "[]"
+    simple = all(isinstance(v, (int, float, str, bool)) or v is None for v in obj)
+    parts = [format_json(v, indent + 1) for v in obj]
+    if simple and sum(len(s) for s in parts) < 72:
+        return "[" + ", ".join(parts) + "]"
+    inner_pad = "  " * (indent + 1)
+    return "[\n" + ",\n".join(inner_pad + s for s in parts) + "\n" + "  " * indent + "]"
+
+
+_SCALARS = {
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+    int: str,
+    float: _fmt_float,
+    str: json.dumps,
+}
+_CONTAINERS = {dict: _json_dict, list: _json_list, tuple: _json_list}
+
+
+def format_json(obj, indent: int = 0) -> str:
+    """The report text of obj, dispatched on its exact type (a subclass on its base)."""
+    kind = type(obj)
+    fmt = _SCALARS.get(kind)
+    if fmt is not None:
+        return fmt(obj)
+    fmt = _CONTAINERS.get(kind)
+    if fmt is not None:
+        return fmt(obj, indent)
+    for base in (dict, list, tuple, int, float, str):  # a subclass: its first base here
+        if isinstance(obj, base):
+            fmt = _SCALARS.get(base)
+            return fmt(obj) if fmt else _CONTAINERS[base](obj, indent)
     raise TypeError(f"unsupported report value {obj!r}")
 
 

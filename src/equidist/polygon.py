@@ -39,6 +39,7 @@ from .body import (
     _orientation_det,
     _scaled,
     build_body,
+    once_per_input,
 )
 from .errors import RegularityViolated
 from .primitives import (
@@ -154,6 +155,7 @@ def ref_point(cfg: FocalConfig, ref: FocalRef) -> Point:
     return cfg.inner[ref.index] if ref.kind == "inner" else cfg.outer[ref.index]
 
 
+@once_per_input
 def check_regularity(cfg: FocalConfig) -> RegularityReport:
     """Exact test for collinear triples (C1) and concircular quadruples (C2), O(n^3).
 
@@ -167,7 +169,8 @@ def check_regularity(cfg: FocalConfig) -> RegularityReport:
     equal keys, so each concircular quadruple (a, b, c, d) shares a key; two
     members of a shared key are confirmed by exact equality of their
     rationals, num_c * cross_d == num_d * cross_c, which rejects keys that
-    collide by rounding.  Both lists come out in ``combinations`` order.
+    collide by rounding.  Both lists come out in ``combinations`` order.  A second
+    call with the same config object returns the same report.
     """
     pts = labeled_points(cfg)
     refs = [r for r, _ in pts]

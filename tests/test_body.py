@@ -1,12 +1,17 @@
 """Convex components, membership oracle, bounds, and body assembly."""
 
+import gc
 import math
 import random
+import sys
+import threading
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_bounded_config
+from equidist import polygon as polygon_module
 from equidist.body import (
     MEMBER_BOUNDARY,
     MEMBER_INSIDE,
@@ -19,6 +24,7 @@ from equidist.body import (
     distance_to_set,
     is_bounded,
     membership,
+    once_per_input,
     star_center,
 )
 from equidist.errors import (
@@ -28,7 +34,7 @@ from equidist.errors import (
     SiteInOuterSet,
     Unbounded,
 )
-from equidist.polygon import extract_boundary
+from equidist.polygon import check_regularity, extract_boundary
 from equidist.primitives import Point, circumcircle, dist
 from test_exact_graph import MIXED, grid_config, ring_config
 
@@ -383,3 +389,98 @@ class TestBuildBody:
     def test_unbounded_raises(self):
         with pytest.raises(Unbounded):
             build_body(FocalConfig.of([(0, 3)], [(2, -1), (-2, -1), (0, 2)]))
+
+
+# --- one computation per input ------------------------------------------------
+
+SQUARE = [(2, 0), (-2, 0), (0, 2), (0, -2)]
+
+
+def failing_regularity(monkeypatch, bad):
+    """Make check_regularity raise for the config object bad, as build_body does when unbounded."""
+    points = polygon_module.labeled_points
+
+    def labeled_points(cfg):
+        if cfg is bad:
+            raise Unbounded("raised for this config")
+        return points(cfg)
+
+    monkeypatch.setattr(polygon_module, "labeled_points", labeled_points)
+
+
+@pytest.mark.parametrize("stage", [build_body, check_regularity],
+                         ids=["build_body", "check_regularity"])
+class TestOncePerInput:
+    """build_body and check_regularity keep their value for the last config object only."""
+
+    def test_same_object_returns_the_kept_value(self, stage):
+        cfg = ring_config(random.Random(51), 4)
+        kept = stage(cfg)
+        assert stage(cfg) is kept
+        assert stage(FocalConfig(cfg.inner, cfg.outer)) is not kept  # equal, another object
+
+    def test_negative_zero_gets_its_own_value(self, stage):
+        plus = FocalConfig.of([(0.0, 0.5)], SQUARE)
+        minus = FocalConfig.of([(-0.0, 0.5)], SQUARE)
+        assert plus == minus  # a memo keyed by value would hand plus's value to minus
+        kept = stage(plus)
+        got = stage(minus)
+        assert got is not kept
+        if stage is build_body:
+            assert math.copysign(1.0, got.components[0].site.x) == -1.0
+
+    def test_a_call_that_raises_raises_again_and_keeps_the_slot(self, stage, monkeypatch):
+        good = ring_config(random.Random(52), 4)
+        bad = FocalConfig.of([(0, 3)], [(2, -1), (-2, -1), (0, 2)])  # build_body: unbounded
+        if stage is check_regularity:
+            failing_regularity(monkeypatch, bad)
+        kept = stage(good)
+        for _ in range(2):
+            with pytest.raises(Unbounded):
+                stage(bad)
+        assert stage(good) is kept
+
+    def test_a_dropped_config_is_freed_without_the_cyclic_collector(self, stage):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            cfg = ring_config(random.Random(53), 4)
+            dead = weakref.ref(cfg)
+            value = stage(cfg)
+            stage(ring_config(random.Random(54), 4))
+            del cfg, value
+            assert dead() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_undecorated_function_is_wrapped(self, stage):
+        cfg = ring_config(random.Random(55), 4)
+        assert stage.__wrapped__(cfg) is not stage.__wrapped__(cfg)
+        assert stage.__name__ == stage.__wrapped__.__name__
+
+
+def test_threads_get_the_value_of_their_own_config():
+    """Threads share the one slot; each must still get its own input's value, never another's."""
+    stage = once_per_input(lambda cfg: [cfg])  # cheap, so the threads mostly race on the slot
+    work = [(object(), object()) for _ in range(4)]
+    wrong = []
+
+    def run(pair):
+        for i in range(20000):
+            cfg = pair[i // 2 % 2]  # each input twice in a row: a miss, then a hit
+            if stage(cfg)[0] is not cfg:
+                wrong.append(cfg)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(pair,)) for pair in work]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong

@@ -4,12 +4,14 @@ import dataclasses
 import json
 import math
 import random
+import sys
 
 import pytest
 
 from equidist import body as body_module
 from equidist import cli
-from equidist.body import FocalConfig
+from equidist import polygon as polygon_module
+from equidist.body import FocalConfig, once_per_input
 from equidist.cli import format_json, main
 from equidist.polygon import extract_boundary
 from test_exact_graph import grid_config, ring_config
@@ -349,13 +351,12 @@ class TestExitCodes:
 
 
 class TestOuterHullBuilds:
-    """Each command builds the outer hull once: hypergraph builds no body, and boundary a
-    second one for its polytope verdict."""
+    """Each command builds the outer hull once; hypergraph builds no body."""
 
     @pytest.mark.parametrize("command, doc, builds", [
         ("body", GENERIC_32, 1),
         ("graph", GENERIC_32, 1),
-        ("boundary", GENERIC_32, 2),
+        ("boundary", GENERIC_32, 1),
         ("hypergraph", GENERIC_32, 0),
         ("classify32", GENERIC_32, 1),
         ("voronoi-check", GENERIC_32, 1),
@@ -378,6 +379,26 @@ class TestOuterHullBuilds:
         code, out, _ = run_cli(capsys, args)
         assert code == 0 and '"error"' not in out
         assert len(calls) == builds
+
+
+class TestStagesRunOncePerInput:
+    """Every call site of a stage sees one config per op, so the undecorated stage runs once."""
+
+    @pytest.mark.parametrize("command, module, stage", [
+        ("boundary", body_module, "build_body"),
+        ("hypergraph", polygon_module, "check_regularity"),
+    ], ids=["boundary", "hypergraph"])
+    def test_undecorated_stage_runs_once(self, tmp_path, capsys, monkeypatch, command, module,
+                                         stage):
+        original = getattr(module, stage)
+        runs = []
+        counted = once_per_input(lambda cfg: runs.append(cfg) or original.__wrapped__(cfg))
+        for mod in list(sys.modules.values()):  # every equidist module that binds the stage
+            if mod.__name__.startswith("equidist") and getattr(mod, stage, None) is original:
+                monkeypatch.setattr(mod, stage, counted)
+        code, out, _ = run_cli(capsys, [command, write(tmp_path, "in.json", GENERIC_32)])
+        assert code == 0 and '"error"' not in out
+        assert len(runs) == 1
 
 
 class TestExactConstructions:
