@@ -34,6 +34,7 @@ from .primitives import (
     coord_scale,
     dist,
     dyadic_ints,
+    incircle,
     orient,
 )
 
@@ -300,15 +301,14 @@ def star_center(cfg: FocalConfig):
     """Center of a ball separating inner from outer points, for q = 3.
 
     Returns the circumcenter of the outer triangle when every inner point is
-    strictly closer to it than the circumradius, else None.
+    strictly inside its circumcircle, by exact in-circle signs, else None.
     """
     if cfg.q != 3:
         raise PreconditionViolated("star_center is implemented for exactly 3 outer points")
     if orient(*cfg.outer) == 0:
         return None
-    circ = circumcircle(*cfg.outer)
-    if max(dist(circ.center, x) for x in cfg.inner) < circ.radius:
-        return circ.center
+    if all(incircle(*cfg.outer, x) == 1 for x in cfg.inner):
+        return circumcircle(*cfg.outer).center
     return None
 
 

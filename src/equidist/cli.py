@@ -37,10 +37,6 @@ from .primitives import Point
 from .svg import Scene, render_svg
 from .type32 import _construct_quad, classify_generic_32, label_quad, recognize_pentagon
 
-COMMANDS = ("body", "graph", "boundary", "hypergraph", "classify32",
-            "recognize-pentagon", "construct-quad", "voronoi-check", "render")
-
-
 @dataclass
 class RunConfig:
     command: str
@@ -382,16 +378,17 @@ def _cmd_render(rc: RunConfig, data):
     return info
 
 
-_DISPATCH = {
-    "body": _cmd_body,
-    "graph": _cmd_graph,
-    "boundary": _cmd_boundary,
-    "hypergraph": _cmd_hypergraph,
-    "classify32": _cmd_classify32,
-    "recognize-pentagon": _cmd_recognize_pentagon,
-    "construct-quad": _cmd_construct_quad,
-    "voronoi-check": _cmd_voronoi_check,
-    "render": _cmd_render,
+# name: (handler, the RunConfig fields it reads besides input_path and output_path)
+COMMANDS = {
+    "body": (_cmd_body, ("eps",)),
+    "graph": (_cmd_graph, ()),
+    "boundary": (_cmd_boundary, ("eps",)),
+    "hypergraph": (_cmd_hypergraph, ()),
+    "classify32": (_cmd_classify32, ()),
+    "recognize-pentagon": (_cmd_recognize_pentagon, ("eps",)),
+    "construct-quad": (_cmd_construct_quad, ("eps", "t")),
+    "voronoi-check": (_cmd_voronoi_check, ("eps", "samples", "seed")),
+    "render": (_cmd_render, ("eps", "show_circles", "show_voronoi")),
 }
 
 
@@ -415,7 +412,7 @@ def run(rc: RunConfig) -> int:
         report = {
             "command": rc.command,
             "input": rc.input_path,
-            "result": _DISPATCH[rc.command](rc, data),
+            "result": COMMANDS[rc.command][0](rc, data),
             "diagnostics": {
                 "eps": rc.eps,
                 "clip_scale": CLIP_SCALE,
@@ -436,37 +433,42 @@ def run(rc: RunConfig) -> int:
     return 0
 
 
+# the argparse settings of each option, by the RunConfig field it sets; its flag is the
+# field name with dashes
+_OPTIONS = {
+    "eps": dict(type=float,
+                help=f"relative tolerance (default {RunConfig.eps}): the boundary chains of "
+                     "body, boundary, render and the (3,2) round trips merge each run of "
+                     "consecutive vertices closer than eps times the extent of the focal "
+                     "points into its first member, and start at their lowest vertex; "
+                     "voronoi-check skips samples whose two nearest focal distances differ "
+                     "by at most eps times the coordinate scale"),
+    "samples": dict(type=int, help="sample count for randomized checks"),
+    "seed": dict(type=int, help="seed for the deterministic generator (Mersenne Twister)"),
+    "show_circles": dict(action="store_true", help="include colored-edge circumcircles"),
+    "show_voronoi": dict(action="store_true", help="include Voronoi cells of the inner sites"),
+    "t": dict(type=float, help="construction parameter along the auxiliary ray "
+                               "(default: midpoint of the feasible interval)"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """Subcommand parsers whose dests are the RunConfig fields; an option not given is left out."""
+    """A subparser per command: input, --out and the options it reads, with RunConfig dests.
+
+    An option not given is left out, so RunConfig holds every default.
+    """
     parser = argparse.ArgumentParser(
         prog="equidist",
         description="Equidistant bodies and polygons of finite focal sets.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, fields) in COMMANDS.items():
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         p.add_argument("input_path", metavar="input",
                        help="input JSON file (configuration or shape)")
-        p.add_argument("--eps", type=float,
-                       help=f"relative tolerance (default {RunConfig.eps}): the boundary "
-                            "chains of body, boundary, render and the (3,2) round trips merge "
-                            "each run of consecutive vertices closer than eps times the "
-                            "extent of the focal points into its first member, and start "
-                            "at their lowest vertex; voronoi-check skips samples whose two "
-                            "nearest focal distances differ by at most eps times the "
-                            "coordinate scale")
-        p.add_argument("--samples", type=int, help="sample count for randomized checks")
-        p.add_argument("--seed", type=int,
-                       help="seed for the deterministic generator (Mersenne Twister)")
-        p.add_argument("--show-circles", action="store_true",
-                       help="render: include colored-edge circumcircles")
-        p.add_argument("--show-voronoi", action="store_true",
-                       help="render: include Voronoi cells of the inner sites")
         p.add_argument("--out", dest="output_path", metavar="OUT",
                        help="output path (report JSON; SVG document for render)")
-        if name == "construct-quad":
-            p.add_argument("--t", type=float,
-                           help="construction parameter along the auxiliary ray "
-                                "(default: midpoint of the feasible interval)")
+        for field in fields:
+            p.add_argument("--" + field.replace("_", "-"), **_OPTIONS[field])
     return parser
 
 

@@ -33,6 +33,7 @@ from .primitives import (
     compose_three_reflections,
     coord_scale,
     dist,
+    dyadic_ints,
     incircle,
     line_intersection,
     orient,
@@ -308,23 +309,34 @@ def _focal_points_at(q: LabeledQuad, d, t: float):
     return x1, x2, y1, y2, y3
 
 
+def _crossing(c, d, u, v):
+    """The denominator and the t and s numerators of c + t*d = u + s*(v - u)."""
+    ex, ey = v[0] - u[0], v[1] - u[1]
+    wx, wy = u[0] - c[0], u[1] - c[1]
+    return d[0] * ey - d[1] * ex, wx * ey - wy * ex, wx * d[1] - wy * d[0]
+
+
 def _exit_param(q: LabeledQuad, d):
     """Smallest t > 0 at which the ray c + t*d crosses ab or da, or None.
 
     c lies in the triangle abd, and the quadrangle is abd minus bcd: the ray
-    enters the quadrangle exactly when it leaves abd through ab or da.
+    enters the quadrangle exactly when it leaves abd through ab or da.  Whether
+    it crosses a side is decided on the inputs scaled once to integers; t is
+    the float quotient.
     """
+    floats = (tuple(q.c), tuple(d), tuple(q.a), tuple(q.b), tuple(q.d))
+    ints, _ = dyadic_ints([v for pair in floats for v in pair])
+    exact = [ints[i:i + 2] for i in range(0, 10, 2)]
     exits = []
-    for u, v in ((q.a, q.b), (q.d, q.a)):
-        ex, ey = v.x - u.x, v.y - u.y
-        denom = d[0] * ey - d[1] * ex
-        if denom == 0.0:
-            continue
-        wx, wy = u.x - q.c.x, u.y - q.c.y
-        t = (wx * ey - wy * ex) / denom
-        s = (wx * d[1] - wy * d[0]) / denom
-        if -1e-12 <= s <= 1.0 + 1e-12 and t > 0.0:
-            exits.append(t)
+    for side in ((0, 1, 2, 3), (0, 1, 4, 2)):  # c, the ray, then ab or da
+        denom, tn, sn = _crossing(*(exact[k] for k in side))
+        if denom < 0:
+            denom, tn, sn = -denom, -tn, -sn
+        if denom and tn > 0 and 0 <= sn <= denom:
+            fdenom, ftn, _ = _crossing(*(floats[k] for k in side))
+            t = ftn / fdenom if fdenom else 0.0
+            # the float quotient's sign can only be wrong on a near-degenerate quadrangle
+            exits.append(t if t > 0.0 else tn / denom)
     return min(exits, default=None)
 
 
@@ -342,7 +354,8 @@ def _auxiliary_ray(q: LabeledQuad):
     f = _composed_at(q.c, q.d, q.b, q.a)
     # ca bisects x1 and x2, and cd and da are edges of x1's cell (y3 and y1 mirror x1 in
     # them), so x1 lies on d's side of ca: right of c -> a, as d is convex in ccw c, d, a, b
-    side = orient(Point(0.0, 0.0), Point(q.a.x - q.c.x, q.a.y - q.c.y), Point(-f.b, f.a))
+    (ax, ay, cx, cy, fa, fb), _ = dyadic_ints((q.a.x, q.a.y, q.c.x, q.c.y, f.a, f.b))
+    side = (ax - cx) * fa + (ay - cy) * fb  # (a - c) x (-f.b, f.a)
     if side == 0:
         raise NumericalDegeneracy("auxiliary line does not enter the polygon")
     d = (-f.b, f.a) if side < 0 else (f.b, -f.a)

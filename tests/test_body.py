@@ -35,7 +35,7 @@ from equidist.errors import (
     Unbounded,
 )
 from equidist.polygon import check_regularity, extract_boundary
-from equidist.primitives import Point, circumcircle, dist
+from equidist.primitives import Point, circumcircle, dist, orient
 from test_exact_graph import MIXED, grid_config, ring_config
 
 BOX10 = Rect(-10, -10, 10, 10)
@@ -319,6 +319,49 @@ class TestStarCenter:
     def test_wrong_q_raises(self):
         with pytest.raises(PreconditionViolated):
             star_center(FocalConfig.of([(0, 0)], [(2, 0), (-2, 0), (0, 2), (0, -2)]))
+
+    @staticmethod
+    def inside_circumcircle(outer, x) -> bool:
+        """x strictly inside the circle through the three outer points, by its rational centre."""
+        (ax, ay), (bx, by), (cx, cy) = [(Fraction(p.x), Fraction(p.y)) for p in outer]
+        a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+        d = 2 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+        ux = (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d
+        uy = (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d
+        dx, dy = Fraction(x.x) - ux, Fraction(x.y) - uy
+        return dx * dx + dy * dy < (ax - ux) ** 2 + (ay - uy) ** 2
+
+    def test_points_within_ulps_of_the_circumcircle_match_a_fraction_oracle(self):
+        rng = random.Random(72)
+        inside = 0
+        for _ in range(150):
+            outer = tuple(Point(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(3))
+            if orient(*outer) == 0:
+                continue
+            circ = circumcircle(*outer)
+            for _ in range(4):
+                th = rng.uniform(0.0, 2.0 * math.pi)
+                x, y = (circ.center.x + circ.radius * math.cos(th),
+                        circ.center.y + circ.radius * math.sin(th))
+                for _ in range(rng.randint(0, 3)):  # a few ulps either way
+                    x = math.nextafter(x, rng.choice((-math.inf, math.inf)))
+                    y = math.nextafter(y, rng.choice((-math.inf, math.inf)))
+                cfg = FocalConfig(inner=(Point(x, y),), outer=outer)
+                want = self.inside_circumcircle(outer, Point(x, y))
+                assert star_center(cfg) == (circ.center if want else None)
+                inside += want
+        assert 100 < inside < 450
+
+    @pytest.mark.parametrize("outer, x, inside", [
+        ([(2, -1), (-2, -1), (0, 2)], (1.7600476633114683, -1.4302633852902487), True),
+        ([(7, 6), (2, -9), (-9, -1)], (3.4050914162637826, -8.583900093395085), False),
+    ])
+    def test_rounded_distance_misjudges_the_circle(self, outer, x, inside):
+        cfg = FocalConfig.of([x], outer)
+        assert self.inside_circumcircle(cfg.outer, cfg.inner[0]) == inside
+        circ = circumcircle(*cfg.outer)
+        assert (dist(circ.center, cfg.inner[0]) < circ.radius) != inside  # the former test
+        assert star_center(cfg) == (circ.center if inside else None)
 
 
 class TestBuildBody:

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -39,6 +40,11 @@ def write(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def flag(field):
+    """The command-line flag of a RunConfig field."""
+    return "--" + field.replace("_", "-")
 
 
 def run_cli(capsys, args):
@@ -258,8 +264,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["body", "boundary", "graph", "voronoi-check", "render"])
     def test_squared_distance_underflow_is_error_object(self, tmp_path, capsys, command, s):
         # the squared distances ~(2s)^2 underflow to 0 or below the least subnormal
-        code, out, err = run_cli(capsys, [command, write(tmp_path, "t.json", huge_square(2 * s)),
-                                          "--samples", "10", "--out", str(tmp_path / "t.svg")])
+        args = [command, write(tmp_path, "t.json", huge_square(2 * s)),
+                "--out", str(tmp_path / "t.svg")]
+        code, out, err = run_cli(capsys, args + (["--samples", "10"]
+                                                 if command == "voronoi-check" else []))
         assert code == 1 and out == ""
         assert json.loads(err)["error"]["type"] == "NumericalDegeneracy"
 
@@ -279,7 +287,7 @@ class TestExitCodes:
         assert [ch["area"] for ch in json.loads(out)["result"]["chains"]] == [s * s]
 
     def test_non_finite_report_value_is_error_object(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setitem(cli._DISPATCH, "body", lambda rc, data: {"area": math.inf})
+        monkeypatch.setitem(cli.COMMANDS, "body", (lambda rc, data: {"area": math.inf}, ()))
         code, out, err = run_cli(capsys, ["body", write(tmp_path, "sq.json", SQUARE)])
         assert code == 1 and out == ""
         assert json.loads(err)["error"]["type"] == "NumericalDegeneracy"
@@ -370,7 +378,9 @@ class TestOuterHullBuilds:
         if doc is None:  # the pentagon that GENERIC_32 bounds
             cfg = FocalConfig.of(GENERIC_32["inner"], GENERIC_32["outer"])
             doc = {"polygon": [list(v) for v in extract_boundary(cfg)[0].vertices]}
-        args = [command, write(tmp_path, "in.json", doc), "--samples", "50"]
+        args = [command, write(tmp_path, "in.json", doc)]
+        if command == "voronoi-check":
+            args += ["--samples", "50"]
         if command == "render":
             args += ["--out", str(tmp_path / "out.svg"), "--show-circles", "--show-voronoi"]
         calls = []
@@ -473,7 +483,24 @@ class TestOptionDefaults:
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])
         assert exc.value.code == 0
-        assert ("--t T" in capsys.readouterr().out) == (command == "construct-quad")
+        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed == {"--help", "--out"} | {flag(field) for field in cli.COMMANDS[command][1]}
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_each_command_reads_the_options_it_lists(self, tmp_path, command):
+        read = set()
+
+        class Recording(cli.RunConfig):
+            def __getattribute__(self, name):
+                read.add(name)
+                return super().__getattribute__(name)
+
+        rc = Recording(command, "in.json", str(tmp_path / "out.svg"), samples=50)
+        read.clear()
+        cli.COMMANDS[command][0](rc, self.INPUTS.get(command, SQUARE))
+        options = {f.name for f in dataclasses.fields(cli.RunConfig)} - {
+            "command", "input_path", "output_path"}
+        assert read & options == set(cli.COMMANDS[command][1])
 
     @pytest.mark.parametrize("command", [c for c in cli.COMMANDS if c != "construct-quad"])
     def test_t_is_rejected_outside_construct_quad(self, tmp_path, capsys, command):
@@ -481,6 +508,18 @@ class TestOptionDefaults:
             main([command, write(tmp_path, "in.json", SQUARE), "--t", "0.3"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --t 0.3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, field", [  # --t: the test above
+        (command, field) for command, (_, fields) in cli.COMMANDS.items()
+        for field in cli._OPTIONS if field not in fields and field != "t"])
+    def test_unread_option_is_rejected(self, tmp_path, capsys, command, field):
+        option = [flag(field)]
+        if cli._OPTIONS[field].get("action") != "store_true":
+            option.append("3")
+        with pytest.raises(SystemExit) as exc:
+            main([command, write(tmp_path, "in.json", SQUARE), *option])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
 
 class TestChainStart:

@@ -88,7 +88,6 @@ TOLERANCES = {
     ("cli", "RunConfig"): 1,  # the eps default
     ("body", "bounding_radius"): 1,
     ("svg", "_Mapper.__init__"): 2,
-    ("type32", "_exit_param"): 2,  # the segment band of the ray's exit
 }
 
 

@@ -195,6 +195,21 @@ def probed_auxiliary_ray(q):
     return f, cand, intervals
 
 
+def fraction_exit(q, d):
+    """The least t > 0 with c + t*d on the side ab or da, in rationals, or None."""
+    (cx, cy), (dx, dy) = (map(Fraction, q.c), map(Fraction, d))
+    exits = []
+    for u, v in ((q.a, q.b), (q.d, q.a)):
+        (ux, uy), (vx, vy) = map(Fraction, u), map(Fraction, v)
+        denom = dx * (vy - uy) - dy * (vx - ux)
+        if denom:
+            t = ((ux - cx) * (vy - uy) - (uy - cy) * (vx - ux)) / denom
+            s = ((ux - cx) * dy - (uy - cy) * dx) / denom
+            if 0 <= s <= 1 and t > 0:
+                exits.append(t)
+    return min(exits, default=None)
+
+
 # exactly concircular inner/outer quadruple on the circle x^2 + y^2 = 25
 CONCIRC = FocalConfig.of([(-4, 3), (-4, -3)], [(3, 4), (3, -4), (-40, 0)])
 COLLIN = FocalConfig.of([(-1, 0), (1, 0)], [(3, 0), (-2, 4), (-2, -4)])
@@ -688,6 +703,34 @@ class TestDartAndTwoEars:
                     assert type32._feasible_intervals(q, cand) == _feasible_intervals(q, cand)
                 shapes += 1
         assert shapes == 2100
+
+    def test_exit_matches_a_fraction_oracle(self):
+        rng = random.Random(68)
+        exits = 0
+        for _ in range(150):
+            quad = random_concave_quad(rng)
+            for pts in (quad.points, [Point(3e5 * p.x, 3e5 * p.y - 7) for p in quad.points],
+                        [Point(p.x, 0.02 * p.y) for p in quad.points]):
+                q = label_quad(pts)
+                f = type32._composed_at(q.c, q.d, q.b, q.a)
+                for d in ((-f.b, f.a), (f.b, -f.a)):
+                    for ray in (d, reflect_direction(Line.through(q.c, q.a), *d)):
+                        want = fraction_exit(q, ray)
+                        got = type32._exit_param(q, ray)
+                        assert (got is None) == (want is None)
+                        if want is not None:
+                            assert got == pytest.approx(float(want), rel=1e-9)
+                            exits += 1
+        assert exits > 900
+
+    def test_exit_one_rounding_past_c(self):
+        # c lies within an ulp inside ab: the float quotient for t is 0, the exact t is not
+        q = label_quad([Point(0.0, 0.0), Point(3.0, 1.1),
+                        Point(1.2399103330961585, 0.45463378880192484), Point(0.5, 3.0)])
+        ray = (0.36503865687766207, -0.9388763158866086)
+        want = fraction_exit(q, ray)
+        assert want is not None and float(want) > 0.0
+        assert type32._exit_param(q, ray) == float(want)
 
     def test_two_reflex_pentagons_keep_their_inner_diagonal(self):
         rng = random.Random(64)
