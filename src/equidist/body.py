@@ -101,22 +101,23 @@ _NO_INPUT = object()
 
 
 def once_per_input(fn):
-    """Keep fn(cfg) for the last config object; a call with that same object returns it.
+    """Keep fn(first, *rest) for the last call; the same first object and equal rest return it.
 
-    The key is identity, not equality: equal configs may differ in the sign of a zero
-    coordinate, and a config never refers back to the slot, so a dropped one is freed at
-    once.  The slot is one (cfg, value) tuple, read once and replaced whole, so threads
-    at worst recompute; a call that raises leaves it as it was.
+    The first argument matches by identity, not equality: equal configs may differ in the
+    sign of a zero coordinate, and an input never refers back to the slot, so a dropped one
+    is freed at once.  The rest, such as a tolerance, match by ``==``.  The slot is one
+    (first, rest, value) tuple, read once and replaced whole, so threads at worst
+    recompute; a call that raises leaves it as it was.
     """
-    last = (_NO_INPUT, None)
+    last = (_NO_INPUT, None, None)
 
     @wraps(fn)
-    def once(cfg):
+    def once(first, *rest):
         nonlocal last
-        key, value = last
-        if key is not cfg:
-            value = fn(cfg)
-            last = (cfg, value)
+        key, args, value = last
+        if key is not first or args != rest:
+            value = fn(first, *rest)
+            last = (first, rest, value)
         return value
 
     return once
@@ -142,11 +143,15 @@ class ConvexComponent:
     _exact: tuple = field(compare=False, repr=False)
 
     @cached_property
-    def _rows(self) -> list:
-        """Rows (A, B, C, N) of the outer points, then the box sides, N ~ |(A, B)| * 2**64."""
+    def _lines(self) -> list:
+        """Rows (A, B, C) of the outer points, then the box sides, at the component's 2**k."""
         rows, box, _, _ = self._exact
-        return [(a, b, c, math.isqrt((a * a + b * b) << 128))
-                for a, b, c in rows[:len(self.outer)] + _side_rows(box)]
+        return rows[:len(self.outer)] + _side_rows(box)
+
+    @cached_property
+    def _rows(self) -> list:
+        """The rows of ``_lines`` with their norms, (A, B, C, N), N ~ |(A, B)| * 2**64."""
+        return [(a, b, c, math.isqrt((a * a + b * b) << 128)) for a, b, c in self._lines]
 
     def min_signed(self, p: Point) -> float:
         """Least signed distance to a row, positive inside, each rounded once from the exact slack.
@@ -177,7 +182,7 @@ class EquidistantBody:
         if not (math.isfinite(p.x) and math.isfinite(p.y)):
             return False
         x, y, w = _scaled(p, self.components[0]._exact[2])  # every component shares k
-        return any(min(c * w - a * x - b * y for a, b, c, _ in comp._rows) > 0
+        return any(min(c * w - a * x - b * y for a, b, c in comp._lines) > 0
                    for comp in self.components)
 
     @cached_property

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .body import ConvexComponent, EquidistantBody, FocalConfig, build_body
-from .body import _exact_clip, _float_point, _orientation_det, _same_point, _side_rows
+from .body import _exact_clip, _float_point, _orientation_det, _same_point
 from .errors import MismatchedOuterSet, Unbounded
 from .polygon import extract_boundary
 from .primitives import Point
@@ -69,13 +69,15 @@ def _interior_vertex(a: ConvexComponent, b: ConvexComponent) -> bool:
     Such a vertex lies in the open interior of b, and a, which has area
     whenever its box does, meets each neighbourhood of it in positive area:
     then a ∩ b has area.  Both are brought to the larger 2**k by shifts: a's
-    vertices by k - ka, b's rows and box by k - kb.
+    vertices by k - ka, and b's rows, box sides included, by d = k - kb to
+    (x << d, y << d, c << 2d), the same half-plane scaled by 2**d.
     """
-    (_, _, ka, verts), (rows, box, kb, _) = a._exact, b._exact
+    (_, _, ka, verts), kb = a._exact, b._exact[2]
     k = max(ka, kb)
     da, db = k - ka, k - kb
-    lines = [(x << db, y << db, c << 2 * db) for x, y, c in rows[:len(b.outer)]]
-    lines += _side_rows(tuple(v << db for v in box))
+    lines = b._lines
+    if db:
+        lines = [(x << db, y << db, c << 2 * db) for x, y, c in lines]
     return any(all(c * w > (u * x + v * y) << da for u, v, c in lines)
                for (x, y, w), _ in verts)
 

@@ -20,6 +20,8 @@ end, so a pinch point needs no comparison of directions; refs, angle types,
 orientation and chain order are decided in integers, and vertex 0 of a chain is its
 exactly lowest vertex.  ``eps`` only merges each run of consecutive chain vertices
 closer than eps times the extent of the focal points; a run keeps its first member's point.
+The chains of the last body object and eps are kept (``once_per_input``), so the stages
+of one input walk its boundary once.
 Boundary extraction needs no regularity, so degenerate inputs (concircular
 focal quadruples) are handled by the same code and show up as double-change
 vertices.
@@ -41,7 +43,7 @@ from .body import (
     build_body,
     once_per_input,
 )
-from .errors import RegularityViolated
+from .errors import PreconditionViolated, RegularityViolated
 from .primitives import (
     EPS_GEO,
     Circle,
@@ -399,14 +401,15 @@ def cell_polygons(body: EquidistantBody) -> tuple[tuple[Point, ...], ...]:
     return tuple(tuple(_float_point(vert, k) for vert, _ in cell) for cell in body.inner_cells)
 
 
-def _chains(cfg: FocalConfig, body: EquidistantBody, eps: float, cycles) -> list[PolygonChain]:
+def _chains(body: EquidistantBody, eps: float, cycles) -> list[PolygonChain]:
     """The chains of walked cycles of boundary steps (inner i, exact vertex, row j), sorted.
 
     A step joins the run of its predecessor when their float points are closer
-    than eps times the extent of the focal points.  A run becomes one vertex at
+    than eps times the extent of the body's focal points.  A run becomes one vertex at
     its first member, or at its exactly lowest step if it is the whole cycle.
     Holes are reversed, and vertex 0 is the exactly lowest vertex.
     """
+    cfg = body.config
     q = cfg.q
     # Each component keeps its site's block of rows, outer rows first.  The site's
     # own row (0, 0, 0) cuts nothing and has zero slack, so refs list the site.
@@ -452,6 +455,32 @@ def _chains(cfg: FocalConfig, body: EquidistantBody, eps: float, cycles) -> list
     return [chain for _, chain in out]
 
 
+@once_per_input
+def _boundary(body: EquidistantBody, eps: float) -> tuple[PolygonChain, ...]:
+    """The chains of the body at eps, walked once per body object and eps (``extract_boundary``)."""
+    q = body.config.q
+    cells = body.inner_cells
+    at = [{j: t for t, (_, j) in enumerate(cell)} for cell in cells]  # cell i's position of row j
+
+    def successor(i, t):
+        """The boundary edge after edge t of cell i, turning through the inner cells at its end."""
+        t = (t + 1) % len(cells[i])
+        while (j := cells[i][t][1]) >= q:  # shared with cell j - q, listed there on row q + i
+            i, t = j - q, (at[j - q][q + i] + 1) % len(cells[j - q])
+        return i, t
+
+    seen = set()
+    cycles = []
+    for e in ((i, t) for i, cell in enumerate(cells)
+              for t, (_, j) in enumerate(cell) if 0 <= j < q):
+        cycles.append([])
+        while e not in seen:
+            seen.add(e)
+            cycles[-1].append((e[0], *cells[e[0]][e[1]]))
+            e = successor(*e)
+    return tuple(_chains(body, eps, cycles))
+
+
 def extract_boundary(cfg: FocalConfig, eps: float = EPS_GEO,
                      body: EquidistantBody | None = None) -> list[PolygonChain]:
     """Boundary of the body as closed counterclockwise chains, one per boundary cycle.
@@ -472,30 +501,16 @@ def extract_boundary(cfg: FocalConfig, eps: float = EPS_GEO,
     times the extent of the focal points' bounding box is merged into one vertex,
     which keeps its first member's point and unites the refs, so a vertex the float
     input realises as a pair a few ulps apart counts once.
+
+    A given ``body`` must be built from ``cfg`` or an equal config, else
+    PreconditionViolated.  The chains of the last body object and eps are kept, so a
+    second call with both returns them again, in a new list.
     """
     if body is None:
         body = build_body(cfg)
-    q = cfg.q
-    cells = body.inner_cells
-    at = [{j: t for t, (_, j) in enumerate(cell)} for cell in cells]  # cell i's position of row j
-
-    def successor(i, t):
-        """The boundary edge after edge t of cell i, turning through the inner cells at its end."""
-        t = (t + 1) % len(cells[i])
-        while (j := cells[i][t][1]) >= q:  # shared with cell j - q, listed there on row q + i
-            i, t = j - q, (at[j - q][q + i] + 1) % len(cells[j - q])
-        return i, t
-
-    seen = set()
-    cycles = []
-    for e in ((i, t) for i, cell in enumerate(cells)
-              for t, (_, j) in enumerate(cell) if 0 <= j < q):
-        cycles.append([])
-        while e not in seen:
-            seen.add(e)
-            cycles[-1].append((e[0], *cells[e[0]][e[1]]))
-            e = successor(*e)
-    return _chains(cfg, body, eps, cycles)
+    elif body.config is not cfg and body.config != cfg:
+        raise PreconditionViolated("the body was built from another focal configuration")
+    return list(_boundary(body, eps))
 
 
 def check_vertex_bound(chain: PolygonChain, cfg: FocalConfig) -> BoundReport:

@@ -25,6 +25,7 @@ from equidist.body import (
     membership,
 )
 from equidist.cli import main
+from equidist.errors import PreconditionViolated
 from equidist.polygon import PolygonChain, _chains, extract_boundary
 from equidist.primitives import EPS_GEO, Point, dist
 from equidist.type32 import point_in_polygon
@@ -343,7 +344,7 @@ def angular_extract_boundary(cfg: FocalConfig, eps: float = EPS_GEO,
             vert, _, i, j = edges[e]
             cycles[-1].append((i, vert, j))
             e = successor(e)
-    return _chains(cfg, body, eps, cycles)
+    return _chains(body, eps, cycles)
 
 
 def _pinch_and_hole_corpus():
@@ -366,3 +367,34 @@ def test_walk_through_cells_matches_angular_walk(monkeypatch, eps):
     for cfg in _pinch_and_hole_corpus():
         assert repr(extract_boundary(cfg, eps=eps)) == repr(angular_extract_boundary(cfg, eps=eps))
     assert turns  # the corpus reaches the angular pinch-point branch
+
+
+# --- the chains kept per body and eps ----------------------------------------
+
+def test_same_body_and_eps_give_equal_distinct_lists():
+    cfg = ring_config(random.Random(3), 8, 12)
+    body = build_body(cfg)
+    first = extract_boundary(cfg, body=body)
+    second = extract_boundary(cfg, body=body)
+    assert first == second and first is not second
+    first.clear()
+    assert second and extract_boundary(cfg, body=body) == second
+
+
+def test_another_eps_on_the_same_body_walks_again():
+    cfg = ring_config(random.Random(3), 8, 12)
+    body = build_body(cfg)
+    epsilons = (EPS_GEO, 0.3, 0.0, EPS_GEO)  # 0.3 collapses the chain to one vertex
+    kept = [repr(extract_boundary(cfg, eps, body)) for eps in epsilons]
+    # an equal config builds a new body
+    fresh = [repr(extract_boundary(FocalConfig(cfg.inner, cfg.outer), eps)) for eps in epsilons]
+    assert kept == fresh and kept[1] != kept[0]
+
+
+def test_body_of_another_config_is_refused():
+    body = build_body(FocalConfig.of([(0, 0), (1, 0.5)], [(5, 0), (0, 5), (-5, 0), (0, -5)]))
+    other = FocalConfig.of([(0, 0), (1, 0.5)], [(5, 0), (0, 5), (-5, 0), (0, -5), (4, 4)])
+    with pytest.raises(PreconditionViolated):
+        extract_boundary(other, body=body)
+    equal = FocalConfig(body.config.inner, body.config.outer)
+    assert extract_boundary(equal, body=body) == extract_boundary(body.config)

@@ -411,6 +411,46 @@ class TestStagesRunOncePerInput:
         assert len(runs) == 1
 
 
+class TestBoundaryWalkedOncePerBodyAndEps:
+    """The chains are kept per body object and eps: a second walk at the same eps is free."""
+
+    @staticmethod
+    def walks(tmp_path, capsys, monkeypatch, args, keep=True):
+        """The report of args and the (body, eps) of each walk, which ends in one ``_chains``."""
+        chains = polygon_module._chains
+        runs = []
+
+        def counted(body, eps, cycles):
+            runs.append((body, eps))
+            return chains(body, eps, cycles)
+
+        monkeypatch.setattr(polygon_module, "_chains", counted)
+        if not keep:
+            monkeypatch.setattr(polygon_module, "_boundary", polygon_module._boundary.__wrapped__)
+        code, out, err = run_cli(capsys, args)
+        monkeypatch.undo()
+        assert code == 0 and err == ""
+        svg = tmp_path / "out.svg"
+        return out + (svg.read_text() if svg.exists() else ""), runs
+
+    @pytest.mark.parametrize("command, extra, count", [
+        ("boundary", [], 1),
+        ("boundary", ["--eps", "2e-9"], 2),
+        ("body", [], 1),
+        ("render", ["--out", "OUT"], 1),
+    ], ids=["boundary", "boundary-eps", "body", "render"])
+    def test_walk_runs_once_per_eps(self, tmp_path, capsys, monkeypatch, command, extra, count):
+        cfg = ring_config(random.Random(5), 8, 12)
+        doc = {"inner": [list(p) for p in cfg.inner], "outer": [list(p) for p in cfg.outer]}
+        args = [command, write(tmp_path, "in.json", doc)]
+        args += [str(tmp_path / "out.svg") if a == "OUT" else a for a in extra]
+        report, runs = self.walks(tmp_path, capsys, monkeypatch, args)
+        assert len(runs) == count and len({id(body) for body, _ in runs}) == 1
+        # the same report as an engine that walks on every call
+        unkept, every = self.walks(tmp_path, capsys, monkeypatch, args, keep=False)
+        assert report == unkept and len(every) == 1 + (command == "boundary")
+
+
 class TestExactConstructions:
     def test_hypergraph_far_circumcentre(self, tmp_path, capsys):
         code, out, _ = run_cli(capsys, ["hypergraph", write(tmp_path, "far.json", FAR_CENTRE)])

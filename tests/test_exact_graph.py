@@ -395,13 +395,17 @@ class TestInteriorWitness:
         assert intersection_dim(a, b) == 1
 
     def test_components_of_other_scalings(self):
-        # a standalone component has its own k: the witness shifts to the larger one
+        # a standalone component has its own k: the witness shifts to the larger one,
+        # in a copy of the other component's kept rows
         shifts, certified = set(), 0
         for cfg in shared_scaling_configs():
             body = build_body(cfg)
             others = [convex_component(Point(*xy), cfg.outer, body.clip)
                       for xy in ((0.1, 1e-7), (0.5, 0.25)) if Point(*xy) not in cfg.inner]
-            certified += witnessed_dims(body.components + tuple(others))[0]
+            comps = body.components + tuple(others)
+            kept = [list(c._lines) for c in comps]
+            certified += witnessed_dims(comps)[0]
+            assert [c._lines for c in comps] == kept
             k = body.components[0]._exact[2]
             shifts.update((c._exact[2] > k) - (c._exact[2] < k) for c in others)
         assert {-1, 1} <= shifts and certified > 0

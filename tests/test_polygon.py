@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -33,6 +34,7 @@ from equidist.polygon import (
     voronoi_check,
 )
 from equidist.primitives import Point, circumcircle, dist, incircle, viewing_angle
+from test_exact_graph import ring_config
 from test_integer_exact import frac_incircle_exact, frac_orient_exact
 
 SQUARE = FocalConfig.of([(0, 0)], [(2, 0), (-2, 0), (0, 2), (0, -2)])
@@ -343,6 +345,23 @@ class TestExtractBoundary:
                           and xyx_centers
                           and min(dist(v, c) for c in xyx_centers) < 1e-9 * scale)
             assert matched == n_concave
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_regular_chain_vertices_are_the_colored_centres_once_each(self, seed):
+        # a chain vertex and a colored triangle's circumcentre are one exact point
+        # rounded once; unmerged (eps 0), each colored triangle gives one chain vertex
+        rng = random.Random(seed)
+        checked = 0
+        for p, q in [(8, 12), (12, 18)] * 40:
+            cfg = ring_config(rng, p, q)
+            if not check_regularity(cfg).ok:
+                continue
+            walked = Counter((v, vi.angle_type) for ch in extract_boundary(cfg, 0.0)
+                             for v, vi in zip(ch.vertices, ch.vertex_info))
+            colored = classify_vertices(empty_circle_triples(cfg)).vertices
+            assert walked == Counter(colored) and len(set(colored)) == len(colored)
+            checked += 1
+        assert checked >= 60
 
     def test_unbounded_raises(self):
         with pytest.raises(Unbounded):
