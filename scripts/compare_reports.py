@@ -1,0 +1,141 @@
+"""Compare the CLI reports of two source trees on a fixed seeded input matrix.
+
+Writes the matrix's input files into a temporary directory, then starts one
+child process per source tree.  Each child imports ``equidist.cli`` from
+``TREE/src`` and runs every (command, input) of the matrix through
+``cli.main``, capturing stdout, stderr, the exit code and, for ``render``,
+the SVG document.  Prints each (command, input) on which the trees differ, in
+any of the four, and exits 1 on any difference, 0 when every report is
+byte-identical.
+
+The inputs come from ``bench/corpus.py`` (imported, never changed):
+
+- every subcommand on ring (8, 12), ring (12, 18) and grid configurations;
+- ``classify32`` and ``voronoi-check`` on the (2, 3) configurations that
+  generate the corpus pentagons, and ``recognize-pentagon`` and ``render`` on
+  the pentagons;
+- ``construct-quad`` on seeded concave quadrangles, with and without ``--t``.
+
+usage: python scripts/compare_reports.py BASE_TREE HEAD_TREE
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+import corpus  # noqa: E402
+
+SVG = "out.svg"
+CONFIG_COMMANDS = (
+    ["body"], ["graph"], ["boundary"], ["hypergraph"], ["classify32"],
+    ["voronoi-check", "--samples", "500"], ["render", "--out", SVG],
+    ["render", "--out", SVG, "--show-circles", "--show-voronoi"],
+    ["recognize-pentagon"], ["construct-quad"],
+)
+
+
+def concave_quad(rng: random.Random) -> dict:
+    """A ccw dart a, b, c, d: c strictly inside the triangle a, b, d, so its angle is reflex."""
+    while True:
+        a, b, d = [(rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)) for _ in range(3)]
+        if (b[0] - a[0]) * (d[1] - a[1]) - (b[1] - a[1]) * (d[0] - a[0]) > 20.0:  # ccw, not flat
+            break
+    wa, wb = rng.uniform(0.1, 0.4), rng.uniform(0.2, 0.4)
+    wd = 1.0 - wa - wb
+    c = (wa * a[0] + wb * b[0] + wd * d[0], wa * a[1] + wb * b[1] + wd * d[1])
+    return {"polygon": [list(a), list(b), list(c), list(d)]}
+
+
+def matrix() -> tuple[dict, list[list[str]]]:
+    """(input file name -> document, argv of each report)."""
+    inputs, jobs = {}, []
+    for kind, seed, count in (("ring-8-12", 1, 3), ("ring-12-18", 2, 2), ("grid", 3, 2)):
+        for k, (doc, _) in zip(range(count), corpus.stream(kind, seed)):
+            name = f"{kind}-{k}.json"
+            inputs[name] = doc
+            jobs += [[cmd[0], name] + cmd[1:] for cmd in CONFIG_COMMANDS]
+    for k, (shape, config) in zip(range(4), corpus.stream("pentagon", 4)):
+        inputs[f"pentagon-{k}.json"], inputs[f"generator-{k}.json"] = shape, config
+        jobs += [["recognize-pentagon", f"pentagon-{k}.json"],
+                 ["render", f"pentagon-{k}.json", "--out", SVG],
+                 ["classify32", f"generator-{k}.json"],
+                 ["voronoi-check", f"generator-{k}.json", "--samples", "500"]]
+    rng = random.Random(5)
+    for k in range(4):
+        name = f"quad-{k}.json"
+        inputs[name] = concave_quad(rng)
+        jobs += [["construct-quad", name], ["construct-quad", name, "--t", "0.25"]]
+    return inputs, jobs
+
+
+def child() -> None:
+    """Run the argv list read from stdin through ``cli.main``; write the results to stdout."""
+    from equidist import cli
+
+    jobs = json.load(sys.stdin)
+    results = []
+    for argv in jobs:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(SVG)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse rejects the options
+                code = exc.code
+        svg = None
+        if os.path.exists(SVG):
+            with open(SVG, encoding="utf-8") as fh:
+                svg = fh.read()
+        results.append({"stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code,
+                        "svg": svg})
+    json.dump({"module": cli.__file__, "results": results}, sys.stdout)
+
+
+def run_tree(tree: str, workdir: str, jobs: list) -> list[dict]:
+    src = os.path.join(os.path.abspath(tree), "src")
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--child"],
+                          input=json.dumps(jobs), capture_output=True, text=True, cwd=workdir,
+                          env={**os.environ, "PYTHONPATH": src})
+    if proc.returncode != 0:
+        raise SystemExit(f"compare_reports: the child for {tree} failed:\n{proc.stderr}")
+    done = json.loads(proc.stdout)
+    if not os.path.abspath(done["module"]).startswith(src + os.sep):
+        raise SystemExit(f"compare_reports: {tree} ran {done['module']}, not its own cli")
+    return done["results"]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 1 and argv[0] == "--child":
+        child()
+        return 0
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[-1], file=sys.stderr)
+        return 2
+    inputs, jobs = matrix()
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, doc in inputs.items():
+            with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
+                fh.write(corpus.dumps(doc))
+        base, head = (run_tree(tree, workdir, jobs) for tree in argv)
+    differ = 0
+    for job, old, new in zip(jobs, base, head):
+        parts = [key for key in ("stdout", "stderr", "exit", "svg") if old[key] != new[key]]
+        if parts:
+            differ += 1
+            print(f"differs: {' '.join(job)}: {', '.join(parts)}")
+    print(f"compare_reports: {len(jobs)} reports, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -24,6 +24,9 @@ from .errors import (GeometryError, InvalidConfig, NumericalDegeneracy, Regulari
 from .polygon import (
     COLOR_XYX,
     COLOR_YXY,
+    BoundReport,
+    FocalRef,
+    VertexInfo,
     cell_polygons,
     check_regularity,
     check_vertex_bound,
@@ -33,7 +36,7 @@ from .polygon import (
     inactive_focals,
     voronoi_check,
 )
-from .primitives import Point
+from .primitives import EPS_GEO, Point
 from .svg import Scene, render_svg
 from .type32 import _construct_quad, classify_generic_32, label_quad, recognize_pentagon
 
@@ -42,7 +45,7 @@ class RunConfig:
     command: str
     input_path: str
     output_path: str | None = None
-    eps: float = 1e-9
+    eps: float = EPS_GEO
     samples: int = 10000
     seed: int = 42
     show_circles: bool = False
@@ -90,29 +93,33 @@ def _json_list(obj, indent: int) -> str:
     return "[\n" + ",\n".join(inner_pad + s for s in parts) + "\n" + "  " * indent + "]"
 
 
-_SCALARS = {
+def _json_record(obj, indent: int) -> str:
+    """A report record as the dict of its fields: a dataclass __init__ sets them in order."""
+    return _json_dict(vars(obj), indent)
+
+
+# values written on one line
+_INLINE = {
     bool: lambda v: "true" if v else "false",
     type(None): lambda v: "null",
     int: str,
     float: _fmt_float,
     str: json.dumps,
+    Point: lambda p: f"[{_fmt_float(p.x)}, {_fmt_float(p.y)}]",
 }
-_CONTAINERS = {dict: _json_dict, list: _json_list, tuple: _json_list}
+_CONTAINERS = {dict: _json_dict, list: _json_list, tuple: _json_list,
+               FocalRef: _json_record, VertexInfo: _json_record, BoundReport: _json_record}
 
 
 def format_json(obj, indent: int = 0) -> str:
-    """The report text of obj, dispatched on its exact type (a subclass on its base)."""
+    """The report text of obj, dispatched on its exact type; any other type is a TypeError."""
     kind = type(obj)
-    fmt = _SCALARS.get(kind)
+    fmt = _INLINE.get(kind)
     if fmt is not None:
         return fmt(obj)
     fmt = _CONTAINERS.get(kind)
     if fmt is not None:
         return fmt(obj, indent)
-    for base in (dict, list, tuple, int, float, str):  # a subclass: its first base here
-        if isinstance(obj, base):
-            fmt = _SCALARS.get(base)
-            return fmt(obj) if fmt else _CONTAINERS[base](obj, indent)
     raise TypeError(f"unsupported report value {obj!r}")
 
 
@@ -131,9 +138,13 @@ def _as_points(rows, what: str) -> tuple[Point, ...]:
                            for v in row)):
             raise ParseFailure(f"{what} entries must be [x, y] number pairs, got {row!r}")
         try:
-            pts.append(Point(float(row[0]), float(row[1])))
+            x, y = float(row[0]), float(row[1])
         except OverflowError:
             raise ParseFailure(f"{what} coordinates must lie within the float range") from None
+        # json.load reads the Infinity and NaN literals
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ParseFailure(f"{what} coordinates must be finite numbers")
+        pts.append(Point(x, y))
     return tuple(pts)
 
 
@@ -150,47 +161,25 @@ def load_polygon(data) -> tuple[Point, ...]:
     pts = _as_points(data["polygon"], "polygon")
     if len(pts) < 3:
         raise ParseFailure("a polygon needs at least three vertices")
-    if not all(math.isfinite(v) for pt in pts for v in pt):
-        raise ParseFailure("polygon vertices must be finite numbers")
     return pts
-
-
-def _pt(p: Point):
-    return [p.x, p.y]
-
-
-def _pts(points):
-    return [_pt(p) for p in points]
-
-
-def _ref(r):
-    return {"kind": r.kind, "index": r.index}
 
 
 def _chain_dict(chain):
     return {
-        "vertices": _pts(chain.vertices),
-        "vertex_info": [
-            {
-                "angle_type": vi.angle_type,
-                "change_type": vi.change_type,
-                "inner_refs": list(vi.inner_refs),
-                "outer_refs": list(vi.outer_refs),
-            }
-            for vi in chain.vertex_info
-        ],
-        "edge_pairs": [list(pair) for pair in chain.edge_pairs],
+        "vertices": chain.vertices,
+        "vertex_info": chain.vertex_info,
+        "edge_pairs": chain.edge_pairs,
         "area": chain.signed_area(),
     }
 
 
 def _certificate_dict(cert):
     return {
-        "inner": _pts((cert.x1, cert.x2)),
-        "outer": _pts((cert.y1, cert.y2, cert.y3)),
+        "inner": (cert.x1, cert.x2),
+        "outer": (cert.y1, cert.y2, cert.y3),
         "residual": cert.residual,
         "source_kind": cert.source_kind,
-        "source": _pts(cert.source),
+        "source": cert.source,
     }
 
 
@@ -208,9 +197,9 @@ def _cmd_body(rc: RunConfig, data):
         "clip": [body.clip.xmin, body.clip.ymin, body.clip.xmax, body.clip.ymax],
         "components": [
             {
-                "site": _pt(c.site),
-                "vertices": _pts(c.vertices),
-                "outer_tags": list(c.edge_tags),
+                "site": c.site,
+                "vertices": c.vertices,
+                "outer_tags": c.edge_tags,
                 "clipped": c.clipped,
             }
             for c in body.components
@@ -226,12 +215,12 @@ def _cmd_graph(rc: RunConfig, data):
     groups = graph_components(g)
     interior_groups = graph_components(g, min_weight=1)
     return {
-        "nodes": _pts(g.nodes),
-        "edges": [list(e) for e in g.edges],
+        "nodes": g.nodes,
+        "edges": g.edges,
         "connected": len(groups) == 1,
         "interior_connected": len(interior_groups) == 1,
-        "components": [list(grp) for grp in groups],
-        "interior_components": [list(grp) for grp in interior_groups],
+        "components": groups,
+        "interior_components": interior_groups,
     }
 
 
@@ -243,12 +232,9 @@ def _cmd_boundary(rc: RunConfig, data):
         "chains": [_chain_dict(ch) for ch in chains],
     }
     verdict = check_polytope(cfg)
-    result["polytope"] = {"is_polytope": verdict.is_polytope,
-                          "reasons": list(verdict.reasons)}
+    result["polytope"] = {"is_polytope": verdict.is_polytope, "reasons": verdict.reasons}
     if len(chains) == 1:
-        bound = check_vertex_bound(chains[0], cfg)
-        result["vertex_bound"] = {"ok": bound.ok, "count": bound.count,
-                                  "limit": bound.limit}
+        result["vertex_bound"] = check_vertex_bound(chains[0], cfg)
     return result
 
 
@@ -258,8 +244,8 @@ def _cmd_hypergraph(rc: RunConfig, data):
     if not reg.ok:
         return {
             "regular": False,
-            "collinear": [[_ref(r) for r in t] for t in reg.collinear],
-            "concircular": [[_ref(r) for r in t] for t in reg.concircular],
+            "collinear": reg.collinear,
+            "concircular": reg.concircular,
         }
     edges = empty_circle_triples(cfg)
     cls = classify_vertices(edges)
@@ -267,39 +253,27 @@ def _cmd_hypergraph(rc: RunConfig, data):
         "regular": True,
         "edges": [
             {
-                "refs": [_ref(r) for r in e.refs],
+                "refs": e.refs,
                 "color": e.color,
-                "center": _pt(e.circle.center),
+                "center": e.circle.center,
                 "radius": e.circle.radius,
                 "weight": e.weight,
             }
             for e in edges
         ],
-        "vertices": [{"point": _pt(p), "angle_type": t} for p, t in cls.vertices],
-        "interior_witnesses": _pts(cls.interior_witnesses),
-        "exterior_witnesses": _pts(cls.exterior_witnesses),
-        "inactive": [_ref(r) for r in inactive_focals(cfg, edges)],
+        "vertices": [{"point": p, "angle_type": t} for p, t in cls.vertices],
+        "interior_witnesses": cls.interior_witnesses,
+        "exterior_witnesses": cls.exterior_witnesses,
+        "inactive": inactive_focals(cfg, edges),
     }
 
 
 def _cmd_classify32(rc: RunConfig, data):
     cfg = load_config(data)
     rep = classify_generic_32(cfg)
-    return {
-        "category": rep.category,
-        "omegas": [list(om) for om in rep.omegas],
-        "deltas": list(rep.deltas),
-        "closure_residuals": list(rep.closure_residuals),
-        "labeling": None if rep.labeling is None else {
-            "inner_order": list(rep.labeling[0]),
-            "outer_order": list(rep.labeling[1]),
-        },
-        "separated_outer": rep.separated_outer,
-        "delta_ordered": rep.delta_ordered,
-        "equal_omega_pairs": [list(p) for p in rep.equal_omega_pairs],
-        "collinear": [[_ref(r) for r in t] for t in rep.collinear],
-        "concircular": [[_ref(r) for r in t] for t in rep.concircular],
-    }
+    labeling = None if rep.labeling is None else {"inner_order": rep.labeling[0],
+                                                  "outer_order": rep.labeling[1]}
+    return {**vars(rep), "labeling": labeling}
 
 
 def _cmd_recognize_pentagon(rc: RunConfig, data):
@@ -314,9 +288,9 @@ def _cmd_construct_quad(rc: RunConfig, data):
     quad = label_quad(load_polygon(data))
     direction, intervals, t, cert = _construct_quad(quad, rc.t, rc.eps)
     return {
-        "labeled": _pts(quad.points),
-        "ray_direction": list(direction),
-        "feasible_t": [list(iv) for iv in intervals],
+        "labeled": quad.points,
+        "ray_direction": direction,
+        "feasible_t": intervals,
         "t": t,
         "certificate": _certificate_dict(cert),
     }
@@ -325,16 +299,7 @@ def _cmd_construct_quad(rc: RunConfig, data):
 def _cmd_voronoi_check(rc: RunConfig, data):
     cfg = load_config(data)
     rep = voronoi_check(cfg, n_samples=rc.samples, seed=rc.seed, tol=rc.eps)
-    return {
-        "samples": rep.samples,
-        "ties_skipped": rep.ties_skipped,
-        "agreements": rep.agreements,
-        "disagreements": rep.disagreements,
-        "inside_count": rep.inside_count,
-        "cell_misses": rep.cell_misses,
-        "overlap_violations": rep.overlap_violations,
-        "ok": rep.ok,
-    }
+    return {**vars(rep), "ok": rep.ok}
 
 
 def _scene_for(rc: RunConfig, data) -> tuple[Scene, dict]:

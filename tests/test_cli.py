@@ -1,20 +1,21 @@
 """End-to-end CLI runs: reports, exit codes, determinism, SVG structure."""
 
 import dataclasses
+import inspect
 import json
 import math
 import random
 import re
-import sys
 
 import pytest
 
 from equidist import body as body_module
 from equidist import cli
 from equidist import polygon as polygon_module
-from equidist.body import FocalConfig, once_per_input
+from equidist.body import FocalConfig
 from equidist.cli import format_json, main
-from equidist.polygon import extract_boundary
+from equidist.polygon import BoundReport, FocalRef, VertexInfo, extract_boundary
+from equidist.primitives import EPS_GEO, Circle, Point
 from test_exact_graph import grid_config, ring_config
 
 SQUARE = {"inner": [[0, 0]], "outer": [[2, 0], [-2, 0], [0, 2], [0, -2]]}
@@ -306,6 +307,20 @@ class TestExitCodes:
         assert json.loads(err)["error"]["type"] == "ParseFailure"
         assert not svg_path.exists()
 
+    @pytest.mark.parametrize("doc", [
+        {"inner": [[0, 0]], "outer": [[math.inf, 0], [-2, 0], [0, 2], [0, -2]]},
+        {"inner": [[0, math.nan]], "outer": [[2, 0], [-2, 0], [0, 2], [0, -2]]},
+    ], ids=["Infinity", "NaN"])
+    @pytest.mark.parametrize("command", ["body", "boundary", "graph", "hypergraph", "render"])
+    def test_non_finite_config_is_parse_failure(self, tmp_path, capsys, command, doc):
+        # the same rule as for a polygon: a parse error, before any FocalConfig is built
+        svg_path = tmp_path / "c.svg"
+        code, out, err = run_cli(capsys, [command, write(tmp_path, "c.json", doc),
+                                          "--out", str(svg_path)])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ParseFailure"
+        assert not svg_path.exists()
+
     @pytest.mark.parametrize("command, doc", [
         *((command, huge_square(10 ** 400)) for command in ("body", "boundary", "graph", "hypergraph")),
         ("recognize-pentagon", {"polygon": [[0, 0], [10 ** 400, 0], [2, 2], [0, 6], [-1, 3]]}),
@@ -392,20 +407,22 @@ class TestOuterHullBuilds:
 
 
 class TestStagesRunOncePerInput:
-    """Every call site of a stage sees one config per op, so the undecorated stage runs once."""
+    """The engine's memo runs each undecorated stage once per op, though two call sites ask.
 
-    @pytest.mark.parametrize("command, module, stage", [
-        ("boundary", body_module, "build_body"),
-        ("hypergraph", polygon_module, "check_regularity"),
+    Each case counts a callee that only the undecorated stage reaches: ``build_body`` calls
+    ``bounding_radius`` and ``check_regularity`` builds one ``RegularityReport``.
+    """
+
+    @pytest.mark.parametrize("command, module, callee", [
+        ("boundary", body_module, "bounding_radius"),
+        ("hypergraph", polygon_module, "RegularityReport"),
     ], ids=["boundary", "hypergraph"])
     def test_undecorated_stage_runs_once(self, tmp_path, capsys, monkeypatch, command, module,
-                                         stage):
-        original = getattr(module, stage)
+                                         callee):
+        original = getattr(module, callee)
         runs = []
-        counted = once_per_input(lambda cfg: runs.append(cfg) or original.__wrapped__(cfg))
-        for mod in list(sys.modules.values()):  # every equidist module that binds the stage
-            if mod.__name__.startswith("equidist") and getattr(mod, stage, None) is original:
-                monkeypatch.setattr(mod, stage, counted)
+        monkeypatch.setattr(module, callee,
+                            lambda *args, **kwargs: runs.append(args) or original(*args, **kwargs))
         code, out, _ = run_cli(capsys, [command, write(tmp_path, "in.json", GENERIC_32)])
         assert code == 0 and '"error"' not in out
         assert len(runs) == 1
@@ -494,8 +511,44 @@ class TestDeterminism:
         assert back == values
 
 
+class TestFormatJson:
+    """The writer takes the engine's values as they are: Points, focal refs and records."""
+
+    def test_point_is_an_inline_pair(self):
+        assert format_json(Point(-0.0, math.pi)) == "[-0, 3.1415926535897931]"
+
+    def test_points_are_one_per_line(self):
+        points = (Point(1.0, -2.5), Point(0.1, 3.0))
+        assert format_json(points) == "[\n  [1, -2.5],\n  [0.10000000000000001, 3]\n]"
+        assert format_json({"vertices": list(points)}, 1) == (
+            '{\n    "vertices": [\n      [1, -2.5],\n      [0.10000000000000001, 3]\n    ]\n  }')
+
+    @pytest.mark.parametrize("record, written", [
+        (FocalRef("outer", 3), {"kind": "outer", "index": 3}),
+        (VertexInfo("convex", "double", (0, 2), (5,)),
+         {"angle_type": "convex", "change_type": "double", "inner_refs": [0, 2],
+          "outer_refs": [5]}),
+        (BoundReport(False, 7, 6), {"ok": False, "count": 7, "limit": 6}),
+    ], ids=["FocalRef", "VertexInfo", "BoundReport"])
+    def test_record_is_the_dict_of_its_fields(self, record, written):
+        assert format_json(record) == format_json(written)
+        assert format_json([record], 2) == format_json([written], 2)
+
+    @pytest.mark.parametrize("value", [
+        type("Sub", (dict,), {})(a=1), Circle(Point(0.0, 0.0), 1.0),
+    ], ids=["dict-subclass", "Circle"])
+    def test_any_other_type_is_a_type_error(self, value):
+        with pytest.raises(TypeError, match="unsupported report value"):
+            format_json(value)
+
+
 class TestOptionDefaults:
     """Every option default lives in RunConfig; the parser only reads what is given."""
+
+    def test_eps_default_is_the_walks_default(self):
+        # check_polytope's walk hits the one the command ran only at the same eps
+        default = inspect.signature(extract_boundary).parameters["eps"].default
+        assert cli.RunConfig.eps == default == EPS_GEO
 
     INPUTS = {"classify32": GENERIC_32, "recognize-pentagon": CONVEX_PENT,
               "construct-quad": QUAD}
