@@ -10,7 +10,10 @@ byte-identical.
 
 The inputs come from ``bench/corpus.py`` (imported, never changed):
 
-- every subcommand on ring (8, 12), ring (12, 18) and grid configurations;
+- every subcommand on ring (8, 12), ring (12, 18) and grid configurations, and
+  ``boundary`` and ``body`` again at ``--eps 1e-3``, so that ``boundary`` walks
+  at 1e-3 and then, for its polytope verdict, at the default eps.  One process
+  runs every report, so each starts with the memo slots the one before it left;
 - ``classify32`` and ``voronoi-check`` on the (2, 3) configurations that
   generate the corpus pentagons, and ``recognize-pentagon`` and ``render`` on
   the pentagons;
@@ -40,6 +43,7 @@ CONFIG_COMMANDS = (
     ["voronoi-check", "--samples", "500"], ["render", "--out", SVG],
     ["render", "--out", SVG, "--show-circles", "--show-voronoi"],
     ["recognize-pentagon"], ["construct-quad"],
+    ["boundary", "--eps", "1e-3"], ["body", "--eps", "1e-3"],
 )
 
 

@@ -190,7 +190,7 @@ def _certificate_dict(cert):
 def _cmd_body(rc: RunConfig, data):
     cfg = load_config(data)
     body = build_body(cfg)
-    chains = extract_boundary(cfg, rc.eps, body=body)
+    chains = extract_boundary(cfg, rc.eps)
     return {
         "bounded": True,
         "radius": body.radius,
@@ -315,7 +315,7 @@ def _scene_for(rc: RunConfig, data) -> tuple[Scene, dict]:
     except Unbounded:
         body = None
     else:
-        chains = tuple(ch.vertices for ch in extract_boundary(cfg, rc.eps, body))
+        chains = tuple(ch.vertices for ch in extract_boundary(cfg, rc.eps))
         if rc.show_circles:
             try:
                 circles = tuple(e.circle for e in empty_circle_triples(cfg)

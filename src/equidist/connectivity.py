@@ -183,7 +183,7 @@ def check_polytope(cfg: FocalConfig) -> PolytopeVerdict:
     reasons = []
     if not is_interior_connected(build_graph(body)):
         reasons.append(REASON_INTERIOR_DISCONNECTED)
-    chains = extract_boundary(cfg, body=body)
+    chains = extract_boundary(cfg)
     if len(chains) != 1:
         reasons.append(REASON_COMPLEMENT_DISCONNECTED)
     return PolytopeVerdict(not reasons, tuple(reasons), len(chains))

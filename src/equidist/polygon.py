@@ -20,7 +20,7 @@ end, so a pinch point needs no comparison of directions; refs, angle types,
 orientation and chain order are decided in integers, and vertex 0 of a chain is its
 exactly lowest vertex.  ``eps`` only merges each run of consecutive chain vertices
 closer than eps times the extent of the focal points; a run keeps its first member's point.
-The chains of the last body object and eps are kept (``once_per_input``), so the stages
+The chains of the last config object and eps are kept (``once_per_input``), so the stages
 of one input walk its boundary once.
 Boundary extraction needs no regularity, so degenerate inputs (concircular
 focal quadruples) are handled by the same code and show up as double-change
@@ -43,7 +43,7 @@ from .body import (
     build_body,
     once_per_input,
 )
-from .errors import PreconditionViolated, RegularityViolated
+from .errors import RegularityViolated
 from .primitives import (
     EPS_GEO,
     Circle,
@@ -303,17 +303,16 @@ def empty_circle_triples(cfg: FocalConfig) -> tuple[HyperEdge, ...]:
     edges = []
     for i, j, k in _delaunay_triangles([p for _, p in pts]):
         (ra, a), (rb, b), (rc, c) = pts[i], pts[j], pts[k]
-        trip = [(ra, a), (rb, b), (rc, c)]
-        color = _triple_color([r.kind for r, _ in trip])
-        weight = None
-        if color in (COLOR_XYX, COLOR_YXY):
-            lone_kind = "outer" if color == COLOR_XYX else "inner"
-            lone = next(t for t in trip if t[0].kind == lone_kind)
-            pair = [t for t in trip if t[0].kind != lone_kind]
-            trip = [pair[0], lone, pair[1]]
-            weight = viewing_angle(lone[1], pair[0][1], pair[1][1])
-        edges.append(HyperEdge(refs=tuple(r for r, _ in trip), color=color,
-                               circle=circumcircle(a, b, c), weight=weight))
+        color = _triple_color([ra.kind, rb.kind, rc.kind])
+        refs, weight = (ra, rb, rc), None
+        # labeled_points lists inner points first, so the lone point of a sorted colored
+        # triple is its last (two inner) or its first (one inner)
+        if color == COLOR_XYX:
+            refs, weight = (ra, rc, rb), viewing_angle(c, a, b)
+        elif color == COLOR_YXY:
+            refs, weight = (rb, ra, rc), viewing_angle(a, b, c)
+        edges.append(HyperEdge(refs=refs, color=color, circle=circumcircle(a, b, c),
+                               weight=weight))
     return tuple(edges)
 
 
@@ -406,8 +405,9 @@ def _chains(body: EquidistantBody, eps: float, cycles) -> list[PolygonChain]:
 
     A step joins the run of its predecessor when their float points are closer
     than eps times the extent of the body's focal points.  A run becomes one vertex at
-    its first member, or at its exactly lowest step if it is the whole cycle.
-    Holes are reversed, and vertex 0 is the exactly lowest vertex.
+    its first member, or at its exactly lowest step if it is the whole cycle.  The chain
+    starts at the exactly lowest run start, so vertex 0 is its exactly lowest vertex, and
+    a hole is reversed around vertex 0.
     """
     cfg = body.config
     q = cfg.q
@@ -438,8 +438,6 @@ def _chains(body: EquidistantBody, eps: float, cycles) -> list[PolygonChain]:
         if _is_clockwise(verts):  # a hole: reverse, keeping vertex 0
             verts, pts, refs = ([s[0]] + s[:0:-1] for s in (verts, pts, refs))
             pairs.reverse()
-        r = min(range(len(verts)), key=lambda t: _xy_key(verts[t]))
-        verts, pts, refs, pairs = (s[r:] + s[:r] for s in (verts, pts, refs, pairs))
         info = []
         for t, vref in enumerate(refs):
             inner = tuple(sorted(j - q for j in vref if j >= q))
@@ -456,9 +454,10 @@ def _chains(body: EquidistantBody, eps: float, cycles) -> list[PolygonChain]:
 
 
 @once_per_input
-def _boundary(body: EquidistantBody, eps: float) -> tuple[PolygonChain, ...]:
-    """The chains of the body at eps, walked once per body object and eps (``extract_boundary``)."""
-    q = body.config.q
+def _boundary(cfg: FocalConfig, eps: float) -> tuple[PolygonChain, ...]:
+    """cfg's chains at eps, walked once per config object and eps (``extract_boundary``)."""
+    body = build_body(cfg)
+    q = cfg.q
     cells = body.inner_cells
     at = [{j: t for t, (_, j) in enumerate(cell)} for cell in cells]  # cell i's position of row j
 
@@ -481,8 +480,7 @@ def _boundary(body: EquidistantBody, eps: float) -> tuple[PolygonChain, ...]:
     return tuple(_chains(body, eps, cycles))
 
 
-def extract_boundary(cfg: FocalConfig, eps: float = EPS_GEO,
-                     body: EquidistantBody | None = None) -> list[PolygonChain]:
+def extract_boundary(cfg: FocalConfig, eps: float = EPS_GEO) -> list[PolygonChain]:
     """Boundary of the body as closed counterclockwise chains, one per boundary cycle.
 
     The body is the union of the closed Voronoi cells of the inner sites in
@@ -502,15 +500,10 @@ def extract_boundary(cfg: FocalConfig, eps: float = EPS_GEO,
     which keeps its first member's point and unites the refs, so a vertex the float
     input realises as a pair a few ulps apart counts once.
 
-    A given ``body`` must be built from ``cfg`` or an equal config, else
-    PreconditionViolated.  The chains of the last body object and eps are kept, so a
-    second call with both returns them again, in a new list.
+    The chains of the last config object and eps are kept, so a second call with both
+    returns them again, in a new list, even after ``build_body`` has built another body.
     """
-    if body is None:
-        body = build_body(cfg)
-    elif body.config is not cfg and body.config != cfg:
-        raise PreconditionViolated("the body was built from another focal configuration")
-    return list(_boundary(body, eps))
+    return list(_boundary(cfg, eps))
 
 
 def check_vertex_bound(chain: PolygonChain, cfg: FocalConfig) -> BoundReport:

@@ -261,7 +261,7 @@ class TestRadiusBoundsTheBody:
             for v in comp.vertices:
                 assert (Fraction(v.x) - ox) ** 2 + (Fraction(v.y) - oy) ** 2 <= Fraction(
                     body.radius) ** 2
-        chains = extract_boundary(cfg, body=body)
+        chains = extract_boundary(cfg)
         for chain in chains:
             pts = chain.vertices
             for u, v in zip(pts, pts[1:] + pts[:1]):

@@ -16,16 +16,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from equidist import body as body_module
+from equidist import polygon as polygon_module
 from equidist.body import (
     MEMBER_BOUNDARY,
     MEMBER_INSIDE,
-    EquidistantBody,
     FocalConfig,
     build_body,
     membership,
 )
 from equidist.cli import main
-from equidist.errors import PreconditionViolated
 from equidist.polygon import PolygonChain, _chains, extract_boundary
 from equidist.primitives import EPS_GEO, Point, dist
 from equidist.type32 import point_in_polygon
@@ -244,10 +244,16 @@ def assert_walk_turns_through_body(cfg: FocalConfig, chains):
             assert membership(probe, cfg, tol=0.0) == MEMBER_INSIDE
 
 
+def assert_lowest_first_and_sorted(chains):
+    lowest = [min((v.x, v.y) for v in ch.vertices) for ch in chains]
+    assert lowest == sorted(lowest) == [(ch.vertices[0].x, ch.vertices[0].y) for ch in chains]
+
+
 def test_chains_agree_with_distance_oracle_at_pinches_and_holes():
     """On grid bodies with a pinch point or a hole: even-odd over all chains equals
     membership, each edge lies on its pair's bisector, every turn passes through the
-    body, and each chain starts at its lowest vertex and comes sorted by it."""
+    body, and each chain starts at its lowest vertex and comes sorted by it, also on
+    the pinch and hole corpus at eps 0, 1e-3 and 0.3, where runs merge."""
     kinds = set()
     checked = 0
     for seed in range(60):
@@ -257,8 +263,7 @@ def test_chains_agree_with_distance_oracle_at_pinches_and_holes():
         if not (pinch or hole):
             continue
         kinds.update(k for k, on in (("pinch", pinch), ("hole", hole)) if on)
-        lowest = [min((v.x, v.y) for v in ch.vertices) for ch in chains]
-        assert lowest == sorted(lowest) == [(ch.vertices[0].x, ch.vertices[0].y) for ch in chains]
+        assert_lowest_first_and_sorted(chains)
         for ch in chains:
             n = len(ch.vertices)
             for m, (i, j) in enumerate(ch.edge_pairs):
@@ -277,6 +282,9 @@ def test_chains_agree_with_distance_oracle_at_pinches_and_holes():
             assert inside == (m == MEMBER_INSIDE)
         checked += 1
     assert kinds == {"pinch", "hole"} and checked >= 10
+    for cfg in _pinch_and_hole_corpus():
+        for eps in (0.0, 1e-3, 0.3):
+            assert_lowest_first_and_sorted(extract_boundary(cfg, eps))
 
 
 # --- the former walk, kept as an oracle --------------------------------------
@@ -304,8 +312,7 @@ def _clockwise_order(back):
     return cmp_to_key(cmp)
 
 
-def angular_extract_boundary(cfg: FocalConfig, eps: float = EPS_GEO,
-                             body: EquidistantBody | None = None) -> list[PolygonChain]:
+def angular_extract_boundary(cfg: FocalConfig, eps: float = EPS_GEO) -> list[PolygonChain]:
     """Boundary of the body as closed counterclockwise chains, one per boundary cycle.
 
     The boundary edges, the edges on outer rows of the exact cells of
@@ -315,8 +322,7 @@ def angular_extract_boundary(cfg: FocalConfig, eps: float = EPS_GEO,
     so it turns through a wedge of the body.  The engine's ``_chains`` turns
     the cycles into chains.
     """
-    if body is None:
-        body = build_body(cfg)
+    body = build_body(cfg)
     edges = []  # (start, end, inner i, outer j): cell edges between inner i and outer j
     for i, cell in enumerate(body.inner_cells):
         for t, (vert, j) in enumerate(cell):
@@ -369,32 +375,37 @@ def test_walk_through_cells_matches_angular_walk(monkeypatch, eps):
     assert turns  # the corpus reaches the angular pinch-point branch
 
 
-# --- the chains kept per body and eps ----------------------------------------
+# --- the chains kept per config and eps --------------------------------------
 
 def test_same_body_and_eps_give_equal_distinct_lists():
     cfg = ring_config(random.Random(3), 8, 12)
-    body = build_body(cfg)
-    first = extract_boundary(cfg, body=body)
-    second = extract_boundary(cfg, body=body)
+    first = extract_boundary(cfg)
+    second = extract_boundary(cfg)
     assert first == second and first is not second
     first.clear()
-    assert second and extract_boundary(cfg, body=body) == second
+    assert second and extract_boundary(cfg) == second
 
 
 def test_another_eps_on_the_same_body_walks_again():
     cfg = ring_config(random.Random(3), 8, 12)
-    body = build_body(cfg)
     epsilons = (EPS_GEO, 0.3, 0.0, EPS_GEO)  # 0.3 collapses the chain to one vertex
-    kept = [repr(extract_boundary(cfg, eps, body)) for eps in epsilons]
+    kept = [repr(extract_boundary(cfg, eps)) for eps in epsilons]
     # an equal config builds a new body
     fresh = [repr(extract_boundary(FocalConfig(cfg.inner, cfg.outer), eps)) for eps in epsilons]
     assert kept == fresh and kept[1] != kept[0]
 
 
-def test_body_of_another_config_is_refused():
-    body = build_body(FocalConfig.of([(0, 0), (1, 0.5)], [(5, 0), (0, 5), (-5, 0), (0, -5)]))
-    other = FocalConfig.of([(0, 0), (1, 0.5)], [(5, 0), (0, 5), (-5, 0), (0, -5), (4, 4)])
-    with pytest.raises(PreconditionViolated):
-        extract_boundary(other, body=body)
-    equal = FocalConfig(body.config.inner, body.config.outer)
-    assert extract_boundary(equal, body=body) == extract_boundary(body.config)
+def test_walk_is_kept_per_config_object(monkeypatch):
+    """A body built for another config in between neither rebuilds cfg's body nor walks again."""
+    cfg = ring_config(random.Random(3), 8, 12)
+    first = extract_boundary(cfg)
+    build_body(ring_config(random.Random(4), 8, 12))  # takes build_body's slot
+    calls = []
+    for module, name in ((polygon_module, "_chains"), (body_module, "bounding_radius")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, name=name, original=original:
+                            calls.append(name) or original(*args))
+    assert extract_boundary(cfg) == first and calls == []
+    # an equal config object builds its own body and walks it
+    assert extract_boundary(FocalConfig(cfg.inner, cfg.outer)) == first
+    assert calls == ["bounding_radius", "_chains"]

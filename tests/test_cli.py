@@ -429,7 +429,7 @@ class TestStagesRunOncePerInput:
 
 
 class TestBoundaryWalkedOncePerBodyAndEps:
-    """The chains are kept per body object and eps: a second walk at the same eps is free."""
+    """The chains are kept per config object and eps: a second walk at the same eps is free."""
 
     @staticmethod
     def walks(tmp_path, capsys, monkeypatch, args, keep=True):

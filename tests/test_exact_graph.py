@@ -443,7 +443,7 @@ class TestClipOnce:
         cfg = ring_config(random.Random(49), p, q)
         body = build_body(cfg)
         build_graph(body)
-        extract_boundary(cfg, body=body)
+        extract_boundary(cfg)
         # p components by q outer rows and p cells by p inner rows; a vertex
         # witness certifies every pair of this body, so no pair is clipped
         assert sum(cut) == p * q + p * p == 160
