@@ -4,9 +4,10 @@ Writes the matrix's input files into a temporary directory, then starts one
 child process per source tree.  Each child imports ``equidist.cli`` from
 ``TREE/src`` and runs every (command, input) of the matrix through
 ``cli.main``, capturing stdout, stderr, the exit code and, for ``render``,
-the SVG document.  Prints each (command, input) on which the trees differ, in
-any of the four, and exits 1 on any difference, 0 when every report is
-byte-identical.
+the SVG document.  So a failure report (its error object on stderr and its exit
+code, or argparse's message and exit 2) is compared like a success.  Prints
+each (command, input) on which the trees differ, in any of the four, and exits
+1 on any difference, 0 when every report is byte-identical.
 
 The inputs come from ``bench/corpus.py`` (imported, never changed):
 
@@ -17,7 +18,13 @@ The inputs come from ``bench/corpus.py`` (imported, never changed):
 - ``classify32`` and ``voronoi-check`` on the (2, 3) configurations that
   generate the corpus pentagons, and ``recognize-pentagon`` and ``render`` on
   the pentagons;
-- ``construct-quad`` on seeded concave quadrangles, with and without ``--t``.
+- ``construct-quad`` on seeded concave quadrangles, with and without ``--t``;
+- failures and a negative verdict: every subcommand of the first item on an
+  unbounded (2, 3) configuration, ``recognize-pentagon`` on a convex pentagon
+  (not (3,2)), ``construct-quad`` on a convex quadrangle (``MalformedQuad``)
+  and on a flat dart across the origin, whose round trip certifies only with
+  the shape's extent in its tolerance, and ``recognize-pentagon`` and
+  ``construct-quad`` with ``--eps 1e-3``, an option neither of them reads.
 
 usage: python scripts/compare_reports.py BASE_TREE HEAD_TREE
 """
@@ -59,6 +66,17 @@ def concave_quad(rng: random.Random) -> dict:
     return {"polygon": [list(a), list(b), list(c), list(d)]}
 
 
+FAILURES = {
+    "unbounded.json": {"inner": [[0.25, 0.5], [5.0, 5.0]], "outer": [[0, 0], [2, 0], [0, 2]]},
+    "convex-pentagon.json": {"polygon": [[0, 0], [4, 0], [5, 3], [2, 5], [-1, 3]]},
+    "convex-quad.json": {"polygon": [[0, 0], [4, 0], [4, 3], [0, 3]]},
+    "flat-dart.json": {"polygon": [[-4.746586673800708, -0.005902946252310706],
+                                   [-3.167287754935413, -0.024408559805269937],
+                                   [9.356261398575892, 0.08935820283430503],
+                                   [9.991162478251315, 0.09483758907482023]]},
+}
+
+
 def matrix() -> tuple[dict, list[list[str]]]:
     """(input file name -> document, argv of each report)."""
     inputs, jobs = {}, []
@@ -78,6 +96,12 @@ def matrix() -> tuple[dict, list[list[str]]]:
         name = f"quad-{k}.json"
         inputs[name] = concave_quad(rng)
         jobs += [["construct-quad", name], ["construct-quad", name, "--t", "0.25"]]
+    inputs.update(FAILURES)
+    jobs += [[cmd[0], "unbounded.json"] + cmd[1:] for cmd in CONFIG_COMMANDS]
+    jobs += [["recognize-pentagon", "convex-pentagon.json"],
+             ["construct-quad", "convex-quad.json"], ["construct-quad", "flat-dart.json"],
+             ["recognize-pentagon", "pentagon-0.json", "--eps", "1e-3"],
+             ["construct-quad", "quad-0.json", "--eps", "1e-3"]]
     return inputs, jobs
 
 

@@ -278,7 +278,7 @@ def _cmd_classify32(rc: RunConfig, data):
 
 def _cmd_recognize_pentagon(rc: RunConfig, data):
     poly = load_polygon(data)
-    cert = recognize_pentagon(poly, rc.eps)
+    cert = recognize_pentagon(poly)
     if cert is None:
         return {"is_type_32": False, "verdict": "not (3,2)"}
     return {"is_type_32": True, "certificate": _certificate_dict(cert)}
@@ -286,7 +286,7 @@ def _cmd_recognize_pentagon(rc: RunConfig, data):
 
 def _cmd_construct_quad(rc: RunConfig, data):
     quad = label_quad(load_polygon(data))
-    direction, intervals, t, cert = _construct_quad(quad, rc.t, rc.eps)
+    direction, intervals, t, cert = _construct_quad(quad, rc.t)
     return {
         "labeled": quad.points,
         "ray_direction": direction,
@@ -350,8 +350,8 @@ COMMANDS = {
     "boundary": (_cmd_boundary, ("eps",)),
     "hypergraph": (_cmd_hypergraph, ()),
     "classify32": (_cmd_classify32, ()),
-    "recognize-pentagon": (_cmd_recognize_pentagon, ("eps",)),
-    "construct-quad": (_cmd_construct_quad, ("eps", "t")),
+    "recognize-pentagon": (_cmd_recognize_pentagon, ()),
+    "construct-quad": (_cmd_construct_quad, ("t",)),
     "voronoi-check": (_cmd_voronoi_check, ("eps", "samples", "seed")),
     "render": (_cmd_render, ("eps", "show_circles", "show_voronoi")),
 }
@@ -403,11 +403,10 @@ def run(rc: RunConfig) -> int:
 _OPTIONS = {
     "eps": dict(type=float,
                 help=f"relative tolerance (default {RunConfig.eps}): the boundary chains of "
-                     "body, boundary, render and the (3,2) round trips merge each run of "
-                     "consecutive vertices closer than eps times the extent of the focal "
-                     "points into its first member, and start at their lowest vertex; "
-                     "voronoi-check skips samples whose two nearest focal distances differ "
-                     "by at most eps times the coordinate scale"),
+                     "body, boundary and render merge each run of consecutive vertices closer "
+                     "than eps times the extent of the focal points into its first member, and "
+                     "start at their lowest vertex; voronoi-check skips samples whose two "
+                     "nearest focal distances differ by at most eps times the coordinate scale"),
     "samples": dict(type=int, help="sample count for randomized checks"),
     "seed": dict(type=int, help="seed for the deterministic generator (Mersenne Twister)"),
     "show_circles": dict(action="store_true", help="include colored-edge circumcircles"),

@@ -25,7 +25,6 @@ from .errors import (
 )
 from .polygon import check_regularity, extract_boundary
 from .primitives import (
-    EPS_GEO,
     EPS_RT,
     TWO_PI,
     Line,
@@ -245,22 +244,24 @@ _ROUND_TRIP = {"pentagon": ("recovered", "does not match the pentagon"),
                "quad": ("constructed", "does not reproduce the quadrangle")}
 
 
-def _certify(cfg: FocalConfig, defect: float, kind: str, source, eps: float) -> Certificate32:
+def _certify(cfg: FocalConfig, defect: float, kind: str, source) -> Certificate32:
     """Certificate of focal sets whose boundary is one chain on the vertices of ``source``.
 
-    Raises RoundTripFailure otherwise; ``defect`` is kept relative to the scale of ``source``.
+    Raises RoundTripFailure otherwise; ``defect`` is kept relative to the scale of ``source``,
+    the match tolerance to the larger of that scale and the shape's extent.
     """
     participle, mismatch = _ROUND_TRIP[kind]
     try:
-        chains = extract_boundary(cfg, eps)
+        chains = extract_boundary(cfg)
     except Unbounded:
         raise RoundTripFailure(f"{participle} focal configuration is unbounded") from None
     if len(chains) != 1:
         raise RoundTripFailure(f"{participle} boundary is not a single chain")
     scale = coord_scale(source)
-    tol = EPS_RT * scale
-    # the construction's rounding grows with the coordinates and may split a vertex into
-    # points closer than the round trip's tolerance: consecutive ones count as one
+    xs, ys = [p.x for p in source], [p.y for p in source]
+    tol = EPS_RT * max(scale, max(xs) - min(xs), max(ys) - min(ys))
+    # the construction's rounding grows with the coordinates and the shape's size and may
+    # split a vertex into points closer than the tolerance: consecutive ones count as one
     verts = chains[0].vertices
     verts = [v for i, v in enumerate(verts) if dist(v, verts[i - 1]) >= tol]
     if not vertex_sets_match(verts, source, tol):
@@ -269,7 +270,7 @@ def _certify(cfg: FocalConfig, defect: float, kind: str, source, eps: float) -> 
                          source_kind=kind, source=source)
 
 
-def recognize_pentagon(points, eps: float = EPS_GEO):
+def recognize_pentagon(points):
     """Certificate for a pentagon that is a (3,2) equidistant polygon, else None.
 
     Returns None when the shape fails a structural condition (two non-adjacent
@@ -293,7 +294,7 @@ def recognize_pentagon(points, eps: float = EPS_GEO):
         cfg = FocalConfig(inner=(x1, x2), outer=(y1, y2, y3))
     except InvalidConfig:
         return None
-    return _certify(cfg, defect, "pentagon", poly, eps)
+    return _certify(cfg, defect, "pentagon", poly)
 
 
 # ---------------------------------------------------------------------------
@@ -389,12 +390,12 @@ def default_param(q: LabeledQuad) -> float:
     return _midpoint(feasible_param_range(q))
 
 
-def construct_quad_focals(q: LabeledQuad, t: float, eps: float = EPS_GEO) -> Certificate32:
+def construct_quad_focals(q: LabeledQuad, t: float) -> Certificate32:
     """Focal sets realizing a concave quadrangle, at parameter t along the auxiliary ray."""
-    return _construct_quad(q, t, eps)[3]
+    return _construct_quad(q, t)[3]
 
 
-def _construct_quad(q: LabeledQuad, t, eps: float):
+def _construct_quad(q: LabeledQuad, t):
     """The ray direction, feasible intervals, t and certificate of one construction.
 
     The auxiliary ray and its intervals are computed once; t None takes
@@ -411,7 +412,7 @@ def _construct_quad(q: LabeledQuad, t, eps: float):
         cfg = FocalConfig(inner=(x1, x2), outer=(y1, y2, y3))
     except InvalidConfig as exc:
         raise ParamOutOfRange(f"degenerate focal points at t={t}") from exc
-    return d, intervals, t, _certify(cfg, defect, "quad", q.points, eps)
+    return d, intervals, t, _certify(cfg, defect, "quad", q.points)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import json
 import math
+import pathlib
 import random
 import re
 
@@ -549,6 +550,21 @@ class TestOptionDefaults:
         # check_polytope's walk hits the one the command ran only at the same eps
         default = inspect.signature(extract_boundary).parameters["eps"].default
         assert cli.RunConfig.eps == default == EPS_GEO
+
+    def test_readme_options_table_lists_each_commands_options(self):
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+        header = "| command | options besides `input` and `--out` |\n| --- | --- |\n"
+        assert readme.count(header) == 1
+        rows = readme.split(header)[1].split("\n\n")[0].splitlines()
+        listed = []
+        for row in rows:
+            commands, options = row.strip("|").split("|")
+            flags = set(re.findall(r"`(--[a-z-]+)`", options))
+            assert flags or options.strip() == "none", row
+            listed += [(command, flags) for command in re.findall(r"`([a-z0-9-]+)`", commands)]
+        assert sorted(command for command, _ in listed) == sorted(cli.COMMANDS)
+        assert dict(listed) == {command: {flag(field) for field in fields}
+                                for command, (_, fields) in cli.COMMANDS.items()}
 
     INPUTS = {"classify32": GENERIC_32, "recognize-pentagon": CONVEX_PENT,
               "construct-quad": QUAD}

@@ -26,9 +26,15 @@ def test_a_changed_float_format_is_reported(tmp_path):
                     ignore=shutil.ignore_patterns("__pycache__"))
     cli = tmp_path / "src" / "equidist" / "cli.py"
     text = cli.read_text(encoding="utf-8")
-    assert text.count('".17g"') == 1
-    cli.write_text(text.replace('".17g"', '".16g"'), encoding="utf-8")
+    geometry_failure = "except GeometryError as exc:\n        return _fail(exc, 1)"
+    assert text.count('".17g"') == 1 and text.count(geometry_failure) == 1
+    text = text.replace('".17g"', '".16g"')
+    cli.write_text(text.replace(geometry_failure, geometry_failure[:-2] + "3)"), encoding="utf-8")
     code, out, _ = compare(ROOT, tmp_path)
     assert code == 1
     assert "differs: boundary ring-8-12-0.json: stdout" in out
     assert "differs: recognize-pentagon ring-8-12-0.json" not in out  # a ParseFailure either way
+    # failure reports: only the exit code of a geometry error changed
+    assert "differs: boundary unbounded.json: exit\n" in out
+    assert "differs: construct-quad convex-quad.json: exit\n" in out
+    assert "differs: construct-quad unbounded.json" not in out  # a ParseFailure: exit 2

@@ -1,5 +1,7 @@
 """The engine runs on the Python standard library alone and imports only what it uses.
 
+Its modules import one another's private names only where listed here.
+
 The benchmark's tracer, ``bench/spans.py``, wraps engine functions by name, so
 the names it lists must stay in the engine.  Every float tolerance the engine
 keeps is listed here, where it stands.
@@ -50,6 +52,26 @@ def test_no_rational_or_decimal_arithmetic():
     found = [(name, module) for name, module in absolute_imports()
              if module.split(".")[0] in ("fractions", "decimal")]
     assert found == []
+
+
+# (importing module, imported module): the private names it imports, as they stand; a new
+# one is declared here
+PRIVATE_IMPORTS = {
+    ("connectivity", "body"): {"_exact_clip", "_float_point", "_orientation_det", "_same_point"},
+    ("polygon", "body"): {"_float_point", "_orientation_det", "_scaled"},
+    ("cli", "type32"): {"_construct_quad"},
+}
+
+
+def test_private_cross_module_imports_are_declared():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = {alias.name for alias in node.names if alias.name.startswith("_")}
+                if names:
+                    found.setdefault((path.stem, node.module), set()).update(names)
+    assert found == PRIVATE_IMPORTS
 
 
 # bench/spans.py counts the calls made through these bindings

@@ -615,6 +615,25 @@ class TestQuadConstruction:
         chains = extract_boundary(cert.config())
         assert len(chains) == 1 and len(chains[0].vertices) == 5
 
+    FLAT_DART = [[-4.746586673800708, -0.005902946252310706],
+                 [-3.167287754935413, -0.024408559805269937],
+                 [9.356261398575892, 0.08935820283430503],
+                 [9.991162478251315, 0.09483758907482023]]
+
+    def test_flat_dart_across_the_origin_round_trip(self, tmp_path, capsys):
+        # rounding splits vertex a into two chain vertices 1.24e-8 apart: more than 1e-9
+        # times the coordinate scale 9.99, less than 1e-9 times the dart's length 14.7
+        quad = label_quad([Point(*p) for p in self.FLAT_DART])
+        cert = construct_quad_focals(quad, default_param(quad))
+        assert cert.source == quad.points and cert.residual < 1e-12
+        chains = extract_boundary(cert.config())
+        assert len(chains) == 1 and len(chains[0].vertices) == 5
+        path = tmp_path / "dart.json"
+        path.write_text(json.dumps({"polygon": self.FLAT_DART}))
+        assert cli.main(["construct-quad", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["certificate"]["source"] == \
+            self.FLAT_DART
+
     def test_quad_vertices_are_concircular_witnesses(self):
         # each boundary vertex is equidistant from its generating focal
         # points; at the double-change vertex four focal points lie on one
