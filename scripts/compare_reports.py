@@ -23,8 +23,13 @@ The inputs come from ``bench/corpus.py`` (imported, never changed):
   unbounded (2, 3) configuration, ``recognize-pentagon`` on a convex pentagon
   (not (3,2)), ``construct-quad`` on a convex quadrangle (``MalformedQuad``)
   and on a flat dart across the origin, whose round trip certifies only with
-  the shape's extent in its tolerance, and ``recognize-pentagon`` and
-  ``construct-quad`` with ``--eps 1e-3``, an option neither of them reads.
+  the shape's extent in its tolerance, and ``recognize-pentagon``,
+  ``construct-quad`` and ``voronoi-check`` with ``--eps 1e-3``, an option none
+  of them reads;
+- inputs far from the origin: ``body`` and ``boundary`` on a triangle at
+  2e155 +- 1e150, whose squared coordinates leave the float range but whose
+  squared distances do not, and ``body`` and ``voronoi-check`` on the first
+  ring (8, 12) configuration shifted by (1e9, -1e9).
 
 usage: python scripts/compare_reports.py BASE_TREE HEAD_TREE
 """
@@ -74,6 +79,9 @@ FAILURES = {
                                    [-3.167287754935413, -0.024408559805269937],
                                    [9.356261398575892, 0.08935820283430503],
                                    [9.991162478251315, 0.09483758907482023]]},
+    "far-triangle.json": {"inner": [[2e155, 0]], "outer": [[2.00001e155, 0],
+                                                           [1.99999e155, 1e150],
+                                                           [1.99999e155, -1e150]]},
 }
 
 
@@ -101,7 +109,14 @@ def matrix() -> tuple[dict, list[list[str]]]:
     jobs += [["recognize-pentagon", "convex-pentagon.json"],
              ["construct-quad", "convex-quad.json"], ["construct-quad", "flat-dart.json"],
              ["recognize-pentagon", "pentagon-0.json", "--eps", "1e-3"],
-             ["construct-quad", "quad-0.json", "--eps", "1e-3"]]
+             ["construct-quad", "quad-0.json", "--eps", "1e-3"],
+             ["voronoi-check", "ring-8-12-0.json", "--eps", "1e-3"]]
+    inputs["ring-8-12-0-shifted.json"] = {
+        side: [[x + 1e9, y - 1e9] for x, y in inputs["ring-8-12-0.json"][side]]
+        for side in ("inner", "outer")}
+    jobs += [["body", "far-triangle.json"], ["boundary", "far-triangle.json"],
+             ["body", "ring-8-12-0-shifted.json"],
+             ["voronoi-check", "ring-8-12-0-shifted.json", "--samples", "500"]]
     return inputs, jobs
 
 

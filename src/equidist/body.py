@@ -277,8 +277,10 @@ def bounding_radius(cfg: FocalConfig) -> float:
     Computed as c / r where, after translating the inner centroid to the origin, c
     bounds (|Y|^2 - |X|^2) / 2 over all focal pairs (rounding is monotone, so the farthest
     outer and the nearest inner point give c) and r is the exact hull clearance rounded
-    once.  Raises Unbounded unless the inner set lies strictly inside the outer hull, and
-    NumericalDegeneracy when a squared distance or c / r overflows, or c or r underflows.
+    once; neither depends on where the input sits.  A c rounded too small only gives a
+    clip box that ``build_body`` finds a component reaching.  Raises Unbounded unless the
+    inner set lies strictly inside the outer hull, and NumericalDegeneracy when a squared
+    distance or c / r overflows, or c or r is 0.
     """
     r = _hull_clearance(cfg)
     if r is None:
@@ -287,7 +289,7 @@ def bounding_radius(cfg: FocalConfig) -> float:
     try:
         far = max((y.x - o.x) ** 2 + (y.y - o.y) ** 2 for y in cfg.outer)
         near = min((x.x - o.x) ** 2 + (x.y - o.y) ** 2 for x in cfg.inner)
-        c = max(0.0, (far - near) / 2.0, 1e-15 * cfg.scale() ** 2)
+        c = max(0.0, (far - near) / 2.0)
     except OverflowError:
         far = math.inf
     if far == math.inf:  # the inner points lie in the outer hull, so near <= far

@@ -298,7 +298,7 @@ def _cmd_construct_quad(rc: RunConfig, data):
 
 def _cmd_voronoi_check(rc: RunConfig, data):
     cfg = load_config(data)
-    rep = voronoi_check(cfg, n_samples=rc.samples, seed=rc.seed, tol=rc.eps)
+    rep = voronoi_check(cfg, n_samples=rc.samples, seed=rc.seed)
     return {**vars(rep), "ok": rep.ok}
 
 
@@ -352,7 +352,7 @@ COMMANDS = {
     "classify32": (_cmd_classify32, ()),
     "recognize-pentagon": (_cmd_recognize_pentagon, ()),
     "construct-quad": (_cmd_construct_quad, ("t",)),
-    "voronoi-check": (_cmd_voronoi_check, ("eps", "samples", "seed")),
+    "voronoi-check": (_cmd_voronoi_check, ("samples", "seed")),
     "render": (_cmd_render, ("eps", "show_circles", "show_voronoi")),
 }
 
@@ -405,8 +405,7 @@ _OPTIONS = {
                 help=f"relative tolerance (default {RunConfig.eps}): the boundary chains of "
                      "body, boundary and render merge each run of consecutive vertices closer "
                      "than eps times the extent of the focal points into its first member, and "
-                     "start at their lowest vertex; voronoi-check skips samples whose two "
-                     "nearest focal distances differ by at most eps times the coordinate scale"),
+                     "start at their lowest vertex"),
     "samples": dict(type=int, help="sample count for randomized checks"),
     "seed": dict(type=int, help="seed for the deterministic generator (Mersenne Twister)"),
     "show_circles": dict(action="store_true", help="include colored-edge circumcircles"),

@@ -33,6 +33,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cmp_to_key
+from itertools import repeat
 
 from .body import (
     EquidistantBody,
@@ -513,46 +514,43 @@ def check_vertex_bound(chain: PolygonChain, cfg: FocalConfig) -> BoundReport:
     return BoundReport(ok=count <= limit, count=count, limit=limit)
 
 
-def voronoi_check(cfg: FocalConfig, n_samples: int = 10000, seed: int = 42,
-                  tol: float = EPS_GEO) -> VoronoiReport:
+def voronoi_check(cfg: FocalConfig, n_samples: int = 10000, seed: int = 42) -> VoronoiReport:
     """Sampled agreement between the body and the Voronoi cells of the inner sites.
 
     A point is strictly inside the body exactly when its nearest focal point is
     inner; strict inside points must land in some inner site's cell and in at
-    most one cell interior.  Samples are drawn from the clip box.  One scan
-    finds the two least focal distances and the lowest index at the least; a
-    sample whose two differ by at most tol * scale, tol >= 0, is skipped as a
-    tie.  Past the band the nearest point is unique, so ``agreements`` counts
-    every other sample and ``disagreements`` is 0.  A sample, scaled to integers
-    once at the body's 2**k, lies in a cell of ``EquidistantBody.inner_cells``
-    when the exact sign of every edge row of the cell is >= 0, and in its
-    interior when every sign is > 0.
+    most one cell interior.  Samples are drawn from the clip box.  One scan finds
+    the nearest inner and outer distances; only a sample where the two lie within
+    the rounding bound of ``math.hypot`` is skipped as a tie (a tie of two inner
+    sites does not change the verdict), so every other verdict is exact,
+    ``agreements`` counts it and ``disagreements`` is 0.  A sample, scaled to
+    integers once at the body's 2**k, lies in a cell of ``EquidistantBody.inner_cells``
+    when the exact sign of every edge row of the cell is >= 0, and in its interior
+    when every sign is > 0.
     """
     body = build_body(cfg)
     clip = body.clip
     k = body.components[0]._exact[2]
     cells = [[comp._exact[0][j] for _, j in cell]
              for comp, cell in zip(body.components, body.inner_cells)]
-    focal = [(p.x, p.y) for p in cfg.points]
+    inner = [(p.x, p.y) for p in cfg.inner]
+    outer = [(p.x, p.y) for p in cfg.outer]
     rng = random.Random(seed)
-    band = tol * cfg.scale()
 
     ties = inside_count = cell_misses = overlap_violations = 0
     for _ in range(n_samples):
-        q = Point(rng.uniform(clip.xmin, clip.xmax), rng.uniform(clip.ymin, clip.ymax))
-        best, second, nearest = math.inf, math.inf, 0
-        for i, (x, y) in enumerate(focal):
-            d = math.hypot(q.x - x, q.y - y)
-            if d < best:
-                best, second, nearest = d, best, i
-            elif d < second:
-                second = d
-        if second - best <= band:
+        q = (rng.uniform(clip.xmin, clip.xmax), rng.uniform(clip.ymin, clip.ymax))
+        d_in = min(map(math.dist, repeat(q), inner))
+        d_out = min(map(math.dist, repeat(q), outer))
+        # math.dist is hypot of the rounded differences: each off by a relative 2**-53 (under
+        # an ulp of the distance), hypot under an ulp more, so each distance is within 2 ulps
+        # of the exact one, and past 4 ulps of the larger d_in < d_out is the exact order
+        if abs(d_in - d_out) <= 4 * math.ulp(max(d_in, d_out)):
             ties += 1
             continue
-        if nearest < cfg.p:
+        if d_in < d_out:
             inside_count += 1
-            x, y, w = _scaled(q, k)
+            x, y, w = _scaled(Point(*q), k)
             slacks = [min(c * w - a * x - b * y for a, b, c in rows) for rows in cells]
             if max(slacks) < 0:
                 cell_misses += 1

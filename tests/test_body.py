@@ -213,6 +213,20 @@ class TestBoundingRadius:
         with pytest.raises(Unbounded):
             bounding_radius(FocalConfig.of([(0, 3)], [(2, -1), (-2, -1), (0, 2)]))
 
+    def test_near_degenerate_square_has_no_floor(self):
+        # each inner point 2**-53 inside its outer corner: c = 2**-52 and r = 2**-53 after
+        # rounding, so the radius is 2.0, the distance of the body's farthest vertices
+        e = 1 - 1.2e-16
+        assert e == 1 - 2.0 ** -53
+        cfg = FocalConfig.of([(e, e), (-e, e), (-e, -e), (e, -e)],
+                             [(1, 1), (-1, 1), (-1, -1), (1, -1)])
+        assert bounding_radius(cfg) == 2.0
+        (chain,) = extract_boundary(cfg)
+        assert chain.vertices == (Point(-2.0, 0.0), Point(0.0, -2.0), Point(2.0, 0.0),
+                                  Point(0.0, 2.0))
+        assert [v.change_type for v in chain.vertex_info] == ["double"] * 4
+        assert chain.edge_pairs == ((2, 2), (3, 3), (0, 0), (1, 1))
+
 
 def near_side_config(rng: random.Random, offset: float) -> FocalConfig:
     """One inner point 1e-12 to 1e-6 inside a side of a jittered q-gon far from the origin.

@@ -249,6 +249,17 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert json.loads(err)["error"]["type"] == "NumericalDegeneracy"
 
+    @pytest.mark.parametrize("command", ["body", "boundary"])
+    def test_far_triangle_squared_distances_within_range(self, tmp_path, capsys, command):
+        # 2e155 +- 1e150: the squared distances about the inner point are ~1e300, in range,
+        # though the squared coordinate scale 4e310 is not
+        doc = {"inner": [[2e155, 0]],
+               "outer": [[2.00001e155, 0], [1.99999e155, 1e150], [1.99999e155, -1e150]]}
+        code, out, err = run_cli(capsys, [command, write(tmp_path, "far.json", doc)])
+        assert code == 0, err
+        chains = json.loads(out)["result"]["chains"]
+        assert len(chains) == 1 and len(chains[0]["vertices"]) == 3
+
     @pytest.mark.parametrize("y, message", [
         (1e-10, "the body radius 4.9999999999999995e+299 / 1e-10 leaves the float range"),
         (5e-9, "the clip box at 2.0 times the body radius 9.999999999999998e+307 "
