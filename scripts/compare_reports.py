@@ -28,8 +28,12 @@ The inputs come from ``bench/corpus.py`` (imported, never changed):
   of them reads;
 - inputs far from the origin: ``body`` and ``boundary`` on a triangle at
   2e155 +- 1e150, whose squared coordinates leave the float range but whose
-  squared distances do not, and ``body`` and ``voronoi-check`` on the first
-  ring (8, 12) configuration shifted by (1e9, -1e9).
+  squared distances do not, ``body`` and ``voronoi-check`` on the first
+  ring (8, 12) configuration shifted by (1e9, -1e9), and ``recognize-pentagon``
+  and ``construct-quad`` on the first pentagon and quadrangle shifted by
+  (2**33, 2**33), where the round trip's tolerance exceeds their shortest edges;
+- ``render --show-circles --show-voronoi`` on the first ring (8, 12)
+  configuration scaled by 2**-40, a scene smaller than any absolute length.
 
 usage: python scripts/compare_reports.py BASE_TREE HEAD_TREE
 """
@@ -39,6 +43,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -117,6 +122,16 @@ def matrix() -> tuple[dict, list[list[str]]]:
     jobs += [["body", "far-triangle.json"], ["boundary", "far-triangle.json"],
              ["body", "ring-8-12-0-shifted.json"],
              ["voronoi-check", "ring-8-12-0-shifted.json", "--samples", "500"]]
+    for name in ("pentagon-0.json", "quad-0.json"):
+        inputs[name.replace(".json", "-shifted.json")] = {
+            "polygon": [[x + 2**33, y + 2**33] for x, y in inputs[name]["polygon"]]}
+    inputs["ring-8-12-0-tiny.json"] = {
+        side: [[math.ldexp(x, -40), math.ldexp(y, -40)]
+               for x, y in inputs["ring-8-12-0.json"][side]]
+        for side in ("inner", "outer")}
+    jobs += [["recognize-pentagon", "pentagon-0-shifted.json"],
+             ["construct-quad", "quad-0-shifted.json"],
+             ["render", "ring-8-12-0-tiny.json", "--out", SVG, "--show-circles", "--show-voronoi"]]
     return inputs, jobs
 
 

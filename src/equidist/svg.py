@@ -45,19 +45,16 @@ class _Mapper:
             xs, ys = [0.0, 1.0], [0.0, 1.0]
         xmin, xmax = min(xs), max(xs)
         ymin, ymax = min(ys), max(ys)
-        w = max(xmax - xmin, 1e-9)
-        h = max(ymax - ymin, 1e-9)
-        span = max(w, h)
-        self.scale = _CANVAS * (1.0 - 2.0 * _MARGIN) / span
+        self.span = max(xmax - xmin, ymax - ymin) or 1.0  # any span draws a single point
         self.cx = (xmin + xmax) / 2.0
         self.cy = (ymin + ymax) / 2.0
 
     def pt(self, p: Point) -> tuple[float, float]:
-        return (_CANVAS / 2.0 + (p.x - self.cx) * self.scale,
-                _CANVAS / 2.0 - (p.y - self.cy) * self.scale)
+        return (_CANVAS / 2.0 + self.px(p.x - self.cx), _CANVAS / 2.0 - self.px(p.y - self.cy))
 
     def px(self, r: float) -> float:
-        return r * self.scale
+        # divide first: the reciprocal of a span near the float range's bottom overflows
+        return r / self.span * (_CANVAS * (1.0 - 2.0 * _MARGIN))
 
 
 def _path(points, mapper: _Mapper) -> str:

@@ -102,11 +102,13 @@ def is_simple_polygon(pts) -> bool:
     return True
 
 
-def vertex_sets_match(got, want, tol: float) -> bool:
-    if len(got) != len(want):
-        return False
+def _near_both_ways(got, want, tol: float) -> bool:
     return (all(min(dist(g, w) for w in want) <= tol for g in got)
             and all(min(dist(g, w) for g in got) <= tol for w in want))
+
+
+def vertex_sets_match(got, want, tol: float) -> bool:
+    return len(got) == len(want) and _near_both_ways(got, want, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +249,9 @@ _ROUND_TRIP = {"pentagon": ("recovered", "does not match the pentagon"),
 def _certify(cfg: FocalConfig, defect: float, kind: str, source) -> Certificate32:
     """Certificate of focal sets whose boundary is one chain on the vertices of ``source``.
 
-    Raises RoundTripFailure otherwise; ``defect`` is kept relative to the scale of ``source``,
-    the match tolerance to the larger of that scale and the shape's extent.
+    The chain has at least as many vertices, and each vertex of either lies within the match
+    tolerance of the other (rounding may split a vertex), or RoundTripFailure is raised.
+    ``defect`` is relative to ``source``'s scale, the tolerance to the larger of it and its extent.
     """
     participle, mismatch = _ROUND_TRIP[kind]
     try:
@@ -260,11 +263,8 @@ def _certify(cfg: FocalConfig, defect: float, kind: str, source) -> Certificate3
     scale = coord_scale(source)
     xs, ys = [p.x for p in source], [p.y for p in source]
     tol = EPS_RT * max(scale, max(xs) - min(xs), max(ys) - min(ys))
-    # the construction's rounding grows with the coordinates and the shape's size and may
-    # split a vertex into points closer than the tolerance: consecutive ones count as one
     verts = chains[0].vertices
-    verts = [v for i, v in enumerate(verts) if dist(v, verts[i - 1]) >= tol]
-    if not vertex_sets_match(verts, source, tol):
+    if len(verts) < len(source) or not _near_both_ways(verts, source, tol):
         raise RoundTripFailure(f"{participle} boundary {mismatch}")
     return Certificate32(*cfg.inner, *cfg.outer, residual=defect / scale,
                          source_kind=kind, source=source)

@@ -729,6 +729,38 @@ class TestRenderSvg:
         assert ('<g id="circles"' in doc) == ("--show-circles" in flags) == (result["circles"] > 0)
         assert ('<g id="voronoi"' in doc) == ("--show-voronoi" in flags) == (result["cells"] > 0)
 
+    @pytest.mark.parametrize("cfg", [ring_config(random.Random(3), 8, 12),
+                                     grid_config(random.Random(9), 8),
+                                     FocalConfig.of(SQUARE["inner"], SQUARE["outer"])],
+                             ids=["ring", "grid", "square"])
+    def test_scene_scaled_by_a_power_of_two_draws_the_same_document(self, tmp_path, capsys,
+                                                                    cfg):
+        # the drawing is fitted to the scene's own span, so a scene smaller than any
+        # absolute length is drawn as it is drawn at unit size
+        docs = []
+        for k in (0, -40):
+            doc = {side: [[math.ldexp(v.x, k), math.ldexp(v.y, k)] for v in getattr(cfg, side)]
+                   for side in ("inner", "outer")}
+            svg_path = tmp_path / f"scaled{k}.svg"
+            code, _, _ = run_cli(capsys, ["render", write(tmp_path, f"scaled{k}.json", doc),
+                                          "--out", str(svg_path),
+                                          "--show-circles", "--show-voronoi"])
+            assert code == 0
+            docs.append(svg_path.read_bytes())
+        assert docs[0] == docs[1]
+
+    @pytest.mark.parametrize("point", [Point(3.0, -4.0), Point(2**-60, 0.0)])
+    def test_single_point_scene_is_drawn_at_the_centre(self, point):
+        from equidist.svg import Scene, render_svg
+        doc = render_svg(Scene(inner=(point,)))
+        assert '<circle cx="400" cy="400" r="5"/>' in doc
+
+    def test_scene_at_the_bottom_of_the_float_range_is_drawn_as_at_unit_size(self):
+        # the span 2**-1070 has no finite reciprocal
+        from equidist.svg import Scene, render_svg
+        assert (render_svg(Scene(inner=(Point(0.0, 0.0), Point(math.ldexp(1.0, -1070), 0.0))))
+                == render_svg(Scene(inner=(Point(0.0, 0.0), Point(1.0, 0.0)))))
+
     def test_empty_scene_renders_frame_only(self):
         from equidist.svg import Scene, render_svg
         doc = render_svg(Scene())

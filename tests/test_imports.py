@@ -107,7 +107,6 @@ def test_every_imported_name_is_used():
 # float literals 0 < |v| < 1e-6 by (module, enclosing def); a new tolerance is declared here
 TOLERANCES = {
     ("primitives", ""): 3,  # EPS_GEO, TAU_CONC, EPS_RT
-    ("svg", "_Mapper.__init__"): 2,
 }
 
 

@@ -260,6 +260,44 @@ class TestComposeThreeReflections:
         with pytest.raises(NotConcurrent):
             compose_three_reflections(l1, l3, l1)
 
+    def test_concurrent_triples_compose_at_every_scale(self):
+        # a triple through one point composes whatever power of two it is drawn at; one whose
+        # third line misses that point by a tenth of the triple's size does not, at unit size
+        # and above
+        rng = random.Random(12)
+        for k in (-500, -40, 0, 40):
+            for _ in range(200):
+                center = Point(math.ldexp(rng.uniform(-1, 1), k),
+                               math.ldexp(rng.uniform(-1, 1), k))
+                angles = [rng.uniform(0, math.pi) for _ in range(3)]
+                lines = [Line.from_point_angle(center, a) for a in angles]
+                m = compose_three_reflections(*lines)
+                assert abs(m.eval(center)) <= math.ldexp(1e-12, k)
+                # offset the third line along x, where it misses center by a tenth of 2**k
+                # times |sin| of its angle; keep triples whose lines meet at wide angles
+                if k < 0 or min(abs(math.sin(a - b)) for a, b in
+                                ((angles[0], angles[1]), (angles[1], angles[2]),
+                                 (angles[2], angles[0]), (angles[2], 0.0))) < 0.1:
+                    continue
+                off = Point(center.x + math.ldexp(0.1, k), center.y)
+                with pytest.raises(NotConcurrent):
+                    compose_three_reflections(*lines[:2], Line.from_point_angle(off, angles[2]))
+
+    def test_lines_through_far_points_compose_near_the_origin(self):
+        # each line's offset carries the rounding of the points it was built from, 1 to 10
+        # away, which the common point near the origin does not show
+        rng = random.Random(5)
+        for _ in range(2000):
+            center = Point(rng.uniform(-1e-6, 1e-6), rng.uniform(-1e-6, 1e-6))
+            lines = []
+            for _ in range(3):
+                theta, r, s = rng.uniform(0, math.pi), rng.uniform(1, 10), rng.uniform(1, 10)
+                u = Point(math.cos(theta), math.sin(theta))
+                lines.append(Line.through(Point(center.x + r * u.x, center.y + r * u.y),
+                                          Point(center.x - s * u.x, center.y - s * u.y)))
+            m = compose_three_reflections(*lines)
+            assert abs(m.eval(center)) <= 1e-12
+
 
 class TestViewingAngle:
     def test_right_angle(self):

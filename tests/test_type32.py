@@ -1,8 +1,11 @@
 """(3,2) classification, pentagon recognition, and quad construction."""
 
+import dataclasses
 import json
 import math
+import pathlib
 import random
+import sys
 from fractions import Fraction
 from functools import partial
 from itertools import permutations, product
@@ -15,6 +18,7 @@ from conftest import random_concave_quad, random_generic_32, random_pentagon_con
 from equidist import cli, type32
 from equidist.body import FocalConfig, is_bounded
 from equidist.errors import (
+    GeometryError,
     InvalidConfig,
     MalformedQuad,
     NumericalDegeneracy,
@@ -50,7 +54,11 @@ from equidist.type32 import (
     segments_intersect,
     vertex_sets_match,
 )
+from test_boundary_walk import _snap
 from test_integer_exact import frac_incircle_exact
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+import corpus  # noqa: E402
 
 # ---------------------------------------------------------------------------
 # oracles: the general-polygon scans that type32 ran before the dart and
@@ -829,15 +837,112 @@ class TestRoundTripFailureTexts:
         def unbounded(*args, **kwargs):
             raise Unbounded("outer hull")
 
-        for name, fake in (("extract_boundary", unbounded),
-                           ("extract_boundary", lambda *args, **kwargs: []),
-                           ("vertex_sets_match", lambda *args: False)):
+        def off_the_shape(*args, **kwargs):  # one chain, every vertex moved by a unit
+            (chain,) = extract_boundary(*args, **kwargs)
+            return [dataclasses.replace(chain, vertices=tuple(Point(v.x + 1.0, v.y)
+                                                              for v in chain.vertices))]
+
+        for fake in (unbounded, lambda *args, **kwargs: [], off_the_shape):
             with monkeypatch.context() as patched:
-                patched.setattr(type32, name, fake)
+                patched.setattr(type32, "extract_boundary", fake)
                 with pytest.raises(RoundTripFailure) as exc:
                     run()
             texts.append(str(exc.value))
         assert texts == self.TEXTS[kind]
+
+
+def _snapped(points):
+    """Points on multiples of 2**-20: a shift by up to 2**32 leaves their sums below 2**33,
+    where the float spacing is at most 2**-20, so the shift is an exact translation."""
+    return [_snap(Point(x, y)) for x, y in points]
+
+
+def corpus_pentagons(count: int):
+    return [_snapped(doc["polygon"])
+            for _, (doc, _) in zip(range(count), corpus.stream("pentagon", 21))]
+
+
+def two_reflex_pentagons(rng: random.Random, count: int):
+    """Random pentagons with two non-adjacent reflex vertices: most are not (3,2)."""
+    shapes = []
+    while len(shapes) < count:
+        pts = _snapped((rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(5))
+        if label_pentagon(pts) is not None:
+            shapes.append(pts)
+    return shapes
+
+
+def round_trip_outcome(kind: str, points) -> str:
+    """"certificate", "none" or the name of the error the (3,2) round trip raises."""
+    try:
+        if kind == "pentagon":
+            return "none" if recognize_pentagon(points) is None else "certificate"
+        quad = label_quad(points)
+        construct_quad_focals(quad, default_param(quad))
+    except GeometryError as exc:
+        return type(exc).__name__
+    return "certificate"
+
+
+SHAPE_MAPS = {
+    "shift 2**20": lambda v: Point(v.x + 2**20, v.y - 2**20),
+    "shift 2**30": lambda v: Point(v.x + 2**30, v.y + 2**30),
+    "shift 2**32": lambda v: Point(v.x - 2**32, v.y + 2**32),
+    "quarter turn": lambda v: Point(-v.y, v.x),
+    "scale 2**200": lambda v: Point(math.ldexp(v.x, 200), math.ldexp(v.y, 200)),
+    "scale 2**-200": lambda v: Point(math.ldexp(v.x, -200), math.ldexp(v.y, -200)),
+}
+
+
+class TestRoundTripInvariance:
+    """A (3,2) verdict is similarity-invariant: translation, quarter turns, power-of-two
+    scaling and relabelling of the vertices leave the round trip's outcome as it is."""
+
+    def assert_invariant(self, kind, shapes):
+        changed = []
+        for k, pts in enumerate(shapes):
+            base = round_trip_outcome(kind, pts)
+            moved = {name: [f(v) for v in pts] for name, f in SHAPE_MAPS.items()}
+            moved.update({"reversed": pts[::-1], "cyclic shift": pts[2:] + pts[:2]})
+            for name, other in moved.items():
+                got = round_trip_outcome(kind, other)
+                if got != base:
+                    changed.append((k, name, base, got))
+        assert changed == []
+
+    def test_corpus_pentagons(self):
+        shapes = corpus_pentagons(80)
+        assert {round_trip_outcome("pentagon", pts) for pts in shapes} == {"certificate"}
+        self.assert_invariant("pentagon", shapes)
+
+    def test_two_reflex_pentagons(self):
+        shapes = two_reflex_pentagons(random.Random(3), 150)
+        outcomes = {round_trip_outcome("pentagon", pts) for pts in shapes}
+        assert outcomes == {"certificate", "none", "RoundTripFailure"}
+        self.assert_invariant("pentagon", shapes)
+
+    def test_seeded_darts(self):
+        rng = random.Random(21)
+        shapes = [_snapped(random_concave_quad(rng).points) for _ in range(80)]
+        self.assert_invariant("quad", shapes)
+
+    @pytest.mark.parametrize("offset", [0, 2**20, pytest.param(2**32, marks=pytest.mark.xfail(
+        strict=True, raises=pytest.fail.Exception,
+        reason="from offsets of about 2**25 the match tolerance, which grows with the "
+               "coordinates, exceeds a tenth of the shortest edge"))])
+    def test_chain_moved_by_a_tenth_of_an_edge_fails(self, monkeypatch, offset):
+        for pts in corpus_pentagons(10):
+            move = min(dist(p, q) for p, q in zip(pts, pts[1:] + pts[:1])) / 10
+
+            def moved(*args, move=move, **kwargs):
+                (chain,) = extract_boundary(*args, **kwargs)
+                return [dataclasses.replace(chain, vertices=tuple(
+                    Point(v.x + move, v.y) for v in chain.vertices))]
+
+            with monkeypatch.context() as patched:
+                patched.setattr(type32, "extract_boundary", moved)
+                with pytest.raises(RoundTripFailure):
+                    recognize_pentagon([Point(v.x + offset, v.y + offset) for v in pts])
 
 
 # ---------------------------------------------------------------------------
