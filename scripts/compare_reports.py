@@ -20,7 +20,9 @@ The inputs come from ``bench/corpus.py`` (imported, never changed):
   the pentagons;
 - ``construct-quad`` on seeded concave quadrangles, with and without ``--t``;
 - failures and a negative verdict: every subcommand of the first item on an
-  unbounded (2, 3) configuration, ``recognize-pentagon`` on a convex pentagon
+  unbounded (2, 3) configuration, ``boundary`` and ``hypergraph`` on a
+  configuration with a point both inner and outer, whose error message embeds
+  the point's ``repr``, ``recognize-pentagon`` on a convex pentagon
   (not (3,2)), ``construct-quad`` on a convex quadrangle (``MalformedQuad``)
   and on a flat dart across the origin, whose round trip certifies only with
   the shape's extent in its tolerance, and ``recognize-pentagon``,
@@ -87,6 +89,7 @@ FAILURES = {
     "far-triangle.json": {"inner": [[2e155, 0]], "outer": [[2.00001e155, 0],
                                                            [1.99999e155, 1e150],
                                                            [1.99999e155, -1e150]]},
+    "shared-point.json": {"inner": [[0, 0], [1, 2]], "outer": [[1, 2], [4, 0], [0, 4]]},
 }
 
 
@@ -113,6 +116,7 @@ def matrix() -> tuple[dict, list[list[str]]]:
     jobs += [[cmd[0], "unbounded.json"] + cmd[1:] for cmd in CONFIG_COMMANDS]
     jobs += [["recognize-pentagon", "convex-pentagon.json"],
              ["construct-quad", "convex-quad.json"], ["construct-quad", "flat-dart.json"],
+             ["boundary", "shared-point.json"], ["hypergraph", "shared-point.json"],
              ["recognize-pentagon", "pentagon-0.json", "--eps", "1e-3"],
              ["construct-quad", "quad-0.json", "--eps", "1e-3"],
              ["voronoi-check", "ring-8-12-0.json", "--eps", "1e-3"]]

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
+from typing import NamedTuple
 
 from .errors import (
     EmptySet,
@@ -45,8 +46,7 @@ MEMBER_OUTSIDE = "outside"
 CLIP_SCALE = 2.0  # half-width of a body's clip box in body radii, which bound the body
 
 
-@dataclass(frozen=True)
-class Rect:
+class Rect(NamedTuple):
     xmin: float
     ymin: float
     xmax: float
@@ -71,10 +71,9 @@ class FocalConfig:
             for p in pts:
                 if not (math.isfinite(p.x) and math.isfinite(p.y)):
                     raise InvalidConfig(f"non-finite focal point {p}")
-                key = (p.x, p.y)
-                if key in seen:
-                    raise InvalidConfig(f"duplicate focal point {p} ({seen[key]}/{kind})")
-                seen[key] = kind
+                if p in seen:
+                    raise InvalidConfig(f"duplicate focal point {p} ({seen[p]}/{kind})")
+                seen[p] = kind
 
     @staticmethod
     def of(inner, outer) -> "FocalConfig":
@@ -224,8 +223,7 @@ def membership(q: Point, cfg: FocalConfig, tol: float = EPS_GEO) -> str:
 
 def convex_hull(pts) -> list[Point]:
     """Strictly convex hull, counterclockwise (collinear mid-points dropped)."""
-    uniq = sorted(set((p.x, p.y) for p in pts))
-    points = [Point(x, y) for x, y in uniq]
+    points = sorted(set(pts))
     if len(points) <= 2:
         return points
 
@@ -328,7 +326,7 @@ def _integer_rows(sites, outer, clip: Rect):
     for site in sites:
         if not clip.contains(site):
             raise PreconditionViolated(f"clip box does not contain the site {site}")
-    values = [v for pt in (*sites, *outer) for v in (pt.x, pt.y)]
+    values = [v for pt in (*sites, *outer) for v in pt]
     ints, k = dyadic_ints(values + [clip.xmin, clip.ymin, clip.xmax, clip.ymax])
     m = 2 * len(sites)
     outer_xy = list(zip(ints[m:-4:2], ints[m + 1:-4:2]))
@@ -409,7 +407,7 @@ def _reduced(vert):
 
 def _scaled(p: Point, k: int) -> tuple[int, int, int]:
     """The finite point p as a homogeneous integer point (X, Y, W), W > 0, of a clip at 2**k."""
-    (x, y), kp = dyadic_ints((p.x, p.y))
+    (x, y), kp = dyadic_ints(p)
     return x << k, y << k, 1 << kp
 
 

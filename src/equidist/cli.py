@@ -37,7 +37,6 @@ from .polygon import (
     voronoi_check,
 )
 from .primitives import EPS_GEO, Point
-from .svg import Scene, render_svg
 from .type32 import _construct_quad, classify_generic_32, label_quad, recognize_pentagon
 
 @dataclass
@@ -94,8 +93,8 @@ def _json_list(obj, indent: int) -> str:
 
 
 def _json_record(obj, indent: int) -> str:
-    """A report record as the dict of its fields: a dataclass __init__ sets them in order."""
-    return _json_dict(vars(obj), indent)
+    """A report record, a NamedTuple, as the dict of its fields in their order."""
+    return _json_dict(obj._asdict(), indent)
 
 
 # values written on one line
@@ -273,7 +272,7 @@ def _cmd_classify32(rc: RunConfig, data):
     rep = classify_generic_32(cfg)
     labeling = None if rep.labeling is None else {"inner_order": rep.labeling[0],
                                                   "outer_order": rep.labeling[1]}
-    return {**vars(rep), "labeling": labeling}
+    return {**rep._asdict(), "labeling": labeling}
 
 
 def _cmd_recognize_pentagon(rc: RunConfig, data):
@@ -299,10 +298,12 @@ def _cmd_construct_quad(rc: RunConfig, data):
 def _cmd_voronoi_check(rc: RunConfig, data):
     cfg = load_config(data)
     rep = voronoi_check(cfg, n_samples=rc.samples, seed=rc.seed)
-    return {**vars(rep), "ok": rep.ok}
+    return {**rep._asdict(), "ok": rep.ok}
 
 
 def _scene_for(rc: RunConfig, data) -> tuple[Scene, dict]:
+    from .svg import Scene  # only render draws, so other commands do not import svg
+
     if isinstance(data, dict) and "polygon" in data:
         poly = load_polygon(data)
         return Scene(chains=(poly,)), {"kind": "polygon", "chains": 1}
@@ -334,6 +335,8 @@ def _scene_for(rc: RunConfig, data) -> tuple[Scene, dict]:
 def _cmd_render(rc: RunConfig, data):
     if not rc.output_path:
         raise ParseFailure("render requires --out <path> for the SVG document")
+    from .svg import render_svg
+
     scene, info = _scene_for(rc, data)
     svg = render_svg(scene)
     with open(rc.output_path, "w", encoding="utf-8") as fh:

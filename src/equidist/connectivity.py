@@ -14,7 +14,7 @@ scalings are brought to the larger k by shifts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .body import ConvexComponent, EquidistantBody, FocalConfig, build_body
 from .body import _exact_clip, _float_point, _orientation_det, _same_point
@@ -23,16 +23,14 @@ from .polygon import extract_boundary
 from .primitives import Point
 
 
-@dataclass(frozen=True)
-class RepGraph:
+class RepGraph(NamedTuple):
     """Graph on the inner focal points; an edge records the intersection dimension."""
 
     nodes: tuple[Point, ...]
     edges: tuple[tuple[int, int, int], ...]  # (i, j, weight) with i < j
 
 
-@dataclass(frozen=True)
-class PolytopeVerdict:
+class PolytopeVerdict(NamedTuple):
     is_polytope: bool
     reasons: tuple[str, ...]
     chain_count: int

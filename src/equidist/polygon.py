@@ -34,6 +34,7 @@ import random
 from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import repeat
+from typing import NamedTuple
 
 from .body import (
     EquidistantBody,
@@ -71,21 +72,18 @@ ANGLE_CONVEX = "convex"
 ANGLE_CONCAVE = "concave"
 
 
-@dataclass(frozen=True)
-class FocalRef:
+class FocalRef(NamedTuple):
     kind: str  # "inner" | "outer"
     index: int
 
 
-@dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(NamedTuple):
     ok: bool
     collinear: tuple[tuple[FocalRef, FocalRef, FocalRef], ...]
     concircular: tuple[tuple[FocalRef, FocalRef, FocalRef, FocalRef], ...]
 
 
-@dataclass(frozen=True)
-class HyperEdge:
+class HyperEdge(NamedTuple):
     """Empty-circumcircle focal triple; colored edges carry the lone point in the middle."""
 
     refs: tuple[FocalRef, FocalRef, FocalRef]
@@ -94,15 +92,13 @@ class HyperEdge:
     weight: float | None
 
 
-@dataclass(frozen=True)
-class VertexClassification:
+class VertexClassification(NamedTuple):
     vertices: tuple[tuple[Point, str], ...]
     interior_witnesses: tuple[Point, ...]
     exterior_witnesses: tuple[Point, ...]
 
 
-@dataclass(frozen=True)
-class VertexInfo:
+class VertexInfo(NamedTuple):
     angle_type: str
     change_type: str
     inner_refs: tuple[int, ...]
@@ -125,15 +121,13 @@ class PolygonChain:
         return signed_area(self.vertices)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     ok: bool
     count: int
     limit: int
 
 
-@dataclass(frozen=True)
-class VoronoiReport:
+class VoronoiReport(NamedTuple):
     samples: int
     ties_skipped: int
     agreements: int
@@ -342,8 +336,7 @@ def inactive_focals(cfg: FocalConfig, edges) -> tuple[FocalRef, ...]:
     return tuple(ref for ref, _ in labeled_points(cfg) if ref not in active)
 
 
-@dataclass(frozen=True)
-class WeightBoundReport:
+class WeightBoundReport(NamedTuple):
     holds: bool
     attained: bool
     lhs: float
@@ -533,15 +526,13 @@ def voronoi_check(cfg: FocalConfig, n_samples: int = 10000, seed: int = 42) -> V
     k = body.components[0]._exact[2]
     cells = [[comp._exact[0][j] for _, j in cell]
              for comp, cell in zip(body.components, body.inner_cells)]
-    inner = [(p.x, p.y) for p in cfg.inner]
-    outer = [(p.x, p.y) for p in cfg.outer]
     rng = random.Random(seed)
 
     ties = inside_count = cell_misses = overlap_violations = 0
     for _ in range(n_samples):
         q = (rng.uniform(clip.xmin, clip.xmax), rng.uniform(clip.ymin, clip.ymax))
-        d_in = min(map(math.dist, repeat(q), inner))
-        d_out = min(map(math.dist, repeat(q), outer))
+        d_in = min(map(math.dist, repeat(q), cfg.inner))
+        d_out = min(map(math.dist, repeat(q), cfg.outer))
         # math.dist is hypot of the rounded differences: each off by a relative 2**-53 (under
         # an ulp of the distance), hypot under an ulp more, so each distance is within 2 ulps
         # of the exact one, and past 4 ulps of the larger d_in < d_out is the exact order

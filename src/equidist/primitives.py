@@ -12,7 +12,7 @@ with a relative tolerance against the coordinate scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (CoincidentPoints, CollinearBase, DegenerateRay, NotConcurrent,
                      NumericalDegeneracy)
@@ -33,18 +33,12 @@ _ORIENT_FLOOR = 2.0 ** -1060
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(NamedTuple):
     x: float
     y: float
 
-    def __iter__(self):
-        yield self.x
-        yield self.y
 
-
-@dataclass(frozen=True)
-class Line:
+class Line(NamedTuple):
     """Implicit line a*x + b*y + c = 0 with a^2 + b^2 = 1.
 
     The normal (a, b) is normalized to be lexicographically positive
@@ -86,8 +80,7 @@ class Line:
         return math.atan2(self.a, -self.b) % math.pi
 
 
-@dataclass(frozen=True)
-class Circle:
+class Circle(NamedTuple):
     center: Point
     radius: float
 
@@ -170,7 +163,7 @@ def signed_area(points) -> float:
         s += a.x * b.y - b.x * a.y
     if math.isfinite(s):
         return s / 2.0
-    ints, k = dyadic_ints([v for p in points for v in (p.x, p.y)])
+    ints, k = dyadic_ints([v for p in points for v in p])
     xs, ys = ints[::2], ints[1::2]
     twice = sum(xs[i - 1] * ys[i] - xs[i] * ys[i - 1] for i in range(n))
     try:

@@ -11,7 +11,7 @@ up to where a focal point first leaves through ab or da.  One round trip certifi
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .body import FocalConfig, is_bounded
 from .errors import (
@@ -90,7 +90,7 @@ def segments_intersect(p1: Point, p2: Point, p3: Point, p4: Point) -> bool:
 
 def is_simple_polygon(pts) -> bool:
     n = len(pts)
-    if n < 3 or len(set((p.x, p.y) for p in pts)) != n:
+    if n < 3 or len(set(pts)) != n:
         return False
     for i in range(n):
         a1, a2 = pts[i], pts[(i + 1) % n]
@@ -115,8 +115,7 @@ def vertex_sets_match(got, want, tol: float) -> bool:
 # labeled shapes
 
 
-@dataclass(frozen=True)
-class LabeledPentagon:
+class LabeledPentagon(NamedTuple):
     """Simple ccw pentagon with reflex angles exactly at b and d; bd is an inner diagonal."""
 
     a: Point
@@ -127,11 +126,10 @@ class LabeledPentagon:
 
     @property
     def points(self) -> tuple[Point, ...]:
-        return (self.a, self.b, self.c, self.d, self.e)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class LabeledQuad:
+class LabeledQuad(NamedTuple):
     """Simple ccw quadrangle with its single reflex angle at c."""
 
     a: Point
@@ -141,7 +139,7 @@ class LabeledQuad:
 
     @property
     def points(self) -> tuple[Point, ...]:
-        return (self.a, self.b, self.c, self.d)
+        return tuple(self)
 
 
 def _normalize_ccw(points):
@@ -153,7 +151,7 @@ def _normalize_ccw(points):
     if any(t == 0 for t in turns):
         return None
     # a simple polygon is convex at its lexicographically lowest vertex
-    if turns[pts.index(min(pts, key=tuple))] < 0:
+    if turns[pts.index(min(pts))] < 0:
         pts.reverse()
         turns = [-t for t in turns[::-1]]
     return pts, turns
@@ -203,8 +201,7 @@ def label_quad(points) -> LabeledQuad:
 # certificates and recognition
 
 
-@dataclass(frozen=True)
-class Certificate32:
+class Certificate32(NamedTuple):
     """Recovered focal sets for a (3,2) shape plus the numerical defect of the recovery."""
 
     x1: Point
@@ -419,8 +416,7 @@ def _construct_quad(q: LabeledQuad, t):
 # viewing-angle classification of (3,2) configurations
 
 
-@dataclass(frozen=True)
-class OrderingReport:
+class OrderingReport(NamedTuple):
     category: str
     omegas: tuple[tuple[float, float, float], tuple[float, float, float]]
     deltas: tuple[float, float, float]

@@ -10,7 +10,9 @@ keeps is listed here, where it stands.
 import ast
 import importlib
 import importlib.util
+import os
 import pathlib
+import subprocess
 import sys
 from collections import Counter
 
@@ -84,6 +86,18 @@ def test_traced_names_exist_in_the_engine():
     missing = [(module, name) for module, name in SPANS.SPANNED + SPANS.COUNTED
                if not callable(getattr(layers[module], name, None))]
     assert missing == []
+
+
+def test_cli_import_loads_every_traced_layer_and_not_svg():
+    # a fresh interpreter, as a CLI process starts: only render needs svg, and the tracer
+    # finds each of its layers in sys.modules once equidist.cli is imported
+    code = "import sys, equidist.cli; print(*sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    loaded = set(proc.stdout.split())
+    assert "equidist.svg" not in loaded
+    assert {f"equidist.{name}" for name in SPANS.LAYERS} <= loaded
 
 
 def test_every_imported_name_is_used():
