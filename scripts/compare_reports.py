@@ -22,7 +22,8 @@ The inputs come from ``bench/corpus.py`` (imported, never changed):
 - failures and a negative verdict: every subcommand of the first item on an
   unbounded (2, 3) configuration, ``boundary`` and ``hypergraph`` on a
   configuration with a point both inner and outer, whose error message embeds
-  the point's ``repr``, ``recognize-pentagon`` on a convex pentagon
+  the point's ``repr``, and on one with no inner point (``InvalidConfig``),
+  ``recognize-pentagon`` on a convex pentagon
   (not (3,2)), ``construct-quad`` on a convex quadrangle (``MalformedQuad``)
   and on a flat dart across the origin, whose round trip certifies only with
   the shape's extent in its tolerance, and ``recognize-pentagon``,
@@ -90,6 +91,7 @@ FAILURES = {
                                                            [1.99999e155, 1e150],
                                                            [1.99999e155, -1e150]]},
     "shared-point.json": {"inner": [[0, 0], [1, 2]], "outer": [[1, 2], [4, 0], [0, 4]]},
+    "empty-inner.json": {"inner": [], "outer": [[1, 2], [4, 0], [0, 4]]},
 }
 
 
@@ -117,6 +119,7 @@ def matrix() -> tuple[dict, list[list[str]]]:
     jobs += [["recognize-pentagon", "convex-pentagon.json"],
              ["construct-quad", "convex-quad.json"], ["construct-quad", "flat-dart.json"],
              ["boundary", "shared-point.json"], ["hypergraph", "shared-point.json"],
+             ["boundary", "empty-inner.json"], ["hypergraph", "empty-inner.json"],
              ["recognize-pentagon", "pentagon-0.json", "--eps", "1e-3"],
              ["construct-quad", "quad-0.json", "--eps", "1e-3"],
              ["voronoi-check", "ring-8-12-0.json", "--eps", "1e-3"]]

@@ -16,7 +16,6 @@ stages of one input share one body (``once_per_input``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, wraps
 from typing import NamedTuple
 
@@ -56,24 +55,55 @@ class Rect(NamedTuple):
         return self.xmin <= p.x <= self.xmax and self.ymin <= p.y <= self.ymax
 
 
-@dataclass(frozen=True)
-class FocalConfig:
+class _Frozen:
+    """Fields named in ``_fields``, set once by ``__init__``; other attributes cannot be set.
+
+    Repr, equality (with the same class only) and hash read the named fields in
+    order; a private attribute beside them takes no part.  ``cached_property``
+    still caches: it writes the instance dict directly.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FocalConfig(_Frozen):
     """Inner focal points (the near set) and outer focal points (the far set)."""
 
-    inner: tuple[Point, ...]
-    outer: tuple[Point, ...]
+    _fields = ("inner", "outer")  # a plain class: a tuple cannot be weakly referenced
 
-    def __post_init__(self):
-        if not self.inner or not self.outer:
+    def __init__(self, inner: tuple[Point, ...], outer: tuple[Point, ...]):
+        if not inner or not outer:
             raise InvalidConfig("both focal sets must be non-empty")
         seen = {}
-        for kind, pts in (("inner", self.inner), ("outer", self.outer)):
+        for kind, pts in (("inner", inner), ("outer", outer)):
             for p in pts:
                 if not (math.isfinite(p.x) and math.isfinite(p.y)):
                     raise InvalidConfig(f"non-finite focal point {p}")
                 if p in seen:
                     raise InvalidConfig(f"duplicate focal point {p} ({seen[p]}/{kind})")
                 seen[p] = kind
+        vars(self).update(inner=inner, outer=outer)
 
     @staticmethod
     def of(inner, outer) -> "FocalConfig":
@@ -122,8 +152,7 @@ def once_per_input(fn):
     return once
 
 
-@dataclass(frozen=True)
-class ConvexComponent:
+class ConvexComponent(_Frozen):
     """Clipped half-plane intersection attached to one site.
 
     ``edge_tags[i]`` labels the edge from ``vertices[i]`` to ``vertices[i+1]``:
@@ -133,13 +162,13 @@ class ConvexComponent:
     those rows, so its sign is exact.
     """
 
-    site: Point
-    outer: tuple[Point, ...]
-    clip: Rect
-    vertices: tuple[Point, ...]
-    edge_tags: tuple[int, ...]
-    clipped: bool
-    _exact: tuple = field(compare=False, repr=False)
+    _fields = ("site", "outer", "clip", "vertices", "edge_tags", "clipped")
+
+    def __init__(self, site: Point, outer: tuple[Point, ...], clip: Rect,
+                 vertices: tuple[Point, ...], edge_tags: tuple[int, ...], clipped: bool,
+                 _exact: tuple):
+        vars(self).update(site=site, outer=outer, clip=clip, vertices=vertices,
+                          edge_tags=edge_tags, clipped=clipped, _exact=_exact)
 
     @cached_property
     def _lines(self) -> list:
@@ -169,12 +198,14 @@ class ConvexComponent:
         return self.min_signed(p) >= 0
 
 
-@dataclass(frozen=True)
-class EquidistantBody:
-    config: FocalConfig
-    components: tuple[ConvexComponent, ...]
-    clip: Rect
-    radius: float
+class EquidistantBody(_Frozen):
+    """The union of one convex component per inner point of ``config``, within ``clip``."""
+
+    _fields = ("config", "components", "clip", "radius")
+
+    def __init__(self, config: FocalConfig, components: tuple[ConvexComponent, ...],
+                 clip: Rect, radius: float):
+        vars(self).update(config=config, components=components, clip=clip, radius=radius)
 
     def contains_strict(self, p: Point) -> bool:
         """True iff some component has only positive exact slacks at p; False for a non-finite p."""

@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .body import CLIP_SCALE, FocalConfig, build_body
 from .connectivity import build_graph, check_polytope, graph_components
@@ -39,10 +38,16 @@ from .polygon import (
 from .primitives import EPS_GEO, Point
 from .type32 import _construct_quad, classify_generic_32, label_quad, recognize_pentagon
 
-@dataclass
+
 class RunConfig:
-    command: str
-    input_path: str
+    """One run: the command and paths, positional, then the options, by keyword.
+
+    An option not given reads its class default, as the ``--eps`` help text does.
+    Equality compares ``_fields`` in order, with a RunConfig of the same class only.
+    """
+
+    _fields = ("command", "input_path", "output_path", "eps", "samples", "seed",
+               "show_circles", "show_voronoi", "t")
     output_path: str | None = None
     eps: float = EPS_GEO
     samples: int = 10000
@@ -51,11 +56,30 @@ class RunConfig:
     show_voronoi: bool = False
     t: float | None = None
 
-    def __post_init__(self):
+    def __init__(self, command: str, input_path: str, output_path: str | None = None,
+                 **options):
+        unknown = options.keys() - set(self._fields[3:])
+        if unknown:
+            raise TypeError("RunConfig.__init__() got an unexpected keyword argument "
+                            f"{min(unknown)!r}")
+        vars(self).update(command=command, input_path=input_path, output_path=output_path,
+                          **options)
         if not (math.isfinite(self.eps) and self.eps > 0.0):
             raise InvalidConfig(f"--eps must be positive and finite, got {self.eps!r}")
         if self.samples <= 0:
             raise InvalidConfig("samples must be positive")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
 
 
 class ParseFailure(Exception):

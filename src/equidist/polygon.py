@@ -30,8 +30,6 @@ vertices.
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import repeat
 from typing import NamedTuple
@@ -105,8 +103,7 @@ class VertexInfo(NamedTuple):
     outer_refs: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PolygonChain:
+class PolygonChain(NamedTuple):
     """Closed counterclockwise boundary chain, from its exactly lowest vertex by (x, y).
 
     ``edge_pairs[m]`` is the (inner index, outer index) pair whose bisector
@@ -521,6 +518,8 @@ def voronoi_check(cfg: FocalConfig, n_samples: int = 10000, seed: int = 42) -> V
     when the exact sign of every edge row of the cell is >= 0, and in its interior
     when every sign is > 0.
     """
+    import random  # only this check samples, so a process that never calls it skips the import
+
     body = build_body(cfg)
     clip = body.clip
     k = body.components[0]._exact[2]

@@ -7,7 +7,7 @@ documents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .primitives import Circle, Point
 
@@ -15,8 +15,7 @@ _CANVAS = 800.0
 _MARGIN = 0.05
 
 
-@dataclass(frozen=True)
-class Scene:
+class Scene(NamedTuple):
     inner: tuple[Point, ...] = ()
     outer: tuple[Point, ...] = ()
     chains: tuple[tuple[Point, ...], ...] = ()

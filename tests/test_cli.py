@@ -1,6 +1,5 @@
 """End-to-end CLI runs: reports, exit codes, determinism, SVG structure."""
 
-import dataclasses
 import inspect
 import json
 import math
@@ -589,7 +588,7 @@ class TestOptionDefaults:
         want = cli.RunConfig(command, path, **extra)
         code, out, err = run_cli(capsys, args)
         assert code == 0, err
-        defaults = {f.name: f.default for f in dataclasses.fields(cli.RunConfig)}
+        defaults = {name: getattr(cli.RunConfig, name, None) for name in cli.RunConfig._fields}
         assert json.loads(out)["diagnostics"] == {
             "eps": defaults["eps"], "clip_scale": body_module.CLIP_SCALE,
             "samples": defaults["samples"], "seed": defaults["seed"]}
@@ -618,7 +617,7 @@ class TestOptionDefaults:
         rc = Recording(command, "in.json", str(tmp_path / "out.svg"), samples=50)
         read.clear()
         cli.COMMANDS[command][0](rc, self.INPUTS.get(command, SQUARE))
-        options = {f.name for f in dataclasses.fields(cli.RunConfig)} - {
+        options = set(cli.RunConfig._fields) - {
             "command", "input_path", "output_path"}
         assert read & options == set(cli.COMMANDS[command][1])
 

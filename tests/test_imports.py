@@ -90,13 +90,14 @@ def test_traced_names_exist_in_the_engine():
 
 def test_cli_import_loads_every_traced_layer_and_not_svg():
     # a fresh interpreter, as a CLI process starts: only render needs svg, and the tracer
-    # finds each of its layers in sys.modules once equidist.cli is imported
+    # finds each of its layers in sys.modules once equidist.cli is imported; no engine class
+    # is a dataclass, so dataclasses and the inspect it imports stay unloaded
     code = "import sys, equidist.cli; print(*sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     loaded = set(proc.stdout.split())
-    assert "equidist.svg" not in loaded
+    assert not {"equidist.svg", "dataclasses", "inspect"} & loaded
     assert {f"equidist.{name}" for name in SPANS.LAYERS} <= loaded
 
 

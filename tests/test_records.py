@@ -1,24 +1,30 @@
-"""The engine's plain records are NamedTuples that keep the frozen-dataclass contract.
+"""The engine's classes keep the contract their frozen dataclasses had, without dataclasses.
 
 Each record keeps its ``repr`` text (error messages embed a Point's), its hash
 (the hash of the tuple of its fields, so set orders hold), its immutability and
-its field order, which ``_asdict()`` and the CLI's report dicts follow.  A
-``@dataclass`` costs about a millisecond to define at import, so only the
-classes that need one keep it.
+its field order, which ``_asdict()`` and the CLI's report dicts follow.  The
+engine's other classes (``FocalConfig``, ``PolygonChain``, ``ConvexComponent``,
+``EquidistantBody``, ``cli.RunConfig``) keep their repr, hash, equality,
+immutability and validation messages.  ``import dataclasses``
+also imports ``inspect``, which costs a CLI process several milliseconds, so no
+class in the package is a dataclass.
 """
 
 import ast
+import math
 import pathlib
 
 import pytest
 
 import equidist
-from equidist.body import FocalConfig, Rect
+from equidist.body import ConvexComponent, EquidistantBody, FocalConfig, Rect, build_body
+from equidist.cli import RunConfig
 from equidist.connectivity import PolytopeVerdict, RepGraph
 from equidist.errors import InvalidConfig
-from equidist.polygon import (BoundReport, FocalRef, HyperEdge, RegularityReport,
-                              VertexClassification, VertexInfo, VoronoiReport, WeightBoundReport)
-from equidist.primitives import Circle, Line, Point
+from equidist.polygon import (BoundReport, FocalRef, HyperEdge, PolygonChain, RegularityReport,
+                              VertexClassification, VertexInfo, VoronoiReport, WeightBoundReport,
+                              extract_boundary)
+from equidist.primitives import EPS_GEO, Circle, Line, Point
 from equidist.type32 import Certificate32, LabeledPentagon, LabeledQuad, OrderingReport
 
 A, B, C, D, E = Point(0.0, 0.0), Point(4.0, 0.0), Point(3.0, 1.5), Point(4.0, 4.0), Point(-0.5, 2.0)
@@ -121,15 +127,8 @@ def test_duplicate_focal_point_message_embeds_the_point_repr():
         FocalConfig.of([(1, 2)], [(1, 2), (3, 4), (0, 5)])
 
 
-# (module, class): each needs a dataclass feature, so a new record is a NamedTuple
-DATACLASSES = {
-    ("body", "FocalConfig"),  # __post_init__ validates the focal sets
-    ("body", "ConvexComponent"),  # cached_property and a compare=False field
-    ("body", "EquidistantBody"),  # cached_property
-    ("polygon", "PolygonChain"),  # tests pass it to dataclasses.replace
-    ("cli", "RunConfig"),  # mutable; tests read dataclasses.fields of it
-    ("svg", "Scene"),  # off the import path: only render imports svg
-}
+# (module, class): none, so importing the package leaves dataclasses and inspect unloaded
+DATACLASSES = set()
 
 
 def test_only_the_declared_classes_are_dataclasses():
@@ -144,3 +143,121 @@ def test_only_the_declared_classes_are_dataclasses():
                     if name == "dataclass":
                         found.add((path.stem, node.name))
     assert found == DATACLASSES
+
+
+CFG = FocalConfig.of([(0, 0)], [(2, 0), (0, 2), (-2, 0), (0, -2)])
+BODY = build_body(CFG)
+(COMP,) = BODY.components
+(CHAIN,) = extract_boundary(CFG)
+OUTER_REPR = ("(Point(x=2.0, y=0.0), Point(x=0.0, y=2.0), Point(x=-2.0, y=0.0), "
+              "Point(x=0.0, y=-2.0))")
+CFG_REPR = f"FocalConfig(inner=(Point(x=0.0, y=0.0),), outer={OUTER_REPR})"
+CLIP_REPR = ("Rect(xmin=-2.82842712474619, ymin=-2.82842712474619, xmax=2.82842712474619, "
+             "ymax=2.82842712474619)")
+COMP_REPR = (f"ConvexComponent(site=Point(x=0.0, y=0.0), outer={OUTER_REPR}, clip={CLIP_REPR}, "
+             "vertices=(Point(x=1.0, y=-1.0), Point(x=1.0, y=1.0), Point(x=-1.0, y=1.0), "
+             "Point(x=-1.0, y=-1.0)), edge_tags=(0, 1, 2, 3), clipped=False)")
+BODY_REPR = (f"EquidistantBody(config={CFG_REPR}, components=({COMP_REPR},), clip={CLIP_REPR}, "
+             "radius=1.414213562373095)")
+CHAIN_REPR = ("PolygonChain(vertices=(Point(x=-1.0, y=-1.0), Point(x=1.0, y=-1.0), "
+              "Point(x=1.0, y=1.0), Point(x=-1.0, y=1.0)), vertex_info=("
+              + ", ".join(f"VertexInfo(angle_type='convex', change_type='outer', "
+                          f"inner_refs=(0,), outer_refs={refs})"
+                          for refs in ("(2, 3)", "(0, 3)", "(0, 1)", "(1, 2)"))
+              + "), edge_pairs=((0, 3), (0, 0), (0, 1), (0, 2)))")
+
+
+def fields_of(obj, names):
+    return tuple(getattr(obj, name) for name in names.split())
+
+
+# (object, an equal one built apart, one that differs in a field, its repr, its fields in
+# order); a component's equality and hash ignore its private _exact
+ENGINE = [
+    (CFG, FocalConfig.of([(0, 0)], [(2, 0), (0, 2), (-2, 0), (0, -2)]),
+     FocalConfig(CFG.inner, CFG.outer[::-1]), CFG_REPR, "inner outer"),
+    (COMP, ConvexComponent(*fields_of(COMP, "site outer clip vertices edge_tags clipped"),
+                           _exact=None),
+     ConvexComponent(*fields_of(COMP, "site outer clip vertices edge_tags"), True, COMP._exact),
+     COMP_REPR, "site outer clip vertices edge_tags clipped"),
+    (BODY, EquidistantBody(CFG, (COMP,), BODY.clip, BODY.radius),
+     EquidistantBody(CFG, (COMP,), BODY.clip, 2 * BODY.radius),
+     BODY_REPR, "config components clip radius"),
+    (CHAIN, PolygonChain(*fields_of(CHAIN, "vertices vertex_info edge_pairs")),
+     PolygonChain(CHAIN.vertices, CHAIN.vertex_info, ()),
+     CHAIN_REPR, "vertices vertex_info edge_pairs"),
+]
+ENGINE_IDS = [type(obj).__name__ for obj, *_ in ENGINE]
+
+
+@pytest.mark.parametrize("obj, twin, other, text, fields", ENGINE, ids=ENGINE_IDS)
+def test_engine_repr_lists_the_public_fields(obj, twin, other, text, fields):
+    assert repr(obj) == str(obj) == text
+
+
+@pytest.mark.parametrize("obj, twin, other, text, fields", ENGINE, ids=ENGINE_IDS)
+def test_engine_equality_and_hash_read_the_public_fields(obj, twin, other, text, fields):
+    assert obj == twin and obj is not twin
+    assert hash(obj) == hash(twin) == hash(fields_of(obj, fields))
+    assert obj != other and not obj == other
+
+
+@pytest.mark.parametrize("obj, twin, other, text, fields", ENGINE, ids=ENGINE_IDS)
+def test_engine_fields_cannot_be_set(obj, twin, other, text, fields):
+    for name in fields.split() + ["extra"]:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+    assert fields_of(obj, fields) == fields_of(twin, fields)
+
+
+@pytest.mark.parametrize("inner, outer, message", [
+    ([], [(1, 2)], "both focal sets must be non-empty"),
+    ([(0, 0)], [], "both focal sets must be non-empty"),
+    ([(math.inf, 0)], [(1, 1)], "non-finite focal point Point(x=inf, y=0.0)"),
+    ([(0, 0)], [(0, math.nan)], "non-finite focal point Point(x=0.0, y=nan)"),
+], ids=["no-inner", "no-outer", "inf", "nan"])
+def test_focal_config_validation_messages(inner, outer, message):
+    with pytest.raises(InvalidConfig) as exc:
+        FocalConfig.of(inner, outer)
+    assert str(exc.value) == message
+
+
+RUN_REPR = ("RunConfig(command='boundary', input_path='in.json', output_path=None, eps=1e-09, "
+            "samples=10000, seed=42, show_circles=False, show_voronoi=False, t=None)")
+
+
+def test_run_config_repr_lists_every_field_in_order():
+    assert repr(RunConfig("boundary", "in.json")) == RUN_REPR
+    rc = RunConfig("render", "in.json", "out.svg", eps=1e-6, samples=5, seed=1,
+                   show_circles=True, show_voronoi=True, t=0.25)
+    assert repr(rc) == ("RunConfig(command='render', input_path='in.json', output_path='out.svg', "
+                        "eps=1e-06, samples=5, seed=1, show_circles=True, show_voronoi=True, "
+                        "t=0.25)")
+
+
+def test_run_config_compares_field_by_field_and_is_unhashable():
+    rc = RunConfig("boundary", "in.json")
+    assert rc == RunConfig("boundary", "in.json", None, eps=EPS_GEO, samples=10000, seed=42)
+    assert rc != RunConfig("boundary", "in.json", seed=43)
+    assert rc != RunConfig("hypergraph", "in.json")
+    assert rc != ("boundary", "in.json", None, EPS_GEO, 10000, 42, False, False, None)
+    with pytest.raises(TypeError):
+        hash(rc)
+
+
+@pytest.mark.parametrize("options, message", [
+    ({"eps": 0.0}, "--eps must be positive and finite, got 0.0"),
+    ({"eps": -1e-9}, "--eps must be positive and finite, got -1e-09"),
+    ({"eps": math.inf}, "--eps must be positive and finite, got inf"),
+    ({"eps": math.nan}, "--eps must be positive and finite, got nan"),
+    ({"samples": 0}, "samples must be positive"),
+], ids=["zero", "negative", "inf", "nan", "samples"])
+def test_run_config_validation_messages(options, message):
+    with pytest.raises(InvalidConfig) as exc:
+        RunConfig("boundary", "in.json", **options)
+    assert str(exc.value) == message
+
+
+def test_run_config_rejects_an_unknown_option():
+    with pytest.raises(TypeError, match="unexpected keyword argument 'epss'"):
+        RunConfig("boundary", "in.json", epss=1e-3)

@@ -1,6 +1,5 @@
 """(3,2) classification, pentagon recognition, and quad construction."""
 
-import dataclasses
 import json
 import math
 import pathlib
@@ -839,8 +838,8 @@ class TestRoundTripFailureTexts:
 
         def off_the_shape(*args, **kwargs):  # one chain, every vertex moved by a unit
             (chain,) = extract_boundary(*args, **kwargs)
-            return [dataclasses.replace(chain, vertices=tuple(Point(v.x + 1.0, v.y)
-                                                              for v in chain.vertices))]
+            return [chain._replace(vertices=tuple(Point(v.x + 1.0, v.y)
+                                                  for v in chain.vertices))]
 
         for fake in (unbounded, lambda *args, **kwargs: [], off_the_shape):
             with monkeypatch.context() as patched:
@@ -936,7 +935,7 @@ class TestRoundTripInvariance:
 
             def moved(*args, move=move, **kwargs):
                 (chain,) = extract_boundary(*args, **kwargs)
-                return [dataclasses.replace(chain, vertices=tuple(
+                return [chain._replace(vertices=tuple(
                     Point(v.x + move, v.y) for v in chain.vertices))]
 
             with monkeypatch.context() as patched:
