@@ -127,7 +127,7 @@ _INLINE = {
     type(None): lambda v: "null",
     int: str,
     float: _fmt_float,
-    str: json.dumps,
+    str: json.encoder.encode_basestring_ascii,  # what json.dumps returns for a str
     Point: lambda p: f"[{_fmt_float(p.x)}, {_fmt_float(p.y)}]",
 }
 _CONTAINERS = {dict: _json_dict, list: _json_list, tuple: _json_list,

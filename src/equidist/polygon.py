@@ -1,15 +1,20 @@
 """Regularity checks, the empty-circumcircle hypergraph, and boundary extraction.
 
-The regularity check scales the focal points to integers once and, for each
-pair (a, b), keys every later point c by its circle through a and b: a zero
-cross product is a collinear triple, and otherwise the key is the circle's
-centre along the bisector of ab, an exact rational rounded once.  Points
-sharing a key are confirmed by exact equality of their rationals, so the
-check takes O(n^3) integer steps.  On regular input the empty-circumcircle
-triples are exactly the triangles of the unique Delaunay triangulation of
-K ∪ L, built by gift-wrapping with O(n^2) orientation and in-circle signs,
-each an integer determinant on the points scaled once.  Both reports list
-triples and quadruples in ``combinations`` order.
+The focal points of an input are scaled to integers once, into one frame
+(``_lifted``, kept for the last config object) that holds, for each anchor
+a, the lifted rows (u, v, u^2 + v^2) of every point relative to a.  The
+regularity check, the Delaunay gift-wrap and the hyperedge circles all read
+it.  For each pair (a, b) the regularity check keys every later point c by
+its circle through a and b: a zero cross product is a collinear triple, and
+otherwise the key is the circle's centre along the bisector of ab, an exact
+rational rounded once.  Points sharing a key are confirmed by exact equality
+of their rationals, so the check takes O(n^3) integer steps.  On regular
+input the empty-circumcircle triples are exactly the triangles of the unique
+Delaunay triangulation of K ∪ L, built by gift-wrapping with O(n^2)
+orientation and in-circle signs, each an integer determinant on the frame's
+rows.  Each triangle's circle comes from the rows of its lowest index, by
+the integer core of ``circumcircle``.  Both reports list triples and
+quadruples in ``combinations`` order.
 The inner sites' Voronoi cells in Vor(K ∪ L) are built once per body, by
 ``EquidistantBody.inner_cells``: each is its component's exact clip cut
 further by the inner rows.  The boundary walk, ``voronoi_check`` and
@@ -48,7 +53,7 @@ from .primitives import (
     EPS_GEO,
     Circle,
     Point,
-    circumcircle,
+    _circumcircle_ints,
     dist,
     dyadic_ints,
     incircle,
@@ -150,10 +155,30 @@ def ref_point(cfg: FocalConfig, ref: FocalRef) -> Point:
 
 
 @once_per_input
+def _lifted(cfg: FocalConfig) -> tuple:
+    """cfg's focal points, in ``labeled_points`` order, scaled to integers once.
+
+    Returns (k, xs, ys, lifted): the points at 2**k as columns xs and ys, and
+    ``lifted[a]``, the lifted rows (u, v, u^2 + v^2) of every point relative to
+    point a, by column.  ``check_regularity``, the gift-wrap and the hyperedge
+    circles all read this frame, which is kept for the last config object.
+    """
+    ints, k = dyadic_ints([v for p in cfg.points for v in p])
+    xs, ys = ints[::2], ints[1::2]
+    lifted = []
+    for x0, y0 in zip(xs, ys):
+        us = [x - x0 for x in xs]
+        vs = [y - y0 for y in ys]
+        lifted.append((us, vs, [u * u + v * v for u, v in zip(us, vs)]))
+    return k, xs, ys, lifted
+
+
+@once_per_input
 def check_regularity(cfg: FocalConfig) -> RegularityReport:
     """Exact test for collinear triples (C1) and concircular quadruples (C2), O(n^3).
 
-    The points are scaled to integers once.  Relative to a, a later pair
+    The points are read relative to each anchor a from the integer frame of
+    ``_lifted``, scaled once per input.  Relative to a, a later pair
     (b, c) is collinear with a exactly when the cross product b x c is 0, and
     a collinear triple extends to no concircular quadruple, since a circle
     meets a line in at most two points.  Otherwise c's circle through a and b
@@ -166,17 +191,13 @@ def check_regularity(cfg: FocalConfig) -> RegularityReport:
     collide by rounding.  Both lists come out in ``combinations`` order.  A second
     call with the same config object returns the same report.
     """
-    pts = labeled_points(cfg)
-    refs = [r for r, _ in pts]
-    points = [p for _, p in pts]
-    n = len(points)
-    ints, _ = dyadic_ints([v for p in points for v in p])
-    xs, ys = ints[::2], ints[1::2]
+    refs = [r for r, _ in labeled_points(cfg)]
+    n = len(refs)
+    lifted = _lifted(cfg)[3]
     collinear = []
     concircular = []
     for a in range(n):
-        us = [x - xs[a] for x in xs]
-        vs = [y - ys[a] for y in ys]
+        us, vs, _ = lifted[a]
         for b in range(a + 1, n):
             bu, bv = us[b], vs[b]
             first = {}  # key -> the least c with it
@@ -209,34 +230,26 @@ def check_regularity(cfg: FocalConfig) -> RegularityReport:
                                               for quad in concircular))
 
 
-def _delaunay_triangles(points) -> list[tuple[int, int, int]]:
-    """Index triples, sorted, of the Delaunay triangles of points in general position.
+def _delaunay_triangles(frame) -> list[tuple[int, int, int]]:
+    """Index triples, sorted, of the Delaunay triangles of a ``_lifted`` frame.
 
-    Gift-wrapping: the lowest point by (y, x) and the point that leaves every
-    other one to its left span a hull edge.  Each open directed edge (u, v)
-    is closed by the point w to its left whose circle through u and v holds
-    no other point on that side; such circles are nested there, so one scan
-    that moves to each point found inside the current best circle finds w.
-    The triangle's two other edges are opened reversed; an edge with no point
-    to its left is a hull edge.  Every sign is exact, on the points scaled to
-    integers once and taken relative to u: z is left of (u, v) when v x z > 0,
-    and inside the circle through ccw u, v, w when the determinant of the
-    lifted rows (x, y, x^2 + y^2) of v, w and z is negative.  As v x u and
-    v x v are 0, no edge counts its own endpoints as left of it.
+    The frame's points must be in general position.  Gift-wrapping: the lowest
+    point by (y, x) and the point that leaves every other one to its left span
+    a hull edge.  Each open directed edge (u, v) is closed by the point w to
+    its left whose circle through u and v holds no other point on that side;
+    such circles are nested there, so one scan that moves to each point found
+    inside the current best circle finds w.  The triangle's two other edges
+    are opened reversed; an edge with no point to its left is a hull edge.
+    Every sign is exact, on the frame's lifted rows (x, y, x^2 + y^2) relative
+    to u: z is left of (u, v) when v x z > 0, and inside the circle through
+    ccw u, v, w when the determinant of the rows of v, w and z is negative.
+    As v x u and v x v are 0, no edge counts its own endpoints as left of it.
     """
-    n = len(points)
+    _, xs, ys, lifted = frame
+    n = len(xs)
     if n < 3:
         return []
-    ints, _ = dyadic_ints([v for p in points for v in p])
-    xs, ys = ints[::2], ints[1::2]
-
-    def rows(a):  # the lifted rows relative to point a, by column
-        us = [x - xs[a] for x in xs]
-        vs = [y - ys[a] for y in ys]
-        return us, vs, [u * u + v * v for u, v in zip(us, vs)]
-
     s = min(range(n), key=lambda i: (ys[i], xs[i]))
-    lifted = {s: rows(s)}
     us, vs, _ = lifted[s]
     t = (s + 1) % n
     for z in range(n):
@@ -249,8 +262,6 @@ def _delaunay_triangles(points) -> list[tuple[int, int, int]]:
         u, v = stack.pop()
         if (u, v) in closed:
             continue
-        if u not in lifted:
-            lifted[u] = rows(u)
         us, vs, ls = lifted[u]
         vu, vv, vl = us[v], vs[v], ls[v]
         w = None
@@ -286,15 +297,19 @@ def empty_circle_triples(cfg: FocalConfig) -> tuple[HyperEdge, ...]:
     input these triples are exactly the triangles of the unique Delaunay
     triangulation of the focal points (``_delaunay_triangles``).  Triples
     come in ``combinations`` order.  Colored triples list the lone point in
-    the middle and carry its viewing angle of the other two as weight.
+    the middle and carry its viewing angle of the other two as weight.  Each
+    circle is ``circumcircle`` of the sorted triple, computed from the rows
+    of its first point in the frame of ``_lifted``, so no point is scaled again.
     """
     report = check_regularity(cfg)
     if not report.ok:
         raise RegularityViolated("configuration violates (C1)/(C2)", report)
     pts = labeled_points(cfg)
+    frame = _lifted(cfg)
+    k, xs, ys, lifted = frame
     edges = []
-    for i, j, k in _delaunay_triangles([p for _, p in pts]):
-        (ra, a), (rb, b), (rc, c) = pts[i], pts[j], pts[k]
+    for i, j, m in _delaunay_triangles(frame):
+        (ra, a), (rb, b), (rc, c) = pts[i], pts[j], pts[m]
         color = _triple_color([ra.kind, rb.kind, rc.kind])
         refs, weight = (ra, rb, rc), None
         # labeled_points lists inner points first, so the lone point of a sorted colored
@@ -303,8 +318,10 @@ def empty_circle_triples(cfg: FocalConfig) -> tuple[HyperEdge, ...]:
             refs, weight = (ra, rc, rb), viewing_angle(c, a, b)
         elif color == COLOR_YXY:
             refs, weight = (rb, ra, rc), viewing_angle(a, b, c)
-        edges.append(HyperEdge(refs=refs, color=color, circle=circumcircle(a, b, c),
-                               weight=weight))
+        us, vs, ls = lifted[i]  # the rows that circumcircle(a, b, c) takes relative to a
+        circle = _circumcircle_ints(a, b, c, k, xs[i], ys[i],
+                                    us[j], vs[j], ls[j], us[m], vs[m], ls[m])
+        edges.append(HyperEdge(refs=refs, color=color, circle=circle, weight=weight))
     return tuple(edges)
 
 

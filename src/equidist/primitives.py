@@ -179,11 +179,21 @@ def circumcircle(p: Point, q: Point, r: Point) -> Circle:
     """
     (px, py, bx, by, cx, cy), k = dyadic_ints((p.x, p.y, q.x, q.y, r.x, r.y))
     bx, by, cx, cy = bx - px, by - py, cx - px, cy - py
+    return _circumcircle_ints(p, q, r, k, px, py,
+                              bx, by, bx * bx + by * by, cx, cy, cx * cx + cy * cy)
+
+
+def _circumcircle_ints(p: Point, q: Point, r: Point, k: int, px: int, py: int,
+                       bx: int, by: int, b2: int, cx: int, cy: int, c2: int) -> Circle:
+    """``circumcircle(p, q, r)`` from integers at any 2**k: p as (px, py), and the lifted
+    rows (x, y, x^2 + y^2) of q - p and r - p.
+
+    The centre and radius are exact rationals rounded once, so every such k gives the
+    same circle; p, q and r only name the points in an error.
+    """
     d = 2 * (bx * cy - by * cx)
     if d == 0:
         raise CollinearBase(f"circumcircle of collinear points: {p}, {q}, {r}")
-    b2 = bx * bx + by * by
-    c2 = cx * cx + cy * cy
     nx, ny = cy * b2 - by * c2, bx * c2 - cx * b2  # centre - p == (nx, ny) / (d * 2**k)
     den = d << k
     try:

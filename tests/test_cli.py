@@ -12,6 +12,7 @@ import pytest
 from equidist import body as body_module
 from equidist import cli
 from equidist import polygon as polygon_module
+from equidist import primitives as primitives_module
 from equidist.body import FocalConfig
 from equidist.cli import format_json, main
 from equidist.polygon import BoundReport, FocalRef, VertexInfo, extract_boundary
@@ -437,6 +438,19 @@ class TestStagesRunOncePerInput:
         code, out, _ = run_cli(capsys, [command, write(tmp_path, "in.json", GENERIC_32)])
         assert code == 0 and '"error"' not in out
         assert len(runs) == 1
+
+    def test_hypergraph_scales_its_focal_points_once(self, tmp_path, capsys, monkeypatch):
+        # the regularity scan, the gift-wrap and every hyperedge circle read one integer frame
+        scaled = []
+        for module in (polygon_module, primitives_module):
+            monkeypatch.setattr(module, "dyadic_ints", lambda values, scale=module.dyadic_ints:
+                                scaled.append(len(values)) or scale(values))
+        cfg = ring_config(random.Random(5), 8, 12)
+        doc = {"inner": [list(p) for p in cfg.inner], "outer": [list(p) for p in cfg.outer]}
+        code, out, _ = run_cli(capsys, ["hypergraph", write(tmp_path, "in.json", doc)])
+        result = json.loads(out)["result"]
+        assert code == 0 and result["regular"] and len(result["edges"]) > 1
+        assert scaled == [2 * (cfg.p + cfg.q)]
 
 
 class TestBoundaryWalkedOncePerBodyAndEps:

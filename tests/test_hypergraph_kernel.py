@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from conftest import random_generic_32
 from equidist.body import FocalConfig
-from equidist.errors import GeometryError, RegularityViolated
+from equidist.errors import GeometryError, NumericalDegeneracy, RegularityViolated
 from equidist.polygon import (
     COLOR_XYX,
     COLOR_YXY,
@@ -409,3 +409,53 @@ class TestDelaunayBeyondBruteForce:
         uses = Counter(frozenset(e) for t in triples for e in combinations(t, 2))
         assert hull <= set(uses)
         assert all(count == (1 if e in hull else 2) for e, count in uses.items())
+
+
+# --- the hyperedge circles from the shared integer frame ----------------------
+
+def circle_bits(circle):
+    """A circle's three floats as hex strings, so -0.0 and 0.0 differ."""
+    return circle.center.x.hex(), circle.center.y.hex(), circle.radius.hex()
+
+
+class TestCirclesFromTheFrame:
+    """Each hyperedge circle is ``circumcircle`` of its sorted triple, to the bit.
+
+    The engine reads the triple's integers from the frame that the whole input
+    was scaled into once, at the input's 2**k, where ``circumcircle`` scales
+    the three points alone; both round the same exact rationals once.
+    """
+
+    @staticmethod
+    def regular_configs():
+        ring = ring_config(random.Random(71), 12, 18)
+        yield ring
+        yield mapped_config(ring, lambda v: Point(v.x + 1e9, v.y - 1e9))
+        yield mapped_config(ring, lambda v: Point(math.ldexp(v.x, -40), math.ldexp(v.y, -40)))
+        rng = random.Random(72)
+        sizes = [rng.randint(1, 3) for _ in range(60)]  # p inner points, at least 3 outer
+        grids = [grid_config(rng, p, n=p + rng.randint(3, 5)) for p in sizes]
+        regular = [cfg for cfg in grids if check_regularity(cfg).ok]
+        assert len(regular) >= 10
+        yield from regular
+
+    def test_circles_equal_circumcircle_field_by_field(self):
+        for cfg in self.regular_configs():
+            assert check_regularity(cfg).ok
+            pts = labeled_points(cfg)
+            index = {ref: i for i, (ref, _) in enumerate(pts)}
+            edges = empty_circle_triples(cfg)
+            assert edges
+            for e in edges:
+                a, b, c = (pts[i][1] for i in sorted(index[r] for r in e.refs))
+                assert circle_bits(e.circle) == circle_bits(circumcircle(a, b, c))
+
+    def test_centre_beyond_the_float_range_raises_as_circumcircle_does(self):
+        # regular; the only triple's circumcentre lies ~5e309 out
+        cfg = FocalConfig.of([(100000.0, 1e-300)], [(0.0, 0.0), (200000.0, 0.0)])
+        assert check_regularity(cfg).ok
+        with pytest.raises(NumericalDegeneracy) as want:
+            circumcircle(*cfg.points)
+        with pytest.raises(NumericalDegeneracy) as got:
+            empty_circle_triples(cfg)
+        assert str(got.value) == str(want.value)

@@ -61,6 +61,7 @@ def test_no_rational_or_decimal_arithmetic():
 PRIVATE_IMPORTS = {
     ("connectivity", "body"): {"_exact_clip", "_float_point", "_orientation_det", "_same_point"},
     ("polygon", "body"): {"_float_point", "_orientation_det", "_scaled"},
+    ("polygon", "primitives"): {"_circumcircle_ints"},
     ("cli", "type32"): {"_construct_quad"},
 }
 
