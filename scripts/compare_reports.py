@@ -36,7 +36,11 @@ The inputs come from ``bench/corpus.py`` (imported, never changed):
   and ``construct-quad`` on the first pentagon and quadrangle shifted by
   (2**33, 2**33), where the round trip's tolerance exceeds their shortest edges;
 - ``render --show-circles --show-voronoi`` on the first ring (8, 12)
-  configuration scaled by 2**-40, a scene smaller than any absolute length.
+  configuration scaled by 2**-40, a scene smaller than any absolute length;
+- ``hypergraph`` where its integers are largest: on the first ring (12, 18)
+  configuration shifted by (1e9, -1e9) and scaled by 2**-40, and on a regular
+  configuration whose circle keys overflow the float range, two of them
+  colliding at +inf, and whose circles leave it (``NumericalDegeneracy``).
 
 usage: python scripts/compare_reports.py BASE_TREE HEAD_TREE
 """
@@ -92,6 +96,8 @@ FAILURES = {
                                                            [1.99999e155, -1e150]]},
     "shared-point.json": {"inner": [[0, 0], [1, 2]], "outer": [[1, 2], [4, 0], [0, 4]]},
     "empty-inner.json": {"inner": [], "outer": [[1, 2], [4, 0], [0, 4]]},
+    "overflow-keys.json": {"inner": [[0.0, 0.0], [1e300, 1e-300]],
+                           "outer": [[1e-300, 0.0], [-1e300, 1e-300]]},
 }
 
 
@@ -132,13 +138,18 @@ def matrix() -> tuple[dict, list[list[str]]]:
     for name in ("pentagon-0.json", "quad-0.json"):
         inputs[name.replace(".json", "-shifted.json")] = {
             "polygon": [[x + 2**33, y + 2**33] for x, y in inputs[name]["polygon"]]}
-    inputs["ring-8-12-0-tiny.json"] = {
-        side: [[math.ldexp(x, -40), math.ldexp(y, -40)]
-               for x, y in inputs["ring-8-12-0.json"][side]]
+    for name in ("ring-8-12-0.json", "ring-12-18-0.json"):
+        inputs[name.replace(".json", "-tiny.json")] = {
+            side: [[math.ldexp(x, -40), math.ldexp(y, -40)] for x, y in inputs[name][side]]
+            for side in ("inner", "outer")}
+    inputs["ring-12-18-0-shifted.json"] = {
+        side: [[x + 1e9, y - 1e9] for x, y in inputs["ring-12-18-0.json"][side]]
         for side in ("inner", "outer")}
     jobs += [["recognize-pentagon", "pentagon-0-shifted.json"],
              ["construct-quad", "quad-0-shifted.json"],
-             ["render", "ring-8-12-0-tiny.json", "--out", SVG, "--show-circles", "--show-voronoi"]]
+             ["render", "ring-8-12-0-tiny.json", "--out", SVG, "--show-circles", "--show-voronoi"],
+             ["hypergraph", "ring-12-18-0-shifted.json"], ["hypergraph", "ring-12-18-0-tiny.json"],
+             ["hypergraph", "overflow-keys.json"]]
     return inputs, jobs
 
 

@@ -1,20 +1,23 @@
 """Regularity checks, the empty-circumcircle hypergraph, and boundary extraction.
 
-The focal points of an input are scaled to integers once, into one frame
-(``_lifted``, kept for the last config object) that holds, for each anchor
-a, the lifted rows (u, v, u^2 + v^2) of every point relative to a.  The
-regularity check, the Delaunay gift-wrap and the hyperedge circles all read
-it.  For each pair (a, b) the regularity check keys every later point c by
-its circle through a and b: a zero cross product is a collinear triple, and
-otherwise the key is the circle's centre along the bisector of ab, an exact
-rational rounded once.  Points sharing a key are confirmed by exact equality
-of their rationals, so the check takes O(n^3) integer steps.  On regular
+The focal points of an input are scaled to integers once, and two n x n
+tables of their pairwise integers are built from them (``_tables``, kept for
+the last config object): the cross products X[p][q] = p x q and the squared
+distances S[p][q] = |p - q|^2.  Every triple's cross product and the dot
+product behind its circle are then sums of table entries, so the O(n^3)
+regularity loop does no multiplication.  For each pair (a, b) the regularity
+check keys every later point c by its circle through a and b: a zero cross
+product is a collinear triple, and otherwise the key is twice the circle's
+centre along the bisector of ab, an exact rational rounded once.  Points
+sharing a key are confirmed by exact equality of their rationals.  On regular
 input the empty-circumcircle triples are exactly the triangles of the unique
 Delaunay triangulation of K ∪ L, built by gift-wrapping with O(n^2)
-orientation and in-circle signs, each an integer determinant on the frame's
-rows.  Each triangle's circle comes from the rows of its lowest index, by
-the integer core of ``circumcircle``.  Both reports list triples and
-quadruples in ``combinations`` order.
+orientation and in-circle signs: each orientation is a sum of cross products,
+each in-circle sign an integer determinant of the points' differences and
+squared distances.  Each triangle's circle comes from the differences and
+squared distances of its lowest index, by the integer core of
+``circumcircle``.  Both reports list triples and quadruples in
+``combinations`` order.
 The inner sites' Voronoi cells in Vor(K ∪ L) are built once per body, by
 ``EquidistantBody.inner_cells``: each is its component's exact clip cut
 further by the inner rows.  The boundary walk, ``voronoi_check`` and
@@ -155,60 +158,73 @@ def ref_point(cfg: FocalConfig, ref: FocalRef) -> Point:
 
 
 @once_per_input
-def _lifted(cfg: FocalConfig) -> tuple:
+def _tables(cfg: FocalConfig) -> tuple:
     """cfg's focal points, in ``labeled_points`` order, scaled to integers once.
 
-    Returns (k, xs, ys, lifted): the points at 2**k as columns xs and ys, and
-    ``lifted[a]``, the lifted rows (u, v, u^2 + v^2) of every point relative to
-    point a, by column.  ``check_regularity``, the gift-wrap and the hyperedge
-    circles all read this frame, which is kept for the last config object.
+    Returns (k, xs, ys, X, S): the points at 2**k as columns xs and ys, and
+    two n x n tables of their pairwise integers, ``X[p][q]`` the cross product
+    p x q and ``S[p][q]`` the squared distance |p - q|^2.  Each is built from
+    its upper triangle and mirrored: X is antisymmetric and S symmetric, both
+    with a zero diagonal.  Every triple's integers are sums of table entries:
+    (b - a) x (c - a) = X[a][b] + X[b][c] - X[a][c], the shoelace terms of
+    the triangle, and 2 (c - a).(c - b) = S[a][c] + S[b][c] - S[a][b], the law
+    of cosines.  ``check_regularity``, the gift-wrap and the hyperedge circles
+    all read these tables, which are kept for the last config object.
     """
     ints, k = dyadic_ints([v for p in cfg.points for v in p])
     xs, ys = ints[::2], ints[1::2]
-    lifted = []
-    for x0, y0 in zip(xs, ys):
-        us = [x - x0 for x in xs]
-        vs = [y - y0 for y in ys]
-        lifted.append((us, vs, [u * u + v * v for u, v in zip(us, vs)]))
-    return k, xs, ys, lifted
+    n = len(xs)
+    X = [[0] * n for _ in range(n)]
+    S = [[0] * n for _ in range(n)]
+    for p in range(n):
+        xp, yp, Xp, Sp = xs[p], ys[p], X[p], S[p]
+        for q in range(p + 1, n):
+            xq, yq = xs[q], ys[q]
+            Xp[q] = cross = xp * yq - yp * xq
+            X[q][p] = -cross
+            dx, dy = xq - xp, yq - yp
+            Sp[q] = S[q][p] = dx * dx + dy * dy
+    return k, xs, ys, X, S
 
 
 @once_per_input
 def check_regularity(cfg: FocalConfig) -> RegularityReport:
     """Exact test for collinear triples (C1) and concircular quadruples (C2), O(n^3).
 
-    The points are read relative to each anchor a from the integer frame of
-    ``_lifted``, scaled once per input.  Relative to a, a later pair
-    (b, c) is collinear with a exactly when the cross product b x c is 0, and
-    a collinear triple extends to no concircular quadruple, since a circle
-    meets a line in at most two points.  Otherwise c's circle through a and b
-    is keyed by its centre's coordinate along the bisector of ab, the
-    rational (|c|^2 - b.c) / (b x c), rounded once by the correctly rounded
-    integer division (±inf beyond the float range).  Equal rationals give
-    equal keys, so each concircular quadruple (a, b, c, d) shares a key; two
-    members of a shared key are confirmed by exact equality of their
-    rationals, num_c * cross_d == num_d * cross_c, which rejects keys that
-    collide by rounding.  Both lists come out in ``combinations`` order.  A second
-    call with the same config object returns the same report.
+    Every triple's integers are sums of entries of the tables of ``_tables``,
+    built once per input, so the O(n^3) loop does no multiplication.  A later
+    pair (b, c) is collinear with a exactly when the cross product
+    (b - a) x (c - a) = X[a][b] + X[b][c] - X[a][c] is 0, and a collinear
+    triple extends to no concircular quadruple, since a circle meets a line in
+    at most two points.  Otherwise c's circle through a and b is keyed by
+    twice its centre's coordinate along the bisector of ab, the rational
+    num / cross with num = 2 (c - a).(c - b) = S[a][c] + S[b][c] - S[a][b],
+    rounded once by the correctly rounded integer division (±inf beyond the
+    float range).  Equal rationals give equal keys, so each concircular
+    quadruple (a, b, c, d) shares a key; two members of a shared key are
+    confirmed by exact equality of their rationals,
+    num_c * cross_d == num_d * cross_c, which rejects keys that collide by
+    rounding.  Both lists come out in ``combinations`` order.  A second call
+    with the same config object returns the same report.
     """
     refs = [r for r, _ in labeled_points(cfg)]
     n = len(refs)
-    lifted = _lifted(cfg)[3]
+    _, _, _, X, S = _tables(cfg)
     collinear = []
     concircular = []
     for a in range(n):
-        us, vs, _ = lifted[a]
+        Xa, Sa = X[a], S[a]
         for b in range(a + 1, n):
-            bu, bv = us[b], vs[b]
+            Xb, Sb = X[b], S[b]
+            xab, sab = Xa[b], Sa[b]
             first = {}  # key -> the least c with it
             shared = {}  # the least c of a shared key -> every c with it, ascending
             for c in range(b + 1, n):
-                cu, cv = us[c], vs[c]
-                cross = bu * cv - bv * cu
+                cross = xab + Xb[c] - Xa[c]
                 if cross == 0:
                     collinear.append((refs[a], refs[b], refs[c]))
                     continue
-                num = cu * (cu - bu) + cv * (cv - bv)
+                num = Sa[c] + Sb[c] - sab
                 try:
                     key = num / cross
                 except OverflowError:
@@ -217,8 +233,7 @@ def check_regularity(cfg: FocalConfig) -> RegularityReport:
                 if least != c:
                     shared.setdefault(least, [least]).append(c)
             for group in shared.values():
-                ratios = [(us[c] * (us[c] - bu) + vs[c] * (vs[c] - bv), bu * vs[c] - bv * us[c])
-                          for c in group]
+                ratios = [(Sa[c] + Sb[c] - sab, xab + Xb[c] - Xa[c]) for c in group]
                 for m, (num_c, cross_c) in enumerate(ratios):
                     for d, (num_d, cross_d) in zip(group[m + 1:], ratios[m + 1:]):
                         if num_c * cross_d == num_d * cross_c:
@@ -230,30 +245,34 @@ def check_regularity(cfg: FocalConfig) -> RegularityReport:
                                               for quad in concircular))
 
 
-def _delaunay_triangles(frame) -> list[tuple[int, int, int]]:
-    """Index triples, sorted, of the Delaunay triangles of a ``_lifted`` frame.
+def _delaunay_triangles(tables) -> list[tuple[int, int, int]]:
+    """Index triples, sorted, of the Delaunay triangles of the points of ``_tables``.
 
-    The frame's points must be in general position.  Gift-wrapping: the lowest
-    point by (y, x) and the point that leaves every other one to its left span
-    a hull edge.  Each open directed edge (u, v) is closed by the point w to
-    its left whose circle through u and v holds no other point on that side;
-    such circles are nested there, so one scan that moves to each point found
+    The points must be in general position.  Gift-wrapping: the lowest point
+    by (y, x) and the point that leaves every other one to its left span a
+    hull edge.  Each open directed edge (u, v) is closed by the point w to its
+    left whose circle through u and v holds no other point on that side; such
+    circles are nested there, so one scan that moves to each point found
     inside the current best circle finds w.  The triangle's two other edges
     are opened reversed; an edge with no point to its left is a hull edge.
-    Every sign is exact, on the frame's lifted rows (x, y, x^2 + y^2) relative
-    to u: z is left of (u, v) when v x z > 0, and inside the circle through
-    ccw u, v, w when the determinant of the rows of v, w and z is negative.
-    As v x u and v x v are 0, no edge counts its own endpoints as left of it.
+    Every sign is exact.  z is left of (u, v) when
+    (v - u) x (z - u) = X[u][v] + X[v][z] - X[u][z] > 0, by additions on the
+    cross product table.  z is inside the circle through ccw u, v and w when
+    the determinant of the lifted rows (x, y, x^2 + y^2) of v, w and z
+    relative to u is negative; the rows are the differences of the points and
+    the entries of S in row u, and the minors of v and w are hoisted out of
+    the scan.  The sum is 0 for z = u and for z = v, as X is antisymmetric, so
+    no edge counts its own endpoints as left of it.
     """
-    _, xs, ys, lifted = frame
+    _, xs, ys, X, S = tables
     n = len(xs)
     if n < 3:
         return []
     s = min(range(n), key=lambda i: (ys[i], xs[i]))
-    us, vs, _ = lifted[s]
+    Xs = X[s]
     t = (s + 1) % n
     for z in range(n):
-        if us[t] * vs[z] < vs[t] * us[z]:
+        if Xs[t] + X[t][z] < Xs[z]:
             t = z
     closed = set()
     triangles = []
@@ -262,15 +281,14 @@ def _delaunay_triangles(frame) -> list[tuple[int, int, int]]:
         u, v = stack.pop()
         if (u, v) in closed:
             continue
-        us, vs, ls = lifted[u]
-        vu, vv, vl = us[v], vs[v], ls[v]
+        xu, yu, Xu, Su = xs[u], ys[u], X[u], S[u]
+        xuv, vu, vv, vl = Xu[v], xs[v] - xu, ys[v] - yu, Su[v]
         w = None
-        for z in range(n):
-            zu, zv = us[z], vs[z]
+        for z, xuz, xvz, zl, xz, yz in zip(range(n), Xu, X[v], Su, xs, ys):
             # the minors of v and w change only when w moves; per candidate they cost time
-            if vu * zv > vv * zu and (w is None or zu * mu + zv * mv + ls[z] * ml < 0):
+            if xuv + xvz > xuz and (w is None or (xz - xu) * mu + (yz - yu) * mv + zl * ml < 0):
                 w = z
-                wu, wv, wl = zu, zv, ls[z]
+                wu, wv, wl = xz - xu, yz - yu, zl
                 mu, mv, ml = vv * wl - wv * vl, vl * wu - wl * vu, vu * wv - wu * vv
         if w is None:
             continue
@@ -298,17 +316,18 @@ def empty_circle_triples(cfg: FocalConfig) -> tuple[HyperEdge, ...]:
     triangulation of the focal points (``_delaunay_triangles``).  Triples
     come in ``combinations`` order.  Colored triples list the lone point in
     the middle and carry its viewing angle of the other two as weight.  Each
-    circle is ``circumcircle`` of the sorted triple, computed from the rows
-    of its first point in the frame of ``_lifted``, so no point is scaled again.
+    circle is ``circumcircle`` of the sorted triple (a, b, c), computed from
+    the integers of ``_tables``: the differences b - a and c - a with the
+    squared lengths S[a][b] and S[a][c], so no point is scaled again.
     """
     report = check_regularity(cfg)
     if not report.ok:
         raise RegularityViolated("configuration violates (C1)/(C2)", report)
     pts = labeled_points(cfg)
-    frame = _lifted(cfg)
-    k, xs, ys, lifted = frame
+    tables = _tables(cfg)
+    k, xs, ys, _, S = tables
     edges = []
-    for i, j, m in _delaunay_triangles(frame):
+    for i, j, m in _delaunay_triangles(tables):
         (ra, a), (rb, b), (rc, c) = pts[i], pts[j], pts[m]
         color = _triple_color([ra.kind, rb.kind, rc.kind])
         refs, weight = (ra, rb, rc), None
@@ -318,9 +337,9 @@ def empty_circle_triples(cfg: FocalConfig) -> tuple[HyperEdge, ...]:
             refs, weight = (ra, rc, rb), viewing_angle(c, a, b)
         elif color == COLOR_YXY:
             refs, weight = (rb, ra, rc), viewing_angle(a, b, c)
-        us, vs, ls = lifted[i]  # the rows that circumcircle(a, b, c) takes relative to a
-        circle = _circumcircle_ints(a, b, c, k, xs[i], ys[i],
-                                    us[j], vs[j], ls[j], us[m], vs[m], ls[m])
+        x, y = xs[i], ys[i]  # circumcircle(a, b, c) takes b and c relative to a
+        circle = _circumcircle_ints(a, b, c, k, x, y,
+                                    xs[j] - x, ys[j] - y, S[i][j], xs[m] - x, ys[m] - y, S[i][m])
         edges.append(HyperEdge(refs=refs, color=color, circle=circle, weight=weight))
     return tuple(edges)
 

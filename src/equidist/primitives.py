@@ -185,11 +185,13 @@ def circumcircle(p: Point, q: Point, r: Point) -> Circle:
 
 def _circumcircle_ints(p: Point, q: Point, r: Point, k: int, px: int, py: int,
                        bx: int, by: int, b2: int, cx: int, cy: int, c2: int) -> Circle:
-    """``circumcircle(p, q, r)`` from integers at any 2**k: p as (px, py), and the lifted
-    rows (x, y, x^2 + y^2) of q - p and r - p.
+    """``circumcircle(p, q, r)`` from integers at any 2**k: p as (px, py), q - p as
+    (bx, by) with its squared length b2, and r - p as (cx, cy) with c2.
 
     The centre and radius are exact rationals rounded once, so every such k gives the
-    same circle; p, q and r only name the points in an error.
+    same circle; p, q and r only name the points in an error.  ``circumcircle`` passes
+    the squared differences as b2 and c2; ``polygon.empty_circle_triples`` reads them
+    from its input's table of squared distances.
     """
     d = 2 * (bx * cy - by * cx)
     if d == 0:

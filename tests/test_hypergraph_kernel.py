@@ -12,10 +12,9 @@ float signs of either kind.  The engine decides them on integers.
 
 import math
 import random
-import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +28,7 @@ from equidist.polygon import (
     COLOR_YXY,
     HyperEdge,
     RegularityReport,
+    _tables,
     _triple_color,
     check_regularity,
     empty_circle_triples,
@@ -284,14 +284,23 @@ def assert_repr_matches_reference(cfg: FocalConfig) -> RegularityReport:
 
 
 def overflowing_keys(cfg: FocalConfig) -> int:
-    """Triples whose circle key (|c|^2 - b.c) / (b x c), relative to a, exceeds the float range."""
+    """Triples (a, b, c) whose circle key 2 (c - a).(c - b) / ((b - a) x (c - a)) overflows.
+
+    The key is a ratio of integers of the scaled points, and those integers
+    scale together, so its exact rational does not depend on the scale.  Its
+    float is the correctly rounded quotient of the rational's numerator and
+    denominator, the division that raises ``OverflowError`` in the engine.
+    """
     pts = [(Fraction(p.x), Fraction(p.y)) for _, p in labeled_points(cfg)]
     count = 0
     for (ax, ay), (bx, by), (cx, cy) in combinations(pts, 3):
-        bu, bv, cu, cv = bx - ax, by - ay, cx - ax, cy - ay
-        cross = bu * cv - bv * cu
-        if cross and abs((cu * (cu - bu) + cv * (cv - bv)) / cross) > sys.float_info.max:
-            count += 1
+        cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+        if cross:
+            key = 2 * ((cx - ax) * (cx - bx) + (cy - ay) * (cy - by)) / cross
+            try:
+                key.numerator / key.denominator
+            except OverflowError:
+                count += 1
     return count
 
 
@@ -459,3 +468,58 @@ class TestCirclesFromTheFrame:
         with pytest.raises(NumericalDegeneracy) as got:
             empty_circle_triples(cfg)
         assert str(got.value) == str(want.value)
+
+
+# --- the tables of pairwise cross products and squared distances --------------
+
+class TestPairwiseTables:
+    """``_tables`` against integers computed directly from the points at 2**k.
+
+    Every triple's cross product and the dot product behind its circle key are
+    sums of three table entries; both identities are checked on every ordered
+    triple, so a wrong entry anywhere in either table shows.
+    """
+
+    @staticmethod
+    def configs():
+        ring = ring_config(random.Random(81), 12, 18)
+        yield ring
+        yield mapped_config(ring, lambda v: Point(v.x + 1e9, v.y - 1e9))
+        for k in (-40, 200):
+            yield mapped_config(ring, lambda v: Point(math.ldexp(v.x, k), math.ldexp(v.y, k)))
+        rng = random.Random(82)
+        for _ in range(5):
+            yield grid_config(rng, rng.randint(2, 6), n=10)
+        yield from mixed_magnitude_configs(random.Random(83), 40)
+
+    @staticmethod
+    def scaled_points(cfg: FocalConfig, k: int):
+        """The points of cfg at 2**k, in ``labeled_points`` order, as Python integers."""
+        out = []
+        for _, p in labeled_points(cfg):
+            x, y = Fraction(p.x) * 2**k, Fraction(p.y) * 2**k
+            assert x.denominator == y.denominator == 1
+            out.append((int(x), int(y)))
+        return out
+
+    def test_x_antisymmetric_and_s_symmetric_with_zero_diagonals(self):
+        for cfg in self.configs():
+            k, xs, ys, X, S = _tables(cfg)
+            n = len(xs)
+            assert list(zip(xs, ys)) == self.scaled_points(cfg, k)
+            assert len(X) == len(S) == n and all(len(row) == n for row in X + S)
+            for p in range(n):
+                assert X[p][p] == S[p][p] == 0
+                for q in range(n):
+                    assert X[q][p] == -X[p][q] and S[q][p] == S[p][q]
+
+    def test_additions_give_each_triple_exactly(self):
+        for cfg in self.configs():
+            k, _, _, X, S = _tables(cfg)
+            pts = self.scaled_points(cfg, k)
+            for a, b, c in permutations(range(len(pts)), 3):
+                (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
+                cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+                dot = (cx - ax) * (cx - bx) + (cy - ay) * (cy - by)
+                assert X[a][b] + X[b][c] - X[a][c] == cross
+                assert S[a][c] + S[b][c] - S[a][b] == 2 * dot
