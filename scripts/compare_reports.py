@@ -25,8 +25,9 @@ The inputs come from ``bench/corpus.py`` (imported, never changed):
   the point's ``repr``, and on one with no inner point (``InvalidConfig``),
   ``recognize-pentagon`` on a convex pentagon
   (not (3,2)), ``construct-quad`` on a convex quadrangle (``MalformedQuad``)
-  and on a flat dart across the origin, whose round trip certifies only with
-  the shape's extent in its tolerance, and ``recognize-pentagon``,
+  and on two flat darts: one across the origin, whose rounded certificate's walk
+  splits the double vertex, and dart 10 of the quadrangles below flattened by
+  y * 0.001, which failed a float round trip, and ``recognize-pentagon``,
   ``construct-quad`` and ``voronoi-check`` with ``--eps 1e-3``, an option none
   of them reads;
 - inputs far from the origin: ``body`` and ``boundary`` on a triangle at
@@ -34,7 +35,7 @@ The inputs come from ``bench/corpus.py`` (imported, never changed):
   squared distances do not, ``body`` and ``voronoi-check`` on the first
   ring (8, 12) configuration shifted by (1e9, -1e9), and ``recognize-pentagon``
   and ``construct-quad`` on the first pentagon and quadrangle shifted by
-  (2**33, 2**33), where the round trip's tolerance exceeds their shortest edges;
+  (2**33, 2**33), which the exact round trip certifies as it does the unshifted ones;
 - ``render --show-circles --show-voronoi`` on the first ring (8, 12)
   configuration scaled by 2**-40, a scene smaller than any absolute length;
 - ``hypergraph`` where its integers are largest: on the first ring (12, 18)
@@ -91,6 +92,10 @@ FAILURES = {
                                    [-3.167287754935413, -0.024408559805269937],
                                    [9.356261398575892, 0.08935820283430503],
                                    [9.991162478251315, 0.09483758907482023]]},
+    "flat-dart-10.json": {"polygon": [[4.75654705427813, 0.00656377336509064],
+                                      [-2.9990969714025812, 0.0068575917441357674],
+                                      [2.2919707282074198, 0.006074977522100838],
+                                      [7.398225049223225, 0.0037667391374385435]]},
     "far-triangle.json": {"inner": [[2e155, 0]], "outer": [[2.00001e155, 0],
                                                            [1.99999e155, 1e150],
                                                            [1.99999e155, -1e150]]},
@@ -124,6 +129,7 @@ def matrix() -> tuple[dict, list[list[str]]]:
     jobs += [[cmd[0], "unbounded.json"] + cmd[1:] for cmd in CONFIG_COMMANDS]
     jobs += [["recognize-pentagon", "convex-pentagon.json"],
              ["construct-quad", "convex-quad.json"], ["construct-quad", "flat-dart.json"],
+             ["construct-quad", "flat-dart-10.json"],
              ["boundary", "shared-point.json"], ["hypergraph", "shared-point.json"],
              ["boundary", "empty-inner.json"], ["hypergraph", "empty-inner.json"],
              ["recognize-pentagon", "pentagon-0.json", "--eps", "1e-3"],

@@ -200,7 +200,6 @@ def _certificate_dict(cert):
     return {
         "inner": (cert.x1, cert.x2),
         "outer": (cert.y1, cert.y2, cert.y3),
-        "residual": cert.residual,
         "source_kind": cert.source_kind,
         "source": cert.source,
     }

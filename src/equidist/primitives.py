@@ -5,8 +5,9 @@ back to exact integer arithmetic when the float result is too close to zero to
 be trusted; ``incircle`` is always exact.  Exact signs and circumcircles scale
 the coordinates to integers by one power of two (``dyadic_ints``), and
 circumcircles are rounded once.  The other constructions (intersections,
-reflections) are plain double precision, and callers compare their results
-with a relative tolerance against the coordinate scale.
+reflections) are plain double precision; the engine builds its (3,2) focal
+points exactly instead (``type32``), and ``compose_three_reflections``
+checks concurrency with the relative tolerance ``TAU_CONC``.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from .errors import (CoincidentPoints, CollinearBase, DegenerateRay, NotConcurre
 EPS_GEO = 1e-9
 # Relative tolerance for the concurrency check in compose_three_reflections.
 TAU_CONC = 1e-9
-# Relative tolerance for round-trip boundary comparisons.
-EPS_RT = 1e-9
 
 # Forward error bound for the floating-point orientation filter (eps = 2^-53).
 _EPS_MACH = 2.0 ** -53

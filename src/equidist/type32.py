@@ -6,14 +6,16 @@ the intersection and its mirror image across bd, an inner diagonal by the
 two-ears theorem, recover the inner focal points, reflections across the sides
 the outer ones.  A concave quadrangle (triangle abd minus bcd) has a one-parameter
 family of focal sets along the ray from c on d's side of ca, the inner points' bisector,
-up to where a focal point first leaves through ab or da.  One round trip certifies both.
+up to where a focal point first leaves through ab or da.  Both build their focal points
+exactly, in integers, and one exact round trip by equidistance certifies both.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
-from .body import FocalConfig, is_bounded
+from .body import FocalConfig, _meet, _signed_ratio, is_bounded
 from .errors import (
     InvalidConfig,
     MalformedQuad,
@@ -23,21 +25,17 @@ from .errors import (
     RoundTripFailure,
     Unbounded,
 )
-from .polygon import check_regularity, extract_boundary
+from .polygon import check_regularity
 from .primitives import (
-    EPS_RT,
     TWO_PI,
     Line,
     Point,
     compose_three_reflections,
-    coord_scale,
     dist,
     dyadic_ints,
     incircle,
-    line_intersection,
     orient,
     reflect_direction,
-    reflect_point,
     viewing_angle,
 )
 
@@ -102,13 +100,10 @@ def is_simple_polygon(pts) -> bool:
     return True
 
 
-def _near_both_ways(got, want, tol: float) -> bool:
-    return (all(min(dist(g, w) for w in want) <= tol for g in got)
-            and all(min(dist(g, w) for g in got) <= tol for w in want))
-
-
 def vertex_sets_match(got, want, tol: float) -> bool:
-    return len(got) == len(want) and _near_both_ways(got, want, tol)
+    return (len(got) == len(want)
+            and all(min(dist(g, w) for w in want) <= tol for g in got)
+            and all(min(dist(g, w) for g in got) <= tol for w in want))
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +197,13 @@ def label_quad(points) -> LabeledQuad:
 
 
 class Certificate32(NamedTuple):
-    """Recovered focal sets for a (3,2) shape plus the numerical defect of the recovery."""
+    """Recovered focal sets for a (3,2) shape."""
 
     x1: Point
     x2: Point
     y1: Point
     y2: Point
     y3: Point
-    residual: float
     source_kind: str  # "pentagon" | "quad"
     source: tuple[Point, ...]
 
@@ -229,42 +223,88 @@ def auxiliary_lines(p: LabeledPentagon):
     return f_b, f_d, _composed_at(p.b, p.c, p.a, p.d), _composed_at(p.d, p.c, p.e, p.b)
 
 
+def _integer_vertices(points):
+    """The vertices as integer pairs at the least common 2**k, and k.  The exact construction
+    maps them to focal points (X, Y, W), W > 0, homogeneous integer points at the same 2**k."""
+    ints, k = dyadic_ints([v for p in points for v in p])
+    return list(zip(ints[::2], ints[1::2])), k
+
+
+def _composed_direction(v, p1, p2, p3):
+    """u1 * conj(u2) * u3 for ui = pi - v, as complex numbers: the exact direction of
+    ``_composed_at(v, p1, p2, p3)``, whose angle is theta1 - theta2 + theta3."""
+    (ax, ay), (bx, by), (cx, cy) = ((p[0] - v[0], p[1] - v[1]) for p in (p1, p2, p3))
+    rx, ry = ax * bx + ay * by, ay * bx - ax * by
+    return rx * cx - ry * cy, rx * cy + ry * cx
+
+
+def _reflected(x, p, q):
+    """The homogeneous point x reflected in the line pq."""
+    (X, Y, W), (px, py), (ex, ey) = x, p, (q[0] - p[0], q[1] - p[1])
+    n, vx, vy = ex * ex + ey * ey, X - px * W, Y - py * W
+    twice = 2 * (vx * ex + vy * ey)
+    return px * W * n + twice * ex - n * vx, py * W * n + twice * ey - n * vy, W * n
+
+
+def _pentagon_sites(verts):
+    """x1, x2, y1, y2, y3 of a labeled pentagon's integer vertices."""
+    a, b, c, d, e = verts
+    f_b, f_d = ((-u[1], u[0], u[0] * v[1] - u[1] * v[0])  # the line through v along u
+                for v, u in ((b, _composed_direction(b, a, c, d)),
+                             (d, _composed_direction(d, e, c, b))))
+    x1 = _meet(f_b, f_d)
+    if x1[2] == 0:
+        raise NumericalDegeneracy("auxiliary lines are parallel")
+    x2 = _reflected(x1, b, d)
+    return x1, x2, _reflected(x1, a, e), _reflected(x1, a, b), _reflected(x2, c, d)
+
+
+def _rounded(sites, k: int) -> tuple[Point, ...]:
+    """The homogeneous points at 2**k, each coordinate rounded once (+-inf past the floats)."""
+    return tuple(Point(_signed_ratio(x, w << k), _signed_ratio(y, w << k)) for x, y, w in sites)
+
+
 def pseudo_focal_points(p: LabeledPentagon) -> tuple[Point, Point]:
     """Intersection of the auxiliary lines and its mirror image across the inner diagonal."""
-    f_b, f_d = _composed_at(p.b, p.a, p.c, p.d), _composed_at(p.d, p.e, p.c, p.b)
-    x1 = line_intersection(f_b, f_d)
-    if x1 is None:
-        raise NumericalDegeneracy("auxiliary lines are parallel")
-    x2 = reflect_point(Line.through(p.b, p.d), x1)
-    return x1, x2
+    verts, k = _integer_vertices(p.points)
+    return _rounded(_pentagon_sites(verts)[:2], k)
 
 
-_ROUND_TRIP = {"pentagon": ("recovered", "does not match the pentagon"),
-               "quad": ("constructed", "does not reproduce the quadrangle")}
+_ROUND_TRIP = {"pentagon": "recovered boundary does not match the pentagon",
+               "quad": "constructed boundary does not reproduce the quadrangle"}
 
 
-def _certify(cfg: FocalConfig, defect: float, kind: str, source) -> Certificate32:
-    """Certificate of focal sets whose boundary is one chain on the vertices of ``source``.
+def _certify(cfg: FocalConfig, sites, verts, kind: str, source) -> Certificate32:
+    """Certificate of ``cfg``, the rounded ``sites``, if the polygon ``source`` with integer
+    vertices ``verts`` is exactly the set of points equidistant from K and L, else
+    RoundTripFailure.
 
-    The chain has at least as many vertices, and each vertex of either lies within the match
-    tolerance of the other (rounding may split a vertex), or RoundTripFailure is raised.
-    ``defect`` is relative to ``source``'s scale, the tolerance to the larger of it and its extent.
+    Each vertex's nearest sites come by exact squared distances.  The check passes when each
+    two consecutive vertices share an inner and an outer nearest site, and the vertices'
+    (number of nearest sites - 2) sum to 2*5 - 2 - 3 = 5.  Then each edge lies in the Voronoi
+    cells of its shared sites, on the boundary, and each vertex, where two edges turn, is a
+    Voronoi vertex whose Delaunay face has (number - 2) triangles.  Five sites with h hull
+    points have 2*5 - 2 - h triangles, so h = 3 and every Voronoi vertex is a vertex of the
+    polygon.  A Voronoi vertex has an even number of bichromatic edges, at three sites the
+    polygon's two, so any other boundary edge starts at the one vertex (if any) with four
+    sites of alternating kinds.  An inner hull point would give two bichromatic hull edges,
+    boundary rays that both start there, and that vertex's face would hold the hull triangle
+    and a fourth site on its circumcircle, outside the hull.  So the hull is the outer
+    triangle (an unbounded configuration fails), no bounded edge is left over, and the
+    boundary is the polygon.
     """
-    participle, mismatch = _ROUND_TRIP[kind]
-    try:
-        chains = extract_boundary(cfg)
-    except Unbounded:
-        raise RoundTripFailure(f"{participle} focal configuration is unbounded") from None
-    if len(chains) != 1:
-        raise RoundTripFailure(f"{participle} boundary is not a single chain")
-    scale = coord_scale(source)
-    xs, ys = [p.x for p in source], [p.y for p in source]
-    tol = EPS_RT * max(scale, max(xs) - min(xs), max(ys) - min(ys))
-    verts = chains[0].vertices
-    if len(verts) < len(source) or not _near_both_ways(verts, source, tol):
-        raise RoundTripFailure(f"{participle} boundary {mismatch}")
-    return Certificate32(*cfg.inner, *cfg.outer, residual=defect / scale,
-                         source_kind=kind, source=source)
+    scale = math.lcm(*(w for _, _, w in sites))
+    pts = [(x * (scale // w), y * (scale // w)) for x, y, w in sites]
+    near = []
+    for vx, vy in verts:
+        dists = [(vx * scale - x) ** 2 + (vy * scale - y) ** 2 for x, y in pts]
+        least = min(dists)
+        near.append({i for i, dd in enumerate(dists) if dd == least})
+    shared = [s & t for s, t in zip(near, near[1:] + near[:1])]  # x1, x2 are sites 0 and 1
+    if (sum(map(len, near)) != 2 * len(near) + 5
+            or not all(e and min(e) < 2 <= max(e) for e in shared)):
+        raise RoundTripFailure(_ROUND_TRIP[kind])
+    return Certificate32(*cfg.inner, *cfg.outer, source_kind=kind, source=source)
 
 
 def recognize_pentagon(points):
@@ -279,32 +319,20 @@ def recognize_pentagon(points):
     if pent is None:
         return None
     poly = pent.points
-    x1, x2 = pseudo_focal_points(pent)
-    if not (point_in_polygon(x1, poly) and point_in_polygon(x2, poly)):
-        return None
-    y1 = reflect_point(Line.through(pent.a, pent.e), x1)
-    y2 = reflect_point(Line.through(pent.a, pent.b), x1)
-    y3 = reflect_point(Line.through(pent.c, pent.d), x2)
-    defect = max(dist(y2, reflect_point(Line.through(pent.b, pent.c), x2)),
-                 dist(y3, reflect_point(Line.through(pent.d, pent.e), x1)))
+    verts, k = _integer_vertices(poly)
+    sites = _pentagon_sites(verts)
+    pts = _rounded(sites, k)
     try:
-        cfg = FocalConfig(inner=(x1, x2), outer=(y1, y2, y3))
+        cfg = FocalConfig(inner=pts[:2], outer=pts[2:])
     except InvalidConfig:
         return None
-    return _certify(cfg, defect, "pentagon", poly)
+    if not all(point_in_polygon(x, poly) for x in cfg.inner):
+        return None
+    return _certify(cfg, sites, verts, "pentagon", poly)
 
 
 # ---------------------------------------------------------------------------
 # concave quadrangles
-
-
-def _focal_points_at(q: LabeledQuad, d, t: float):
-    x1 = Point(q.c.x + t * d[0], q.c.y + t * d[1])
-    x2 = reflect_point(Line.through(q.c, q.a), x1)
-    y3 = reflect_point(Line.through(q.c, q.d), x1)
-    y1 = reflect_point(Line.through(q.a, q.d), x1)
-    y2 = reflect_point(Line.through(q.a, q.b), x2)
-    return x1, x2, y1, y2, y3
 
 
 def _crossing(c, d, u, v):
@@ -387,6 +415,22 @@ def default_param(q: LabeledQuad) -> float:
     return _midpoint(feasible_param_range(q))
 
 
+def _quad_sites(verts, k: int, d, t: float):
+    """x1, x2, y1, y2, y3 of a labeled quad's integer vertices at parameter t: x1 = c + (t/|D|) D
+    exactly on the auxiliary line, D oriented like the float ray d and t/|D| one float."""
+    a, b, c, dv = verts
+    ux, uy = _composed_direction(c, dv, b, a)
+    e = max(abs(ux), abs(uy)).bit_length()
+    fx, fy = ux / (1 << e), uy / (1 << e)  # D / 2**e, within a factor 2 of a unit
+    if fx * d[0] + fy * d[1] < 0:
+        ux, uy = -ux, -uy
+    sn, sd = (t / math.hypot(fx, fy)).as_integer_ratio()
+    w = sd << e
+    x1 = (c[0] * w + (sn << k) * ux, c[1] * w + (sn << k) * uy, w)
+    x2 = _reflected(x1, c, a)
+    return x1, x2, _reflected(x1, a, dv), _reflected(x2, a, b), _reflected(x1, c, dv)
+
+
 def construct_quad_focals(q: LabeledQuad, t: float) -> Certificate32:
     """Focal sets realizing a concave quadrangle, at parameter t along the auxiliary ray."""
     return _construct_quad(q, t)[3]
@@ -403,13 +447,14 @@ def _construct_quad(q: LabeledQuad, t):
         t = _midpoint(intervals)
     if not any(lo < t < hi for lo, hi in intervals):
         raise ParamOutOfRange(f"t={t} lies outside the feasible range {intervals}")
-    x1, x2, y1, y2, y3 = _focal_points_at(q, d, t)
-    defect = dist(reflect_point(Line.through(q.c, q.b), x2), y3)
+    verts, k = _integer_vertices(q.points)
+    sites = _quad_sites(verts, k, d, t)
+    pts = _rounded(sites, k)
     try:
-        cfg = FocalConfig(inner=(x1, x2), outer=(y1, y2, y3))
+        cfg = FocalConfig(inner=pts[:2], outer=pts[2:])
     except InvalidConfig as exc:
         raise ParamOutOfRange(f"degenerate focal points at t={t}") from exc
-    return d, intervals, t, _certify(cfg, defect, "quad", q.points)
+    return d, intervals, t, _certify(cfg, sites, verts, "quad", q.points)
 
 
 # ---------------------------------------------------------------------------

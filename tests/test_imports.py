@@ -63,6 +63,7 @@ PRIVATE_IMPORTS = {
     ("polygon", "body"): {"_float_point", "_orientation_det", "_scaled"},
     ("polygon", "primitives"): {"_circumcircle_ints"},
     ("cli", "type32"): {"_construct_quad"},
+    ("type32", "body"): {"_meet", "_signed_ratio"},
 }
 
 
@@ -92,13 +93,14 @@ def test_traced_names_exist_in_the_engine():
 def test_cli_import_loads_every_traced_layer_and_not_svg():
     # a fresh interpreter, as a CLI process starts: only render needs svg, and the tracer
     # finds each of its layers in sys.modules once equidist.cli is imported; no engine class
-    # is a dataclass, so dataclasses and the inspect it imports stay unloaded
+    # is a dataclass, so dataclasses and the inspect it imports stay unloaded; integers
+    # decide every exact step, so fractions (a few ms to import) stays unloaded too
     code = "import sys, equidist.cli; print(*sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     loaded = set(proc.stdout.split())
-    assert not {"equidist.svg", "dataclasses", "inspect"} & loaded
+    assert not {"equidist.svg", "dataclasses", "inspect", "fractions"} & loaded
     assert {f"equidist.{name}" for name in SPANS.LAYERS} <= loaded
 
 
@@ -122,7 +124,7 @@ def test_every_imported_name_is_used():
 
 # float literals 0 < |v| < 1e-6 by (module, enclosing def); a new tolerance is declared here
 TOLERANCES = {
-    ("primitives", ""): 3,  # EPS_GEO, TAU_CONC, EPS_RT
+    ("primitives", ""): 2,  # EPS_GEO, TAU_CONC
 }
 
 

@@ -81,11 +81,11 @@ RECORDS = [
      "LabeledQuad(a=Point(x=0.0, y=0.0), b=Point(x=4.0, y=0.0), c=Point(x=3.0, y=1.5), "
      "d=Point(x=4.0, y=4.0))",
      "a b c d"),
-    (Certificate32(A, B, C, D, E, 1e-12, "quad", (A, B, C, D)),
+    (Certificate32(A, B, C, D, E, "quad", (A, B, C, D)),
      "Certificate32(x1=Point(x=0.0, y=0.0), x2=Point(x=4.0, y=0.0), y1=Point(x=3.0, y=1.5), "
-     "y2=Point(x=4.0, y=4.0), y3=Point(x=-0.5, y=2.0), residual=1e-12, source_kind='quad', "
+     "y2=Point(x=4.0, y=4.0), y3=Point(x=-0.5, y=2.0), source_kind='quad', "
      f"source=({ABCD_REPR}))",
-     "x1 x2 y1 y2 y3 residual source_kind source"),
+     "x1 x2 y1 y2 y3 source_kind source"),
     (OrderingReport("generic", ((0.1, 0.2, 0.3), (0.4, 0.5, 0.6)), (0.7, 0.8, 0.9), (0.0, -0.0),
                     ((0, 1), (2, 0, 1)), 2, True, ((0, 1),), (), ()),
      "OrderingReport(category='generic', omegas=((0.1, 0.2, 0.3), (0.4, 0.5, 0.6)), "
