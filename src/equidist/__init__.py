@@ -39,7 +39,6 @@ from .primitives import (
     compose_three_reflections,
     incircle,
     orient,
-    perp_bisector,
     reflect_point,
     viewing_angle,
     viewing_angle_ccw,
@@ -53,7 +52,6 @@ from .type32 import (
     feasible_param_range,
     label_pentagon,
     label_quad,
-    pseudo_focal_points,
     recognize_pentagon,
 )
 

@@ -315,12 +315,10 @@ def bounding_radius(cfg: FocalConfig) -> float:
     if r is None:
         raise Unbounded("bounding radius requires the inner set inside the outer hull")
     o = _centroid(cfg.inner)
-    try:
-        far = max((y.x - o.x) ** 2 + (y.y - o.y) ** 2 for y in cfg.outer)
-        near = min((x.x - o.x) ** 2 + (x.y - o.y) ** 2 for x in cfg.inner)
-        c = max(0.0, (far - near) / 2.0)
-    except OverflowError:
-        far = math.inf
+    # squares by multiplication, correctly rounded, so a power-of-two scaling scales them exactly
+    far = max(u * u + v * v for u, v in ((y.x - o.x, y.y - o.y) for y in cfg.outer))
+    near = min(u * u + v * v for u, v in ((x.x - o.x, x.y - o.y) for x in cfg.inner))
+    c = max(0.0, (far - near) / 2.0)
     if far == math.inf:  # the inner points lie in the outer hull, so near <= far
         raise NumericalDegeneracy("squared distances between the focal points "
                                   "leave the float range")

@@ -4,10 +4,13 @@
 back to exact integer arithmetic when the float result is too close to zero to
 be trusted; ``incircle`` is always exact.  Exact signs and circumcircles scale
 the coordinates to integers by one power of two (``dyadic_ints``), and
-circumcircles are rounded once.  The other constructions (intersections,
-reflections) are plain double precision; the engine builds its (3,2) focal
-points exactly instead (``type32``), and ``compose_three_reflections``
-checks concurrency with the relative tolerance ``TAU_CONC``.
+circumcircles are rounded once.  The float line layer (``Line``,
+``line_intersection``, ``reflect_point`` and ``compose_three_reflections``) is
+plain double precision; the package re-exports it, and no engine module calls
+it: the engine builds its (3,2) focal points exactly instead (``type32``).
+``compose_three_reflections`` checks concurrency against
+``TAU_CONC * max(1, |P.x|, |P.y|)`` at the common point P: relative where P has a
+coordinate beyond +-1, and an absolute 1e-9 near the origin, where it has none.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from .errors import (CoincidentPoints, CollinearBase, DegenerateRay, NotConcurre
 
 # Relative tolerance used for double-precision geometric comparisons.
 EPS_GEO = 1e-9
-# Relative tolerance for the concurrency check in compose_three_reflections.
+# Concurrency tolerance of compose_three_reflections: relative to the common point's largest
+# coordinate, and absolute (1e-9) where that coordinate is below 1.
 TAU_CONC = 1e-9
 
 # Forward error bound for the floating-point orientation filter (eps = 2^-53).
@@ -153,18 +157,19 @@ def _incircle_exact(a: Point, b: Point, c: Point, d: Point) -> int:
 def signed_area(points) -> float:
     """Shoelace area of a closed polygon: positive when counterclockwise.
 
-    A float sum that overflows is redone exactly and rounded once (±inf beyond the float range).
+    The float terms are summed exactly and rounded once (``math.fsum``), so the area does
+    not depend on the vertex the cycle starts at.  A term or sum that overflows is redone
+    exactly and rounded once (±inf beyond the float range).
     """
-    s = 0.0
-    n = len(points)
-    for i in range(n):
-        a, b = points[i], points[(i + 1) % n]
-        s += a.x * b.y - b.x * a.y
+    try:
+        s = math.fsum(a.x * b.y - b.x * a.y for a, b in zip(points, points[1:] + points[:1]))
+    except (OverflowError, ValueError):  # ValueError: terms of +inf and -inf
+        s = math.inf
     if math.isfinite(s):
         return s / 2.0
     ints, k = dyadic_ints([v for p in points for v in p])
     xs, ys = ints[::2], ints[1::2]
-    twice = sum(xs[i - 1] * ys[i] - xs[i] * ys[i - 1] for i in range(n))
+    twice = sum(xs[i - 1] * ys[i] - xs[i] * ys[i - 1] for i in range(len(xs)))
     try:
         return twice / (2 << 2 * k)
     except OverflowError:
@@ -207,24 +212,9 @@ def _circumcircle_ints(p: Point, q: Point, r: Point, k: int, px: int, py: int,
     return Circle(center, radius)
 
 
-def perp_bisector(p: Point, q: Point) -> Line:
-    """Perpendicular bisector of the segment pq (points of equal distance)."""
-    if p == q:
-        raise CoincidentPoints(f"perpendicular bisector of coincident points {p}")
-    nx, ny = q.x - p.x, q.y - p.y
-    mx, my = (p.x + q.x) / 2.0, (p.y + q.y) / 2.0
-    return Line.normalized(nx, ny, -(nx * mx + ny * my))
-
-
 def reflect_point(l: Line, p: Point) -> Point:
     d = l.eval(p)
     return Point(p.x - 2.0 * d * l.a, p.y - 2.0 * d * l.b)
-
-
-def reflect_direction(l: Line, dx: float, dy: float) -> tuple[float, float]:
-    """Image of a direction vector under reflection about l."""
-    d = l.a * dx + l.b * dy
-    return dx - 2.0 * d * l.a, dy - 2.0 * d * l.b
 
 
 def line_intersection(l1: Line, l2: Line):

@@ -26,18 +26,7 @@ from .errors import (
     Unbounded,
 )
 from .polygon import check_regularity
-from .primitives import (
-    TWO_PI,
-    Line,
-    Point,
-    compose_three_reflections,
-    dist,
-    dyadic_ints,
-    incircle,
-    orient,
-    reflect_direction,
-    viewing_angle,
-)
+from .primitives import Point, dist, dyadic_ints, incircle, orient, viewing_angle
 
 CATEGORY_GENERIC = "generic"
 CATEGORY_CONCIRCULAR = "concircular"
@@ -211,18 +200,6 @@ class Certificate32(NamedTuple):
         return FocalConfig(inner=(self.x1, self.x2), outer=(self.y1, self.y2, self.y3))
 
 
-def _composed_at(v: Point, p1: Point, p2: Point, p3: Point) -> Line:
-    """The reflections in the lines v p1, v p2 and v p3, composed into one line through v."""
-    return compose_three_reflections(Line.through(v, p1), Line.through(v, p2),
-                                     Line.through(v, p3))
-
-
-def auxiliary_lines(p: LabeledPentagon):
-    """The four reflection-composition lines through the concave vertices."""
-    f_b, f_d = _composed_at(p.b, p.a, p.c, p.d), _composed_at(p.d, p.e, p.c, p.b)
-    return f_b, f_d, _composed_at(p.b, p.c, p.a, p.d), _composed_at(p.d, p.c, p.e, p.b)
-
-
 def _integer_vertices(points):
     """The vertices as integer pairs at the least common 2**k, and k.  The exact construction
     maps them to focal points (X, Y, W), W > 0, homogeneous integer points at the same 2**k."""
@@ -231,8 +208,9 @@ def _integer_vertices(points):
 
 
 def _composed_direction(v, p1, p2, p3):
-    """u1 * conj(u2) * u3 for ui = pi - v, as complex numbers: the exact direction of
-    ``_composed_at(v, p1, p2, p3)``, whose angle is theta1 - theta2 + theta3."""
+    """u1 * conj(u2) * u3 for ui = pi - v, as complex numbers: the exact direction of the
+    line through v whose reflection is the reflections in v p1, v p2 and v p3 composed (the
+    three-reflection theorem), at the angle theta1 - theta2 + theta3."""
     (ax, ay), (bx, by), (cx, cy) = ((p[0] - v[0], p[1] - v[1]) for p in (p1, p2, p3))
     rx, ry = ax * bx + ay * by, ay * bx - ax * by
     return rx * cx - ry * cy, rx * cy + ry * cx
@@ -262,12 +240,6 @@ def _pentagon_sites(verts):
 def _rounded(sites, k: int) -> tuple[Point, ...]:
     """The homogeneous points at 2**k, each coordinate rounded once (+-inf past the floats)."""
     return tuple(Point(_signed_ratio(x, w << k), _signed_ratio(y, w << k)) for x, y, w in sites)
-
-
-def pseudo_focal_points(p: LabeledPentagon) -> tuple[Point, Point]:
-    """Intersection of the auxiliary lines and its mirror image across the inner diagonal."""
-    verts, k = _integer_vertices(p.points)
-    return _rounded(_pentagon_sites(verts)[:2], k)
 
 
 _ROUND_TRIP = {"pentagon": "recovered boundary does not match the pentagon",
@@ -342,89 +314,71 @@ def _crossing(c, d, u, v):
     return d[0] * ey - d[1] * ex, wx * ey - wy * ex, wx * d[1] - wy * d[0]
 
 
-def _exit_param(q: LabeledQuad, d):
-    """Smallest t > 0 at which the ray c + t*d crosses ab or da, or None.
+def _exit_param(verts, ray):
+    """The s > 0 at which c + s*ray leaves the triangle abd through ab or da, as the pair
+    (numerator, denominator), or None; verts are a labeled quad's integer vertices.
 
-    c lies in the triangle abd, and the quadrangle is abd minus bcd: the ray
-    enters the quadrangle exactly when it leaves abd through ab or da.  Whether
-    it crosses a side is decided on the inputs scaled once to integers; t is
-    the float quotient.
+    c lies inside abd, and the quadrangle is abd minus bcd: the ray enters the quadrangle
+    exactly when it leaves abd through ab or da.  It leaves abd once; through the vertex a
+    it meets both sides at one s.
     """
-    floats = (tuple(q.c), tuple(d), tuple(q.a), tuple(q.b), tuple(q.d))
-    ints, _ = dyadic_ints([v for pair in floats for v in pair])
-    exact = [ints[i:i + 2] for i in range(0, 10, 2)]
-    exits = []
-    for side in ((0, 1, 2, 3), (0, 1, 4, 2)):  # c, the ray, then ab or da
-        denom, tn, sn = _crossing(*(exact[k] for k in side))
+    a, b, c, d = verts
+    for u, v in ((a, b), (d, a)):
+        denom, tn, sn = _crossing(c, ray, u, v)
         if denom < 0:
             denom, tn, sn = -denom, -tn, -sn
         if denom and tn > 0 and 0 <= sn <= denom:
-            fdenom, ftn, _ = _crossing(*(floats[k] for k in side))
-            t = ftn / fdenom if fdenom else 0.0
-            # the float quotient's sign can only be wrong on a near-degenerate quadrangle
-            exits.append(t if t > 0.0 else tn / denom)
-    return min(exits, default=None)
+            return tn, denom
+    return None
 
 
-def _feasible_intervals(q: LabeledQuad, d):
-    """[(0, the nearer exit of x1's ray d and x2's ray, d mirrored in ca)], or []."""
-    t1 = _exit_param(q, d)
-    t2 = _exit_param(q, reflect_direction(Line.through(q.c, q.a), d[0], d[1]))
-    if t1 is None or t2 is None:
-        return []
-    return [(0.0, min(t1, t2))]
+def _feasible_intervals(verts, k: int, ray):
+    """[(0, the nearer exit of x1's ray and x2's ray, D mirrored in ca)], or [].
 
-
-def _auxiliary_ray(q: LabeledQuad):
-    """The auxiliary line, the direction of ``quad_auxiliary_ray`` and its feasible intervals."""
-    f = _composed_at(q.c, q.d, q.b, q.a)
-    # ca bisects x1 and x2, and cd and da are edges of x1's cell (y3 and y1 mirror x1 in
-    # them), so x1 lies on d's side of ca: right of c -> a, as d is convex in ccw c, d, a, b
-    (ax, ay, cx, cy, fa, fb), _ = dyadic_ints((q.a.x, q.a.y, q.c.x, q.c.y, f.a, f.b))
-    side = (ax - cx) * fa + (ay - cy) * fb  # (a - c) x (-f.b, f.a)
-    if side == 0:
-        raise NumericalDegeneracy("auxiliary line does not enter the polygon")
-    d = (-f.b, f.a) if side < 0 else (f.b, -f.a)
-    return f, d, _feasible_intervals(q, d)
-
-
-def quad_auxiliary_ray(q: LabeledQuad):
-    """The auxiliary line through the reflex vertex, directed into the polygon.
-
-    Returns (line, unit direction); construction parameters t measure the
-    distance from c along this direction: the ray on d's side of the inner
-    diagonal ca, where the focal point x1 lies (both rays may enter at c).
+    An exit at s along D lies s * |D| / 2**k from c, and |D| = h * 2**e up to h's rounding.
     """
-    return _auxiliary_ray(q)[:2]
+    a, _, c, _ = verts
+    (ux, uy), e, h = ray
+    mx, my, n = _reflected((c[0] + ux, c[1] + uy, 1), c, a)  # c + D mirrored, at n = |a - c|**2
+    s1 = _exit_param(verts, (ux, uy))
+    s2 = _exit_param(verts, (mx - c[0] * n, my - c[1] * n))  # n times D mirrored
+    if s1 is None or s2 is None:
+        return []
+    (n1, d1), (n2, d2) = s1, (s2[0] * n, s2[1])
+    num, den = (n1, d1) if n1 * d2 <= n2 * d1 else (n2, d2)
+    return [(0.0, _signed_ratio(num << e, den << k) * h)]
+
+
+def _auxiliary_ray(verts, k: int):
+    """The auxiliary ray (D, e, h) of a labeled quad's integer vertices at 2**k, and its
+    feasible intervals.
+
+    D is the exact direction of the auxiliary line from c, 2**e exceeds its coordinates
+    and h is the length of D / 2**e; construction parameters t measure the distance from
+    c along D.  ca bisects x1 and x2, and cd and da are edges of x1's cell (y3 and y1
+    mirror x1 in them), so x1 lies on d's side of ca: right of c -> a, as d is convex in
+    ccw c, d, a, b.  D is never along ca, since b, c and d are not collinear.
+    """
+    a, b, c, dv = verts
+    ux, uy = _composed_direction(c, dv, b, a)
+    if (a[0] - c[0]) * uy - (a[1] - c[1]) * ux > 0:
+        ux, uy = -ux, -uy
+    e = max(abs(ux), abs(uy)).bit_length()
+    ray = (ux, uy), e, math.hypot(ux / (1 << e), uy / (1 << e))
+    return ray, _feasible_intervals(verts, k, ray)
 
 
 def feasible_param_range(q: LabeledQuad) -> list[tuple[float, float]]:
     """Open t-intervals along the auxiliary ray where both focal points are interior (0 or 1)."""
-    return _auxiliary_ray(q)[2]
+    return _auxiliary_ray(*_integer_vertices(q.points))[1]
 
 
-def _midpoint(intervals) -> float:
-    if not intervals:
-        raise NumericalDegeneracy("no feasible construction parameter")
-    lo, hi = intervals[0]
-    return (lo + hi) / 2.0
-
-
-def default_param(q: LabeledQuad) -> float:
-    """Midpoint of the feasible interval."""
-    return _midpoint(feasible_param_range(q))
-
-
-def _quad_sites(verts, k: int, d, t: float):
-    """x1, x2, y1, y2, y3 of a labeled quad's integer vertices at parameter t: x1 = c + (t/|D|) D
-    exactly on the auxiliary line, D oriented like the float ray d and t/|D| one float."""
+def _quad_sites(verts, k: int, ray, t: float):
+    """x1, x2, y1, y2, y3 of a labeled quad's integer vertices at parameter t, on the ray
+    (D, e, h): x1 = c + (t/h) D / 2**e exactly on the auxiliary line, t/h one float."""
     a, b, c, dv = verts
-    ux, uy = _composed_direction(c, dv, b, a)
-    e = max(abs(ux), abs(uy)).bit_length()
-    fx, fy = ux / (1 << e), uy / (1 << e)  # D / 2**e, within a factor 2 of a unit
-    if fx * d[0] + fy * d[1] < 0:
-        ux, uy = -ux, -uy
-    sn, sd = (t / math.hypot(fx, fy)).as_integer_ratio()
+    (ux, uy), e, h = ray
+    sn, sd = (t / h).as_integer_ratio()
     w = sd << e
     x1 = (c[0] * w + (sn << k) * ux, c[1] * w + (sn << k) * uy, w)
     x2 = _reflected(x1, c, a)
@@ -437,24 +391,28 @@ def construct_quad_focals(q: LabeledQuad, t: float) -> Certificate32:
 
 
 def _construct_quad(q: LabeledQuad, t):
-    """The ray direction, feasible intervals, t and certificate of one construction.
+    """The unit ray direction, feasible intervals, t and certificate of one construction.
 
-    The auxiliary ray and its intervals are computed once; t None takes
-    ``default_param``'s midpoint of the feasible interval.
+    The vertices are scaled to integers and the auxiliary ray is found once; t None takes
+    the midpoint of the feasible interval.
     """
-    _, d, intervals = _auxiliary_ray(q)
+    verts, k = _integer_vertices(q.points)
+    ray, intervals = _auxiliary_ray(verts, k)
     if t is None:
-        t = _midpoint(intervals)
+        if not intervals:
+            raise NumericalDegeneracy("no feasible construction parameter")
+        t = intervals[0][1] / 2.0
     if not any(lo < t < hi for lo, hi in intervals):
         raise ParamOutOfRange(f"t={t} lies outside the feasible range {intervals}")
-    verts, k = _integer_vertices(q.points)
-    sites = _quad_sites(verts, k, d, t)
+    sites = _quad_sites(verts, k, ray, t)
     pts = _rounded(sites, k)
     try:
         cfg = FocalConfig(inner=pts[:2], outer=pts[2:])
     except InvalidConfig as exc:
         raise ParamOutOfRange(f"degenerate focal points at t={t}") from exc
-    return d, intervals, t, _certify(cfg, sites, verts, "quad", q.points)
+    (ux, uy), e, h = ray
+    return ((ux / (1 << e) / h, uy / (1 << e) / h), intervals, t,
+            _certify(cfg, sites, verts, "quad", q.points))
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +423,8 @@ class OrderingReport(NamedTuple):
     category: str
     omegas: tuple[tuple[float, float, float], tuple[float, float, float]]
     deltas: tuple[float, float, float]
-    closure_residuals: tuple[float, float]
     labeling: tuple[tuple[int, int], tuple[int, int, int]] | None
     separated_outer: int | None
-    delta_ordered: bool | None
     equal_omega_pairs: tuple[tuple[int, int], ...]
     collinear: tuple
     concircular: tuple
@@ -486,7 +442,7 @@ def classify_generic_32(cfg: FocalConfig) -> OrderingReport:
     ω(x0) - ω(x1) is -(δa + δs) on (a, s), δb + δs on (b, s) and δa - δb on (a, b).
     The angles thus alternate (the pentagon ordering) under y2 = s, y1 the one of a, b
     with the larger δ (an in-circle sign) and x0 the inner point whose ray to the other
-    leaves by s-y1 (an orient sign), so every labeled report has ``delta_ordered`` true.
+    leaves by s-y1 (an orient sign), so every labeling has δ(y0) < δ(y1).
     A pair's two ω are equal iff its outer points and x0, x1 are concircular.
     Non-regular inputs are tagged concircular or collinear and not labeled.
     """
@@ -498,22 +454,20 @@ def classify_generic_32(cfg: FocalConfig) -> OrderingReport:
     (x0, x1), ys = cfg.inner, cfg.outer
     omegas = tuple(tuple(_omega(cfg, i, j, k) for j, k in _OMEGA_PAIRS) for i in (0, 1))
     deltas = tuple(viewing_angle(y, x0, x1) for y in ys)
-    closure = tuple(abs(sum(om) - TWO_PI) for om in omegas)
     equal_pairs = tuple((j, k) for j, k in _OMEGA_PAIRS if incircle(ys[j], ys[k], x0, x1) == 0)
 
     category = (CATEGORY_COLLINEAR if reg.collinear
                 else CATEGORY_CONCIRCULAR if reg.concircular else CATEGORY_GENERIC)
-    labeling = separated = delta_ordered = None
+    labeling = separated = None
     if category == CATEGORY_GENERIC:
         sides = [orient(x0, x1, y) for y in ys]
         s = next(m for m in range(3) if sides.count(sides[m]) == 1)
         a, b = (m for m in range(3) if m != s)
         y0, y1 = (a, b) if incircle(x0, x1, ys[a], ys[b]) == 1 else (b, a)
         xo = (0, 1) if sides[s] == orient(ys[s], ys[y0], ys[y1]) else (1, 0)
-        labeling, separated, delta_ordered = (xo, (y0, y1, s)), s, True
+        labeling, separated = (xo, (y0, y1, s)), s
 
     return OrderingReport(category=category, omegas=omegas, deltas=deltas,
-                          closure_residuals=closure, labeling=labeling,
-                          separated_outer=separated, delta_ordered=delta_ordered,
+                          labeling=labeling, separated_outer=separated,
                           equal_omega_pairs=equal_pairs,
                           collinear=reg.collinear, concircular=reg.concircular)

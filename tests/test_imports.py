@@ -78,6 +78,24 @@ def test_private_cross_module_imports_are_declared():
     assert found == PRIVATE_IMPORTS
 
 
+# the float line layer: only primitives, where it lives, and the package, which re-exports it
+FLOAT_LINE_LAYER = {"Line", "compose_three_reflections", "reflect_point"}
+
+
+def test_the_engine_does_not_use_the_float_line_layer():
+    # the engine constructs exactly; the float lines stay a public tool for callers
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("primitives.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                found += [(path.name, a.name) for a in node.names if a.name in FLOAT_LINE_LAYER]
+            elif isinstance(node, ast.Attribute) and node.attr in FLOAT_LINE_LAYER:
+                found.append((path.name, node.attr))
+    assert found == []
+
+
 # bench/spans.py counts the calls made through these bindings
 UNUSED_ALLOWED = {(f"{caller}.py", name) for caller, name in SPANS.COUNTED}
 

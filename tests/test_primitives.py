@@ -22,7 +22,6 @@ from equidist.primitives import (
     incircle,
     line_intersection,
     orient,
-    perp_bisector,
     reflect_point,
     signed_area,
     viewing_angle,
@@ -158,40 +157,6 @@ class TestCircumcircle:
     def test_centre_beyond_float_range_raises(self):
         with pytest.raises(NumericalDegeneracy):
             circumcircle(Point(100000.0, 1e-300), Point(0.0, 0.0), Point(200000.0, 0.0))
-
-
-class TestPerpBisector:
-    def test_vertical(self):
-        l = perp_bisector(Point(0, 0), Point(2, 0))
-        assert (l.a, l.b, l.c) == pytest.approx((1.0, 0.0, -1.0))
-
-    def test_horizontal(self):
-        l = perp_bisector(Point(0, 0), Point(0, 2))
-        assert (l.a, l.b, l.c) == pytest.approx((0.0, 1.0, -1.0))
-
-    def test_diagonal_through_midpoint(self):
-        l = perp_bisector(Point(1, 1), Point(3, 3))
-        assert abs(l.eval(Point(2, 2))) < 1e-15
-        # direction (1,-1): the line value changes sign across it
-        assert abs(l.eval(Point(3, 1))) == pytest.approx(abs(l.eval(Point(1, 3))), abs=1e-15)
-
-    def test_equidistance_random(self):
-        rng = random.Random(4)
-        for _ in range(100):
-            p = Point(rng.uniform(-10, 10), rng.uniform(-10, 10))
-            q = Point(rng.uniform(-10, 10), rng.uniform(-10, 10))
-            if p == q:
-                continue
-            l = perp_bisector(p, q)
-            t = rng.uniform(-10, 10)
-            # parametrize a point on the line
-            x0, y0 = -l.c * l.a, -l.c * l.b
-            pt = Point(x0 - l.b * t, y0 + l.a * t)
-            assert abs(dist(pt, p) - dist(pt, q)) < 1e-9
-
-    def test_coincident_raises(self):
-        with pytest.raises(CoincidentPoints):
-            perp_bisector(Point(1, 2), Point(1, 2))
 
 
 class TestReflect:

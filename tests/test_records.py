@@ -86,14 +86,12 @@ RECORDS = [
      "y2=Point(x=4.0, y=4.0), y3=Point(x=-0.5, y=2.0), source_kind='quad', "
      f"source=({ABCD_REPR}))",
      "x1 x2 y1 y2 y3 source_kind source"),
-    (OrderingReport("generic", ((0.1, 0.2, 0.3), (0.4, 0.5, 0.6)), (0.7, 0.8, 0.9), (0.0, -0.0),
-                    ((0, 1), (2, 0, 1)), 2, True, ((0, 1),), (), ()),
+    (OrderingReport("generic", ((0.1, 0.2, 0.3), (0.4, 0.5, 0.6)), (0.7, 0.8, 0.9),
+                    ((0, 1), (2, 0, 1)), 2, ((0, 1),), (), ()),
      "OrderingReport(category='generic', omegas=((0.1, 0.2, 0.3), (0.4, 0.5, 0.6)), "
-     "deltas=(0.7, 0.8, 0.9), closure_residuals=(0.0, -0.0), labeling=((0, 1), (2, 0, 1)), "
-     "separated_outer=2, delta_ordered=True, equal_omega_pairs=((0, 1),), collinear=(), "
-     "concircular=())",
-     "category omegas deltas closure_residuals labeling separated_outer delta_ordered "
-     "equal_omega_pairs collinear concircular"),
+     "deltas=(0.7, 0.8, 0.9), labeling=((0, 1), (2, 0, 1)), separated_outer=2, "
+     "equal_omega_pairs=((0, 1),), collinear=(), concircular=())",
+     "category omegas deltas labeling separated_outer equal_omega_pairs collinear concircular"),
 ]
 IDS = [type(record).__name__ for record, _, _ in RECORDS]
 

@@ -30,25 +30,22 @@ from equidist.polygon import check_regularity, extract_boundary
 from equidist.primitives import (
     Line,
     Point,
+    compose_three_reflections,
     dist,
+    dyadic_ints,
     orient,
-    reflect_direction,
     reflect_point,
     signed_area,
     viewing_angle,
     viewing_angle_ccw,
 )
 from equidist.type32 import (
-    auxiliary_lines,
     classify_generic_32,
     construct_quad_focals,
-    default_param,
     feasible_param_range,
     label_pentagon,
     label_quad,
     point_in_polygon,
-    pseudo_focal_points,
-    quad_auxiliary_ray,
     recognize_pentagon,
     segments_intersect,
     vertex_sets_match,
@@ -110,11 +107,10 @@ def _intersect_intervals(xs, ys):
     return out
 
 
-def _feasible_intervals(q, d):
+def _feasible_intervals(q, d, d2):
+    """The feasible intervals of the ray d and its mirror image d2 in ca, both unit vectors."""
     poly = q.points
     tmax = 2.0 * polygon_diameter(poly)
-    ca = Line.through(q.c, q.a)
-    d2 = reflect_direction(ca, d[0], d[1])
     iv1 = _ray_inside_intervals(q.c, d, poly, tmax)
     iv2 = _ray_inside_intervals(q.c, d2, poly, tmax)
     return _intersect_intervals(iv1, iv2)
@@ -170,21 +166,52 @@ def searched_label_pentagon(points):
     return type32.LabeledPentagon(a, b, c, d, e)
 
 
-# the boundedness probe that chose the quad ray before the side of ca decided it, verbatim
+# the quad's exact auxiliary ray, as the engine finds it, and as floats
 
 
-def quad_sites(q, d, t):
-    """The construction's exact focal points at t along the ray d, and their 2**k."""
+def quad_ray(q):
+    """(integer vertices, their 2**k, the auxiliary ray (D, e, h), its feasible intervals)."""
     verts, k = type32._integer_vertices(q.points)
-    return type32._quad_sites(verts, k, d, t), k
+    return (verts, k, *type32._auxiliary_ray(verts, k))
 
 
-def _direction_works(q, d, intervals) -> bool:
+def float_unit(v):
+    """The integer vector v as a float unit vector, as construct-quad reports its ray."""
+    e = max(abs(v[0]), abs(v[1])).bit_length()
+    fx, fy = v[0] / (1 << e), v[1] / (1 << e)
+    h = math.hypot(fx, fy)
+    return fx / h, fy / h
+
+
+def mirrored_in_ca(verts, v):
+    """|a - c|**2 times the integer vector v mirrored in the line ca, exactly."""
+    a, _, c, _ = verts
+    ex, ey = a[0] - c[0], a[1] - c[1]
+    n, twice = ex * ex + ey * ey, 2 * (v[0] * ex + v[1] * ey)
+    return twice * ex - n * v[0], twice * ey - n * v[1]
+
+
+def default_construction(q):
+    """construct-quad's certificate at the midpoint of the feasible interval."""
+    return type32._construct_quad(q, None)[3]
+
+
+# the boundedness probe that chose the quad ray before the side of ca decided it, on the
+# exact direction
+
+
+def quad_sites(q, ray, t):
+    """The construction's exact focal points at t along the ray (D, e, h), and their 2**k."""
+    verts, k = type32._integer_vertices(q.points)
+    return type32._quad_sites(verts, k, ray, t), k
+
+
+def _direction_works(q, ray, intervals) -> bool:
     """Probe a few interior parameters: does the construction stay bounded?"""
     for lo, hi in intervals:  # at most one
         for frac in (0.5, 0.25, 0.75):
             try:
-                pts = type32._rounded(*quad_sites(q, d, lo + (hi - lo) * frac))
+                pts = type32._rounded(*quad_sites(q, ray, lo + (hi - lo) * frac))
                 if is_bounded(FocalConfig(inner=pts[:2], outer=pts[2:])):
                     return True
             except InvalidConfig:
@@ -193,21 +220,23 @@ def _direction_works(q, d, intervals) -> bool:
 
 
 def probed_auxiliary_ray(q):
-    """``_auxiliary_ray`` with its former boundedness probe over both directions."""
-    f = type32._composed_at(q.c, q.d, q.b, q.a)
+    """``_auxiliary_ray`` with its former boundedness probe over both directions of the
+    composed reflection, starting from the sign that ``_composed_direction`` gives."""
+    verts, k, (_, e, h), _ = quad_ray(q)
+    a, b, c, dv = verts
+    ux, uy = type32._composed_direction(c, dv, b, a)
     tried = []
-    for sgn in (1.0, -1.0):
-        cand = (-sgn * f.b, sgn * f.a)
-        if type32._exit_param(q, cand) is None:
+    for sgn in (1, -1):
+        cand = ((sgn * ux, sgn * uy), e, h)
+        if type32._exit_param(verts, cand[0]) is None:
             continue
-        intervals = type32._feasible_intervals(q, cand)
+        intervals = type32._feasible_intervals(verts, k, cand)
         if _direction_works(q, cand, intervals):
-            return f, cand, intervals
+            return cand, intervals
         tried.append((cand, intervals))
     if not tried:
         raise NumericalDegeneracy("auxiliary line does not enter the polygon")
-    cand, intervals = next((t for t in tried if t[1]), tried[0])
-    return f, cand, intervals
+    return next((t for t in tried if t[1]), tried[0])
 
 
 def same_point(p, q) -> bool:
@@ -215,12 +244,12 @@ def same_point(p, q) -> bool:
     return p[0] * q[2] == q[0] * p[2] and p[1] * q[2] == q[1] * p[2]
 
 
-def fraction_exit(q, d):
-    """The least t > 0 with c + t*d on the side ab or da, in rationals, or None."""
-    (cx, cy), (dx, dy) = (map(Fraction, q.c), map(Fraction, d))
+def fraction_exit(verts, ray):
+    """The least s > 0 with c + s*ray on the side ab or da, in rationals, or None."""
+    a, b, c, d = (tuple(map(Fraction, v)) for v in verts)
+    (cx, cy), (dx, dy) = c, map(Fraction, ray)
     exits = []
-    for u, v in ((q.a, q.b), (q.d, q.a)):
-        (ux, uy), (vx, vy) = map(Fraction, u), map(Fraction, v)
+    for (ux, uy), (vx, vy) in ((a, b), (d, a)):
         denom = dx * (vy - uy) - dy * (vx - ux)
         if denom:
             t = ((ux - cx) * (vy - uy) - (uy - cy) * (vx - ux)) / denom
@@ -228,6 +257,12 @@ def fraction_exit(q, d):
             if 0 <= s <= 1 and t > 0:
                 exits.append(t)
     return min(exits, default=None)
+
+
+def close_intervals(got, want, rel=1e-9) -> bool:
+    """As many intervals, each end within rel of the other's."""
+    return len(got) == len(want) and all(abs(g - w) <= rel * abs(w)
+                                         for gv, wv in zip(got, want) for g, w in zip(gv, wv))
 
 
 # exactly concircular inner/outer quadruple on the circle x^2 + y^2 = 25
@@ -272,17 +307,19 @@ class TestClassify32:
         ascending = set()  # whether the odd pair comes in ascending order, None without a labeling
         for cfg in cfgs:
             rep = classify_generic_32(cfg)
-            got = (rep.labeling, rep.separated_outer, rep.delta_ordered)
+            # every labeling the search finds orders the two deltas
+            got = (rep.labeling, rep.separated_outer, rep.labeling and True)
             assert got == searched_labeling(cfg, rep)
             ascending.add(rep.labeling and rep.labeling[1][1] < rep.labeling[1][2])
         assert ascending == {None, False, True}
     def test_closure_at_both_inner_points(self):
+        # an inner point lies inside the outer triangle: its three viewing angles sum to 2 pi
         rng = random.Random(50)
         for _ in range(20):
             cfg = random_generic_32(rng)
             rep = classify_generic_32(cfg)
             assert rep.category == "generic"
-            assert max(rep.closure_residuals) < 1e-12
+            assert max(abs(math.fsum(om) - 2 * math.pi) for om in rep.omegas) < 1e-12
 
     def test_ordering_labeling_found(self):
         rng = random.Random(51)
@@ -300,7 +337,7 @@ class TestClassify32:
             # the line through the relabeled inner points separates the third
             # outer point from the first two
             assert rep.separated_outer == yo[2]
-            assert rep.delta_ordered
+            assert rep.deltas[yo[0]] < rep.deltas[yo[1]]
 
     def test_concircular_class(self):
         rep = classify_generic_32(CONCIRC)
@@ -402,7 +439,41 @@ class TestDegenerateShapes:
         assert not vertex_sets_match(pent[:3], pent[:2], 100.0)
 
 
+def composed_at(v, p1, p2, p3):
+    """The reflections in the float lines v p1, v p2 and v p3, composed into one line."""
+    return compose_three_reflections(Line.through(v, p1), Line.through(v, p2),
+                                     Line.through(v, p3))
+
+
+def auxiliary_lines(p):
+    """The four float reflection-composition lines through the concave vertices."""
+    f_b, f_d = composed_at(p.b, p.a, p.c, p.d), composed_at(p.d, p.e, p.c, p.b)
+    return f_b, f_d, composed_at(p.b, p.c, p.a, p.d), composed_at(p.d, p.c, p.e, p.b)
+
+
+def pseudo_focal_points(p):
+    """x1 and x2 of the exact construction, each coordinate rounded once."""
+    verts, k = type32._integer_vertices(p.points)
+    return type32._rounded(type32._pentagon_sites(verts)[:2], k)
+
+
 class TestPseudoFocalPoints:
+    """The three-reflection theorem behind the exact construction, on the float line layer."""
+
+    def test_exact_direction_is_the_composed_line(self):
+        # u1 * conj(u2) * u3 runs along the line that compose_three_reflections returns
+        rng = random.Random(69)
+        for _ in range(20):
+            _, ch = random_pentagon_config(rng)
+            pent = label_pentagon(ch.vertices)
+            verts, _ = type32._integer_vertices(pent.points)
+            a, b, c, d, e = verts
+            exact = [type32._composed_direction(*args) for args in
+                     ((b, a, c, d), (d, e, c, b), (b, c, a, d), (d, c, e, b))]
+            for line, v in zip(auxiliary_lines(pent), exact):
+                ux, uy = float_unit(v)
+                assert abs(line.a * ux + line.b * uy) < 1e-12
+
     def test_angle_against_inner_diagonal(self):
         # the auxiliary line through a concave vertex makes the angle
         # (interior reflex angle - pi) with the inner diagonal on the a-side
@@ -571,8 +642,7 @@ class TestQuadConstruction:
 
     def test_example_round_trip(self):
         quad = label_quad(self.QUAD)
-        t = default_param(quad)
-        cert = construct_quad_focals(quad, t)
+        cert = default_construction(quad)
         chains = extract_boundary(cert.config())
         assert len(chains) == 1
         assert vertex_sets_match(chains[0].vertices, quad.points, 1e-9 * 6)
@@ -610,9 +680,8 @@ class TestQuadConstruction:
         # symmetric about the inner diagonal: both focal points enter and
         # leave the polygon at the same parameters
         quad = label_quad([Point(6, 0), Point(4, 3), Point(4.5, 0), Point(4, -3)])
-        _, d = quad_auxiliary_ray(quad)
-        ca = Line.through(quad.c, quad.a)
-        d2 = reflect_direction(ca, d[0], d[1])
+        verts, _, ((ux, uy), _, _), _ = quad_ray(quad)
+        d, d2 = float_unit((ux, uy)), float_unit(mirrored_in_ca(verts, (ux, uy)))
         tmax = 2.0 * polygon_diameter(quad.points)
         iv1 = _ray_inside_intervals(quad.c, d, quad.points, tmax)
         iv2 = _ray_inside_intervals(quad.c, d2, quad.points, tmax)
@@ -620,9 +689,12 @@ class TestQuadConstruction:
         for (a0, a1), (b0, b1) in zip(iv1, iv2):
             assert a0 == pytest.approx(b0, abs=1e-9)
             assert a1 == pytest.approx(b1, abs=1e-9)
-        # the exits that replaced the scan coincide too
-        assert type32._exit_param(quad, d) == pytest.approx(type32._exit_param(quad, d2),
-                                                            abs=1e-9)
+        # the exact exits that replaced the scan coincide too, D's mirror image being
+        # |a - c|**2 times shorter than mirrored_in_ca's
+        a, _, c, _ = verts
+        s1 = Fraction(*type32._exit_param(verts, (ux, uy)))
+        s2 = Fraction(*type32._exit_param(verts, mirrored_in_ca(verts, (ux, uy))))
+        assert s1 == s2 * ((a[0] - c[0]) ** 2 + (a[1] - c[1]) ** 2)
 
     def test_random_quads(self):
         rng = random.Random(60)
@@ -634,7 +706,7 @@ class TestQuadConstruction:
             t = rng.uniform(lo + (hi - lo) * 0.1, hi - (hi - lo) * 0.1)
             cert = construct_quad_focals(quad, t)
             # the construction closes exactly: y3 mirrors x2 in cb too
-            (x1, x2, _, _, y3), _ = quad_sites(quad, quad_auxiliary_ray(quad)[1], t)
+            (x1, x2, _, _, y3), _ = quad_sites(quad, quad_ray(quad)[2], t)
             verts, _ = type32._integer_vertices(quad.points)
             assert same_point(y3, type32._reflected(x2, verts[2], verts[1]))
             scale = max(abs(v) for p in quad.points for v in (p.x, p.y))
@@ -649,7 +721,7 @@ class TestQuadConstruction:
                            Point(10007.063733748128, -20016.52117341381),
                            Point(10023.425445846124, -20009.76367051825),
                            Point(10029.202115665843, -20007.63896803547)])
-        cert = construct_quad_focals(quad, default_param(quad))
+        cert = default_construction(quad)
         assert cert.source == quad.points
         chains = extract_boundary(cert.config())
         assert len(chains) == 1
@@ -665,7 +737,7 @@ class TestQuadConstruction:
         # vertex a, where four focal points are concircular, into two chain vertices 3.1e-7
         # apart, so only the exact sites reproduce the shape
         quad = label_quad([Point(*p) for p in self.FLAT_DART])
-        cert = construct_quad_focals(quad, default_param(quad))
+        cert = default_construction(quad)
         assert cert.source == quad.points
         chains = extract_boundary(cert.config())
         assert len(chains) == 1 and len(chains[0].vertices) == 5
@@ -689,7 +761,7 @@ class TestQuadConstruction:
         # points; at the double-change vertex four focal points lie on one
         # circle around it
         quad = label_quad(self.QUAD)
-        cert = construct_quad_focals(quad, default_param(quad))
+        cert = default_construction(quad)
         cfg = cert.config()
         chains = extract_boundary(cfg)
         scale = cfg.scale()
@@ -743,13 +815,15 @@ class TestEachStageOnce:
         args = ["construct-quad", str(path)] + ([] if t is None else ["--t", str(t)])
         assert cli.main(args) == 0
         want = capsys.readouterr().out
-        calls = self.count_calls(monkeypatch, ["_auxiliary_ray", "_feasible_intervals",
+        calls = self.count_calls(monkeypatch, ["dyadic_ints", "_composed_direction",
+                                               "_auxiliary_ray", "_feasible_intervals",
                                                "_exit_param", "is_bounded"])
         assert cli.main(args) == 0
         assert capsys.readouterr().out == want
-        # two exits for the ray; the exact round trip needs no boundedness test
-        assert calls == {"_auxiliary_ray": 1, "_feasible_intervals": 1, "_exit_param": 2,
-                         "is_bounded": 0}
+        # the vertices are scaled once and D is found once; two exits, for x1's ray and
+        # x2's; the exact round trip needs no boundedness test
+        assert calls == {"dyadic_ints": 1, "_composed_direction": 1, "_auxiliary_ray": 1,
+                         "_feasible_intervals": 1, "_exit_param": 2, "is_bounded": 0}
 
 
 class TestDartAndTwoEars:
@@ -763,13 +837,18 @@ class TestDartAndTwoEars:
             for pts in (quad.points, quad.points[::-1], [Point(3e5 * p.x, 3e5 * p.y - 7)
                                                          for p in quad.points]):
                 q = label_quad(pts)
-                f, d = quad_auxiliary_ray(q)
-                entering = [cand for cand in ((-f.b, f.a), (f.b, -f.a))
-                            if type32._exit_param(q, cand) is not None]
-                assert entering == _probed_candidates(q, (-f.b, f.a))
-                assert feasible_param_range(q) == _feasible_intervals(q, d)
+                verts, k, ((ux, uy), e, h), intervals = quad_ray(q)
+                entering = [cand for cand in ((ux, uy), (-ux, -uy))
+                            if type32._exit_param(verts, cand) is not None]
+                assert (list(map(float_unit, entering))
+                        == _probed_candidates(q, float_unit((ux, uy))))
                 for cand in entering:
-                    assert type32._feasible_intervals(q, cand) == _feasible_intervals(q, cand)
+                    want = _feasible_intervals(q, float_unit(cand),
+                                               float_unit(mirrored_in_ca(verts, cand)))
+                    assert close_intervals(type32._feasible_intervals(verts, k, (cand, e, h)),
+                                           want)
+                    if cand == (ux, uy):
+                        assert intervals == type32._feasible_intervals(verts, k, (cand, e, h))
                 shapes += 1
         assert shapes == 2100
 
@@ -780,26 +859,37 @@ class TestDartAndTwoEars:
             quad = random_concave_quad(rng)
             for pts in (quad.points, [Point(3e5 * p.x, 3e5 * p.y - 7) for p in quad.points],
                         [Point(p.x, 0.02 * p.y) for p in quad.points]):
-                q = label_quad(pts)
-                f = type32._composed_at(q.c, q.d, q.b, q.a)
-                for d in ((-f.b, f.a), (f.b, -f.a)):
-                    for ray in (d, reflect_direction(Line.through(q.c, q.a), *d)):
-                        want = fraction_exit(q, ray)
-                        got = type32._exit_param(q, ray)
+                verts, k, ((ux, uy), e, h), _ = quad_ray(label_quad(pts))
+                a, _, c, _ = verts
+                n = (a[0] - c[0]) ** 2 + (a[1] - c[1]) ** 2
+                for d in ((ux, uy), (-ux, -uy)):
+                    # x1's ray, and x2's: its exit along n times D's mirror image, scaled by n
+                    wants = []
+                    for ray, scale in ((d, 1), (mirrored_in_ca(verts, d), n)):
+                        want = fraction_exit(verts, ray)
+                        got = type32._exit_param(verts, ray)
                         assert (got is None) == (want is None)
                         if want is not None:
-                            assert got == pytest.approx(float(want), rel=1e-9)
+                            assert Fraction(*got) == want
+                            wants.append(want * scale)
                             exits += 1
+                    # the feasible interval ends at the nearer exit, s * |D| / 2**k from c
+                    want_t = ([(0.0, float(min(wants)) * math.hypot(*d) / 2.0 ** k)]
+                              if len(wants) == 2 else [])
+                    got_t = type32._feasible_intervals(verts, k, (d, e, h))
+                    assert close_intervals(got_t, want_t, rel=1e-12)
         assert exits > 900
 
     def test_exit_one_rounding_past_c(self):
-        # c lies within an ulp inside ab: the float quotient for t is 0, the exact t is not
+        # c lies within an ulp inside ab: a float quotient for the exit is 0, the exact one
+        # is not
         q = label_quad([Point(0.0, 0.0), Point(3.0, 1.1),
                         Point(1.2399103330961585, 0.45463378880192484), Point(0.5, 3.0)])
-        ray = (0.36503865687766207, -0.9388763158866086)
-        want = fraction_exit(q, ray)
+        verts, _ = type32._integer_vertices(q.points)
+        ray, _ = dyadic_ints((0.36503865687766207, -0.9388763158866086))
+        want = fraction_exit(verts, ray)
         assert want is not None and float(want) > 0.0
-        assert type32._exit_param(q, ray) == float(want)
+        assert Fraction(*type32._exit_param(verts, ray)) == want
 
     def test_two_reflex_pentagons_keep_their_inner_diagonal(self):
         rng = random.Random(64)
@@ -843,11 +933,13 @@ class TestRayOnTheSideOfD:
                         [Point(3e5 * p.x, 3e5 * p.y - 7) for p in quad.points],
                         [Point(p.x, 0.02 * p.y) for p in quad.points]):
                 q = label_quad(pts)
-                f, d, intervals = type32._auxiliary_ray(q)
-                assert (f, d, intervals) == probed_auxiliary_ray(q)
+                verts, _, ray, intervals = quad_ray(q)
+                assert (ray, intervals) == probed_auxiliary_ray(q)
+                (ux, uy), _, _ = ray
+                d = float_unit((ux, uy))
                 assert orient(q.c, q.a, Point(q.c.x + d[0], q.c.y + d[1])) == orient(q.c, q.a, q.d)
-                two_ways += all(type32._exit_param(q, cand) is not None
-                                for cand in ((-f.b, f.a), (f.b, -f.a)))
+                two_ways += all(type32._exit_param(verts, cand) is not None
+                                for cand in ((ux, uy), (-ux, -uy)))
                 shapes += 1
         assert shapes == 2000
         assert two_ways > 300  # darts on which both rays enter and the probe had to choose
@@ -883,9 +975,7 @@ class TestRoundTripFailureTexts:
             _, ch = random_pentagon_config(random.Random(66))
             run = partial(recognize_pentagon, ch.vertices)
         else:
-            quad = label_quad(TestQuadConstruction.QUAD)
-            t = default_param(quad)
-            run = partial(construct_quad_focals, quad, t)
+            run = partial(default_construction, label_quad(TestQuadConstruction.QUAD))
         assert run() is not None
         # x1 off the shape's bisectors, and x1 so far out that the configuration is unbounded
         far = lambda verts: 10**7 * max(abs(v) for p in verts for v in p)  # noqa: E731
@@ -923,8 +1013,7 @@ def round_trip_outcome(kind: str, points) -> str:
     try:
         if kind == "pentagon":
             return "none" if recognize_pentagon(points) is None else "certificate"
-        quad = label_quad(points)
-        construct_quad_focals(quad, default_param(quad))
+        default_construction(label_quad(points))
     except GeometryError as exc:
         return type(exc).__name__
     return "certificate"
@@ -1066,7 +1155,7 @@ class TestExactSigns:
             assert rep.category == "generic"
             assert rep.equal_omega_pairs == self.exactly_equal_pairs(moved) == ()
             assert alternates_exactly(moved, rep.labeling)
-            assert rep.separated_outer == rep.labeling[1][2] and rep.delta_ordered is True
+            assert rep.separated_outer == rep.labeling[1][2]
 
     def test_point_in_polygon_on_rounded_edge_points(self):
         def crossing_oracle(p, pts):
@@ -1156,3 +1245,94 @@ class TestClassify32Invariance:
         for other in (turned, scaled):
             assert (other.labeling, other.separated_outer, other.equal_omega_pairs) == (
                 rep.labeling, rep.separated_outer, rep.equal_omega_pairs)
+
+
+# ---------------------------------------------------------------------------
+# reports that commute with quarter turns and power-of-two scaling
+
+
+def report(command: str, doc: dict) -> dict:
+    """The CLI result of one command on an input document, in process."""
+    return cli.COMMANDS[command][0](cli.RunConfig(command, ""), doc)
+
+
+def snapped_doc(doc: dict) -> dict:
+    return {key: [list(_snap(Point(*p))) for p in pts] for key, pts in doc.items()}
+
+
+def mapped_doc(doc: dict, f) -> dict:
+    return {key: [list(f(Point(*p))) for p in pts] for key, pts in doc.items()}
+
+
+def cycle(points) -> tuple:
+    """The cycle of points, started at its least point."""
+    pts = [tuple(p) for p in points]
+    k = pts.index(min(pts))
+    return tuple(pts[k:] + pts[:k])
+
+
+def chains_up_to_order(rep: dict, f=lambda p: p, area=1.0) -> list:
+    """Each chain's vertex cycle (mapped by f) and area (times area), in a fixed order."""
+    return sorted((cycle(map(f, ch["vertices"])), ch["area"] * area) for ch in rep["chains"])
+
+
+def certificate(cert: dict, f=lambda p: p) -> tuple:
+    return (tuple(map(f, cert["inner"])), tuple(map(f, cert["outer"])),
+            cert["source_kind"], cycle(map(f, cert["source"])))
+
+
+def similar_parts(command: str, rep: dict, f=lambda p: p, turn=False, scale=1.0) -> tuple:
+    """The parts of a report that a similarity maps: its points by f, its directions by a
+    quarter turn if turn, its lengths by scale and its areas by scale**2."""
+    if command == "construct-quad":
+        dx, dy = rep["ray_direction"]
+        return (cycle(map(f, rep["labeled"])), (-dy, dx) if turn else (dx, dy),
+                [(lo * scale, hi * scale) for lo, hi in rep["feasible_t"]],
+                rep["t"] * scale, certificate(rep["certificate"], f))
+    if command == "recognize-pentagon":
+        return rep["is_type_32"], rep["is_type_32"] and certificate(rep["certificate"], f)
+    if command == "classify32":
+        return rep
+    if command == "boundary":
+        return chains_up_to_order(rep, f, scale * scale)
+    x0, y0, x1, y1 = (v * scale for v in rep["clip"])  # body
+    return (rep["radius"] * scale, [-y1, x0, -y0, x1] if turn else [x0, y0, x1, y1],
+            chains_up_to_order(rep, f, scale * scale))
+
+
+def commuting_jobs():
+    """(command, snapped input document) pairs on ring, grid, pentagon and dart inputs."""
+    configs = [snapped_doc(doc) for kind, seed, count in (("ring-8-12", 1, 16), ("grid", 3, 8))
+               for _, (doc, _) in zip(range(count), corpus.stream(kind, seed))]
+    shapes, generators = [], []
+    for _, (shape, config) in zip(range(8), corpus.stream("pentagon", 4)):
+        shapes.append(snapped_doc(shape))
+        generators.append(snapped_doc(config))
+    rng = random.Random(5)
+    darts = [snapped_doc(concave_quad(rng)) for _ in range(40)]
+    return ([(command, doc) for doc in configs + generators for command in ("boundary", "body")]
+            + [("classify32", doc) for doc in generators]
+            + [("recognize-pentagon", doc) for doc in shapes]
+            + [("construct-quad", doc) for doc in darts])
+
+
+class TestReportsCommuteWithSimilarities:
+    """The report of a quarter-turned input, or of one scaled by 2**k, is the mapped report,
+    float for float: each reported float is a rounding of an exact value that maps with the
+    input.  Cycles compare up to their start and chains up to their order."""
+
+    @pytest.mark.parametrize("k", [None, -1, 5], ids=["quarter turn", "scale 2**-1",
+                                                       "scale 2**5"])
+    def test_mapped_input_gives_the_mapped_report(self, k):
+        if k is None:
+            f, turn, scale = (lambda p: Point(-p[1], p[0])), True, 1.0
+        else:
+            f, turn, scale = (lambda p: Point(math.ldexp(p[0], k), math.ldexp(p[1], k))), \
+                False, 2.0 ** k
+        moved = []
+        for n, (command, doc) in enumerate(commuting_jobs()):
+            want = similar_parts(command, report(command, doc), f, turn, scale)
+            got = similar_parts(command, report(command, mapped_doc(doc, f)))
+            if got != want:
+                moved.append((n, command))
+        assert moved == []
