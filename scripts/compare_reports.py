@@ -15,6 +15,8 @@ The inputs come from ``bench/corpus.py`` (imported, never changed):
   ``boundary`` and ``body`` again at ``--eps 1e-3``, so that ``boundary`` walks
   at 1e-3 and then, for its polytope verdict, at the default eps.  One process
   runs every report, so each starts with the memo slots the one before it left;
+- ``graph`` and ``boundary`` on grid input 10, whose inner cells meet in a single
+  point on five pairs (weight 0): the other inputs have weights 2 and -1 only;
 - ``classify32`` and ``voronoi-check`` on the (2, 3) configurations that
   generate the corpus pentagons, and ``recognize-pentagon`` and ``render`` on
   the pentagons;
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -114,6 +117,8 @@ def matrix() -> tuple[dict, list[list[str]]]:
             name = f"{kind}-{k}.json"
             inputs[name] = doc
             jobs += [[cmd[0], name] + cmd[1:] for cmd in CONFIG_COMMANDS]
+    inputs["grid-10.json"] = next(itertools.islice(corpus.stream("grid", 3), 10, None))[0]
+    jobs += [["graph", "grid-10.json"], ["boundary", "grid-10.json"]]
     for k, (shape, config) in zip(range(4), corpus.stream("pentagon", 4)):
         inputs[f"pentagon-{k}.json"], inputs[f"generator-{k}.json"] = shape, config
         jobs += [["recognize-pentagon", f"pentagon-{k}.json"],

@@ -7,8 +7,9 @@ against the perpendicular-bisector half-planes toward every outer point.  The cl
 exact: ``build_body`` scales the focal points and the box to integers by one
 power of two, once, and each vertex (X, Y, W), W > 0, is the meet of the two
 rows that carry its edges, rounded to floats once.  The components keep
-their rows and raw clip: the inner cells and ``connectivity`` continue them,
-and membership reads their exact signs at a probe scaled the same way.
+their rows and raw clip: the inner cells continue the clip, ``connectivity``
+reads the outer rows, and membership reads their exact signs at a probe
+scaled the same way.
 ``build_body`` keeps the body of the last config object it was given, so the
 stages of one input share one body (``once_per_input``).
 """

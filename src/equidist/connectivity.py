@@ -1,15 +1,13 @@
 """Weighted graph representation of a body and connectivity of body and interior.
 
-Edge weights are the dimension of the pairwise component intersections,
-decided exactly, without tolerances, on the integer rows that each component
-stores at its 2**k scale.  First a witness: a vertex of one component's raw
-clip with positive exact slack on every outer row and box side of the other
-lies in the open interior of the other, and a component has area whenever
-its box has, so the pair has weight 2.  Only a pair without such a vertex
-either way is clipped: the integer homogeneous clip of ``body`` continues the
-first component's stored clip with the second one's rows, and the dimension
-is decided on the exact homogeneous vertices.  Components of different
-scalings are brought to the larger k by shifts.
+Edge weights are the dimension of the pairwise intersections of the inner
+cells, decided exactly, without tolerances, on the integer rows that each
+component stores at its 2**k scale.  Two cells meet exactly when some disc
+through both sites has no outer point inside it (the empty-circle test for a
+Delaunay edge), and the centres of those discs lie on the sites' bisector.  So
+each weight clips one line by the outer rows: an interval with interior gives
+2, a single point 0 and an empty one -1.  Components of different scalings are
+brought to the larger k by shifts.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .body import ConvexComponent, EquidistantBody, FocalConfig, build_body
-from .body import _exact_clip, _float_point, _orientation_det, _same_point
 from .errors import MismatchedOuterSet, Unbounded
 from .polygon import extract_boundary
 from .primitives import Point
@@ -41,78 +38,48 @@ REASON_INTERIOR_DISCONNECTED = "interior_disconnected"
 REASON_COMPLEMENT_DISCONNECTED = "complement_disconnected"
 
 
-def polygon_dim(verts) -> int:
-    """Dimension of an exact (possibly degenerate) convex polygon: -1, 0, 1 or 2.
+def intersection_dim(a: ConvexComponent, b: ConvexComponent) -> int:
+    """Exact dimension of the intersection of a's and b's cells: 2 area, 0 point, -1 empty.
 
-    The vertices are homogeneous triples (X, Y, W) with W > 0: two are equal
-    when they match after cross-multiplying, three are collinear when their
-    3x3 determinant vanishes.
+    Raises ``MismatchedOuterSet`` unless a and b share the outer set.  The disc
+    about a common point z of radius d(z, L), shrunk about one site and then the
+    other, passes through both sites with no outer point inside.  So the cells
+    meet exactly when such discs exist, and their centres lie on the sites'
+    bisector, where a's outer rows alone clip them to an interval: with interior,
+    bounded or not, it gives 2, a single point 0 and none -1.  A shared segment
+    would force an inner point onto an outer one, and the clip box takes no part.
+
+    Relative to a's site, a's row (x, y, c) toward an outer point l, with
+    (x, y) = 2(l - a), keeps x*X + y*Y <= (x*x + y*y) / 4 at a point (X, Y), and
+    the bisector is ((u, v) + t * (-v, u)) / 4, where (u, v) = 2(b - a) is a's
+    first outer row minus b's, both at the larger 2**k by shifts.  So each row
+    keeps t * d <= e, with d = y*u - x*v and e = x*(x - u) + y*(y - v), which is
+    4 (l - a).(l - b): its row C takes no part.
     """
-    if not verts:
-        return -1
-    other = next((v for v in verts if not _same_point(verts[0], v)), None)
-    if other is None:
-        return 0
-    return 2 if any(_orientation_det(verts[0], other, v) for v in verts) else 1
-
-
-def _require_shared(a: ConvexComponent, b: ConvexComponent) -> None:
-    if a.outer != b.outer or a.clip != b.clip:
-        raise MismatchedOuterSet("components must share the outer set and clip box")
-
-
-def _interior_vertex(a: ConvexComponent, b: ConvexComponent) -> bool:
-    """True iff a vertex of a's raw clip has positive exact slack on b's outer rows and box sides.
-
-    Such a vertex lies in the open interior of b, and a, which has area
-    whenever its box does, meets each neighbourhood of it in positive area:
-    then a ∩ b has area.  Both are brought to the larger 2**k by shifts: a's
-    vertices by k - ka, and b's rows, box sides included, by d = k - kb to
-    (x << d, y << d, c << 2d), the same half-plane scaled by 2**d.
-    """
-    (_, _, ka, verts), kb = a._exact, b._exact[2]
+    if a.outer != b.outer:
+        raise MismatchedOuterSet("components must share the outer set")
+    (ra, _, ka, _), (rb, _, kb, _) = a._exact, b._exact
     k = max(ka, kb)
     da, db = k - ka, k - kb
-    lines = b._lines
-    if db:
-        lines = [(x << db, y << db, c << 2 * db) for x, y, c in lines]
-    return any(all(c * w > (u * x + v * y) << da for u, v, c in lines)
-               for (x, y, w), _ in verts)
-
-
-def _intersection_exact(a: ConvexComponent, b: ConvexComponent):
-    """Vertices (X, Y, W) of a ∩ b at the larger 2**k, and k: a's raw clip cut by b's rows."""
-    (ra, box, ka, verts), (rb, _, kb, _) = a._exact, b._exact
-    k, q = max(ka, kb), len(a.outer)
-    rows = [(x << d, y << d, c << 2 * d) for rs, d in ((ra, k - ka), (rb, k - kb))
-            for x, y, c in rs[:q]]
-    box = tuple(v << k - ka for v in box)
-    verts = [((x << k - ka, y << k - ka, w), e) for (x, y, w), e in verts]  # same points at k
-    return [vert for vert, _ in _exact_clip(rows, box, verts, q)], k
-
-
-def intersection_dim(a: ConvexComponent, b: ConvexComponent) -> int:
-    """Exact dimension of a ∩ b: 2 area, 1 segment, 0 point, -1 empty.
-
-    Raises ``MismatchedOuterSet`` unless a and b share the outer set and clip
-    box.  A vertex of either raw clip in the open interior of the other
-    certifies 2; only a pair without one is clipped, and ``polygon_dim``
-    decides its dimension.  For disjoint focal sets in a box with area the
-    segment case cannot arise (a shared boundary segment would force an inner
-    point to coincide with an outer one), but the classifier decides all four
-    outcomes uniformly.
-    """
-    _require_shared(a, b)
-    if _interior_vertex(a, b) or _interior_vertex(b, a):
+    rows = ra[:len(a.outer)]
+    if da:
+        rows = [(x << da, y << da, c << 2 * da) for x, y, c in rows]
+    u, v = rows[0][0] - (rb[0][0] << db), rows[0][1] - (rb[0][1] << db)
+    lo = hi = None  # the tightest bounds e / d on t, each with d > 0
+    for x, y, _ in rows:
+        d, e = y * u - x * v, x * (x - u) + y * (y - v)
+        if d > 0:
+            if hi is None or e * hi[1] < hi[0] * d:
+                hi = e, d
+        elif d < 0:
+            if lo is None or e * lo[1] < lo[0] * d:  # -e / -d > lo
+                lo = -e, -d
+        elif e < 0:  # l lies between the sites
+            return -1
+    if lo is None or hi is None:
         return 2
-    return polygon_dim(_intersection_exact(a, b)[0])
-
-
-def intersection_polygon(a: ConvexComponent, b: ConvexComponent) -> list[Point]:
-    """Vertices of a ∩ b (exact clip, correctly rounded to floats; may be degenerate)."""
-    _require_shared(a, b)
-    verts, k = _intersection_exact(a, b)
-    return [_float_point(vert, k) for vert in verts]
+    gap = hi[0] * lo[1] - lo[0] * hi[1]
+    return 2 if gap > 0 else 0 if gap == 0 else -1
 
 
 def build_graph(body: EquidistantBody) -> RepGraph:

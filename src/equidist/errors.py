@@ -42,7 +42,7 @@ class PreconditionViolated(GeometryError):
 
 
 class MismatchedOuterSet(GeometryError):
-    """Two components being compared were built from different outer sets or clip boxes."""
+    """Two components being compared were built from different outer sets."""
 
 
 class RegularityViolated(GeometryError):

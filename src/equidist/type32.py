@@ -26,7 +26,7 @@ from .errors import (
     Unbounded,
 )
 from .polygon import check_regularity
-from .primitives import Point, dist, dyadic_ints, incircle, orient, viewing_angle
+from .primitives import Point, dyadic_ints, incircle, orient, viewing_angle
 
 CATEGORY_GENERIC = "generic"
 CATEGORY_CONCIRCULAR = "concircular"
@@ -87,12 +87,6 @@ def is_simple_polygon(pts) -> bool:
             if segments_intersect(a1, a2, pts[j], pts[(j + 1) % n]):
                 return False
     return True
-
-
-def vertex_sets_match(got, want, tol: float) -> bool:
-    return (len(got) == len(want)
-            and all(min(dist(g, w) for w in want) <= tol for g in got)
-            and all(min(dist(g, w) for g in got) <= tol for w in want))
 
 
 # ---------------------------------------------------------------------------

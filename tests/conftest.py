@@ -12,7 +12,14 @@ import random
 import numpy as np
 from scipy import ndimage
 
-from equidist.body import FocalConfig, build_body, convex_hull, is_bounded
+from equidist.body import (
+    FocalConfig,
+    _exact_clip,
+    _float_point,
+    build_body,
+    convex_hull,
+    is_bounded,
+)
 from equidist.errors import InvalidConfig
 from equidist.polygon import check_regularity, extract_boundary
 from equidist.primitives import Line, Point, dist
@@ -65,6 +72,13 @@ def random_bounded_config(rng: random.Random, p_max: int = 4, q_max: int = 6,
         if grid_friendly and not grid_resolvable(cfg):
             continue
         return cfg
+
+
+def vertex_sets_match(got, want, tol: float) -> bool:
+    """Equal sizes, and each point of either set within tol of some point of the other."""
+    return (len(got) == len(want)
+            and all(min(dist(g, w) for w in want) <= tol for g in got)
+            and all(min(dist(g, w) for g in got) <= tol for w in want))
 
 
 def _centroid(pts):
@@ -168,6 +182,12 @@ def _poly_gap(pa, pb) -> float:
     return gap
 
 
+def _overlap(a, b) -> list[Point]:
+    """Vertices of a ∩ b for components of one body: its box clipped by both outer row blocks."""
+    (rows_a, box, k, _), rows_b, q = a._exact, b._exact[0], len(a.outer)
+    return [_float_point(vert, k) for vert, _ in _exact_clip(rows_a[:q] + rows_b[:q], box)]
+
+
 def grid_resolvable(cfg: FocalConfig, n: int = 400, cells: float = 6.0) -> bool:
     """True when a n-by-n raster can resolve every overlap, gap, and component.
 
@@ -175,7 +195,7 @@ def grid_resolvable(cfg: FocalConfig, n: int = 400, cells: float = 6.0) -> bool:
     thinner than a few grid cells; the flood-fill oracle is only conclusive
     for such generic inputs.
     """
-    from equidist.connectivity import intersection_dim, intersection_polygon
+    from equidist.connectivity import intersection_dim
 
     body = build_body(cfg)
     xs, ys = [], []
@@ -193,7 +213,7 @@ def grid_resolvable(cfg: FocalConfig, n: int = 400, cells: float = 6.0) -> bool:
         for j in range(i + 1, len(comps)):
             dim = intersection_dim(comps[i], comps[j])
             if dim == 2:
-                if _min_width(intersection_polygon(comps[i], comps[j])) < thr:
+                if _min_width(_overlap(comps[i], comps[j])) < thr:
                     return False
             elif dim == -1:
                 if _poly_gap(comps[i].vertices, comps[j].vertices) < thr:

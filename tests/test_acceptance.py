@@ -16,6 +16,7 @@ from conftest import (
     random_concave_quad,
     random_pentagon_config,
     region_count,
+    vertex_sets_match,
 )
 from equidist.body import (
     MEMBER_BOUNDARY,
@@ -264,7 +265,7 @@ def test_criterion_7_pentagon_round_trip():
 
 def test_criterion_8_quad_round_trip():
     t0 = time.perf_counter()
-    from equidist.type32 import construct_quad_focals, feasible_param_range, vertex_sets_match
+    from equidist.type32 import construct_quad_focals, feasible_param_range
 
     rng = random.Random(8042)
     failures = 0

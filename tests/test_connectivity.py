@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import grid_inside_mask, random_bounded_config, region_count
-from equidist.body import FocalConfig, _exact_clip, build_body, convex_component, membership
+from equidist.body import FocalConfig, build_body, convex_component, membership
 from equidist.connectivity import (
     RepGraph,
     build_graph,
@@ -14,7 +14,6 @@ from equidist.connectivity import (
     intersection_dim,
     is_connected,
     is_interior_connected,
-    polygon_dim,
 )
 from equidist.errors import MismatchedOuterSet, Unbounded
 from equidist.primitives import Point
@@ -23,35 +22,6 @@ OVERLAP = FocalConfig.of([(-1, 0), (1, 0)], [(10, 0), (-10, 0), (0, 10), (0, -10
 SEPARATED = FocalConfig.of([(-5, 0), (5, 0)], [(10, 0), (-10, 0), (0, 10), (0, -10), (0, 0)])
 # exactly concircular inner/outer quadruple: components touch at the origin
 TOUCHING = FocalConfig.of([(-1, 0), (1, 0)], [(0, 1), (0, -1), (10, 0), (-10, 0)])
-
-
-def clip_vertices(rows, box):
-    return [vert for vert, _ in _exact_clip(rows, box)]
-
-
-class TestPolygonDim:
-    # the clip box [-1, 1]^2 and the rows are already integers, so the
-    # homogeneous clip runs on them unscaled
-    BOX = (-1, -1, 1, 1)
-
-    def test_full_box(self):
-        assert polygon_dim(clip_vertices([], self.BOX)) == 2
-
-    def test_segment(self):
-        rows = [(1, 0, 0), (-1, 0, 0)]  # x <= 0 and -x <= 0
-        assert polygon_dim(clip_vertices(rows, self.BOX)) == 1
-
-    def test_point(self):
-        rows = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
-        assert polygon_dim(clip_vertices(rows, self.BOX)) == 0
-
-    def test_empty(self):
-        rows = [(1, 0, -1), (-1, 0, -1)]  # x <= -1 and x >= 1
-        assert polygon_dim(clip_vertices(rows, self.BOX)) == -1
-
-    def test_corner_point(self):
-        rows = [(1, 1, -2)]  # x + y <= -2: only the corner (-1,-1)
-        assert polygon_dim(clip_vertices(rows, self.BOX)) == 0
 
 
 class TestIntersectionDim:
@@ -88,8 +58,7 @@ class TestIntersectionDim:
     def test_segment_case_excluded_for_components(self):
         # A shared boundary segment between two components would force an
         # inner focal point to coincide with an outer one, so components of a
-        # valid configuration can only yield -1, 0 or 2.  The classifier's
-        # 1-dimensional branch is exercised directly in TestPolygonDim.
+        # valid configuration can only yield -1, 0 or 2.
         rng = random.Random(23)
         for _ in range(20):
             cfg = random_bounded_config(rng, p_max=4)

@@ -1,17 +1,18 @@
-"""The integer homogeneous clip against a rational reference, and its invariances.
+"""The integer homogeneous clip and the graph weights against a rational reference.
 
 The reference below is the Sutherland-Hodgman clip in Fraction arithmetic
 that decided the graph weights before the integer clip: every new vertex is
 an interpolation of earlier Fraction vertices.  It is slow but plainly
-exact, so it serves as the oracle for ``convex_component``,
-``intersection_dim`` and ``intersection_polygon``.  The metamorphic tests pin
-the components and the exact graph under maps that are exact in floating
-point: integer translation, 90° rotation, scaling by a power of two and
-relabelling of the points.
+exact, so it serves as the oracle for ``convex_component`` and, clipped to a
+body's own box, which no component reaches, for ``intersection_dim``.  The
+metamorphic tests pin the components and the exact graph under maps that are
+exact in floating point: integer translation, 90° rotation, scaling by a power
+of two and relabelling of the points.
 """
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,6 @@ from hypothesis import strategies as st
 
 from conftest import random_bounded_config
 from equidist import body as body_module
-from equidist import connectivity
 from equidist.body import (
     FocalConfig,
     Rect,
@@ -29,7 +29,7 @@ from equidist.body import (
     convex_component,
     is_bounded,
 )
-from equidist.connectivity import build_graph, intersection_dim, intersection_polygon
+from equidist.connectivity import build_graph, intersection_dim
 from equidist.errors import MismatchedOuterSet, PreconditionViolated
 from equidist.polygon import extract_boundary
 from equidist.primitives import Point
@@ -103,8 +103,9 @@ def ref_component(site, outer, clip):
     return [v for i, v in enumerate(verts) if v != verts[(i + 1) % n]]
 
 
-def ref_intersection(a, b):
-    return ref_clip(ref_rows(a.site, a.outer) + ref_rows(b.site, b.outer), a.clip)
+def ref_weight(a, b, clip) -> int:
+    """Dimension of the Fraction clip of ``clip`` by both components' outer rows."""
+    return ref_dim(ref_clip(ref_rows(a.site, a.outer) + ref_rows(b.site, b.outer), clip))
 
 
 def ref_edges(body):
@@ -112,7 +113,7 @@ def ref_edges(body):
     edges = []
     for i in range(len(comps)):
         for j in range(i + 1, len(comps)):
-            w = ref_dim(ref_intersection(comps[i], comps[j]))
+            w = ref_weight(comps[i], comps[j], body.clip)
             if w >= 0:
                 edges.append((i, j, w))
     return tuple(edges)
@@ -154,17 +155,23 @@ def graph_edges(cfg: FocalConfig):
     return build_graph(build_body(cfg)).edges
 
 
+def checked_dims(comps, clip) -> set:
+    """The weight of every ordered pair of ``comps`` against the oracle in ``clip``; their set.
+
+    ``clip`` must hold the true cells' intersections, as a body's own box does.
+    """
+    dims = set()
+    for i, a in enumerate(comps):
+        for b in comps[i + 1:]:
+            ref = ref_weight(a, b, clip)
+            assert intersection_dim(a, b) == intersection_dim(b, a) == ref
+            dims.add(ref)
+    return dims
+
+
 def assert_matches_reference(body, extra=()):
     """Every ordered pair among the body's components and ``extra`` against the oracle."""
-    comps = body.components + tuple(extra)
-    for i in range(len(comps)):
-        for j in range(len(comps)):
-            if i == j:
-                continue
-            ref = ref_intersection(comps[i], comps[j])
-            assert intersection_dim(comps[i], comps[j]) == ref_dim(ref)
-            assert intersection_polygon(comps[i], comps[j]) == [
-                Point(float(x), float(y)) for x, y in ref]
+    checked_dims(body.components + tuple(extra), body.clip)
     assert build_graph(body).edges == ref_edges(body)
 
 
@@ -315,58 +322,60 @@ class TestSharedScaling:
         assert {-1, 1} <= shifts
 
 
-def ref_witness(a, b) -> bool:
-    """Some vertex of a's raw clip has positive slack on each of b's outer rows and box sides."""
-    rows = ref_rows(b.site, b.outer) + [side_row(tag, b.clip) for tag in (-1, -2, -3, -4)]
-    return any(all(c - (u * x + v * y) > 0 for u, v, c in rows)
-               for x, y in ref_clip(ref_rows(a.site, a.outer), a.clip))
+def dense_grid_configs(count: int):
+    """Grids of 40 points in [-4, 4]^2: many ties, and so weights 0 and -1.
 
-
-def witnessed_dims(comps):
-    """The oracle dimension of every ordered pair, after checking the witness on each pair.
-
-    The witness must equal its rational reference, and a pair it certifies
-    must have weight 2.  Returns how many ordered pairs it certified and the
-    set of oracle dimensions seen.
+    The square's corners are outer and 16 points strictly inside it inner, so
+    each body is bounded without rejection.
     """
-    certified, dims = 0, set()
-    for a in comps:
-        for b in comps:
-            if a is b:
-                continue
-            ref = ref_dim(ref_intersection(a, b))
-            dims.add(ref)
-            witness = connectivity._interior_vertex(a, b)
-            assert witness == ref_witness(a, b)
-            if witness:
-                assert ref == 2
-                certified += 1
-    return certified, dims
+    rng = random.Random(54)
+    corners = [(x, y) for x in (-4, 4) for y in (-4, 4)]
+    cells = [(x, y) for x in range(-4, 5) for y in range(-4, 5) if (x, y) not in corners]
+    configs = []
+    for _ in range(count):
+        inner = rng.sample([(x, y) for x, y in cells if abs(x) < 4 and abs(y) < 4], 16)
+        outer = corners + rng.sample([c for c in cells if c not in inner], 20)
+        configs.append(FocalConfig.of(inner, outer))
+    return configs
 
 
 class TestInteriorWitness:
-    """A vertex of one raw clip strictly inside the other component certifies weight 2."""
+    """The weight of every ordered pair against the Fraction clip of the body's own box.
+
+    The weight is the dimension of the cells' intersection, whatever box cut the components.
+    """
 
     def test_ring_and_grid_bodies(self):
         rng = random.Random(52)
-        certified, dims = 0, set()
+        dims = set()
         for cfg in [ring_config(rng, p) for p in (2, 5, 8)] + [
                 grid_config(rng, rng.randint(2, 8)) for _ in range(40)]:
-            n, d = witnessed_dims(build_body(cfg).components)
-            certified += n
-            dims |= d
-        assert certified > 0
+            body = build_body(cfg)
+            dims |= checked_dims(body.components, body.clip)
         # the grid corpus reaches the empty and the one-point intersection
         assert {-1, 0, 2} <= dims
 
+    def test_dense_grids(self):
+        for cfg in dense_grid_configs(3):
+            body = build_body(cfg)
+            assert {-1, 0, 2} <= checked_dims(body.components, body.clip)
+
+    def test_connectivity_criterion_corpus(self):
+        # the first configurations of criterion 3's rasterized corpus
+        rng = random.Random(3042)
+        for _ in range(20):
+            body = build_body(random_bounded_config(rng, grid_friendly=True))
+            checked_dims(body.components, body.clip)
+
     def test_mixed_magnitudes(self):
-        assert witnessed_dims(build_body(MIXED).components)[0] > 0
+        body = build_body(MIXED)
+        assert checked_dims(body.components, body.clip) == {2}
 
     def test_box_cut_components(self):
-        # a body's box never cuts a component; squares of 1.0, 0.6 and 0.3
-        # times its radius and a box just around the inner sites do
+        # a body's box never cuts a component; squares of 1.0, 0.6 and 0.3 times its
+        # radius and a box just around the inner sites do, and leave the weights as they are
         rng = random.Random(53)
-        certified = cut = 0
+        cut = 0
         for cfg in [ring_config(rng, 6) for _ in range(4)] + [
                 random_bounded_config(rng, p_max=5) for _ in range(12)]:
             xs, ys = [x.x for x in cfg.inner], [x.y for x in cfg.inner]
@@ -374,60 +383,68 @@ class TestInteriorWitness:
             ox, oy, radius = sum(xs) / cfg.p, sum(ys) / cfg.p, bounding_radius(cfg)
             boxes += [Rect(ox - h, oy - h, ox + h, oy + h) for h in (radius, 0.6 * radius,
                                                                         0.3 * radius)]
-            bodies = []
             for box in boxes:
                 try:
-                    bodies.append([convex_component(x, cfg.outer, box) for x in cfg.inner])
+                    comps = [convex_component(x, cfg.outer, box) for x in cfg.inner]
                 except PreconditionViolated:  # the box misses an inner site
-                    pass
-            for comps in bodies:
-                certified += witnessed_dims(comps)[0]
+                    continue
+                checked_dims(comps, build_body(cfg).clip)
                 cut += sum(c.clipped for c in comps)
-        assert certified > 0 and cut > 0
+        assert cut > 0
 
     def test_box_without_area(self):
-        # every component is a segment of the line x = 0: no vertex lies
-        # strictly inside a box side, so the pair is clipped to its segment
+        # every component is a segment of the line x = 0, but the cells meet in area
         cfg = FocalConfig.of([(0, -1), (0, 1)], [(-3, 0), (3, 0), (0, 4), (0, -4)])
-        line = Rect(0, -5, 0, 5)
-        a, b = (convex_component(x, cfg.outer, line) for x in cfg.inner)
-        assert witnessed_dims((a, b)) == (0, {1})
-        assert intersection_dim(a, b) == 1
+        a, b = (convex_component(x, cfg.outer, Rect(0, -5, 0, 5)) for x in cfg.inner)
+        assert checked_dims((a, b), build_body(cfg).clip) == {2}
 
     def test_components_of_other_scalings(self):
-        # a standalone component has its own k: the witness shifts to the larger one,
-        # in a copy of the other component's kept rows
-        shifts, certified = set(), 0
+        # a standalone component has its own k: the pair shifts to the larger one,
+        # in a copy of the component's kept rows
+        shifts = set()
         for cfg in shared_scaling_configs():
             body = build_body(cfg)
             others = [convex_component(Point(*xy), cfg.outer, body.clip)
                       for xy in ((0.1, 1e-7), (0.5, 0.25)) if Point(*xy) not in cfg.inner]
             comps = body.components + tuple(others)
-            kept = [list(c._lines) for c in comps]
-            certified += witnessed_dims(comps)[0]
-            assert [c._lines for c in comps] == kept
+            kept = [list(c._exact[0]) for c in comps]
+            checked_dims(comps, body.clip)
+            assert [c._exact[0] for c in comps] == kept
             k = body.components[0]._exact[2]
             shifts.update((c._exact[2] > k) - (c._exact[2] < k) for c in others)
-        assert {-1, 1} <= shifts and certified > 0
+        assert {-1, 1} <= shifts
 
-    def test_mismatch_raises_before_the_witness(self, monkeypatch):
-        tried = []
-        monkeypatch.setattr(connectivity, "_interior_vertex", lambda a, b: tried.append(1))
+    def test_mismatch_raises_before_the_witness(self):
+        # another outer set raises in either order; another box does not, as it takes no part
         body = build_body(OVERLAP)
         comp, clip = body.components[0], body.clip
-        wider = Rect(clip.xmin - 1, clip.ymin, clip.xmax, clip.ymax)
-        others = (convex_component(Point(0, 1), (Point(3, 3),), clip),
-                  convex_component(body.components[1].site, OVERLAP.outer, wider))
-        for other in others:
-            for a, b in ((comp, other), (other, comp)):
-                for f in (intersection_dim, intersection_polygon):
-                    with pytest.raises(MismatchedOuterSet):
-                        f(a, b)
-        assert not tried
+        other = convex_component(Point(0, 1), (Point(3, 3),), clip)
+        for a, b in ((comp, other), (other, comp)):
+            with pytest.raises(MismatchedOuterSet):
+                intersection_dim(a, b)
+        wider = convex_component(body.components[1].site, OVERLAP.outer,
+                                 Rect(clip.xmin - 1, clip.ymin, clip.xmax, clip.ymax))
+        assert intersection_dim(comp, wider) == intersection_dim(wider, comp) == 2
+
+
+def clip_calls(fn, *args):
+    """fn(*args), and how many times it ran ``body._exact_clip``, however the name is bound."""
+    code, calls = body_module._exact_clip.__code__, [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls[0] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        return fn(*args), calls[0]
+    finally:
+        sys.setprofile(previous)
 
 
 class TestClipOnce:
-    """Each component is clipped from the box once; cells and pairs of weight < 2 continue it."""
+    """Each component is clipped from the box once, each cell continues it, and no weight clips."""
 
     def test_rows_cut_per_body(self, monkeypatch):
         clip = body_module._exact_clip
@@ -437,56 +454,35 @@ class TestClipOnce:
             cut.append(len(rows) - (start[1] if start else 0))
             return clip(rows, box, *start)
 
-        for module in (body_module, connectivity):
-            monkeypatch.setattr(module, "_exact_clip", counting)
+        monkeypatch.setattr(body_module, "_exact_clip", counting)
         p, q = 8, 12
         cfg = ring_config(random.Random(49), p, q)
         body = build_body(cfg)
         build_graph(body)
         extract_boundary(cfg)
-        # p components by q outer rows and p cells by p inner rows; a vertex
-        # witness certifies every pair of this body, so no pair is clipped
+        # p components by q outer rows and p cells by p inner rows; the graph clips nothing
         assert sum(cut) == p * q + p * p == 160
 
-    @staticmethod
-    def graph_clips(monkeypatch, body):
-        """``build_graph(body)``, and the ``_exact_clip`` calls made for each of its pairs."""
-        clip, dim = body_module._exact_clip, intersection_dim
-        calls, pairs = [0], []
-
-        def counting(*args):
-            calls[0] += 1
-            return clip(*args)
-
-        def recording(a, b):
-            before = calls[0]
-            w = dim(a, b)
-            pairs.append((a, b, calls[0] - before))
-            return w
-
-        monkeypatch.setattr(connectivity, "_exact_clip", counting)
-        monkeypatch.setattr(connectivity, "intersection_dim", recording)
-        build_graph(body)
-        return pairs
-
-    def test_ring_graphs_clip_no_pair(self, monkeypatch):
+    def test_ring_graphs_clip_no_pair(self):
         rng = random.Random(50)
         for _ in range(50):
-            pairs = self.graph_clips(monkeypatch, build_body(ring_config(rng, 8, 12)))
-            assert len(pairs) == math.comb(8, 2)
-            assert sum(n for _, _, n in pairs) == 0
+            graph, calls = clip_calls(build_graph, build_body(ring_config(rng, 8, 12)))
+            assert len(graph.edges) == math.comb(8, 2)
+            assert calls == 0
 
-    def test_grid_graphs_clip_only_pairs_below_weight_2(self, monkeypatch):
+    def test_grid_graphs_clip_no_pair(self):
+        # unlike rings, grids reach weights 0 and -1
         rng = random.Random(51)
-        clipped = certified = 0
-        for _ in range(40):
-            body = build_body(grid_config(rng, rng.randint(2, 8)))
-            for a, b, n in self.graph_clips(monkeypatch, body):
-                below = ref_dim(ref_intersection(a, b)) < 2
-                assert n == below  # clipped, once, exactly when the weight is below 2
-                clipped += below
-                certified += not below
-        assert clipped > 0 and certified > 0
+        configs = [grid_config(rng, rng.randint(2, 8)) for _ in range(40)]
+        weights = set()
+        for cfg in configs + dense_grid_configs(2):
+            body = build_body(cfg)
+            graph, calls = clip_calls(build_graph, body)
+            assert calls == 0
+            weights.update(w for _, _, w in graph.edges)
+            if len(graph.edges) < math.comb(cfg.p, 2):
+                weights.add(-1)  # a pair without an edge
+        assert {-1, 0, 2} <= weights
 
 
 # --- metamorphic -------------------------------------------------------------

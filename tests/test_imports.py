@@ -59,7 +59,6 @@ def test_no_rational_or_decimal_arithmetic():
 # (importing module, imported module): the private names it imports, as they stand; a new
 # one is declared here
 PRIVATE_IMPORTS = {
-    ("connectivity", "body"): {"_exact_clip", "_float_point", "_orientation_det", "_same_point"},
     ("polygon", "body"): {"_float_point", "_orientation_det", "_scaled"},
     ("polygon", "primitives"): {"_circumcircle_ints"},
     ("cli", "type32"): {"_construct_quad"},

@@ -13,7 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_concave_quad, random_generic_32, random_pentagon_config
+from conftest import (
+    random_concave_quad,
+    random_generic_32,
+    random_pentagon_config,
+    vertex_sets_match,
+)
 from equidist import cli, type32
 from equidist.body import FocalConfig, is_bounded
 from equidist.errors import (
@@ -48,7 +53,6 @@ from equidist.type32 import (
     point_in_polygon,
     recognize_pentagon,
     segments_intersect,
-    vertex_sets_match,
 )
 from test_boundary_walk import _snap
 from test_integer_exact import frac_incircle_exact
@@ -1295,6 +1299,16 @@ def similar_parts(command: str, rep: dict, f=lambda p: p, turn=False, scale=1.0)
         return rep
     if command == "boundary":
         return chains_up_to_order(rep, f, scale * scale)
+    if command == "graph":
+        return tuple(map(f, rep["nodes"])), {k: v for k, v in rep.items() if k != "nodes"}
+    if command == "hypergraph":
+        if not rep["regular"]:
+            return rep  # indices of the collinear triples and concircular quadruples
+        return ([(e["refs"], e["color"], f(e["center"]), e["radius"] * scale, e["weight"])
+                 for e in rep["edges"]],
+                [(f(v["point"]), v["angle_type"]) for v in rep["vertices"]],
+                [f(p) for p in rep["interior_witnesses"]],
+                [f(p) for p in rep["exterior_witnesses"]], rep["inactive"])
     x0, y0, x1, y1 = (v * scale for v in rep["clip"])  # body
     return (rep["radius"] * scale, [-y1, x0, -y0, x1] if turn else [x0, y0, x1, y1],
             chains_up_to_order(rep, f, scale * scale))
@@ -1310,7 +1324,8 @@ def commuting_jobs():
         generators.append(snapped_doc(config))
     rng = random.Random(5)
     darts = [snapped_doc(concave_quad(rng)) for _ in range(40)]
-    return ([(command, doc) for doc in configs + generators for command in ("boundary", "body")]
+    return ([(command, doc) for doc in configs + generators
+             for command in ("boundary", "body", "graph", "hypergraph")]
             + [("classify32", doc) for doc in generators]
             + [("recognize-pentagon", doc) for doc in shapes]
             + [("construct-quad", doc) for doc in darts])
