@@ -8,8 +8,9 @@ exact: ``build_body`` scales the focal points and the box to integers by one
 power of two, once, and each vertex (X, Y, W), W > 0, is the meet of the two
 rows that carry its edges, rounded to floats once.  The components keep
 their rows and raw clip: the inner cells continue the clip, ``connectivity``
-reads the outer rows, and membership reads their exact signs at a probe
-scaled the same way.
+reads the outer rows, and ``contains_strict``, ``contains`` and ``min_signed``
+read their exact signs at a probe scaled the same way.  ``membership`` decides
+the same body from the focal points alone, exactly, and reads no component.
 ``build_body`` keeps the body of the last config object it was given, so the
 stages of one input share one body (``once_per_input``).
 """
@@ -29,10 +30,8 @@ from .errors import (
     Unbounded,
 )
 from .primitives import (
-    EPS_GEO,
     Point,
     circumcircle,
-    coord_scale,
     dist,
     dyadic_ints,
     incircle,
@@ -123,9 +122,6 @@ class FocalConfig(_Frozen):
     def points(self) -> tuple[Point, ...]:
         return self.inner + self.outer
 
-    def scale(self) -> float:
-        return coord_scale(self.points)
-
 
 _NO_INPUT = object()
 
@@ -159,8 +155,8 @@ class ConvexComponent(_Frozen):
     ``edge_tags[i]`` labels the edge from ``vertices[i]`` to ``vertices[i+1]``:
     a non-negative value is the index of the outer point whose bisector
     carries the edge, negative values are clip-box sides.  ``_exact`` holds
-    the integer rows, box and k of the clip and its raw output; membership reads
-    those rows, so its sign is exact.
+    the integer rows, box and k of the clip and its raw output; ``contains`` and
+    ``min_signed`` read those rows, so their signs are exact.
     """
 
     _fields = ("site", "outer", "clip", "vertices", "edge_tags", "clipped")
@@ -244,11 +240,19 @@ def distance_to_set(q: Point, pts) -> float:
     return best
 
 
-def membership(q: Point, cfg: FocalConfig, tol: float = EPS_GEO) -> str:
-    """Distance-oracle membership of q in the body; never consults components."""
-    dk = distance_to_set(q, cfg.inner)
-    dl = distance_to_set(q, cfg.outer)
-    if abs(dk - dl) <= tol * cfg.scale():
+def membership(q: Point, cfg: FocalConfig) -> str:
+    """Exact membership of q in the body of cfg, from the focal points alone; reads no component.
+
+    q and the focal points are scaled to integers once, and the least squared
+    distance to the inner points is compared with the least to the outer points:
+    ``on_boundary`` exactly when they are equal.  A non-finite q is ``outside``.
+    """
+    if not (math.isfinite(q.x) and math.isfinite(q.y)):
+        return MEMBER_OUTSIDE
+    (x, y, *coords), _ = dyadic_ints([q.x, q.y, *(c for p in cfg.points for c in p)])
+    sq = [(px - x) ** 2 + (py - y) ** 2 for px, py in zip(coords[::2], coords[1::2])]
+    dk, dl = min(sq[:cfg.p]), min(sq[cfg.p:])
+    if dk == dl:
         return MEMBER_BOUNDARY
     return MEMBER_INSIDE if dk < dl else MEMBER_OUTSIDE
 

@@ -21,7 +21,8 @@ from typing import NamedTuple
 from .errors import (CoincidentPoints, CollinearBase, DegenerateRay, NotConcurrent,
                      NumericalDegeneracy)
 
-# Relative tolerance used for double-precision geometric comparisons.
+# Default eps of extract_boundary's vertex merge (relative to the focal points' extent) and of
+# the CLI's --eps; nothing else reads it.
 EPS_GEO = 1e-9
 # Concurrency tolerance of compose_three_reflections: relative to the common point's largest
 # coordinate, and absolute (1e-9) where that coordinate is below 1.
@@ -97,14 +98,6 @@ def dyadic_ints(values) -> tuple[list[int], int]:
     ratios = [v.as_integer_ratio() for v in values]  # denominators are powers of two
     k = max(d.bit_length() for _, d in ratios) - 1
     return [n << (k + 1 - d.bit_length()) for n, d in ratios], k
-
-
-def coord_scale(points) -> float:
-    """Coordinate scale of a point collection: max absolute coordinate (>= fallback 1)."""
-    m = 0.0
-    for p in points:
-        m = max(m, abs(p.x), abs(p.y))
-    return m if m > 0.0 else 1.0
 
 
 def orient(p: Point, q: Point, r: Point) -> int:

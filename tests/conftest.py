@@ -18,11 +18,24 @@ from equidist.body import (
     _float_point,
     build_body,
     convex_hull,
+    distance_to_set,
     is_bounded,
 )
 from equidist.errors import InvalidConfig
 from equidist.polygon import check_regularity, extract_boundary
 from equidist.primitives import Line, Point, dist
+
+
+def coord_scale(cfg: FocalConfig) -> float:
+    """The largest absolute coordinate of cfg's focal points, or 1.0 when every one is 0."""
+    m = max(max(abs(p.x), abs(p.y)) for p in cfg.points)
+    return m if m > 0.0 else 1.0
+
+
+def in_float_band(q: Point, cfg: FocalConfig, band: float) -> bool:
+    """|d_K - d_L| <= band * coord_scale(cfg), in floats, at q: a band about the boundary."""
+    dk, dl = distance_to_set(q, cfg.inner), distance_to_set(q, cfg.outer)
+    return abs(dk - dl) <= band * coord_scale(cfg)
 
 
 def random_bounded_config(rng: random.Random, p_max: int = 4, q_max: int = 6,
@@ -248,7 +261,7 @@ def grid_inside_mask(cfg: FocalConfig, n: int = 400, margin: float = 1e-8):
     dl = np.full(gx.shape, np.inf)
     for p in cfg.outer:
         np.minimum(dl, np.hypot(gx - p.x, gy - p.y), out=dl)
-    return dk < dl - margin * cfg.scale()
+    return dk < dl - margin * coord_scale(cfg)
 
 
 def region_count(mask, min_cells: int = 10) -> int:

@@ -11,6 +11,7 @@ import time
 import pytest
 
 from conftest import (
+    coord_scale,
     grid_inside_mask,
     random_bounded_config,
     random_concave_quad,
@@ -107,7 +108,7 @@ def test_criterion_2_union_oracle_and_split():
         l1, l2 = cfg.outer[:k], cfg.outer[k:]
         comps1 = [convex_component(x, l1, body.clip) for x in cfg.inner]
         comps2 = [convex_component(x, l2, body.clip) for x in cfg.inner]
-        scale = cfg.scale()
+        scale = coord_scale(cfg)
         done = 0
         while done < 1000:
             q = Point(rng.uniform(body.clip.xmin, body.clip.xmax),
@@ -182,7 +183,7 @@ def test_criterion_5_witness_placement():
     vertex_misses = 0
     for cfg, chain in corpus:
         edges = empty_circle_triples(cfg)
-        scale = cfg.scale()
+        scale = coord_scale(cfg)
         centers = []
         for e in edges:
             if e.color == COLOR_MONO_INNER:
@@ -223,7 +224,7 @@ def test_criterion_7_pentagon_round_trip():
     failures = 0
     for _ in range(100):
         cfg, chain = random_pentagon_config(rng)
-        scale = cfg.scale()
+        scale = coord_scale(cfg)
         if len(chain.vertices) != 5:
             failures += 1
             continue

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_bounded_config
+from conftest import coord_scale, random_bounded_config
 from equidist import polygon as polygon_module
 from equidist.body import (
     MEMBER_BOUNDARY,
@@ -259,7 +259,7 @@ def near_side_corpus():
 
 def assert_equidistant(point: Point, cfg: FocalConfig):
     dk, dl = distance_to_set(point, cfg.inner), distance_to_set(point, cfg.outer)
-    assert abs(dk - dl) <= 1e-9 * max(cfg.scale(), dk)
+    assert abs(dk - dl) <= 1e-9 * max(coord_scale(cfg), dk)
 
 
 class TestRadiusBoundsTheBody:
@@ -391,7 +391,7 @@ class TestBuildBody:
         cfg = FocalConfig.of([(-1, 0), (1, 0)], [(10, 0), (-10, 0), (0, 10), (0, -10)])
         body = build_body(cfg)
         rng = random.Random(13)
-        scale = cfg.scale()
+        scale = coord_scale(cfg)
         for _ in range(1000):
             q = Point(rng.uniform(body.clip.xmin, body.clip.xmax),
                       rng.uniform(body.clip.ymin, body.clip.ymax))
@@ -426,7 +426,7 @@ class TestBuildBody:
             body = build_body(cfg)
             comps1 = [convex_component(x, l1, body.clip) for x in cfg.inner]
             comps2 = [convex_component(x, l2, body.clip) for x in cfg.inner]
-            scale = cfg.scale()
+            scale = coord_scale(cfg)
             checked = 0
             for _ in range(200):
                 q = Point(rng.uniform(body.clip.xmin, body.clip.xmax),

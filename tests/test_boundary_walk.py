@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import coord_scale, in_float_band
 from equidist import body as body_module
 from equidist import polygon as polygon_module
 from equidist.body import (
-    MEMBER_BOUNDARY,
     MEMBER_INSIDE,
     FocalConfig,
     build_body,
@@ -133,7 +133,7 @@ def test_former_stitch_failure_closes(tmp_path, capsys, doc):
     result = json.loads(capsys.readouterr().out)["result"]
     assert result["chain_count"] == 1
     cfg = FocalConfig.of(doc["inner"], doc["outer"])
-    scale = cfg.scale()
+    scale = coord_scale(cfg)
     verts = [Point(*v) for v in result["chains"][0]["vertices"]]
     assert len(verts) == 23
     for v in verts:
@@ -213,7 +213,7 @@ def _angle(v: Point, u: Point) -> float:
 def _body_on_left(cfg: FocalConfig, a: Point, b: Point) -> bool:
     h = 1e-3
     probe = Point((a.x + b.x) / 2 - h * (b.y - a.y), (a.y + b.y) / 2 + h * (b.x - a.x))
-    return membership(probe, cfg, tol=0.0) == MEMBER_INSIDE
+    return membership(probe, cfg) == MEMBER_INSIDE
 
 
 def assert_walk_turns_through_body(cfg: FocalConfig, chains):
@@ -241,7 +241,7 @@ def assert_walk_turns_through_body(cfg: FocalConfig, chains):
             h = 1e-3 * min(dist(u, v), dist(v, w))
             mid = back - sweep / 2
             probe = Point(v.x + h * math.cos(mid), v.y + h * math.sin(mid))
-            assert membership(probe, cfg, tol=0.0) == MEMBER_INSIDE
+            assert membership(probe, cfg) == MEMBER_INSIDE
 
 
 def assert_lowest_first_and_sorted(chains):
@@ -275,9 +275,9 @@ def test_chains_agree_with_distance_oracle_at_pinches_and_holes():
         rng = random.Random(seed)
         for _ in range(300):
             q = Point(rng.uniform(clip.xmin, clip.xmax), rng.uniform(clip.ymin, clip.ymax))
-            m = membership(q, cfg, tol=1e-7)
-            if m == MEMBER_BOUNDARY:
+            if in_float_band(q, cfg, 1e-7):
                 continue
+            m = membership(q, cfg)
             inside = sum(point_in_polygon(q, ch.vertices) for ch in chains) % 2 == 1
             assert inside == (m == MEMBER_INSIDE)
         checked += 1

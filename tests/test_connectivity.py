@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import grid_inside_mask, random_bounded_config, region_count
+from conftest import coord_scale, grid_inside_mask, random_bounded_config, region_count
 from equidist.body import FocalConfig, build_body, convex_component, membership
 from equidist.connectivity import (
     RepGraph,
@@ -197,7 +197,7 @@ class TestCheckPolytope:
         dl = np.full(gx.shape, np.inf)
         for p in cfg.outer:
             np.minimum(dl, np.hypot(gx - p.x, gy - p.y), out=dl)
-        outside = dk > dl + 1e-8 * cfg.scale()
+        outside = dk > dl + 1e-8 * coord_scale(cfg)
         _, n_out = ndimage.label(outside)
         assert n_out == 2  # unbounded part plus the hole
 

@@ -10,6 +10,7 @@ keeps is listed here, where it stands.
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import pathlib
 import subprocess
@@ -166,3 +167,17 @@ def small_float_literals():
 
 def test_float_tolerances_are_declared():
     assert small_float_literals() == Counter(TOLERANCES)
+
+
+# (public callable, parameter) of every tolerance a caller can pass; a new one is declared here
+TOLERANCE_PARAMETERS = {
+    ("extract_boundary", "eps"),  # the vertex merge of the boundary chains
+}
+
+
+def test_tolerance_parameters_are_declared():
+    found = {(name, param) for name in equidist.__all__
+             if callable(getattr(equidist, name))
+             for param in inspect.signature(getattr(equidist, name)).parameters
+             if param in ("tol", "eps", "tolerance", "atol", "rtol")}
+    assert found == TOLERANCE_PARAMETERS

@@ -21,7 +21,7 @@ import random
 
 import pytest
 
-from conftest import random_generic_32
+from conftest import coord_scale, random_generic_32
 from equidist import body as body_module
 from equidist import cli
 from equidist import polygon as polygon_module
@@ -50,7 +50,7 @@ def float_band_voronoi_check(cfg: FocalConfig, n_samples: int = 10000, seed: int
     cells = [convex_component(x, tuple(p for p in all_points if p != x), clip)
              for x in cfg.inner]
     rng = random.Random(seed)
-    scale = cfg.scale()
+    scale = coord_scale(cfg)
     band = tol * scale
     p_count = cfg.p
 
@@ -103,7 +103,7 @@ def scanned_voronoi_check(cfg: FocalConfig, n_samples: int = 10000, seed: int = 
     cells = [[lines[i][j] for _, j in cell] for i, cell in enumerate(body.inner_cells)]
     all_points = cfg.points
     rng = random.Random(seed)
-    scale = cfg.scale()
+    scale = coord_scale(cfg)
     band = tol * scale
     p_count = cfg.p
 

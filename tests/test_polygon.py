@@ -7,9 +7,14 @@ from itertools import combinations
 
 import pytest
 
-from conftest import random_bounded_config, random_generic_32, random_pentagon_config
+from conftest import (
+    coord_scale,
+    in_float_band,
+    random_bounded_config,
+    random_generic_32,
+    random_pentagon_config,
+)
 from equidist.body import (
-    MEMBER_BOUNDARY,
     MEMBER_INSIDE,
     MEMBER_OUTSIDE,
     FocalConfig,
@@ -273,7 +278,7 @@ class TestExtractBoundary:
         for _ in range(10):
             cfg = random_bounded_config(rng)
             chains = extract_boundary(cfg)
-            scale = cfg.scale()
+            scale = coord_scale(cfg)
             for ch in chains:
                 assert ch.signed_area() > 0
                 n = len(ch.vertices)
@@ -283,13 +288,13 @@ class TestExtractBoundary:
                     mid = Point((a.x + b.x) / 2, (a.y + b.y) / 2)
                     # edge midpoint equidistant from its generating pair
                     assert abs(dist(mid, cfg.inner[i]) - dist(mid, cfg.outer[j])) < 1e-9 * scale
-                    assert membership(mid, cfg, tol=1e-8) == MEMBER_BOUNDARY
+                    assert in_float_band(mid, cfg, 1e-8)
 
     def test_vertices_equidistant(self):
         rng = random.Random(36)
         for _ in range(10):
             cfg = random_bounded_config(rng)
-            scale = cfg.scale()
+            scale = coord_scale(cfg)
             for ch in extract_boundary(cfg):
                 for v in ch.vertices:
                     dk = min(dist(v, p) for p in cfg.inner)
@@ -323,7 +328,7 @@ class TestExtractBoundary:
             edges = empty_circle_triples(cfg)
             centers = [e.circle.center for e in edges
                        if e.color in (COLOR_XYX, COLOR_YXY)]
-            scale = cfg.scale()
+            scale = coord_scale(cfg)
             for ch in chains:
                 for v in ch.vertices:
                     assert min(dist(v, c) for c in centers) < 1e-9 * scale
@@ -338,7 +343,7 @@ class TestExtractBoundary:
             ch = chains[0]
             edges = empty_circle_triples(cfg)
             xyx_centers = [e.circle.center for e in edges if e.color == COLOR_XYX]
-            scale = cfg.scale()
+            scale = coord_scale(cfg)
             n_concave = sum(1 for vi in ch.vertex_info if vi.angle_type == "concave")
             matched = sum(1 for v, vi in zip(ch.vertices, ch.vertex_info)
                           if vi.angle_type == "concave"
@@ -432,9 +437,9 @@ class TestVertexBound:
         for _ in range(3000):
             q = Point(rng.uniform(body.clip.xmin, body.clip.xmax),
                       rng.uniform(body.clip.ymin, body.clip.ymax))
-            m = membership(q, cfg, tol=1e-7)
-            if m == MEMBER_BOUNDARY:
+            if in_float_band(q, cfg, 1e-7):
                 continue
+            m = membership(q, cfg)
             assert point_in_polygon(q, chains[0].vertices) == (m == MEMBER_INSIDE)
         # and every vertex is the circumcenter of a colored hypergraph edge
         edges = empty_circle_triples(cfg)
@@ -442,7 +447,7 @@ class TestVertexBound:
                    if e.color in (COLOR_XYX, COLOR_YXY)]
         assert len(centers) == 12
         for v in chains[0].vertices:
-            assert min(dist(v, c) for c in centers) < 1e-9 * cfg.scale()
+            assert min(dist(v, c) for c in centers) < 1e-9 * coord_scale(cfg)
 
 
 class TestVoronoiCheck:

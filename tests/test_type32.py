@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    coord_scale,
     random_concave_quad,
     random_generic_32,
     random_pentagon_config,
@@ -545,7 +546,7 @@ class TestPseudoFocalPoints:
             cfg, ch = random_pentagon_config(rng)
             pent = label_pentagon(ch.vertices)
             x1, x2 = pseudo_focal_points(pent)
-            scale = cfg.scale()
+            scale = coord_scale(cfg)
             d1 = min(dist(x1, cfg.inner[0]), dist(x1, cfg.inner[1]))
             d2 = min(dist(x2, cfg.inner[0]), dist(x2, cfg.inner[1]))
             assert d1 < 1e-9 * scale and d2 < 1e-9 * scale
@@ -605,7 +606,7 @@ class TestRecognizePentagon:
         cert = recognize_pentagon(chains[0].vertices)
         assert cert is not None
         got = (cert.x1, cert.x2, cert.y1, cert.y2, cert.y3)
-        assert vertex_sets_match(got, COLLIN.points, 1e-9 * COLLIN.scale())
+        assert vertex_sets_match(got, COLLIN.points, 1e-9 * coord_scale(COLLIN))
 
     def test_forward_round_trip(self):
         rng = random.Random(58)
@@ -613,7 +614,7 @@ class TestRecognizePentagon:
             cfg, ch = random_pentagon_config(rng)
             cert = recognize_pentagon(ch.vertices)
             assert cert is not None
-            scale = cfg.scale()
+            scale = coord_scale(cfg)
             got_inner = sorted([(cert.x1.x, cert.x1.y), (cert.x2.x, cert.x2.y)])
             want_inner = sorted([(p.x, p.y) for p in cfg.inner])
             for g, w in zip(got_inner, want_inner):
@@ -638,7 +639,7 @@ class TestRecognizePentagon:
         reversed_ = recognize_pentagon(list(reversed(pts)))
         assert base and rotated and reversed_
         for other in (rotated, reversed_):
-            assert vertex_sets_match((base.x1, base.x2), (other.x1, other.x2), 1e-9 * cfg.scale())
+            assert vertex_sets_match((base.x1, base.x2), (other.x1, other.x2), 1e-9 * coord_scale(cfg))
 
 
 class TestQuadConstruction:
@@ -768,7 +769,7 @@ class TestQuadConstruction:
         cert = default_construction(quad)
         cfg = cert.config()
         chains = extract_boundary(cfg)
-        scale = cfg.scale()
+        scale = coord_scale(cfg)
         doubles = 0
         for v, vi in zip(chains[0].vertices, chains[0].vertex_info):
             refs = ([cfg.inner[i] for i in vi.inner_refs]
