@@ -1,9 +1,12 @@
 """A/B benchmark of two source trees: alternating ``bench/run.py`` runs, summarised per metric.
 
 Runs ``bench/run.py --workload W --seed S --seconds T`` in BASE and in HEAD,
-each from its own root, so each tree's harness times each tree's engine.  The
-pairs alternate their order, base first and then head first, so a drift of
-the machine's speed falls on both sides.  Each run's last line of output is
+each from its own root, so each tree's harness times each tree's engine.
+Without ``--workload`` it compares every workload of this checkout's
+``BENCHMARK.json`` in turn, so a claimed gain and its control come from one
+command, and prints one summary per workload.  The pairs alternate their
+order, base first and then head first, so a drift of the machine's speed
+falls on both sides.  Each run's last line of output is
 its JSON result.  For each end-to-end metric of ``BENCHMARK.json`` the script
 prints the median and quartiles of each side, the relative change of the
 medians, and in how many pairs HEAD was strictly better, in the metric's own
@@ -13,7 +16,7 @@ what ``bench/run.py`` leaves in its own tree.
 Exits 1 if any run prints no result, is not ``correct`` or has failed ops,
 and 0 otherwise.
 
-usage: python scripts/ab_bench.py BASE HEAD --workload W [--pairs N] [--seconds S] [--seed S]
+usage: python scripts/ab_bench.py BASE HEAD [--workload W] [--pairs N] [--seconds S] [--seed S]
 """
 
 from __future__ import annotations
@@ -29,10 +32,10 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def end_to_end() -> list[dict]:
-    """The end-to-end metrics declared in this checkout's BENCHMARK.json."""
+def declared() -> dict:
+    """This checkout's BENCHMARK.json."""
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        return json.load(fh)["end_to_end"]
+        return json.load(fh)
 
 
 def run(tree: str, workload: str, seconds: float, seed: int) -> tuple[dict | None, str]:
@@ -73,25 +76,14 @@ def summary(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> list[str]:
     return lines
 
 
-def main(argv: list[str]) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("base")
-    ap.add_argument("head")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=8.0)
-    ap.add_argument("--seed", type=int, default=1)
-    args = ap.parse_args(argv)
-    if args.pairs < 1:
-        ap.error("--pairs must be at least 1")
-
-    trees = {"base": os.path.abspath(args.base), "head": os.path.abspath(args.head)}
+def compare(trees: dict, workload: str, args, metrics: list[dict]) -> int:
+    """Alternating pairs of runs of one workload, and their summary; returns the bad runs."""
     pairs, bad = [], 0
     for i in range(args.pairs):
         order = ("base", "head") if i % 2 == 0 else ("head", "base")
         results = {}
         for side in order:
-            result, why = run(trees[side], args.workload, args.seconds, args.seed)
+            result, why = run(trees[side], workload, args.seconds, args.seed)
             if result is None:
                 print(f"pair {i + 1} {side}: {why}")
                 bad += 1
@@ -103,10 +95,29 @@ def main(argv: list[str]) -> int:
             results[side] = result
         if len(results) == 2:
             pairs.append((results["base"], results["head"]))
-    print(f"ab_bench: {args.workload}, seed {args.seed}, {len(pairs)} pairs of "
+    print(f"ab_bench: {workload}, seed {args.seed}, {len(pairs)} pairs of "
           f"{args.seconds:g} s runs, {trees['base']} -> {trees['head']}")
     if pairs:
-        print("\n".join(summary(end_to_end(), pairs)))
+        print("\n".join(summary(metrics, pairs)))
+    return bad
+
+
+def main(argv: list[str]) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("base")
+    ap.add_argument("head")
+    ap.add_argument("--workload", help="default: every workload of BENCHMARK.json, in turn")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=8.0)
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+
+    trees = {"base": os.path.abspath(args.base), "head": os.path.abspath(args.head)}
+    bench = declared()
+    workloads = [args.workload] if args.workload else [w["name"] for w in bench["workloads"]]
+    bad = sum(compare(trees, workload, args, bench["end_to_end"]) for workload in workloads)
     if bad:
         print(f"ab_bench: {bad} runs failed or are not correct")
         return 1

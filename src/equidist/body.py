@@ -6,11 +6,12 @@ inner point, each obtained by clipping a box of half-width ``CLIP_SCALE`` body r
 against the perpendicular-bisector half-planes toward every outer point.  The clip is
 exact: ``build_body`` scales the focal points and the box to integers by one
 power of two, once, and each vertex (X, Y, W), W > 0, is the meet of the two
-rows that carry its edges, rounded to floats once.  The components keep
-their rows and raw clip: the inner cells continue the clip, ``connectivity``
-reads the outer rows, and ``contains_strict``, ``contains`` and ``min_signed``
-read their exact signs at a probe scaled the same way.  ``membership`` decides
-the same body from the focal points alone, exactly, and reads no component.
+rows that carry its edges, rounded to floats once, on the first read of a
+component's ``vertices``.  The components keep their rows and raw clip: the
+inner cells continue the clip, ``connectivity`` reads the outer rows, and
+``contains_strict``, ``contains`` and ``min_signed`` read their exact signs at
+a probe scaled the same way; none of them reads a float vertex.  ``membership``
+decides the same body from the focal points alone, exactly, and reads no component.
 ``build_body`` keeps the body of the last config object it was given, so the
 stages of one input share one body (``once_per_input``).
 """
@@ -156,7 +157,10 @@ class ConvexComponent(_Frozen):
     a non-negative value is the index of the outer point whose bisector
     carries the edge, negative values are clip-box sides.  ``_exact`` holds
     the integer rows, box and k of the clip and its raw output; ``contains`` and
-    ``min_signed`` read those rows, so their signs are exact.
+    ``min_signed`` read those rows, so their signs are exact.  A component that
+    ``build_body`` or ``convex_component`` makes builds ``vertices`` and
+    ``edge_tags`` from the raw output on first read, without its zero-length
+    edges; values given to the constructor are kept as given.
     """
 
     _fields = ("site", "outer", "clip", "vertices", "edge_tags", "clipped")
@@ -166,6 +170,15 @@ class ConvexComponent(_Frozen):
                  _exact: tuple):
         vars(self).update(site=site, outer=outer, clip=clip, vertices=vertices,
                           edge_tags=edge_tags, clipped=clipped, _exact=_exact)
+
+    @cached_property
+    def vertices(self) -> tuple[Point, ...]:
+        _, _, k, raw = self._exact
+        return tuple(_float_point(vert, k) for vert, _ in _drop_zero_edges(raw))
+
+    @cached_property
+    def edge_tags(self) -> tuple[int, ...]:
+        return tuple(tag for _, tag in _drop_zero_edges(self._exact[3]))
 
     @cached_property
     def _lines(self) -> list:
@@ -386,6 +399,14 @@ def _exact_clip(rows, box, verts=None, first=0):
     names the row that carries its edge to the next vertex: its index in
     ``rows``, or -1, -2, -3, -4 for the bottom, right, top and left box sides.
     From ``verts``, the raw output of a clip by ``rows[:first]``, it cuts on by the rest.
+
+    A line meets a convex polygon's boundary in one arc, zero-length edges
+    included, so the vertices a row cuts off form one cyclic run.  The row
+    splices the run out for two meets: where the boundary leaves the row's
+    half-plane, on the edge into the run, with row j carrying the new edge, and
+    where it comes back, on the run's last edge, which keeps its row.  The
+    output is the per-vertex clip's, in its order: it starts with the second
+    meet when the run holds vertex 0.
     """
     xmin, ymin, xmax, ymax = box
     lines = [*rows, *_side_rows(box)]
@@ -395,19 +416,25 @@ def _exact_clip(rows, box, verts=None, first=0):
     for j in range(first, len(rows)):
         a, b, c = row = rows[j]
         svals = [c * w - a * x - b * y for (x, y, w), _ in verts]
-        if min(svals, default=0) >= 0:
+        low = min(svals, default=0)
+        if low >= 0:
             continue  # the row cuts nothing off
-        out = []
+        if max(svals) < 0:
+            verts = []  # the row cuts everything off
+            continue
         n = len(verts)
-        for i, (vert, edge) in enumerate(verts):
-            sa, sb = svals[i], svals[i + 1 - n]
-            if sa >= 0:
-                out.append((vert, edge))
-                if sb < 0:
-                    out.append((_meet(lines[edge], row), j))
-            elif sb >= 0:
-                out.append((_meet(lines[edge], row), edge))
-        verts = out
+        p = q = svals.index(low)
+        while svals[p - 1] < 0:
+            p -= 1
+        while svals[q + 1 - n] < 0:
+            q += 1
+        p, q = p % n, q % n  # the cut run is verts p ... q, cyclically
+        leave = (_meet(lines[verts[p - 1][1]], row), j)
+        enter = (_meet(lines[verts[q][1]], row), verts[q][1])
+        if 0 < p <= q:
+            verts = [*verts[:p], leave, enter, *verts[q + 1:]]
+        else:  # the run holds vertex 0
+            verts = [enter, *verts[q + 1:p or n], leave]
     return verts
 
 
@@ -469,12 +496,12 @@ def _meet(r, s):
 def _component(site: Point, outer: tuple, clip: Rect, rows, box, k: int) -> ConvexComponent:
     """The component of ``site``: the box clipped by the first len(outer) of its rows."""
     raw = _exact_clip(rows[:len(outer)], box)
-    clip_out = _drop_zero_edges(raw)
-    verts = tuple(_float_point(vert, k) for vert, _ in clip_out)
-    tags = tuple(tag for _, tag in clip_out)
-    return ConvexComponent(site=site, outer=outer, clip=clip,
-                           vertices=verts, edge_tags=tags, clipped=any(t < 0 for t in tags),
-                           _exact=(rows, box, k, raw))
+    n = len(raw)
+    comp = ConvexComponent.__new__(ConvexComponent)  # vertices and edge_tags on first read
+    vars(comp).update(site=site, outer=outer, clip=clip, _exact=(rows, box, k, raw),
+                      clipped=any(t < 0 and not _same_point(v, raw[i + 1 - n][0])
+                                  for i, (v, t) in enumerate(raw)))
+    return comp
 
 
 def convex_component(site: Point, outer, clip: Rect) -> ConvexComponent:

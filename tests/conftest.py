@@ -16,6 +16,8 @@ from equidist.body import (
     FocalConfig,
     _exact_clip,
     _float_point,
+    _meet,
+    _side_rows,
     build_body,
     convex_hull,
     distance_to_set,
@@ -36,6 +38,37 @@ def in_float_band(q: Point, cfg: FocalConfig, band: float) -> bool:
     """|d_K - d_L| <= band * coord_scale(cfg), in floats, at q: a band about the boundary."""
     dk, dl = distance_to_set(q, cfg.inner), distance_to_set(q, cfg.outer)
     return abs(dk - dl) <= band * coord_scale(cfg)
+
+
+def per_vertex_clip(rows, box, verts=None, first=0):
+    """``body._exact_clip`` as a per-vertex Sutherland-Hodgman loop: the reference for its splice.
+
+    Each vertex is kept when its slack is >= 0, and an edge whose ends have opposite
+    signs gives its meet with the row: carrying the row on the way out, keeping the
+    edge's row on the way in.
+    """
+    xmin, ymin, xmax, ymax = box
+    lines = [*rows, *_side_rows(box)]
+    if verts is None:
+        verts = [((xmin, ymin, 1), -1), ((xmax, ymin, 1), -2), ((xmax, ymax, 1), -3),
+                 ((xmin, ymax, 1), -4)]
+    for j in range(first, len(rows)):
+        a, b, c = row = rows[j]
+        svals = [c * w - a * x - b * y for (x, y, w), _ in verts]
+        if min(svals, default=0) >= 0:
+            continue
+        out = []
+        n = len(verts)
+        for i, (vert, edge) in enumerate(verts):
+            sa, sb = svals[i], svals[i + 1 - n]
+            if sa >= 0:
+                out.append((vert, edge))
+                if sb < 0:
+                    out.append((_meet(lines[edge], row), j))
+            elif sb >= 0:
+                out.append((_meet(lines[edge], row), edge))
+        verts = out
+    return verts
 
 
 def random_bounded_config(rng: random.Random, p_max: int = 4, q_max: int = 6,

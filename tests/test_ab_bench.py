@@ -41,9 +41,9 @@ def trees(tmp_path, base_lines, head_lines):
     return tmp_path / "base", tmp_path / "head"
 
 
-def ab(base, head, *options):
+def ab(base, head, *options, workload="hypergraph-ring"):
     proc = subprocess.run([sys.executable, str(SCRIPT), str(base), str(head),
-                           "--workload", "hypergraph-ring", *options],
+                           *(["--workload", workload] if workload else []), *options],
                           capture_output=True, text=True, timeout=120)
     return proc.returncode, proc.stdout
 
@@ -81,3 +81,19 @@ def test_a_bad_run_fails_the_comparison(tmp_path, bad, says):
     assert code == 1
     assert says in out
     assert "ab_bench: 1 runs failed or are not correct" in out
+
+
+def test_without_a_workload_each_declared_workload_gets_its_summary(tmp_path):
+    declared = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    assert len(declared) == 2
+    base, head = trees(tmp_path, [result(100, 8.0), result(50, 4.0)],
+                       [result(110, 8.0), result(40, 4.0)])
+    code, out = ab(base, head, "--pairs", "1", "--seconds", "0.5", workload=None)
+    assert code == 0, out
+    log = [json.loads(line) for line in (tmp_path / "log.jsonl").read_text().splitlines()]
+    assert [(tree, argv[1]) for tree, _, argv in log] == [
+        ("base", declared[0]), ("head", declared[0]), ("base", declared[1]), ("head", declared[1])]
+    summaries = out.split("ab_bench: ")[1:]
+    assert [text.split(",")[0] for text in summaries] == declared
+    assert row(summaries[0], "ops_per_s")[-4:] == ["+10.00%", "1", "of", "1"]
+    assert row(summaries[1], "ops_per_s")[-4:] == ["-20.00%", "0", "of", "1"]

@@ -656,6 +656,163 @@ class TestOptionDefaults:
         assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
 
+class TestHelpText:
+    """The exact bytes of every ``--help`` and of a usage error, as argparse lays them out.
+
+    Taken with Python 3.11's argparse.  A parser rewrite must keep them.
+    """
+
+    CHOICES = ("{body,graph,boundary,hypergraph,classify32,recognize-pentagon,construct-quad,"
+               "voronoi-check,render}")
+
+    # `equidist [COMMAND] --help` at 80 columns, by command ("" is the top level)
+    HELP = {
+        "": (
+            "usage: equidist [-h]\n"
+            "                " + CHOICES + "\n"
+            "                ...\n"
+            "\n"
+            "Equidistant bodies and polygons of finite focal sets.\n"
+            "\n"
+            "positional arguments:\n"
+            "  " + CHOICES + "\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+        ),
+        "body": (
+            "usage: equidist body [-h] [--out OUT] [--eps EPS] input\n"
+            "\n"
+            "positional arguments:\n"
+            "  input       input JSON file (configuration or shape)\n"
+            "\n"
+            "options:\n"
+            "  -h, --help  show this help message and exit\n"
+            "  --out OUT   output path (report JSON; SVG document for render)\n"
+            "  --eps EPS   relative tolerance (default 1e-09): the boundary chains of body,\n"
+            "              boundary and render merge each run of consecutive vertices\n"
+            "              closer than eps times the extent of the focal points into its\n"
+            "              first member, and start at their lowest vertex\n"
+        ),
+        "graph": (
+            "usage: equidist graph [-h] [--out OUT] input\n"
+            "\n"
+            "positional arguments:\n"
+            "  input       input JSON file (configuration or shape)\n"
+            "\n"
+            "options:\n"
+            "  -h, --help  show this help message and exit\n"
+            "  --out OUT   output path (report JSON; SVG document for render)\n"
+        ),
+        "boundary": (
+            "usage: equidist boundary [-h] [--out OUT] [--eps EPS] input\n"
+            "\n"
+            "positional arguments:\n"
+            "  input       input JSON file (configuration or shape)\n"
+            "\n"
+            "options:\n"
+            "  -h, --help  show this help message and exit\n"
+            "  --out OUT   output path (report JSON; SVG document for render)\n"
+            "  --eps EPS   relative tolerance (default 1e-09): the boundary chains of body,\n"
+            "              boundary and render merge each run of consecutive vertices\n"
+            "              closer than eps times the extent of the focal points into its\n"
+            "              first member, and start at their lowest vertex\n"
+        ),
+        "hypergraph": (
+            "usage: equidist hypergraph [-h] [--out OUT] input\n"
+            "\n"
+            "positional arguments:\n"
+            "  input       input JSON file (configuration or shape)\n"
+            "\n"
+            "options:\n"
+            "  -h, --help  show this help message and exit\n"
+            "  --out OUT   output path (report JSON; SVG document for render)\n"
+        ),
+        "classify32": (
+            "usage: equidist classify32 [-h] [--out OUT] input\n"
+            "\n"
+            "positional arguments:\n"
+            "  input       input JSON file (configuration or shape)\n"
+            "\n"
+            "options:\n"
+            "  -h, --help  show this help message and exit\n"
+            "  --out OUT   output path (report JSON; SVG document for render)\n"
+        ),
+        "recognize-pentagon": (
+            "usage: equidist recognize-pentagon [-h] [--out OUT] input\n"
+            "\n"
+            "positional arguments:\n"
+            "  input       input JSON file (configuration or shape)\n"
+            "\n"
+            "options:\n"
+            "  -h, --help  show this help message and exit\n"
+            "  --out OUT   output path (report JSON; SVG document for render)\n"
+        ),
+        "construct-quad": (
+            "usage: equidist construct-quad [-h] [--out OUT] [--t T] input\n"
+            "\n"
+            "positional arguments:\n"
+            "  input       input JSON file (configuration or shape)\n"
+            "\n"
+            "options:\n"
+            "  -h, --help  show this help message and exit\n"
+            "  --out OUT   output path (report JSON; SVG document for render)\n"
+            "  --t T       construction parameter along the auxiliary ray (default:\n"
+            "              midpoint of the feasible interval)\n"
+        ),
+        "voronoi-check": (
+            "usage: equidist voronoi-check [-h] [--out OUT] [--samples SAMPLES]\n"
+            "                              [--seed SEED]\n"
+            "                              input\n"
+            "\n"
+            "positional arguments:\n"
+            "  input              input JSON file (configuration or shape)\n"
+            "\n"
+            "options:\n"
+            "  -h, --help         show this help message and exit\n"
+            "  --out OUT          output path (report JSON; SVG document for render)\n"
+            "  --samples SAMPLES  sample count for randomized checks\n"
+            "  --seed SEED        seed for the deterministic generator (Mersenne Twister)\n"
+        ),
+        "render": (
+            "usage: equidist render [-h] [--out OUT] [--eps EPS] [--show-circles]\n"
+            "                       [--show-voronoi]\n"
+            "                       input\n"
+            "\n"
+            "positional arguments:\n"
+            "  input           input JSON file (configuration or shape)\n"
+            "\n"
+            "options:\n"
+            "  -h, --help      show this help message and exit\n"
+            "  --out OUT       output path (report JSON; SVG document for render)\n"
+            "  --eps EPS       relative tolerance (default 1e-09): the boundary chains of\n"
+            "                  body, boundary and render merge each run of consecutive\n"
+            "                  vertices closer than eps times the extent of the focal\n"
+            "                  points into its first member, and start at their lowest\n"
+            "                  vertex\n"
+            "  --show-circles  include colored-edge circumcircles\n"
+            "  --show-voronoi  include Voronoi cells of the inner sites\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("command", HELP)
+    def test_help_text(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"] if command else ["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (self.HELP[command], "")
+
+    def test_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(["body"])
+        assert exc.value.code == 2
+        assert capsys.readouterr() == (
+            "", "usage: equidist body [-h] [--out OUT] [--eps EPS] input\n"
+                "equidist body: error: the following arguments are required: input\n")
+
+
 class TestChainStart:
     @pytest.mark.parametrize("cfg", [ring_config(random.Random(3), 8, 12),
                                      grid_config(random.Random(9), 8)], ids=["ring", "grid"])
