@@ -9,9 +9,18 @@ order, base first and then head first, so a drift of the machine's speed
 falls on both sides.  Each run's last line of output is
 its JSON result.  For each end-to-end metric of ``BENCHMARK.json`` the script
 prints the median and quartiles of each side, the relative change of the
-medians, and in how many pairs HEAD was strictly better, in the metric's own
-direction.  It imports no engine code and writes no file; each run leaves
-what ``bench/run.py`` leaves in its own tree.
+medians, in how many pairs HEAD was strictly better, in the metric's own
+direction, and a verdict against the metric's ``bound``:
+
+- ``worse``: the head median is worse than the base median by more than the bound;
+- ``unresolved``: either side's interquartile range exceeds the bound times its
+  median, unless every head run beats every base run;
+- ``gain``: head won at least 9 in 10 of the pairs, and its median beats the base
+  median by more than the base's interquartile range;
+- ``flat``: none of these.
+
+The first that holds is printed.  It imports no engine code and writes no
+file; each run leaves what ``bench/run.py`` leaves in its own tree.
 
 Exits 1 if any run prints no result, is not ``correct`` or has failed ops,
 and 0 otherwise.
@@ -59,10 +68,24 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def verdict(base: list[float], head: list[float], won: int, higher: bool, bound: float) -> str:
+    """worse, unresolved, gain or flat (see the module docstring); head won ``won`` pairs."""
+    sign = 1 if higher else -1
+    (bq1, bmed, bq3), (hq1, hmed, hq3) = quartiles(base), quartiles(head)
+    if sign * (bmed - hmed) > bound * abs(bmed):
+        return "worse"
+    wide = bq3 - bq1 > bound * abs(bmed) or hq3 - hq1 > bound * abs(hmed)
+    if wide and not all(sign * (h - b) > 0 for h in head for b in base):
+        return "unresolved"
+    if 10 * won >= 9 * len(base) and sign * (hmed - bmed) > bq3 - bq1:
+        return "gain"
+    return "flat"
+
+
 def summary(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> list[str]:
-    """A header and one line per metric: medians, quartiles, change and pairs won."""
+    """A header and one line per metric: medians, quartiles, change, pairs won and verdict."""
     lines = [f"{'metric':<18} {'unit':<5} {'base median [q1, q3]':>30} "
-             f"{'head median [q1, q3]':>30} {'change':>8}  head won"]
+             f"{'head median [q1, q3]':>30} {'change':>8}  head won  verdict"]
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
         base = [b["metrics"][name]["value"] for b, _ in pairs]
@@ -72,7 +95,8 @@ def summary(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> list[str]:
         sides = [f"{median:.6g} [{q1:.6g}, {q3:.6g}]" for q1, median, q3 in stats]
         change = stats[1][1] / stats[0][1] - 1 if stats[0][1] else math.nan
         lines.append(f"{name:<18} {metric['unit']:<5} {sides[0]:>30} {sides[1]:>30} "
-                     f"{change:>+8.2%}  {won} of {len(pairs)}")
+                     f"{change:>+8.2%}  {f'{won} of {len(pairs)}':<8}  "
+                     f"{verdict(base, head, won, higher, metric['bound'])}")
     return lines
 
 

@@ -369,18 +369,19 @@ def _integer_rows(sites, outer, clip: Rect):
 
     Row (A, B, C) keeps A*x + B*y <= C, the box is (xmin, ymin, xmax, ymax),
     and all of them are scaled to integers by 2**k.  The sites must lie in the box.
+    Each point p is lifted once to (2 p.x, 2 p.y, |p|^2), and the row of site s
+    toward y is y's lift minus s's.
     """
     for site in sites:
         if not clip.contains(site):
             raise PreconditionViolated(f"clip box does not contain the site {site}")
     values = [v for pt in (*sites, *outer) for v in pt]
     ints, k = dyadic_ints(values + [clip.xmin, clip.ymin, clip.xmax, clip.ymax])
-    m = 2 * len(sites)
-    outer_xy = list(zip(ints[m:-4:2], ints[m + 1:-4:2]))
+    lifts = [(2 * x, 2 * y, x * x + y * y) for x, y in zip(ints[:-4:2], ints[1:-4:2])]
+    m = len(sites)
     rows = []
-    for sx, sy in zip(ints[:m:2], ints[1:m:2]):
-        s2 = sx * sx + sy * sy
-        rows += [(2 * (yx - sx), 2 * (yy - sy), yx * yx + yy * yy - s2) for yx, yy in outer_xy]
+    for sx, sy, s2 in lifts[:m]:
+        rows += [(yx - sx, yy - sy, y2 - s2) for yx, yy, y2 in lifts[m:]]
     return rows, tuple(ints[-4:]), k
 
 

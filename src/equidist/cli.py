@@ -96,31 +96,6 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _json_dict(obj: dict, indent: int) -> str:
-    if not obj:
-        return "{}"
-    inner_pad = "  " * (indent + 1)
-    items = [f'{inner_pad}"{k}": {format_json(v, indent + 1)}' for k, v in obj.items()]
-    return "{\n" + ",\n".join(items) + "\n" + "  " * indent + "}"
-
-
-def _json_list(obj, indent: int) -> str:
-    """Inline when every item is a scalar and the items take fewer than 72 characters."""
-    if not obj:
-        return "[]"
-    simple = all(isinstance(v, (int, float, str, bool)) or v is None for v in obj)
-    parts = [format_json(v, indent + 1) for v in obj]
-    if simple and sum(len(s) for s in parts) < 72:
-        return "[" + ", ".join(parts) + "]"
-    inner_pad = "  " * (indent + 1)
-    return "[\n" + ",\n".join(inner_pad + s for s in parts) + "\n" + "  " * indent + "]"
-
-
-def _json_record(obj, indent: int) -> str:
-    """A report record, a NamedTuple, as the dict of its fields in their order."""
-    return _json_dict(obj._asdict(), indent)
-
-
 # values written on one line
 _INLINE = {
     bool: lambda v: "true" if v else "false",
@@ -130,20 +105,68 @@ _INLINE = {
     str: json.encoder.encode_basestring_ascii,  # what json.dumps returns for a str
     Point: lambda p: f"[{_fmt_float(p.x)}, {_fmt_float(p.y)}]",
 }
-_CONTAINERS = {dict: _json_dict, list: _json_list, tuple: _json_list,
-               FocalRef: _json_record, VertexInfo: _json_record, BoundReport: _json_record}
+# report records, NamedTuples, written as the dict of their fields in their order
+_RECORDS = (FocalRef, VertexInfo, BoundReport)
 
 
-def format_json(obj, indent: int = 0) -> str:
-    """The report text of obj, dispatched on its exact type; any other type is a TypeError."""
+def _write(obj, level: int, out: list) -> None:
+    """Append the report text of obj, nested at level, to out, dispatched on its exact type."""
     kind = type(obj)
     fmt = _INLINE.get(kind)
     if fmt is not None:
-        return fmt(obj)
-    fmt = _CONTAINERS.get(kind)
-    if fmt is not None:
-        return fmt(obj, indent)
-    raise TypeError(f"unsupported report value {obj!r}")
+        out.append(fmt(obj))
+    elif kind is dict or kind in _RECORDS:
+        if not obj:
+            out.append("{}")
+            return
+        pad = "\n" + "  " * (level + 1)
+        sep = "{" + pad
+        for key, value in obj.items() if kind is dict else zip(obj._fields, obj):
+            fmt = _INLINE.get(type(value))
+            if fmt is None:
+                out.append(f'{sep}"{key}": ')
+                _write(value, level + 1, out)
+            else:
+                out.append(f'{sep}"{key}": {fmt(value)}')
+            sep = "," + pad
+        out.append("\n" + "  " * level + "}")
+    elif kind is list or kind is tuple:
+        if not obj:
+            out.append("[]")
+            return
+        pad = "\n" + "  " * (level + 1)
+        if all(isinstance(v, (int, float, str)) or v is None for v in obj):
+            parts = []
+            for value in obj:
+                _write(value, level + 1, parts)
+            # inline when the scalars take fewer than 72 characters
+            if sum(map(len, parts)) < 72:
+                out.append("[" + ", ".join(parts) + "]")
+            else:
+                out.append("[" + pad + ("," + pad).join(parts) + "\n" + "  " * level + "]")
+            return
+        sep = "[" + pad
+        for value in obj:
+            out.append(sep)
+            _write(value, level + 1, out)
+            sep = "," + pad
+        out.append("\n" + "  " * level + "]")
+    else:
+        raise TypeError(f"unsupported report value {obj!r}")
+
+
+def format_json(obj, indent: int = 0) -> str:
+    """The report text of obj, nested at indent: its pieces go to one list, joined once.
+
+    Scalars and Points are written inline, dicts and records (as the dict of their
+    fields in order) one member per line, and a list or tuple inline when every item
+    is a scalar and the items take fewer than 72 characters, else one item per line.
+    Any other type, subclasses included, is a TypeError, and the first non-finite
+    float in document order a NumericalDegeneracy.
+    """
+    out = []
+    _write(obj, indent, out)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

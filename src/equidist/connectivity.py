@@ -6,8 +6,10 @@ component stores at its 2**k scale.  Two cells meet exactly when some disc
 through both sites has no outer point inside it (the empty-circle test for a
 Delaunay edge), and the centres of those discs lie on the sites' bisector.  So
 each weight clips one line by the outer rows: an interval with interior gives
-2, a single point 0 and an empty one -1.  Components of different scalings are
-brought to the larger k by shifts.
+2, a single point 0 and an empty one -1.  The disc on the sites' segment is
+tried first: with no outer point in it or on its circle, the weight is 2 with
+no clip.  Components of different scalings are brought to the larger k by
+shifts.
 """
 
 from __future__ import annotations
@@ -55,6 +57,13 @@ def intersection_dim(a: ConvexComponent, b: ConvexComponent) -> int:
     first outer row minus b's, both at the larger 2**k by shifts.  So each row
     keeps t * d <= e, with d = y*u - x*v and e = x*(x - u) + y*(y - v), which is
     4 (l - a).(l - b): its row C takes no part.
+
+    The smallest such disc is the one on the segment ab, at t = 0 (the Gabriel
+    test; Gabriel & Sokal 1969).  By Thales, e > 0 exactly when l lies outside
+    that closed disc, so when every row has e > 0, t = 0 keeps each of them
+    strictly, the interval has interior and the weight is 2 with no clip.  An
+    outer point on its circle gives e == 0 and goes on to the clip, which may
+    close the interval to that one point.
     """
     if a.outer != b.outer:
         raise MismatchedOuterSet("components must share the outer set")
@@ -65,6 +74,8 @@ def intersection_dim(a: ConvexComponent, b: ConvexComponent) -> int:
     if da:
         rows = [(x << da, y << da, c << 2 * da) for x, y, c in rows]
     u, v = rows[0][0] - (rb[0][0] << db), rows[0][1] - (rb[0][1] << db)
+    if min(x * (x - u) + y * (y - v) for x, y, _ in rows) > 0:  # the disc on ab is empty
+        return 2
     lo = hi = None  # the tightest bounds e / d on t, each with d > 0
     for x, y, _ in rows:
         d, e = y * u - x * v, x * (x - u) + y * (y - v)

@@ -6,6 +6,7 @@ margins between focal points so that rasterized oracles resolve the bodies.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -23,8 +24,10 @@ from equidist.body import (
     distance_to_set,
     is_bounded,
 )
+from equidist.cli import _fmt_float
 from equidist.errors import InvalidConfig
-from equidist.polygon import check_regularity, extract_boundary
+from equidist.polygon import (BoundReport, FocalRef, VertexInfo, check_regularity,
+                              extract_boundary)
 from equidist.primitives import Line, Point, dist
 
 
@@ -69,6 +72,36 @@ def per_vertex_clip(rows, box, verts=None, first=0):
                 out.append((_meet(lines[edge], row), edge))
         verts = out
     return verts
+
+
+def reference_format_json(obj, indent: int = 0) -> str:
+    """``cli.format_json`` as a string-returning recursion: the reference for its one buffer.
+
+    Each container joins the strings of its items, dispatched on their exact type.
+    """
+    pad = "  " * (indent + 1)
+    inline = {bool: lambda v: "true" if v else "false", type(None): lambda v: "null", int: str,
+              float: _fmt_float, str: json.encoder.encode_basestring_ascii,
+              Point: lambda p: f"[{_fmt_float(p.x)}, {_fmt_float(p.y)}]"}
+    kind = type(obj)
+    if kind in inline:
+        return inline[kind](obj)
+    if kind in (FocalRef, VertexInfo, BoundReport):
+        obj, kind = obj._asdict(), dict
+    if kind is dict:
+        if not obj:
+            return "{}"
+        items = [f'{pad}"{k}": {reference_format_json(v, indent + 1)}' for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + "  " * indent + "}"
+    if kind in (list, tuple):
+        if not obj:
+            return "[]"
+        simple = all(isinstance(v, (int, float, str, bool)) or v is None for v in obj)
+        parts = [reference_format_json(v, indent + 1) for v in obj]
+        if simple and sum(len(s) for s in parts) < 72:
+            return "[" + ", ".join(parts) + "]"
+        return "[\n" + ",\n".join(pad + s for s in parts) + "\n" + "  " * indent + "]"
+    raise TypeError(f"unsupported report value {obj!r}")
 
 
 def random_bounded_config(rng: random.Random, p_max: int = 4, q_max: int = 6,

@@ -48,8 +48,17 @@ def ab(base, head, *options, workload="hypergraph-ring"):
     return proc.returncode, proc.stdout
 
 
-def row(out, name):
+def columns(out, name):
     return next(line for line in out.splitlines() if line.startswith(name + " ")).split()
+
+
+def row(out, name):
+    """A metric's columns up to its pairs won."""
+    return columns(out, name)[:-1]
+
+
+def verdict(out, name):
+    return columns(out, name)[-1]
 
 
 def test_summary_of_three_pairs(tmp_path):
@@ -97,3 +106,51 @@ def test_without_a_workload_each_declared_workload_gets_its_summary(tmp_path):
     assert [text.split(",")[0] for text in summaries] == declared
     assert row(summaries[0], "ops_per_s")[-4:] == ["+10.00%", "1", "of", "1"]
     assert row(summaries[1], "ops_per_s")[-4:] == ["-20.00%", "0", "of", "1"]
+
+
+BOUND = {m["name"]: m["bound"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+STEADY = [100, 101, 99, 100, 102, 98, 100, 101, 99, 100]
+
+
+@pytest.mark.parametrize("base_ops, head_ops, says", [
+    # every pair won by 10%, against a base interquartile range of about 1.5
+    (STEADY, [1.1 * v for v in STEADY], "gain"),
+    # won 9 of 10 pairs
+    (STEADY, [1.1 * v for v in STEADY[:9]] + [0.9 * v for v in STEADY[9:]], "gain"),
+    # won 8 of 10 pairs only
+    (STEADY, [1.1 * v for v in STEADY[:8]] + [0.9 * v for v in STEADY[8:]], "flat"),
+    # won every pair, by less than the base's interquartile range
+    (STEADY, [v + 1 for v in STEADY], "flat"),
+    # worse by 25%, beyond the bound of 20%
+    (STEADY, [0.75 * v for v in STEADY], "worse"),
+    # worse by 15%, within the bound
+    (STEADY, [0.85 * v for v in STEADY], "flat"),
+    # the base spreads by more than the bound
+    ([60, 140, 80, 120, 100, 70, 130, 90, 110, 100], [1.05 * v for v in STEADY], "unresolved"),
+    # the head spreads by more than the bound
+    (STEADY, [60, 140, 80, 120, 100, 70, 130, 90, 110, 100], "unresolved"),
+    # both spread widely, but every head run beats every base run
+    ([50, 60, 70, 80, 55, 65, 75, 50, 60, 70], [200, 240, 280, 320, 220, 260, 300, 200, 240, 280],
+     "gain"),
+], ids=["gain", "won-9-of-10", "won-8-of-10", "within-the-spread", "worse", "within-the-bound",
+        "base-spread", "head-spread", "every-head-run-beats-every-base-run"])
+def test_verdicts(tmp_path, base_ops, head_ops, says):
+    assert BOUND["ops_per_s"] == 0.2
+    base, head = trees(tmp_path, [result(v, 8.0) for v in base_ops],
+                       [result(v, 8.0) for v in head_ops])
+    code, out = ab(base, head, "--pairs", "10")
+    assert code == 0, out
+    assert verdict(out, "ops_per_s") == says
+    # equal runs on both sides
+    assert verdict(out, "latency_p50_ms") == verdict(out, "peak_rss_mb") == "flat"
+
+
+def test_lower_is_better_verdicts(tmp_path):
+    base, head = trees(tmp_path, [result(100, v / 10) for v in STEADY],
+                       [result(100, 1.15 * v / 10) for v in STEADY])
+    code, out = ab(base, head, "--pairs", "10")
+    assert code == 0, out
+    # 15% longer: beyond the p50 bound of 12%, within the tail bound of 24% (the tail is 2 * p50)
+    assert (BOUND["latency_p50_ms"], BOUND["latency_tail_ms"]) == (0.12, 0.24)
+    assert verdict(out, "latency_p50_ms") == "worse"
+    assert verdict(out, "latency_tail_ms") == "flat"

@@ -15,8 +15,10 @@ from equidist import polygon as polygon_module
 from equidist import primitives as primitives_module
 from equidist.body import FocalConfig
 from equidist.cli import format_json, main
-from equidist.polygon import BoundReport, FocalRef, VertexInfo, extract_boundary
+from equidist.errors import NumericalDegeneracy
+from equidist.polygon import BoundReport, FocalRef, HyperEdge, VertexInfo, extract_boundary
 from equidist.primitives import EPS_GEO, Circle, Point
+from conftest import reference_format_json
 from test_exact_graph import grid_config, ring_config
 
 SQUARE = {"inner": [[0, 0]], "outer": [[2, 0], [-2, 0], [0, 2], [0, -2]]}
@@ -566,6 +568,91 @@ class TestFormatJson:
     def test_any_other_type_is_a_type_error(self, value):
         with pytest.raises(TypeError, match="unsupported report value"):
             format_json(value)
+
+
+def outcome(fmt, obj, indent=0):
+    """fmt(obj, indent), or the type and message of what it raised."""
+    try:
+        return fmt(obj, indent)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome compared
+        return type(exc), str(exc)
+
+
+def nested(depth):
+    """A value nested depth levels deep, lists, tuples and dicts in turn."""
+    value = Point(0.5, -1.0)
+    for level in range(depth):
+        value = ([value, level], (value,), {"level": level, "inner": value})[level % 3]
+    return value
+
+
+class TestWriterAgainstReference:
+    """The one-buffer writer against the string-returning recursion it replaced, byte for byte."""
+
+    def test_every_report_of_the_compare_reports_matrix(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "scripts"))
+        import compare_reports
+
+        inputs, jobs = compare_reports.matrix()
+        for name, doc in inputs.items():
+            (tmp_path / name).write_text(compare_reports.corpus.dumps(doc), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        written, real = [], cli.format_json
+
+        def both(obj, indent=0):
+            written.append((outcome(real, obj, indent), outcome(reference_format_json, obj, indent)))
+            return real(obj, indent)
+
+        monkeypatch.setattr(cli, "format_json", both)
+        rejected = 0
+        for argv in jobs:
+            try:
+                main(argv)
+            except SystemExit:  # argparse rejects an option the command does not read
+                rejected += 1
+        capsys.readouterr()
+        assert len(written) == len(jobs) - rejected > 130
+        assert all(got == want for got, want in written)
+
+    @pytest.mark.parametrize("value", [
+        {}, [], (), {"a": {}, "b": [], "c": ()}, [[], (), {}],
+        ['quote " backslash \\ newline \n tab \t', "ünïcode ✓", "\x00\x1f\x7f", "\ud800"],
+        {"escaped": "a\"b\\c\u2028", "items": ("\n", "\u00e9")},
+        FocalRef("outer", 3), VertexInfo("convex", "double", (0, 2), (5,)),
+        BoundReport(False, 7, 6), [FocalRef("inner", 0), BoundReport(True, 3, 4)],
+        {"refs": (FocalRef("inner", 1), FocalRef("outer", 2)),
+         "info": [VertexInfo("concave", "single", (1,), (0, 4))]},
+        [True, False, None, 0, -7, 2.5, -0.0, 1e-300, 1e300, Point(1.0, -2.0)],
+        nested(150),
+    ], ids=["dict", "list", "tuple", "empty-members", "empty-items", "escapes",
+            "escaped-members", "FocalRef", "VertexInfo", "BoundReport", "records-in-a-list",
+            "records-in-a-dict", "scalars-and-a-point", "nested-150"])
+    @pytest.mark.parametrize("indent", [0, 3])
+    def test_values(self, value, indent):
+        assert format_json(value, indent) == reference_format_json(value, indent)
+
+    @pytest.mark.parametrize("width", [71, 72, 73])
+    def test_scalar_lists_about_the_inline_width(self, width):
+        items = [12345, 1.5, None, True, "y" * (width - 18)]
+        assert sum(len(reference_format_json(v)) for v in items) == width
+        for value in (items, tuple(items), {"items": items}, [items]):
+            text = format_json(value)
+            assert text == reference_format_json(value)
+            assert ("[12345, 1.5, null, true, " in text) == (width < 72)
+
+    @pytest.mark.parametrize("value", [
+        Point(math.nan, 1.0), Point(1.0, math.inf), Point(math.inf, math.nan),
+        [1.0, math.nan], {"a": [1.0, (2.0, -math.inf)]},
+        {1}, type("Text", (str,), {})("a"), [1, type("Text", (str,), {})("a")],
+        [type("Items", (list,), {})([1])],
+        HyperEdge((FocalRef("inner", 0),) * 3, "mono_inner", Circle(Point(0.0, 0.0), 1.0), None),
+    ], ids=["nan-x", "inf-y", "x-before-y", "nan-in-a-list", "nested-inf", "set",
+            "str-subclass", "str-subclass-in-a-list", "list-subclass", "HyperEdge"])
+    def test_same_exception(self, value):
+        got = outcome(format_json, value)
+        assert isinstance(got, tuple)
+        assert got == outcome(reference_format_json, value)
+        assert got[0] is (NumericalDegeneracy if "value in report" in got[1] else TypeError)
 
 
 class TestOptionDefaults:

@@ -11,6 +11,7 @@ of two and relabelling of the points.
 """
 
 import math
+import pathlib
 import random
 import sys
 from fractions import Fraction
@@ -556,3 +557,71 @@ class TestComponentInvariance:
             assert d.edge_tags == c.edge_tags
             assert d.vertices == tuple(Point(math.ldexp(v.x, k), math.ldexp(v.y, k))
                                        for v in c.vertices)
+
+
+# --- the empty disc on the sites' segment ------------------------------------
+
+def disc_certifies(a, b) -> bool:
+    """Every outer point of a lies outside the closed disc on the segment ab, in Fractions."""
+    (ax, ay), (bx, by) = map(Fraction, a.site), map(Fraction, b.site)
+    return all((Fraction(y.x) - ax) * (Fraction(y.x) - bx)
+               + (Fraction(y.y) - ay) * (Fraction(y.y) - by) > 0 for y in a.outer)
+
+
+def compare_reports_grid(monkeypatch):
+    """The grid input of ``scripts/compare_reports.py`` whose cells touch in five points."""
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "scripts"))
+    import compare_reports
+
+    doc = compare_reports.matrix()[0]["grid-10.json"]
+    return FocalConfig.of(doc["inner"], doc["outer"])
+
+
+def disc_pair(extra):
+    """Components of a = (-1, 0) and b = (1, 0) among far outer points (+-10, 0) and extra."""
+    outer = tuple(Point(*xy) for xy in [(10, 0), (-10, 0), *extra])
+    box = Rect(-20, -20, 20, 20)
+    return [convex_component(Point(x, 0), outer, box) for x in (-1, 1)], box
+
+
+class TestDiscCertificate:
+    """Weight 2 from the empty disc on ab, and the clip for every other pair, against the oracle."""
+
+    def test_ring_grid_and_dense_grid_pairs(self):
+        rng = random.Random(55)
+        configs = ([ring_config(rng, 8) for _ in range(4)]
+                   + [grid_config(rng, rng.randint(2, 8)) for _ in range(20)]
+                   + dense_grid_configs(2))
+        certified = clipped = 0
+        for cfg in configs:
+            body = build_body(cfg)
+            checked_dims(body.components, body.clip)
+            comps = body.components
+            for i, a in enumerate(comps):
+                for b in comps[i + 1:]:
+                    if disc_certifies(a, b):
+                        certified += 1
+                        assert ref_weight(a, b, body.clip) == 2
+                    else:
+                        clipped += 1
+        # both paths run: rings certify nearly every pair, grids often do not
+        assert certified > 0 and clipped > 0
+
+    def test_compare_reports_grid_input_takes_the_clip_on_its_touching_pairs(self, monkeypatch):
+        body = build_body(compare_reports_grid(monkeypatch))
+        assert build_graph(body).edges == ref_edges(body)
+        comps = body.components
+        touching = [(i, j) for i, j, w in build_graph(body).edges if w == 0]
+        assert len(touching) == 5
+        assert not any(disc_certifies(comps[i], comps[j]) for i, j in touching)
+
+    @pytest.mark.parametrize("extra, weight", [
+        ([(0, 1), (0, -1)], 0),  # on the circle on ab (Thales): the cells meet at the origin
+        ([(0, 0.5), (0, -3)], 2),  # inside the disc, but a disc through a and b stays empty
+        ([(0, 0)], -1),  # on the open segment: inside every disc through a and b
+    ], ids=["thales", "inside-the-disc", "on-the-segment"])
+    def test_hand_built_pairs(self, extra, weight):
+        (a, b), box = disc_pair(extra)
+        assert not disc_certifies(a, b)
+        assert intersection_dim(a, b) == intersection_dim(b, a) == weight
+        assert ref_weight(a, b, box) == weight
