@@ -17,6 +17,8 @@ The inputs come from ``bench/corpus.py`` (imported, never changed):
   runs every report, so each starts with the memo slots the one before it left;
 - ``graph`` and ``boundary`` on grid input 10, whose inner cells meet in a single
   point on five pairs (weight 0): the other inputs have weights 2 and -1 only;
+- ``boundary`` and ``body`` on the first 30 grid inputs of seed 6, so that the
+  walk meets cocircular faces, collinear hull points and pinch points;
 - ``classify32`` and ``voronoi-check`` on the (2, 3) configurations that
   generate the corpus pentagons, and ``recognize-pentagon`` and ``render`` on
   the pentagons;
@@ -119,6 +121,9 @@ def matrix() -> tuple[dict, list[list[str]]]:
             jobs += [[cmd[0], name] + cmd[1:] for cmd in CONFIG_COMMANDS]
     inputs["grid-10.json"] = next(itertools.islice(corpus.stream("grid", 3), 10, None))[0]
     jobs += [["graph", "grid-10.json"], ["boundary", "grid-10.json"]]
+    for k, (doc, _) in zip(range(30), corpus.stream("grid", 6)):
+        inputs[f"grid-6-{k}.json"] = doc
+        jobs += [["boundary", f"grid-6-{k}.json"], ["body", f"grid-6-{k}.json"]]
     for k, (shape, config) in zip(range(4), corpus.stream("pentagon", 4)):
         inputs[f"pentagon-{k}.json"], inputs[f"generator-{k}.json"] = shape, config
         jobs += [["recognize-pentagon", f"pentagon-{k}.json"],

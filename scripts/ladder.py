@@ -5,12 +5,13 @@ from ``TREE/src`` and runs the stage k times.  Each run gets a new
 ``FocalConfig``, so no memo slot of an earlier run answers, and what the stage
 reads before it starts is built untimed:
 
-- ``build_body``, ``check_polytope`` (body, graph and walk) and ``_tables`` on
-  a new config;
-- ``inner_cells`` (the first read of the property) and ``build_graph`` on a
-  built body;
-- ``extract_boundary`` on a built body whose inner cells are built: the walk;
-- ``check_regularity`` and ``_delaunay_triangles`` on built tables;
+- ``build_body`` (which clips nothing), ``extract_boundary`` (the body, the
+  tables, the shared gift-wrap and the walk, as a ``boundary`` op pays them),
+  ``check_polytope`` (body, graph and walk) and ``_tables`` on a new config;
+- ``inner_cells`` (the first read of the property: each component's clip and
+  its cell) and ``build_graph`` on a built body;
+- ``check_regularity`` and ``_subdivision``, the gift-wrap that the walk and
+  the hypergraph share, on built tables;
 - ``empty_circle_triples`` after ``check_regularity``: the gift-wrap and the
   circles;
 - ``format_json`` of a ``boundary`` and of a ``hypergraph`` result.
@@ -29,10 +30,15 @@ Sizes: ring (8, 12), (16, 24) and (32, 48) from
 (3,2) stages are not timed here.
 
 The JSON records the tree's commit (``git rev-parse HEAD``), whether its
-``src`` differs from that commit, the Python version and k.  Without
-``--out`` it goes to the first free ``BENCH_<n>.json`` in this checkout's root.
+``src`` differs from that commit, the Python version and k.  With ``--before``,
+each (stage, size) also runs on a second tree, right before the first one, and
+its row carries that tree's times under ``before``, beside its commit.  In a tree
+from before ``_subdivision``, its stage times ``_delaunay_triangles`` on built
+tables.  Without ``--out`` it goes to the first free ``BENCH_<n>.json`` in this
+checkout's root.
 
-usage: python scripts/ladder.py [--tree TREE] [--k K] [--size NAME ...] [--out PATH]
+usage: python scripts/ladder.py [--tree TREE] [--before TREE] [--k K] [--size NAME ...]
+                                [--out PATH]
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ SIZES = {
     "grid": lambda: corpus.grid_config(random.Random(1)),
 }
 STAGES = ("build_body", "inner_cells", "extract_boundary", "build_graph", "check_polytope",
-          "_tables", "check_regularity", "_delaunay_triangles", "empty_circle_triples",
+          "_tables", "check_regularity", "_subdivision", "empty_circle_triples",
           "format_json boundary", "format_json hypergraph")
 
 
@@ -83,17 +89,19 @@ def stages() -> dict:
     def report(command):
         return lambda doc: cli.COMMANDS[command][0](cli.RunConfig(command, "-"), doc)
 
+    gift_wrap = (after(polygon._tables), getattr(polygon, "_subdivision", None))
+    if gift_wrap[1] is None:  # a tree from before the shared subdivision
+        gift_wrap = (lambda doc: polygon._tables(cli.load_config(doc)),
+                     polygon._delaunay_triangles)
     return {
         "build_body": (cli.load_config, build_body),
         "inner_cells": (body, lambda b: b.inner_cells),
-        "extract_boundary": (after(lambda cfg: build_body(cfg).inner_cells),
-                             polygon.extract_boundary),
+        "extract_boundary": (cli.load_config, polygon.extract_boundary),
         "build_graph": (body, build_graph),
         "check_polytope": (cli.load_config, check_polytope),
         "_tables": (cli.load_config, polygon._tables),
         "check_regularity": (after(polygon._tables), polygon.check_regularity),
-        "_delaunay_triangles": (lambda doc: polygon._tables(cli.load_config(doc)),
-                                polygon._delaunay_triangles),
+        "_subdivision": gift_wrap,
         "empty_circle_triples": (after(polygon.check_regularity), polygon.empty_circle_triples),
         "format_json boundary": (report("boundary"), cli.format_json),
         "format_json hypergraph": (report("hypergraph"), cli.format_json),
@@ -142,6 +150,13 @@ def git(tree: str, *args: str) -> str | None:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
+def commit_of(tree: str) -> dict:
+    """The tree's commit, and whether its src differs from it (None outside git)."""
+    commit = git(tree, "rev-parse", "HEAD")
+    return {"commit": commit, "src_differs": None if commit is None else
+            bool(git(tree, "status", "--porcelain", "--", "src"))}
+
+
 def next_path() -> str:
     n = next(n for n in itertools.count(1)
              if not os.path.exists(os.path.join(ROOT, f"BENCH_{n}.json")))
@@ -154,6 +169,7 @@ def main(argv: list[str]) -> int:
         return 0
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tree", default=ROOT, help="source tree whose src is timed (default: this)")
+    ap.add_argument("--before", help="a second tree, timed beside it (its times under 'before')")
     ap.add_argument("--k", type=int, default=5, help="runs per (stage, size); the minimum counts")
     ap.add_argument("--size", action="append", choices=sorted(SIZES),
                     help="sizes to run, repeatable (default: all)")
@@ -162,20 +178,26 @@ def main(argv: list[str]) -> int:
     if args.k < 1:
         ap.error("--k must be at least 1")
     tree = os.path.abspath(args.tree)
+    before = args.before and os.path.abspath(args.before)
+
+    def times(row):
+        return (f"{row['raw_ms']:10.3f} {row['ms']:10.3f}" if "error" not in row
+                else f"{row['error']:>21}")
+
     rows = []
     for size in args.size or SIZES:
         for stage in STAGES:
+            old = before and run_child(before, stage, size, args.k)
             rows.append({"stage": stage, "size": size, **run_child(tree, stage, size, args.k)})
-            times = (f"{rows[-1]['raw_ms']:10.3f} {rows[-1]['ms']:10.3f}"
-                     if "error" not in rows[-1] else f"{rows[-1]['error']:>21}")
-            print(f"{stage:<24} {size:<11} {times}")
-    commit = git(tree, "rev-parse", "HEAD")
-    result = {"commit": commit,
-              "src_differs": None if commit is None else bool(git(tree, "status", "--porcelain",
-                                                                   "--", "src")),
-              "python": platform.python_version(), "k": args.k,
+            print(f"{stage:<24} {size:<11} {times(rows[-1])}"
+                  + (f"   before {times(old)}" if old else ""))
+            if old:
+                rows[-1]["before"] = old
+    result = {**commit_of(tree), "python": platform.python_version(), "k": args.k,
               "units": "raw_ms raw; ms at reference speed (bench/ref.py); kernel_ms raw",
               "stages": rows}
+    if before:
+        result["before"] = commit_of(before)
     out = args.out or next_path()
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)

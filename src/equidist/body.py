@@ -6,14 +6,15 @@ inner point, each obtained by clipping a box of half-width ``CLIP_SCALE`` body r
 against the perpendicular-bisector half-planes toward every outer point.  The clip is
 exact: ``build_body`` scales the focal points and the box to integers by one
 power of two, once, and each vertex (X, Y, W), W > 0, is the meet of the two
-rows that carry its edges, rounded to floats once, on the first read of a
-component's ``vertices``.  The components keep their rows and raw clip: the
-inner cells continue the clip, ``connectivity`` reads the outer rows, and
-``contains_strict``, ``contains`` and ``min_signed`` read their exact signs at
-a probe scaled the same way; none of them reads a float vertex.  ``membership``
-decides the same body from the focal points alone, exactly, and reads no component.
-``build_body`` keeps the body of the last config object it was given, so the
-stages of one input share one body (``once_per_input``).
+rows that carry its edges, rounded to floats once.  A component clips when its
+clip, or the body's ``inner_cells``, which continue it, are first read: ``body``,
+``render`` and ``voronoi-check`` clip, ``boundary`` and ``graph`` do not, since an
+exact disc certificate (``_disc_in_box``) shows that no component reaches the box.
+``connectivity`` reads the outer rows, and ``contains_strict``, ``contains`` and
+``min_signed`` read their exact signs at a probe scaled the same way; none of
+them reads a float vertex.  ``membership`` decides the same body from the focal
+points alone, exactly.  ``build_body`` keeps the body of the last config object
+it was given, so the stages of one input share one body (``once_per_input``).
 """
 
 from __future__ import annotations
@@ -155,12 +156,13 @@ class ConvexComponent(_Frozen):
 
     ``edge_tags[i]`` labels the edge from ``vertices[i]`` to ``vertices[i+1]``:
     a non-negative value is the index of the outer point whose bisector
-    carries the edge, negative values are clip-box sides.  ``_exact`` holds
-    the integer rows, box and k of the clip and its raw output; ``contains`` and
-    ``min_signed`` read those rows, so their signs are exact.  A component that
-    ``build_body`` or ``convex_component`` makes builds ``vertices`` and
-    ``edge_tags`` from the raw output on first read, without its zero-length
-    edges; values given to the constructor are kept as given.
+    carries the edge, negative values are clip-box sides.  ``_frame`` holds
+    the integer rows, box and k of the clip and ``_exact`` adds its raw output;
+    ``contains`` and ``min_signed`` read the rows, so their signs are exact.  A
+    component that ``build_body`` or ``convex_component`` makes clips on the first
+    read of ``_exact``, and of ``vertices``, ``edge_tags`` or ``clipped``, which it
+    builds from the raw output without its zero-length edges; values given to the
+    constructor are kept as given.
     """
 
     _fields = ("site", "outer", "clip", "vertices", "edge_tags", "clipped")
@@ -169,7 +171,13 @@ class ConvexComponent(_Frozen):
                  vertices: tuple[Point, ...], edge_tags: tuple[int, ...], clipped: bool,
                  _exact: tuple):
         vars(self).update(site=site, outer=outer, clip=clip, vertices=vertices,
-                          edge_tags=edge_tags, clipped=clipped, _exact=_exact)
+                          edge_tags=edge_tags, clipped=clipped, _exact=_exact,
+                          _frame=_exact and _exact[:3])
+
+    @cached_property
+    def _exact(self) -> tuple:
+        rows, box, k = self._frame
+        return rows, box, k, _exact_clip(rows[:len(self.outer)], box)
 
     @cached_property
     def vertices(self) -> tuple[Point, ...]:
@@ -181,9 +189,15 @@ class ConvexComponent(_Frozen):
         return tuple(tag for _, tag in _drop_zero_edges(self._exact[3]))
 
     @cached_property
+    def clipped(self) -> bool:
+        raw = self._exact[3]
+        return any(t < 0 and not _same_point(v, raw[i + 1 - len(raw)][0])
+                   for i, (v, t) in enumerate(raw))
+
+    @cached_property
     def _lines(self) -> list:
         """Rows (A, B, C) of the outer points, then the box sides, at the component's 2**k."""
-        rows, box, _, _ = self._exact
+        rows, box, _ = self._frame
         return rows[:len(self.outer)] + _side_rows(box)
 
     @cached_property
@@ -198,7 +212,7 @@ class ConvexComponent(_Frozen):
         """
         if not (math.isfinite(p.x) and math.isfinite(p.y)):
             return -math.inf
-        _, _, k, _ = self._exact
+        k = self._frame[2]
         x, y, w = _scaled(p, k)
         return min(_signed_ratio((c * w - a * x - b * y) << 64, (w << k) * n)
                    for a, b, c, n in self._rows)
@@ -221,7 +235,7 @@ class EquidistantBody(_Frozen):
         """True iff some component has only positive exact slacks at p; False for a non-finite p."""
         if not (math.isfinite(p.x) and math.isfinite(p.y)):
             return False
-        x, y, w = _scaled(p, self.components[0]._exact[2])  # every component shares k
+        x, y, w = _scaled(p, self.components[0]._frame[2])  # every component shares k
         return any(min(c * w - a * x - b * y for a, b, c in comp._lines) > 0
                    for comp in self.components)
 
@@ -288,29 +302,53 @@ def convex_hull(pts) -> list[Point]:
     return hull if len(hull) >= 3 else points[:1] + points[-1:]
 
 
-def _hull_clearance(cfg: FocalConfig) -> float | None:
-    """Least distance from an inner point to a side of the outer hull, rounded once.
+@once_per_input
+def _hull_clearance(cfg: FocalConfig) -> tuple | None:
+    """Least distance r from an inner point to a side of the outer hull, rounded once.
 
     Per side, its least exact cross product with an inner point over its length.  None
-    unless every cross product is positive (a hull of 1 or 2 points has a side each way).
+    unless every cross product is positive (a hull of 1 or 2 points has a side each way),
+    else (r, k, corners, inner, sides): hull corners and inner points at 2**k, and per side
+    its least cross product and squared length.  Kept for the last config object.
     """
     hull = convex_hull(cfg.outer)
     ints, k = dyadic_ints([v for p in (*hull, *cfg.inner) for v in p])
     xy = list(zip(ints[::2], ints[1::2]))
     corners, inner = xy[:len(hull)], xy[len(hull):]
-    r = math.inf
+    r, sides = math.inf, []
     for (ax, ay), (bx, by) in zip(corners, corners[1:] + corners[:1]):
         dx, dy = bx - ax, by - ay
         least = min(dx * y - dy * x for x, y in inner) - (dx * ay - dy * ax)  # (b-a) × (x-a)
         if least <= 0:
             return None
-        r = min(r, (least << 64) / (math.isqrt((dx * dx + dy * dy) << 128) << k))
-    return r
+        sides.append((least, dx * dx + dy * dy))
+        r = min(r, (least << 64) / (math.isqrt(sides[-1][1] << 128) << k))
+    return r, k, corners, inner, sides
 
 
 def is_bounded(cfg: FocalConfig) -> bool:
     """True iff every inner point is strictly inside the hull of the outer set (exact signs)."""
     return _hull_clearance(cfg) is not None
+
+
+def _disc_in_box(cfg: FocalConfig, o: Point, clip: Rect) -> bool:
+    """Exactly whether the disc D(o, c / r) of ``bounding_radius``, unrounded, is in the open box.
+
+    The disc holds the body: take x nearer the inner point xᵢ than every outer point.  The
+    disc of radius r about xᵢ lies in the outer hull, so a corner y has (y - xᵢ).u >= r for
+    u along x - o, so 2r|x - o| <= 2(y - xᵢ).(x - o) <= far - near = 2c, with far and near
+    the largest |y - o|² and least |xᵢ - o|².  With m the least distance from o to a box
+    side, c < r m is (2c)² |b - a|² < 4 least² m² for each hull side, on the integers of
+    ``_hull_clearance`` and of o and the box, brought to one power of two.
+    """
+    _, k, corners, inner, sides = _hull_clearance(cfg)
+    (ox, oy, *box), kb = dyadic_ints([o.x, o.y, *clip])
+    s, t = max(kb - k, 0), max(k - kb, 0)  # shifts to the finer of the two scalings
+    ox, oy, xmin, ymin, xmax, ymax = (v << t for v in (ox, oy, *box))
+    far = max(((x << s) - ox) ** 2 + ((y << s) - oy) ** 2 for x, y in corners)
+    near = min(((x << s) - ox) ** 2 + ((y << s) - oy) ** 2 for x, y in inner)
+    c2, m = (far - near) ** 2, min(ox - xmin, oy - ymin, xmax - ox, ymax - oy)
+    return m > 0 and all(c2 * length < (least * m) ** 2 << 2 * s + 2 for least, length in sides)
 
 
 def _centroid(pts) -> Point:
@@ -329,9 +367,9 @@ def bounding_radius(cfg: FocalConfig) -> float:
     inner set lies strictly inside the outer hull, and NumericalDegeneracy when a squared
     distance or c / r overflows, or c or r is 0.
     """
-    r = _hull_clearance(cfg)
-    if r is None:
+    if (clearance := _hull_clearance(cfg)) is None:
         raise Unbounded("bounding radius requires the inner set inside the outer hull")
+    r = clearance[0]
     o = _centroid(cfg.inner)
     # squares by multiplication, correctly rounded, so a power-of-two scaling scales them exactly
     far = max(u * u + v * v for u, v in ((y.x - o.x, y.y - o.y) for y in cfg.outer))
@@ -495,13 +533,9 @@ def _meet(r, s):
 
 
 def _component(site: Point, outer: tuple, clip: Rect, rows, box, k: int) -> ConvexComponent:
-    """The component of ``site``: the box clipped by the first len(outer) of its rows."""
-    raw = _exact_clip(rows[:len(outer)], box)
-    n = len(raw)
-    comp = ConvexComponent.__new__(ConvexComponent)  # vertices and edge_tags on first read
-    vars(comp).update(site=site, outer=outer, clip=clip, _exact=(rows, box, k, raw),
-                      clipped=any(t < 0 and not _same_point(v, raw[i + 1 - n][0])
-                                  for i, (v, t) in enumerate(raw)))
+    """The component of ``site``: the box clipped by the first len(outer) of its rows when read."""
+    comp = ConvexComponent.__new__(ConvexComponent)
+    vars(comp).update(site=site, outer=outer, clip=clip, _frame=(rows, box, k))
     return comp
 
 
@@ -520,8 +554,9 @@ def build_body(cfg: FocalConfig) -> EquidistantBody:
     """Assemble the body as the union of one convex component per inner point.
 
     The box reaches CLIP_SCALE body radii from the inner centroid, so no component meets it
-    (else NumericalDegeneracy).  Points are scaled once; site i's rows go to outer, then inner.
-    A second call with the same config object returns the same body, inner cells included.
+    (else NumericalDegeneracy): ``_disc_in_box`` shows it, or else the components' clips.
+    Points are scaled once; site i's rows go to outer, then inner.  A second call with the
+    same config object returns the same body, inner cells included.
     """
     radius = bounding_radius(cfg)  # raises Unbounded
     o = _centroid(cfg.inner)
@@ -534,7 +569,7 @@ def build_body(cfg: FocalConfig) -> EquidistantBody:
     n = cfg.q + cfg.p
     components = tuple(_component(x, cfg.outer, clip, rows[i * n:(i + 1) * n], box, k)
                        for i, x in enumerate(cfg.inner))
-    if any(c.clipped for c in components):
+    if not _disc_in_box(cfg, o, clip) and any(c.clipped for c in components):
         raise NumericalDegeneracy(f"a component reaches the clip box at {CLIP_SCALE!r} "
                                   f"times the body radius {radius!r}")
     return EquidistantBody(config=cfg, components=components, clip=clip, radius=radius)

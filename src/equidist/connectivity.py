@@ -67,7 +67,7 @@ def intersection_dim(a: ConvexComponent, b: ConvexComponent) -> int:
     """
     if a.outer != b.outer:
         raise MismatchedOuterSet("components must share the outer set")
-    (ra, _, ka, _), (rb, _, kb, _) = a._exact, b._exact
+    (ra, _, ka), (rb, _, kb) = a._frame, b._frame
     k = max(ka, kb)
     da, db = k - ka, k - kb
     rows = ra[:len(a.outer)]

@@ -9,27 +9,26 @@ regularity loop does no multiplication.  For each pair (a, b) the regularity
 check keys every later point c by its circle through a and b: a zero cross
 product is a collinear triple, and otherwise the key is twice the circle's
 centre along the bisector of ab, an exact rational rounded once.  Points
-sharing a key are confirmed by exact equality of their rationals.  On regular
-input the empty-circumcircle triples are exactly the triangles of the unique
-Delaunay triangulation of K ∪ L, built by gift-wrapping with O(n^2)
+sharing a key are confirmed by exact equality of their rationals.  The
+Delaunay subdivision of K ∪ L, whose faces are the maximal sets of points on
+an empty circle, is built once per config object by gift-wrapping with O(n^2)
 orientation and in-circle signs: each orientation is a sum of cross products,
 each in-circle sign an integer determinant of the points' differences and
-squared distances.  Each triangle's circle comes from the differences and
-squared distances of its lowest index, by the integer core of
-``circumcircle``.  Both reports list triples and quadruples in
-``combinations`` order.
-The inner sites' Voronoi cells in Vor(K ∪ L) are built once per body, by
-``EquidistantBody.inner_cells``: each is its component's exact clip cut
-further by the inner rows.  The boundary walk, ``voronoi_check`` and
-``cell_polygons`` read them.
-The cell edges between an inner and an outer site are exactly the body's boundary.
-The walk turns from one to the next through the inner cells that share their
-end, so a pinch point needs no comparison of directions; refs, angle types,
-orientation and chain order are decided in integers, and vertex 0 of a chain is its
-exactly lowest vertex.  ``eps`` only merges each run of consecutive chain vertices
-closer than eps times the extent of the focal points; a run keeps its first member's point.
-The chains of the last config object and eps are kept (``once_per_input``), so the stages
-of one input walk its boundary once.
+squared distances.  On regular input its faces are the empty-circumcircle
+triples; each circle comes from the differences and squared distances of its
+lowest index, by the integer core of ``circumcircle``.  Both reports list
+triples and quadruples in ``combinations`` order.
+The body is the union of the inner sites' cells in Vor(K ∪ L), so its boundary is
+dual to the subdivision's edges between an inner and an outer point, and its
+vertices are the exact circumcentres of their faces.  The walk turns from one edge
+to the next through the inner points of a face, so a pinch point needs no
+comparison of directions, and only a tied chain start reads the clipped cells;
+refs, angle types, orientation and chain order are decided in integers, and vertex
+0 of a chain is its exactly lowest vertex.  ``eps`` only merges each run of
+consecutive chain vertices closer than eps times the extent of the focal points; a
+run keeps its first member's point.  The chains of the last config object and eps
+are kept (``once_per_input``), so the stages of one input walk its boundary once.
+``voronoi_check`` and ``cell_polygons`` read the exact cells of ``inner_cells``.
 Boundary extraction needs no regularity, so degenerate inputs (concircular
 focal quadruples) are handled by the same code and show up as double-change
 vertices.
@@ -59,7 +58,7 @@ from .primitives import (
     _circumcircle_ints,
     dist,
     dyadic_ints,
-    incircle,
+    incircle,  # with orient, not called here: bench/spans.py counts calls through both
     orient,
     signed_area,
     viewing_angle,
@@ -153,10 +152,6 @@ def labeled_points(cfg: FocalConfig) -> list[tuple[FocalRef, Point]]:
     return refs
 
 
-def ref_point(cfg: FocalConfig, ref: FocalRef) -> Point:
-    return cfg.inner[ref.index] if ref.kind == "inner" else cfg.outer[ref.index]
-
-
 @once_per_input
 def _tables(cfg: FocalConfig) -> tuple:
     """cfg's focal points, in ``labeled_points`` order, scaled to integers once.
@@ -168,8 +163,8 @@ def _tables(cfg: FocalConfig) -> tuple:
     with a zero diagonal.  Every triple's integers are sums of table entries:
     (b - a) x (c - a) = X[a][b] + X[b][c] - X[a][c], the shoelace terms of
     the triangle, and 2 (c - a).(c - b) = S[a][c] + S[b][c] - S[a][b], the law
-    of cosines.  ``check_regularity``, the gift-wrap and the hyperedge circles
-    all read these tables, which are kept for the last config object.
+    of cosines.  ``check_regularity``, the gift-wrap, the hyperedge circles and
+    the walk's vertices read these tables, which are kept for the last config object.
     """
     ints, k = dyadic_ints([v for p in cfg.points for v in p])
     xs, ys = ints[::2], ints[1::2]
@@ -245,58 +240,67 @@ def check_regularity(cfg: FocalConfig) -> RegularityReport:
                                               for quad in concircular))
 
 
-def _delaunay_triangles(tables) -> list[tuple[int, int, int]]:
-    """Index triples, sorted, of the Delaunay triangles of the points of ``_tables``.
+@once_per_input
+def _subdivision(cfg: FocalConfig) -> tuple[list[list[int]], dict]:
+    """The Delaunay subdivision of cfg's points: faces, and the face left of each edge.
 
-    The points must be in general position.  Gift-wrapping: the lowest point
-    by (y, x) and the point that leaves every other one to its left span a
-    hull edge.  Each open directed edge (u, v) is closed by the point w to its
-    left whose circle through u and v holds no other point on that side; such
-    circles are nested there, so one scan that moves to each point found
-    inside the current best circle finds w.  The triangle's two other edges
-    are opened reversed; an edge with no point to its left is a hull edge.
-    Every sign is exact.  z is left of (u, v) when
-    (v - u) x (z - u) = X[u][v] + X[v][z] - X[u][z] > 0, by additions on the
-    cross product table.  z is inside the circle through ccw u, v and w when
-    the determinant of the lifted rows (x, y, x^2 + y^2) of v, w and z
-    relative to u is negative; the rows are the differences of the points and
-    the entries of S in row u, and the minors of v and w are hoisted out of
-    the scan.  The sum is 0 for z = u and for z = v, as X is antisymmetric, so
-    no edge counts its own endpoints as left of it.
+    Each face lists its points counterclockwise, and (u, v) maps to (face, position of
+    u) for each face edge.  A face holds every point on its empty circle, so ties need
+    no general position.  Gift-wrapping: the lowest point by (y, x) and the nearest
+    point on the line that leaves every other point to its left span a hull edge.  An
+    open edge (u, v) is closed by the points to its left on the circle through u and v
+    that holds no point on that side; such circles are nested there, so one scan that
+    moves to each point inside the current best circle finds them.  They go around the
+    circle from v, sorted by their turns at v.  The face's other edges open reversed;
+    one with no point to its left is a hull edge.  z is left of (u, v) when
+    X[u][v] + X[v][z] - X[u][z] > 0, and inside (on) the circle through ccw u, v and w
+    when the determinant of the lifted rows (x, y, x^2 + y^2) of v, w and z relative
+    to u, from the points' differences and row u of S, is negative (0).  X is
+    antisymmetric, so no edge counts its own ends as left of it.  Kept for the last
+    config object: the boundary walk and the hypergraph share it.
     """
-    _, xs, ys, X, S = tables
+    _, xs, ys, X, S = _tables(cfg)
     n = len(xs)
-    if n < 3:
-        return []
+    faces, where = [], {}
     s = min(range(n), key=lambda i: (ys[i], xs[i]))
-    Xs = X[s]
+    Xs, Ss = X[s], S[s]
     t = (s + 1) % n
     for z in range(n):
-        if Xs[t] + X[t][z] < Xs[z]:
+        turn = Xs[t] + X[t][z] - Xs[z]
+        if turn < 0 or turn == 0 and z != s and Ss[z] < Ss[t]:
             t = z
-    closed = set()
-    triangles = []
     stack = [(s, t)]
     while stack:
         u, v = stack.pop()
-        if (u, v) in closed:
+        if (u, v) in where:
             continue
         xu, yu, Xu, Su = xs[u], ys[u], X[u], S[u]
         xuv, vu, vv, vl = Xu[v], xs[v] - xu, ys[v] - yu, Su[v]
         w = None
         for z, xuz, xvz, zl, xz, yz in zip(range(n), Xu, X[v], Su, xs, ys):
-            # the minors of v and w change only when w moves; per candidate they cost time
-            if xuv + xvz > xuz and (w is None or (xz - xu) * mu + (yz - yu) * mv + zl * ml < 0):
-                w = z
+            if xuv + xvz > xuz:
+                if w is not None:
+                    # the minors of v and w change only when w moves
+                    det = (xz - xu) * mu + (yz - yu) * mv + zl * ml
+                    if det >= 0:
+                        if det == 0:
+                            tied.append(z)
+                        continue
+                w, tied = z, []
                 wu, wv, wl = xz - xu, yz - yu, zl
                 mu, mv, ml = vv * wl - wv * vl, vl * wu - wl * vu, vu * wv - wu * vv
         if w is None:
             continue
-        closed.update(((u, v), (v, w), (w, u)))
-        triangles.append(tuple(sorted((u, v, w))))
-        stack += [(w, v), (u, w)]
-    triangles.sort()
-    return triangles
+        face = [u, v, w]
+        if tied:  # around the circle from v: a before b when v, a, b turn left
+            face[2:] = sorted([w, *tied], key=cmp_to_key(lambda a, b: X[v][b] - X[v][a] - X[a][b]))
+        for m, a in enumerate(face):
+            b = face[m + 1 - len(face)]
+            where[a, b] = len(faces), m
+            if m:
+                stack.append((b, a))
+        faces.append(face)
+    return faces, where
 
 
 def _triple_color(kinds) -> str:
@@ -312,8 +316,8 @@ def empty_circle_triples(cfg: FocalConfig) -> tuple[HyperEdge, ...]:
     """All focal triples whose circumcircle contains no focal point strictly inside.
 
     Raises RegularityViolated unless ``check_regularity`` passes.  On regular
-    input these triples are exactly the triangles of the unique Delaunay
-    triangulation of the focal points (``_delaunay_triangles``).  Triples
+    input these triples are exactly the faces of the Delaunay subdivision of the
+    focal points (``_subdivision``), all of them triangles.  Triples
     come in ``combinations`` order.  Colored triples list the lone point in
     the middle and carry its viewing angle of the other two as weight.  Each
     circle is ``circumcircle`` of the sorted triple (a, b, c), computed from
@@ -327,7 +331,7 @@ def empty_circle_triples(cfg: FocalConfig) -> tuple[HyperEdge, ...]:
     tables = _tables(cfg)
     k, xs, ys, _, S = tables
     edges = []
-    for i, j, m in _delaunay_triangles(tables):
+    for i, j, m in sorted(tuple(sorted(face)) for face in _subdivision(cfg)[0]):
         (ra, a), (rb, b), (rc, c) = pts[i], pts[j], pts[m]
         color = _triple_color([ra.kind, rb.kind, rc.kind])
         refs, weight = (ra, rb, rc), None
@@ -369,40 +373,6 @@ def inactive_focals(cfg: FocalConfig, edges) -> tuple[FocalRef, ...]:
     return tuple(ref for ref, _ in labeled_points(cfg) if ref not in active)
 
 
-class WeightBoundReport(NamedTuple):
-    holds: bool
-    attained: bool
-    lhs: float
-    rhs: float
-
-
-def colored_weight_bound(cfg: FocalConfig, edge: HyperEdge) -> WeightBoundReport:
-    """Max-angle form of the empty-circle condition for one colored edge.
-
-    The weight must equal the largest viewing angle of the chord ab on the lone
-    point's side of the chord line, and stay below pi minus the largest
-    viewing angle on the opposite side.  By the inscribed-angle theorem both
-    flags are exact in-circle signs: ``attained`` when no point on the lone
-    point's side lies strictly inside the circle through a, it and b, and
-    ``holds`` when every point on the other side lies strictly outside the
-    circle through a, b and z, the same-side point whose circle holds no
-    other.  ``lhs`` and ``rhs`` are the float angles.
-    """
-    a, v, b = (ref_point(cfg, r) for r in edge.refs)
-    sgn = orient(a, b, v)
-    plus = [z for _, z in labeled_points(cfg) if orient(a, b, z) == sgn]
-    minus = [z for _, z in labeled_points(cfg) if orient(a, b, z) == -sgn]
-    z = v  # circles through a and b are nested on one side: move to each point inside
-    for y in plus:
-        if incircle(a, b, z, y) > 0:
-            z = y
-    lhs = max(viewing_angle(y, a, b) for y in plus)
-    rhs = math.pi - max((viewing_angle(y, a, b) for y in minus), default=0.0)
-    return WeightBoundReport(holds=all(incircle(a, b, z, y) < 0 for y in minus),
-                             attained=all(incircle(a, v, b, y) <= 0 for y in plus),
-                             lhs=lhs, rhs=rhs)
-
-
 def _is_clockwise(verts) -> bool:
     """Exactly whether a closed polygon of homogeneous points (W > 0) has negative area."""
     num, den = 0, 1  # twice the area so far is num / den, den > 0
@@ -423,87 +393,102 @@ _xy_key = cmp_to_key(_xy_cmp)
 
 def cell_polygons(body: EquidistantBody) -> tuple[tuple[Point, ...], ...]:
     """The inner sites' cells in Vor(K ∪ L), as float polygons."""
-    k = body.components[0]._exact[2]
+    k = body.components[0]._frame[2]
     return tuple(tuple(_float_point(vert, k) for vert, _ in cell) for cell in body.inner_cells)
 
 
 def _chains(body: EquidistantBody, eps: float, cycles) -> list[PolygonChain]:
-    """The chains of walked cycles of boundary steps (inner i, exact vertex, row j), sorted.
+    """The chains of walked cycles of steps (inner i, exact vertex, outer j, sites), sorted.
 
-    A step joins the run of its predecessor when their float points are closer
-    than eps times the extent of the body's focal points.  A run becomes one vertex at
-    its first member, or at its exactly lowest step if it is the whole cycle.  The chain
-    starts at the exactly lowest run start, so vertex 0 is its exactly lowest vertex, and
-    a hole is reversed around vertex 0.
+    A vertex is a homogeneous point (X, Y, W), W > 0, at the body's 2**k; its sites,
+    indices into ``labeled_points``, are the focal points nearest it.  A step joins the
+    run of its predecessor when their float points are closer than eps times the extent
+    of the focal points.  A run becomes one vertex at its first member, or at its exactly
+    lowest step if it is the whole cycle.  The chain starts at the exactly lowest run
+    start, so vertex 0 is its exactly lowest vertex, and a hole is reversed around it.
+    Where a cycle passes that vertex twice, or two chains start there, the cells of
+    ``body.inner_cells`` are read, and the steps ordered by inner site and then by their
+    edge in its cell: a cycle is read from its first step, and chains come in that order.
     """
-    cfg = body.config
-    q = cfg.q
-    # Each component keeps its site's block of rows, outer rows first.  The site's
-    # own row (0, 0, 0) cuts nothing and has zero slack, so refs list the site.
-    blocks = [c._exact[0] for c in body.components]
-    k = body.components[0]._exact[2]
-    xs, ys = [p.x for p in cfg.points], [p.y for p in cfg.points]
+    cfg, k = body.config, body.components[0]._frame[2]
+    p = cfg.p
+    xs, ys = [v.x for v in cfg.points], [v.y for v in cfg.points]
     tol = eps * max(max(xs) - min(xs), max(ys) - min(ys))
+    at = []  # per inner cell, the position of its edge on each row
+
+    def rank(step):
+        if not at:
+            at.extend({j: t for t, (_, j) in enumerate(cell)} for cell in body.inner_cells)
+        return step[0], at[step[0]][step[2]]
+
     out = []
     for cycle in filter(None, cycles):
         n = len(cycle)
-        step_pts = [_float_point(vert, k) for _, vert, _ in cycle]
+        step_pts = [_float_point(vert, k) for _, vert, _, _ in cycle]
         joins = [dist(step_pts[m - 1], step_pts[m]) < tol for m in range(n)]
         first = min(range(n), key=lambda m: (joins[m], _xy_key(cycle[m][1])))  # starts a run
+        ties = [m for m in range(n) if cycle[m][1] == cycle[first][1] and joins[m] == joins[first]]
+        if len(ties) > 1:
+            start = min(range(n), key=lambda m: rank(cycle[m]))
+            first = min(ties, key=lambda m: (m - start) % n)
         # per chain vertex: exact point, float point, refs, pair of the leaving edge
         verts, pts, refs, pairs = [], [], [], []
         for m in range(first, first + n):
-            i, vert, j = cycle[m % n]
+            i, vert, j, sites = cycle[m % n]
             if m == first or not joins[m % n]:
                 verts.append(vert)
                 pts.append(step_pts[m % n])
                 refs.append(set())
                 pairs.append(None)
-            x, y, w = vert  # the rows of block i with zero slack: the nearest sites
-            refs[-1].update(r for r, (a, b, c) in enumerate(blocks[i]) if c * w == a * x + b * y)
+            refs[-1].update(sites)
             pairs[-1] = (i, j)  # a run leaves by its last member's edge
         if _is_clockwise(verts):  # a hole: reverse, keeping vertex 0
             verts, pts, refs = ([s[0]] + s[:0:-1] for s in (verts, pts, refs))
             pairs.reverse()
         info = []
         for t, vref in enumerate(refs):
-            inner = tuple(sorted(j - q for j in vref if j >= q))
-            outer = tuple(sorted(j for j in vref if j < q))
+            inner = tuple(sorted(s for s in vref if s < p))
+            outer = tuple(sorted(s - p for s in vref if s >= p))
             change = (CHANGE_DOUBLE if len(inner) >= 2 and len(outer) >= 2
                       else CHANGE_INNER if len(inner) >= 2 else CHANGE_OUTER)
             convex = _orientation_det(verts[t - 1], verts[t], verts[t + 1 - len(verts)]) > 0
             info.append(VertexInfo(angle_type=ANGLE_CONVEX if convex else ANGLE_CONCAVE,
                                    change_type=change, inner_refs=inner, outer_refs=outer))
-        out.append((verts[0], PolygonChain(vertices=tuple(pts), vertex_info=tuple(info),
-                                           edge_pairs=tuple(pairs))))
+        out.append((verts[0], cycle, PolygonChain(vertices=tuple(pts), vertex_info=tuple(info),
+                                                  edge_pairs=tuple(pairs))))
+
     out.sort(key=lambda item: _xy_key(item[0]))
-    return [chain for _, chain in out]
+    if any(a[0] == b[0] for a, b in zip(out, out[1:])):  # two chains start at one vertex
+        out.sort(key=lambda item: (_xy_key(item[0]), min(map(rank, item[1]))))
+    return [chain for _, _, chain in out]
 
 
 @once_per_input
 def _boundary(cfg: FocalConfig, eps: float) -> tuple[PolygonChain, ...]:
     """cfg's chains at eps, walked once per config object and eps (``extract_boundary``)."""
-    body = build_body(cfg)
-    q = cfg.q
-    cells = body.inner_cells
-    at = [{j: t for t, (_, j) in enumerate(cell)} for cell in cells]  # cell i's position of row j
-
-    def successor(i, t):
-        """The boundary edge after edge t of cell i, turning through the inner cells at its end."""
-        t = (t + 1) % len(cells[i])
-        while (j := cells[i][t][1]) >= q:  # shared with cell j - q, listed there on row q + i
-            i, t = j - q, (at[j - q][q + i] + 1) % len(cells[j - q])
-        return i, t
-
-    seen = set()
-    cycles = []
-    for e in ((i, t) for i, cell in enumerate(cells)
-              for t, (_, j) in enumerate(cell) if 0 <= j < q):
+    body = build_body(cfg)  # raises Unbounded or NumericalDegeneracy; clips nothing
+    p = cfg.p
+    k, xs, ys, _, S = _tables(cfg)
+    shift = body.components[0]._frame[2] - k  # the body's scaling is at least as fine
+    faces, where = _subdivision(cfg)
+    seen, cycles = set(), []
+    for e in ((f, m) for f, face in enumerate(faces)
+              for m in range(len(face)) if face[m - 1] >= p > face[m]):
         cycles.append([])
         while e not in seen:
             seen.add(e)
-            cycles[-1].append((e[0], *cells[e[0]][e[1]]))
-            e = successor(*e)
+            f, m = e
+            i, j = faces[f][m], faces[f][m - 1]
+            a, b, c = faces[f][:3]  # the face's exact circumcentre, from its first points
+            bx, by, cx, cy = xs[b] - xs[a], ys[b] - ys[a], xs[c] - xs[a], ys[c] - ys[a]
+            d = 2 * (bx * cy - by * cx)  # > 0: a face is counterclockwise
+            vert = ((xs[a] * d + cy * S[a][b] - by * S[a][c]) << shift,
+                    (ys[a] * d + bx * S[a][c] - cx * S[a][b]) << shift, d)
+            cycles[-1].append((i, vert, j - p, faces[f]))
+            f, m = where[i, j]  # the face on the other side, where j follows i
+            while faces[f][m - 1] < p:  # turn through the inner sites before i
+                m -= 1
+            e = f, m % len(faces[f])
     return tuple(_chains(body, eps, cycles))
 
 
@@ -512,20 +497,20 @@ def extract_boundary(cfg: FocalConfig, eps: float = EPS_GEO) -> list[PolygonChai
 
     The body is the union of the closed Voronoi cells of the inner sites in
     Vor(K ∪ L), so its boundary is exactly the set of cell edges between an inner
-    and an outer site: the edges on outer rows of the exact cells of
-    ``EquidistantBody.inner_cells`` (``build_body`` keeps every cell off the clip
-    box), walked with the body on the left.  The edge after edge t of cell i is edge
-    t + 1 of the cell.  While that edge lies on the inner row q + i', it is also an
-    edge of cell i' on row q + i, listed reversed, and the walk goes on after it in
-    cell i'.  So it turns through the inner cells at the vertex, clockwise from the
-    arriving edge, and at a pinch point it leaves by the first boundary edge of that
-    turn, with no comparison of directions.  Refs, change types, angle types,
+    and an outer site, the duals of such edges of the Delaunay subdivision
+    (``_subdivision``), walked with the body on the left.  A step along the bisector
+    of inner i and outer j runs from the circumcentre of the face where j precedes i
+    to that of the face where j follows i; a face's points are the sites nearest its
+    centre.  There the walk scans back from i to the first inner point that follows
+    an outer one: it turns through the inner cells at the vertex, clockwise from
+    the arriving edge, and at a pinch point it leaves by the first boundary edge of
+    that turn, with no comparison of directions.  Refs, change types, angle types,
     orientation and chain order are decided exactly.  Vertex 0 of a chain is its
-    exactly lowest vertex by (x, y), and chains are sorted by it.  ``eps`` acts in
-    one place only: each maximal run of consecutive chain vertices closer than eps
-    times the extent of the focal points' bounding box is merged into one vertex,
-    which keeps its first member's point and unites the refs, so a vertex the float
-    input realises as a pair a few ulps apart counts once.
+    exactly lowest vertex by (x, y), and chains are sorted by it.  ``eps`` acts in one
+    place only: each maximal run of consecutive chain vertices closer than eps times
+    the extent of the focal points' bounding box is merged into one vertex, which
+    keeps its first member's point and unites the refs, so a vertex the float input
+    realises as a pair a few ulps apart counts once.
 
     The chains of the last config object and eps are kept, so a second call with both
     returns them again, in a new list, even after ``build_body`` has built another body.

@@ -28,7 +28,7 @@ from equidist.cli import _fmt_float
 from equidist.errors import InvalidConfig
 from equidist.polygon import (BoundReport, FocalRef, VertexInfo, check_regularity,
                               extract_boundary)
-from equidist.primitives import Line, Point, dist
+from equidist.primitives import Line, Point, dist, incircle, orient
 
 
 def coord_scale(cfg: FocalConfig) -> float:
@@ -151,6 +151,33 @@ def random_bounded_config(rng: random.Random, p_max: int = 4, q_max: int = 6,
         if grid_friendly and not grid_resolvable(cfg):
             continue
         return cfg
+
+
+def ref_point(cfg: FocalConfig, ref: FocalRef) -> Point:
+    return cfg.inner[ref.index] if ref.kind == "inner" else cfg.outer[ref.index]
+
+
+def colored_weight_bound(cfg: FocalConfig, edge) -> tuple[bool, bool]:
+    """Max-angle form of the empty-circle condition for one colored edge: (holds, attained).
+
+    The weight must equal the largest viewing angle of the chord ab on the lone
+    point's side of the chord line, and stay below pi minus the largest viewing
+    angle on the opposite side.  By the inscribed-angle theorem both flags are
+    exact in-circle signs: ``attained`` when no point on the lone point's side
+    lies strictly inside the circle through a, it and b, and ``holds`` when every
+    point on the other side lies strictly outside the circle through a, b and z,
+    the same-side point whose circle holds no other.
+    """
+    a, v, b = (ref_point(cfg, r) for r in edge.refs)
+    sgn = orient(a, b, v)
+    plus = [z for z in cfg.points if orient(a, b, z) == sgn]
+    minus = [z for z in cfg.points if orient(a, b, z) == -sgn]
+    z = v  # circles through a and b are nested on one side: move to each point inside
+    for y in plus:
+        if incircle(a, b, z, y) > 0:
+            z = y
+    return (all(incircle(a, b, z, y) < 0 for y in minus),
+            all(incircle(a, v, b, y) <= 0 for y in plus))
 
 
 def vertex_sets_match(got, want, tol: float) -> bool:

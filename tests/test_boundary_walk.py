@@ -10,6 +10,7 @@ by 2**30 stays exact; grid inputs are integers already.
 import json
 import math
 import random
+from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
@@ -22,7 +23,11 @@ from equidist import polygon as polygon_module
 from equidist.body import (
     MEMBER_INSIDE,
     FocalConfig,
+    Rect,
+    _centroid,
+    _disc_in_box,
     build_body,
+    convex_hull,
     membership,
 )
 from equidist.cli import main
@@ -35,6 +40,8 @@ from test_exact_graph import (
     MIXED,
     SEEDS,
     SIZES,
+    clip_calls,
+    dense_grid_configs,
     grid_config,
     mapped_config,
     ring_config,
@@ -319,10 +326,21 @@ def angular_extract_boundary(cfg: FocalConfig, eps: float = EPS_GEO) -> list[Pol
     ``EquidistantBody.inner_cells``, are joined at exactly equal homogeneous
     endpoints and walked with the body on the left.  At a pinch point the
     arriving edge continues into the nearest leaving edge clockwise from it,
-    so it turns through a wedge of the body.  The engine's ``_chains`` turns
-    the cycles into chains.
+    so it turns through a wedge of the body.  A vertex's sites are the rows of
+    its cell's block with zero slack there.  The engine's ``_chains`` turns the
+    cycles into chains.
     """
     body = build_body(cfg)
+    p, q = cfg.p, cfg.q
+
+    def step(i, vert, j):
+        """(i, vert, j, the sites nearest vert) for ``_chains``."""
+        x, y, w = vert  # row r of block i is outer r below q and inner r - q from q on
+        sites = [p + r if r < q else r - q
+                 for r, (a, b, c) in enumerate(body.components[i]._exact[0])
+                 if c * w == a * x + b * y]
+        return i, vert, j, sites
+
     edges = []  # (start, end, inner i, outer j): cell edges between inner i and outer j
     for i, cell in enumerate(body.inner_cells):
         for t, (vert, j) in enumerate(cell):
@@ -348,7 +366,7 @@ def angular_extract_boundary(cfg: FocalConfig, eps: float = EPS_GEO) -> list[Pol
         while not seen[e]:
             seen[e] = True
             vert, _, i, j = edges[e]
-            cycles[-1].append((i, vert, j))
+            cycles[-1].append(step(i, vert, j))
             e = successor(e)
     return _chains(body, eps, cycles)
 
@@ -373,6 +391,77 @@ def test_walk_through_cells_matches_angular_walk(monkeypatch, eps):
     for cfg in _pinch_and_hole_corpus():
         assert repr(extract_boundary(cfg, eps=eps)) == repr(angular_extract_boundary(cfg, eps=eps))
     assert turns  # the corpus reaches the angular pinch-point branch
+
+
+def _seeded_corpus():
+    """300 ring (8, 12) and 400 grid bodies from one seed, then 20 dense grids."""
+    rng = random.Random(62)
+    yield from (ring_config(rng, 8, 12) for _ in range(300))
+    yield from (grid_config(rng, rng.randint(2, 8)) for _ in range(400))
+    yield from dense_grid_configs(20)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-9, 1e-3])
+def test_subdivision_walk_matches_cell_walk_on_seeded_corpus(eps):
+    # grids bring cocircular faces, collinear hull points and pinch points
+    for cfg in _seeded_corpus():
+        assert repr(extract_boundary(cfg, eps=eps)) == repr(angular_extract_boundary(cfg, eps=eps))
+
+
+# Chain starts that are ties: a cycle passing its lowest run start twice, and two
+# chains starting at one vertex.  The order of the cells' edges decides them.
+TIED_STARTS = [
+    (FocalConfig.of([[-3, -2], [-1, -3], [-2, 0], [3, -1], [-1, -2], [-2, -3], [0, 0], [0, -2]],
+                    [[4, -1], [-4, -3], [-4, 1], [2, 2], [3, 1], [-2, -1], [2, 4], [0, 3],
+                     [4, 1], [1, -4], [3, -4], [2, -4]]), 0.2),
+    (FocalConfig.of([[0, 1], [-1, -1]], [[-2, -2], [-2, 2], [2, -2], [2, 2], [0, 0], [1, -1]]),
+     0.5),
+]
+
+
+@pytest.mark.parametrize("cfg, eps", TIED_STARTS, ids=["cycle", "chains"])
+def test_tied_starts_follow_the_cells(cfg, eps):
+    chains, clips = clip_calls(extract_boundary, cfg, eps)
+    assert clips and repr(chains) == repr(angular_extract_boundary(cfg, eps=eps))
+
+
+# --- the certificate that no component reaches the clip box ------------------
+
+def test_no_component_reaches_the_box_where_the_certificate_holds():
+    held = 0
+    for cfg in _seeded_corpus():
+        body = build_body(cfg)
+        if _disc_in_box(cfg, _centroid(cfg.inner), body.clip):
+            held += 1
+            assert not any(c.clipped for c in body.components)  # each clips on this read
+    assert held == 720  # the box reaches twice the rounded radius, so the disc fits
+
+
+def _disc_radius_squared(cfg: FocalConfig, o: Point) -> Fraction:
+    """(c / r)^2 of ``bounding_radius`` about o, unrounded."""
+    ox, oy = Fraction(o.x), Fraction(o.y)
+    far = max((Fraction(y.x) - ox) ** 2 + (Fraction(y.y) - oy) ** 2 for y in cfg.outer)
+    near = min((Fraction(x.x) - ox) ** 2 + (Fraction(x.y) - oy) ** 2 for x in cfg.inner)
+    hull = [(Fraction(v.x), Fraction(v.y)) for v in convex_hull(cfg.outer)]
+    r2 = min(min((bx - ax) * (Fraction(x.y) - ay) - (by - ay) * (Fraction(x.x) - ax)
+                 for x in cfg.inner) ** 2 / ((bx - ax) ** 2 + (by - ay) ** 2)
+             for (ax, ay), (bx, by) in zip(hull, hull[1:] + hull[:1]))
+    return ((far - near) / 2) ** 2 / r2
+
+
+def test_certificate_fails_for_a_box_just_inside_the_disc():
+    rng = random.Random(63)
+    configs = [ring_config(rng, 8, 12) for _ in range(10)] + [grid_config(rng, 8) for _ in range(10)]
+    for cfg in configs:
+        o = _centroid(cfg.inner)
+        rho2 = _disc_radius_squared(cfg, o)
+        for scale, fits in ((1 - 2.0**-40, False), (1 + 2.0**-40, True)):
+            h = math.sqrt(rho2) * scale
+            box = Rect(o.x - h, o.y - h, o.x + h, o.y + h)
+            margin = min(Fraction(o.x) - Fraction(box.xmin), Fraction(box.xmax) - Fraction(o.x),
+                         Fraction(o.y) - Fraction(box.ymin), Fraction(box.ymax) - Fraction(o.y))
+            assert (margin**2 > rho2) == fits  # the box is that close to the disc
+            assert _disc_in_box(cfg, o, box) == fits
 
 
 # --- the chains kept per config and eps --------------------------------------

@@ -10,6 +10,7 @@ exact in floating point: integer translation, 90° rotation, scaling by a power
 of two and relabelling of the points.
 """
 
+import json
 import math
 import pathlib
 import random
@@ -30,6 +31,7 @@ from equidist.body import (
     convex_component,
     is_bounded,
 )
+from equidist.cli import main
 from equidist.connectivity import build_graph, intersection_dim
 from equidist.errors import MismatchedOuterSet, PreconditionViolated
 from equidist.polygon import extract_boundary
@@ -445,9 +447,10 @@ def clip_calls(fn, *args):
 
 
 class TestClipOnce:
-    """Each component is clipped from the box once, each cell continues it, and no weight clips."""
+    """A component is clipped from the box once, when it is read, each cell continues it, and
+    neither a weight nor the boundary clips."""
 
-    def test_rows_cut_per_body(self, monkeypatch):
+    def test_rows_cut_per_body(self, monkeypatch, tmp_path, capsys):
         clip = body_module._exact_clip
         cut = []
 
@@ -458,11 +461,18 @@ class TestClipOnce:
         monkeypatch.setattr(body_module, "_exact_clip", counting)
         p, q = 8, 12
         cfg = ring_config(random.Random(49), p, q)
+        path = tmp_path / "in.json"
+        for doc in (cfg, grid_config(random.Random(49), 8)):
+            path.write_text(json.dumps({"inner": doc.inner, "outer": doc.outer}))
+            assert main(["boundary", str(path)]) == 0  # the walk and the polytope verdict
+            assert '"is_polytope"' in capsys.readouterr().out and cut == []
         body = build_body(cfg)
         build_graph(body)
         extract_boundary(cfg)
-        # p components by q outer rows and p cells by p inner rows; the graph clips nothing
-        assert sum(cut) == p * q + p * p == 160
+        assert cut == []
+        # p components by q outer rows on first read, and p cells by p inner rows
+        assert [c.vertices for c in body.components] and sum(cut) == p * q
+        assert body.inner_cells and sum(cut) == p * q + p * p == 160
 
     def test_ring_graphs_clip_no_pair(self):
         rng = random.Random(50)

@@ -22,7 +22,7 @@ def test_smallest_size_with_one_run(tmp_path):
     stages = result["stages"]
     assert [row["stage"] for row in stages] == [
         "build_body", "inner_cells", "extract_boundary", "build_graph", "check_polytope",
-        "_tables", "check_regularity", "_delaunay_triangles", "empty_circle_triples",
+        "_tables", "check_regularity", "_subdivision", "empty_circle_triples",
         "format_json boundary", "format_json hypergraph"]
     for row in stages:
         # a ring input is regular, so no stage fails on it

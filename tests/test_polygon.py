@@ -8,11 +8,13 @@ from itertools import combinations
 import pytest
 
 from conftest import (
+    colored_weight_bound,
     coord_scale,
     in_float_band,
     random_bounded_config,
     random_generic_32,
     random_pentagon_config,
+    ref_point,
 )
 from equidist.body import (
     MEMBER_INSIDE,
@@ -30,12 +32,10 @@ from equidist.polygon import (
     check_regularity,
     check_vertex_bound,
     classify_vertices,
-    colored_weight_bound,
     empty_circle_triples,
     extract_boundary,
     inactive_focals,
     labeled_points,
-    ref_point,
     voronoi_check,
 )
 from equidist.primitives import Point, circumcircle, dist, incircle, viewing_angle
@@ -200,10 +200,10 @@ class TestEmptyCircleTriples:
                 probe = HyperEdge(refs=refs, color=color,
                                   circle=circumcircle(a, v, b),
                                   weight=viewing_angle(v, a, b))
-                wb = colored_weight_bound(cfg, probe)
+                holds, attained = colored_weight_bound(cfg, probe)
                 # empty circle <=> the weight attains the same-side maximum
                 # and stays below pi minus the opposite-side maximum
-                assert (wb.holds and wb.attained) == empty
+                assert (holds and attained) == empty
 
     def test_weight_flags_are_exact_on_near_concircular_triples(self):
         # one point of an exactly concircular quadruple moved by a few ulps: the
@@ -216,10 +216,10 @@ class TestEmptyCircleTriples:
             pts = [z for _, z in labeled_points(cfg)]
             plus = [z for z in pts if frac_orient_exact(a, b, z) == side]
             minus = [z for z in pts if frac_orient_exact(a, b, z) == -side]
-            wb = colored_weight_bound(cfg, edge)
-            assert wb.attained == all(frac_incircle(a, v, b, z) <= 0 for z in plus)
-            assert wb.holds == all(frac_incircle(a, b, y, z) < 0 for y in plus for z in minus)
-            flags.add((wb.holds, wb.attained))
+            holds, attained = colored_weight_bound(cfg, edge)
+            assert attained == all(frac_incircle(a, v, b, z) <= 0 for z in plus)
+            assert holds == all(frac_incircle(a, b, y, z) < 0 for y in plus for z in minus)
+            flags.add((holds, attained))
         assert flags == {(True, True), (True, False), (False, True)}
 
     def test_witness_placement(self):

@@ -22,8 +22,7 @@ from equidist.cli import RunConfig
 from equidist.connectivity import PolytopeVerdict, RepGraph
 from equidist.errors import InvalidConfig
 from equidist.polygon import (BoundReport, FocalRef, HyperEdge, PolygonChain, RegularityReport,
-                              VertexClassification, VertexInfo, VoronoiReport, WeightBoundReport,
-                              extract_boundary)
+                              VertexClassification, VertexInfo, VoronoiReport, extract_boundary)
 from equidist.primitives import EPS_GEO, Circle, Line, Point
 from equidist.type32 import Certificate32, LabeledPentagon, LabeledQuad, OrderingReport
 
@@ -71,8 +70,6 @@ RECORDS = [
      "inside_count=120, cell_misses=0, overlap_violations=0)",
      "samples ties_skipped agreements disagreements inside_count cell_misses "
      "overlap_violations"),
-    (WeightBoundReport(True, False, 0.5, 1.25),
-     "WeightBoundReport(holds=True, attained=False, lhs=0.5, rhs=1.25)", "holds attained lhs rhs"),
     (LabeledPentagon(A, B, C, D, E),
      "LabeledPentagon(a=Point(x=0.0, y=0.0), b=Point(x=4.0, y=0.0), c=Point(x=3.0, y=1.5), "
      "d=Point(x=4.0, y=4.0), e=Point(x=-0.5, y=2.0))",
