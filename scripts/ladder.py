@@ -1,7 +1,7 @@
 """Stage ladder: each engine stage timed alone over a fixed size ladder, written to BENCH_<n>.json.
 
-Each (stage, size) runs in a fresh child process, which imports ``equidist``
-from ``TREE/src`` and runs the stage k times.  Each run gets a new
+Each (stage, size) runs in fresh child processes, each of which imports
+``equidist`` from ``TREE/src`` and runs the stage k times.  Each run gets a new
 ``FocalConfig``, so no memo slot of an earlier run answers, and what the stage
 reads before it starts is built untimed:
 
@@ -29,13 +29,17 @@ Sizes: ring (8, 12), (16, 24) and (32, 48) from
 ``bench/ref.py`` are imported, never changed.  Whole CLI processes and the
 (3,2) stages are not timed here.
 
-The JSON records the tree's commit (``git rev-parse HEAD``), whether its
-``src`` differs from that commit, the Python version and k.  With ``--before``,
-each (stage, size) also runs on a second tree, right before the first one, and
-its row carries that tree's times under ``before``, beside its commit.  In a tree
-from before ``_subdivision``, its stage times ``_delaunay_triangles`` on built
-tables.  Without ``--out`` it goes to the first free ``BENCH_<n>.json`` in this
-checkout's root.
+Each (stage, size) runs in three children per tree, and its row keeps the
+least raw ms and the least kernel ms of the three, and the ms at reference
+speed of those two.  With ``--before``, a second tree's three children alternate
+with the first tree's in pairs (the second tree first, then the first tree
+first, then the second first), so a change of the machine's load falls on both
+trees; the row carries the second tree's times, taken the same way, under
+``before``, beside its commit.  The JSON records the tree's commit (``git
+rev-parse HEAD``), whether its ``src`` differs from that commit, the Python
+version and k.  In a tree from before ``_subdivision``, its stage times
+``_delaunay_triangles`` on built tables.  Without ``--out`` it goes to the first
+free ``BENCH_<n>.json`` in this checkout's root.
 
 usage: python scripts/ladder.py [--tree TREE] [--before TREE] [--k K] [--size NAME ...]
                                 [--out PATH]
@@ -64,6 +68,7 @@ SIZES = {
     "ring-32-48": lambda: corpus.ring_config(random.Random(32), 32, 48),
     "grid": lambda: corpus.grid_config(random.Random(1)),
 }
+PAIRS = 3  # children per tree and (stage, size); each tree keeps its least times
 STAGES = ("build_body", "inner_cells", "extract_boundary", "build_graph", "check_polytope",
           "_tables", "check_regularity", "_subdivision", "empty_circle_triples",
           "format_json boundary", "format_json hypergraph")
@@ -145,6 +150,19 @@ def run_child(tree: str, stage: str, size: str, k: int) -> dict:
     return done
 
 
+def least_times(children: list[dict]) -> dict:
+    """One tree's times: its children's least raw ms and least kernel ms, and their ms.
+
+    Each minimum is the time least slowed by load, and both are taken before the ratio: the
+    child with the least ratio would be the one whose kernel ran slowest beside its stage.  A
+    stage that raises raises in every child, so its first row stands for all.
+    """
+    if "error" in children[0]:
+        return children[0]
+    raw, kernel = (min(row[key] for row in children) for key in ("raw_ms", "kernel_ms"))
+    return {"raw_ms": raw, "ms": raw * ref.speed_factor(kernel / 1e3), "kernel_ms": kernel}
+
+
 def git(tree: str, *args: str) -> str | None:
     proc = subprocess.run(["git", "-C", tree, *args], capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
@@ -187,9 +205,14 @@ def main(argv: list[str]) -> int:
     rows = []
     for size in args.size or SIZES:
         for stage in STAGES:
-            old = before and run_child(before, stage, size, args.k)
-            rows.append({"stage": stage, "size": size, **run_child(tree, stage, size, args.k)})
-            print(f"{stage:<24} {size:<11} {times(rows[-1])}"
+            sides = [before, tree] if before else [tree]
+            runs = {side: [] for side in sides}
+            for pair in range(PAIRS):  # the order alternates, so load drift falls on both trees
+                for side in sides if pair % 2 == 0 else sides[::-1]:
+                    runs[side].append(run_child(side, stage, size, args.k))
+            new, old = least_times(runs[tree]), before and least_times(runs[before])
+            rows.append({"stage": stage, "size": size, **new})
+            print(f"{stage:<24} {size:<11} {times(new)}"
                   + (f"   before {times(old)}" if old else ""))
             if old:
                 rows[-1]["before"] = old

@@ -158,10 +158,12 @@ class ConvexComponent(_Frozen):
     a non-negative value is the index of the outer point whose bisector
     carries the edge, negative values are clip-box sides.  ``_frame`` holds
     the integer rows, box and k of the clip and ``_exact`` adds its raw output;
-    ``contains`` and ``min_signed`` read the rows, so their signs are exact.  A
-    component that ``build_body`` or ``convex_component`` makes clips on the first
-    read of ``_exact``, and of ``vertices``, ``edge_tags`` or ``clipped``, which it
-    builds from the raw output without its zero-length edges; values given to the
+    ``contains`` and ``min_signed`` read the rows, so their signs are exact, and
+    ``connectivity.intersection_dim`` reads the outer rows and their squared lengths,
+    computed once per component (``_squared_lengths``).  A component that
+    ``build_body`` or ``convex_component`` makes clips on the first read of
+    ``_exact``, and of ``vertices``, ``edge_tags`` or ``clipped``, which it builds
+    from the raw output without its zero-length edges; values given to the
     constructor are kept as given.
     """
 
@@ -193,6 +195,11 @@ class ConvexComponent(_Frozen):
         raw = self._exact[3]
         return any(t < 0 and not _same_point(v, raw[i + 1 - len(raw)][0])
                    for i, (v, t) in enumerate(raw))
+
+    @cached_property
+    def _squared_lengths(self) -> list[int]:
+        """x*x + y*y of each outer row (x, y, c), at the component's 2**k: 4 |l - site|^2."""
+        return [x * x + y * y for x, y, _ in self._frame[0][:len(self.outer)]]
 
     @cached_property
     def _lines(self) -> list:

@@ -7,13 +7,14 @@ through both sites has no outer point inside it (the empty-circle test for a
 Delaunay edge), and the centres of those discs lie on the sites' bisector.  So
 each weight clips one line by the outer rows: an interval with interior gives
 2, a single point 0 and an empty one -1.  The disc on the sites' segment is
-tried first: with no outer point in it or on its circle, the weight is 2 with
-no clip.  Components of different scalings are brought to the larger k by
-shifts.
+tried first, from the squared lengths of the two sites' rows toward each outer
+point: with no outer point in it or on its circle, the weight is 2 with no clip.
+Components of different scalings are brought to the larger k by shifts.
 """
 
 from __future__ import annotations
 
+from operator import add
 from typing import NamedTuple
 
 from .body import ConvexComponent, EquidistantBody, FocalConfig, build_body
@@ -63,19 +64,28 @@ def intersection_dim(a: ConvexComponent, b: ConvexComponent) -> int:
     that closed disc, so when every row has e > 0, t = 0 keeps each of them
     strictly, the interval has interior and the weight is 2 with no clip.  An
     outer point on its circle gives e == 0 and goes on to the clip, which may
-    close the interval to that one point.
+    close the interval to that one point.  (x - u, y - v) is b's row toward l, so
+    e is the dot product of the two sites' rows toward l, and 2e = Qa + Qb - (u*u + v*v)
+    with Qa and Qb their squared lengths, which each component computes once
+    (``_squared_lengths``) and a shift by twice the difference of the scalings
+    brings to 2**k.  So the test costs one addition per outer point.
     """
     if a.outer != b.outer:
         raise MismatchedOuterSet("components must share the outer set")
     (ra, _, ka), (rb, _, kb) = a._frame, b._frame
     k = max(ka, kb)
     da, db = k - ka, k - kb
+    u, v = (ra[0][0] << da) - (rb[0][0] << db), (ra[0][1] << da) - (rb[0][1] << db)
+    qa, qb = a._squared_lengths, b._squared_lengths
+    if da:
+        qa = [s << 2 * da for s in qa]
+    if db:
+        qb = [s << 2 * db for s in qb]
+    if min(map(add, qa, qb)) > u * u + v * v:  # the disc on ab is empty
+        return 2
     rows = ra[:len(a.outer)]
     if da:
         rows = [(x << da, y << da, c << 2 * da) for x, y, c in rows]
-    u, v = rows[0][0] - (rb[0][0] << db), rows[0][1] - (rb[0][1] << db)
-    if min(x * (x - u) + y * (y - v) for x, y, _ in rows) > 0:  # the disc on ab is empty
-        return 2
     lo = hi = None  # the tightest bounds e / d on t, each with d > 0
     for x, y, _ in rows:
         d, e = y * u - x * v, x * (x - u) + y * (y - v)

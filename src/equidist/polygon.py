@@ -11,19 +11,21 @@ product is a collinear triple, and otherwise the key is twice the circle's
 centre along the bisector of ab, an exact rational rounded once.  Points
 sharing a key are confirmed by exact equality of their rationals.  The
 Delaunay subdivision of K ∪ L, whose faces are the maximal sets of points on
-an empty circle, is built once per config object by gift-wrapping with O(n^2)
-orientation and in-circle signs: each orientation is a sum of cross products,
-each in-circle sign an integer determinant of the points' differences and
-squared distances.  On regular input its faces are the empty-circumcircle
-triples; each circle comes from the differences and squared distances of its
-lowest index, by the integer core of ``circumcircle``.  Both reports list
-triples and quadruples in ``combinations`` order.
+an empty circle, is built once per config object by gift-wrapping: each point
+left of an open edge is keyed by its circle through the edge's ends, as the
+regularity check keys it, from sums of table entries, and the least key, by
+cross-multiplication, closes the edge.  On regular input its faces are the
+empty-circumcircle triples; each circle comes from the differences and squared
+distances of its lowest index, by the integer core of ``circumcircle``.  Both
+reports list triples and quadruples in ``combinations`` order.
 The body is the union of the inner sites' cells in Vor(K ∪ L), so its boundary is
 dual to the subdivision's edges between an inner and an outer point, and its
 vertices are the exact circumcentres of their faces.  The walk turns from one edge
 to the next through the inner points of a face, so a pinch point needs no
-comparison of directions, and only a tied chain start reads the clipped cells;
-refs, angle types, orientation and chain order are decided in integers, and vertex
+comparison of directions, and only a tied chain start reads the clipped cells.
+Refs and angle types are decided in integers.  Orientation and chain order are
+read from the correctly rounded vertices where a forward error bound or the
+monotonicity of rounding decides them, and in integers where it does not, so vertex
 0 of a chain is its exactly lowest vertex.  ``eps`` only merges each run of
 consecutive chain vertices closer than eps times the extent of the focal points; a
 run keeps its first member's point.  The chains of the last config object and eps
@@ -37,8 +39,10 @@ vertices.
 from __future__ import annotations
 
 import math
+import sys
 from functools import cmp_to_key
 from itertools import repeat
+from operator import mul, neg
 from typing import NamedTuple
 
 from .body import (
@@ -249,13 +253,15 @@ def _subdivision(cfg: FocalConfig) -> tuple[list[list[int]], dict]:
     no general position.  Gift-wrapping: the lowest point by (y, x) and the nearest
     point on the line that leaves every other point to its left span a hull edge.  An
     open edge (u, v) is closed by the points to its left on the circle through u and v
-    that holds no point on that side; such circles are nested there, so one scan that
-    moves to each point inside the current best circle finds them.  They go around the
-    circle from v, sorted by their turns at v.  The face's other edges open reversed;
-    one with no point to its left is a hull edge.  z is left of (u, v) when
-    X[u][v] + X[v][z] - X[u][z] > 0, and inside (on) the circle through ccw u, v and w
-    when the determinant of the lifted rows (x, y, x^2 + y^2) of v, w and z relative
-    to u, from the points' differences and row u of S, is negative (0).  X is
+    that holds no point on that side.  A point z left of (u, v) has
+    cross = X[u][v] + X[v][z] - X[u][z] > 0, and its circle through u and v is keyed,
+    as in ``check_regularity``, by num / cross with num = S[u][z] + S[v][z] - S[u][v]:
+    twice the cotangent of the angle u z v, so the key orders the circles' centres
+    along the bisector of uv, and the circle whose centre lies least far to the left
+    holds no left point.  Keys are compared by cross-multiplication: the face's points
+    are the left points of the least key, the first of them found and every one tied
+    with it.  They go around the circle from v, sorted by their turns at v.  The face's
+    other edges open reversed; one with no point to its left is a hull edge.  X is
     antisymmetric, so no edge counts its own ends as left of it.  Kept for the last
     config object: the boundary walk and the hypergraph share it.
     """
@@ -274,21 +280,19 @@ def _subdivision(cfg: FocalConfig) -> tuple[list[list[int]], dict]:
         u, v = stack.pop()
         if (u, v) in where:
             continue
-        xu, yu, Xu, Su = xs[u], ys[u], X[u], S[u]
-        xuv, vu, vv, vl = Xu[v], xs[v] - xu, ys[v] - yu, Su[v]
+        xuv, suv = X[u][v], S[u][v]
         w = None
-        for z, xuz, xvz, zl, xz, yz in zip(range(n), Xu, X[v], Su, xs, ys):
-            if xuv + xvz > xuz:
+        for z, xuz, xvz, suz, svz in zip(range(n), X[u], X[v], S[u], S[v]):
+            cross = xuv + xvz - xuz
+            if cross > 0:
+                num = suz + svz - suv
                 if w is not None:
-                    # the minors of v and w change only when w moves
-                    det = (xz - xu) * mu + (yz - yu) * mv + zl * ml
-                    if det >= 0:
-                        if det == 0:
+                    order = num * least_cross - least_num * cross  # the keys' difference, times both
+                    if order >= 0:
+                        if order == 0:
                             tied.append(z)
                         continue
-                w, tied = z, []
-                wu, wv, wl = xz - xu, yz - yu, zl
-                mu, mv, ml = vv * wl - wv * vl, vl * wu - wl * vu, vu * wv - wu * vv
+                w, tied, least_num, least_cross = z, [], num, cross
         if w is None:
             continue
         face = [u, v, w]
@@ -382,6 +386,40 @@ def _is_clockwise(verts) -> bool:
     return num < 0
 
 
+# The float shoelace of correctly rounded points, u = 2**-53: each normal coordinate is
+# within a relative u of the exact one, and a product rounds once more, so each product
+# is within (3u + 14u^2) |product| + 2**-1074 of the exact one (the last term where it
+# underflows).  fsum rounds the sum once; the margin covers it and the bound's own roundings.
+_SHOELACE_ERRBOUND = (3.0 + 64.0 * 2.0 ** -53) * 2.0 ** -53
+_SHOELACE_FLOOR = 2.0 ** -1072  # per vertex: its two products' underflow, with margin
+_MIN_NORMAL = sys.float_info.min
+
+
+def _is_hole(verts, pts) -> bool:
+    """``_is_clockwise(verts)``, from the float shoelace of pts, the points correctly rounded.
+
+    The sign of the float sum decides where it exceeds its forward error bound, as in
+    ``primitives.orient``.  The bound needs each coordinate within a relative 2**-53 of its
+    exact value, so a subnormal coordinate, or 0.0 for a coordinate that is not exactly 0,
+    goes to the exact sum, as does a sum or bound that is not finite.
+    """
+    xs, ys = [p.x for p in pts], [p.y for p in pts]
+    if min(map(abs, xs + ys)) < _MIN_NORMAL and any(
+            abs(c) < _MIN_NORMAL and (c or e) for p, vert in zip(pts, verts)
+            for c, e in zip(p, vert)):  # c rounds e / (W 2**k), vert = (X, Y, W)
+        return _is_clockwise(verts)
+    # the products x_m y_m+1 and -x_m+1 y_m, each rounded once
+    terms = [*map(mul, xs, ys[1:] + ys[:1]), *map(mul, map(neg, xs[1:] + xs[:1]), ys)]
+    try:
+        twice = math.fsum(terms)
+        bound = _SHOELACE_ERRBOUND * math.fsum(map(abs, terms)) + len(pts) * _SHOELACE_FLOOR
+    except (OverflowError, ValueError):  # ValueError: products of +inf and -inf
+        return _is_clockwise(verts)
+    if abs(twice) > bound:  # false for an infinite bound, which any infinite product gives
+        return twice < 0
+    return _is_clockwise(verts)
+
+
 def _xy_cmp(u, v) -> int:
     """Exact lexicographic (x, y) comparison of two homogeneous points (W > 0)."""
     d = u[0] * v[2] - v[0] * u[2] or u[1] * v[2] - v[1] * u[2]
@@ -389,6 +427,15 @@ def _xy_cmp(u, v) -> int:
 
 
 _xy_key = cmp_to_key(_xy_cmp)
+
+
+def _lowest_key(vert, pt: Point) -> tuple:
+    """Sort key of a homogeneous point by its exact (x, y), from pt, its correctly rounded point.
+
+    Correct rounding is monotone, so a smaller float x means a smaller exact x, and only
+    equal float x values compare the exact points (``_xy_key``).
+    """
+    return pt.x, _xy_key(vert)
 
 
 def cell_polygons(body: EquidistantBody) -> tuple[tuple[Point, ...], ...]:
@@ -406,6 +453,9 @@ def _chains(body: EquidistantBody, eps: float, cycles) -> list[PolygonChain]:
     of the focal points.  A run becomes one vertex at its first member, or at its exactly
     lowest step if it is the whole cycle.  The chain starts at the exactly lowest run
     start, so vertex 0 is its exactly lowest vertex, and a hole is reversed around it.
+    Both read the float points first: only run starts of the least float x compare
+    exactly (``_lowest_key``), and the float shoelace decides a hole wherever its error
+    bound allows (``_is_hole``); chains are sorted by the same key.
     Where a cycle passes that vertex twice, or two chains start there, the cells of
     ``body.inner_cells`` are read, and the steps ordered by inner site and then by their
     edge in its cell: a cycle is read from its first step, and chains come in that order.
@@ -426,8 +476,9 @@ def _chains(body: EquidistantBody, eps: float, cycles) -> list[PolygonChain]:
         n = len(cycle)
         step_pts = [_float_point(vert, k) for _, vert, _, _ in cycle]
         joins = [dist(step_pts[m - 1], step_pts[m]) < tol for m in range(n)]
-        first = min(range(n), key=lambda m: (joins[m], _xy_key(cycle[m][1])))  # starts a run
-        ties = [m for m in range(n) if cycle[m][1] == cycle[first][1] and joins[m] == joins[first]]
+        starts = [m for m in range(n) if not joins[m]] or range(n)
+        first = min(starts, key=lambda m: _lowest_key(cycle[m][1], step_pts[m]))
+        ties = [m for m in starts if cycle[m][1] == cycle[first][1]]
         if len(ties) > 1:
             start = min(range(n), key=lambda m: rank(cycle[m]))
             first = min(ties, key=lambda m: (m - start) % n)
@@ -442,7 +493,7 @@ def _chains(body: EquidistantBody, eps: float, cycles) -> list[PolygonChain]:
                 pairs.append(None)
             refs[-1].update(sites)
             pairs[-1] = (i, j)  # a run leaves by its last member's edge
-        if _is_clockwise(verts):  # a hole: reverse, keeping vertex 0
+        if _is_hole(verts, pts):  # reverse, keeping vertex 0
             verts, pts, refs = ([s[0]] + s[:0:-1] for s in (verts, pts, refs))
             pairs.reverse()
         info = []
@@ -457,9 +508,10 @@ def _chains(body: EquidistantBody, eps: float, cycles) -> list[PolygonChain]:
         out.append((verts[0], cycle, PolygonChain(vertices=tuple(pts), vertex_info=tuple(info),
                                                   edge_pairs=tuple(pairs))))
 
-    out.sort(key=lambda item: _xy_key(item[0]))
+    out.sort(key=lambda item: _lowest_key(item[0], item[2].vertices[0]))
     if any(a[0] == b[0] for a, b in zip(out, out[1:])):  # two chains start at one vertex
-        out.sort(key=lambda item: (_xy_key(item[0]), min(map(rank, item[1]))))
+        out.sort(key=lambda item: (_lowest_key(item[0], item[2].vertices[0]),
+                                   min(map(rank, item[1]))))
     return [chain for _, _, chain in out]
 
 

@@ -15,7 +15,9 @@ import math
 import pathlib
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -594,8 +596,18 @@ def disc_pair(extra):
     return [convex_component(Point(x, 0), outer, box) for x in (-1, 1)], box
 
 
+def in_box(site, outer, half_width, m):
+    """``convex_component`` in the box of half-width ``half_width + 2**-m``: its scaling k is m."""
+    h = half_width + 2.0 ** -m
+    return convex_component(site, outer, Rect(-h, -h, h, h))
+
+
 class TestDiscCertificate:
-    """Weight 2 from the empty disc on ab, and the clip for every other pair, against the oracle."""
+    """Weight 2 from the empty disc on ab, and the clip for every other pair, against the oracle.
+
+    The disc test reads each component's squared row lengths, which a pair of different
+    scalings brings to the finer one by shifts.
+    """
 
     def test_ring_grid_and_dense_grid_pairs(self):
         rng = random.Random(55)
@@ -635,3 +647,42 @@ class TestDiscCertificate:
         assert not disc_certifies(a, b)
         assert intersection_dim(a, b) == intersection_dim(b, a) == weight
         assert ref_weight(a, b, box) == weight
+
+    def test_squared_lengths_are_those_of_the_rows(self):
+        rng = random.Random(56)
+        cfg = grid_config(rng, 4)
+        comps = [*build_body(cfg).components,
+                 *(in_box(site, cfg.outer, 8, m) for site in cfg.inner for m in (0, 5))]
+        assert len({c._frame[2] for c in comps}) == 3
+        for c in comps:
+            (sx, sy), k = map(Fraction, c.site), c._frame[2]
+            assert c._squared_lengths == [
+                4 * ((Fraction(l.x) - sx) ** 2 + (Fraction(l.y) - sy) ** 2) * 4 ** k for l in c.outer]
+
+    def test_grid_pairs_of_different_scalings_in_both_orders(self):
+        rng = random.Random(57)
+        weights = Counter()
+        for cfg in [grid_config(rng, rng.randint(2, 8)) for _ in range(12)] + dense_grid_configs(2):
+            clip = build_body(cfg).clip  # it holds every pair's intersection
+            for m, (a_site, b_site) in enumerate(permutations(cfg.inner, 2)):
+                # a at k = 0, b at k = 1 ... 7: the shifts bring b's rows or a's up
+                a, b = in_box(a_site, cfg.outer, 8, 0), in_box(b_site, cfg.outer, 8, 1 + m % 7)
+                assert a._frame[2] != b._frame[2]
+                want = ref_weight(a, b, clip)
+                assert intersection_dim(a, b) == intersection_dim(b, a) == want
+                if disc_certifies(a, b):
+                    assert want == 2
+                weights[want, disc_certifies(a, b)] += 1
+        # weight 2 with and without the disc, and the pairs that touch or miss
+        assert {(2, True), (2, False), (0, False), (-1, False)} <= set(weights)
+
+    @pytest.mark.parametrize("extra, weight", [
+        ([(0, 1)], 2),  # on the circle on ab: the clip finds discs on one side of it empty
+        ([(0, 1), (0, -1)], 0),  # on it both ways: the cells meet at the origin
+    ], ids=["thales-one-side", "thales-both-sides"])
+    def test_thales_points_go_on_to_the_clip_at_different_scalings(self, extra, weight):
+        outer = tuple(Point(*xy) for xy in [(10, 0), (-10, 0), *extra])
+        a, b = in_box(Point(-1, 0), outer, 20, 0), in_box(Point(1, 0), outer, 20, 9)
+        assert not disc_certifies(a, b)
+        assert intersection_dim(a, b) == intersection_dim(b, a) == weight
+        assert ref_weight(a, b, Rect(-20, -20, 20, 20)) == weight

@@ -21,13 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_generic_32
-from equidist.body import FocalConfig
+from equidist.body import FocalConfig, convex_hull
 from equidist.errors import GeometryError, NumericalDegeneracy, RegularityViolated
 from equidist.polygon import (
     COLOR_XYX,
     COLOR_YXY,
     HyperEdge,
     RegularityReport,
+    _subdivision,
     _tables,
     _triple_color,
     check_regularity,
@@ -35,7 +36,8 @@ from equidist.polygon import (
     labeled_points,
 )
 from equidist.primitives import Point, circumcircle, incircle, orient, viewing_angle
-from test_exact_graph import grid_config, mapped_config, ring_config
+from test_exact_graph import dense_grid_configs, grid_config, mapped_config, ring_config
+from test_integer_exact import frac_orient_exact
 
 # Deterministic example generation keeps the suite reproducible run to run.
 EXAMPLES = settings(max_examples=40, deadline=None, derandomize=True)
@@ -418,6 +420,56 @@ class TestDelaunayBeyondBruteForce:
         uses = Counter(frozenset(e) for t in triples for e in combinations(t, 2))
         assert hull <= set(uses)
         assert all(count == (1 if e in hull else 2) for e, count in uses.items())
+
+
+# --- the subdivision against a Fraction oracle on tied inputs -----------------
+
+def frac_circle(a, b, c):
+    """Centre and squared radius of the circle through three points, in Fractions."""
+    (ax, ay), (bx, by), (cx, cy) = (map(Fraction, pt) for pt in (a, b, c))
+    bx, by, cx, cy = bx - ax, by - ay, cx - ax, cy - ay
+    d = 2 * (bx * cy - by * cx)
+    b2, c2 = bx * bx + by * by, cx * cx + cy * cy
+    ux, uy = (cy * b2 - by * c2) / d, (bx * c2 - cx * b2) / d
+    return (ax + ux, ay + uy), ux * ux + uy * uy
+
+
+def frac_twice_area(points) -> Fraction:
+    return sum(Fraction(a.x) * Fraction(b.y) - Fraction(b.x) * Fraction(a.y)
+               for a, b in zip(points, points[1:] + points[:1]))
+
+
+class TestSubdivisionAgainstFractions:
+    """``_subdivision`` on grids, whose points lie four and more on one circle, in Fractions.
+
+    Each face holds every input point on one circle and none inside it, in
+    counterclockwise order around it; ``where`` names each directed face edge, once.
+    The faces' areas add up to the hull's, so no face is missing.
+    """
+
+    def test_grid_and_dense_grid_faces(self):
+        rng = random.Random(63)
+        configs = [grid_config(rng, rng.randint(2, 8)) for _ in range(60)] + dense_grid_configs(6)
+        ties = 0
+        for cfg in configs:
+            points = cfg.points  # the order of labeled_points
+            faces, where = _subdivision(cfg)
+            for face in faces:
+                (ox, oy), r2 = frac_circle(*(points[i] for i in face[:3]))
+                d2 = [(Fraction(pt.x) - ox) ** 2 + (Fraction(pt.y) - oy) ** 2 for pt in points]
+                assert {i for i, d in enumerate(d2) if d <= r2} == set(face)
+                assert all(d2[i] == r2 for i in face)
+                corners = [points[i] for i in face]
+                for m in range(len(face)):  # every other point left of each edge: convex, ccw
+                    a, b = corners[m - 1], corners[m]
+                    assert all(frac_orient_exact(a, b, c) == 1 for c in corners if c not in (a, b))
+                ties += len(face) > 3
+            edges = {(face[m - 1], face[m]): (f, (m - 1) % len(face))
+                     for f, face in enumerate(faces) for m in range(len(face))}
+            assert sum(map(len, faces)) == len(edges) and where == edges
+            assert sum(frac_twice_area([points[i] for i in face]) for face in faces) \
+                == frac_twice_area(convex_hull(points))
+        assert ties  # the grids have faces of four and more points
 
 
 # --- the hyperedge circles from the shared integer frame ----------------------

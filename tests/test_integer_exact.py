@@ -6,7 +6,10 @@ The oracles below are the ``Fraction`` versions of ``primitives._orient_exact``,
 ``polygon._is_clockwise``, plus the Fraction key that ordered chains by their
 lowest vertex.  They are slow but plainly exact.  The inputs mix binary
 exponents from -1074 to 1023, are exactly collinear or concircular (and one
-ulp off), or are random homogeneous polygons with exact ties.
+ulp off), or are random homogeneous polygons with exact ties.  ``_chains``
+decides a hole and its lowest vertices from the correctly rounded points,
+which the last tests check against the same oracles on exact points built
+to round against the float decision.
 """
 
 import math
@@ -14,9 +17,11 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+import pytest
+
 from equidist import primitives
 from equidist.body import FocalConfig
-from equidist.polygon import _is_clockwise, _xy_key, check_regularity
+from equidist.polygon import _is_clockwise, _is_hole, _lowest_key, _xy_key, check_regularity
 from equidist.primitives import (
     Point,
     _incircle_exact,
@@ -300,3 +305,185 @@ class TestChainOrientationAndOrder:
             rng.shuffle(verts)
             assert sorted(verts, key=_xy_key) == sorted(verts, key=frac_xy_key)
             assert min(verts, key=_xy_key) is min(verts, key=frac_xy_key)
+
+
+# --- the chain rules from the rounded points --------------------------------------
+
+U = 2.0 ** -53  # the unit roundoff
+
+
+def exact_vert(x, y):
+    """The exact point (x, y), Fractions or floats, as a homogeneous vertex (X, Y, W), W > 0."""
+    x, y = Fraction(x), Fraction(y)
+    w = math.lcm(x.denominator, y.denominator)
+    return int(x * w), int(y * w), w
+
+
+def rounded(verts):
+    """The correctly rounded points of homogeneous vertices, as ``_chains`` reads them."""
+    return [Point(x / w, y / w) for x, y, w in verts]
+
+
+def float_shoelace(pts):
+    """Twice the float area of pts from their products rounded once, and the products' |sum|."""
+    pairs = list(zip(pts, pts[1:] + pts[:1]))
+    terms = [a.x * b.y for a, b in pairs] + [-(b.x * a.y) for a, b in pairs]
+    return math.fsum(terms), math.fsum(map(abs, terms))
+
+
+def pushed(floats, sign):
+    """Exact points that round to ``floats`` and move twice the area by ``sign`` as far as
+    rounding allows: each coordinate nearly half the way to its next float along the
+    area's gradient."""
+    n = len(floats)
+    verts = []
+    for i, (x, y) in enumerate(floats):
+        (xp, yp), (xn, yn) = floats[i - 1], floats[(i + 1) % n]
+        moved = []
+        for v, grad in ((x, yn - yp), (y, xp - xn)):
+            toward = math.nextafter(v, math.copysign(math.inf, sign * grad))
+            moved.append(Fraction(v) + (Fraction(toward) - Fraction(v)) / 2 * (1 - Fraction(1, 2**20)))
+        verts.append(exact_vert(*moved))
+    assert rounded(verts) == [Point(*p) for p in floats]
+    return verts
+
+
+# three points on a line through the origin, (1, -1, eps) along it, so that rounding
+# the coordinates moves twice the area by up to 2u times the sum of the |products|
+A = 1.0 + 2.0 ** -52  # its half ulp is u relative to it
+TINY = 2.0 ** -20
+
+
+class TestHoleFromRoundedPoints:
+    """``_is_hole`` against ``frac_is_clockwise`` where the float shoelace cannot decide."""
+
+    def check(self, verts):
+        want = frac_is_clockwise(verts)
+        assert _is_hole(verts, rounded(verts)) == _is_clockwise(verts) == want
+        return want
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_float_sum_of_the_wrong_sign_beyond_half_its_bound(self, sign):
+        # twice the float area is -1.75 u times the sum of the |products| times sign
+        floats = [(A, A), (-A, -A), (TINY, TINY + sign * 1.75 * U)]
+        verts = pushed(floats, sign)
+        twice, size = float_shoelace(rounded(verts))
+        assert 1.5 * U * size < abs(twice) < 3 * U * size
+        assert self.check(verts) == (sign < 0) != (twice < 0)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_float_sum_of_zero(self, sign):
+        floats = [(A, A), (-A, -A), (TINY, TINY)]
+        verts = pushed(floats, sign)
+        assert float_shoelace(rounded(verts))[0] == 0.0
+        assert self.check(verts) == (sign < 0)
+
+    def test_random_near_zero_areas(self):
+        rng = random.Random(134)
+        zero = wrong = 0
+        for _ in range(3000):
+            n = rng.randint(3, 7)
+            e = rng.randint(-60, 60)
+            d = (rng.uniform(1, 2) * 2.0 ** e, rng.uniform(1, 2) * 2.0 ** e)
+            floats = [(t * d[0], t * d[1]) for t in (rng.uniform(-2, 2) for _ in range(n))]
+            if rng.random() < 0.5:
+                verts = pushed(floats, rng.choice((1, -1)))
+            else:  # random exact points within half an ulp of the float ones
+                verts = [exact_vert(*(Fraction(v) + Fraction(rng.randint(-2**20, 2**20), 2**21)
+                                      * Fraction(math.ulp(v)) for v in p)) for p in floats]
+            twice, _ = float_shoelace(rounded(verts))
+            want = self.check(verts)
+            zero += twice == 0.0
+            wrong += twice != 0.0 and (twice < 0) != want
+        assert zero and wrong  # both cases the float sum cannot decide occur
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["ccw", "cw"])
+    def test_square_at_1e154(self, order):
+        # squared coordinates beyond the float range: the float sum overflows
+        lo, hi = 1e154, 1.5e154
+        verts = [exact_vert(x, y) for x, y in ((lo, lo), (hi, lo), (hi, hi), (lo, hi))][::order]
+        assert math.isinf(hi * hi)
+        assert self.check(verts) == (order < 0)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_subnormal_coordinates(self, sign):
+        # twice the area is L (2 y_c - y_a - y_b) = 0.8 L ulp; rounded, it is -L ulp
+        ulp, big = Fraction(2) ** -1074, 2 ** 100
+        ys = [Fraction(31, 20) * ulp, Fraction(11, 20) * ulp, Fraction(29, 20) * ulp]
+        verts = [exact_vert(-big, ys[0]), exact_vert(big, ys[1]), exact_vert(0, ys[2])][::sign]
+        pts = rounded(verts)
+        assert [p.y for p in pts[::sign]] == [2 * 5e-324, 5e-324, 5e-324]
+        twice, size = float_shoelace(pts)
+        assert (twice < 0) != frac_is_clockwise(verts) and abs(twice) > 0.1 * size
+        self.check(verts)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_coordinate_rounded_to_zero(self, sign):
+        # y_c underflows to 0.0; twice the area is 2**-76 (1.8 - 1) exactly, 2**-76 (0 - 1) rounded
+        ulp = Fraction(2) ** -1074
+        verts = [exact_vert(-2.0 ** 1000, 2.0 ** -1022), exact_vert(2.0 ** 946, 0),
+                 exact_vert(0, Fraction(9, 20) * ulp)][::sign]
+        pts = rounded(verts)
+        assert pts[::sign][2] == (0.0, 0.0)
+        twice, size = float_shoelace(pts)
+        assert (twice < 0) != frac_is_clockwise(verts) and abs(twice) == size
+        self.check(verts)
+
+    def test_random_coordinates_near_the_least_normal(self):
+        rng = random.Random(135)
+        for _ in range(2000):
+            n = rng.randint(3, 6)
+            # exact points about 2**-1022, some of them rounding to subnormals
+            verts = [exact_vert(*(Fraction(rng.randint(-2**60, 2**60), 2**60)
+                                  * Fraction(2) ** rng.randint(-1076, -1018) for _ in range(2)))
+                     for _ in range(n)]
+            self.check(verts)
+
+    def test_products_that_underflow(self):
+        # float points on a line through the origin, one y moved by up to 2**19 ulps: their
+        # products round to subnormals, so only the floor of the bound covers them
+        rng = random.Random(136)
+        wrong = 0
+        for _ in range(2000):
+            d = (rng.randint(1, 2**20) * 2.0 ** -520, rng.randint(1, 2**20) * 2.0 ** -580)
+            floats = [(t * d[0], t * d[1]) for t in rng.sample(range(-2**10, 2**10), 3)]
+            i = rng.randrange(3)
+            x, y = floats[i]
+            floats[i] = (x, y + rng.randint(-2**19, 2**19) * math.ulp(y))
+            verts = [exact_vert(*p) for p in floats]
+            twice, _ = float_shoelace(rounded(verts))
+            wrong += twice != 0.0 and (twice < 0) != self.check(verts)
+        assert wrong
+
+
+class TestLowestFromRoundedPoints:
+    """``_lowest_key`` orders exact points as ``frac_xy_key`` does, reading floats first."""
+
+    def test_equal_float_x_against_the_float_y_order(self):
+        # exact x ascending, float x all 1.0, float y descending: only the exact x decides
+        verts = [exact_vert(1 + Fraction(m, 2**60), 5 - m) for m in range(4)]
+        verts.append(exact_vert(0.5, 9))  # a smaller float x goes first whatever its y
+        pts = rounded(verts)
+        assert {p.x for p in pts[:4]} == {1.0}
+        order = sorted(range(5), key=lambda m: _lowest_key(verts[m], pts[m]))
+        assert order == sorted(range(5), key=lambda m: frac_xy_key(verts[m])) == [4, 0, 1, 2, 3]
+        assert sorted(range(4), key=lambda m: (pts[m].x, pts[m].y)) == [3, 2, 1, 0]
+
+    def test_random_clusters_with_ties(self):
+        rng = random.Random(137)
+        for _ in range(1000):
+            base = Fraction(mixed_value(rng, -1000, 1000))
+            step = Fraction(math.ulp(float(base))) / rng.choice((1, 8, 2**20))
+            verts = [exact_vert(base + rng.randint(-6, 6) * step,
+                                Fraction(rng.randint(-3, 3)) + rng.randint(-3, 3) * step)
+                     for _ in range(rng.randint(2, 9))]
+            x, y, w = rng.choice(verts)
+            verts.append((3 * x, 3 * y, 3 * w))  # an exact tie, written with another W
+            rng.shuffle(verts)
+            pts = rounded(verts)
+            key = [_lowest_key(v, p) for v, p in zip(verts, pts)]
+            frac = [frac_xy_key(v) for v in verts]
+            assert sorted(range(len(verts)), key=key.__getitem__) == sorted(
+                range(len(verts)), key=frac.__getitem__)
+            assert min(range(len(verts)), key=key.__getitem__) == min(
+                range(len(verts)), key=frac.__getitem__)
