@@ -19,8 +19,10 @@ direction, and a verdict against the metric's ``bound``:
   median by more than the base's interquartile range;
 - ``flat``: none of these.
 
-The first that holds is printed.  It imports no engine code and writes no
-file; each run leaves what ``bench/run.py`` leaves in its own tree.
+The first that holds is printed.  It imports no engine code.  Each run gets a
+new, empty bytecode cache (``PYTHONPYCACHEPREFIX``, a temporary directory removed
+after the run), which its children inherit, so neither tree's ``__pycache__``
+decides ``setup_s``; it writes no file in either tree.
 
 Exits 1 if any run prints no result, is not ``correct`` or has failed ops,
 and 0 otherwise.
@@ -37,6 +39,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -48,11 +51,14 @@ def declared() -> dict:
 
 
 def run(tree: str, workload: str, seconds: float, seed: int) -> tuple[dict | None, str]:
-    """One ``bench/run.py`` run in tree: (its JSON result or None, why it has none)."""
-    proc = subprocess.run([sys.executable, os.path.join("bench", "run.py"),
-                           "--workload", workload, "--seed", str(seed),
-                           "--seconds", str(seconds)],
-                          cwd=tree, capture_output=True, text=True)
+    """One ``bench/run.py`` run in tree, with its own empty bytecode cache: (its JSON result
+    or None, why it has none)."""
+    with tempfile.TemporaryDirectory(prefix="ab_bench_pycache_") as cache:
+        proc = subprocess.run([sys.executable, os.path.join("bench", "run.py"),
+                               "--workload", workload, "--seed", str(seed),
+                               "--seconds", str(seconds)],
+                              cwd=tree, capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPYCACHEPREFIX=cache))
     lines = proc.stdout.strip().splitlines()
     try:
         return json.loads(lines[-1]), ""

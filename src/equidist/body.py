@@ -3,24 +3,30 @@
 A body is the set of points at least as close to the inner focal set as to
 the outer one.  It is assembled as a union of convex components, one per
 inner point, each obtained by clipping a box of half-width ``CLIP_SCALE`` body radii
-against the perpendicular-bisector half-planes toward every outer point.  The clip is
-exact: ``build_body`` scales the focal points and the box to integers by one
-power of two, once, and each vertex (X, Y, W), W > 0, is the meet of the two
-rows that carry its edges, rounded to floats once.  A component clips when its
+against the perpendicular-bisector half-planes toward every outer point.  The
+focal points are scaled to integers by one power of two once per config object
+(``_tables``, with their pairwise cross products and squared distances): the hull
+clearance behind the body radius, the disc certificate, the graph's empty-disc
+test and ``polygon``'s regularity check, subdivision and walk read those integers.
+The clip is exact: the components' integer rows, box and k come from one
+``_integer_rows`` call per body, which scales the points and the box, on the first
+read of any component's rows, and each vertex (X, Y, W), W > 0, is the meet of the
+two rows that carry its edges, rounded to floats once.  A component clips when its
 clip, or the body's ``inner_cells``, which continue it, are first read: ``body``,
 ``render`` and ``voronoi-check`` clip, ``boundary`` and ``graph`` do not, since an
 exact disc certificate (``_disc_in_box``) shows that no component reaches the box.
-``connectivity`` reads the outer rows, and ``contains_strict``, ``contains`` and
-``min_signed`` read their exact signs at a probe scaled the same way; none of
-them reads a float vertex.  ``membership`` decides the same body from the focal
-points alone, exactly.  ``build_body`` keeps the body of the last config object
-it was given, so the stages of one input share one body (``once_per_input``).
+``connectivity`` reads the outer rows of a pair that fails the empty-disc test, and
+``contains_strict``, ``contains`` and ``min_signed`` read their exact signs at a
+probe scaled as the rows are; none of them reads a float vertex.  ``membership``
+decides the same body from the focal points alone, exactly.  ``build_body`` keeps
+the body of the last config object it was given, so the stages of one input share
+one body (``once_per_input``).
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property, wraps
+from functools import cache, cached_property, wraps
 from typing import NamedTuple
 
 from .errors import (
@@ -151,6 +157,37 @@ def once_per_input(fn):
     return once
 
 
+@once_per_input
+def _tables(cfg: FocalConfig) -> tuple:
+    """cfg's focal points, in ``cfg.points`` order (inner, then outer), scaled to integers once.
+
+    Returns (k, xs, ys, X, S): the points at 2**k as columns xs and ys, and
+    two n x n tables of their pairwise integers, ``X[p][q]`` the cross product
+    p x q and ``S[p][q]`` the squared distance |p - q|^2.  Each is built from
+    its upper triangle and mirrored: X is antisymmetric and S symmetric, both
+    with a zero diagonal.  Every triple's integers are sums of table entries:
+    (b - a) x (c - a) = X[a][b] + X[b][c] - X[a][c], the shoelace terms of
+    the triangle, and 2 (c - a).(c - b) = S[a][c] + S[b][c] - S[a][b], the law
+    of cosines.  The hull clearance, the graph's empty-disc test, and ``polygon``'s
+    regularity check, gift-wrap, hyperedge circles and walk read these tables, which
+    are kept for the last config object.
+    """
+    ints, k = dyadic_ints([v for p in cfg.points for v in p])
+    xs, ys = ints[::2], ints[1::2]
+    n = len(xs)
+    X = [[0] * n for _ in range(n)]
+    S = [[0] * n for _ in range(n)]
+    for p in range(n):
+        xp, yp, Xp, Sp = xs[p], ys[p], X[p], S[p]
+        for q in range(p + 1, n):
+            xq, yq = xs[q], ys[q]
+            Xp[q] = cross = xp * yq - yp * xq
+            X[q][p] = -cross
+            dx, dy = xq - xp, yq - yp
+            Sp[q] = S[q][p] = dx * dx + dy * dy
+    return k, xs, ys, X, S
+
+
 class ConvexComponent(_Frozen):
     """Clipped half-plane intersection attached to one site.
 
@@ -160,11 +197,14 @@ class ConvexComponent(_Frozen):
     the integer rows, box and k of the clip and ``_exact`` adds its raw output;
     ``contains`` and ``min_signed`` read the rows, so their signs are exact, and
     ``connectivity.intersection_dim`` reads the outer rows and their squared lengths,
-    computed once per component (``_squared_lengths``).  A component that
-    ``build_body`` or ``convex_component`` makes clips on the first read of
-    ``_exact``, and of ``vertices``, ``edge_tags`` or ``clipped``, which it builds
-    from the raw output without its zero-length edges; values given to the
-    constructor are kept as given.
+    computed once per component (``_squared_lengths``).  ``convex_component`` builds
+    the rows at once.  A component of ``build_body`` builds them on the first read of
+    ``_frame``, by one ``_integer_rows`` call that its body's components share;
+    until then ``_source`` = (that call, the body's ``_tables`` S, the site's index)
+    serves the empty-disc test of two components of one body.  A component clips on
+    the first read of ``_exact``, and of ``vertices``, ``edge_tags`` or ``clipped``,
+    which it builds from the raw output without its zero-length edges; values given
+    to the constructor are kept as given.
     """
 
     _fields = ("site", "outer", "clip", "vertices", "edge_tags", "clipped")
@@ -174,7 +214,13 @@ class ConvexComponent(_Frozen):
                  _exact: tuple):
         vars(self).update(site=site, outer=outer, clip=clip, vertices=vertices,
                           edge_tags=edge_tags, clipped=clipped, _exact=_exact,
-                          _frame=_exact and _exact[:3])
+                          _frame=_exact and _exact[:3], _source=None)
+
+    @cached_property
+    def _frame(self) -> tuple:
+        """(rows, box, k) of a body's component: its block of the body's one rows call."""
+        frames, _, i = self._source
+        return frames()[i]
 
     @cached_property
     def _exact(self) -> tuple:
@@ -313,24 +359,31 @@ def convex_hull(pts) -> list[Point]:
 def _hull_clearance(cfg: FocalConfig) -> tuple | None:
     """Least distance r from an inner point to a side of the outer hull, rounded once.
 
-    Per side, its least exact cross product with an inner point over its length.  None
-    unless every cross product is positive (a hull of 1 or 2 points has a side each way),
-    else (r, k, corners, inner, sides): hull corners and inner points at 2**k, and per side
-    its least cross product and squared length.  Kept for the last config object.
+    Per side (a, b), its least exact cross product with an inner point x,
+    (b - a) x (x - a) = X[a][b] + X[b][x] - X[a][x], over its length, from the tables
+    of ``_tables``.  None unless every cross product is positive (a hull of 1 or 2
+    points has a side each way), else (r, hull, sides): the hull corners as indices
+    into ``cfg.points``, and per side its least cross product and squared length
+    S[a][b], at the tables' 4**k.  r divides them at the scale 2**kh of the hull
+    corners and inner points alone, to which a shift by 2 (k - kh) brings them exactly,
+    so r does not depend on the other outer points.  Kept for the last config object.
     """
-    hull = convex_hull(cfg.outer)
-    ints, k = dyadic_ints([v for p in (*hull, *cfg.inner) for v in p])
-    xy = list(zip(ints[::2], ints[1::2]))
-    corners, inner = xy[:len(hull)], xy[len(hull):]
-    r, sides = math.inf, []
-    for (ax, ay), (bx, by) in zip(corners, corners[1:] + corners[:1]):
-        dx, dy = bx - ax, by - ay
-        least = min(dx * y - dy * x for x, y in inner) - (dx * ay - dy * ax)  # (b-a) × (x-a)
+    k, xs, ys, X, S = _tables(cfg)
+    index = {pt: j for j, pt in enumerate(cfg.points)}
+    hull = [index[pt] for pt in convex_hull(cfg.outer)]
+    sides = []
+    for a, b in zip(hull, hull[1:] + hull[:1]):
+        Xa, Xb = X[a], X[b]
+        least = Xa[b] + min(Xb[x] - Xa[x] for x in range(cfg.p))  # (b-a) × (x-a)
         if least <= 0:
             return None
-        sides.append((least, dx * dx + dy * dy))
-        r = min(r, (least << 64) / (math.isqrt(sides[-1][1] << 128) << k))
-    return r, k, corners, inner, sides
+        sides.append((least, S[a][b]))
+    # k - kh is the fewest trailing zero bits of a hull corner's or inner point's integer
+    d = min(k, *((v & -v).bit_length() - 1
+                 for j in (*hull, *range(cfg.p)) for v in (xs[j], ys[j]) if v))
+    r = min(((least >> 2 * d) << 64) / (math.isqrt((length >> 2 * d) << 128) << k - d)
+            for least, length in sides)
+    return r, hull, sides
 
 
 def is_bounded(cfg: FocalConfig) -> bool:
@@ -346,14 +399,15 @@ def _disc_in_box(cfg: FocalConfig, o: Point, clip: Rect) -> bool:
     u along x - o, so 2r|x - o| <= 2(y - xᵢ).(x - o) <= far - near = 2c, with far and near
     the largest |y - o|² and least |xᵢ - o|².  With m the least distance from o to a box
     side, c < r m is (2c)² |b - a|² < 4 least² m² for each hull side, on the integers of
-    ``_hull_clearance`` and of o and the box, brought to one power of two.
+    ``_tables`` and ``_hull_clearance`` and of o and the box, brought to one power of two.
     """
-    _, k, corners, inner, sides = _hull_clearance(cfg)
+    _, hull, sides = _hull_clearance(cfg)
+    k, xs, ys, _, _ = _tables(cfg)
     (ox, oy, *box), kb = dyadic_ints([o.x, o.y, *clip])
     s, t = max(kb - k, 0), max(k - kb, 0)  # shifts to the finer of the two scalings
     ox, oy, xmin, ymin, xmax, ymax = (v << t for v in (ox, oy, *box))
-    far = max(((x << s) - ox) ** 2 + ((y << s) - oy) ** 2 for x, y in corners)
-    near = min(((x << s) - ox) ** 2 + ((y << s) - oy) ** 2 for x, y in inner)
+    far = max(((xs[j] << s) - ox) ** 2 + ((ys[j] << s) - oy) ** 2 for j in hull)
+    near = min(((xs[i] << s) - ox) ** 2 + ((ys[i] << s) - oy) ** 2 for i in range(cfg.p))
     c2, m = (far - near) ** 2, min(ox - xmin, oy - ymin, xmax - ox, ymax - oy)
     return m > 0 and all(c2 * length < (least * m) ** 2 << 2 * s + 2 for least, length in sides)
 
@@ -539,10 +593,10 @@ def _meet(r, s):
     return (x, y, w) if w > 0 else (-x, -y, -w)
 
 
-def _component(site: Point, outer: tuple, clip: Rect, rows, box, k: int) -> ConvexComponent:
-    """The component of ``site``: the box clipped by the first len(outer) of its rows when read."""
+def _component(site: Point, outer: tuple, clip: Rect, **rows) -> ConvexComponent:
+    """The component of ``site`` from its rows (``_frame`` and ``_source``), clipped when read."""
     comp = ConvexComponent.__new__(ConvexComponent)
-    vars(comp).update(site=site, outer=outer, clip=clip, _frame=(rows, box, k))
+    vars(comp).update(site=site, outer=outer, clip=clip, **rows)
     return comp
 
 
@@ -553,7 +607,7 @@ def convex_component(site: Point, outer, clip: Rect) -> ConvexComponent:
         raise EmptySet("convex component with an empty outer set")
     if site in outer:
         raise SiteInOuterSet(f"site {site} appears in the outer set")
-    return _component(site, outer, clip, *_integer_rows((site,), outer, clip))
+    return _component(site, outer, clip, _frame=_integer_rows((site,), outer, clip), _source=None)
 
 
 @once_per_input
@@ -562,8 +616,10 @@ def build_body(cfg: FocalConfig) -> EquidistantBody:
 
     The box reaches CLIP_SCALE body radii from the inner centroid, so no component meets it
     (else NumericalDegeneracy): ``_disc_in_box`` shows it, or else the components' clips.
-    Points are scaled once; site i's rows go to outer, then inner.  A second call with the
-    same config object returns the same body, inner cells included.
+    The radius and the certificate read the integers of ``_tables``.  The components'
+    rows, site i's toward outer and then inner points, are scaled by one ``_integer_rows``
+    call when one of them is first read.  A second call with the same config object
+    returns the same body, inner cells included.
     """
     radius = bounding_radius(cfg)  # raises Unbounded
     o = _centroid(cfg.inner)
@@ -572,9 +628,15 @@ def build_body(cfg: FocalConfig) -> EquidistantBody:
     if not all(map(math.isfinite, (clip.xmin, clip.ymin, clip.xmax, clip.ymax))):
         raise NumericalDegeneracy(f"the clip box at {CLIP_SCALE!r} times the body radius "
                                   f"{radius!r} leaves the float range")
-    rows, box, k = _integer_rows(cfg.inner, cfg.outer + cfg.inner, clip)
-    n = cfg.q + cfg.p
-    components = tuple(_component(x, cfg.outer, clip, rows[i * n:(i + 1) * n], box, k)
+
+    @cache
+    def frames():
+        rows, box, k = _integer_rows(cfg.inner, cfg.outer + cfg.inner, clip)
+        n = cfg.q + cfg.p
+        return [(rows[i * n:(i + 1) * n], box, k) for i in range(cfg.p)]
+
+    S = _tables(cfg)[4]
+    components = tuple(_component(x, cfg.outer, clip, _source=(frames, S, i))
                        for i, x in enumerate(cfg.inner))
     if not _disc_in_box(cfg, o, clip) and any(c.clipped for c in components):
         raise NumericalDegeneracy(f"a component reaches the clip box at {CLIP_SCALE!r} "

@@ -1,15 +1,16 @@
 """Weighted graph representation of a body and connectivity of body and interior.
 
 Edge weights are the dimension of the pairwise intersections of the inner
-cells, decided exactly, without tolerances, on the integer rows that each
-component stores at its 2**k scale.  Two cells meet exactly when some disc
-through both sites has no outer point inside it (the empty-circle test for a
-Delaunay edge), and the centres of those discs lie on the sites' bisector.  So
-each weight clips one line by the outer rows: an interval with interior gives
-2, a single point 0 and an empty one -1.  The disc on the sites' segment is
-tried first, from the squared lengths of the two sites' rows toward each outer
-point: with no outer point in it or on its circle, the weight is 2 with no clip.
-Components of different scalings are brought to the larger k by shifts.
+cells, decided exactly, without tolerances.  Two cells meet exactly when some
+disc through both sites has no outer point inside it (the empty-circle test for
+a Delaunay edge), and the centres of those discs lie on the sites' bisector.
+The disc on the sites' segment is tried first: with no outer point in it or on
+its circle, the weight is 2 with no clip.  For two components of one body it is
+read from the squared distances S of the body's ``_tables``, one addition per
+outer point.  Any other pair, and a pair that fails it, clips one line by the
+integer rows that each component stores at its 2**k scale: an interval with
+interior gives 2, a single point 0 and an empty one -1.  Components of different
+scalings are brought to the larger k by shifts.
 """
 
 from __future__ import annotations
@@ -68,21 +69,31 @@ def intersection_dim(a: ConvexComponent, b: ConvexComponent) -> int:
     e is the dot product of the two sites' rows toward l, and 2e = Qa + Qb - (u*u + v*v)
     with Qa and Qb their squared lengths, which each component computes once
     (``_squared_lengths``) and a shift by twice the difference of the scalings
-    brings to 2**k.  So the test costs one addition per outer point.
+    brings to 2**k.  For two components of one body the same test reads the body's
+    table of squared distances, S[i][l] + S[j][l] > S[i][j] for every outer l, which
+    is Qa + Qb > u*u + v*v divided by 4 at another power of two, so a pair that passes
+    it reads no rows.  Either way the test costs one addition per outer point.
     """
     if a.outer != b.outer:
         raise MismatchedOuterSet("components must share the outer set")
+    one_body = a._source and b._source and a._source[1] is b._source[1]
+    if one_body:
+        (_, S, i), (_, _, j) = a._source, b._source
+        p = len(S) - len(a.outer)  # S lists the inner points, then the outer ones
+        if min(map(add, S[i][p:], S[j][p:])) > S[i][j]:  # the disc on ab is empty
+            return 2
     (ra, _, ka), (rb, _, kb) = a._frame, b._frame
     k = max(ka, kb)
     da, db = k - ka, k - kb
     u, v = (ra[0][0] << da) - (rb[0][0] << db), (ra[0][1] << da) - (rb[0][1] << db)
-    qa, qb = a._squared_lengths, b._squared_lengths
-    if da:
-        qa = [s << 2 * da for s in qa]
-    if db:
-        qb = [s << 2 * db for s in qb]
-    if min(map(add, qa, qb)) > u * u + v * v:  # the disc on ab is empty
-        return 2
+    if not one_body:
+        qa, qb = a._squared_lengths, b._squared_lengths
+        if da:
+            qa = [s << 2 * da for s in qa]
+        if db:
+            qb = [s << 2 * db for s in qb]
+        if min(map(add, qa, qb)) > u * u + v * v:  # the disc on ab is empty
+            return 2
     rows = ra[:len(a.outer)]
     if da:
         rows = [(x << da, y << da, c << 2 * da) for x, y, c in rows]

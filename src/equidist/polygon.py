@@ -1,9 +1,10 @@
 """Regularity checks, the empty-circumcircle hypergraph, and boundary extraction.
 
 The focal points of an input are scaled to integers once, and two n x n
-tables of their pairwise integers are built from them (``_tables``, kept for
-the last config object): the cross products X[p][q] = p x q and the squared
-distances S[p][q] = |p - q|^2.  Every triple's cross product and the dot
+tables of their pairwise integers are built from them (``body._tables``, kept
+for the last config object; the body's hull clearance and graph read them too):
+the cross products X[p][q] = p x q and the squared distances S[p][q] = |p - q|^2.
+Every triple's cross product and the dot
 product behind its circle are then sums of table entries, so the O(n^3)
 regularity loop does no multiplication.  For each pair (a, b) the regularity
 check keys every later point c by its circle through a and b: a zero cross
@@ -23,12 +24,12 @@ dual to the subdivision's edges between an inner and an outer point, and its
 vertices are the exact circumcentres of their faces.  The walk turns from one edge
 to the next through the inner points of a face, so a pinch point needs no
 comparison of directions, and only a tied chain start reads the clipped cells.
-Refs and angle types are decided in integers.  Orientation and chain order are
+Refs are decided in integers.  Angle types, orientation and chain order are
 read from the correctly rounded vertices where a forward error bound or the
-monotonicity of rounding decides them, and in integers where it does not, so vertex
-0 of a chain is its exactly lowest vertex.  ``eps`` only merges each run of
-consecutive chain vertices closer than eps times the extent of the focal points; a
-run keeps its first member's point.  The chains of the last config object and eps
+monotonicity of rounding decides them, and in integers where it does not, so each
+is exact and vertex 0 of a chain is its exactly lowest vertex.  ``eps`` only merges
+each run of consecutive chain vertices closer than eps times the extent of the focal
+points; a run keeps its first member's point.  The chains of the last config object and eps
 are kept (``once_per_input``), so the stages of one input walk its boundary once.
 ``voronoi_check`` and ``cell_polygons`` read the exact cells of ``inner_cells``.
 Boundary extraction needs no regularity, so degenerate inputs (concircular
@@ -51,6 +52,7 @@ from .body import (
     _float_point,
     _orientation_det,
     _scaled,
+    _tables,
     build_body,
     once_per_input,
 )
@@ -61,7 +63,6 @@ from .primitives import (
     Point,
     _circumcircle_ints,
     dist,
-    dyadic_ints,
     incircle,  # with orient, not called here: bench/spans.py counts calls through both
     orient,
     signed_area,
@@ -154,36 +155,6 @@ def labeled_points(cfg: FocalConfig) -> list[tuple[FocalRef, Point]]:
     refs = [(FocalRef("inner", i), p) for i, p in enumerate(cfg.inner)]
     refs += [(FocalRef("outer", j), p) for j, p in enumerate(cfg.outer)]
     return refs
-
-
-@once_per_input
-def _tables(cfg: FocalConfig) -> tuple:
-    """cfg's focal points, in ``labeled_points`` order, scaled to integers once.
-
-    Returns (k, xs, ys, X, S): the points at 2**k as columns xs and ys, and
-    two n x n tables of their pairwise integers, ``X[p][q]`` the cross product
-    p x q and ``S[p][q]`` the squared distance |p - q|^2.  Each is built from
-    its upper triangle and mirrored: X is antisymmetric and S symmetric, both
-    with a zero diagonal.  Every triple's integers are sums of table entries:
-    (b - a) x (c - a) = X[a][b] + X[b][c] - X[a][c], the shoelace terms of
-    the triangle, and 2 (c - a).(c - b) = S[a][c] + S[b][c] - S[a][b], the law
-    of cosines.  ``check_regularity``, the gift-wrap, the hyperedge circles and
-    the walk's vertices read these tables, which are kept for the last config object.
-    """
-    ints, k = dyadic_ints([v for p in cfg.points for v in p])
-    xs, ys = ints[::2], ints[1::2]
-    n = len(xs)
-    X = [[0] * n for _ in range(n)]
-    S = [[0] * n for _ in range(n)]
-    for p in range(n):
-        xp, yp, Xp, Sp = xs[p], ys[p], X[p], S[p]
-        for q in range(p + 1, n):
-            xq, yq = xs[q], ys[q]
-            Xp[q] = cross = xp * yq - yp * xq
-            X[q][p] = -cross
-            dx, dy = xq - xp, yq - yp
-            Sp[q] = S[q][p] = dx * dx + dy * dy
-    return k, xs, ys, X, S
 
 
 @once_per_input
@@ -395,19 +366,26 @@ _SHOELACE_FLOOR = 2.0 ** -1072  # per vertex: its two products' underflow, with 
 _MIN_NORMAL = sys.float_info.min
 
 
+def _rounds_relatively(verts, pts) -> bool:
+    """Whether each coordinate of pts, the homogeneous points verts correctly rounded, is
+    within a relative 2**-53 of its exact value: none is subnormal, or 0.0 where the exact
+    coordinate is not 0."""
+    return min(abs(c) for p in pts for c in p) >= _MIN_NORMAL or not any(
+        abs(c) < _MIN_NORMAL and (c or e) for p, vert in zip(pts, verts)
+        for c, e in zip(p, vert))  # c rounds e / (W 2**k), vert = (X, Y, W)
+
+
 def _is_hole(verts, pts) -> bool:
     """``_is_clockwise(verts)``, from the float shoelace of pts, the points correctly rounded.
 
     The sign of the float sum decides where it exceeds its forward error bound, as in
     ``primitives.orient``.  The bound needs each coordinate within a relative 2**-53 of its
-    exact value, so a subnormal coordinate, or 0.0 for a coordinate that is not exactly 0,
-    goes to the exact sum, as does a sum or bound that is not finite.
+    exact value (``_rounds_relatively``), else the exact sum decides, as it does for a sum or
+    bound that is not finite.
     """
-    xs, ys = [p.x for p in pts], [p.y for p in pts]
-    if min(map(abs, xs + ys)) < _MIN_NORMAL and any(
-            abs(c) < _MIN_NORMAL and (c or e) for p, vert in zip(pts, verts)
-            for c, e in zip(p, vert)):  # c rounds e / (W 2**k), vert = (X, Y, W)
+    if not _rounds_relatively(verts, pts):
         return _is_clockwise(verts)
+    xs, ys = [p.x for p in pts], [p.y for p in pts]
     # the products x_m y_m+1 and -x_m+1 y_m, each rounded once
     terms = [*map(mul, xs, ys[1:] + ys[:1]), *map(mul, map(neg, xs[1:] + xs[:1]), ys)]
     try:
@@ -418,6 +396,38 @@ def _is_hole(verts, pts) -> bool:
     if abs(twice) > bound:  # false for an infinite bound, which any infinite product gives
         return twice < 0
     return _is_clockwise(verts)
+
+
+# The turn at a vertex is the shoelace of it and its two neighbours: six products, each as
+# above, summed left to right in floats, which adds at most 5u (1 + 6u) times the sum of
+# their absolute values; the margin covers the bound's own roundings.  Float sums raise
+# nothing: an infinite or NaN sum or bound fails the comparison.
+_TURN_ERRBOUND = (8.0 + 128.0 * 2.0 ** -53) * 2.0 ** -53
+_TURN_FLOOR = 3 * _SHOELACE_FLOOR
+
+
+def _turn_signs(verts, pts) -> list[int]:
+    """The exact sign of the turn at each vertex of a closed polygon of homogeneous points.
+
+    From pts, the points correctly rounded, where the float shoelace of the vertex and its
+    neighbours exceeds its forward error bound, as in ``_is_hole``, else from the exact
+    ``_orientation_det``.
+    """
+    n = len(pts)
+    relative = _rounds_relatively(verts, pts)
+    signs = []
+    for t in range(n):
+        if relative:
+            (ax, ay), (bx, by), (cx, cy) = pts[t - 1], pts[t], pts[t + 1 - n]
+            t1, t2, t3, t4, t5, t6 = ax * by, bx * ay, bx * cy, cx * by, cx * ay, ax * cy
+            twice = t1 - t2 + t3 - t4 + t5 - t6
+            if abs(twice) > (_TURN_ERRBOUND * (abs(t1) + abs(t2) + abs(t3) + abs(t4) + abs(t5)
+                                               + abs(t6)) + _TURN_FLOOR):
+                signs.append(1 if twice > 0 else -1)
+                continue
+        det = _orientation_det(verts[t - 1], verts[t], verts[t + 1 - n])
+        signs.append((det > 0) - (det < 0))
+    return signs
 
 
 def _xy_cmp(u, v) -> int:
@@ -447,7 +457,7 @@ def cell_polygons(body: EquidistantBody) -> tuple[tuple[Point, ...], ...]:
 def _chains(body: EquidistantBody, eps: float, cycles) -> list[PolygonChain]:
     """The chains of walked cycles of steps (inner i, exact vertex, outer j, sites), sorted.
 
-    A vertex is a homogeneous point (X, Y, W), W > 0, at the body's 2**k; its sites,
+    A vertex is a homogeneous point (X, Y, W), W > 0, at the 2**k of ``_tables``; its sites,
     indices into ``labeled_points``, are the focal points nearest it.  A step joins the
     run of its predecessor when their float points are closer than eps times the extent
     of the focal points.  A run becomes one vertex at its first member, or at its exactly
@@ -460,8 +470,8 @@ def _chains(body: EquidistantBody, eps: float, cycles) -> list[PolygonChain]:
     ``body.inner_cells`` are read, and the steps ordered by inner site and then by their
     edge in its cell: a cycle is read from its first step, and chains come in that order.
     """
-    cfg, k = body.config, body.components[0]._frame[2]
-    p = cfg.p
+    cfg = body.config
+    p, k = cfg.p, _tables(cfg)[0]
     xs, ys = [v.x for v in cfg.points], [v.y for v in cfg.points]
     tol = eps * max(max(xs) - min(xs), max(ys) - min(ys))
     at = []  # per inner cell, the position of its edge on each row
@@ -497,13 +507,12 @@ def _chains(body: EquidistantBody, eps: float, cycles) -> list[PolygonChain]:
             verts, pts, refs = ([s[0]] + s[:0:-1] for s in (verts, pts, refs))
             pairs.reverse()
         info = []
-        for t, vref in enumerate(refs):
+        for vref, turn in zip(refs, _turn_signs(verts, pts)):
             inner = tuple(sorted(s for s in vref if s < p))
             outer = tuple(sorted(s - p for s in vref if s >= p))
             change = (CHANGE_DOUBLE if len(inner) >= 2 and len(outer) >= 2
                       else CHANGE_INNER if len(inner) >= 2 else CHANGE_OUTER)
-            convex = _orientation_det(verts[t - 1], verts[t], verts[t + 1 - len(verts)]) > 0
-            info.append(VertexInfo(angle_type=ANGLE_CONVEX if convex else ANGLE_CONCAVE,
+            info.append(VertexInfo(angle_type=ANGLE_CONVEX if turn > 0 else ANGLE_CONCAVE,
                                    change_type=change, inner_refs=inner, outer_refs=outer))
         out.append((verts[0], cycle, PolygonChain(vertices=tuple(pts), vertex_info=tuple(info),
                                                   edge_pairs=tuple(pairs))))
@@ -520,8 +529,7 @@ def _boundary(cfg: FocalConfig, eps: float) -> tuple[PolygonChain, ...]:
     """cfg's chains at eps, walked once per config object and eps (``extract_boundary``)."""
     body = build_body(cfg)  # raises Unbounded or NumericalDegeneracy; clips nothing
     p = cfg.p
-    k, xs, ys, _, S = _tables(cfg)
-    shift = body.components[0]._frame[2] - k  # the body's scaling is at least as fine
+    _, xs, ys, _, S = _tables(cfg)
     faces, where = _subdivision(cfg)
     seen, cycles = set(), []
     for e in ((f, m) for f, face in enumerate(faces)
@@ -534,8 +542,8 @@ def _boundary(cfg: FocalConfig, eps: float) -> tuple[PolygonChain, ...]:
             a, b, c = faces[f][:3]  # the face's exact circumcentre, from its first points
             bx, by, cx, cy = xs[b] - xs[a], ys[b] - ys[a], xs[c] - xs[a], ys[c] - ys[a]
             d = 2 * (bx * cy - by * cx)  # > 0: a face is counterclockwise
-            vert = ((xs[a] * d + cy * S[a][b] - by * S[a][c]) << shift,
-                    (ys[a] * d + bx * S[a][c] - cx * S[a][b]) << shift, d)
+            vert = (xs[a] * d + cy * S[a][b] - by * S[a][c],
+                    ys[a] * d + bx * S[a][c] - cx * S[a][b], d)
             cycles[-1].append((i, vert, j - p, faces[f]))
             f, m = where[i, j]  # the face on the other side, where j follows i
             while faces[f][m - 1] < p:  # turn through the inner sites before i

@@ -28,7 +28,7 @@ from equidist.cli import _fmt_float
 from equidist.errors import InvalidConfig
 from equidist.polygon import (BoundReport, FocalRef, VertexInfo, check_regularity,
                               extract_boundary)
-from equidist.primitives import Line, Point, dist, incircle, orient
+from equidist.primitives import Line, Point, dist, dyadic_ints, incircle, orient
 
 
 def coord_scale(cfg: FocalConfig) -> float:
@@ -102,6 +102,29 @@ def reference_format_json(obj, indent: int = 0) -> str:
             return "[" + ", ".join(parts) + "]"
         return "[\n" + ",\n".join(pad + s for s in parts) + "\n" + "  " * indent + "]"
     raise TypeError(f"unsupported report value {obj!r}")
+
+
+def direct_hull_clearance(cfg: FocalConfig):
+    """The hull clearance from its own scaling of the hull corners and inner points.
+
+    ``body._hull_clearance`` computed it this way before it read ``_tables``: the hull
+    corners and the inner points scaled to integers by 2**k, per side its least cross
+    product with an inner point and its squared length, and r rounded once from them.
+    Returns None unless every cross product is positive, else (r, k, corners, inner, sides).
+    """
+    hull = convex_hull(cfg.outer)
+    ints, k = dyadic_ints([v for p in (*hull, *cfg.inner) for v in p])
+    xy = list(zip(ints[::2], ints[1::2]))
+    corners, inner = xy[:len(hull)], xy[len(hull):]
+    r, sides = math.inf, []
+    for (ax, ay), (bx, by) in zip(corners, corners[1:] + corners[:1]):
+        dx, dy = bx - ax, by - ay
+        least = min(dx * y - dy * x for x, y in inner) - (dx * ay - dy * ax)  # (b-a) × (x-a)
+        if least <= 0:
+            return None
+        sides.append((least, dx * dx + dy * dy))
+        r = min(r, (least << 64) / (math.isqrt(sides[-1][1] << 128) << k))
+    return r, k, corners, inner, sides
 
 
 def random_bounded_config(rng: random.Random, p_max: int = 4, q_max: int = 6,

@@ -1,5 +1,6 @@
 """scripts/ab_bench.py on canned ``bench/run.py`` results: the summary, the order of runs, failures."""
 
+import importlib.util
 import json
 import pathlib
 import subprocess
@@ -154,3 +155,25 @@ def test_lower_is_better_verdicts(tmp_path):
     assert (BOUND["latency_p50_ms"], BOUND["latency_tail_ms"]) == (0.12, 0.24)
     assert verdict(out, "latency_p50_ms") == "worse"
     assert verdict(out, "latency_tail_ms") == "flat"
+
+
+def test_each_run_compiles_into_its_own_empty_bytecode_cache(tmp_path, monkeypatch):
+    # a tree's stale __pycache__ must not decide setup_s: every child run, base and head
+    # alike, gets a new, empty PYTHONPYCACHEPREFIX, removed after the run
+    spec = importlib.util.spec_from_file_location("ab_bench", SCRIPT)
+    ab_bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab_bench)
+    prefixes = []
+
+    def fake_run(argv, cwd, capture_output, text, env):
+        prefix = pathlib.Path(env["PYTHONPYCACHEPREFIX"])
+        assert prefix.is_dir() and not any(prefix.iterdir())
+        (prefix / "stale.pyc").write_bytes(b"")  # what a run leaves goes with its prefix
+        prefixes.append(prefix)
+        return subprocess.CompletedProcess(argv, 0, stdout=result(100, 8.0) + "\n", stderr="")
+
+    monkeypatch.setattr(ab_bench.subprocess, "run", fake_run)
+    base, head = trees(tmp_path, [], [])
+    assert ab_bench.main([str(base), str(head), "--pairs", "2", "--workload", "boundary-ring"]) == 0
+    assert len(prefixes) == 4 and len(set(prefixes)) == 4
+    assert not any(prefix.exists() for prefix in prefixes)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import coord_scale, random_bounded_config
+from conftest import coord_scale, direct_hull_clearance, random_bounded_config
 from equidist import polygon as polygon_module
 from equidist.body import (
     MEMBER_BOUNDARY,
@@ -18,6 +18,8 @@ from equidist.body import (
     MEMBER_OUTSIDE,
     FocalConfig,
     Rect,
+    _hull_clearance,
+    _tables,
     bounding_radius,
     build_body,
     convex_component,
@@ -183,6 +185,46 @@ class TestIsBounded:
 
     def test_two_outer_points_unbounded(self):
         assert not is_bounded(FocalConfig.of([(0, 0)], [(1, 1), (-1, -1)]))
+
+
+class TestHullClearanceFromTables:
+    """``_hull_clearance`` from the integers of ``_tables`` against ``direct_hull_clearance``.
+
+    The tables scale every focal point, so by 2**k at least as fine as the hull corners and
+    inner points alone need; r, from the table's integers shifted back, is the same float.
+    """
+
+    @staticmethod
+    def inputs():
+        rng = random.Random(14)
+        rings = [ring_config(rng, 8) for _ in range(20)]
+        yield from rings
+        yield from (grid_config(rng, rng.randint(2, 8)) for _ in range(20))
+        yield FocalConfig.of([(2e155, 0)], [(2.00001e155, 0), (1.99999e155, 1e150),
+                                            (1.99999e155, -1e150)])
+        for f in (lambda p: (p.x + 1e9, p.y - 1e9), lambda p: (p.x * 2.0 ** -40, p.y * 2.0 ** -40)):
+            yield FocalConfig.of(map(f, rings[0].inner), map(f, rings[0].outer))
+        # an outer point inside the hull, at a finer scale than every other point
+        yield FocalConfig.of(rings[1].inner, [*rings[1].outer, (2.0 ** -70, 3 * 2.0 ** -71)])
+        yield FocalConfig.of([(0, 3)], [(2, -1), (-2, -1), (0, 2)])  # unbounded
+
+    def test_same_radius_bit_for_bit_and_same_sides(self):
+        finer = 0
+        for cfg in self.inputs():
+            want = direct_hull_clearance(cfg)
+            got = _hull_clearance(cfg)
+            if want is None:
+                assert got is None
+                continue
+            r, k, corners, inner, sides = want
+            (got_r, hull, got_sides), (kt, xs, ys, _, _) = got, _tables(cfg)
+            assert got_r.hex() == r.hex()
+            d = kt - k
+            assert [(xs[j], ys[j]) for j in hull] == [(x << d, y << d) for x, y in corners]
+            assert [(xs[i], ys[i]) for i in range(cfg.p)] == [(x << d, y << d) for x, y in inner]
+            assert got_sides == [(least << 2 * d, length << 2 * d) for least, length in sides]
+            finer += d > 0
+        assert finer
 
 
 class TestBoundingRadius:

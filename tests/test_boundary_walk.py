@@ -26,6 +26,7 @@ from equidist.body import (
     Rect,
     _centroid,
     _disc_in_box,
+    _tables,
     build_body,
     convex_hull,
     membership,
@@ -332,14 +333,15 @@ def angular_extract_boundary(cfg: FocalConfig, eps: float = EPS_GEO) -> list[Pol
     """
     body = build_body(cfg)
     p, q = cfg.p, cfg.q
+    shift = body.components[0]._frame[2] - _tables(cfg)[0]  # the clip's scaling is as fine
 
     def step(i, vert, j):
-        """(i, vert, j, the sites nearest vert) for ``_chains``."""
+        """(i, vert at the 2**k of ``_tables``, j, the sites nearest vert) for ``_chains``."""
         x, y, w = vert  # row r of block i is outer r below q and inner r - q from q on
         sites = [p + r if r < q else r - q
                  for r, (a, b, c) in enumerate(body.components[i]._exact[0])
                  if c * w == a * x + b * y]
-        return i, vert, j, sites
+        return i, (x, y, w << shift), j, sites
 
     edges = []  # (start, end, inner i, outer j): cell edges between inner i and outer j
     for i, cell in enumerate(body.inner_cells):

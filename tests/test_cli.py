@@ -445,7 +445,7 @@ class TestStagesRunOncePerInput:
     def test_hypergraph_scales_its_focal_points_once(self, tmp_path, capsys, monkeypatch):
         # the regularity scan, the gift-wrap and every hyperedge circle read one integer frame
         scaled = []
-        for module in (polygon_module, primitives_module):
+        for module in (body_module, primitives_module):
             monkeypatch.setattr(module, "dyadic_ints", lambda values, scale=module.dyadic_ints:
                                 scaled.append(len(values)) or scale(values))
         cfg = ring_config(random.Random(5), 8, 12)
@@ -454,6 +454,51 @@ class TestStagesRunOncePerInput:
         result = json.loads(out)["result"]
         assert code == 0 and result["regular"] and len(result["edges"]) > 1
         assert scaled == [2 * (cfg.p + cfg.q)]
+
+    @pytest.mark.parametrize("seed, scalings", [(8, 1), (5, 2)], ids=["disc", "rows"])
+    def test_boundary_scales_its_focal_points_once(self, tmp_path, capsys, monkeypatch, seed,
+                                                    scalings):
+        # the hull clearance, the disc certificate, the graph's empty-disc test and the walk
+        # read the integers of _tables (the disc certificate scales only its centre and box);
+        # seed 5 has a pair that the empty-disc test leaves open, so its body's rows are
+        # scaled too, once
+        cfg = ring_config(random.Random(seed), 8, 12)
+        focal = set(cfg.points)
+        scaled = []
+
+        def counted(values, scale):
+            values = list(values)
+            if any(Point(x, y) in focal for x, y in zip(values[::2], values[1::2])):
+                scaled.append(len(values))
+            return scale(values)
+
+        for module in (body_module, primitives_module):
+            monkeypatch.setattr(module, "dyadic_ints",
+                                lambda values, scale=module.dyadic_ints: counted(values, scale))
+        doc = {"inner": [list(p) for p in cfg.inner], "outer": [list(p) for p in cfg.outer]}
+        code, out, _ = run_cli(capsys, ["boundary", write(tmp_path, "in.json", doc)])
+        assert code == 0 and json.loads(out)["result"]["chain_count"] == 1
+        assert scaled[0] == 2 * (cfg.p + cfg.q) and len(scaled) == scalings
+
+    @pytest.mark.parametrize("seed, calls", [(8, 0), (5, 1)], ids=["disc", "rows"])
+    def test_boundary_builds_component_rows_only_when_read(self, tmp_path, capsys, monkeypatch,
+                                                           seed, calls):
+        # every pair of seed 8 passes the empty-disc test, so no component reads its rows;
+        # seed 5's open pair reads them, and one shared call scales every component's
+        rows, bodies = [], []
+        integer_rows, chains = body_module._integer_rows, polygon_module._chains
+        monkeypatch.setattr(body_module, "_integer_rows",
+                            lambda *args: rows.append(args) or integer_rows(*args))
+        monkeypatch.setattr(polygon_module, "_chains",
+                            lambda body, eps, cycles: bodies.append(body) or chains(body, eps, cycles))
+        cfg = ring_config(random.Random(seed), 8, 12)
+        doc = {"inner": [list(p) for p in cfg.inner], "outer": [list(p) for p in cfg.outer]}
+        code, out, _ = run_cli(capsys, ["boundary", write(tmp_path, "in.json", doc)])
+        assert code == 0 and json.loads(out)["result"]["polytope"]["is_polytope"]
+        assert len(rows) == calls and len(bodies) == 1
+        assert sum("_frame" in vars(c) for c in bodies[0].components) == 2 * calls
+        first, last = bodies[0].components[0], bodies[0].components[-1]
+        assert first.vertices and last.contains(last.site) and len(rows) == 1
 
 
 class TestBoundaryWalkedOncePerBodyAndEps:

@@ -17,7 +17,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -647,6 +647,29 @@ class TestDiscCertificate:
         assert not disc_certifies(a, b)
         assert intersection_dim(a, b) == intersection_dim(b, a) == weight
         assert ref_weight(a, b, box) == weight
+
+    def test_body_pairs_read_the_tables_as_the_rows_path_decides(self, monkeypatch):
+        # two components of one body take the empty-disc test from the body's squared
+        # distances, and go on to the rows only where it fails; standalone components of
+        # the same sites take every step from their own rows
+        rows = []
+        integer_rows = body_module._integer_rows
+        monkeypatch.setattr(body_module, "_integer_rows",
+                            lambda *args: rows.append(len(args[0])) or integer_rows(*args))
+        grid = compare_reports_grid(monkeypatch)
+        weights = Counter()
+        for cfg in [*dense_grid_configs(10), grid]:
+            body = build_body(cfg)
+            alone = [convex_component(site, cfg.outer, body.clip) for site in cfg.inner]
+            del rows[:]
+            for i, j in combinations(range(cfg.p), 2):
+                a, b = body.components[i], body.components[j]
+                want = intersection_dim(alone[i], alone[j])
+                assert intersection_dim(a, b) == intersection_dim(b, a) == want
+                weights[cfg is grid, want] += 1
+            assert rows == [cfg.p]  # one shared call for the pairs the disc leaves open
+        assert weights[True, 0] == 5
+        assert {(False, 2), (False, 0), (False, -1), (True, 2), (True, -1)} <= set(weights)
 
     def test_squared_lengths_are_those_of_the_rows(self):
         rng = random.Random(56)

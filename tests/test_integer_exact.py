@@ -19,9 +19,17 @@ from itertools import permutations
 
 import pytest
 
-from equidist import primitives
+from equidist import polygon, primitives
 from equidist.body import FocalConfig
-from equidist.polygon import _is_clockwise, _is_hole, _lowest_key, _xy_key, check_regularity
+from equidist.polygon import (
+    _is_clockwise,
+    _is_hole,
+    _lowest_key,
+    _turn_signs,
+    _xy_key,
+    check_regularity,
+    extract_boundary,
+)
 from equidist.primitives import (
     Point,
     _incircle_exact,
@@ -352,6 +360,11 @@ def pushed(floats, sign):
 # the coordinates moves twice the area by up to 2u times the sum of the |products|
 A = 1.0 + 2.0 ** -52  # its half ulp is u relative to it
 TINY = 2.0 ** -20
+# the flat dart whose rounded certificate splits its double vertex (see test_type32.py)
+FLAT_DART = [(-4.746586673800708, -0.005902946252310706),
+             (-3.167287754935413, -0.024408559805269937),
+             (9.356261398575892, 0.08935820283430503),
+             (9.991162478251315, 0.09483758907482023)]
 
 
 class TestHoleFromRoundedPoints:
@@ -454,6 +467,140 @@ class TestHoleFromRoundedPoints:
             twice, _ = float_shoelace(rounded(verts))
             wrong += twice != 0.0 and (twice < 0) != self.check(verts)
         assert wrong
+
+
+def frac_turn_sign(u, v, w):
+    """The sign of the turn u -> v -> w of homogeneous points (W > 0), in Fractions."""
+    (ux, uy), (vx, vy), (wx, wy) = ((Fraction(x, h), Fraction(y, h)) for x, y, h in (u, v, w))
+    det = (vx - ux) * (wy - uy) - (vy - uy) * (wx - ux)
+    return (det > 0) - (det < 0)
+
+
+class TestTurnSignsFromRoundedPoints:
+    """``_turn_signs`` against ``frac_turn_sign`` where the float shoelace cannot decide."""
+
+    @staticmethod
+    def check(verts):
+        want = [frac_turn_sign(verts[t - 1], verts[t], verts[(t + 1) % len(verts)])
+                for t in range(len(verts))]
+        assert _turn_signs(verts, rounded(verts)) == want
+        return want
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_float_sum_of_the_wrong_sign_beyond_half_its_bound(self, sign):
+        floats = [(A, A), (-A, -A), (TINY, TINY + sign * 1.75 * U)]
+        verts = pushed(floats, sign)
+        twice, size = float_shoelace(rounded(verts))
+        assert 1.5 * U * size < abs(twice) < 3 * U * size and (twice > 0) != (sign > 0)
+        assert self.check(verts) == [sign] * 3
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_float_sum_of_zero(self, sign):
+        verts = pushed([(A, A), (-A, -A), (TINY, TINY)], sign)
+        assert float_shoelace(rounded(verts))[0] == 0.0
+        assert self.check(verts) == [sign] * 3
+
+    def test_collinear_turns_are_zero(self):
+        verts = [exact_vert(x, y) for x, y in ((0, 0), (1, 1), (3, 3), (3, 0))]
+        assert self.check(verts) == [-1, 0, -1, -1]  # clockwise, straight at (1, 1)
+
+    def test_random_near_collinear_polygons(self):
+        # every turn of points near one line, exact points pushed against the float sign or
+        # anywhere within half an ulp of the float ones
+        rng = random.Random(138)
+        for _ in range(2000):
+            e = rng.randint(-60, 60)
+            d = (rng.uniform(1, 2) * 2.0 ** e, rng.uniform(1, 2) * 2.0 ** e)
+            floats = [(t * d[0], t * d[1])
+                      for t in (rng.uniform(-2, 2) for _ in range(rng.randint(3, 7)))]
+            if rng.random() < 0.5:
+                verts = pushed(floats, rng.choice((1, -1)))
+            else:
+                verts = [exact_vert(*(Fraction(v) + Fraction(rng.randint(-2**20, 2**20), 2**21)
+                                      * Fraction(math.ulp(v)) for v in p)) for p in floats]
+            self.check(verts)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_subnormal_coordinates(self, sign):
+        # as for holes: rounding the subnormal y coordinates flips the float sign of the turn
+        ulp, big = Fraction(2) ** -1074, 2 ** 100
+        ys = [Fraction(31, 20) * ulp, Fraction(11, 20) * ulp, Fraction(29, 20) * ulp]
+        verts = [exact_vert(-big, ys[0]), exact_vert(big, ys[1]), exact_vert(0, ys[2])][::sign]
+        twice, size = float_shoelace(rounded(verts))
+        assert (twice < 0) != frac_is_clockwise(verts) and abs(twice) > 0.1 * size
+        assert self.check(verts) == [sign] * 3
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_coordinate_rounded_to_zero(self, sign):
+        ulp = Fraction(2) ** -1074
+        verts = [exact_vert(-2.0 ** 1000, 2.0 ** -1022), exact_vert(2.0 ** 946, 0),
+                 exact_vert(0, Fraction(9, 20) * ulp)][::sign]
+        twice, size = float_shoelace(rounded(verts))
+        assert (twice < 0) != frac_is_clockwise(verts) and abs(twice) == size
+        self.check(verts)
+
+    def test_products_that_underflow(self):
+        # three float points on a line through the origin, one y moved by up to 2**19 ulps:
+        # their products round to subnormals, so only the floor of the bound covers them
+        rng = random.Random(141)
+        wrong = 0
+        for _ in range(2000):
+            d = (rng.randint(1, 2**20) * 2.0 ** -520, rng.randint(1, 2**20) * 2.0 ** -580)
+            floats = [(t * d[0], t * d[1]) for t in rng.sample(range(-2**10, 2**10), 3)]
+            i = rng.randrange(3)
+            x, y = floats[i]
+            floats[i] = (x, y + rng.randint(-2**19, 2**19) * math.ulp(y))
+            verts = [exact_vert(*p) for p in floats]
+            twice, _ = float_shoelace(rounded(verts))
+            want = self.check(verts)
+            wrong += twice != 0.0 and (twice > 0) != (want[0] > 0)
+        assert wrong
+
+    def test_random_coordinates_near_the_least_normal_and_beyond_the_range(self):
+        rng = random.Random(139)
+        for _ in range(1000):
+            exp = rng.choice((-1076, -1048, 480, 1000))
+            verts = [exact_vert(*(Fraction(rng.randint(-2**60, 2**60), 2**60)
+                                  * Fraction(2) ** rng.randint(exp, exp + 20) for _ in range(2)))
+                     for _ in range(rng.randint(3, 6))]
+            self.check(verts)
+
+    @staticmethod
+    def corpus():
+        """Ring, grid and dense-grid inputs, and certificates of concave quads and flat darts."""
+        from equidist.type32 import _construct_quad, label_quad
+
+        from conftest import random_concave_quad
+        from test_exact_graph import dense_grid_configs, grid_config, ring_config
+
+        rng = random.Random(140)
+        yield from (ring_config(rng, 8, 12) for _ in range(40))
+        yield from (grid_config(rng, rng.randint(2, 8)) for _ in range(40))
+        yield from dense_grid_configs(10)
+        quads = [random_concave_quad(rng) for _ in range(20)]
+        quads += [label_quad([Point(x, 0.001 * y) for x, y in quad.points]) for quad in quads]
+        quads.append(label_quad([Point(*p) for p in FLAT_DART]))
+        for quad in quads:
+            yield _construct_quad(quad, None)[3].config()
+
+    def test_chain_turns_on_the_corpora(self, monkeypatch):
+        walked = []
+        signs = polygon._turn_signs
+        monkeypatch.setattr(polygon, "_turn_signs",
+                            lambda verts, pts: walked.append((verts, pts)) or signs(verts, pts))
+        for cfg in self.corpus():
+            extract_boundary(FocalConfig(cfg.inner, cfg.outer))  # a new object: no memo answers
+        exact, det = [], polygon._orientation_det
+        monkeypatch.setattr(polygon, "_orientation_det", lambda *uvw: exact.append(uvw) or det(*uvw))
+        turns = straight = 0
+        for verts, pts in walked:
+            n = len(verts)
+            want = [frac_turn_sign(verts[t - 1], verts[t], verts[(t + 1) % n]) for t in range(n)]
+            assert signs(verts, pts) == want
+            turns, straight = turns + n, straight + want.count(0)
+        # the rounded points decide nearly every turn that is not straight (grid inputs have
+        # straight ones, which only the exact determinant decides)
+        assert turns > 2000 and straight > 0 and len(exact) - straight < turns / 100
 
 
 class TestLowestFromRoundedPoints:
