@@ -17,8 +17,13 @@ The inputs come from ``bench/corpus.py`` (imported, never changed):
   runs every report, so each starts with the memo slots the one before it left;
 - ``graph`` and ``boundary`` on grid input 10, whose inner cells meet in a single
   point on five pairs (weight 0): the other inputs have weights 2 and -1 only;
-- ``boundary`` and ``body`` on the first 30 grid inputs of seed 6, so that the
-  walk meets cocircular faces, collinear hull points and pinch points;
+- ``boundary``, ``body`` and ``hypergraph`` on the first 30 grid inputs of seed 6,
+  so that the walk meets cocircular faces, collinear hull points and pinch points,
+  and the regularity check's float certificate fails and its exact loop reports;
+- ``hypergraph`` on near ties: integer points with four on a circle or three on a
+  line, among three others, scaled by a power of two and shifted, with one
+  coordinate of a tied point moved by one ulp: the certificate proves some of these
+  regular, and the exact loop decides the others;
 - ``classify32`` and ``voronoi-check`` on the (2, 3) configurations that
   generate the corpus pentagons, and ``recognize-pentagon`` and ``render`` on
   the pentagons;
@@ -89,6 +94,32 @@ def concave_quad(rng: random.Random) -> dict:
     return {"polygon": [list(a), list(b), list(c), list(d)]}
 
 
+def near_tie(rng: random.Random, k: int) -> dict:
+    """Four lattice points on a circle (k even) or three on a line (k odd), among three
+    others, times 2**e and shifted by a multiple of it, one tied coordinate moved by one ulp."""
+    cx, cy = rng.randint(-50, 50), rng.randint(-50, 50)
+    if k % 2 == 0:
+        m = rng.randint(1, 9)
+        dirs = ((3, 4), (4, 3), (5, 0), (4, -3), (3, -4), (0, -5), (-3, -4), (-4, -3),
+                (-5, 0), (-4, 3), (-3, 4), (0, 5))
+        tied = [(cx + m * u, cy + m * v) for u, v in rng.sample(dirs, 4)]
+    else:
+        dx, dy = rng.randint(1, 6), rng.randint(-6, 6)
+        tied = [(cx + t * dx, cy + t * dy) for t in rng.sample(range(-5, 6), 3)]
+    pts = list(tied)
+    while len(pts) < len(tied) + 3:
+        pt = (rng.randint(-100, 100), rng.randint(-100, 100))
+        if pt not in pts:
+            pts.append(pt)
+    e = rng.randint(-60, 60)
+    ox, oy = (0, 0) if k % 4 < 2 else (rng.randint(-2**20, 2**20), rng.randint(-2**20, 2**20))
+    pts = [[math.ldexp(x + ox, e), math.ldexp(y + oy, e)] for x, y in pts]
+    moved = pts[rng.randrange(len(tied))]
+    axis = rng.randrange(2)
+    moved[axis] = math.nextafter(moved[axis], rng.choice((math.inf, -math.inf)))
+    return {"inner": pts[:3], "outer": pts[3:]}
+
+
 FAILURES = {
     "unbounded.json": {"inner": [[0.25, 0.5], [5.0, 5.0]], "outer": [[0, 0], [2, 0], [0, 2]]},
     "convex-pentagon.json": {"polygon": [[0, 0], [4, 0], [5, 3], [2, 5], [-1, 3]]},
@@ -123,7 +154,12 @@ def matrix() -> tuple[dict, list[list[str]]]:
     jobs += [["graph", "grid-10.json"], ["boundary", "grid-10.json"]]
     for k, (doc, _) in zip(range(30), corpus.stream("grid", 6)):
         inputs[f"grid-6-{k}.json"] = doc
-        jobs += [["boundary", f"grid-6-{k}.json"], ["body", f"grid-6-{k}.json"]]
+        jobs += [["boundary", f"grid-6-{k}.json"], ["body", f"grid-6-{k}.json"],
+                 ["hypergraph", f"grid-6-{k}.json"]]
+    rng = random.Random(7)
+    for k in range(12):
+        inputs[f"near-tie-{k}.json"] = near_tie(rng, k)
+        jobs.append(["hypergraph", f"near-tie-{k}.json"])
     for k, (shape, config) in zip(range(4), corpus.stream("pentagon", 4)):
         inputs[f"pentagon-{k}.json"], inputs[f"generator-{k}.json"] = shape, config
         jobs += [["recognize-pentagon", f"pentagon-{k}.json"],

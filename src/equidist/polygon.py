@@ -10,7 +10,14 @@ regularity loop does no multiplication.  For each pair (a, b) the regularity
 check keys every later point c by its circle through a and b: a zero cross
 product is a collinear triple, and otherwise the key is twice the circle's
 centre along the bisector of ab, an exact rational rounded once.  Points
-sharing a key are confirmed by exact equality of their rationals.  The
+sharing a key are confirmed by exact equality of their rationals.  That loop
+runs only where a float certificate cannot decide: inverted about each base
+point a, the later points and the origin are in general position exactly when
+no triple or quadruple with least index a is degenerate, so the directions of
+the lines through their pairs, keyed in floats, sorted once per base point and
+all further apart than twice a proven forward error bound of the form
+(8 Dmax / Dmin + 8) 2**-53, prove the input regular (``_certified_regular``).
+A gap at or below it, a vertical pair or a failed range guard runs the loop.  The
 Delaunay subdivision of K ∪ L, whose faces are the maximal sets of points on
 an empty circle, is built once per config object by gift-wrapping: each point
 left of an open edge is keyed by its circle through the edge's ends, as the
@@ -43,7 +50,7 @@ import math
 import sys
 from functools import cmp_to_key
 from itertools import repeat
-from operator import mul, neg
+from operator import mul, neg, sub
 from typing import NamedTuple
 
 from .body import (
@@ -157,9 +164,84 @@ def labeled_points(cfg: FocalConfig) -> list[tuple[FocalRef, Point]]:
     return refs
 
 
+def _certified_regular(tables) -> bool:
+    """True where floats prove the points of ``_tables`` regular; False where they cannot.
+
+    Inversion about a focal point a, w_b = (b - a) / |b - a|^2, maps each circle through
+    a to a line and each line through a to itself, and the origin O stands for a.  So
+    a, b, c are collinear exactly when O, w_b and w_c are, and a, b, c, d are concircular
+    exactly when w_b, w_c and w_d are collinear.  For a = 0 ... n - 3, the points
+    W_a = {O} ∪ {w_b : b > a} thus have no three on a line exactly when no collinear triple
+    and no concircular quadruple has a as its least index, which holds exactly when the
+    lines through the pairs of W_a have pairwise different directions.  Each pair's
+    direction is keyed by t / (1 + |t|), t = Δv / Δu: on the angle θ in [-π/2, π/2) of the
+    direction its slope is 1 / (|cos θ| + |sin θ|)^2 <= 1, and it closes into a circle of
+    length 2 where -1 meets 1.  All keys of one a are built in one comprehension and sorted
+    once.  Where every gap, and the wrap gap 2 + first - last, exceeds 2 eps, with eps a
+    bound on each key's error along that circle, no two exact keys are equal, so every W_a
+    is in general position and the points are regular.
+
+    The bound, with u = 2**-53 and rho = Dmax / Dmin, the longest over the shortest
+    distance of two focal points, read exactly from S:
+
+    - The tables hold the points times 2**k, each integer a float times a power of two,
+      so ``float`` converts it exactly or raises ``OverflowError``; distinct points differ
+      by at least 1 there.  S < 2**800 then keeps every difference below 2**400, and every
+      inverted coordinate 0 or within [2**-800, 1.01]: nothing overflows or underflows, and
+      no value is subnormal.  So every rounding below is relative.
+    - Each coordinate of w_b rounds three times (the difference, the float of S and the
+      quotient), so w_b lies within (3u + 5u^2) |w_b| = (3u + 5u^2) / |b - a| of its value.
+    - Δw = w_c - w_b has length |c - b| / (|b - a| |c - a|).  So the two points' errors
+      move it by at most (3u + 5u^2) (|b - a| + |c - a|) / |c - b| <= (6u + 10u^2) rho
+      relatively, the rounded subtraction by u more: eta <= 6 rho u (1 + 3u) + u in all.
+      A pair with O carries w_b's error alone.  rho < 2**40 (S within 2**80 of its least
+      entry) keeps eta below 2**-10, so the direction turns by at most
+      arcsin(eta) <= (1 + 2**-20) eta, and the key moves no more along its circle.
+    - Every nonzero coordinate is a multiple of 2**-852 of size at most 1.01, so a nonzero
+      Δu is at least 2**-852 and |t| < 2**854: t is finite and normal.  t, 1 + |t| and the
+      key each round once, which moves the key by at most 2.26u.
+    - Each key thus lies within 6.00001 rho u + 3.27u of its exact value.  A rounded gap
+      adds u relatively, the wrap gap 4u absolutely.  eps = (8 rho' + 8) u, with rho' the
+      rounded sqrt(Smax / Smin), within 2u of rho relatively, covers all of it.
+
+    A zero Δu (``ZeroDivisionError``), a failed guard or a gap at or below 2 eps returns
+    False, and so does any tie: three collinear points give two pairs of one direction.
+    """
+    _, xs, ys, _, S = tables
+    n = len(xs)
+    smin = min(min(S[a][a + 1:]) for a in range(n - 1))
+    smax = max(max(S[a][a + 1:]) for a in range(n - 1))
+    if smax.bit_length() > 800 or smax >> 80 >= smin:  # the guards S < 2**800, rho < 2**40
+        return False
+    tol = (16.0 * math.sqrt(smax / smin) + 16.0) * 2.0 ** -53  # 2 eps
+    try:
+        fx, fy = list(map(float, xs)), list(map(float, ys))
+        for a in range(n - 2):
+            xa, ya = fx[a], fy[a]
+            w = [((x - xa) / s, (y - ya) / s)
+                 for x, y, s in zip(fx[a + 1:], fy[a + 1:], map(float, S[a][a + 1:]))]
+            w.append((0.0, 0.0))
+            keys = [(t := (vc - vb) / (uc - ub)) / (1.0 + abs(t))
+                    for m, (ub, vb) in enumerate(w) for uc, vc in w[m + 1:]]
+            keys.sort()
+            if not (min(map(sub, keys[1:], keys)) > tol and 2.0 + keys[0] - keys[-1] > tol):
+                return False
+    except (ZeroDivisionError, OverflowError):
+        return False
+    return True
+
+
 @once_per_input
 def check_regularity(cfg: FocalConfig) -> RegularityReport:
     """Exact test for collinear triples (C1) and concircular quadruples (C2), O(n^3).
+
+    A float certificate runs first (``_certified_regular``): it keys the direction of
+    every line through two points inverted about each base point, sorts the keys of one
+    base point once, and returns the report of a regular input, with no triple or
+    quadruple listed, where every gap between them exceeds a proven forward error bound.
+    Its verdict is exact: it certifies no irregular input.  Anything else, a gap at or
+    below the bound, a vertical pair or a failed range guard, runs the exact loop below,
+    which alone lists triples and quadruples.
 
     Every triple's integers are sums of entries of the tables of ``_tables``,
     built once per input, so the O(n^3) loop does no multiplication.  A later
@@ -177,6 +259,8 @@ def check_regularity(cfg: FocalConfig) -> RegularityReport:
     rounding.  Both lists come out in ``combinations`` order.  A second call
     with the same config object returns the same report.
     """
+    if _certified_regular(_tables(cfg)):
+        return RegularityReport(ok=True, collinear=(), concircular=())
     refs = [r for r, _ in labeled_points(cfg)]
     n = len(refs)
     _, _, _, X, S = _tables(cfg)
@@ -375,15 +459,15 @@ def _rounds_relatively(verts, pts) -> bool:
         for c, e in zip(p, vert))  # c rounds e / (W 2**k), vert = (X, Y, W)
 
 
-def _is_hole(verts, pts) -> bool:
+def _is_hole(verts, pts, relative: bool) -> bool:
     """``_is_clockwise(verts)``, from the float shoelace of pts, the points correctly rounded.
 
     The sign of the float sum decides where it exceeds its forward error bound, as in
     ``primitives.orient``.  The bound needs each coordinate within a relative 2**-53 of its
-    exact value (``_rounds_relatively``), else the exact sum decides, as it does for a sum or
-    bound that is not finite.
+    exact value, ``relative`` being ``_rounds_relatively(verts, pts)``, else the exact sum
+    decides, as it does for a sum or bound that is not finite.
     """
-    if not _rounds_relatively(verts, pts):
+    if not relative:
         return _is_clockwise(verts)
     xs, ys = [p.x for p in pts], [p.y for p in pts]
     # the products x_m y_m+1 and -x_m+1 y_m, each rounded once
@@ -406,15 +490,14 @@ _TURN_ERRBOUND = (8.0 + 128.0 * 2.0 ** -53) * 2.0 ** -53
 _TURN_FLOOR = 3 * _SHOELACE_FLOOR
 
 
-def _turn_signs(verts, pts) -> list[int]:
+def _turn_signs(verts, pts, relative: bool) -> list[int]:
     """The exact sign of the turn at each vertex of a closed polygon of homogeneous points.
 
-    From pts, the points correctly rounded, where the float shoelace of the vertex and its
-    neighbours exceeds its forward error bound, as in ``_is_hole``, else from the exact
-    ``_orientation_det``.
+    From pts, the points correctly rounded, where ``relative`` (``_rounds_relatively``) holds
+    and the float shoelace of the vertex and its neighbours exceeds its forward error bound,
+    as in ``_is_hole``, else from the exact ``_orientation_det``.
     """
     n = len(pts)
-    relative = _rounds_relatively(verts, pts)
     signs = []
     for t in range(n):
         if relative:
@@ -503,11 +586,12 @@ def _chains(body: EquidistantBody, eps: float, cycles) -> list[PolygonChain]:
                 pairs.append(None)
             refs[-1].update(sites)
             pairs[-1] = (i, j)  # a run leaves by its last member's edge
-        if _is_hole(verts, pts):  # reverse, keeping vertex 0
+        relative = _rounds_relatively(verts, pts)  # kept by the reversal
+        if _is_hole(verts, pts, relative):  # reverse, keeping vertex 0
             verts, pts, refs = ([s[0]] + s[:0:-1] for s in (verts, pts, refs))
             pairs.reverse()
         info = []
-        for vref, turn in zip(refs, _turn_signs(verts, pts)):
+        for vref, turn in zip(refs, _turn_signs(verts, pts, relative)):
             inner = tuple(sorted(s for s in vref if s < p))
             outer = tuple(sorted(s - p for s in vref if s >= p))
             change = (CHANGE_DOUBLE if len(inner) >= 2 and len(outer) >= 2

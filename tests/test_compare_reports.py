@@ -18,7 +18,7 @@ def compare(base, head):
 def test_a_tree_against_itself_has_no_difference():
     code, out, err = compare(ROOT, ROOT)
     assert code == 0, out + err
-    assert out.endswith(" reports, 0 differ\n") and "differs:" not in out
+    assert out.endswith(": 245 reports, 0 differ\n") and "differs:" not in out
 
 
 def test_a_changed_float_format_is_reported(tmp_path):

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_generic_32
+from equidist import polygon
 from equidist.body import FocalConfig, convex_hull
 from equidist.errors import GeometryError, NumericalDegeneracy, RegularityViolated
 from equidist.polygon import (
@@ -28,6 +29,7 @@ from equidist.polygon import (
     COLOR_YXY,
     HyperEdge,
     RegularityReport,
+    _certified_regular,
     _subdivision,
     _tables,
     _triple_color,
@@ -575,3 +577,125 @@ class TestPairwiseTables:
                 dot = (cx - ax) * (cx - bx) + (cy - ay) * (cy - by)
                 assert X[a][b] + X[b][c] - X[a][c] == cross
                 assert S[a][c] + S[b][c] - S[a][b] == 2 * dot
+
+
+# --- the float certificate in front of the exact loop -------------------------
+
+def exact_loop(cfg: FocalConfig) -> RegularityReport:
+    """``check_regularity``'s exact loop alone: the certificate patched to decide nothing."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polygon, "_certified_regular", lambda tables: False)
+        return check_regularity.__wrapped__(cfg)
+
+
+# the lattice points at distance 5 from the origin
+_RADIUS_5 = ((3, 4), (4, 3), (5, 0), (4, -3), (3, -4), (0, -5),
+             (-3, -4), (-4, -3), (-5, 0), (-4, 3), (-3, 4), (0, 5))
+
+
+def tied_integer_points(rng: random.Random) -> tuple[list, list]:
+    """Integer points with an exactly collinear triple or concircular quadruple: (all, tied).
+
+    The tie sits among two to five other random points, all within a box of width 200.
+    """
+    cx, cy = rng.randint(-50, 50), rng.randint(-50, 50)
+    if rng.random() < 0.5:
+        while True:
+            dx, dy = rng.randint(-6, 6), rng.randint(-6, 6)
+            if dx or dy:
+                break
+        tied = [(cx + t * dx, cy + t * dy) for t in rng.sample(range(-5, 6), 3)]
+    else:
+        m = rng.randint(1, 9)
+        tied = [(cx + m * u, cy + m * v) for u, v in rng.sample(_RADIUS_5, 4)]
+    pts = set(tied)
+    while len(pts) < len(tied) + rng.randint(2, 5):
+        pts.add((rng.randint(-100, 100), rng.randint(-100, 100)))
+    pts = sorted(pts)
+    rng.shuffle(pts)
+    return pts, tied
+
+
+def scaled_shifted(pts, e: int, ox: int, oy: int) -> list:
+    """(x + ox, y + oy) * 2**e for integer points: exact floats for |e| <= 1000."""
+    return [(math.ldexp(x + ox, e), math.ldexp(y + oy, e)) for x, y in pts]
+
+
+def split(pts, rng: random.Random) -> FocalConfig:
+    p = rng.randint(1, len(pts) - 1)
+    return FocalConfig.of(pts[:p], pts[p:])
+
+
+class TestFloatCertificate:
+    """``_certified_regular`` never certifies an irregular input, and gives the loop's report.
+
+    Certified, ``check_regularity`` returns ``RegularityReport(True, (), ())``, which is what
+    the exact loop returns on regular input; on anything else the loop runs.  So the report
+    always equals the loop's, and the certificate must refuse every input with an exact tie,
+    at any power-of-two scale and shift, whatever its floats round to.
+    """
+
+    @staticmethod
+    def seeded_corpus():
+        rng = random.Random(91)
+        for p, q, count in ((4, 6, 300), (8, 12, 300), (12, 18, 150), (16, 24, 40),
+                            (32, 48, 10)):
+            yield from (ring_config(rng, p, q) for _ in range(count))
+        yield from (grid_config(rng, rng.randint(2, 8)) for _ in range(200))
+        yield from dense_grid_configs(10)
+
+    def test_report_equals_the_exact_loop_on_seeded_inputs(self):
+        count = certified = 0
+        for cfg in self.seeded_corpus():
+            report = check_regularity(cfg)
+            assert report == exact_loop(cfg)
+            count += 1
+            certified += _certified_regular(_tables(cfg))
+        assert count >= 1000 and 0 < certified < count
+
+    def test_exact_ties_never_certify_at_any_scale_and_shift(self):
+        rng = random.Random(92)
+        for _ in range(400):
+            pts, _ = tied_integer_points(rng)
+            e = rng.randint(-1000, 1000)
+            ox, oy = rng.randint(-2**20, 2**20), rng.randint(-2**20, 2**20)
+            cfg = split(scaled_shifted(pts, e, ox, oy), rng)
+            assert not _certified_regular(_tables(cfg))
+            report = check_regularity(cfg)
+            assert not report.ok and report == exact_loop(cfg)
+
+    def test_ties_moved_by_one_ulp_get_the_exact_loops_verdict(self):
+        rng = random.Random(93)
+        outcomes = Counter()
+        for _ in range(400):
+            pts, tied = tied_integer_points(rng)
+            e = rng.randint(-1000, 1000)
+            ox, oy = rng.choice((0, rng.randint(-2**20, 2**20))), rng.randint(-2**20, 2**20)
+            moved = scaled_shifted(pts, e, ox, oy)
+            k = pts.index(rng.choice(tied))
+            moved = nudged(moved, k, rng.randint(0, 1), rng.choice((math.inf, -math.inf)))
+            cfg = split(moved, rng)
+            report = check_regularity(cfg)
+            assert report == exact_loop(cfg)
+            outcomes[report.ok, _certified_regular(_tables(cfg))] += 1
+        assert not outcomes[False, True]
+        # the move leaves some ties irregular, makes some regular in a way the floats
+        # prove, and some regular only the exact loop can tell
+        assert outcomes[False, False] and outcomes[True, True] and outcomes[True, False]
+
+    def test_rings_never_enter_the_exact_loop_and_grids_always_do(self, monkeypatch):
+        verdicts = []
+        certify = polygon._certified_regular
+        monkeypatch.setattr(polygon, "_certified_regular",
+                            lambda tables: verdicts.append(certify(tables)) or verdicts[-1])
+        rng = random.Random(94)
+        for p, q, count in ((4, 6, 100), (8, 12, 100), (12, 18, 50), (16, 24, 10),
+                            (32, 48, 3)):
+            for _ in range(count):
+                assert check_regularity(ring_config(rng, p, q)).ok
+        assert verdicts == [True] * 263
+        verdicts.clear()
+        grids = [grid_config(rng, rng.randint(2, 8)) for _ in range(100)] + dense_grid_configs(10)
+        for cfg in grids:
+            assert not check_regularity(cfg).ok
+        assert verdicts == [False] * 110

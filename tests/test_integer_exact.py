@@ -25,6 +25,7 @@ from equidist.polygon import (
     _is_clockwise,
     _is_hole,
     _lowest_key,
+    _rounds_relatively,
     _turn_signs,
     _xy_key,
     check_regularity,
@@ -372,7 +373,9 @@ class TestHoleFromRoundedPoints:
 
     def check(self, verts):
         want = frac_is_clockwise(verts)
-        assert _is_hole(verts, rounded(verts)) == _is_clockwise(verts) == want
+        pts = rounded(verts)
+        got = _is_hole(verts, pts, _rounds_relatively(verts, pts))
+        assert got == _is_clockwise(verts) == want
         return want
 
     @pytest.mark.parametrize("sign", [1, -1])
@@ -483,7 +486,8 @@ class TestTurnSignsFromRoundedPoints:
     def check(verts):
         want = [frac_turn_sign(verts[t - 1], verts[t], verts[(t + 1) % len(verts)])
                 for t in range(len(verts))]
-        assert _turn_signs(verts, rounded(verts)) == want
+        pts = rounded(verts)
+        assert _turn_signs(verts, pts, _rounds_relatively(verts, pts)) == want
         return want
 
     @pytest.mark.parametrize("sign", [1, -1])
@@ -587,7 +591,8 @@ class TestTurnSignsFromRoundedPoints:
         walked = []
         signs = polygon._turn_signs
         monkeypatch.setattr(polygon, "_turn_signs",
-                            lambda verts, pts: walked.append((verts, pts)) or signs(verts, pts))
+                            lambda verts, pts, relative: walked.append((verts, pts))
+                            or signs(verts, pts, relative))
         for cfg in self.corpus():
             extract_boundary(FocalConfig(cfg.inner, cfg.outer))  # a new object: no memo answers
         exact, det = [], polygon._orientation_det
@@ -596,7 +601,7 @@ class TestTurnSignsFromRoundedPoints:
         for verts, pts in walked:
             n = len(verts)
             want = [frac_turn_sign(verts[t - 1], verts[t], verts[(t + 1) % n]) for t in range(n)]
-            assert signs(verts, pts) == want
+            assert signs(verts, pts, _rounds_relatively(verts, pts)) == want
             turns, straight = turns + n, straight + want.count(0)
         # the rounded points decide nearly every turn that is not straight (grid inputs have
         # straight ones, which only the exact determinant decides)
