@@ -172,8 +172,10 @@ def _certified_regular(tables) -> bool:
     a, b, c are collinear exactly when O, w_b and w_c are, and a, b, c, d are concircular
     exactly when w_b, w_c and w_d are collinear.  For a = 0 ... n - 3, the points
     W_a = {O} ∪ {w_b : b > a} thus have no three on a line exactly when no collinear triple
-    and no concircular quadruple has a as its least index, which holds exactly when the
-    lines through the pairs of W_a have pairwise different directions.  Each pair's
+    and no concircular quadruple has a as its least index.  That holds where the lines
+    through the pairs of W_a have pairwise different directions, since three points on a
+    line give two pairs of one direction; two parallel pairs without a common point only
+    make the certificate fail, and the loop decides.  Each pair's
     direction is keyed by t / (1 + |t|), t = Δv / Δu: on the angle θ in [-π/2, π/2) of the
     direction its slope is 1 / (|cos θ| + |sin θ|)^2 <= 1, and it closes into a circle of
     length 2 where -1 meets 1.  All keys of one a are built in one comprehension and sorted
@@ -205,7 +207,8 @@ def _certified_regular(tables) -> bool:
       rounded sqrt(Smax / Smin), within 2u of rho relatively, covers all of it.
 
     A zero Δu (``ZeroDivisionError``), a failed guard or a gap at or below 2 eps returns
-    False, and so does any tie: three collinear points give two pairs of one direction.
+    False, and so does any tie, whose two pairs of one direction leave a gap of at most
+    2 eps.
     """
     _, xs, ys, _, S = tables
     n = len(xs)
