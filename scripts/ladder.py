@@ -23,10 +23,10 @@ kernel ``bench/ref.py`` timed in the same child, one before each run (at least
 three), and reports both the raw ms and the ms at reference speed
 (raw * R0 / kernel), as the benchmark's workloads do.
 
-Sizes: ring (8, 12), (16, 24) and (32, 48) from
-``corpus.ring_config(random.Random(p), p, q)``, and one grid input,
-``corpus.grid_config(random.Random(1))``.  ``bench/corpus.py`` and
-``bench/ref.py`` are imported, never changed.  Whole CLI processes and the
+Sizes: ring (8, 12), (12, 18) (the size of the ``hypergraph-ring`` workload),
+(16, 24) and (32, 48) from ``corpus.ring_config(random.Random(p), p, q)``, and
+one grid input, ``corpus.grid_config(random.Random(1))``.  ``bench/corpus.py``
+and ``bench/ref.py`` are imported, never changed.  Whole CLI processes and the
 (3,2) stages are not timed here.
 
 Each (stage, size) runs in three children per tree, and its row keeps the
@@ -64,6 +64,7 @@ import ref  # noqa: E402
 
 SIZES = {
     "ring-8-12": lambda: corpus.ring_config(random.Random(8), 8, 12),
+    "ring-12-18": lambda: corpus.ring_config(random.Random(12), 12, 18),
     "ring-16-24": lambda: corpus.ring_config(random.Random(16), 16, 24),
     "ring-32-48": lambda: corpus.ring_config(random.Random(32), 32, 48),
     "grid": lambda: corpus.grid_config(random.Random(1)),

@@ -96,6 +96,13 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _fmt_point(p: Point) -> str:
+    text = "[%.17g, %.17g]" % p
+    if "n" in text:  # inf or nan: the first non-finite coordinate raises
+        return f"[{_fmt_float(p.x)}, {_fmt_float(p.y)}]"
+    return text
+
+
 # values written on one line
 _INLINE = {
     bool: lambda v: "true" if v else "false",
@@ -103,54 +110,84 @@ _INLINE = {
     int: str,
     float: _fmt_float,
     str: json.encoder.encode_basestring_ascii,  # what json.dumps returns for a str
-    Point: lambda p: f"[{_fmt_float(p.x)}, {_fmt_float(p.y)}]",
+    Point: _fmt_point,
 }
+_INLINE_TYPES = frozenset(_INLINE)
+_SCALARS = _INLINE_TYPES - {Point}
 # report records, NamedTuples, written as the dict of their fields in their order
 _RECORDS = (FocalRef, VertexInfo, BoundReport)
 
 
-def _write(obj, level: int, out: list) -> None:
-    """Append the report text of obj, nested at level, to out, dispatched on its exact type."""
+def _pads(level: int, memo: dict) -> tuple[str, str, str]:
+    """The line breaks of a container at level: before its close, before an item, and ","
+    and the break before an item; built once per level of a call, kept in its memo."""
+    pads = memo.get(level)
+    if pads is None:
+        pad = "\n" + "  " * (level + 1)
+        pads = memo[level] = ("\n" + "  " * level, pad, "," + pad)
+    return pads
+
+
+def _write_members(items, level: int, out: list, memo: dict) -> None:
+    """Append the members of a dict or record at level, (key, value) pairs, one per line."""
+    close, pad, comma = _pads(level, memo)
+    sep = "{" + pad
+    for key, value in items:
+        fmt = _INLINE.get(type(value))
+        if fmt is None:
+            out.append(f'{sep}"{key}": ')
+            _write(value, level + 1, out, memo)
+        else:
+            out.append(f'{sep}"{key}": {fmt(value)}')
+        sep = comma
+    out.append(close + "}")
+
+
+def _write(obj, level: int, out: list, memo: dict) -> None:
+    """Append the report text of obj, nested at level, to out, dispatched on its exact type.
+
+    memo holds the pads of each level and the text of each record written so far, by
+    (id(record), level): a record met again is not written again.  The key is its
+    identity, since equal records can print differently: index 1 against True.
+    """
     kind = type(obj)
     fmt = _INLINE.get(kind)
     if fmt is not None:
         out.append(fmt(obj))
-    elif kind is dict or kind in _RECORDS:
-        if not obj:
+    elif kind in _RECORDS:
+        key = (id(obj), level)
+        text = memo.get(key)
+        if text is None:  # a write that raises stores nothing
+            piece = []
+            _write_members(zip(obj._fields, obj), level, piece, memo)
+            text = memo[key] = "".join(piece)
+        out.append(text)
+    elif kind is dict:
+        if obj:
+            _write_members(obj.items(), level, out, memo)
+        else:
             out.append("{}")
-            return
-        pad = "\n" + "  " * (level + 1)
-        sep = "{" + pad
-        for key, value in obj.items() if kind is dict else zip(obj._fields, obj):
-            fmt = _INLINE.get(type(value))
-            if fmt is None:
-                out.append(f'{sep}"{key}": ')
-                _write(value, level + 1, out)
-            else:
-                out.append(f'{sep}"{key}": {fmt(value)}')
-            sep = "," + pad
-        out.append("\n" + "  " * level + "}")
     elif kind is list or kind is tuple:
         if not obj:
             out.append("[]")
             return
-        pad = "\n" + "  " * (level + 1)
-        if all(isinstance(v, (int, float, str)) or v is None for v in obj):
-            parts = []
-            for value in obj:
-                _write(value, level + 1, parts)
-            # inline when the scalars take fewer than 72 characters
-            if sum(map(len, parts)) < 72:
+        scalars = _SCALARS.issuperset(map(type, obj))
+        if scalars or _INLINE_TYPES.issuperset(map(type, obj)):
+            parts = [_INLINE[type(value)](value) for value in obj]
+            # scalars go on one line when they take fewer than 72 characters
+            if scalars and sum(map(len, parts)) < 72:
                 out.append("[" + ", ".join(parts) + "]")
             else:
-                out.append("[" + pad + ("," + pad).join(parts) + "\n" + "  " * level + "]")
+                close, pad, comma = _pads(level, memo)
+                out.append("[" + pad + comma.join(parts) + close + "]")
             return
+        close, pad, comma = _pads(level, memo)
         sep = "[" + pad
         for value in obj:
             out.append(sep)
-            _write(value, level + 1, out)
-            sep = "," + pad
-        out.append("\n" + "  " * level + "]")
+            _write(value, level + 1, out, memo)
+            sep = comma
+        out.append(close + "]")
     else:
         raise TypeError(f"unsupported report value {obj!r}")
 
@@ -161,11 +198,13 @@ def format_json(obj, indent: int = 0) -> str:
     Scalars and Points are written inline, dicts and records (as the dict of their
     fields in order) one member per line, and a list or tuple inline when every item
     is a scalar and the items take fewer than 72 characters, else one item per line.
-    Any other type, subclasses included, is a TypeError, and the first non-finite
-    float in document order a NumericalDegeneracy.
+    A record object met twice in one report is written once: its text is kept, by
+    identity and level, and appended again.  Any other type, subclasses included, is
+    a TypeError, and the first non-finite float in document order a
+    NumericalDegeneracy.
     """
     out = []
-    _write(obj, indent, out)
+    _write(obj, indent, out, {})
     return "".join(out)
 
 

@@ -634,6 +634,9 @@ def nested(depth):
 class TestWriterAgainstReference:
     """The one-buffer writer against the string-returning recursion it replaced, byte for byte."""
 
+    REF = FocalRef("outer", 4)
+    INFO = VertexInfo("convex", "double", (0, 2), (5,))
+
     def test_every_report_of_the_compare_reports_matrix(self, tmp_path, monkeypatch, capsys):
         monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "scripts"))
         import compare_reports
@@ -669,10 +672,17 @@ class TestWriterAgainstReference:
          "info": [VertexInfo("concave", "single", (1,), (0, 4))]},
         [True, False, None, 0, -7, 2.5, -0.0, 1e-300, 1e300, Point(1.0, -2.0)],
         nested(150),
+        [REF, REF], (INFO, BoundReport(True, 3, 4), INFO),
+        {"refs": (REF, REF), "again": [REF]},
+        {"first": REF, "deeper": [REF, {"deepest": REF}], "last": REF},
+        [FocalRef("inner", 1), FocalRef("inner", True), FocalRef("inner", 1.0),
+         FocalRef("inner", 1)],
     ], ids=["dict", "list", "tuple", "empty-members", "empty-items", "escapes",
             "escaped-members", "FocalRef", "VertexInfo", "BoundReport", "records-in-a-list",
-            "records-in-a-dict", "scalars-and-a-point", "nested-150"])
-    @pytest.mark.parametrize("indent", [0, 3])
+            "records-in-a-dict", "scalars-and-a-point", "nested-150", "a-record-twice",
+            "a-record-twice-beside-another", "a-record-at-two-levels",
+            "a-record-at-three-levels", "equal-records-printed-differently"])
+    @pytest.mark.parametrize("indent", [0, 3, 200])
     def test_values(self, value, indent):
         assert format_json(value, indent) == reference_format_json(value, indent)
 
@@ -691,13 +701,36 @@ class TestWriterAgainstReference:
         {1}, type("Text", (str,), {})("a"), [1, type("Text", (str,), {})("a")],
         [type("Items", (list,), {})([1])],
         HyperEdge((FocalRef("inner", 0),) * 3, "mono_inner", Circle(Point(0.0, 0.0), 1.0), None),
+        [FocalRef("inner", math.inf)] * 2,
+        [FocalRef("inner", math.inf), math.nan, FocalRef("inner", math.inf)],
+        {"a": BoundReport(True, 3, math.nan), "b": [BoundReport(True, 3, math.nan)] * 2},
+        [VertexInfo("convex", "double", (0, -math.inf), (5,))] * 3,
+        (Point(1.0, 2.0), Point(3.0, math.nan)),
+        (Point(1.0, 2.0), Point(-math.inf, math.nan), Point(math.nan, 0.0)),
+        [Point(1.0, 2.0), 7, Point(math.inf, 1.0)],
     ], ids=["nan-x", "inf-y", "x-before-y", "nan-in-a-list", "nested-inf", "set",
-            "str-subclass", "str-subclass-in-a-list", "list-subclass", "HyperEdge"])
+            "str-subclass", "str-subclass-in-a-list", "list-subclass", "HyperEdge",
+            "repeated-record", "repeated-record-around-nan", "repeated-at-two-levels",
+            "repeated-record-with-a-tuple", "second-point", "second-of-three-points",
+            "points-and-an-int"])
     def test_same_exception(self, value):
         got = outcome(format_json, value)
         assert isinstance(got, tuple)
         assert got == outcome(reference_format_json, value)
         assert got[0] is (NumericalDegeneracy if "value in report" in got[1] else TypeError)
+
+    def test_a_record_met_again_is_written_once(self, monkeypatch):
+        written = []
+        real = cli._write_members
+
+        def counted(items, level, out, memo):
+            written.append(level)
+            real(items, level, out, memo)
+
+        monkeypatch.setattr(cli, "_write_members", counted)
+        text = format_json([self.REF, self.REF, [self.REF]])
+        assert text == reference_format_json([self.REF, self.REF, [self.REF]])
+        assert written == [1, 2]  # once at each level it is met on
 
 
 class TestOptionDefaults:
