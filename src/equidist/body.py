@@ -196,8 +196,7 @@ class ConvexComponent(_Frozen):
     carries the edge, negative values are clip-box sides.  ``_frame`` holds
     the integer rows, box and k of the clip and ``_exact`` adds its raw output;
     ``contains`` and ``min_signed`` read the rows, so their signs are exact, and
-    ``connectivity.intersection_dim`` reads the outer rows and their squared lengths,
-    computed once per component (``_squared_lengths``).  ``convex_component`` builds
+    ``connectivity.intersection_dim`` reads the outer rows.  ``convex_component`` builds
     the rows at once.  A component of ``build_body`` builds them on the first read of
     ``_frame``, by one ``_integer_rows`` call that its body's components share;
     until then ``_source`` = (that call, the body's ``_tables`` S, the site's index)
@@ -241,11 +240,6 @@ class ConvexComponent(_Frozen):
         raw = self._exact[3]
         return any(t < 0 and not _same_point(v, raw[i + 1 - len(raw)][0])
                    for i, (v, t) in enumerate(raw))
-
-    @cached_property
-    def _squared_lengths(self) -> list[int]:
-        """x*x + y*y of each outer row (x, y, c), at the component's 2**k: 4 |l - site|^2."""
-        return [x * x + y * y for x, y, _ in self._frame[0][:len(self.outer)]]
 
     @cached_property
     def _lines(self) -> list:
@@ -541,12 +535,6 @@ def _exact_clip(rows, box, verts=None, first=0):
 def _same_point(u, v) -> bool:
     """Exact equality of two homogeneous points with W > 0."""
     return u[0] * v[2] == v[0] * u[2] and u[1] * v[2] == v[1] * u[2]
-
-
-def _orientation_det(u, v, w) -> int:
-    """Determinant of three homogeneous points with W > 0: the sign of their turn u -> v -> w."""
-    (x1, y1, w1), (x2, y2, w2), (x3, y3, w3) = u, v, w
-    return x1 * (y2 * w3 - y3 * w2) - y1 * (x2 * w3 - x3 * w2) + w1 * (x2 * y3 - x3 * y2)
 
 
 def _drop_zero_edges(clip_out):

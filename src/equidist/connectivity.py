@@ -4,10 +4,10 @@ Edge weights are the dimension of the pairwise intersections of the inner
 cells, decided exactly, without tolerances.  Two cells meet exactly when some
 disc through both sites has no outer point inside it (the empty-circle test for
 a Delaunay edge), and the centres of those discs lie on the sites' bisector.
-The disc on the sites' segment is tried first: with no outer point in it or on
-its circle, the weight is 2 with no clip.  For two components of one body it is
+For two components of one body the disc on the sites' segment is tried first,
 read from the squared distances S of the body's ``_tables``, one addition per
-outer point.  Any other pair, and a pair that fails it, clips one line by the
+outer point: with no outer point in it or on its circle, the weight is 2 with no
+clip.  Any other pair, and a pair that fails it, clips one line by the
 integer rows that each component stores at its 2**k scale: an interval with
 interior gives 2, a single point 0 and an empty one -1.  Components of different
 scalings are brought to the larger k by shifts.
@@ -63,16 +63,12 @@ def intersection_dim(a: ConvexComponent, b: ConvexComponent) -> int:
     The smallest such disc is the one on the segment ab, at t = 0 (the Gabriel
     test; Gabriel & Sokal 1969).  By Thales, e > 0 exactly when l lies outside
     that closed disc, so when every row has e > 0, t = 0 keeps each of them
-    strictly, the interval has interior and the weight is 2 with no clip.  An
-    outer point on its circle gives e == 0 and goes on to the clip, which may
-    close the interval to that one point.  (x - u, y - v) is b's row toward l, so
-    e is the dot product of the two sites' rows toward l, and 2e = Qa + Qb - (u*u + v*v)
-    with Qa and Qb their squared lengths, which each component computes once
-    (``_squared_lengths``) and a shift by twice the difference of the scalings
-    brings to 2**k.  For two components of one body the same test reads the body's
-    table of squared distances, S[i][l] + S[j][l] > S[i][j] for every outer l, which
-    is Qa + Qb > u*u + v*v divided by 4 at another power of two, so a pair that passes
-    it reads no rows.  Either way the test costs one addition per outer point.
+    strictly, the interval has interior and the weight is 2.  An outer point on
+    its circle gives e == 0, and the clip may close the interval to that one
+    point.  For two components of one body the test runs before any row is read,
+    on the body's table of squared distances: S[i][l] + S[j][l] - S[i][j] is
+    2 (l - a).(l - b) at the tables' scale, of the sign of e, so the test costs one
+    addition per outer point, and a pair that passes it reads no rows.
     """
     if a.outer != b.outer:
         raise MismatchedOuterSet("components must share the outer set")
@@ -86,14 +82,6 @@ def intersection_dim(a: ConvexComponent, b: ConvexComponent) -> int:
     k = max(ka, kb)
     da, db = k - ka, k - kb
     u, v = (ra[0][0] << da) - (rb[0][0] << db), (ra[0][1] << da) - (rb[0][1] << db)
-    if not one_body:
-        qa, qb = a._squared_lengths, b._squared_lengths
-        if da:
-            qa = [s << 2 * da for s in qa]
-        if db:
-            qb = [s << 2 * db for s in qb]
-        if min(map(add, qa, qb)) > u * u + v * v:  # the disc on ab is empty
-            return 2
     rows = ra[:len(a.outer)]
     if da:
         rows = [(x << da, y << da, c << 2 * da) for x, y, c in rows]

@@ -32,12 +32,13 @@ vertices are the exact circumcentres of their faces.  The walk turns from one ed
 to the next through the inner points of a face, so a pinch point needs no
 comparison of directions, and only a tied chain start reads the clipped cells.
 Refs are decided in integers.  Angle types, orientation and chain order are
-read from the correctly rounded vertices where a forward error bound or the
-monotonicity of rounding decides them, and in integers where it does not, so each
-is exact and vertex 0 of a chain is its exactly lowest vertex.  ``eps`` only merges
-each run of consecutive chain vertices closer than eps times the extent of the focal
-points; a run keeps its first member's point.  The chains of the last config object and eps
-are kept (``once_per_input``), so the stages of one input walk its boundary once.
+read from the correctly rounded vertices where the one float sign filter
+(``primitives._sum_sign``, on shoelace sums) or the monotonicity of rounding decides
+them, and in integers where it does not, so each is exact and vertex 0 of a chain is
+its exactly lowest vertex.  ``eps`` only merges each run of consecutive chain
+vertices closer than eps times the extent of the focal points; a run keeps its
+first member's point.  The chains of the last config object and eps are kept
+(``once_per_input``), so the stages of one input walk its boundary once.
 ``voronoi_check`` and ``cell_polygons`` read the exact cells of ``inner_cells``.
 Boundary extraction needs no regularity, so degenerate inputs (concircular
 focal quadruples) are handled by the same code and show up as double-change
@@ -54,13 +55,15 @@ from operator import mul, neg, sub
 from typing import NamedTuple
 
 from .body import (
+    MEMBER_BOUNDARY,
+    MEMBER_INSIDE,
     EquidistantBody,
     FocalConfig,
     _float_point,
-    _orientation_det,
     _scaled,
     _tables,
     build_body,
+    membership,
     once_per_input,
 )
 from .errors import RegularityViolated
@@ -69,6 +72,7 @@ from .primitives import (
     Circle,
     Point,
     _circumcircle_ints,
+    _sum_sign,
     dist,
     incircle,  # with orient, not called here: bench/spans.py counts calls through both
     orient,
@@ -444,12 +448,6 @@ def _is_clockwise(verts) -> bool:
     return num < 0
 
 
-# The float shoelace of correctly rounded points, u = 2**-53: each normal coordinate is
-# within a relative u of the exact one, and a product rounds once more, so each product
-# is within (3u + 14u^2) |product| + 2**-1074 of the exact one (the last term where it
-# underflows).  fsum rounds the sum once; the margin covers it and the bound's own roundings.
-_SHOELACE_ERRBOUND = (3.0 + 64.0 * 2.0 ** -53) * 2.0 ** -53
-_SHOELACE_FLOOR = 2.0 ** -1072  # per vertex: its two products' underflow, with margin
 _MIN_NORMAL = sys.float_info.min
 
 
@@ -462,57 +460,51 @@ def _rounds_relatively(verts, pts) -> bool:
         for c, e in zip(p, vert))  # c rounds e / (W 2**k), vert = (X, Y, W)
 
 
-def _is_hole(verts, pts, relative: bool) -> bool:
-    """``_is_clockwise(verts)``, from the float shoelace of pts, the points correctly rounded.
-
-    The sign of the float sum decides where it exceeds its forward error bound, as in
-    ``primitives.orient``.  The bound needs each coordinate within a relative 2**-53 of its
-    exact value, ``relative`` being ``_rounds_relatively(verts, pts)``, else the exact sum
-    decides, as it does for a sum or bound that is not finite.
-    """
-    if not relative:
-        return _is_clockwise(verts)
-    xs, ys = [p.x for p in pts], [p.y for p in pts]
-    # the products x_m y_m+1 and -x_m+1 y_m, each rounded once
-    terms = [*map(mul, xs, ys[1:] + ys[:1]), *map(mul, map(neg, xs[1:] + xs[:1]), ys)]
+def _shoelace_sign(terms: list[float]) -> int:
+    """``_sum_sign`` of shoelace products x y' and -x' y, each rounded once, by ``math.fsum``;
+    0 where the sum cannot decide.  It needs ``_rounds_relatively`` of their points."""
     try:
-        twice = math.fsum(terms)
-        bound = _SHOELACE_ERRBOUND * math.fsum(map(abs, terms)) + len(pts) * _SHOELACE_FLOOR
+        return _sum_sign(math.fsum(terms), math.fsum(map(abs, terms)), len(terms))
     except (OverflowError, ValueError):  # ValueError: products of +inf and -inf
-        return _is_clockwise(verts)
-    if abs(twice) > bound:  # false for an infinite bound, which any infinite product gives
-        return twice < 0
+        return 0
+
+
+def _is_hole(verts, pts, relative: bool) -> bool:
+    """``_is_clockwise(verts)``, from the float shoelace of pts, the points correctly rounded,
+    where ``relative`` (``_rounds_relatively``) holds and ``_shoelace_sign`` decides."""
+    if relative:
+        xs, ys = [p.x for p in pts], [p.y for p in pts]
+        # the products x_m y_m+1 and -x_m+1 y_m, each rounded once
+        sign = _shoelace_sign([*map(mul, xs, ys[1:] + ys[:1]),
+                               *map(mul, map(neg, xs[1:] + xs[:1]), ys)])
+        if sign:
+            return sign < 0
     return _is_clockwise(verts)
 
 
-# The turn at a vertex is the shoelace of it and its two neighbours: six products, each as
-# above, summed left to right in floats, which adds at most 5u (1 + 6u) times the sum of
-# their absolute values; the margin covers the bound's own roundings.  Float sums raise
-# nothing: an infinite or NaN sum or bound fails the comparison.
-_TURN_ERRBOUND = (8.0 + 128.0 * 2.0 ** -53) * 2.0 ** -53
-_TURN_FLOOR = 3 * _SHOELACE_FLOOR
+def _orientation_det(u, v, w) -> int:
+    """Determinant of three homogeneous points with W > 0: the sign of their turn u -> v -> w."""
+    (x1, y1, w1), (x2, y2, w2), (x3, y3, w3) = u, v, w
+    return x1 * (y2 * w3 - y3 * w2) - y1 * (x2 * w3 - x3 * w2) + w1 * (x2 * y3 - x3 * y2)
 
 
 def _turn_signs(verts, pts, relative: bool) -> list[int]:
     """The exact sign of the turn at each vertex of a closed polygon of homogeneous points.
 
-    From pts, the points correctly rounded, where ``relative`` (``_rounds_relatively``) holds
-    and the float shoelace of the vertex and its neighbours exceeds its forward error bound,
-    as in ``_is_hole``, else from the exact ``_orientation_det``.
+    From the float shoelace of the vertex and its neighbours in pts as in ``_is_hole``,
+    else from the exact ``_orientation_det``.
     """
     n = len(pts)
     signs = []
     for t in range(n):
+        sign = 0
         if relative:
             (ax, ay), (bx, by), (cx, cy) = pts[t - 1], pts[t], pts[t + 1 - n]
-            t1, t2, t3, t4, t5, t6 = ax * by, bx * ay, bx * cy, cx * by, cx * ay, ax * cy
-            twice = t1 - t2 + t3 - t4 + t5 - t6
-            if abs(twice) > (_TURN_ERRBOUND * (abs(t1) + abs(t2) + abs(t3) + abs(t4) + abs(t5)
-                                               + abs(t6)) + _TURN_FLOOR):
-                signs.append(1 if twice > 0 else -1)
-                continue
-        det = _orientation_det(verts[t - 1], verts[t], verts[t + 1 - n])
-        signs.append((det > 0) - (det < 0))
+            sign = _shoelace_sign([ax * by, -(bx * ay), bx * cy, -(cx * by), cx * ay, -(ax * cy)])
+        if not sign:
+            det = _orientation_det(verts[t - 1], verts[t], verts[t + 1 - n])
+            sign = (det > 0) - (det < 0)
+        signs.append(sign)
     return signs
 
 
@@ -678,10 +670,12 @@ def voronoi_check(cfg: FocalConfig, n_samples: int = 10000, seed: int = 42) -> V
     A point is strictly inside the body exactly when its nearest focal point is
     inner; strict inside points must land in some inner site's cell and in at
     most one cell interior.  Samples are drawn from the clip box.  One scan finds
-    the nearest inner and outer distances; only a sample where the two lie within
-    the rounding bound of ``math.hypot`` is skipped as a tie (a tie of two inner
-    sites does not change the verdict), so every other verdict is exact,
-    ``agreements`` counts it and ``disagreements`` is 0.  A sample, scaled to
+    the nearest inner and outer distances, whose float order is exact beyond the
+    rounding bound of ``math.hypot``; within it, ``membership`` compares the squared
+    distances in integers.  Only a sample exactly as far from an inner as from an
+    outer point is skipped as a tie (a tie of two inner sites does not change the
+    verdict), so every verdict is exact, ``agreements`` counts it and
+    ``disagreements`` is 0.  A sample, scaled to
     integers once at the body's 2**k, lies in a cell of ``EquidistantBody.inner_cells``
     when the exact sign of every edge row of the cell is >= 0, and in its interior
     when every sign is > 0.
@@ -703,10 +697,14 @@ def voronoi_check(cfg: FocalConfig, n_samples: int = 10000, seed: int = 42) -> V
         # math.dist is hypot of the rounded differences: each off by a relative 2**-53 (under
         # an ulp of the distance), hypot under an ulp more, so each distance is within 2 ulps
         # of the exact one, and past 4 ulps of the larger d_in < d_out is the exact order
+        inside = d_in < d_out
         if abs(d_in - d_out) <= 4 * math.ulp(max(d_in, d_out)):
-            ties += 1
-            continue
-        if d_in < d_out:
+            member = membership(Point(*q), cfg)
+            if member == MEMBER_BOUNDARY:
+                ties += 1
+                continue
+            inside = member == MEMBER_INSIDE
+        if inside:
             inside_count += 1
             x, y, w = _scaled(Point(*q), k)
             slacks = [min(c * w - a * x - b * y for a, b, c in rows) for rows in cells]

@@ -1,8 +1,9 @@
 """Robust planar primitives: exact sign predicates and double-precision constructions.
 
-``orient`` is evaluated in floating point with a forward error bound and falls
-back to exact integer arithmetic when the float result is too close to zero to
-be trusted; ``incircle`` is always exact.  Exact signs and circumcircles scale
+``_sum_sign``, the engine's one float sign filter, proved once, decides the sign of a
+float sum of rounded products where its forward error bound allows; ``orient``, and
+``polygon``'s holes and turns, fall back to exact integers where it cannot.
+``incircle`` is always exact.  Exact signs and circumcircles scale
 the coordinates to integers by one power of two (``dyadic_ints``), and
 circumcircles are rounded once.  The float line layer (``Line``,
 ``line_intersection``, ``reflect_point`` and ``compose_three_reflections``) is
@@ -28,11 +29,10 @@ EPS_GEO = 1e-9
 # coordinate, and absolute (1e-9) where that coordinate is below 1.
 TAU_CONC = 1e-9
 
-# Forward error bound for the floating-point orientation filter (eps = 2^-53).
-_EPS_MACH = 2.0 ** -53
-_ORIENT_ERRBOUND = (3.0 + 16.0 * _EPS_MACH) * _EPS_MACH
-# The bound assumes no underflow; an underflowing product is off by at most 2^-1075.
-_ORIENT_FLOOR = 2.0 ** -1060
+# The float sign filter's error bound, relative to the sum of |products|, and underflow floor
+# per product (``_sum_sign``)
+_SUM_ERRBOUND = (3.0 + 24.0 * 2.0 ** -53) * 2.0 ** -53
+_SUM_FLOOR = 2.0 ** -1073
 
 TWO_PI = 2.0 * math.pi
 
@@ -104,17 +104,40 @@ def orient(p: Point, q: Point, r: Point) -> int:
     """Sign of the counterclockwise turn p -> q -> r.
 
     +1 for a left turn, -1 for a right turn, 0 exactly when the points are
-    collinear; the zero branch is decided in exact integer arithmetic.
+    collinear: the float determinant where ``_sum_sign`` decides, else integers.
     """
     detl = (q.x - p.x) * (r.y - p.y)
     detr = (q.y - p.y) * (r.x - p.x)
-    det = detl - detr
-    bound = _ORIENT_ERRBOUND * (abs(detl) + abs(detr)) + _ORIENT_FLOOR
-    if det > bound:
+    return _sum_sign(detl - detr, abs(detl) + abs(detr), 2) or _orient_exact(p, q, r)
+
+
+def _sum_sign(total: float, size: float, n: int) -> int:
+    """The exact sign of a sum of n products where its float sum decides it, else 0.
+
+    Each product is p = fl(ab), with a and b within a relative u = 2**-53 of the exact
+    factors; ``total`` and ``size`` are the correctly rounded sums of the p and of the
+    |p| (one float operation for two terms, ``math.fsum`` for more).  So size >= |total|,
+    and a non-finite one makes the bound infinite or NaN, which decides nothing.
+
+    Proof (Higham 2002, §3.1; Shewchuk's 1997 orient2d bound is the case n = 2).  A
+    normal p is ab (1 + e), |e| <= u, within (1 / (1 - u)**3 - 1) |p| <= (3u + 7u**2) |p|
+    of the exact product; an underflowing p = ab + h, |h| <= 2**-1075, is within
+    (3u + 7u**2) |p| + 2**-1074.  So the exact sum E is within (3u + 7u**2) A + n 2**-1074
+    of S, with S and A the sums of the p and of the |p|.  Floats are multiples of
+    2**-1074, so their sums round with no absolute error: total = S (1 + d) and
+    size = A (1 + d'), |d|, |d'| <= u, and total has the sign of S.  The bound rounds
+    twice and is at least (1 - u)((1 - u) c size + n f - 2**-1075), c and f being
+    the constants.  Past it, |S| >= |total| / (1 + u) exceeds |S - E|, since
+    c = (3 + 24u) u >= (3u + 7u**2)(1 + u) / (1 - u)**3 = 3u + 19u**2 + O(u**3) and, for
+    f = 2**-1073 and n >= 1, (1 - u)(n f - 2**-1075) >= (1 + u) n 2**-1074.  So E has
+    the sign of total.
+    """
+    bound = _SUM_ERRBOUND * size + n * _SUM_FLOOR
+    if total > bound:
         return 1
-    if -det > bound:
+    if -total > bound:
         return -1
-    return _orient_exact(p, q, r)
+    return 0
 
 
 def _orient_exact(p: Point, q: Point, r: Point) -> int:

@@ -605,8 +605,8 @@ def in_box(site, outer, half_width, m):
 class TestDiscCertificate:
     """Weight 2 from the empty disc on ab, and the clip for every other pair, against the oracle.
 
-    The disc test reads each component's squared row lengths, which a pair of different
-    scalings brings to the finer one by shifts.
+    Two components of one body take the disc test from the body's squared distances; any
+    other pair, of one scaling or of two, clips its bisector by the rows.
     """
 
     def test_ring_grid_and_dense_grid_pairs(self):
@@ -670,17 +670,6 @@ class TestDiscCertificate:
             assert rows == [cfg.p]  # one shared call for the pairs the disc leaves open
         assert weights[True, 0] == 5
         assert {(False, 2), (False, 0), (False, -1), (True, 2), (True, -1)} <= set(weights)
-
-    def test_squared_lengths_are_those_of_the_rows(self):
-        rng = random.Random(56)
-        cfg = grid_config(rng, 4)
-        comps = [*build_body(cfg).components,
-                 *(in_box(site, cfg.outer, 8, m) for site in cfg.inner for m in (0, 5))]
-        assert len({c._frame[2] for c in comps}) == 3
-        for c in comps:
-            (sx, sy), k = map(Fraction, c.site), c._frame[2]
-            assert c._squared_lengths == [
-                4 * ((Fraction(l.x) - sx) ** 2 + (Fraction(l.y) - sy) ** 2) * 4 ** k for l in c.outer]
 
     def test_grid_pairs_of_different_scalings_in_both_orders(self):
         rng = random.Random(57)

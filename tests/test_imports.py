@@ -60,8 +60,8 @@ def test_no_rational_or_decimal_arithmetic():
 # (importing module, imported module): the private names it imports, as they stand; a new
 # one is declared here
 PRIVATE_IMPORTS = {
-    ("polygon", "body"): {"_float_point", "_orientation_det", "_scaled", "_tables"},
-    ("polygon", "primitives"): {"_circumcircle_ints"},
+    ("polygon", "body"): {"_float_point", "_scaled", "_tables"},
+    ("polygon", "primitives"): {"_circumcircle_ints", "_sum_sign"},
     ("cli", "type32"): {"_construct_quad"},
     ("type32", "body"): {"_meet", "_signed_ratio"},
 }

@@ -10,7 +10,8 @@ oracles: ``float_band_voronoi_check`` tested the standalone cells with a band,
 and ``scanned_voronoi_check`` decided "inside" twice per sample.  Both skipped
 a sample whose two nearest focal distances were within tol times the
 coordinate scale; ``voronoi_check`` skips one only when its nearest inner and
-nearest outer distance are within the rounding of ``math.hypot``, which an
+nearest outer point are exactly equally far, which it decides in integers where
+the two float distances lie within the rounding of ``math.hypot``, and which an
 integer oracle checks sample by sample.
 """
 
@@ -18,6 +19,7 @@ import functools
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -377,7 +379,7 @@ class TestTieRuleAgainstIntegers:
         inside = []
         monkeypatch.setattr(polygon_module, "_scaled",
                             lambda q, k: inside.append((q.x, q.y)) or scaled(q, k))
-        want_inside, within = [], 0
+        want_inside, within, ties = [], 0, 0
         for q in qs:
             d_in, d_out = (min(math.hypot(q[0] - p.x, q[1] - p.y) for p in side)
                            for side in (cfg.inner, cfg.outer))
@@ -386,11 +388,12 @@ class TestTieRuleAgainstIntegers:
                 within += 1
             else:
                 assert sign == (1 if d_in > d_out else -1)
-                if sign < 0:
-                    want_inside.append(q)
+            ties += sign == 0
+            if sign < 0:
+                want_inside.append(q)
         rep = run()
         assert inside == want_inside  # every counted sample, inside by exact signs
-        assert rep.ties_skipped == within and rep.inside_count == len(want_inside)
+        assert rep.ties_skipped == ties and rep.inside_count == len(want_inside)
         monkeypatch.undo()
         return within
 
@@ -410,6 +413,29 @@ class TestTieRuleAgainstIntegers:
             within += self.assert_tie_rule(monkeypatch, cfg, qs,
                                            lambda: voronoi_check(cfg, len(qs)))
         assert within > 0
+
+    def test_samples_on_and_a_few_ulps_off_a_bisector(self, monkeypatch):
+        # inner (0, 0) and outer (4, 0) share the bisector x = 2: a sample on it ties, and
+        # samples 1 and 2 ulps to either side lie within the float band, where the squared
+        # distances decide in integers
+        cfg = FocalConfig.of([(0, 0)], [(4, 0), (0, 4), (-4, 0), (0, -4)])
+        off = [2.0 + m * math.ulp(2.0) for m in (1, 2)] + [2.0 - m * math.ulp(1.0) for m in (1, 4)]
+        qs = [(x, 0.5) for x in (2.0, *off)]
+        want = []
+        for x, y in qs:
+            d_in, d_out = (min(math.hypot(x - p.x, y - p.y) for p in side)
+                           for side in (cfg.inner, cfg.outer))
+            assert abs(d_in - d_out) <= 4 * math.ulp(max(d_in, d_out))
+            sq = [(Fraction(x) - Fraction(p.x)) ** 2 + (Fraction(y) - Fraction(p.y)) ** 2
+                  for p in cfg.points]
+            least_in, least_out = min(sq[:cfg.p]), min(sq[cfg.p:])
+            want.append((least_in > least_out) - (least_in < least_out))
+        assert want == [0, 1, 1, -1, -1]
+        coords = iter([v for q in qs for v in q])
+        monkeypatch.setattr(random.Random, "uniform", lambda self, a, b: next(coords))
+        rep = voronoi_check(cfg, len(qs))
+        assert rep == VoronoiReport(samples=5, ties_skipped=1, agreements=4, disagreements=0,
+                                    inside_count=2, cell_misses=0, overlap_violations=0)
 
 
 class TestTranslation:

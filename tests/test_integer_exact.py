@@ -8,12 +8,16 @@ lowest vertex.  They are slow but plainly exact.  The inputs mix binary
 exponents from -1074 to 1023, are exactly collinear or concircular (and one
 ulp off), or are random homogeneous polygons with exact ties.  ``_chains``
 decides a hole and its lowest vertices from the correctly rounded points,
-which the last tests check against the same oracles on exact points built
-to round against the float decision.
+which later tests check against the same oracles on exact points built
+to round against the float decision.  The last tests check the one float sign
+filter, ``primitives._sum_sign``, against the exact sums of exact products, and
+count the signs it leaves to the exact fallbacks on the ring, grid and
+dense-grid corpora against the constants of the three filters it replaced.
 """
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -26,6 +30,7 @@ from equidist.polygon import (
     _is_hole,
     _lowest_key,
     _rounds_relatively,
+    _shoelace_sign,
     _turn_signs,
     _xy_key,
     check_regularity,
@@ -35,6 +40,7 @@ from equidist.primitives import (
     Point,
     _incircle_exact,
     _orient_exact,
+    _sum_sign,
     incircle,
     orient,
 )
@@ -570,17 +576,25 @@ class TestTurnSignsFromRoundedPoints:
             self.check(verts)
 
     @staticmethod
+    def groups():
+        """The ring, grid and dense-grid inputs of ``corpus``, by name, and the rng after them."""
+        from test_exact_graph import dense_grid_configs, grid_config, ring_config
+
+        rng = random.Random(140)
+        return {"ring": [ring_config(rng, 8, 12) for _ in range(40)],
+                "grid": [grid_config(rng, rng.randint(2, 8)) for _ in range(40)],
+                "dense grid": dense_grid_configs(10)}, rng
+
+    @staticmethod
     def corpus():
         """Ring, grid and dense-grid inputs, and certificates of concave quads and flat darts."""
         from equidist.type32 import _construct_quad, label_quad
 
         from conftest import random_concave_quad
-        from test_exact_graph import dense_grid_configs, grid_config, ring_config
 
-        rng = random.Random(140)
-        yield from (ring_config(rng, 8, 12) for _ in range(40))
-        yield from (grid_config(rng, rng.randint(2, 8)) for _ in range(40))
-        yield from dense_grid_configs(10)
+        groups, rng = TestTurnSignsFromRoundedPoints.groups()
+        for configs in groups.values():
+            yield from configs
         quads = [random_concave_quad(rng) for _ in range(20)]
         quads += [label_quad([Point(x, 0.001 * y) for x, y in quad.points]) for quad in quads]
         quads.append(label_quad([Point(*p) for p in FLAT_DART]))
@@ -639,3 +653,159 @@ class TestLowestFromRoundedPoints:
                 range(len(verts)), key=frac.__getitem__)
             assert min(range(len(verts)), key=key.__getitem__) == min(
                 range(len(verts)), key=frac.__getitem__)
+
+
+# --- the one float sign filter -------------------------------------------------
+
+def exact_factor(rng, lo, hi):
+    """An 80-bit Fraction times 2**e, e in [lo, hi], and its float, rounded once to a normal."""
+    v = Fraction(rng.choice((1, -1)) * (rng.getrandbits(79) | 1 << 79), 2**79)
+    v *= Fraction(2) ** rng.randint(lo, hi)
+    return v, float(v)
+
+
+def cancelling_factors(rng, n, lo, hi, shifts=(40, 80)):
+    """n pairs of factors whose exact products sum to 0, or to 2**-s of their size, s in shifts."""
+    factors = [(exact_factor(rng, lo, hi), exact_factor(rng, lo, hi)) for _ in range(n - 1)]
+    rest = sum(a0 * b0 for (a0, _), (b0, _) in factors)
+    a0, a = exact_factor(rng, lo, hi)
+    tiny = 0 if rng.random() < 0.1 else (rest * Fraction(rng.randint(-2**20, 2**20), 2**20)
+                                         * Fraction(2) ** -rng.randint(*shifts))
+    b0 = (tiny - rest) / a0
+    return factors + [((a0, a), (b0, float(b0)))]
+
+
+def float_sign(factors) -> int:
+    """``_sum_sign`` of the factors' float products, summed as its callers sum them."""
+    products = [a * b for (_, a), (_, b) in factors]
+    if len(products) == 2:  # as orient: one float operation each
+        p, q = products
+        return _sum_sign(p + q, abs(p) + abs(q), 2)
+    return _shoelace_sign(products)
+
+
+def frac_sum_sign(factors) -> int:
+    total = sum(a0 * b0 for (a0, _), (b0, _) in factors)
+    return (total > 0) - (total < 0)
+
+
+class TestSumSign:
+    """``_sum_sign`` against the exact sum of the exact products, in Fractions."""
+
+    def test_the_constants_meet_the_proof(self):
+        u, tiny = Fraction(1, 2**53), Fraction(1, 2**1075)
+        c, f = Fraction(primitives._SUM_ERRBOUND), Fraction(primitives._SUM_FLOOR)
+        assert 1 / (1 - u) ** 3 - 1 <= 3 * u + 7 * u**2
+        assert (2 * u + 4 * u**2) * tiny + tiny <= 2 * tiny
+        assert 1 / (1 - u) ** 2 - 1 <= 2 * u + 4 * u**2
+        assert c >= (3 * u + 7 * u**2) * (1 + u) / (1 - u) ** 3
+        for n in (1, 2, 3, 6, 10**6):
+            assert (1 - u) * (n * f - tiny) >= (1 + u) * n * 2 * tiny
+
+    @pytest.mark.parametrize("lo, hi, shifts", [(-30, 30, (40, 80)), (-545, -515, (0, 30))],
+                             ids=["normal", "underflowing"])
+    def test_near_zero_sums(self, lo, hi, shifts):
+        # exact sums of 0 or far below the rounding of their products: the float sum has the
+        # wrong sign in some, which the filter must leave undecided; products of factors
+        # about 2**-530 round to subnormals, which only the floor covers
+        rng = random.Random(142 if lo > -100 else 143)
+        got = Counter()
+        for _ in range(3000):
+            factors = cancelling_factors(rng, rng.choice((2, 3, 6, 12)), lo, hi, shifts)
+            want, sign = frac_sum_sign(factors), float_sign(factors)
+            assert sign in (0, want)
+            products = [a * b for (_, a), (_, b) in factors]
+            total = math.fsum(products)
+            got[sign != 0, (total > 0) - (total < 0) == want] += 1
+        # decided, and left open both where the float sign is right and where it is wrong
+        assert got[True, True] and got[False, True] and got[False, False], got
+        assert not got[True, False], got
+
+    def test_clear_sums_are_decided(self):
+        rng = random.Random(144)
+        for _ in range(1000):
+            factors = [(exact_factor(rng, -30, 30), exact_factor(rng, -30, 30))
+                       for _ in range(rng.choice((2, 3, 6)))]
+            products = [a0 * b0 for (a0, _), (b0, _) in factors]
+            if abs(sum(products)) > Fraction(1, 2**40) * sum(map(abs, products)):
+                assert float_sign(factors) == frac_sum_sign(factors)
+
+    @pytest.mark.parametrize("terms", [
+        [math.inf, 1.0], [-math.inf, 1.0], [math.inf, -math.inf], [math.nan, 1.0],
+        [math.inf, math.inf, 1.0], [math.inf, -math.inf, 2.0], [math.nan, 1.0, 2.0],
+        [1e308, 1e308, -1e308, 1.0],
+    ], ids=["inf", "-inf", "inf-inf", "nan", "inf-3", "inf-inf-3", "nan-3", "overflow"])
+    def test_non_finite_terms_give_zero(self, terms):
+        assert _shoelace_sign(terms) == 0
+        if len(terms) == 2:
+            p, q = terms
+            assert _sum_sign(p + q, abs(p) + abs(q), 2) == 0
+
+    def test_non_finite_sums_give_zero(self):
+        inf, nan = math.inf, math.nan
+        for total, size in ((inf, inf), (-inf, inf), (nan, inf), (nan, nan), (0.0, nan),
+                            (1.0, inf)):
+            assert _sum_sign(total, size, 6) == 0
+
+
+# The three filters' constants before ``_sum_sign`` replaced them, (error bound, underflow
+# floor), the reference of the count below; the shoelace's floor was per vertex.
+FORMER_ORIENT = ((3.0 + 16.0 * U) * U, 2.0 ** -1060)
+FORMER_SHOELACE = ((3.0 + 64.0 * U) * U, 2.0 ** -1072)
+FORMER_TURN = ((8.0 + 128.0 * U) * U, 3 * 2.0 ** -1072)
+
+
+def former_orient_decides(total, size) -> bool:
+    err, floor = FORMER_ORIENT
+    return abs(total) > err * size + floor
+
+
+def former_hole_decides(pts) -> bool:
+    pairs = list(zip(pts, pts[1:] + pts[:1]))
+    terms = [a.x * b.y for a, b in pairs] + [-b.x * a.y for a, b in pairs]
+    err, floor = FORMER_SHOELACE
+    try:
+        return abs(math.fsum(terms)) > err * math.fsum(map(abs, terms)) + len(pts) * floor
+    except (OverflowError, ValueError):
+        return False
+
+
+def former_turn_decides(a, b, c) -> bool:
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    t1, t2, t3, t4, t5, t6 = ax * by, bx * ay, bx * cy, cx * by, cx * ay, ax * cy
+    err, floor = FORMER_TURN
+    return abs(t1 - t2 + t3 - t4 + t5 - t6) > err * (abs(t1) + abs(t2) + abs(t3) + abs(t4)
+                                                     + abs(t5) + abs(t6)) + floor
+
+
+class TestOneFilterOnTheCorpora:
+    """``_sum_sign`` leaves no more signs to the exact fallbacks than the former filters did."""
+
+    @pytest.mark.parametrize("group", ["ring", "grid", "dense grid"])
+    def test_exact_fallbacks_against_the_former_constants(self, monkeypatch, group):
+        configs = TestTurnSignsFromRoundedPoints.groups()[0][group]
+        orients, holes, turns = [], [], []
+        sum_sign, is_hole, turn_signs = primitives._sum_sign, polygon._is_hole, polygon._turn_signs
+        monkeypatch.setattr(primitives, "_sum_sign",  # only orient calls it there
+                            lambda total, size, n: orients.append((total, size))
+                            or sum_sign(total, size, n))
+        monkeypatch.setattr(polygon, "_is_hole", lambda verts, pts, relative:
+                            holes.append((pts, relative)) or is_hole(verts, pts, relative))
+        monkeypatch.setattr(polygon, "_turn_signs", lambda verts, pts, relative:
+                            turns.append((pts, relative)) or turn_signs(verts, pts, relative))
+        exact = Counter()
+        for kind, module, name in (("orient", primitives, "_orient_exact"),
+                                   ("hole", polygon, "_is_clockwise"),
+                                   ("turn", polygon, "_orientation_det")):
+            monkeypatch.setattr(module, name, lambda *args, kind=kind, fn=getattr(module, name):
+                                exact.update([kind]) or fn(*args))
+        for cfg in configs:
+            extract_boundary(FocalConfig(cfg.inner, cfg.outer))  # a new object: no memo answers
+        former = Counter(
+            orient=sum(not former_orient_decides(*call) for call in orients),
+            hole=sum(not (relative and former_hole_decides(pts)) for pts, relative in holes),
+            turn=sum(not (relative and former_turn_decides(pts[t - 2], pts[t - 1], pts[t]))
+                     for pts, relative in turns for t in range(len(pts))))
+        assert orients and holes and turns
+        assert all(exact[kind] <= former[kind] for kind in former), (exact, former)
+        assert group != "ring" or not +exact  # ring inputs leave no sign to the fallbacks
